@@ -81,10 +81,10 @@ from .oracle import (
 )
 from .reals import (
     InvalidNesting,
-    Rational,
     RealNum,
     RealRegistry,
     find_strict_witness,
+    least_witness,
     op_at,
 )
 from .trace import TraceEvent, TraceLog, read_trace, state_snapshot, write_trace

@@ -21,7 +21,7 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from .convex import CertificateFailure, convex_angle, verify_bounding
+from .convex import CertificateFailure, TooFewPoints, convex_angle, verify_bounding
 from .geometry import DegenerateInput
 from .inputs import (
     InputError,
@@ -55,16 +55,17 @@ KMAX_ENV = "REALEARN_KMAX"
 
 def _resolve_kmax(flag: Optional[int]) -> int:
     if flag is not None:
-        return flag
-    raw = os.environ.get(KMAX_ENV)
-    if raw is None:
-        return DEFAULT_KMAX
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(f"{KMAX_ENV} must be an integer, got {raw!r}")
+        source, value = "--kmax", flag
+    else:
+        raw = os.environ.get(KMAX_ENV)
+        if raw is None:
+            return DEFAULT_KMAX
+        try:
+            source, value = KMAX_ENV, int(raw)
+        except ValueError:
+            raise InputError(f"{KMAX_ENV} must be an integer, got {raw!r}")
     if value < 0:
-        raise InputError(f"{KMAX_ENV} must be >= 0, got {value}")
+        raise InputError(f"{source} must be >= 0, got {value}")
     return value
 
 
@@ -142,6 +143,8 @@ def cmd_convex(args) -> int:
             write_trace(args.trace, log.events)
         print(f"degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except TooFewPoints as exc:
+        raise InputError(f"{args.input}: {exc}")
     if args.trace:
         write_trace(args.trace, result.trace)
     witnesses = [result.certificate.c_left, result.certificate.b_right]
@@ -185,7 +188,8 @@ def cmd_check(args) -> int:
     a, b, c = record.get("a"), record.get("b"), record.get("c")
     if not all(isinstance(v, int) for v in (a, b, c)):
         raise InputError(f"{args.result}: a, b, c must be integers")
-    kmax = args.kmax if args.kmax is not None else record.get("kmax", DEFAULT_KMAX)
+    kmax = (record.get("kmax", DEFAULT_KMAX) if args.kmax is None
+            else _resolve_kmax(args.kmax))
     try:
         derived = verify_bounding(points, a, b, c, k_max=kmax)
     except CertificateFailure as exc:

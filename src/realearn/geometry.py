@@ -8,10 +8,11 @@ line is decided through the orientation quantity
 built with registered real arithmetic: R lies to the left of the line
 through P and Q when the orientation is strictly positive, to the
 right when strictly negative.  Because strict order of reals is only
-semi-decidable, :func:`decide_side` dovetails the two possibilities
-over increasing precision and reports the side together with the
-precision that witnessed it; exhausting the budget (as happens for
-collinear triples) raises :class:`DegenerateInput`.
+semi-decidable, :func:`decide_side` searches for the least precision
+at which either possibility is observed, with the galloping search
+:func:`~realearn.reals.least_witness`, and reports the side together
+with that precision; exhausting the budget (as happens for collinear
+triples) raises :class:`DegenerateInput`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from .reals import RealNum, find_strict_witness, op_at
+from .reals import RealNum, find_strict_witness, least_witness, op_at
 
 
 @dataclass(frozen=True)
@@ -66,17 +67,16 @@ def decide_side(p: Point, q: Point, r: Point, k_max: int,
                 orientation: Optional[RealNum] = None) -> SideDecision:
     """Which side of the directed line p -> q does r lie on?
 
-    Tests Left before Right at each precision k = 0..k_max, so the
-    returned witness is the least precision at which either strict
-    comparison of the orientation against zero succeeds.
+    The returned witness is the least precision k <= k_max at which
+    either strict comparison of the orientation against zero succeeds;
+    at that precision Left is tested before Right.
     """
     orient = orientation if orientation is not None else orientation_real(p, q, r)
     zero = orient.registry.zero()
-    for k in range(k_max + 1):
-        if op_at(zero, orient, k):
-            return Left(k)
-        if op_at(orient, zero, k):
-            return Right(k)
+    k = least_witness(
+        lambda k: op_at(zero, orient, k) or op_at(orient, zero, k), k_max)
+    if k is not None:
+        return Left(k) if op_at(zero, orient, k) else Right(k)
     raise DegenerateInput(
         f"no side witness for points ({p.index}, {q.index}, {r.index}) "
         f"within precision {k_max}"
@@ -94,15 +94,16 @@ def three_points(a: Point, q0: Point, q1: Point, q2: Point,
 
     Precondition: each q_{i+1} (cyclically) lies left of the line from
     a through q_i, which places a strictly inside the triangle
-    q0 q1 q2, so at least one vertex is strictly below a.  The search
-    dovetails precision (outer) against the three candidates (inner)
-    and returns ``(i, witness)`` for the first hit.
+    q0 q1 q2, so at least one vertex is strictly below a.  The witness
+    is the least precision at which some vertex is observed below a,
+    and ``i`` is the first such vertex at that precision: the result
+    ``(i, witness)`` is what dovetailing precision (outer) against the
+    three candidates (inner) would find first.
     """
     qs = (q0, q1, q2)
-    for k in range(k_max + 1):
-        for i, q in enumerate(qs):
-            if op_at(q.y, a.y, k):
-                return (i, k)
+    k = least_witness(lambda k: any(op_at(q.y, a.y, k) for q in qs), k_max)
+    if k is not None:
+        return next((i, k) for i, q in enumerate(qs) if op_at(q.y, a.y, k))
     raise NoWitnessFound(
         f"no point of ({q0.index}, {q1.index}, {q2.index}) observed below "
         f"{a.index} within precision {k_max}"

@@ -7,20 +7,29 @@ sequence pins down a unique real.  All endpoint arithmetic is exact:
 the only ground numeric type is the arbitrary-precision rational
 (:class:`fractions.Fraction`), and no floating point is used anywhere.
 
+Evaluation is lazy in precision as well as in time.  Reals built by the
+registry's constructors and arithmetic nodes are nested by
+construction, so they are evaluated only at the indices actually read:
+a product read at ``k`` reads its operands at ``k + shift`` and nothing
+below it.  A raw generator handed to :meth:`RealRegistry.register` has
+no such proof, so it is evaluated on the whole prefix ``0..k`` and each
+new interval is checked against its predecessor.
+
 Strict order between two reals is observed through :func:`op_at`, a
 decidable precision-indexed predicate: ``op_at(r, s, k)`` holds when
 r's interval at ``k`` lies strictly below s's interval at ``k``.  The
 predicate is monotone in ``k``, irreflexive, asymmetric, and
 transitive with witness ``max(k, l)``; those properties are theorems
 of the nesting invariants and are exercised by the test suite.
+Monotonicity is what lets :func:`least_witness` find the least
+witnessing precision by galloping and bisection instead of a scan.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 
-Rational = Fraction
 Interval = Tuple[Fraction, Fraction]
 RationalLike = Union[Fraction, int, str]
 Generator = Callable[[int], Interval]
@@ -32,7 +41,7 @@ def pow2(k: int) -> Fraction:
 
 
 class InvalidNesting(ValueError):
-    """A table constructor violated one of the interval clauses.
+    """An interval sequence violated one of the interval clauses.
 
     Carries the first offending index ``k`` and the name of the
     violated ``clause``.
@@ -44,41 +53,67 @@ class InvalidNesting(ValueError):
         super().__init__(f"invalid interval table at index {k}: {clause}")
 
 
+def _check_interval(k: int, interval: Interval,
+                    outer: Optional[Interval]) -> None:
+    """Raise :class:`InvalidNesting` for the first clause that the
+    interval at ``k`` violates, given the interval at ``k - 1`` if known."""
+    lo, hi = interval
+    if lo > hi:
+        raise InvalidNesting(k, "lower endpoint above upper endpoint")
+    if hi - lo > pow2(k):
+        raise InvalidNesting(k, f"width exceeds 2^-{k}")
+    if outer is not None:
+        if lo < outer[0]:
+            raise InvalidNesting(k, "lower endpoint decreases")
+        if hi > outer[1]:
+            raise InvalidNesting(k, "upper endpoint increases")
+
+
 class RealNum:
     """One registered real: a memoized generator of nested intervals.
 
     Instances are created through a :class:`RealRegistry`, which assigns
     the dense index that serves as the real's identity.  Intervals are
-    cached, so the generator is evaluated at most once per index; in
-    debug builds every newly produced interval is checked against the
-    nesting clauses relating it to its predecessor.
+    cached per index, so the generator is evaluated at most once per
+    index.  A real marked ``nested`` (every constructor and arithmetic
+    node) is evaluated at the requested index only; in debug builds the
+    new interval is checked for ``lo <= hi``, width at most ``2**-k``
+    and nesting with whichever neighbours ``k - 1`` and ``k + 1`` are
+    cached.  Any other real is a raw generator: reading index ``k``
+    evaluates the missing prefix up to ``k`` in order, and every new
+    interval is checked against its predecessor in all builds, raising
+    :class:`InvalidNesting` on the first violated clause.
     """
 
-    __slots__ = ("index", "registry", "_gen", "_cache")
+    __slots__ = ("index", "registry", "nested", "_gen", "_cache")
 
     def __init__(self, index: int, registry: "RealRegistry", gen: Generator):
         self.index = index
         self.registry = registry
+        self.nested = False
         self._gen = gen
-        self._cache: list[Interval] = []
+        self._cache: dict[int, Interval] = {}
 
     def interval_at(self, k: int) -> Interval:
         """The interval at precision index ``k`` (exact endpoints)."""
+        cache = self._cache
+        interval = cache.get(k)
+        if interval is not None:
+            return interval
         if k < 0:
             raise ValueError(f"precision index must be >= 0, got {k}")
-        cache = self._cache
-        while len(cache) <= k:
-            j = len(cache)
-            lo, hi = self._gen(j)
+        if self.nested:
+            interval = self._gen(k)
             if __debug__:
-                assert lo <= hi, f"real {self.index}: lo > hi at index {j}"
-                assert hi - lo <= pow2(j), \
-                    f"real {self.index}: width > 2^-{j} at index {j}"
-                if cache:
-                    plo, phi = cache[-1]
-                    assert plo <= lo and hi <= phi, \
-                        f"real {self.index}: interval at {j} not nested in {j - 1}"
-            cache.append((lo, hi))
+                _check_interval(k, interval, cache.get(k - 1))
+                if k + 1 in cache:
+                    _check_interval(k + 1, cache[k + 1], interval)
+            cache[k] = interval
+            return interval
+        for j in range(len(cache), k + 1):
+            lo, hi = self._gen(j)
+            _check_interval(j, (lo, hi), cache.get(j - 1))
+            cache[j] = (lo, hi)
         return cache[k]
 
     def __repr__(self) -> str:
@@ -95,16 +130,40 @@ def op_at(r: RealNum, s: RealNum, k: int) -> bool:
     return r.interval_at(k)[1] < s.interval_at(k)[0]
 
 
+def least_witness(holds: Callable[[int], bool], k_max: int) -> Optional[int]:
+    """Least k in ``0..k_max`` with ``holds(k)``, or None.
+
+    ``holds`` must be monotone in k (once true, true at every higher
+    index), as :func:`op_at` is for nested reals.  The search gallops
+    through k = 0, 1, 2, 4, 8, ... capped at ``k_max`` until ``holds``
+    is true, then bisects between the last false and the first true
+    probe, so it returns what a scan over 0, 1, 2, ... would return
+    using O(log k) probes.  A negative ``k_max`` returns None without
+    probing.
+    """
+    if k_max < 0:
+        return None
+    below, k = -1, 0
+    while not holds(k):
+        if k >= k_max:
+            return None
+        below, k = k, min(2 * k or 1, k_max)
+    while k - below > 1:
+        mid = (below + k) // 2
+        if holds(mid):
+            k = mid
+        else:
+            below = mid
+    return k
+
+
 def find_strict_witness(r: RealNum, s: RealNum, k_max: int) -> Optional[int]:
     """Smallest k <= k_max with ``op_at(r, s, k)``, or None.
 
     This is the bounded search for a strict-order witness; None means
     the search budget was exhausted, not that r < s is false.
     """
-    for k in range(k_max + 1):
-        if op_at(r, s, k):
-            return k
-    return None
+    return least_witness(lambda k: op_at(r, s, k), k_max)
 
 
 def _magnitude_exponent(x: RealNum) -> int:
@@ -143,11 +202,19 @@ class RealRegistry:
         """Register a raw interval generator and return its handle.
 
         The generator must produce nested intervals of width at most
-        ``2**-k``; violations surface as debug assertions on first
-        evaluation.  Constructors below validate more eagerly.
+        ``2**-k``; it is evaluated prefix by prefix and a violation
+        raises :class:`InvalidNesting` on first evaluation.
+        Constructors below validate more eagerly.
         """
         real = RealNum(len(self._entries), self, gen)
         self._entries.append(real)
+        return real
+
+    def _register_nested(self, gen: Generator) -> RealNum:
+        """Register a generator that is nested by construction, for
+        evaluation at the requested index only."""
+        real = self.register(gen)
+        real.nested = True
         return real
 
     def from_rational(self, q: RationalLike) -> RealNum:
@@ -157,7 +224,7 @@ class RealRegistry:
         def gen(k: int) -> Interval:
             return (value, value)
 
-        return self.register(gen)
+        return self._register_nested(gen)
 
     def blurred(self, q: RationalLike) -> RealNum:
         """A real converging to q with interval width exactly 2**-k.
@@ -171,7 +238,7 @@ class RealRegistry:
             blur = Fraction(1, 2 ** (k + 1))
             return (value - blur, value + blur)
 
-        return self.register(gen)
+        return self._register_nested(gen)
 
     def from_table(self, prefix: Sequence[Tuple[RationalLike, RationalLike]],
                    tail: RationalLike) -> RealNum:
@@ -184,18 +251,8 @@ class RealRegistry:
         """
         intervals = [(Fraction(lo), Fraction(hi)) for lo, hi in prefix]
         tail_value = Fraction(tail)
-        prev: Optional[Interval] = None
-        for k, (lo, hi) in enumerate(intervals):
-            if lo > hi:
-                raise InvalidNesting(k, "lower endpoint above upper endpoint")
-            if hi - lo > pow2(k):
-                raise InvalidNesting(k, f"width exceeds 2^-{k}")
-            if prev is not None:
-                if lo < prev[0]:
-                    raise InvalidNesting(k, "lower endpoint decreases")
-                if hi > prev[1]:
-                    raise InvalidNesting(k, "upper endpoint increases")
-            prev = (lo, hi)
+        for k, interval in enumerate(intervals):
+            _check_interval(k, interval, intervals[k - 1] if k else None)
         if intervals:
             lo, hi = intervals[-1]
             if not (lo <= tail_value <= hi):
@@ -206,7 +263,7 @@ class RealRegistry:
                 return intervals[k]
             return (tail_value, tail_value)
 
-        return self.register(gen)
+        return self._register_nested(gen)
 
     def zero(self) -> RealNum:
         """The constant real 0, registered once per registry on demand."""
@@ -226,7 +283,7 @@ class RealRegistry:
             blo, bhi = b.interval_at(k + 1)
             return (alo + blo, ahi + bhi)
 
-        return self.register(gen)
+        return self._register_nested(gen)
 
     def sub(self, a: RealNum, b: RealNum) -> RealNum:
         """Register a - b, reading both operands at k + 1."""
@@ -236,7 +293,7 @@ class RealRegistry:
             blo, bhi = b.interval_at(k + 1)
             return (alo - bhi, ahi - blo)
 
-        return self.register(gen)
+        return self._register_nested(gen)
 
     def mul(self, a: RealNum, b: RealNum) -> RealNum:
         """Register a * b.
@@ -257,4 +314,4 @@ class RealRegistry:
             products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
             return (min(products), max(products))
 
-        return self.register(gen)
+        return self._register_nested(gen)

@@ -27,7 +27,16 @@ class TraceEvent:
 
     @staticmethod
     def from_json(line: str) -> "TraceEvent":
-        record = json.loads(line)
+        """Parse one serialized event; ValueError names what is wrong."""
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"invalid JSON: {exc}") from None
+        if not isinstance(record, dict):
+            raise ValueError("trace event must be a JSON object")
+        for key in ("seq", "phase"):
+            if key not in record:
+                raise ValueError(f"trace event has no {key!r}")
         seq = record.pop("seq")
         phase = record.pop("phase")
         return TraceEvent(seq=seq, phase=phase, payload=record)
@@ -61,10 +70,18 @@ def write_trace(path, events: Sequence[TraceEvent]) -> None:
 
 
 def read_trace(path) -> List[TraceEvent]:
+    """Read a trace file; a malformed line raises ``InputError``
+    naming the file and the line number."""
+    from .inputs import InputError  # inputs depends on this module
+
     events: List[TraceEvent] = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 events.append(TraceEvent.from_json(line))
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from None
     return events

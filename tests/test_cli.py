@@ -89,6 +89,13 @@ def test_kmax_env_must_be_an_integer():
     assert "REALEARN_KMAX" in proc.stderr
 
 
+def test_kmax_flag_must_not_be_negative():
+    for args in (("convex", WEDGE), ("least", WORKED_REALS)):
+        proc = run_cli(*args, "--kmax", "-3")
+        assert proc.returncode == 1
+        assert proc.stderr == "input error: --kmax must be >= 0, got -3\n"
+
+
 def test_convex_wedge():
     proc = run_cli("convex", WEDGE)
     assert proc.returncode == 0
@@ -136,6 +143,23 @@ def test_convex_missing_file_exits_1():
     proc = run_cli("convex", "no-such-file.jsonl")
     assert proc.returncode == 1
     assert "input error" in proc.stderr
+
+
+def test_convex_two_points_exits_1(tmp_path):
+    two = tmp_path / "two.jsonl"
+    two.write_text("".join(WEDGE.read_text().splitlines(True)[:2]))
+    proc = run_cli("convex", two)
+    assert proc.returncode == 1
+    assert "input error" in proc.stderr
+    assert "need at least 3 points, got 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_tree_rejects_a_file_that_is_not_a_trace():
+    proc = run_cli("tree", WEDGE)
+    assert proc.returncode == 1
+    assert proc.stderr == (f"input error: {WEDGE}:1: "
+                           "trace event has no 'seq'\n")
 
 
 def test_tree_replays_least_trace(tmp_path):

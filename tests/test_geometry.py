@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realearn import (
     DegenerateInput,
@@ -11,6 +13,8 @@ from realearn import (
     RealRegistry,
     Right,
     decide_side,
+    find_strict_witness,
+    op_at,
     orientation_real,
     strictly_below_witness,
     three_points,
@@ -109,3 +113,88 @@ def test_three_points_exhaustion():
     with pytest.raises(NoWitnessFound):
         three_points(a, q0, q1, q2, 16)
     assert issubclass(NoWitnessFound, DegenerateInput)
+
+
+# Reference implementations: the linear scans over k = 0, 1, 2, ...
+# that the galloping least-witness search replaced.
+
+def scan_strict_witness(r, s, k_max):
+    for k in range(k_max + 1):
+        if op_at(r, s, k):
+            return k
+    return None
+
+
+def scan_decide_side(p, q, r, k_max):
+    orient = orientation_real(p, q, r)
+    zero = orient.registry.zero()
+    for k in range(k_max + 1):
+        if op_at(zero, orient, k):
+            return Left(k)
+        if op_at(orient, zero, k):
+            return Right(k)
+    raise DegenerateInput(
+        f"no side witness for points ({p.index}, {q.index}, {r.index}) "
+        f"within precision {k_max}")
+
+
+def scan_three_points(a, q0, q1, q2, k_max):
+    qs = (q0, q1, q2)
+    for k in range(k_max + 1):
+        for i, q in enumerate(qs):
+            if op_at(q.y, a.y, k):
+                return (i, k)
+    raise NoWitnessFound(
+        f"no point of ({q0.index}, {q1.index}, {q2.index}) observed below "
+        f"{a.index} within precision {k_max}")
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DegenerateInput as exc:
+        return type(exc), str(exc)
+
+
+grid = st.integers(min_value=-2 ** 20, max_value=2 ** 20).map(
+    lambda n: Fraction(n, 2 ** 20))
+grid_points = st.tuples(grid, grid)
+
+
+@st.composite
+def point_sets(draw, count):
+    """``count`` points on the 2^-20 grid; the third is often put on the
+    line through the first two, so collinear triples are drawn too."""
+    coords = draw(st.lists(grid_points, min_size=count, max_size=count))
+    if draw(st.booleans()):
+        (px, py), (qx, qy) = coords[0], coords[1]
+        t = draw(st.integers(min_value=-2, max_value=3))
+        coords[2] = (px + t * (qx - px), py + t * (qy - py))
+    return coords
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets(3), st.booleans(), st.integers(min_value=0, max_value=64))
+def test_galloping_matches_linear_scans_on_triples(coords, blurred, k_max):
+    p, q, r = simple_points(coords, blurred=blurred)
+    assert outcome(decide_side, p, q, r, k_max) == \
+        outcome(scan_decide_side, p, q, r, k_max)
+    for a, b in ((p, q), (q, r), (r, p)):
+        assert find_strict_witness(a.y, b.y, k_max) == \
+            scan_strict_witness(a.y, b.y, k_max)
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets(4), st.booleans(), st.integers(min_value=0, max_value=64))
+def test_galloping_matches_linear_scan_in_three_points(coords, blurred, k_max):
+    a, q0, q1, q2 = simple_points(coords, blurred=blurred)
+    assert outcome(three_points, a, q0, q1, q2, k_max) == \
+        outcome(scan_three_points, a, q0, q1, q2, k_max)
+
+
+def test_collinear_triple_exhausts_kmax_256_with_the_same_message():
+    p, q, r = simple_points([(0, 0), (1, Fraction(1, 2 ** 20)),
+                             (2, Fraction(2, 2 ** 20))], blurred=True)
+    assert outcome(decide_side, p, q, r, 256) == \
+        outcome(scan_decide_side, p, q, r, 256)
+    assert outcome(decide_side, p, q, r, 256)[0] is DegenerateInput

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -9,6 +13,7 @@ from realearn import (
     InvalidNesting,
     RealRegistry,
     find_strict_witness,
+    least_witness,
     op_at,
 )
 from realearn.oracle import separation_from_gap
@@ -16,6 +21,8 @@ from realearn.oracle import separation_from_gap
 from support import random_real, random_table_prefix
 
 rationals = st.fractions(min_value=-64, max_value=64, max_denominator=512)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_from_rational_is_degenerate_everywhere():
@@ -179,3 +186,108 @@ def test_arithmetic_on_mixed_constructors():
         lo, hi = combined.interval_at(20)
         assert lo <= exact <= hi
         assert hi - lo <= Fraction(1, 2 ** 20)
+
+
+def scan_least_witness(holds, k_max):
+    """Reference: the linear scan that least_witness replaces."""
+    for k in range(k_max + 1):
+        if holds(k):
+            return k
+    return None
+
+
+@given(st.integers(min_value=-3, max_value=300),
+       st.one_of(st.none(), st.integers(min_value=0, max_value=310)))
+def test_least_witness_matches_linear_scan(k_max, threshold):
+    probes = []
+
+    def holds(k):
+        probes.append(k)
+        return threshold is not None and k >= threshold
+
+    found = least_witness(holds, k_max)
+    assert all(0 <= k <= k_max for k in probes)
+    assert len(probes) <= 2 * max(k_max, 0).bit_length() + 1
+    assert found == scan_least_witness(holds, k_max)
+
+
+def test_least_witness_edge_budgets():
+    probes = []
+
+    def never(k):
+        probes.append(k)
+        return False
+
+    assert least_witness(never, -1) is None
+    assert probes == []
+    assert least_witness(never, 0) is None
+    assert probes == [0]
+    probes.clear()
+    assert least_witness(never, 256) is None
+    assert probes == [0, 1, 2, 4, 8, 16, 32, 64, 128, 256]
+    assert least_witness(lambda k: True, 0) == 0
+    assert least_witness(lambda k: True, 256) == 0
+
+
+def _constructor_reals(reg, p, q):
+    a, b = reg.blurred(p), reg.from_rational(q)
+    table = reg.from_table([(p - 1, p), (p - Fraction(1, 2), p)], p)
+    return [a, b, table, reg.add(a, b), reg.sub(table, a),
+            reg.mul(a, table), reg.mul(reg.sub(a, b), reg.add(b, table))]
+
+
+@settings(max_examples=40)
+@given(rationals, rationals, st.randoms(use_true_random=False))
+def test_constructors_are_independent_of_read_order(p, q, rng):
+    levels = list(range(40))
+    expected = [[real.interval_at(k) for k in levels]
+                for real in _constructor_reals(RealRegistry(), p, q)]
+    shuffled = levels[:]
+    rng.shuffle(shuffled)
+    for order in (levels, levels[::-1], shuffled):
+        reals = _constructor_reals(RealRegistry(), p, q)
+        for k in order:
+            for real in reals:
+                real.interval_at(k)
+        assert [[real.interval_at(k) for k in levels]
+                for real in reals] == expected
+
+
+def test_constructors_evaluate_only_the_requested_index():
+    reg = RealRegistry()
+    prod = reg.mul(reg.blurred(3), reg.blurred(Fraction(1, 3)))
+    prod.interval_at(30)
+    assert sorted(prod._cache) == [30]
+
+
+@pytest.mark.skipif(not __debug__, reason="neighbour checks are debug-only")
+def test_random_access_checks_cached_neighbours():
+    reg = RealRegistry()
+    r = reg.register(lambda k: (Fraction(k % 2, 2), Fraction(k % 2, 2)))
+    r.nested = True
+    r.interval_at(3)
+    with pytest.raises(InvalidNesting) as exc:
+        r.interval_at(2)
+    assert (exc.value.k, exc.value.clause) == (3, "upper endpoint increases")
+    with pytest.raises(InvalidNesting) as exc:
+        r.interval_at(4)
+    assert (exc.value.k, exc.value.clause) == (4, "lower endpoint decreases")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_raw_generator_nesting_is_checked_in_every_build(flags):
+    code = (
+        "from fractions import Fraction\n"
+        "from realearn import InvalidNesting, RealRegistry\n"
+        "r = RealRegistry().register("
+        "lambda k: (Fraction(k % 2, 2), Fraction(k % 2, 2)))\n"
+        "try:\n"
+        "    r.interval_at(3)\n"
+        "except InvalidNesting as exc:\n"
+        "    print(exc.k, exc.clause)\n"
+    )
+    proc = subprocess.run([sys.executable, *flags, "-c", code],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 upper endpoint increases\n"

@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from realearn import RealRegistry, TraceLog, empty_state, extend
+from realearn.inputs import InputError
 from realearn.trace import TraceEvent, read_trace, state_snapshot, write_trace
 
 
@@ -44,3 +47,17 @@ def test_state_snapshot_is_sorted():
     snap = state_snapshot(state)
     assert snap == [{"i": 0, "j": 1, "witness": 1},
                     {"i": 0, "j": 3, "witness": 2}]
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("{not json", "invalid JSON"),
+    ("[0, 1]", "trace event must be a JSON object"),
+    ('{"phase": "candidate"}', "trace event has no 'seq'"),
+    ('{"seq": 1}', "trace event has no 'phase'"),
+])
+def test_read_trace_names_file_and_line_of_a_bad_event(tmp_path, bad, message):
+    path = tmp_path / "bad.trace"
+    path.write_text('{"phase":"candidate","seq":0}\n\n' + bad + "\n")
+    with pytest.raises(InputError) as exc:
+        read_trace(path)
+    assert str(exc.value).startswith(f"{path}:3: {message}")
