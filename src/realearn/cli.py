@@ -53,20 +53,31 @@ DEFAULT_KMAX = 256
 KMAX_ENV = "REALEARN_KMAX"
 
 
-def _resolve_kmax(flag: Optional[int]) -> int:
-    if flag is not None:
-        source, value = "--kmax", flag
-    else:
-        raw = os.environ.get(KMAX_ENV)
-        if raw is None:
-            return DEFAULT_KMAX
-        try:
-            source, value = KMAX_ENV, int(raw)
-        except ValueError:
-            raise InputError(f"{KMAX_ENV} must be an integer, got {raw!r}")
+def _nonnegative(source: str, value) -> int:
+    """``value`` if it is an integer >= 0, else an input error naming
+    ``source``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{source} must be an integer, got {value!r}")
     if value < 0:
         raise InputError(f"{source} must be >= 0, got {value}")
     return value
+
+
+def _resolve_kmax(flag: Optional[int]) -> int:
+    if flag is not None:
+        return _nonnegative("--kmax", flag)
+    raw = os.environ.get(KMAX_ENV)
+    if raw is None:
+        return DEFAULT_KMAX
+    try:
+        value = int(raw)
+    except ValueError:
+        raise InputError(f"{KMAX_ENV} must be an integer, got {raw!r}")
+    return _nonnegative(KMAX_ENV, value)
+
+
+def _resolve_max_restarts(flag: Optional[int]) -> Optional[int]:
+    return None if flag is None else _nonnegative("--max-restarts", flag)
 
 
 def _print_state(state) -> None:
@@ -76,12 +87,13 @@ def _print_state(state) -> None:
 
 def cmd_least(args) -> int:
     kmax = _resolve_kmax(args.kmax)
+    max_restarts = _resolve_max_restarts(args.max_restarts)
     document = load_document(args.input)
     if not document.reals:
         raise InputError(f"{args.input}: no reals in document")
     registry, _ = build_reals(document)
     n = len(document.reals) - 1
-    budget = args.max_restarts if args.max_restarts is not None else 2 ** n
+    budget = max_restarts if max_restarts is not None else 2 ** n
     if args.auditor == "none":
         auditor = NullAuditor()
     elif args.auditor == "oracle":
@@ -92,6 +104,8 @@ def cmd_least(args) -> int:
     elif args.auditor.startswith("script:"):
         script = load_script(args.auditor[len("script:"):])
         for ch in script:
+            if not 0 <= ch.j <= n:
+                raise InputError(f"challenge j {ch.j} is outside 0..{n}")
             if ch.precision > kmax:
                 raise InputError(
                     f"challenge precision {ch.precision} exceeds kmax {kmax}")
@@ -125,6 +139,7 @@ def _certificate_obj(certificate) -> dict:
 
 def cmd_convex(args) -> int:
     kmax = _resolve_kmax(args.kmax)
+    max_restarts = _resolve_max_restarts(args.max_restarts)
     document = load_document(args.input)
     if not document.points:
         raise InputError(f"{args.input}: no points in document")
@@ -132,7 +147,7 @@ def cmd_convex(args) -> int:
     log = TraceLog()
     try:
         result = convex_angle(points, k_max=kmax,
-                              max_restarts=args.max_restarts, trace=log)
+                              max_restarts=max_restarts, trace=log)
     except RestartBudgetExceeded as exc:
         if args.trace:
             write_trace(args.trace, log.events)
@@ -177,7 +192,7 @@ def cmd_check(args) -> int:
     try:
         with open(args.result, "r", encoding="utf-8") as handle:
             record = json.loads(handle.read())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"{args.result}: cannot read result: {exc}")
     if not isinstance(record, dict) or record.get("type") != "convex-result":
         raise InputError(f"{args.result}: not a convex result file")
@@ -188,8 +203,9 @@ def cmd_check(args) -> int:
     a, b, c = record.get("a"), record.get("b"), record.get("c")
     if not all(isinstance(v, int) for v in (a, b, c)):
         raise InputError(f"{args.result}: a, b, c must be integers")
-    kmax = (record.get("kmax", DEFAULT_KMAX) if args.kmax is None
-            else _resolve_kmax(args.kmax))
+    kmax = (_nonnegative(f"{args.result}: kmax",
+                         record.get("kmax", DEFAULT_KMAX))
+            if args.kmax is None else _resolve_kmax(args.kmax))
     try:
         derived = verify_bounding(points, a, b, c, k_max=kmax)
     except CertificateFailure as exc:

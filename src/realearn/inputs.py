@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .geometry import Point
 from .least import Challenge
@@ -35,6 +35,19 @@ from .reals import RealNum, RealRegistry
 
 class InputError(ValueError):
     """Malformed input document, script, or result file."""
+
+
+def numbered_lines(path) -> Iterator[Tuple[int, str]]:
+    """The stripped non-blank lines of a UTF-8 text file, numbered from
+    1; a file that is not UTF-8 raises :class:`InputError`."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            for lineno, line in enumerate(handle, 1):
+                line = line.strip()
+                if line:
+                    yield lineno, line
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 REAL_KINDS = ("rational", "blurred", "table")
@@ -135,34 +148,30 @@ class InputDocument:
 def load_document(path) -> InputDocument:
     reals: List[RealSpec] = []
     points: List[PointSpec] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise InputError(f"{path}:{lineno}: record must be an object")
-            kind = record.get("type")
-            try:
-                if kind == "real":
-                    reals.append(RealSpec.from_obj(record))
-                elif kind == "point":
-                    index = record.get("index")
-                    if not isinstance(index, int) or isinstance(index, bool):
-                        raise InputError(f"point index must be an integer")
-                    points.append(PointSpec(
-                        index=index,
-                        x=RealSpec.from_obj(record.get("x")),
-                        y=RealSpec.from_obj(record.get("y")),
-                    ))
-                else:
-                    raise InputError(f"unknown record type {kind!r}")
-            except InputError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, line in numbered_lines(path):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise InputError(f"{path}:{lineno}: record must be an object")
+        kind = record.get("type")
+        try:
+            if kind == "real":
+                reals.append(RealSpec.from_obj(record))
+            elif kind == "point":
+                index = record.get("index")
+                if not isinstance(index, int) or isinstance(index, bool):
+                    raise InputError(f"point index must be an integer")
+                points.append(PointSpec(
+                    index=index,
+                    x=RealSpec.from_obj(record.get("x")),
+                    y=RealSpec.from_obj(record.get("y")),
+                ))
+            else:
+                raise InputError(f"unknown record type {kind!r}")
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
     points.sort(key=lambda spec: spec.index)
     for position, spec in enumerate(points):
         if spec.index != position:
@@ -207,27 +216,23 @@ def rational_points(document: InputDocument) -> List[RationalPoint]:
 def load_script(path) -> List[Challenge]:
     """A challenge script: one ``{"j":, "precision":, "force"?:}`` per line."""
     challenges: List[Challenge] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise InputError(f"{path}:{lineno}: challenge must be an object")
-            j = record.get("j")
-            precision = record.get("precision")
-            force = record.get("force", False)
-            if not isinstance(j, int) or not isinstance(precision, int) \
-                    or isinstance(j, bool) or isinstance(precision, bool):
-                raise InputError(
-                    f"{path}:{lineno}: challenge needs integer j and precision")
-            if not isinstance(force, bool):
-                raise InputError(f"{path}:{lineno}: force must be a boolean")
-            challenges.append(Challenge(j=j, precision=precision, force=force))
+    for lineno, line in numbered_lines(path):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise InputError(f"{path}:{lineno}: challenge must be an object")
+        j = record.get("j")
+        precision = record.get("precision")
+        force = record.get("force", False)
+        if not isinstance(j, int) or not isinstance(precision, int) \
+                or isinstance(j, bool) or isinstance(precision, bool):
+            raise InputError(
+                f"{path}:{lineno}: challenge needs integer j and precision")
+        if not isinstance(force, bool):
+            raise InputError(f"{path}:{lineno}: force must be a boolean")
+        challenges.append(Challenge(j=j, precision=precision, force=force))
     return challenges
 
 

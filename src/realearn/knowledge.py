@@ -87,7 +87,11 @@ class Step:
 
     @property
     def target(self) -> int:
-        return self.rest.target
+        # a loop, not recursion: chains can be longer than the stack
+        ev = self.rest
+        while isinstance(ev, Step):
+            ev = ev.rest
+        return ev.target
 
 
 LeqEvidence = Union[Refl, Assumed, Step]

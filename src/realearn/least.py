@@ -4,7 +4,9 @@
 returns the least element relative to the current knowledge state,
 together with an evidence chain for every comparison it relied on.
 With an empty state this is pure guessing: index 0 is proposed and
-every comparison is assumed.
+every comparison is assumed.  The pass keeps one shared list of the
+strict steps it took and builds an index's chain only when it is read,
+so a pass costs O(n) however many strict answers it meets.
 
 :func:`learn_least` wraps the pass in an interactive loop.  An auditor
 challenges claims at chosen precisions; a refuted claim is blamed on
@@ -18,8 +20,9 @@ bounded by ``2**n - 1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Set, Tuple
+from collections.abc import Mapping
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Protocol, Set, Tuple
 
 from .knowledge import (
     Assumed,
@@ -47,6 +50,36 @@ class RestartBudgetExceeded(RuntimeError):
         super().__init__(f"restart {restarts} exceeds budget {budget}")
 
 
+class Evidences(Mapping):
+    """Read-only ``j -> evidence`` mapping of one least-element pass.
+
+    ``strict`` lists the pass's strict steps ``(witness, new
+    candidate)`` in order.  ``bases[j]`` is ``(base, pos)``: j's own
+    evidence (``Refl`` or ``Assumed``) and the length of ``strict``
+    when j joined.  Reading ``evidences[j]`` wraps the base in a
+    :class:`Step` for each strict step from ``pos`` on.
+    """
+
+    __slots__ = ("_strict", "_bases")
+
+    def __init__(self, strict: List[Tuple[int, int]],
+                 bases: Dict[int, Tuple[LeqEvidence, int]]):
+        self._strict = strict
+        self._bases = bases
+
+    def __getitem__(self, j: int) -> LeqEvidence:
+        ev, pos = self._bases[j]
+        for witness, subject in self._strict[pos:]:
+            ev = Step(witness, ev, subject)
+        return ev
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._bases)
+
+    def __len__(self) -> int:
+        return len(self._bases)
+
+
 @dataclass(frozen=True)
 class LeastCandidate:
     """A proposed least index plus evidence for each comparison.
@@ -56,7 +89,7 @@ class LeastCandidate:
     """
 
     candidate: int
-    evidences: Dict[int, LeqEvidence]
+    evidences: Mapping[int, LeqEvidence]
 
 
 @dataclass(frozen=True)
@@ -111,28 +144,28 @@ def least_candidate(state: KnowledgeState, n: int,
     """One deterministic pass proposing the least of ``r_0 .. r_n``.
 
     Walks i = 1..n keeping a running candidate.  An assumed comparison
-    keeps the candidate and records the assumption; a strict answer
-    switches the candidate to i and upgrades every existing evidence
-    chain by chaining the strict step in front of it.
+    keeps the candidate and records the assumption as i's evidence; a
+    strict answer switches the candidate to i and appends the strict
+    step to the shared list, which puts it in front of every chain
+    recorded so far.  No chain is built until it is read.
     """
     candidate = 0
-    evidences: Dict[int, LeqEvidence] = {0: Refl(0)}
+    strict: List[Tuple[int, int]] = []
+    bases: Dict[int, Tuple[LeqEvidence, int]] = {0: (Refl(0), 0)}
     for i in range(1, n + 1):
         decision = decide_total(state, candidate, i)
         if isinstance(decision, AssumeLeq):
             if trace is not None:
                 trace.emit("decide", step=i, pair=[candidate, i], decision="assume")
-            evidences[i] = decision.evidence
+            bases[i] = (decision.evidence, len(strict))
         else:
             if trace is not None:
                 trace.emit("decide", step=i, pair=[candidate, i],
                            decision="strict", witness=decision.witness)
-            evidences = {
-                j: Step(decision.witness, ev, i) for j, ev in evidences.items()
-            }
-            evidences[i] = Refl(i)
+            strict.append((decision.witness, i))
+            bases[i] = (Refl(i), len(strict))
             candidate = i
-    return LeastCandidate(candidate, evidences)
+    return LeastCandidate(candidate, Evidences(strict, bases))
 
 
 def evidence_graph(cand: LeastCandidate) -> Tuple[Set[Tuple[int, int, int]],

@@ -71,17 +71,14 @@ def write_trace(path, events: Sequence[TraceEvent]) -> None:
 
 def read_trace(path) -> List[TraceEvent]:
     """Read a trace file; a malformed line raises ``InputError``
-    naming the file and the line number."""
-    from .inputs import InputError  # inputs depends on this module
+    naming the file and the line number, and a file that is not UTF-8
+    raises one naming the file."""
+    from .inputs import InputError, numbered_lines  # inputs depends on this module
 
     events: List[TraceEvent] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(TraceEvent.from_json(line))
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in numbered_lines(path):
+        try:
+            events.append(TraceEvent.from_json(line))
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
     return events

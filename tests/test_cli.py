@@ -193,3 +193,51 @@ def test_traces_are_byte_identical_across_runs(tmp_path):
     for path in (a, b):
         run_cli("convex", WEDGE, "--trace", path)
     assert a.read_bytes() == b.read_bytes()
+
+
+def assert_input_error(proc, *fragments):
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("input error: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    for fragment in fragments:
+        assert fragment in proc.stderr
+
+
+def test_files_that_are_not_utf8_exit_1(tmp_path):
+    binary = tmp_path / "bin.trace"
+    binary.write_bytes(b"\xff\xfe\n")
+    for args in (("tree", binary),
+                 ("convex", binary),
+                 ("least", binary),
+                 ("least", WORKED_REALS, "--auditor", f"script:{binary}"),
+                 ("check", binary, QUAD)):
+        assert_input_error(run_cli(*args), str(binary))
+    assert_input_error(run_cli("tree", binary), "not UTF-8 text")
+
+
+def test_check_validates_the_result_kmax(tmp_path):
+    result = tmp_path / "quad.json"
+    run_cli("convex", QUAD, "--result", result)
+    record = json.loads(result.read_text())
+    for kmax, message in (("x", "kmax must be an integer, got 'x'"),
+                          (True, "kmax must be an integer, got True"),
+                          (-3, "kmax must be >= 0, got -3")):
+        record["kmax"] = kmax
+        result.write_text(json.dumps(record))
+        assert_input_error(run_cli("check", result, QUAD), message)
+
+
+def test_script_challenge_out_of_range_exits_1(tmp_path):
+    script = tmp_path / "script.jsonl"
+    for j in (99, 6, -1):
+        script.write_text(json.dumps({"j": j, "precision": 3}) + "\n")
+        proc = run_cli("least", WORKED_REALS, "--auditor", f"script:{script}")
+        assert_input_error(proc, f"challenge j {j} is outside 0..5")
+
+
+def test_max_restarts_must_not_be_negative():
+    for args in (("convex", WEDGE), ("least", WORKED_REALS)):
+        proc = run_cli(*args, "--max-restarts", "-1")
+        assert_input_error(proc)
+        assert proc.stderr == "input error: --max-restarts must be >= 0, got -1\n"

@@ -2,10 +2,15 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realearn import (
     Assumed,
+    AssumeLeq,
     Challenge,
+    KnowledgeState,
+    LeastCandidate,
     NullAuditor,
     RealRegistry,
     Refl,
@@ -13,9 +18,11 @@ from realearn import (
     ScriptedAuditor,
     Step,
     TraceLog,
+    decide_total,
     empty_state,
     evidence_graph,
     extend,
+    find_strict_witness,
     is_sound,
     learn_least,
     least_candidate,
@@ -164,3 +171,114 @@ def test_oracle_runs_on_random_values():
         assert outcome.restarts <= 2 ** n - 1
         assert is_sound(outcome.state)
         assert replay_paths([outcome.trace], n).ok
+
+
+def eager_least_candidate(state, n, trace=None):
+    """The former pass, kept as reference: it rebuilds every evidence
+    chain on each strict answer, so it is O(n^2) in time and Steps."""
+    candidate = 0
+    evidences = {0: Refl(0)}
+    for i in range(1, n + 1):
+        decision = decide_total(state, candidate, i)
+        if isinstance(decision, AssumeLeq):
+            if trace is not None:
+                trace.emit("decide", step=i, pair=[candidate, i], decision="assume")
+            evidences[i] = decision.evidence
+        else:
+            if trace is not None:
+                trace.emit("decide", step=i, pair=[candidate, i],
+                           decision="strict", witness=decision.witness)
+            evidences = {
+                j: Step(decision.witness, ev, i) for j, ev in evidences.items()
+            }
+            evidences[i] = Refl(i)
+            candidate = i
+    return LeastCandidate(candidate, evidences)
+
+
+@st.composite
+def sound_states(draw):
+    """Distinct blurred reals on the 2^-12 grid and a random subset of
+    the sound extensions over them."""
+    n = draw(st.integers(0, 30))
+    keys = draw(st.lists(st.integers(-2 ** 20, 2 ** 20),
+                         min_size=n + 1, max_size=n + 1, unique=True))
+    if draw(st.booleans()):
+        keys.sort(reverse=True)  # every pass comparison can be strict
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    reg = RealRegistry()
+    for key in keys:
+        reg.blurred(Fraction(key, 2 ** 12))
+    state = empty_state(reg)
+    for i in range(n + 1):
+        for j in range(n + 1):
+            if keys[j] < keys[i] and rng.random() < density:
+                witness = find_strict_witness(reg[j], reg[i], 64)
+                state = extend(state, i, j, witness)
+    return state, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(sound_states())
+def test_pass_matches_the_eager_reference(drawn):
+    state, n = drawn
+    lazy_log, eager_log = TraceLog(), TraceLog()
+    lazy = least_candidate(state, n, lazy_log)
+    eager = eager_least_candidate(state, n, eager_log)
+    assert lazy.candidate == eager.candidate
+    assert list(lazy.evidences) == list(eager.evidences) == list(range(n + 1))
+    assert len(lazy.evidences) == n + 1
+    for j in range(n + 1):
+        assert lazy.evidences[j] == eager.evidences[j]
+    assert lazy == eager
+    assert evidence_graph(lazy) == evidence_graph(eager)
+    assert lazy_log.events == eager_log.events
+
+
+def test_evidences_is_a_read_only_mapping():
+    state = extend(empty_state(worked_registry()), 0, 3, 33)
+    evidences = least_candidate(state, 5).evidences
+    with pytest.raises(KeyError):
+        evidences[99]
+    with pytest.raises(KeyError):
+        evidences[-1]
+    with pytest.raises(TypeError):
+        evidences[0] = Refl(0)
+    assert evidences.get(6) is None
+    assert 5 in evidences and 6 not in evidences
+
+
+def count_steps(monkeypatch):
+    built = []
+    post_init = Step.__post_init__
+
+    def counted(step):
+        built.append(step)
+        post_init(step)
+
+    monkeypatch.setattr(Step, "__post_init__", counted)
+    return built
+
+
+def test_pass_builds_no_steps_and_a_read_builds_one_chain(monkeypatch):
+    n = 2000
+    reg = RealRegistry()
+    for i in range(n + 1):
+        reg.blurred(Fraction(n - i))
+    state = KnowledgeState(reg, {
+        (i, i + 1): find_strict_witness(reg[i + 1], reg[i], 64)
+        for i in range(n)})
+    assert is_sound(state)
+    built = count_steps(monkeypatch)
+
+    cand = least_candidate(state, n)
+    assert cand.candidate == n
+    assert built == []
+
+    assert cand.evidences[n] == Refl(n)
+    assert built == []
+    first = cand.evidences[0]
+    assert len(built) == n
+    assert built[-1] is first
+    assert (first.subject, first.target) == (n, 0)
