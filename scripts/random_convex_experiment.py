@@ -21,8 +21,8 @@ from fractions import Fraction
 from random import Random
 
 from realearn.convex import convex_angle, verify_bounding
-from realearn.geometry import Point
-from realearn.oracle import RationalPoint, exact_convex_check, exact_orientation
+from realearn.geometry import Point, RationalPoint
+from realearn.oracle import exact_convex_check, exact_orientation
 from realearn.reals import RealRegistry
 
 

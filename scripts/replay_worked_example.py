@@ -3,9 +3,9 @@
 Loads the six blurred reals and the five-challenge script shipped in
 fixtures/, runs the interactive least-element loop, and prints one
 block per candidate computation: the decision path, the challenge, who
-got blamed, and how the knowledge state grew.  Finishes by replaying
-the recorded trace against the exhaustively enumerated decision tree
-and comparing the accepted candidate with the exact argmin.
+got blamed, and how the knowledge state grew.  Finishes by walking
+the recorded decision paths along the decision tree and comparing the
+accepted candidate with the exact argmin.
 
 Run from the repository root:
 
@@ -86,7 +86,7 @@ def main() -> None:
 
     verdict = replay_paths([outcome.trace], n=n)
     run = verdict.runs[0]
-    print(f"replay against the enumerated tree ({2 ** n} leaves):")
+    print(f"replay along the decision tree of depth {n}:")
     print(f"  leaf ranks      {run.leaf_ranks}"
           + ("  (strictly increasing)" if run.progress_ok else "  (REGRESSION)"))
     print(f"  leaf candidates {run.leaf_candidates}")

@@ -26,6 +26,7 @@ from .geometry import (
     Left,
     NoWitnessFound,
     Point,
+    RationalPoint,
     Right,
     SideDecision,
     decide_side,
@@ -66,13 +67,10 @@ from .least import (
     least_candidate,
 )
 from .oracle import (
-    ComputationTree,
     OracleAuditor,
     PathMismatch,
-    RationalPoint,
     ReplayVerdict,
     TieDetected,
-    enumerate_tree,
     exact_convex_check,
     exact_min_index,
     exact_orientation,

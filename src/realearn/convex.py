@@ -7,19 +7,23 @@ least-element guess for the y coordinates under the current knowledge
 state, so the claim "A is lowest" is never proved: it is assumed per
 comparison and refuted on demand.
 
-The scan maintains candidates B and C and classifies each remaining
-point d by its sides relative to A->B and A->C:
+The scan keeps the invariant that C lies strictly left of A->B and B
+strictly right of A->C, so the angle from A->B counterclockwise to A->C
+is smaller than pi, and every certified point lies strictly inside it.
+Each remaining point d is classified by its sides relative to the two
+rays:
 
 * left of A->B and right of A->C: d is inside the angle, record both
   witnesses;
-* right of both: the angle is too narrow on the B side, d becomes the
-  new B and every previously certified point is re-scanned against the
-  new ray;
-* left of both: symmetric, d becomes the new C;
+* on the wrong side of exactly one ray: d lies beyond that ray but
+  less than pi from the other one, so d replaces that ray's point.  The
+  new angle is still smaller than pi and contains the old one, so the
+  replaced point and every certified point are re-witnessed against the
+  new ray, and each such re-scan lands on the inner side.  Right of both
+  rays replaces B, left of both replaces C: one routine serves both;
 * right of A->B but left of A->C: d is behind the apex.
 
-In the last case, and when a re-scan finds a point on the wrong side
-of a replaced ray, the offending triple forms a left-turning cycle
+In the last case the triple (d, B, C) forms a left-turning cycle
 around A, so A lies strictly inside a triangle of other points and one
 of them must be strictly below A.  That point refutes one assumed
 y comparison; the knowledge state is extended with the blamed
@@ -43,8 +47,13 @@ from .geometry import (
 )
 from .knowledge import KnowledgeState, blame, empty_state, extend
 from .least import LeastCandidate, RestartBudgetExceeded, least_candidate
-from .reals import RealNum
 from .trace import TraceEvent, TraceLog, state_snapshot
+
+
+# Side 0 is the ray A->B, side 1 the ray A->C; a point is inside the
+# angle when it lies on the inner side of both.
+_INNER = (Left, Right)
+_REPLACE_CASE = ("new-b", "new-c")
 
 
 class TooFewPoints(ValueError):
@@ -88,8 +97,8 @@ class ConvexAngleResult:
 class _SideOracle:
     """Caching wrapper over decide_side for one construction run.
 
-    Orientation reals and decisions are cached per index triple, so
-    re-scans after candidate replacement do not re-register arithmetic.
+    Decisions are cached per index triple, so re-scans after candidate
+    replacement do not re-register arithmetic.
     """
 
     def __init__(self, points: Sequence[Point], k_max: int,
@@ -97,20 +106,15 @@ class _SideOracle:
         self._points = points
         self._k_max = k_max
         self._trace = trace
-        self._orients: Dict[Tuple[int, int, int], RealNum] = {}
         self._decisions: Dict[Tuple[int, int, int], SideDecision] = {}
 
     def side(self, p: int, q: int, r: int, stage: str) -> SideDecision:
         key = (p, q, r)
         decision = self._decisions.get(key)
         if decision is None:
-            orient = self._orients.get(key)
-            if orient is None:
-                pts = self._points
-                orient = orientation_real(pts[p], pts[q], pts[r])
-                self._orients[key] = orient
-            decision = decide_side(self._points[p], self._points[q],
-                                   self._points[r], self._k_max, orient)
+            pp, pq, pr = (self._points[i] for i in key)
+            decision = decide_side(pp, pq, pr, self._k_max,
+                                   orientation_real(pp, pq, pr))
             self._decisions[key] = decision
         if self._trace is not None:
             name = "left" if isinstance(decision, Left) else "right"
@@ -156,116 +160,73 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
         log.emit("select-A", candidate=a, state=state_snapshot(state))
 
         rest = [i for i in range(n + 1) if i != a]
-        b, c = rest[0], rest[1]
-        first = sides.side(a, c, b, "init")
+        ray = [rest[0], rest[1]]
+        first = sides.side(a, ray[1], ray[0], "init")
         swapped = isinstance(first, Left)
         if swapped:
-            b, c = c, b
-        mutual_b_right = sides.side(a, c, b, "mutual")
-        assert isinstance(mutual_b_right, Right), "B not right of A->C after swap"
-        mutual_c_left = sides.side(a, b, c, "mutual")
-        assert isinstance(mutual_c_left, Left), "C not left of A->B after swap"
-        log.emit("init-BC", b=b, c=c, swapped=swapped,
-                 b_right_witness=mutual_b_right.witness,
-                 c_left_witness=mutual_c_left.witness)
+            ray.reverse()
+        # mutual[s]: the other ray's point on the inner side of ray s
+        b_right = sides.side(a, ray[1], ray[0], "mutual")
+        mutual = [sides.side(a, ray[0], ray[1], "mutual"), b_right]
+        assert all(isinstance(mutual[s], _INNER[s]) for s in (0, 1)), \
+            "rays not ordered after swap"
+        log.emit("init-BC", b=ray[0], c=ray[1], swapped=swapped,
+                 b_right_witness=mutual[1].witness,
+                 c_left_witness=mutual[0].witness)
 
-        left_w: Dict[int, int] = {}
-        right_w: Dict[int, int] = {}
-        falsification: Optional[Tuple[int, int]] = None
-
+        # witnesses[s][d]: P_d on the inner side of ray s
+        witnesses: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
         for d in rest[2:]:
-            s1 = sides.side(a, b, d, "scan")
-            s2 = sides.side(a, c, d, "scan")
-            if isinstance(s1, Left) and isinstance(s2, Right):
+            found = [sides.side(a, ray[s], d, "scan") for s in (0, 1)]
+            wrong = [s for s in (0, 1) if not isinstance(found[s], _INNER[s])]
+            if not wrong:
                 log.emit("scan", d=d, case="keep")
-                left_w[d] = s1.witness
-                right_w[d] = s2.witness
-            elif isinstance(s1, Right) and isinstance(s2, Right):
-                log.emit("scan", d=d, case="new-b")
-                old_b = b
-                b = d
-                # The replaced candidate keeps its right-of-A->C witness
-                # and sits left of the new ray by orientation antisymmetry.
-                moved = sides.side(a, b, old_b, "rescan")
-                assert isinstance(moved, Left), "replaced B not left of new ray"
-                left_w[old_b] = moved.witness
-                right_w[old_b] = mutual_b_right.witness
-                mutual_b_right = s2
-                renewed = sides.side(a, b, c, "mutual")
-                assert isinstance(renewed, Left), "C not left of new A->B"
-                mutual_c_left = renewed
-                for prior in sorted(left_w):
-                    if prior == old_b:
-                        continue
-                    redo = sides.side(a, b, prior, "rescan")
-                    if isinstance(redo, Left):
-                        left_w[prior] = redo.witness
-                    else:
-                        which, w = three_points(points[a], points[d],
-                                                points[old_b], points[prior],
-                                                k_max)
-                        x = (d, old_b, prior)[which]
-                        log.emit("three-points", a=a, cycle=[d, old_b, prior],
-                                 below=x, witness=w)
-                        falsification = (x, w)
-                        break
-                if falsification is not None:
-                    break
-            elif isinstance(s1, Left) and isinstance(s2, Left):
-                log.emit("scan", d=d, case="new-c")
-                old_c = c
-                c = d
-                moved = sides.side(a, c, old_c, "rescan")
-                assert isinstance(moved, Right), "replaced C not right of new ray"
-                right_w[old_c] = moved.witness
-                left_w[old_c] = mutual_c_left.witness
-                mutual_c_left = s1
-                renewed = sides.side(a, c, b, "mutual")
-                assert isinstance(renewed, Right), "B not right of new A->C"
-                mutual_b_right = renewed
-                for prior in sorted(right_w):
-                    if prior == old_c:
-                        continue
-                    redo = sides.side(a, c, prior, "rescan")
-                    if isinstance(redo, Right):
-                        right_w[prior] = redo.witness
-                    else:
-                        which, w = three_points(points[a], points[prior],
-                                                points[old_c], points[d],
-                                                k_max)
-                        x = (prior, old_c, d)[which]
-                        log.emit("three-points", a=a, cycle=[prior, old_c, d],
-                                 below=x, witness=w)
-                        falsification = (x, w)
-                        break
-                if falsification is not None:
-                    break
-            else:
+                for s in (0, 1):
+                    witnesses[s][d] = found[s].witness
+                continue
+            if len(wrong) == 2:
                 # d is behind the apex: right of A->B yet left of A->C.
                 log.emit("scan", d=d, case="blocked")
-                which, w = three_points(points[a], points[d], points[b],
-                                        points[c], k_max)
-                x = (d, b, c)[which]
-                log.emit("three-points", a=a, cycle=[d, b, c],
-                         below=x, witness=w)
-                falsification = (x, w)
+                cycle = [d, ray[0], ray[1]]
+                which, w = three_points(points[a], *(points[i] for i in cycle),
+                                        k_max)
+                x = cycle[which]
+                log.emit("three-points", a=a, cycle=cycle, below=x, witness=w)
                 break
-
-        if falsification is None:
+            # d lies outside ray s only, so it becomes ray s.  The angle
+            # stays below pi, so the replaced point and every certified
+            # point lie on the inner side of the new ray.
+            s = wrong[0]
+            o = 1 - s
+            log.emit("scan", d=d, case=_REPLACE_CASE[s])
+            old = ray[s]
+            ray[s] = d
+            moved = sides.side(a, d, old, "rescan")
+            assert isinstance(moved, _INNER[s]), "replaced ray not inside new ray"
+            witnesses[s][old] = moved.witness
+            witnesses[o][old] = mutual[o].witness
+            mutual[o] = found[o]
+            mutual[s] = sides.side(a, d, ray[o], "mutual")
+            assert isinstance(mutual[s], _INNER[s]), "other ray not inside new ray"
+            for prior in sorted(witnesses[s]):
+                if prior != old:
+                    redo = sides.side(a, d, prior, "rescan")
+                    assert isinstance(redo, _INNER[s]), "point not inside new ray"
+                    witnesses[s][prior] = redo.witness
+        else:  # no point blocked the scan: accept
+            b, c = ray
             expected = set(range(n + 1)) - {a, b, c}
-            assert set(left_w) == expected and set(right_w) == expected, \
+            assert set(witnesses[0]) == expected == set(witnesses[1]), \
                 "certificate does not cover all points"
             certificate = BoundingCertificate(
-                a=a, b=b, c=c, left=dict(sorted(left_w.items())),
-                right=dict(sorted(right_w.items())),
-                c_left=mutual_c_left.witness,
-                b_right=mutual_b_right.witness)
+                a=a, b=b, c=c, left=dict(sorted(witnesses[0].items())),
+                right=dict(sorted(witnesses[1].items())),
+                c_left=mutual[0].witness, b_right=mutual[1].witness)
             log.emit("accept", a=a, b=b, c=c, restarts=restarts,
                      state=state_snapshot(state))
             return ConvexAngleResult(a, b, c, certificate, state,
                                      restarts, log.events)
 
-        x, w = falsification
         pair, witness = blame(cand.evidences[x], w)
         log.emit("blame", claim=[a, x], pair=list(pair), witness=witness)
         state = extend(state, pair[0], pair[1], witness)

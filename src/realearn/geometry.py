@@ -18,6 +18,7 @@ triples) raises :class:`DegenerateInput`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .reals import RealNum, find_strict_witness, least_witness, op_at
@@ -30,6 +31,14 @@ class Point:
     index: int
     x: RealNum
     y: RealNum
+
+
+@dataclass(frozen=True)
+class RationalPoint:
+    """A plane point with exact rational coordinates."""
+
+    x: Fraction
+    y: Fraction
 
 
 @dataclass(frozen=True)

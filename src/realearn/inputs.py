@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .geometry import Point
+from .geometry import Point, RationalPoint
 from .least import Challenge
-from .oracle import RationalPoint
 from .reals import RealNum, RealRegistry
 
 

@@ -26,7 +26,7 @@ strict witness along the way, and lands on the terminal assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .reals import RealNum, RealRegistry, op_at
 
@@ -72,10 +72,14 @@ class Assumed:
         return self.j
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Step:
     """Chained evidence: r_subject < r_rest.subject (at ``witness``),
-    and ``rest`` claims r_rest.subject <= r_rest.target."""
+    and ``rest`` claims r_rest.subject <= r_rest.target.
+
+    Equality, hashing and repr have the dataclass meaning but walk the
+    chain in a loop, because chains can be longer than the stack.
+    """
 
     witness: int
     rest: "LeqEvidence"
@@ -85,13 +89,36 @@ class Step:
         if not isinstance(self.rest, (Refl, Assumed, Step)):
             raise TypeError(f"rest must be evidence, got {self.rest!r}")
 
+    def _chain(self) -> Tuple[List["Step"], "LeqEvidence"]:
+        """The steps from this one inwards, and the base they rest on."""
+        steps: List[Step] = []
+        ev: LeqEvidence = self
+        while isinstance(ev, Step):
+            steps.append(ev)
+            ev = ev.rest
+        return steps, ev
+
+    def _fields(self) -> tuple:
+        steps, base = self._chain()
+        return base, tuple((s.witness, s.subject) for s in steps)
+
     @property
     def target(self) -> int:
-        # a loop, not recursion: chains can be longer than the stack
-        ev = self.rest
-        while isinstance(ev, Step):
-            ev = ev.rest
-        return ev.target
+        return self._chain()[1].target
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Step):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        steps, base = self._chain()
+        return ("".join(f"Step(witness={s.witness!r}, rest=" for s in steps)
+                + repr(base)
+                + "".join(f", subject={s.subject!r})" for s in reversed(steps)))
 
 
 LeqEvidence = Union[Refl, Assumed, Step]

@@ -5,7 +5,13 @@ registered reals, or plain rational coordinates) and serves as an
 independent check on the interval-based machinery: closed-form
 orientation signs, the true argmin, the full bounding condition, an
 auditor that challenges exactly-false claims, and replay of recorded
-runs against the exhaustively enumerated decision tree.
+runs along the decision tree of the least-element pass.
+
+That tree is never built.  For ``r_0 .. r_n`` it has depth n: the node
+at depth i compares the current candidate with i (the pair
+``(candidate, i)``), an assumed answer keeps the candidate and a
+strict one makes i the candidate.  A recorded path is therefore checked
+by walking it once, in time linear in its length, for any n.
 """
 
 from __future__ import annotations
@@ -14,11 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .geometry import RationalPoint
 from .least import Challenge, LeastCandidate
 from .reals import RealRegistry, find_strict_witness
 from .trace import TraceEvent
-
-TREE_LIMIT = 12
 
 
 class TieDetected(ValueError):
@@ -26,13 +31,7 @@ class TieDetected(ValueError):
 
 
 class PathMismatch(RuntimeError):
-    """A recorded decision path does not embed in the decision tree."""
-
-
-@dataclass(frozen=True)
-class RationalPoint:
-    x: Fraction
-    y: Fraction
+    """A recorded decision path is not a path of the decision tree."""
 
 
 def exact_orientation(p: RationalPoint, q: RationalPoint,
@@ -126,47 +125,6 @@ class OracleAuditor:
 
 
 @dataclass
-class ComputationTree:
-    """Node of the full decision tree over indices 1..n.
-
-    Internal nodes carry the comparison pair ``(candidate, i)``; the
-    left child assumes it, the right child answers strictly and makes
-    ``i`` the new candidate.  Leaves carry the final candidate.
-    """
-
-    candidate: int
-    pair: Optional[Tuple[int, int]]
-    left: Optional["ComputationTree"]
-    right: Optional["ComputationTree"]
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.pair is None
-
-    def leaves(self) -> List[int]:
-        if self.is_leaf:
-            return [self.candidate]
-        assert self.left is not None and self.right is not None
-        return self.left.leaves() + self.right.leaves()
-
-
-def enumerate_tree(n: int) -> ComputationTree:
-    """The full decision tree for learning the least of ``r_0 .. r_n``."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n > TREE_LIMIT:
-        raise ValueError(f"tree enumeration capped at n = {TREE_LIMIT}, got {n}")
-
-    def build(candidate: int, i: int) -> ComputationTree:
-        if i > n:
-            return ComputationTree(candidate, None, None, None)
-        return ComputationTree(candidate, (candidate, i),
-                               build(candidate, i + 1), build(i, i + 1))
-
-    return build(0, 1)
-
-
-@dataclass
 class RunReplay:
     leaf_ranks: List[int]
     leaf_candidates: List[int]
@@ -197,7 +155,7 @@ def _extract_paths(events: Sequence[TraceEvent]) -> List[Tuple[List[dict], int]]
         if event.phase == "decide":
             pending.append(event.payload)
         elif event.phase in ("candidate", "select-A"):
-            paths.append((pending, event.payload["candidate"]))
+            paths.append((pending, event.payload.get("candidate")))
             pending = []
     if pending:
         raise PathMismatch("trace ends with decisions but no candidate")
@@ -206,13 +164,14 @@ def _extract_paths(events: Sequence[TraceEvent]) -> List[Tuple[List[dict], int]]
 
 def replay_paths(runs: Sequence[Sequence[TraceEvent]],
                  n: Optional[int] = None) -> ReplayVerdict:
-    """Re-walk recorded runs through the enumerated decision tree.
+    """Re-walk recorded runs along the decision tree over indices 1..n.
 
     Each candidate computation in a run maps to one root-to-leaf path.
-    Verifies that every path embeds in the tree (pairs and final
-    candidate agree), that leaf ranks strictly increase across
-    restarts, that no path repeats, and that the number of restarts
-    stays below ``2**n``.
+    Verifies that every path is a path of the tree (each pair is
+    ``(candidate, depth)`` and the final candidate agrees), that leaf
+    ranks strictly increase across restarts, that no path repeats, and
+    that the number of restarts stays below ``2**n``.  A leaf's rank
+    reads the path's answers as binary digits, strict = 1, root first.
     """
     if not runs:
         raise ValueError("no runs to replay")
@@ -221,7 +180,6 @@ def replay_paths(runs: Sequence[Sequence[TraceEvent]],
         raise PathMismatch("run contains no candidate computations")
     if n is None:
         n = len(first_paths[0][0])
-    tree = enumerate_tree(n)
     replays: List[RunReplay] = []
     for events in runs:
         paths = _extract_paths(events)
@@ -232,22 +190,20 @@ def replay_paths(runs: Sequence[Sequence[TraceEvent]],
             if len(decides) != n:
                 raise PathMismatch(
                     f"path length {len(decides)} does not match n = {n}")
-            node = tree
-            rank = 0
-            for depth, payload in enumerate(decides):
-                if node.pair is None:
-                    raise PathMismatch("path descends past a leaf")
-                if tuple(payload["pair"]) != node.pair:
+            candidate = rank = 0
+            for depth, payload in enumerate(decides, 1):
+                if payload.get("pair") != [candidate, depth]:
                     raise PathMismatch(
-                        f"decision pair {payload['pair']} does not match "
-                        f"tree node {node.pair}")
-                strict = payload["decision"] == "strict"
+                        f"decision pair {payload.get('pair')} does not match "
+                        f"tree node {(candidate, depth)}")
+                strict = payload.get("decision") == "strict"
                 rank = (rank << 1) | int(strict)
-                node = node.right if strict else node.left
-            if not node.is_leaf or node.candidate != reported:
+                if strict:
+                    candidate = depth
+            if candidate != reported:
                 raise PathMismatch(
-                    f"leaf candidate {node.candidate} does not match "
-                    f"reported candidate {reported}")
+                    f"leaf candidate {candidate} does not match "
+                    f"reported candidate {reported!r}")
             ranks.append(rank)
             leaf_candidates.append(reported)
         progress_ok = all(x < y for x, y in zip(ranks, ranks[1:]))

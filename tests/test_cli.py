@@ -3,8 +3,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
+
+from support import general_position_points
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
@@ -182,6 +185,23 @@ def test_tree_replays_convex_trace(tmp_path):
     proc = run_cli("tree", trace)
     assert proc.returncode == 0
     assert "n: 3" in proc.stdout
+
+
+def test_tree_replays_a_20_point_convex_trace(tmp_path):
+    doc = tmp_path / "points.jsonl"
+    with doc.open("w") as handle:
+        for i, point in enumerate(general_position_points(Random(20), 20)):
+            coords = {axis: {"kind": "rational", "value": str(value)}
+                      for axis, value in (("x", point.x), ("y", point.y))}
+            handle.write(json.dumps({"type": "point", "index": i, **coords}))
+            handle.write("\n")
+    trace = tmp_path / "convex.trace"
+    assert run_cli("convex", doc, "--trace", trace).returncode == 0
+    proc = run_cli("tree", trace)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "n: 19" in proc.stdout
+    assert "progress: ok" in proc.stdout
 
 
 def test_traces_are_byte_identical_across_runs(tmp_path):

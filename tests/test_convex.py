@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from random import Random
 
@@ -146,3 +147,21 @@ def test_certificate_witnesses_are_observable():
     for d, w in res.certificate.right.items():
         orient = orientation_real(pts[res.a], pts[res.c], pts[d])
         assert op_at(orient, zero, w)
+
+
+def test_trace_digest_is_pinned():
+    # sha256 over the traces of 200 seeded instances (3-20 points, odd
+    # ones blurred); any change to a side query, its order, a witness or
+    # a restart moves it.
+    rng = Random(7)
+    digest = hashlib.sha256()
+    for trial in range(200):
+        count = rng.randint(3, 20)
+        rational = general_position_points(rng, count)
+        _, pts = register_points(rational, blurred=bool(trial % 2))
+        log = TraceLog()
+        convex_angle(pts, trace=log)
+        for event in log.events:
+            digest.update(event.to_json().encode() + b"\n")
+    assert digest.hexdigest() == (
+        "a73aebbb8ba9a0364913659da1fa8b7030eae0def3f13efe625853f69debc1e3")

@@ -46,6 +46,35 @@ def test_step_requires_evidence_rest():
         Step(3, "garbage", 1)
 
 
+def test_step_equality_hash_and_repr_follow_the_chain():
+    chain = Step(5, Step(9, Assumed(1, 2), 4), 7)
+    assert repr(chain) == ("Step(witness=5, rest=Step(witness=9, "
+                           "rest=Assumed(i=1, j=2), subject=4), subject=7)")
+    same = Step(5, Step(9, Assumed(1, 2), 4), 7)
+    assert chain == same and hash(chain) == hash(same)
+    assert chain != Step(5, Step(9, Assumed(1, 3), 4), 7)
+    assert chain != Step(5, Step(8, Assumed(1, 2), 4), 7)
+    assert chain != Step(5, Assumed(1, 2), 7)
+    assert chain != Assumed(1, 2)
+
+
+def test_long_chains_compare_hash_and_print_without_recursion():
+    def chain(base):
+        ev = base
+        for i in range(3000):
+            ev = Step(i, ev, i + 1)
+        return ev
+
+    long, same = chain(Refl(0)), chain(Refl(0))
+    assert long == same and hash(long) == hash(same)
+    assert long != chain(Assumed(0, 1))
+    assert {long: 1}[same] == 1
+    text = repr(long)
+    assert text.startswith("Step(witness=2999, rest=Step(witness=2998, ")
+    assert text.count("Refl(i=0)") == 1
+    assert text.endswith(", subject=2999), subject=3000)")
+
+
 def test_blame_single_step():
     assert blame(Step(33, Assumed(0, 2), 3), 25) == ((0, 2), 33)
 

@@ -4,12 +4,10 @@ import pytest
 
 from realearn import Challenge, RealRegistry, TraceLog, empty_state, learn_least
 from realearn.oracle import (
-    TREE_LIMIT,
     OracleAuditor,
     PathMismatch,
     RationalPoint,
     TieDetected,
-    enumerate_tree,
     exact_convex_check,
     exact_min_index,
     exact_orientation,
@@ -77,22 +75,6 @@ def test_oracle_auditor_rejects_tied_values():
         OracleAuditor(reg, [Fraction(1), Fraction(1)])
 
 
-def test_enumerate_tree_shape():
-    tree = enumerate_tree(3)
-    assert tree.leaves() == [0, 3, 2, 3, 1, 3, 2, 3]
-    assert tree.pair == (0, 1)
-    assert tree.left.pair == (0, 2)
-    assert tree.right.pair == (1, 2)
-    assert enumerate_tree(0).leaves() == [0]
-
-
-def test_enumerate_tree_capped():
-    with pytest.raises(ValueError):
-        enumerate_tree(TREE_LIMIT + 1)
-    with pytest.raises(ValueError):
-        enumerate_tree(-1)
-
-
 def synthetic_run(decisions_per_path, candidates, restarts):
     """Build a trace skeleton the replay walker accepts."""
     events = []
@@ -109,6 +91,44 @@ def synthetic_run(decisions_per_path, candidates, restarts):
             seq += 1
             restarts -= 1
     return events
+
+
+def tree_path(n, rank):
+    """The root-to-leaf path of leaf ``rank`` in the decision tree over
+    1..n, and its leaf candidate."""
+    decides, candidate = [], 0
+    for depth in range(1, n + 1):
+        strict = (rank >> (n - depth)) & 1
+        decides.append(((candidate, depth), "strict" if strict else "assume"))
+        if strict:
+            candidate = depth
+    return decides, candidate
+
+
+def tree_run(n, ranks):
+    paths = [tree_path(n, rank) for rank in ranks]
+    return synthetic_run([p for p, _ in paths], [c for _, c in paths],
+                         restarts=len(ranks) - 1)
+
+
+def test_replay_walks_every_leaf_of_the_n3_tree():
+    verdict = replay_paths([tree_run(3, range(8))])
+    assert verdict.n == 3
+    assert verdict.runs[0].leaf_ranks == list(range(8))
+    assert verdict.runs[0].leaf_candidates == [0, 3, 2, 3, 1, 3, 2, 3]
+    assert verdict.ok
+    assert replay_paths([tree_run(0, [0])]).runs[0].leaf_candidates == [0]
+
+
+def test_replay_has_no_size_cap():
+    ranks = [0, 1, 2 ** 39, 2 ** 40 - 1]
+    verdict = replay_paths([tree_run(40, ranks)])
+    assert verdict.n == 40
+    assert verdict.runs[0].leaf_ranks == ranks
+    assert verdict.runs[0].leaf_candidates == [0, 40, 1, 40]
+    assert verdict.ok
+    with pytest.raises(PathMismatch):
+        replay_paths([tree_run(40, ranks)], n=-1)
 
 
 def test_replay_accepts_a_legal_two_path_run():
@@ -137,10 +157,19 @@ def test_replay_rejects_wrong_pairs():
     run = synthetic_run([[((0, 2), "assume"), ((0, 1), "assume")]], [0], 0)
     with pytest.raises(PathMismatch):
         replay_paths([run])
+    del run[0].payload["pair"]
+    with pytest.raises(PathMismatch):
+        replay_paths([run])
 
 
 def test_replay_rejects_wrong_candidate():
     run = synthetic_run([[((0, 1), "strict"), ((1, 2), "assume")]], [0], 0)
+    with pytest.raises(PathMismatch):
+        replay_paths([run])
+    run = synthetic_run([[((0, 1), "strict"), ((1, 2), "assume")]], ["1"], 0)
+    with pytest.raises(PathMismatch):
+        replay_paths([run])
+    del run[-1].payload["candidate"]
     with pytest.raises(PathMismatch):
         replay_paths([run])
 
