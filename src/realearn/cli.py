@@ -19,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .convex import CertificateFailure, TooFewPoints, convex_angle, verify_bounding
 from .geometry import DegenerateInput
@@ -32,7 +32,7 @@ from .inputs import (
     rational_points,
     real_limits,
 )
-from .knowledge import empty_state
+from .knowledge import ReflFalsified, UnsoundWitness, empty_state
 from .least import NullAuditor, RestartBudgetExceeded, ScriptedAuditor, learn_least
 from .oracle import (
     OracleAuditor,
@@ -41,6 +41,7 @@ from .oracle import (
     exact_convex_check,
     replay_paths,
 )
+from .reals import InvalidNesting
 from .trace import TraceLog, read_trace, state_snapshot, write_trace
 
 EXIT_OK = 0
@@ -120,6 +121,12 @@ def cmd_least(args) -> int:
             write_trace(args.trace, log.events)
         print(f"restart budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except (ReflFalsified, UnsoundWitness) as exc:
+        # only a forced challenge can claim a refutation the reals deny
+        if args.trace:
+            write_trace(args.trace, log.events)
+        print(f"verification failed: forced challenge: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     if args.trace:
         write_trace(args.trace, outcome.trace)
     print(f"candidate: {outcome.candidate.candidate}")
@@ -300,10 +307,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (InputError, InvalidNesting, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -46,7 +46,7 @@ from .geometry import (
     three_points,
 )
 from .knowledge import KnowledgeState, blame, empty_state, extend
-from .least import LeastCandidate, RestartBudgetExceeded, least_candidate
+from .least import RestartBudgetExceeded, least_candidate
 from .trace import TraceEvent, TraceLog, state_snapshot
 
 

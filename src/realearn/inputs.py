@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .geometry import Point, RationalPoint
 from .least import Challenge
@@ -229,6 +229,9 @@ def load_script(path) -> List[Challenge]:
                 or isinstance(j, bool) or isinstance(precision, bool):
             raise InputError(
                 f"{path}:{lineno}: challenge needs integer j and precision")
+        if precision < 0:
+            raise InputError(
+                f"{path}:{lineno}: challenge precision must be >= 0")
         if not isinstance(force, bool):
             raise InputError(f"{path}:{lineno}: force must be a boolean")
         challenges.append(Challenge(j=j, precision=precision, force=force))

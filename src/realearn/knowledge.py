@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from .reals import RealNum, RealRegistry, op_at
+from .reals import RealRegistry, op_at
 
 Pair = Tuple[int, int]
 

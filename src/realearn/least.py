@@ -32,7 +32,6 @@ from .knowledge import (
     LeqEvidence,
     Refl,
     Step,
-    StrictLt,
     blame,
     check_leq,
     decide_total,

@@ -3,17 +3,29 @@
 A real number is represented by a total function from a precision index
 ``k`` to a rational interval ``[lo, hi]``.  Successive intervals are
 nested, and the width at index ``k`` is at most ``2**-k``, so the
-sequence pins down a unique real.  All endpoint arithmetic is exact:
-the only ground numeric type is the arbitrary-precision rational
-(:class:`fractions.Fraction`), and no floating point is used anywhere.
+sequence pins down a unique real.  All endpoint arithmetic is exact and
+no floating point is used anywhere.
+
+Internally every interval is one integer triple ``(lo, hi, d)`` with
+``d > 0``, meaning ``[lo/d, hi/d]``: both endpoints share one
+denominator, which is a power of two for dyadic inputs and whatever
+the rationals need otherwise.  Sums and differences put their operands
+over the lcm of the two denominators (nothing to do when they are
+equal), products multiply numerators and denominators, and comparisons
+cross-multiply.  Nothing is rounded and nothing is normalised, so each
+triple equals, as a pair of rationals, the interval that
+:class:`fractions.Fraction` arithmetic would give.  The public
+:meth:`RealNum.interval_at` returns that interval as a ``Fraction``
+pair, and a raw generator handed to :meth:`RealRegistry.register`
+returns ``Fraction`` pairs, converted once on evaluation.
 
 Evaluation is lazy in precision as well as in time.  Reals built by the
 registry's constructors and arithmetic nodes are nested by
 construction, so they are evaluated only at the indices actually read:
 a product read at ``k`` reads its operands at ``k + shift`` and nothing
-below it.  A raw generator handed to :meth:`RealRegistry.register` has
-no such proof, so it is evaluated on the whole prefix ``0..k`` and each
-new interval is checked against its predecessor.
+below it.  A raw generator has no such proof, so it is evaluated on
+the whole prefix ``0..k`` and each new interval is checked against its
+predecessor.
 
 Strict order between two reals is observed through :func:`op_at`, a
 decidable precision-indexed predicate: ``op_at(r, s, k)`` holds when
@@ -28,16 +40,14 @@ witnessing precision by galloping and bisection instead of a scan.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 
 Interval = Tuple[Fraction, Fraction]
+# (lo, hi, d) with d > 0, meaning the interval [lo/d, hi/d]
+Triple = Tuple[int, int, int]
 RationalLike = Union[Fraction, int, str]
 Generator = Callable[[int], Interval]
-
-
-def pow2(k: int) -> Fraction:
-    """2**-k as an exact rational, for k >= 0."""
-    return Fraction(1, 2 ** k)
 
 
 class InvalidNesting(ValueError):
@@ -53,19 +63,28 @@ class InvalidNesting(ValueError):
         super().__init__(f"invalid interval table at index {k}: {clause}")
 
 
-def _check_interval(k: int, interval: Interval,
-                    outer: Optional[Interval]) -> None:
+def _triple(lo: RationalLike, hi: RationalLike) -> Triple:
+    """The rational pair ``(lo, hi)`` over the lcm of its denominators."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    d_lo, d_hi = lo.denominator, hi.denominator
+    d = d_lo // gcd(d_lo, d_hi) * d_hi
+    return (lo.numerator * (d // d_lo), hi.numerator * (d // d_hi), d)
+
+
+def _check_interval(k: int, interval: Triple,
+                    outer: Optional[Triple]) -> None:
     """Raise :class:`InvalidNesting` for the first clause that the
     interval at ``k`` violates, given the interval at ``k - 1`` if known."""
-    lo, hi = interval
+    lo, hi, d = interval
     if lo > hi:
         raise InvalidNesting(k, "lower endpoint above upper endpoint")
-    if hi - lo > pow2(k):
+    if (hi - lo) << k > d:
         raise InvalidNesting(k, f"width exceeds 2^-{k}")
     if outer is not None:
-        if lo < outer[0]:
+        outer_lo, outer_hi, outer_d = outer
+        if lo * outer_d < outer_lo * d:
             raise InvalidNesting(k, "lower endpoint decreases")
-        if hi > outer[1]:
+        if hi * outer_d > outer_hi * d:
             raise InvalidNesting(k, "upper endpoint increases")
 
 
@@ -74,28 +93,38 @@ class RealNum:
 
     Instances are created through a :class:`RealRegistry`, which assigns
     the dense index that serves as the real's identity.  Intervals are
-    cached per index, so the generator is evaluated at most once per
-    index.  A real marked ``nested`` (every constructor and arithmetic
-    node) is evaluated at the requested index only; in debug builds the
-    new interval is checked for ``lo <= hi``, width at most ``2**-k``
-    and nesting with whichever neighbours ``k - 1`` and ``k + 1`` are
-    cached.  Any other real is a raw generator: reading index ``k``
-    evaluates the missing prefix up to ``k`` in order, and every new
-    interval is checked against its predecessor in all builds, raising
-    :class:`InvalidNesting` on the first violated clause.
+    cached per index as integer triples (see the module docstring), so
+    the generator is evaluated at most once per index.  A real marked
+    ``nested`` (every constructor and arithmetic node) is evaluated at
+    the requested index only; in debug builds the new interval is
+    checked for ``lo <= hi``, width at most ``2**-k`` and nesting with
+    whichever neighbours ``k - 1`` and ``k + 1`` are cached.  Any other
+    real is a raw generator: reading index ``k`` evaluates the missing
+    prefix up to ``k`` in order, and every new interval is checked
+    against its predecessor in all builds, raising
+    :class:`InvalidNesting` on the first violated clause.  Whether the
+    generator answers ``Fraction`` pairs (anything given to
+    :meth:`RealRegistry.register`) or triples (the registry's own
+    constructors) is recorded apart from ``nested``.
     """
 
-    __slots__ = ("index", "registry", "nested", "_gen", "_cache")
+    __slots__ = ("index", "registry", "nested", "_pairs", "_gen", "_cache")
 
     def __init__(self, index: int, registry: "RealRegistry", gen: Generator):
         self.index = index
         self.registry = registry
         self.nested = False
+        self._pairs = True
         self._gen = gen
-        self._cache: dict[int, Interval] = {}
+        self._cache: dict[int, Triple] = {}
 
     def interval_at(self, k: int) -> Interval:
         """The interval at precision index ``k`` (exact endpoints)."""
+        lo, hi, d = self._at(k)
+        return (Fraction(lo, d), Fraction(hi, d))
+
+    def _at(self, k: int) -> Triple:
+        """The interval at ``k`` as a cached ``(lo, hi, d)`` triple."""
         cache = self._cache
         interval = cache.get(k)
         if interval is not None:
@@ -104,6 +133,8 @@ class RealNum:
             raise ValueError(f"precision index must be >= 0, got {k}")
         if self.nested:
             interval = self._gen(k)
+            if self._pairs:
+                interval = _triple(*interval)
             if __debug__:
                 _check_interval(k, interval, cache.get(k - 1))
                 if k + 1 in cache:
@@ -111,9 +142,9 @@ class RealNum:
             cache[k] = interval
             return interval
         for j in range(len(cache), k + 1):
-            lo, hi = self._gen(j)
-            _check_interval(j, (lo, hi), cache.get(j - 1))
-            cache[j] = (lo, hi)
+            interval = _triple(*self._gen(j))
+            _check_interval(j, interval, cache.get(j - 1))
+            cache[j] = interval
         return cache[k]
 
     def __repr__(self) -> str:
@@ -127,7 +158,9 @@ def op_at(r: RealNum, s: RealNum, k: int) -> bool:
     s's lower endpoint at ``k``.  A single True answer at any precision
     certifies the strict real-number order r < s.
     """
-    return r.interval_at(k)[1] < s.interval_at(k)[0]
+    _, r_hi, r_d = r._at(k)
+    s_lo, _, s_d = s._at(k)
+    return r_hi * s_d < s_lo * r_d
 
 
 def least_witness(holds: Callable[[int], bool], k_max: int) -> Optional[int]:
@@ -168,12 +201,12 @@ def find_strict_witness(r: RealNum, s: RealNum, k_max: int) -> Optional[int]:
 
 def _magnitude_exponent(x: RealNum) -> int:
     """Smallest c >= 0 such that 2**c bounds |x| at index 0."""
-    lo, hi = x.interval_at(0)
+    lo, hi, d = x._at(0)
     m = max(abs(lo), abs(hi))
-    if m <= 1:
+    if m <= d:
         return 0
-    c = max(0, m.numerator.bit_length() - m.denominator.bit_length() - 1)
-    while 2 ** c < m:
+    c = max(0, m.bit_length() - d.bit_length() - 1)
+    while d << c < m:
         c += 1
     return c
 
@@ -202,7 +235,8 @@ class RealRegistry:
         """Register a raw interval generator and return its handle.
 
         The generator must produce nested intervals of width at most
-        ``2**-k``; it is evaluated prefix by prefix and a violation
+        ``2**-k`` as pairs of rationals; each pair is converted once to
+        a triple.  It is evaluated prefix by prefix and a violation
         raises :class:`InvalidNesting` on first evaluation.
         Constructors below validate more eagerly.
         """
@@ -210,19 +244,21 @@ class RealRegistry:
         self._entries.append(real)
         return real
 
-    def _register_nested(self, gen: Generator) -> RealNum:
-        """Register a generator that is nested by construction, for
-        evaluation at the requested index only."""
+    def _register_nested(self, gen: Callable[[int], Triple]) -> RealNum:
+        """Register a generator of ``(lo, hi, d)`` triples that is nested
+        by construction, for evaluation at the requested index only."""
         real = self.register(gen)
         real.nested = True
+        real._pairs = False
         return real
 
     def from_rational(self, q: RationalLike) -> RealNum:
         """The real with constant degenerate interval [q, q]."""
         value = Fraction(q)
+        interval = (value.numerator, value.numerator, value.denominator)
 
-        def gen(k: int) -> Interval:
-            return (value, value)
+        def gen(k: int) -> Triple:
+            return interval
 
         return self._register_nested(gen)
 
@@ -230,13 +266,16 @@ class RealRegistry:
         """A real converging to q with interval width exactly 2**-k.
 
         The interval at k is ``[q - 2**-(k+1), q + 2**-(k+1)]``, so the
-        limit is only ever known up to the current precision.
+        limit is only ever known up to the current precision.  With
+        ``q = n/m`` the triple is ``(c - m, c + m, m * 2**(k+1))`` where
+        ``c = n * 2**(k+1)``.
         """
         value = Fraction(q)
+        n, m = value.numerator, value.denominator
 
-        def gen(k: int) -> Interval:
-            blur = Fraction(1, 2 ** (k + 1))
-            return (value - blur, value + blur)
+        def gen(k: int) -> Triple:
+            centre = n << (k + 1)
+            return (centre - m, centre + m, m << (k + 1))
 
         return self._register_nested(gen)
 
@@ -249,19 +288,20 @@ class RealRegistry:
         first violated clause raises :class:`InvalidNesting` with the
         offending index.
         """
-        intervals = [(Fraction(lo), Fraction(hi)) for lo, hi in prefix]
-        tail_value = Fraction(tail)
+        intervals = [_triple(lo, hi) for lo, hi in prefix]
+        tail_interval = _triple(tail, tail)
         for k, interval in enumerate(intervals):
             _check_interval(k, interval, intervals[k - 1] if k else None)
         if intervals:
-            lo, hi = intervals[-1]
-            if not (lo <= tail_value <= hi):
+            lo, hi, d = intervals[-1]
+            tail_n, _, tail_d = tail_interval
+            if not (lo * tail_d <= tail_n * d <= hi * tail_d):
                 raise InvalidNesting(len(intervals), "tail outside final interval")
 
-        def gen(k: int) -> Interval:
+        def gen(k: int) -> Triple:
             if k < len(intervals):
                 return intervals[k]
-            return (tail_value, tail_value)
+            return tail_interval
 
         return self._register_nested(gen)
 
@@ -278,20 +318,28 @@ class RealRegistry:
         width bound ``2**-(k+1) + 2**-(k+1) = 2**-k`` is preserved.
         """
 
-        def gen(k: int) -> Interval:
-            alo, ahi = a.interval_at(k + 1)
-            blo, bhi = b.interval_at(k + 1)
-            return (alo + blo, ahi + bhi)
+        def gen(k: int) -> Triple:
+            alo, ahi, ad = a._at(k + 1)
+            blo, bhi, bd = b._at(k + 1)
+            if ad == bd:
+                return (alo + blo, ahi + bhi, ad)
+            g = gcd(ad, bd)
+            sa, sb = bd // g, ad // g
+            return (alo * sa + blo * sb, ahi * sa + bhi * sb, ad * sa)
 
         return self._register_nested(gen)
 
     def sub(self, a: RealNum, b: RealNum) -> RealNum:
         """Register a - b, reading both operands at k + 1."""
 
-        def gen(k: int) -> Interval:
-            alo, ahi = a.interval_at(k + 1)
-            blo, bhi = b.interval_at(k + 1)
-            return (alo - bhi, ahi - blo)
+        def gen(k: int) -> Triple:
+            alo, ahi, ad = a._at(k + 1)
+            blo, bhi, bd = b._at(k + 1)
+            if ad == bd:
+                return (alo - bhi, ahi - blo, ad)
+            g = gcd(ad, bd)
+            sa, sb = bd // g, ad // g
+            return (alo * sa - bhi * sb, ahi * sa - blo * sb, ad * sa)
 
         return self._register_nested(gen)
 
@@ -301,17 +349,18 @@ class RealRegistry:
         The product reads its operands at ``k + s`` where the shift
         ``s = c_a + c_b + 2`` is fixed at construction from magnitude
         bounds ``2**c_x`` at index 0.  Endpoints are the min and max of
-        the four endpoint products.  Width bound: each factor interval
-        at k + s has width at most ``2**-(k+s)`` and magnitude at most
-        ``2**c_x``, so the product width is at most
+        the four endpoint products, over the product of the operands'
+        denominators.  Width bound: each factor interval at k + s has
+        width at most ``2**-(k+s)`` and magnitude at most ``2**c_x``,
+        so the product width is at most
         ``(2**c_a + 2**c_b) * 2**-(k+s) <= 2**-(k+1)``.
         """
         shift = _magnitude_exponent(a) + _magnitude_exponent(b) + 2
 
-        def gen(k: int) -> Interval:
-            alo, ahi = a.interval_at(k + shift)
-            blo, bhi = b.interval_at(k + shift)
+        def gen(k: int) -> Triple:
+            alo, ahi, ad = a._at(k + shift)
+            blo, bhi, bd = b._at(k + shift)
             products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-            return (min(products), max(products))
+            return (min(products), max(products), ad * bd)
 
         return self._register_nested(gen)

@@ -10,8 +10,8 @@ identical trace files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Iterable, List, Sequence
+from dataclasses import dataclass
+from typing import Any, List, Sequence
 
 
 @dataclass(frozen=True)

@@ -261,3 +261,35 @@ def test_max_restarts_must_not_be_negative():
         proc = run_cli(*args, "--max-restarts", "-1")
         assert_input_error(proc)
         assert proc.stderr == "input error: --max-restarts must be >= 0, got -1\n"
+
+
+def test_script_challenge_precision_must_not_be_negative(tmp_path):
+    script = tmp_path / "script.jsonl"
+    script.write_text(json.dumps({"j": 3, "precision": -1}) + "\n")
+    proc = run_cli("least", WORKED_REALS, "--auditor", f"script:{script}")
+    assert_input_error(proc, "challenge precision must be >= 0")
+
+
+def test_badly_nested_table_exits_1(tmp_path):
+    table = {"kind": "table", "prefix": [["0/1", "2/1"]], "tail": "1/1"}
+    reals = tmp_path / "reals.jsonl"
+    reals.write_text(json.dumps({"type": "real", **table}) + "\n")
+    points = tmp_path / "points.jsonl"
+    points.write_text("".join(
+        json.dumps({"type": "point", "index": i, "x": x, "y": y}) + "\n"
+        for i, (x, y) in enumerate([(table, "0/1"), ("1/1", "1/1"),
+                                    ("-1/1", "1/1")])))
+    for args in (("least", reals), ("convex", points)):
+        assert_input_error(run_cli(*args),
+                           "invalid interval table at index 0: width exceeds 2^-0")
+
+
+def test_forced_challenge_that_does_not_verify_exits_4(tmp_path):
+    script = tmp_path / "script.jsonl"
+    # r_0 <= r_0 is reflexive; r_0 = 0 <= r_5 = 1 holds
+    for j, message in ((0, "reflexive claim on index 0 reported false"),
+                       (5, "op_at(r_5, r_0, 5) is false")):
+        script.write_text(json.dumps({"j": j, "precision": 5, "force": True}) + "\n")
+        proc = run_cli("least", WORKED_REALS, "--auditor", f"script:{script}")
+        assert proc.returncode == 4
+        assert proc.stderr == f"verification failed: forced challenge: {message}\n"

@@ -17,6 +17,7 @@ from realearn import (
     op_at,
 )
 from realearn.oracle import separation_from_gap
+from realearn.reals import _magnitude_exponent
 
 from support import random_real, random_table_prefix
 
@@ -291,3 +292,152 @@ def test_raw_generator_nesting_is_checked_in_every_build(flags):
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1 upper endpoint increases\n"
+
+
+# Reference: the Fraction kernel that the integer triples replace, kept
+# as it was (constructors, arithmetic nodes and _magnitude_exponent).
+# Each reference real is read only at the indices asked, as nested
+# reals are.
+
+class RefReal:
+    def __init__(self, gen):
+        self._gen = gen
+        self._cache = {}
+
+    def interval_at(self, k):
+        if k not in self._cache:
+            self._cache[k] = self._gen(k)
+        return self._cache[k]
+
+
+def ref_op_at(r, s, k):
+    return r.interval_at(k)[1] < s.interval_at(k)[0]
+
+
+def ref_magnitude_exponent(x):
+    """Smallest c >= 0 such that 2**c bounds |x| at index 0."""
+    lo, hi = x.interval_at(0)
+    m = max(abs(lo), abs(hi))
+    if m <= 1:
+        return 0
+    c = max(0, m.numerator.bit_length() - m.denominator.bit_length() - 1)
+    while 2 ** c < m:
+        c += 1
+    return c
+
+
+class RefRegistry:
+    def from_rational(self, q):
+        value = Fraction(q)
+
+        def gen(k):
+            return (value, value)
+
+        return RefReal(gen)
+
+    def blurred(self, q):
+        value = Fraction(q)
+
+        def gen(k):
+            blur = Fraction(1, 2 ** (k + 1))
+            return (value - blur, value + blur)
+
+        return RefReal(gen)
+
+    def from_table(self, prefix, tail):
+        intervals = [(Fraction(lo), Fraction(hi)) for lo, hi in prefix]
+        tail_value = Fraction(tail)
+
+        def gen(k):
+            if k < len(intervals):
+                return intervals[k]
+            return (tail_value, tail_value)
+
+        return RefReal(gen)
+
+    def add(self, a, b):
+        def gen(k):
+            alo, ahi = a.interval_at(k + 1)
+            blo, bhi = b.interval_at(k + 1)
+            return (alo + blo, ahi + bhi)
+
+        return RefReal(gen)
+
+    def sub(self, a, b):
+        def gen(k):
+            alo, ahi = a.interval_at(k + 1)
+            blo, bhi = b.interval_at(k + 1)
+            return (alo - bhi, ahi - blo)
+
+        return RefReal(gen)
+
+    def mul(self, a, b):
+        shift = ref_magnitude_exponent(a) + ref_magnitude_exponent(b) + 2
+
+        def gen(k):
+            alo, ahi = a.interval_at(k + shift)
+            blo, bhi = b.interval_at(k + shift)
+            products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+            return (min(products), max(products))
+
+        return RefReal(gen)
+
+
+# Dyadic and non-dyadic values: 1/3, 5/7, k/2**j, ...
+kernel_values = st.builds(
+    Fraction, st.integers(min_value=-2 ** 12, max_value=2 ** 12),
+    st.sampled_from([1, 2, 3, 5, 7, 9, 2 ** 10, 3 * 2 ** 5, 2 ** 40]))
+
+
+@st.composite
+def kernel_tables(draw):
+    """A valid table prefix around a value, with odd denominators in the
+    endpoints: ``[v - t_k / 2**(k+1), v + u_k / 2**(k+1)]`` with
+    ``t_k, u_k`` in [0, 1] and at most twice their predecessors."""
+    value = draw(kernel_values)
+    shares = st.builds(Fraction, st.integers(min_value=0, max_value=15),
+                       st.sampled_from([1, 3, 5, 15]))
+    prefix, below, above = [], Fraction(1), Fraction(1)
+    for k in range(draw(st.integers(min_value=0, max_value=6))):
+        below = min(draw(shares), 1, 2 * below)
+        above = min(draw(shares), 1, 2 * above)
+        scale = Fraction(1, 2 ** (k + 1))
+        prefix.append((value - below * scale, value + above * scale))
+    return ("from_table", prefix, value)
+
+
+kernel_leaves = st.one_of(
+    st.tuples(st.just("from_rational"), kernel_values),
+    st.tuples(st.just("blurred"), kernel_values),
+    kernel_tables())
+
+kernel_exprs = st.recursive(
+    kernel_leaves,
+    lambda inner: st.tuples(st.sampled_from(["add", "sub", "mul"]),
+                            inner, inner),
+    max_leaves=6)
+
+
+def build_expr(reg, expr):
+    """Call the registry method each tuple names, building operands first."""
+    name, *args = expr
+    if name in ("add", "sub", "mul"):
+        args = [build_expr(reg, arg) for arg in args]
+    return getattr(reg, name)(*args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_exprs, kernel_exprs,
+       st.lists(st.integers(min_value=0, max_value=300), min_size=1, max_size=4))
+def test_integer_kernel_matches_fraction_reference(e1, e2, levels):
+    reg = RealRegistry()
+    reals = [build_expr(reg, e1), build_expr(reg, e2)]
+    ref = RefRegistry()
+    refs = [build_expr(ref, e1), build_expr(ref, e2)]
+    for real, expected in zip(reals, refs):
+        assert _magnitude_exponent(real) == ref_magnitude_exponent(expected)
+    for k in levels:
+        for real, expected in zip(reals, refs):
+            assert real.interval_at(k) == expected.interval_at(k)
+        for i, j in ((0, 1), (1, 0), (0, 0)):
+            assert op_at(reals[i], reals[j], k) == ref_op_at(refs[i], refs[j], k)
