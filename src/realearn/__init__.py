@@ -57,6 +57,7 @@ from .knowledge import (
 from .least import (
     Auditor,
     Challenge,
+    ForcedChallengeDenied,
     LeastCandidate,
     LearnOutcome,
     NullAuditor,

@@ -32,8 +32,14 @@ from .inputs import (
     rational_points,
     real_limits,
 )
-from .knowledge import ReflFalsified, UnsoundWitness, empty_state
-from .least import NullAuditor, RestartBudgetExceeded, ScriptedAuditor, learn_least
+from .knowledge import empty_state
+from .least import (
+    ForcedChallengeDenied,
+    NullAuditor,
+    RestartBudgetExceeded,
+    ScriptedAuditor,
+    learn_least,
+)
 from .oracle import (
     OracleAuditor,
     PathMismatch,
@@ -86,13 +92,24 @@ def _print_state(state) -> None:
                                sort_keys=True, separators=(",", ":")))
 
 
+def _registered(build, document):
+    """``build(document)``, reporting a badly nested table real as an
+    input error.  Tables are checked in full when registered, so an
+    :class:`InvalidNesting` raised later comes from computed intervals
+    and is left to propagate."""
+    try:
+        return build(document)
+    except InvalidNesting as exc:
+        raise InputError(str(exc)) from exc
+
+
 def cmd_least(args) -> int:
     kmax = _resolve_kmax(args.kmax)
     max_restarts = _resolve_max_restarts(args.max_restarts)
     document = load_document(args.input)
     if not document.reals:
         raise InputError(f"{args.input}: no reals in document")
-    registry, _ = build_reals(document)
+    registry, _ = _registered(build_reals, document)
     n = len(document.reals) - 1
     budget = max_restarts if max_restarts is not None else 2 ** n
     if args.auditor == "none":
@@ -121,8 +138,7 @@ def cmd_least(args) -> int:
             write_trace(args.trace, log.events)
         print(f"restart budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ReflFalsified, UnsoundWitness) as exc:
-        # only a forced challenge can claim a refutation the reals deny
+    except ForcedChallengeDenied as exc:
         if args.trace:
             write_trace(args.trace, log.events)
         print(f"verification failed: forced challenge: {exc}", file=sys.stderr)
@@ -150,7 +166,7 @@ def cmd_convex(args) -> int:
     document = load_document(args.input)
     if not document.points:
         raise InputError(f"{args.input}: no points in document")
-    registry, points = build_points(document)
+    registry, points = _registered(build_points, document)
     log = TraceLog()
     try:
         result = convex_angle(points, k_max=kmax,
@@ -206,7 +222,7 @@ def cmd_check(args) -> int:
     document = load_document(args.input)
     if not document.points:
         raise InputError(f"{args.input}: no points in document")
-    _, points = build_points(document)
+    _, points = _registered(build_points, document)
     a, b, c = record.get("a"), record.get("b"), record.get("c")
     if not all(isinstance(v, int) for v in (a, b, c)):
         raise InputError(f"{args.result}: a, b, c must be integers")
@@ -307,7 +323,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, InvalidNesting, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -31,12 +31,14 @@ from .knowledge import (
     KnowledgeState,
     LeqEvidence,
     Refl,
+    ReflFalsified,
     Step,
     blame,
     check_leq,
     decide_total,
     extend,
 )
+from .reals import RealRegistry, op_at
 from .trace import TraceEvent, TraceLog, state_snapshot
 
 
@@ -47,6 +49,10 @@ class RestartBudgetExceeded(RuntimeError):
         self.restarts = restarts
         self.budget = budget
         super().__init__(f"restart {restarts} exceeds budget {budget}")
+
+
+class ForcedChallengeDenied(ValueError):
+    """A forced challenge asserted a refutation that the reals deny."""
 
 
 class Evidences(Mapping):
@@ -194,6 +200,24 @@ class LearnOutcome:
     restarts: int
 
 
+def _forced_refutation(registry: RealRegistry, ev: LeqEvidence,
+                       p: int) -> Falsified:
+    """Blame the refutation a forced challenge asserts at ``p``.
+
+    It is blamed the same way an observed counterexample would be, and
+    the blamed witness is checked against the reals here: a forced
+    claim the reals deny raises :class:`ForcedChallengeDenied`, not the
+    programming errors that :func:`blame` and :func:`extend` report.
+    """
+    try:
+        (i, j), witness = blame(ev, p)
+    except ReflFalsified as exc:
+        raise ForcedChallengeDenied(str(exc)) from exc
+    if not op_at(registry[j], registry[i], witness):
+        raise ForcedChallengeDenied(f"op_at(r_{j}, r_{i}, {witness}) is false")
+    return Falsified((i, j), witness)
+
+
 def learn_least(n: int, auditor: Auditor, initial: KnowledgeState,
                 max_restarts: int,
                 trace: Optional[TraceLog] = None) -> LearnOutcome:
@@ -225,9 +249,7 @@ def learn_least(n: int, auditor: Auditor, initial: KnowledgeState,
                      claim=[ev.subject, ev.target], forced=ch.force)
             result = check_leq(registry, ev, ch.precision)
             if result is None and ch.force:
-                # The challenge carries its own refutation; blame it the
-                # same way an observed counterexample would be blamed.
-                result = Falsified(*blame(ev, ch.precision))
+                result = _forced_refutation(registry, ev, ch.precision)
             if result is None:
                 log.emit("check", j=ch.j, precision=ch.precision, outcome="ok")
                 continue

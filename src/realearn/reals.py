@@ -10,14 +10,14 @@ Internally every interval is one integer triple ``(lo, hi, d)`` with
 ``d > 0``, meaning ``[lo/d, hi/d]``: both endpoints share one
 denominator, which is a power of two for dyadic inputs and whatever
 the rationals need otherwise.  Sums and differences put their operands
-over the lcm of the two denominators (nothing to do when they are
-equal), products multiply numerators and denominators, and comparisons
-cross-multiply.  Nothing is rounded and nothing is normalised, so each
-triple equals, as a pair of rationals, the interval that
-:class:`fractions.Fraction` arithmetic would give.  The public
-:meth:`RealNum.interval_at` returns that interval as a ``Fraction``
-pair, and a raw generator handed to :meth:`RealRegistry.register`
-returns ``Fraction`` pairs, converted once on evaluation.
+over the lcm of the two denominators, products multiply numerators and
+denominators, and comparisons cross-multiply.  Nothing is rounded and
+nothing is normalised, so each triple equals, as a pair of rationals,
+the interval that :class:`fractions.Fraction` arithmetic would give.
+The public :meth:`RealNum.interval_at` returns that interval as a
+``Fraction`` pair, and a raw generator handed to
+:meth:`RealRegistry.register` returns ``Fraction`` pairs, converted
+once on evaluation.
 
 Evaluation is lazy in precision as well as in time.  Reals built by the
 registry's constructors and arithmetic nodes are nested by
@@ -63,12 +63,18 @@ class InvalidNesting(ValueError):
         super().__init__(f"invalid interval table at index {k}: {clause}")
 
 
+def _over_lcm(da: int, db: int) -> Tuple[int, int, int]:
+    """``(sa, sb, d)`` with ``d = lcm(da, db) = da * sa = db * sb``."""
+    g = gcd(da, db)
+    sa, sb = db // g, da // g
+    return sa, sb, da * sa
+
+
 def _triple(lo: RationalLike, hi: RationalLike) -> Triple:
     """The rational pair ``(lo, hi)`` over the lcm of its denominators."""
     lo, hi = Fraction(lo), Fraction(hi)
-    d_lo, d_hi = lo.denominator, hi.denominator
-    d = d_lo // gcd(d_lo, d_hi) * d_hi
-    return (lo.numerator * (d // d_lo), hi.numerator * (d // d_hi), d)
+    s_lo, s_hi, d = _over_lcm(lo.denominator, hi.denominator)
+    return (lo.numerator * s_lo, hi.numerator * s_hi, d)
 
 
 def _check_interval(k: int, interval: Triple,
@@ -321,11 +327,8 @@ class RealRegistry:
         def gen(k: int) -> Triple:
             alo, ahi, ad = a._at(k + 1)
             blo, bhi, bd = b._at(k + 1)
-            if ad == bd:
-                return (alo + blo, ahi + bhi, ad)
-            g = gcd(ad, bd)
-            sa, sb = bd // g, ad // g
-            return (alo * sa + blo * sb, ahi * sa + bhi * sb, ad * sa)
+            sa, sb, d = _over_lcm(ad, bd)
+            return (alo * sa + blo * sb, ahi * sa + bhi * sb, d)
 
         return self._register_nested(gen)
 
@@ -335,11 +338,8 @@ class RealRegistry:
         def gen(k: int) -> Triple:
             alo, ahi, ad = a._at(k + 1)
             blo, bhi, bd = b._at(k + 1)
-            if ad == bd:
-                return (alo - bhi, ahi - blo, ad)
-            g = gcd(ad, bd)
-            sa, sb = bd // g, ad // g
-            return (alo * sa - bhi * sb, ahi * sa - blo * sb, ad * sa)
+            sa, sb, d = _over_lcm(ad, bd)
+            return (alo * sa - bhi * sb, ahi * sa - blo * sb, d)
 
         return self._register_nested(gen)
 

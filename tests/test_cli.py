@@ -293,3 +293,23 @@ def test_forced_challenge_that_does_not_verify_exits_4(tmp_path):
         proc = run_cli("least", WORKED_REALS, "--auditor", f"script:{script}")
         assert proc.returncode == 4
         assert proc.stderr == f"verification failed: forced challenge: {message}\n"
+
+
+def test_faults_outside_input_checks_are_not_input_errors(monkeypatch):
+    # an interval self-check or an unsound witness raised while computing
+    # is a fault in the program: it must surface, not read as bad input
+    from realearn import InvalidNesting, UnsoundWitness, cli
+
+    def computed_interval_fault(*args, **kwargs):
+        raise InvalidNesting(7, "width exceeds 2^-7")
+
+    def unsound_witness(*args, **kwargs):
+        raise UnsoundWitness("op_at(r_1, r_0, 3) is false")
+
+    monkeypatch.setattr(cli, "convex_angle", computed_interval_fault)
+    with pytest.raises(InvalidNesting):
+        cli.main(["convex", str(WEDGE)])
+    monkeypatch.setattr(cli, "learn_least", unsound_witness)
+    for auditor in ("none", "oracle", f"script:{WORKED_SCRIPT}"):
+        with pytest.raises(UnsoundWitness):
+            cli.main(["least", str(WORKED_REALS), "--auditor", auditor])

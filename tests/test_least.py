@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from random import Random
 
@@ -9,6 +10,7 @@ from realearn import (
     Assumed,
     AssumeLeq,
     Challenge,
+    ForcedChallengeDenied,
     KnowledgeState,
     LeastCandidate,
     NullAuditor,
@@ -130,6 +132,15 @@ def test_forced_challenge_still_extends_soundly():
               and e.payload["forced"]]
     assert len(forced) == 1 and forced[0].payload["j"] == 2
     assert is_sound(outcome.state)
+
+
+def test_forced_challenge_the_reals_deny_is_reported_as_such():
+    # r_0 <= r_0 is reflexive; r_0 = 0 <= r_5 = 1 holds at every precision
+    for j, message in ((0, "reflexive claim on index 0 reported false"),
+                       (5, "op_at(r_5, r_0, 5) is false")):
+        auditor = ScriptedAuditor([Challenge(j=j, precision=5, force=True)])
+        with pytest.raises(ForcedChallengeDenied, match=re.escape(message)):
+            learn_least(5, auditor, empty_state(worked_registry()), 32)
 
 
 def test_restart_budget_enforced():
