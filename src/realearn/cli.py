@@ -103,6 +103,15 @@ def _registered(build, document):
         raise InputError(str(exc)) from exc
 
 
+def _failed(args, log: TraceLog, message: str, code: int) -> int:
+    """Write the partial trace if ``--trace`` is set, report ``message``
+    on stderr and return the exit ``code``."""
+    if args.trace:
+        write_trace(args.trace, log.events)
+    print(message, file=sys.stderr)
+    return code
+
+
 def cmd_least(args) -> int:
     kmax = _resolve_kmax(args.kmax)
     max_restarts = _resolve_max_restarts(args.max_restarts)
@@ -134,15 +143,12 @@ def cmd_least(args) -> int:
     try:
         outcome = learn_least(n, auditor, empty_state(registry), budget, log)
     except RestartBudgetExceeded as exc:
-        if args.trace:
-            write_trace(args.trace, log.events)
-        print(f"restart budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return _failed(args, log, f"restart budget exhausted: {exc}",
+                       EXIT_BUDGET)
     except ForcedChallengeDenied as exc:
-        if args.trace:
-            write_trace(args.trace, log.events)
-        print(f"verification failed: forced challenge: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+        return _failed(args, log,
+                       f"verification failed: forced challenge: {exc}",
+                       EXIT_VERIFY)
     if args.trace:
         write_trace(args.trace, outcome.trace)
     print(f"candidate: {outcome.candidate.candidate}")
@@ -172,15 +178,10 @@ def cmd_convex(args) -> int:
         result = convex_angle(points, k_max=kmax,
                               max_restarts=max_restarts, trace=log)
     except RestartBudgetExceeded as exc:
-        if args.trace:
-            write_trace(args.trace, log.events)
-        print(f"restart budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return _failed(args, log, f"restart budget exhausted: {exc}",
+                       EXIT_BUDGET)
     except DegenerateInput as exc:
-        if args.trace:
-            write_trace(args.trace, log.events)
-        print(f"degenerate input: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+        return _failed(args, log, f"degenerate input: {exc}", EXIT_DEGENERATE)
     except TooFewPoints as exc:
         raise InputError(f"{args.input}: {exc}")
     if args.trace:

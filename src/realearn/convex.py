@@ -98,7 +98,8 @@ class _SideOracle:
     """Caching wrapper over decide_side for one construction run.
 
     Decisions are cached per index triple, so re-scans after candidate
-    replacement do not re-register arithmetic.
+    replacement do not rebuild and re-witness the orientation.  The
+    orientation node is unregistered and is dropped with its decision.
     """
 
     def __init__(self, points: Sequence[Point], k_max: int,

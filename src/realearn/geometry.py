@@ -5,11 +5,13 @@ line is decided through the orientation quantity
 
     orient(P, Q, R) = (x_Q - x_P) * (y_R - y_P) - (x_R - x_P) * (y_Q - y_P)
 
-built with registered real arithmetic: R lies to the left of the line
-through P and Q when the orientation is strictly positive, to the
-right when strictly negative.  Because strict order of reals is only
-semi-decidable, :func:`decide_side` searches for the least precision
-at which either possibility is observed, with the galloping search
+built as a tree of unregistered arithmetic nodes over the points'
+coordinates, so it adds nothing to the registry and is dropped with
+the decision: R lies to the left of the line through P and Q when the
+orientation is strictly positive, to the right when strictly negative.
+Because strict order of reals is only semi-decidable,
+:func:`decide_side` searches for the least precision at which the
+orientation's interval excludes zero, with the galloping search
 :func:`~realearn.reals.least_witness`, and reports the side together
 with that precision; exhausting the budget (as happens for collinear
 triples) raises :class:`DegenerateInput`.
@@ -63,7 +65,8 @@ class NoWitnessFound(DegenerateInput):
 
 
 def orientation_real(p: Point, q: Point, r: Point) -> RealNum:
-    """Register the orientation of r relative to the line p -> q."""
+    """The orientation of r relative to the line p -> q, as an
+    unregistered arithmetic node."""
     reg = p.x.registry
     dx_q = reg.sub(q.x, p.x)
     dy_r = reg.sub(r.y, p.y)
@@ -76,16 +79,20 @@ def decide_side(p: Point, q: Point, r: Point, k_max: int,
                 orientation: Optional[RealNum] = None) -> SideDecision:
     """Which side of the directed line p -> q does r lie on?
 
-    The returned witness is the least precision k <= k_max at which
-    either strict comparison of the orientation against zero succeeds;
-    at that precision Left is tested before Right.
+    The returned witness is the least precision k <= k_max at which the
+    orientation's interval lies strictly above zero (Left, tested first)
+    or strictly below it (Right).  That is :func:`op_at` against the
+    constant zero, whose interval is [0, 0] at every k.
     """
     orient = orientation if orientation is not None else orientation_real(p, q, r)
-    zero = orient.registry.zero()
-    k = least_witness(
-        lambda k: op_at(zero, orient, k) or op_at(orient, zero, k), k_max)
+
+    def sign(k: int) -> int:
+        lo, hi, _ = orient._at(k)
+        return (lo > 0) - (hi < 0)
+
+    k = least_witness(lambda k: sign(k) != 0, k_max)
     if k is not None:
-        return Left(k) if op_at(zero, orient, k) else Right(k)
+        return Left(k) if sign(k) > 0 else Right(k)
     raise DegenerateInput(
         f"no side witness for points ({p.index}, {q.index}, {r.index}) "
         f"within precision {k_max}"

@@ -14,15 +14,18 @@ Point records pair two real specs with a dense index::
      "x": {"kind": "rational", "value": "0/1"},
      "y": {"kind": "blurred", "value": "2/1"}}
 
-All rationals are exact ``num/den`` strings (or plain integers); float
-literals are rejected.  Every constructor has a known rational limit
-(the value for rational and blurred reals, the tail for tables), which
-the oracle tools rely on.
+All rationals are plain integers or strings of the form
+``[+-]?digits`` or ``[+-]?digits/digits``; float literals and every
+other string (decimals, exponents, spaces) are rejected, so a value's
+size is bounded by the size of its text.  Every constructor has a
+known rational limit (the value for rational and blurred reals, the
+tail for tables), which the oracle tools rely on.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple
@@ -49,7 +52,21 @@ def numbered_lines(path) -> Iterator[Tuple[int, str]]:
             raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def _records(path, what: str) -> Iterator[Tuple[int, dict]]:
+    """The numbered lines of a JSON Lines file, each parsed as a JSON
+    object; anything else raises :class:`InputError` naming ``what``."""
+    for lineno, line in numbered_lines(path):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise InputError(f"{path}:{lineno}: {what} must be an object")
+        yield lineno, record
+
+
 REAL_KINDS = ("rational", "blurred", "table")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_fraction(value) -> Fraction:
@@ -57,12 +74,13 @@ def parse_fraction(value) -> Fraction:
         raise InputError(f"rationals must be exact, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse rational {value!r}") from exc
-    raise InputError(f"cannot parse rational {value!r}")
+    raise InputError(f"cannot parse rational {value!r}: "
+                     "expected an integer or num/den")
 
 
 def format_fraction(q: Fraction) -> str:
@@ -147,13 +165,7 @@ class InputDocument:
 def load_document(path) -> InputDocument:
     reals: List[RealSpec] = []
     points: List[PointSpec] = []
-    for lineno, line in numbered_lines(path):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise InputError(f"{path}:{lineno}: record must be an object")
+    for lineno, record in _records(path, "record"):
         kind = record.get("type")
         try:
             if kind == "real":
@@ -215,13 +227,7 @@ def rational_points(document: InputDocument) -> List[RationalPoint]:
 def load_script(path) -> List[Challenge]:
     """A challenge script: one ``{"j":, "precision":, "force"?:}`` per line."""
     challenges: List[Challenge] = []
-    for lineno, line in numbered_lines(path):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise InputError(f"{path}:{lineno}: challenge must be an object")
+    for lineno, record in _records(path, "challenge"):
         j = record.get("j")
         precision = record.get("precision")
         force = record.get("force", False)

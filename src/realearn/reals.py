@@ -19,6 +19,13 @@ The public :meth:`RealNum.interval_at` returns that interval as a
 :meth:`RealRegistry.register` returns ``Fraction`` pairs, converted
 once on evaluation.
 
+A :class:`RealRegistry` holds the input reals only: its constructors
+register each real under a dense index, and that index is the real's
+name in knowledge states.  Sums, differences and products are
+unregistered nodes with no index, so they cannot be the subject of a
+knowledge-state entry, and a node and its cached intervals live only
+as long as the caller keeps them.
+
 Evaluation is lazy in precision as well as in time.  Reals built by the
 registry's constructors and arithmetic nodes are nested by
 construction, so they are evaluated only at the indices actually read:
@@ -95,10 +102,13 @@ def _check_interval(k: int, interval: Triple,
 
 
 class RealNum:
-    """One registered real: a memoized generator of nested intervals.
+    """One real: a memoized generator of nested intervals.
 
-    Instances are created through a :class:`RealRegistry`, which assigns
-    the dense index that serves as the real's identity.  Intervals are
+    Instances are created through a :class:`RealRegistry`.  An input
+    real carries the dense index that serves as its identity; an
+    arithmetic node (:meth:`RealRegistry.add`, ``sub``, ``mul``) has
+    ``index`` None and ``registry`` set to its operands' registry, and
+    cannot be the subject of a knowledge-state entry.  Intervals are
     cached per index as integer triples (see the module docstring), so
     the generator is evaluated at most once per index.  A real marked
     ``nested`` (every constructor and arithmetic node) is evaluated at
@@ -116,7 +126,8 @@ class RealNum:
 
     __slots__ = ("index", "registry", "nested", "_pairs", "_gen", "_cache")
 
-    def __init__(self, index: int, registry: "RealRegistry", gen: Generator):
+    def __init__(self, index: Optional[int], registry: "RealRegistry",
+                 gen: Generator):
         self.index = index
         self.registry = registry
         self.nested = False
@@ -217,11 +228,25 @@ def _magnitude_exponent(x: RealNum) -> int:
     return c
 
 
+def _nested(real: RealNum) -> RealNum:
+    """Mark ``real`` as a generator of ``(lo, hi, d)`` triples that is
+    nested by construction, for evaluation at the requested index only.
+    Constructors pass a registered real, arithmetic nodes an
+    unregistered one."""
+    real.nested = True
+    real._pairs = False
+    return real
+
+
 class RealRegistry:
-    """Append-only store of reals, indexed densely from 0.
+    """Append-only store of the input reals, indexed densely from 0.
 
     The index doubles as the real's identity in knowledge states and
     evidence chains.  Entries are never mutated after registration.
+    Only the constructors register; :meth:`add`, :meth:`sub` and
+    :meth:`mul` return unregistered nodes with no index, so the
+    registry's length is the number of input reals however much
+    arithmetic has been done on them.
     """
 
     def __init__(self) -> None:
@@ -250,14 +275,6 @@ class RealRegistry:
         self._entries.append(real)
         return real
 
-    def _register_nested(self, gen: Callable[[int], Triple]) -> RealNum:
-        """Register a generator of ``(lo, hi, d)`` triples that is nested
-        by construction, for evaluation at the requested index only."""
-        real = self.register(gen)
-        real.nested = True
-        real._pairs = False
-        return real
-
     def from_rational(self, q: RationalLike) -> RealNum:
         """The real with constant degenerate interval [q, q]."""
         value = Fraction(q)
@@ -266,7 +283,7 @@ class RealRegistry:
         def gen(k: int) -> Triple:
             return interval
 
-        return self._register_nested(gen)
+        return _nested(self.register(gen))
 
     def blurred(self, q: RationalLike) -> RealNum:
         """A real converging to q with interval width exactly 2**-k.
@@ -283,7 +300,7 @@ class RealRegistry:
             centre = n << (k + 1)
             return (centre - m, centre + m, m << (k + 1))
 
-        return self._register_nested(gen)
+        return _nested(self.register(gen))
 
     def from_table(self, prefix: Sequence[Tuple[RationalLike, RationalLike]],
                    tail: RationalLike) -> RealNum:
@@ -309,7 +326,7 @@ class RealRegistry:
                 return intervals[k]
             return tail_interval
 
-        return self._register_nested(gen)
+        return _nested(self.register(gen))
 
     def zero(self) -> RealNum:
         """The constant real 0, registered once per registry on demand."""
@@ -318,7 +335,7 @@ class RealRegistry:
         return self._zero
 
     def add(self, a: RealNum, b: RealNum) -> RealNum:
-        """Register a + b.
+        """The node a + b.
 
         The sum's interval at k reads both operands at k + 1, so the
         width bound ``2**-(k+1) + 2**-(k+1) = 2**-k`` is preserved.
@@ -330,10 +347,10 @@ class RealRegistry:
             sa, sb, d = _over_lcm(ad, bd)
             return (alo * sa + blo * sb, ahi * sa + bhi * sb, d)
 
-        return self._register_nested(gen)
+        return _nested(RealNum(None, self, gen))
 
     def sub(self, a: RealNum, b: RealNum) -> RealNum:
-        """Register a - b, reading both operands at k + 1."""
+        """The node a - b, reading both operands at k + 1."""
 
         def gen(k: int) -> Triple:
             alo, ahi, ad = a._at(k + 1)
@@ -341,10 +358,10 @@ class RealRegistry:
             sa, sb, d = _over_lcm(ad, bd)
             return (alo * sa - bhi * sb, ahi * sa - blo * sb, d)
 
-        return self._register_nested(gen)
+        return _nested(RealNum(None, self, gen))
 
     def mul(self, a: RealNum, b: RealNum) -> RealNum:
-        """Register a * b.
+        """The node a * b.
 
         The product reads its operands at ``k + s`` where the shift
         ``s = c_a + c_b + 2`` is fixed at construction from magnitude
@@ -363,4 +380,4 @@ class RealRegistry:
             products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
             return (min(products), max(products), ad * bd)
 
-        return self._register_nested(gen)
+        return _nested(RealNum(None, self, gen))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from random import Random
 
@@ -313,3 +314,22 @@ def test_faults_outside_input_checks_are_not_input_errors(monkeypatch):
     for auditor in ("none", "oracle", f"script:{WORKED_SCRIPT}"):
         with pytest.raises(UnsoundWitness):
             cli.main(["least", str(WORKED_REALS), "--auditor", auditor])
+
+
+def test_exponent_notation_is_rejected_at_once(tmp_path, capsys):
+    # "1e10000000" would otherwise become a 10^7-digit integer that the
+    # oracle auditor then compares for many seconds.
+    from realearn import cli
+
+    doc = tmp_path / "reals.jsonl"
+    doc.write_text('{"type": "real", "kind": "rational", "value": "1"}\n'
+                   '{"type": "real", "kind": "rational", '
+                   '"value": "1e10000000"}\n')
+    start = time.perf_counter()
+    code = cli.main(["least", str(doc), "--auditor", "oracle"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 1
+    assert elapsed < 0.5
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert "'1e10000000'" in err

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 from random import Random
 
@@ -14,6 +15,7 @@ from realearn import (
     TraceLog,
     convex_angle,
     is_sound,
+    orientation_real,
     verify_bounding,
 )
 from realearn.oracle import RationalPoint, exact_convex_check
@@ -165,3 +167,47 @@ def test_trace_digest_is_pinned():
             digest.update(event.to_json().encode() + b"\n")
     assert digest.hexdigest() == (
         "a73aebbb8ba9a0364913659da1fa8b7030eae0def3f13efe625853f69debc1e3")
+
+
+def angle_ordered_points(n):
+    """Apex 0 is the lowest point and point i lies at angle
+    0.05 + 3.0 i / n around it on the unit circle, on the 2^-12 grid:
+    every scanned point replaces ray C and re-witnesses all certified
+    points, so side decisions grow as n^2."""
+    coords = [(Fraction(0), Fraction(0))]
+    for i in range(1, n):
+        angle = 0.05 + 3.0 * i / n
+        coords.append((Fraction(round(math.cos(angle) * 4096), 4096),
+                       Fraction(round(math.sin(angle) * 4096), 4096)))
+    return [RationalPoint(x, y) for x, y in coords]
+
+
+def test_wide_trace_digest_is_pinned():
+    # sha256 of the trace of one angle-ordered blurred instance; every
+    # scanned point moves a ray, so the rescan order and its witnesses
+    # are all in it.
+    rational = angle_ordered_points(60)
+    _, pts = register_points(rational, blurred=True)
+    log = TraceLog()
+    res = convex_angle(pts, trace=log)
+    assert exact_convex_check(rational, res.a, res.b, res.c)
+    digest = hashlib.sha256()
+    for event in log.events:
+        digest.update(event.to_json().encode() + b"\n")
+    assert digest.hexdigest() == (
+        "1af4743992a0f76f058017604b0cf0f67d9066a423805198e9fdb913cad0ce9f")
+
+
+def test_registry_holds_input_reals_only():
+    reg, pts = register_points(angle_ordered_points(12), blurred=True)
+    inputs = len(reg)
+    assert inputs == 24
+    a, b = pts[1].x, pts[2].y
+    for node in (reg.add(a, b), reg.sub(a, b), reg.mul(a, b),
+                 orientation_real(pts[0], pts[1], pts[2])):
+        assert node.index is None and node.registry is reg
+        node.interval_at(40)
+    res = convex_angle(pts)
+    verify_bounding(pts, res.a, res.b, res.c)
+    assert len(reg) == inputs
+    assert list(reg) == [p.y for p in pts] + [p.x for p in pts]

@@ -24,7 +24,9 @@ def test_parse_fraction_accepts_exact_forms():
     assert parse_fraction(7) == Fraction(7)
 
 
-@pytest.mark.parametrize("bad", [1.5, True, "0.5.1", "1/0", None, [1]])
+@pytest.mark.parametrize("bad", [1.5, True, "0.5.1", "1/0", None, [1],
+                                 "1e10000000", "1e5",
+                                 pytest.param("1.5", id="decimal-string")])
 def test_parse_fraction_rejects_inexact_forms(bad):
     with pytest.raises(InputError):
         parse_fraction(bad)
