@@ -4,8 +4,13 @@ A knowledge state is a finite partial map from an ordered pair of real
 indices ``(i, j)`` to a witness precision ``k``.  An entry records a
 previously discovered counterexample: the claim ``r_i <= r_j`` was
 refuted because ``op_at(r_j, r_i, k)`` holds.  A state is sound when
-every stored witness actually verifies; extension re-checks this, so a
-sound state can only grow into a sound state.
+every stored witness actually verifies.  A state is sealed: its entries
+are a read-only view of a private copy taken at construction, and
+:func:`extend`, which verifies the new witness before it adds it, is
+the only way to grow one.  A sound state therefore only ever grows
+into a sound state, and a run needs to re-verify only the state it
+started from; :func:`~realearn.least.learn_least` does so, and checks
+the state it ends with, in debug builds.
 
 Comparisons that the state knows nothing about are answered by
 assumption (:class:`AssumeLeq`), and each assumption is backed by an
@@ -25,8 +30,11 @@ strict witness along the way, and lands on the terminal assumption.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from functools import cached_property
+from types import MappingProxyType
+from typing import List, Optional, Tuple, Union
 
 from .reals import RealRegistry, op_at
 
@@ -34,7 +42,8 @@ Pair = Tuple[int, int]
 
 
 class UnsoundWitness(ValueError):
-    """A state extension carried a witness that does not verify."""
+    """A knowledge-state witness does not verify: an extension carried
+    one, or a state handed to a run holds one."""
 
 
 class ReflFalsified(RuntimeError):
@@ -148,25 +157,43 @@ Decision = Union[AssumeLeq, StrictLt]
 
 @dataclass(frozen=True)
 class KnowledgeState:
-    """An immutable snapshot of everything learned so far.
+    """An immutable, sealed record of everything learned so far.
 
     ``entries[(i, j)] = k`` records that ``op_at(r_j, r_i, k)`` holds,
-    refuting the claim ``r_i <= r_j``.  The mapping is treated as a
-    value: :func:`extend` returns a new state and never mutates.
+    refuting the claim ``r_i <= r_j``.  ``entries`` is a read-only
+    mapping over a private copy of the dict passed in, so changing that
+    dict afterwards does not change the state, and assigning to or
+    deleting from ``entries`` raises ``TypeError``.  :func:`extend`
+    returns a new state and never mutates.  A state built directly from
+    a dict is not verified; :func:`is_sound` checks one.
     """
 
     registry: RealRegistry
-    entries: Dict[Pair, int] = field(default_factory=dict)
+    entries: Mapping[Pair, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        entries = dict(self.entries)
+        object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "entries", MappingProxyType(entries))
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self._entries)
 
     def get(self, i: int, j: int) -> Optional[int]:
-        return self.entries.get((i, j))
+        """The stored witness refuting ``r_i <= r_j``, or None."""
+        return self._entries.get((i, j))
 
     def sorted_entries(self) -> list[tuple[int, int, int]]:
-        return [(i, j, w) for (i, j), w in sorted(self.entries.items())]
+        return [(i, j, w) for (i, j), w in sorted(self._entries.items())]
+
+    @cached_property
+    def snapshot(self) -> list[dict]:
+        """The trace view of the state: ``{"i", "j", "witness"}`` dicts
+        sorted by pair.  It is built once per state and shared by every
+        event that records the state, so it must not be mutated."""
+        return [{"i": i, "j": j, "witness": w}
+                for i, j, w in self.sorted_entries()]
 
 
 def empty_state(registry: RealRegistry) -> KnowledgeState:
@@ -185,13 +212,16 @@ def decide_total(state: KnowledgeState, i: int, j: int) -> Decision:
     """Answer the comparison r_i <= r_j from current knowledge.
 
     Undecided pairs are assumed (with fresh :class:`Assumed` evidence);
-    pairs with a stored counterexample answer strictly.
+    pairs with a stored counterexample answer strictly.  The answer is
+    :meth:`KnowledgeState.get`, which the least-element pass reads
+    directly.  The witness is not re-verified here: every entry of a
+    sealed state was either verified by :func:`extend` or given to the
+    constructor, and a state built that way is what :func:`is_sound`
+    audits.
     """
-    witness = state.entries.get((i, j))
+    witness = state.get(i, j)
     if witness is None:
         return AssumeLeq(Assumed(i, j))
-    assert op_at(state.registry[j], state.registry[i], witness), \
-        f"unsound state entry ({i}, {j}) -> {witness}"
     return StrictLt(witness)
 
 
@@ -207,9 +237,7 @@ def extend(state: KnowledgeState, i: int, j: int, k: int) -> KnowledgeState:
         return state
     if not op_at(state.registry[j], state.registry[i], k):
         raise UnsoundWitness(f"op_at(r_{j}, r_{i}, {k}) is false")
-    entries = dict(state.entries)
-    entries[(i, j)] = k
-    return KnowledgeState(state.registry, entries)
+    return KnowledgeState(state.registry, {**state.entries, (i, j): k})
 
 
 def blame(ev: LeqEvidence, p: int) -> Tuple[Pair, int]:

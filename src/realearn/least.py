@@ -4,14 +4,19 @@
 returns the least element relative to the current knowledge state,
 together with an evidence chain for every comparison it relied on.
 With an empty state this is pure guessing: index 0 is proposed and
-every comparison is assumed.  The pass keeps one shared list of the
-strict steps it took and builds an index's chain only when it is read,
-so a pass costs O(n) however many strict answers it meets.
+every comparison is assumed.  A decision is one lookup in the sealed
+knowledge state.  The pass keeps one shared list of the strict steps
+it took and one join position per index, and builds an index's
+evidence, base and chain alike, only when it is read, so a pass costs
+O(n) and allocates no evidence however many strict answers it meets.
 
 :func:`learn_least` wraps the pass in an interactive loop.  An auditor
 challenges claims at chosen precisions; a refuted claim is blamed on
 the assumption that produced it, the knowledge state is extended with
 the discovered counterexample, and the pass restarts from scratch.
+Every entry added in a run is verified by
+:func:`~realearn.knowledge.extend`, so in debug builds the run audits
+the states it starts and ends with, not each answer of each pass.
 Each restart flips exactly one assumed comparison on the current
 decision path to a strict one, so progress through the space of
 decision paths is strictly left to right and the number of restarts is
@@ -26,17 +31,17 @@ from typing import Dict, Iterable, Iterator, List, Optional, Protocol, Set, Tupl
 
 from .knowledge import (
     Assumed,
-    AssumeLeq,
     Falsified,
     KnowledgeState,
     LeqEvidence,
     Refl,
     ReflFalsified,
     Step,
+    UnsoundWitness,
     blame,
     check_leq,
-    decide_total,
     extend,
+    is_sound,
 )
 from .reals import RealRegistry, op_at
 from .trace import TraceEvent, TraceLog, state_snapshot
@@ -59,30 +64,34 @@ class Evidences(Mapping):
     """Read-only ``j -> evidence`` mapping of one least-element pass.
 
     ``strict`` lists the pass's strict steps ``(witness, new
-    candidate)`` in order.  ``bases[j]`` is ``(base, pos)``: j's own
-    evidence (``Refl`` or ``Assumed``) and the length of ``strict``
-    when j joined.  Reading ``evidences[j]`` wraps the base in a
-    :class:`Step` for each strict step from ``pos`` on.
+    candidate)`` in order, and ``joined[j]`` is the length of
+    ``strict`` when j joined the pass.  The candidate then in force is
+    the subject of the last strict step before that position, or 0:
+    j's base evidence is ``Refl(j)`` when that candidate is j itself,
+    else ``Assumed(candidate, j)``.  Reading ``evidences[j]`` builds
+    that base and wraps it in a :class:`Step` for each strict step from
+    ``joined[j]`` on; nothing is built before.
     """
 
-    __slots__ = ("_strict", "_bases")
+    __slots__ = ("_strict", "_joined")
 
-    def __init__(self, strict: List[Tuple[int, int]],
-                 bases: Dict[int, Tuple[LeqEvidence, int]]):
+    def __init__(self, strict: List[Tuple[int, int]], joined: Dict[int, int]):
         self._strict = strict
-        self._bases = bases
+        self._joined = joined
 
     def __getitem__(self, j: int) -> LeqEvidence:
-        ev, pos = self._bases[j]
+        pos = self._joined[j]
+        candidate = self._strict[pos - 1][1] if pos else 0
+        ev: LeqEvidence = Refl(j) if candidate == j else Assumed(candidate, j)
         for witness, subject in self._strict[pos:]:
             ev = Step(witness, ev, subject)
         return ev
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._bases)
+        return iter(self._joined)
 
     def __len__(self) -> int:
-        return len(self._bases)
+        return len(self._joined)
 
 
 @dataclass(frozen=True)
@@ -148,29 +157,31 @@ def least_candidate(state: KnowledgeState, n: int,
                     trace: Optional[TraceLog] = None) -> LeastCandidate:
     """One deterministic pass proposing the least of ``r_0 .. r_n``.
 
-    Walks i = 1..n keeping a running candidate.  An assumed comparison
-    keeps the candidate and records the assumption as i's evidence; a
-    strict answer switches the candidate to i and appends the strict
-    step to the shared list, which puts it in front of every chain
-    recorded so far.  No chain is built until it is read.
+    Walks i = 1..n keeping a running candidate.  A comparison with no
+    stored witness is assumed and keeps the candidate; a strict answer
+    switches the candidate to i and appends the strict step to the
+    shared list, which puts it in front of every chain recorded so far.
+    Each decision is one :meth:`KnowledgeState.get` and, with a trace,
+    one event; no evidence is built until it is read.
     """
+    get = state.get
+    emit = trace.emit if trace is not None else None
     candidate = 0
     strict: List[Tuple[int, int]] = []
-    bases: Dict[int, Tuple[LeqEvidence, int]] = {0: (Refl(0), 0)}
+    joined: Dict[int, int] = {0: 0}
     for i in range(1, n + 1):
-        decision = decide_total(state, candidate, i)
-        if isinstance(decision, AssumeLeq):
-            if trace is not None:
-                trace.emit("decide", step=i, pair=[candidate, i], decision="assume")
-            bases[i] = (decision.evidence, len(strict))
+        witness = get(candidate, i)
+        if witness is None:
+            if emit is not None:
+                emit("decide", step=i, pair=[candidate, i], decision="assume")
         else:
-            if trace is not None:
-                trace.emit("decide", step=i, pair=[candidate, i],
-                           decision="strict", witness=decision.witness)
-            strict.append((decision.witness, i))
-            bases[i] = (Refl(i), len(strict))
+            if emit is not None:
+                emit("decide", step=i, pair=[candidate, i],
+                     decision="strict", witness=witness)
+            strict.append((witness, i))
             candidate = i
-    return LeastCandidate(candidate, Evidences(strict, bases))
+        joined[i] = len(strict)
+    return LeastCandidate(candidate, Evidences(strict, joined))
 
 
 def evidence_graph(cand: LeastCandidate) -> Tuple[Set[Tuple[int, int, int]],
@@ -218,6 +229,12 @@ def _forced_refutation(registry: RealRegistry, ev: LeqEvidence,
     return Falsified((i, j), witness)
 
 
+def _audit(state: KnowledgeState, which: str) -> None:
+    if not is_sound(state):
+        raise UnsoundWitness(f"{which} knowledge state holds a witness "
+                             "that does not verify")
+
+
 def learn_least(n: int, auditor: Auditor, initial: KnowledgeState,
                 max_restarts: int,
                 trace: Optional[TraceLog] = None) -> LearnOutcome:
@@ -228,7 +245,15 @@ def learn_least(n: int, auditor: Auditor, initial: KnowledgeState,
     is simply recorded, a refuted one is blamed on its assumption, the
     state is extended, and the whole pass restarts.  The auditor
     accepting (returning None) ends the run.
+
+    In debug builds the run re-verifies the initial state before its
+    first pass and the final state before it accepts, and raises
+    :class:`UnsoundWitness` if either holds a witness that does not
+    verify.  Between the two, :func:`extend` verifies every entry it
+    adds and nothing else can add one, so no answer is re-checked.
     """
+    if __debug__:
+        _audit(initial, "initial")
     log = trace if trace is not None else TraceLog()
     state = initial
     registry = state.registry
@@ -241,6 +266,8 @@ def learn_least(n: int, auditor: Auditor, initial: KnowledgeState,
         while not restarted:
             ch = auditor.challenge(cand)
             if ch is None:
+                if __debug__:
+                    _audit(state, "final")
                 log.emit("accept", candidate=cand.candidate,
                          restarts=restarts, state=state_snapshot(state))
                 return LearnOutcome(cand, state, log.events, restarts)

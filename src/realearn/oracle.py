@@ -93,7 +93,8 @@ class OracleAuditor:
     candidate is not the true argmin, the auditor picks the lowest
     index whose value lies strictly below the candidate's and
     challenges that claim at a separation precision; once the true
-    argmin is proposed it accepts.
+    argmin is proposed it accepts.  The scan compares integer ranks of
+    the values, computed once, instead of the values themselves.
     """
 
     def __init__(self, registry: RealRegistry, true_values: Sequence[Fraction],
@@ -103,6 +104,10 @@ class OracleAuditor:
             raise TieDetected("true values must be distinct")
         self._registry = registry
         self._values = values
+        self._ranks = [0] * len(values)
+        for rank, j in enumerate(sorted(range(len(values)),
+                                        key=values.__getitem__)):
+            self._ranks[j] = rank
         self._separation = separation_precision or self._scan_separation
 
     def _scan_separation(self, j: int, m: int) -> int:
@@ -117,9 +122,9 @@ class OracleAuditor:
 
     def challenge(self, cand: LeastCandidate) -> Optional[Challenge]:
         m = cand.candidate
-        below = self._values[m]
-        for j, value in enumerate(self._values):
-            if value < below:
+        below = self._ranks[m]
+        for j, rank in enumerate(self._ranks):
+            if rank < below:
                 return Challenge(j, self._separation(j, m))
         return None
 

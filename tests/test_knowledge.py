@@ -137,6 +137,25 @@ def test_is_sound_detects_corruption():
     assert not is_sound(bad)
 
 
+def test_state_entries_are_read_only():
+    state = extend(empty_state(worked_registry()), 0, 3, 33)
+    with pytest.raises(TypeError):
+        state.entries[(0, 1)] = 0
+    with pytest.raises(TypeError):
+        del state.entries[(0, 3)]
+    assert state.entries == {(0, 3): 33}
+
+
+def test_state_copies_the_dict_it_is_given():
+    given = {(0, 3): 33}
+    state = KnowledgeState(worked_registry(), given)
+    given[(0, 1)] = 0
+    del given[(0, 3)]
+    assert state.entries == {(0, 3): 33}
+    assert state.get(0, 3) == 33 and state.get(0, 1) is None
+    assert state.size == 1
+
+
 def test_check_leq_accepts_true_claims():
     reg = worked_registry()
     # claim r_4 <= r_0 is true (-3 <= 0): never falsified

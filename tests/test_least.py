@@ -20,6 +20,7 @@ from realearn import (
     ScriptedAuditor,
     Step,
     TraceLog,
+    UnsoundWitness,
     decide_total,
     empty_state,
     evidence_graph,
@@ -29,6 +30,8 @@ from realearn import (
     learn_least,
     least_candidate,
 )
+import realearn.knowledge
+import realearn.least
 from realearn.oracle import OracleAuditor, exact_min_index, replay_paths
 
 from support import distinct_fractions
@@ -141,6 +144,61 @@ def test_forced_challenge_the_reals_deny_is_reported_as_such():
         auditor = ScriptedAuditor([Challenge(j=j, precision=5, force=True)])
         with pytest.raises(ForcedChallengeDenied, match=re.escape(message)):
             learn_least(5, auditor, empty_state(worked_registry()), 32)
+
+
+debug_only = pytest.mark.skipif(
+    not __debug__, reason="the run audits its states in debug builds only")
+
+
+@debug_only
+def test_unsound_initial_state_is_refused_before_the_first_pass():
+    # r_3 = -2 is not below r_4 = -3 at any precision
+    bad = KnowledgeState(worked_registry(), {(4, 3): 10})
+    trace = TraceLog()
+    with pytest.raises(UnsoundWitness, match="initial knowledge state"):
+        learn_least(5, NullAuditor(), bad, 32, trace)
+    assert trace.events == []
+
+
+@debug_only
+def test_unsound_final_state_is_refused_before_accepting(monkeypatch):
+    # an extension that skips verification and keeps witness 0, at
+    # which blurred 0 and -1 do not yet separate
+    def unverified(state, i, j, k):
+        return KnowledgeState(state.registry, {**state.entries, (i, j): 0})
+
+    monkeypatch.setattr(realearn.least, "extend", unverified)
+    trace = TraceLog()
+    with pytest.raises(UnsoundWitness, match="final knowledge state"):
+        learn_least(5, ScriptedAuditor([Challenge(2, 25)]),
+                    empty_state(worked_registry()), 32, trace)
+    assert [e.phase for e in trace.events].count("restart") == 1
+    assert "accept" not in [e.phase for e in trace.events]
+
+
+def test_oracle_run_verifies_each_witness_once(monkeypatch):
+    # n = 100 descending values: 100 restarts.  Each learned entry is
+    # verified by extend, each challenge by check_leq, and in debug
+    # builds the final state once more; no answer is re-verified.
+    rng = Random(0)
+    keys = sorted(rng.sample(range(-2 ** 19, 2 ** 19 + 1), 101), reverse=True)
+    values = [Fraction(key, 2 ** 12) for key in keys]
+    reg = RealRegistry()
+    for q in values:
+        reg.blurred(q)
+    calls = []
+    op_at = realearn.knowledge.op_at
+
+    def counted(r, s, k):
+        calls.append(k)
+        return op_at(r, s, k)
+
+    monkeypatch.setattr(realearn.knowledge, "op_at", counted)
+    outcome = learn_least(100, OracleAuditor(reg, values), empty_state(reg),
+                          2 ** 100)
+    assert outcome.candidate.candidate == 100
+    assert outcome.restarts == 100
+    assert len(calls) == (300 if __debug__ else 200)
 
 
 def test_restart_budget_enforced():

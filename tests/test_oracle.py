@@ -1,8 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from realearn import Challenge, RealRegistry, TraceLog, empty_state, learn_least
+from realearn import (
+    Challenge,
+    LeastCandidate,
+    RealRegistry,
+    TraceLog,
+    empty_state,
+    learn_least,
+)
 from realearn.oracle import (
     OracleAuditor,
     PathMismatch,
@@ -67,6 +76,28 @@ def test_oracle_auditor_challenges_lowest_refutable_index():
     cand = least_candidate(empty_state(reg), 2)
     ch = auditor.challenge(cand)
     assert ch == Challenge(1, 1)
+
+
+def fraction_scan_challenge(values, separation, candidate):
+    """The former challenge, kept as reference: the lowest index whose
+    exact value lies below the candidate's, found by comparing Fractions."""
+    for j, value in enumerate(values):
+        if value < values[candidate]:
+            return Challenge(j, separation(j, candidate))
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(max_denominator=2 ** 12), min_size=1,
+                max_size=25, unique=True))
+def test_rank_scan_picks_the_fraction_scan_challenge(values):
+    def separation(j, m):
+        return 1000 * j + m
+
+    auditor = OracleAuditor(RealRegistry(), values, separation)
+    for m in range(len(values)):
+        assert auditor.challenge(LeastCandidate(m, {})) == \
+            fraction_scan_challenge(values, separation, m)
 
 
 def test_oracle_auditor_rejects_tied_values():

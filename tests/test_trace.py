@@ -17,6 +17,13 @@ def test_emit_assigns_sequence_numbers():
 
 def test_event_json_roundtrip():
     event = TraceEvent(7, "extend", {"pair": [0, 3], "witness": 33})
+    assert event == TraceEvent(seq=7, phase="extend",
+                               payload={"pair": [0, 3], "witness": 33})
+    assert event != TraceEvent(8, "extend", event.payload)
+    assert repr(event) == ("TraceEvent(seq=7, phase='extend', "
+                           "payload={'pair': [0, 3], 'witness': 33})")
+    with pytest.raises(AttributeError):
+        event.seq = 8
     blob = event.to_json()
     assert TraceEvent.from_json(blob) == event
     # serialization is canonical: sorted keys, no whitespace
