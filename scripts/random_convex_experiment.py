@@ -9,46 +9,24 @@ Odd-numbered instances blur every coordinate so the run has to work
 at finite precision.  Prints per-instance lines and summary restart
 statistics.
 
-Run from the repository root:
+The point sets come from the test suite's generators in
+``tests/support.py``.  Run from the repository root:
 
     python3 scripts/random_convex_experiment.py --instances 50 --seed 3
 """
 
 import argparse
+import sys
 import time
 from collections import Counter
-from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 from realearn.convex import convex_angle, verify_bounding
-from realearn.geometry import Point, RationalPoint
-from realearn.oracle import exact_convex_check, exact_orientation
-from realearn.reals import RealRegistry
+from realearn.oracle import exact_convex_check
 
-
-def general_position_points(rng, count):
-    """Rejection sampling: distinct y coordinates, no collinear triple."""
-    while True:
-        pts = [RationalPoint(Fraction(rng.randint(-2 ** 20, 2 ** 20), 2 ** 12),
-                             Fraction(rng.randint(-2 ** 20, 2 ** 20), 2 ** 12))
-               for _ in range(count)]
-        if len({p.y for p in pts}) != count:
-            continue
-        if any(exact_orientation(pts[i], pts[j], pts[k]) == 0
-               for i in range(count)
-               for j in range(i + 1, count)
-               for k in range(j + 1, count)):
-            continue
-        return pts
-
-
-def register_points(pts, blurred):
-    # y coordinates first, so point i's y order lives at real index i
-    reg = RealRegistry()
-    ctor = reg.blurred if blurred else reg.from_rational
-    ys = [ctor(p.y) for p in pts]
-    xs = [ctor(p.x) for p in pts]
-    return [Point(i, xs[i], ys[i]) for i in range(len(pts))]
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from support import general_position_points, register_points  # noqa: E402
 
 
 def main() -> None:
@@ -71,7 +49,7 @@ def main() -> None:
         count = rng.randint(args.min_points, args.max_points)
         pts = general_position_points(rng, count)
         blurred = run % 2 == 1
-        points = register_points(pts, blurred)
+        _, points = register_points(pts, blurred=blurred)
         result = convex_angle(points, k_max=args.kmax)
         a, b, c = result.a, result.b, result.c
 

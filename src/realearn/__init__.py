@@ -86,6 +86,6 @@ from .reals import (
     least_witness,
     op_at,
 )
-from .trace import TraceEvent, TraceLog, read_trace, state_snapshot, write_trace
+from .trace import TraceEvent, TraceLog, read_trace, write_trace
 
 __version__ = "0.1.0"

@@ -48,7 +48,7 @@ from .oracle import (
     replay_paths,
 )
 from .reals import InvalidNesting
-from .trace import TraceLog, read_trace, state_snapshot, write_trace
+from .trace import TraceLog, read_trace, write_trace
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -88,7 +88,7 @@ def _resolve_max_restarts(flag: Optional[int]) -> Optional[int]:
 
 
 def _print_state(state) -> None:
-    print("state:", json.dumps(state_snapshot(state),
+    print("state:", json.dumps(state.snapshot,
                                sort_keys=True, separators=(",", ":")))
 
 
@@ -118,14 +118,14 @@ def cmd_least(args) -> int:
     document = load_document(args.input)
     if not document.reals:
         raise InputError(f"{args.input}: no reals in document")
-    registry, _ = _registered(build_reals, document)
+    _, reals = _registered(build_reals, document)
     n = len(document.reals) - 1
     budget = max_restarts if max_restarts is not None else 2 ** n
     if args.auditor == "none":
         auditor = NullAuditor()
     elif args.auditor == "oracle":
         try:
-            auditor = OracleAuditor(registry, real_limits(document))
+            auditor = OracleAuditor(reals, real_limits(document))
         except TieDetected as exc:
             raise InputError(f"oracle auditor: {exc}")
     elif args.auditor.startswith("script:"):
@@ -141,7 +141,7 @@ def cmd_least(args) -> int:
         raise InputError(f"unknown auditor {args.auditor!r}")
     log = TraceLog()
     try:
-        outcome = learn_least(n, auditor, empty_state(registry), budget, log)
+        outcome = learn_least(n, auditor, empty_state(reals), budget, log)
     except RestartBudgetExceeded as exc:
         return _failed(args, log, f"restart budget exhausted: {exc}",
                        EXIT_BUDGET)
@@ -172,7 +172,7 @@ def cmd_convex(args) -> int:
     document = load_document(args.input)
     if not document.points:
         raise InputError(f"{args.input}: no points in document")
-    registry, points = _registered(build_points, document)
+    _, points = _registered(build_points, document)
     log = TraceLog()
     try:
         result = convex_angle(points, k_max=kmax,
@@ -203,7 +203,7 @@ def cmd_convex(args) -> int:
             "kmax": kmax,
             "restarts": result.restarts,
             "certificate": _certificate_obj(result.certificate),
-            "state": state_snapshot(result.state),
+            "state": result.state.snapshot,
         }
         with open(args.result, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(record, sort_keys=True,

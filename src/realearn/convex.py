@@ -5,7 +5,9 @@ apex A and two rays A->B and A->C such that every other point lies
 strictly left of A->B and strictly right of A->C.  The apex is the
 least-element guess for the y coordinates under the current knowledge
 state, so the claim "A is lowest" is never proved: it is assumed per
-comparison and refuted on demand.
+comparison and refuted on demand.  The knowledge state is over the
+points' own y list, so its index i is point i, wherever the reals
+were registered.
 
 The scan keeps the invariant that C lies strictly left of A->B and B
 strictly right of A->C, so the angle from A->B counterclockwise to A->C
@@ -47,7 +49,7 @@ from .geometry import (
 )
 from .knowledge import KnowledgeState, blame, empty_state, extend
 from .least import RestartBudgetExceeded, least_candidate
-from .trace import TraceEvent, TraceLog, state_snapshot
+from .trace import TraceEvent, TraceLog
 
 
 # Side 0 is the ray A->B, side 1 the ray A->C; a point is inside the
@@ -99,7 +101,7 @@ class _SideOracle:
 
     Decisions are cached per index triple, so re-scans after candidate
     replacement do not rebuild and re-witness the orientation.  The
-    orientation node is unregistered and is dropped with its decision.
+    orientation node is dropped with its decision.
     """
 
     def __init__(self, points: Sequence[Point], k_max: int,
@@ -129,10 +131,6 @@ def _check_point_layout(points: Sequence[Point]) -> None:
         if point.index != position:
             raise ValueError(
                 f"point at position {position} carries index {point.index}")
-        if point.y.index != position:
-            raise ValueError(
-                "y coordinates must be registered at indices 0..n "
-                f"(point {position} has y real {point.y.index})")
 
 
 def convex_angle(points: Sequence[Point], k_max: int = 256,
@@ -140,9 +138,9 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
                  trace: Optional[TraceLog] = None) -> ConvexAngleResult:
     """Construct a witnessed bounding angle for ``points``.
 
-    Points must be listed with dense indices and their y coordinates
-    registered at real indices ``0..n``, so that knowledge-state
-    entries about y order use point indices directly.
+    Points must be listed in index order, ``points[i].index == i``.
+    The knowledge state is over the y coordinates ``[p.y for p in
+    points]``, so its entries about y order use point indices directly.
     """
     if len(points) < 3:
         raise TooFewPoints(f"need at least 3 points, got {len(points)}")
@@ -150,15 +148,14 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
     n = len(points) - 1
     budget = max_restarts if max_restarts is not None else 2 ** n
     log = trace if trace is not None else TraceLog()
-    registry = points[0].y.registry
-    state = empty_state(registry)
+    state = empty_state([p.y for p in points])
     sides = _SideOracle(points, k_max, log)
     restarts = 0
 
     while True:
         cand = least_candidate(state, n, log)
         a = cand.candidate
-        log.emit("select-A", candidate=a, state=state_snapshot(state))
+        log.emit("select-A", candidate=a, state=state.snapshot)
 
         rest = [i for i in range(n + 1) if i != a]
         ray = [rest[0], rest[1]]
@@ -224,7 +221,7 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
                 right=dict(sorted(witnesses[1].items())),
                 c_left=mutual[0].witness, b_right=mutual[1].witness)
             log.emit("accept", a=a, b=b, c=c, restarts=restarts,
-                     state=state_snapshot(state))
+                     state=state.snapshot)
             return ConvexAngleResult(a, b, c, certificate, state,
                                      restarts, log.events)
 
@@ -232,7 +229,7 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
         log.emit("blame", claim=[a, x], pair=list(pair), witness=witness)
         state = extend(state, pair[0], pair[1], witness)
         log.emit("extend", pair=list(pair), witness=witness,
-                 state=state_snapshot(state))
+                 state=state.snapshot)
         restarts += 1
         if restarts > budget:
             raise RestartBudgetExceeded(restarts, budget)

@@ -1,14 +1,15 @@
-"""Plane geometry over registered reals.
+"""Plane geometry over exact reals.
 
 Points carry exact-real coordinates.  Sidedness relative to a directed
 line is decided through the orientation quantity
 
     orient(P, Q, R) = (x_Q - x_P) * (y_R - y_P) - (x_R - x_P) * (y_Q - y_P)
 
-built as a tree of unregistered arithmetic nodes over the points'
-coordinates, so it adds nothing to the registry and is dropped with
-the decision: R lies to the left of the line through P and Q when the
-orientation is strictly positive, to the right when strictly negative.
+built as a tree of arithmetic nodes (:func:`~realearn.reals.sub` and
+:func:`~realearn.reals.mul`) over the points' coordinates, so it adds
+nothing to any registry and is dropped with the decision: R lies to
+the left of the line through P and Q when the orientation is strictly
+positive, to the right when strictly negative.
 Because strict order of reals is only semi-decidable,
 :func:`decide_side` searches for the least precision at which the
 orientation's interval excludes zero, with the galloping search
@@ -23,12 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .reals import RealNum, find_strict_witness, least_witness, op_at
+from .reals import RealNum, find_strict_witness, least_witness, mul, op_at, sub
 
 
 @dataclass(frozen=True)
 class Point:
-    """A plane point with registered real coordinates."""
+    """A plane point with exact real coordinates."""
 
     index: int
     x: RealNum
@@ -66,13 +67,12 @@ class NoWitnessFound(DegenerateInput):
 
 def orientation_real(p: Point, q: Point, r: Point) -> RealNum:
     """The orientation of r relative to the line p -> q, as an
-    unregistered arithmetic node."""
-    reg = p.x.registry
-    dx_q = reg.sub(q.x, p.x)
-    dy_r = reg.sub(r.y, p.y)
-    dx_r = reg.sub(r.x, p.x)
-    dy_q = reg.sub(q.y, p.y)
-    return reg.sub(reg.mul(dx_q, dy_r), reg.mul(dx_r, dy_q))
+    arithmetic node."""
+    dx_q = sub(q.x, p.x)
+    dy_r = sub(r.y, p.y)
+    dx_r = sub(r.x, p.x)
+    dy_q = sub(q.y, p.y)
+    return sub(mul(dx_q, dy_r), mul(dx_r, dy_q))
 
 
 def decide_side(p: Point, q: Point, r: Point, k_max: int,

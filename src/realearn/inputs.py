@@ -200,11 +200,10 @@ def build_reals(document: InputDocument) -> Tuple[RealRegistry, List[RealNum]]:
 
 
 def build_points(document: InputDocument) -> Tuple[RealRegistry, List[Point]]:
-    """Register the document's points.
-
-    All y coordinates are registered first, in point order, so the
-    y coordinate of point i sits at real index i as the least-element
-    machinery expects; x coordinates follow.
+    """Register the document's points: all y coordinates in point
+    order, then all x coordinates.  The order is a convention only;
+    :func:`~realearn.convex.convex_angle` learns over the points' own
+    y list, wherever the reals sit in the registry.
     """
     registry = RealRegistry()
     ys = [spec.y.build(registry) for spec in document.points]

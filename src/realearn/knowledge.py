@@ -1,7 +1,8 @@
 """Knowledge states and evidence chains for guessed order comparisons.
 
-A knowledge state is a finite partial map from an ordered pair of real
-indices ``(i, j)`` to a witness precision ``k``.  An entry records a
+A knowledge state is a finite partial map over a sequence of reals
+``r_0 .. r_n``, from an ordered pair of positions ``(i, j)`` in that
+sequence to a witness precision ``k``.  An entry records a
 previously discovered counterexample: the claim ``r_i <= r_j`` was
 refuted because ``op_at(r_j, r_i, k)`` holds.  A state is sound when
 every stored witness actually verifies.  A state is sealed: its entries
@@ -34,9 +35,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
-from .reals import RealRegistry, op_at
+from .reals import RealNum, op_at
 
 Pair = Tuple[int, int]
 
@@ -157,18 +158,21 @@ Decision = Union[AssumeLeq, StrictLt]
 
 @dataclass(frozen=True)
 class KnowledgeState:
-    """An immutable, sealed record of everything learned so far.
+    """An immutable, sealed record of everything learned so far about
+    the reals ``r_0 .. r_n``.
 
-    ``entries[(i, j)] = k`` records that ``op_at(r_j, r_i, k)`` holds,
-    refuting the claim ``r_i <= r_j``.  ``entries`` is a read-only
-    mapping over a private copy of the dict passed in, so changing that
-    dict afterwards does not change the state, and assigning to or
-    deleting from ``entries`` raises ``TypeError``.  :func:`extend`
-    returns a new state and never mutates.  A state built directly from
-    a dict is not verified; :func:`is_sound` checks one.
+    ``reals[i]`` is r_i: a :class:`~realearn.reals.RealRegistry` or any
+    other sequence of reals serves.  ``entries[(i, j)] = k`` records
+    that ``op_at(r_j, r_i, k)`` holds, refuting the claim
+    ``r_i <= r_j``.  ``entries`` is a read-only mapping over a private
+    copy of the dict passed in, so changing that dict afterwards does
+    not change the state, and assigning to or deleting from ``entries``
+    raises ``TypeError``.  :func:`extend` returns a new state and never
+    mutates.  A state built directly from a dict is not verified;
+    :func:`is_sound` checks one.
     """
 
-    registry: RealRegistry
+    reals: Sequence[RealNum]
     entries: Mapping[Pair, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -196,14 +200,15 @@ class KnowledgeState:
                 for i, j, w in self.sorted_entries()]
 
 
-def empty_state(registry: RealRegistry) -> KnowledgeState:
-    return KnowledgeState(registry, {})
+def empty_state(reals: Sequence[RealNum]) -> KnowledgeState:
+    """The state that knows nothing about the reals ``r_0 .. r_n``."""
+    return KnowledgeState(reals, {})
 
 
 def is_sound(state: KnowledgeState) -> bool:
     """Full re-verification of every stored witness."""
     return all(
-        op_at(state.registry[j], state.registry[i], k)
+        op_at(state.reals[j], state.reals[i], k)
         for (i, j), k in state.entries.items()
     )
 
@@ -235,9 +240,9 @@ def extend(state: KnowledgeState, i: int, j: int, k: int) -> KnowledgeState:
     """
     if (i, j) in state.entries:
         return state
-    if not op_at(state.registry[j], state.registry[i], k):
+    if not op_at(state.reals[j], state.reals[i], k):
         raise UnsoundWitness(f"op_at(r_{j}, r_{i}, {k}) is false")
-    return KnowledgeState(state.registry, {**state.entries, (i, j): k})
+    return KnowledgeState(state.reals, {**state.entries, (i, j): k})
 
 
 def blame(ev: LeqEvidence, p: int) -> Tuple[Pair, int]:
@@ -263,15 +268,17 @@ class Falsified:
     witness: int
 
 
-def check_leq(registry: RealRegistry, ev: LeqEvidence, p: int) -> Optional[Falsified]:
-    """Test one instance of the claim carried by ``ev`` at precision p.
+def check_leq(reals: Sequence[RealNum], ev: LeqEvidence,
+              p: int) -> Optional[Falsified]:
+    """Test one instance of the claim carried by ``ev`` about the reals
+    ``r_0 .. r_n`` at precision p.
 
     Evaluates ``op_at(r_target, r_subject, p)``: False means the
     instance holds and None is returned; True refutes the claim, and
     the blame fold converts the refutation into a state extension.
     """
     a, b = ev.subject, ev.target
-    if not op_at(registry[b], registry[a], p):
+    if not op_at(reals[b], reals[a], p):
         return None
     pair, witness = blame(ev, p)
     return Falsified(pair, witness)

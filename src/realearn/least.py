@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Protocol, Set, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Protocol,
+                    Sequence, Set, Tuple)
 
 from .knowledge import (
     Assumed,
@@ -43,8 +44,8 @@ from .knowledge import (
     extend,
     is_sound,
 )
-from .reals import RealRegistry, op_at
-from .trace import TraceEvent, TraceLog, state_snapshot
+from .reals import RealNum, op_at
+from .trace import TraceEvent, TraceLog
 
 
 class RestartBudgetExceeded(RuntimeError):
@@ -211,9 +212,10 @@ class LearnOutcome:
     restarts: int
 
 
-def _forced_refutation(registry: RealRegistry, ev: LeqEvidence,
+def _forced_refutation(reals: Sequence[RealNum], ev: LeqEvidence,
                        p: int) -> Falsified:
-    """Blame the refutation a forced challenge asserts at ``p``.
+    """Blame the refutation a forced challenge asserts at ``p`` about
+    the reals ``r_0 .. r_n``.
 
     It is blamed the same way an observed counterexample would be, and
     the blamed witness is checked against the reals here: a forced
@@ -224,7 +226,7 @@ def _forced_refutation(registry: RealRegistry, ev: LeqEvidence,
         (i, j), witness = blame(ev, p)
     except ReflFalsified as exc:
         raise ForcedChallengeDenied(str(exc)) from exc
-    if not op_at(registry[j], registry[i], witness):
+    if not op_at(reals[j], reals[i], witness):
         raise ForcedChallengeDenied(f"op_at(r_{j}, r_{i}, {witness}) is false")
     return Falsified((i, j), witness)
 
@@ -256,12 +258,11 @@ def learn_least(n: int, auditor: Auditor, initial: KnowledgeState,
         _audit(initial, "initial")
     log = trace if trace is not None else TraceLog()
     state = initial
-    registry = state.registry
+    reals = state.reals
     restarts = 0
     while True:
         cand = least_candidate(state, n, log)
-        log.emit("candidate", candidate=cand.candidate,
-                 state=state_snapshot(state))
+        log.emit("candidate", candidate=cand.candidate, state=state.snapshot)
         restarted = False
         while not restarted:
             ch = auditor.challenge(cand)
@@ -269,14 +270,14 @@ def learn_least(n: int, auditor: Auditor, initial: KnowledgeState,
                 if __debug__:
                     _audit(state, "final")
                 log.emit("accept", candidate=cand.candidate,
-                         restarts=restarts, state=state_snapshot(state))
+                         restarts=restarts, state=state.snapshot)
                 return LearnOutcome(cand, state, log.events, restarts)
             ev = cand.evidences[ch.j]
             log.emit("challenge", j=ch.j, precision=ch.precision,
                      claim=[ev.subject, ev.target], forced=ch.force)
-            result = check_leq(registry, ev, ch.precision)
+            result = check_leq(reals, ev, ch.precision)
             if result is None and ch.force:
-                result = _forced_refutation(registry, ev, ch.precision)
+                result = _forced_refutation(reals, ev, ch.precision)
             if result is None:
                 log.emit("check", j=ch.j, precision=ch.precision, outcome="ok")
                 continue
@@ -287,7 +288,7 @@ def learn_least(n: int, auditor: Auditor, initial: KnowledgeState,
             state = extend(state, result.pair[0], result.pair[1], result.witness)
             assert state.size == before + 1, "blamed pair was already known"
             log.emit("extend", pair=list(result.pair), witness=result.witness,
-                     state=state_snapshot(state))
+                     state=state.snapshot)
             restarts += 1
             if restarts > max_restarts:
                 raise RestartBudgetExceeded(restarts, max_restarts)

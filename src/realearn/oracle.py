@@ -1,7 +1,7 @@
 """Exact rational reference implementations and replay audits.
 
 Everything here works on exact rational data (the known limits of the
-registered reals, or plain rational coordinates) and serves as an
+reals, or plain rational coordinates) and serves as an
 independent check on the interval-based machinery: closed-form
 orientation signs, the true argmin, the full bounding condition, an
 auditor that challenges exactly-false claims, and replay of recorded
@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .geometry import RationalPoint
 from .least import Challenge, LeastCandidate
-from .reals import RealRegistry, find_strict_witness
+from .reals import RealNum, find_strict_witness
 from .trace import TraceEvent
 
 
@@ -89,7 +89,8 @@ def separation_from_gap(gap: Fraction) -> int:
 class OracleAuditor:
     """Challenges exactly-false claims of the current candidate.
 
-    Knows the true rational limit of every registered real.  While the
+    Knows the true rational limit of each of the reals ``r_0 .. r_n``
+    (``true_values[i]`` is the limit of ``reals[i]``).  While the
     candidate is not the true argmin, the auditor picks the lowest
     index whose value lies strictly below the candidate's and
     challenges that claim at a separation precision; once the true
@@ -97,12 +98,12 @@ class OracleAuditor:
     the values, computed once, instead of the values themselves.
     """
 
-    def __init__(self, registry: RealRegistry, true_values: Sequence[Fraction],
+    def __init__(self, reals: Sequence[RealNum], true_values: Sequence[Fraction],
                  separation_precision: Optional[Callable[[int, int], int]] = None):
         values = [Fraction(v) for v in true_values]
         if len(set(values)) != len(values):
             raise TieDetected("true values must be distinct")
-        self._registry = registry
+        self._reals = reals
         self._values = values
         self._ranks = [0] * len(values)
         for rank, j in enumerate(sorted(range(len(values)),
@@ -113,8 +114,7 @@ class OracleAuditor:
     def _scan_separation(self, j: int, m: int) -> int:
         gap = self._values[m] - self._values[j]
         budget = separation_from_gap(gap) + 64
-        witness = find_strict_witness(self._registry[j], self._registry[m],
-                                      budget)
+        witness = find_strict_witness(self._reals[j], self._reals[m], budget)
         if witness is None:
             raise RuntimeError(
                 f"reals {j} and {m} do not separate within precision {budget}")

@@ -20,11 +20,12 @@ The public :meth:`RealNum.interval_at` returns that interval as a
 once on evaluation.
 
 A :class:`RealRegistry` holds the input reals only: its constructors
-register each real under a dense index, and that index is the real's
-name in knowledge states.  Sums, differences and products are
-unregistered nodes with no index, so they cannot be the subject of a
-knowledge-state entry, and a node and its cached intervals live only
-as long as the caller keeps them.
+register each real under a dense index.  Sums, differences and
+products are the functions :func:`add`, :func:`sub` and :func:`mul`;
+they return nodes with no index that know nothing of any registry,
+and a node and its cached intervals live only as long as the caller
+keeps them.  The learners name reals by their position in whatever
+sequence of reals they are given, a registry or a plain list.
 
 Evaluation is lazy in precision as well as in time.  Reals built by the
 registry's constructors and arithmetic nodes are nested by
@@ -104,34 +105,29 @@ def _check_interval(k: int, interval: Triple,
 class RealNum:
     """One real: a memoized generator of nested intervals.
 
-    Instances are created through a :class:`RealRegistry`.  An input
-    real carries the dense index that serves as its identity; an
-    arithmetic node (:meth:`RealRegistry.add`, ``sub``, ``mul``) has
-    ``index`` None and ``registry`` set to its operands' registry, and
-    cannot be the subject of a knowledge-state entry.  Intervals are
-    cached per index as integer triples (see the module docstring), so
-    the generator is evaluated at most once per index.  A real marked
-    ``nested`` (every constructor and arithmetic node) is evaluated at
-    the requested index only; in debug builds the new interval is
-    checked for ``lo <= hi``, width at most ``2**-k`` and nesting with
-    whichever neighbours ``k - 1`` and ``k + 1`` are cached.  Any other
-    real is a raw generator: reading index ``k`` evaluates the missing
-    prefix up to ``k`` in order, and every new interval is checked
-    against its predecessor in all builds, raising
-    :class:`InvalidNesting` on the first violated clause.  Whether the
-    generator answers ``Fraction`` pairs (anything given to
-    :meth:`RealRegistry.register`) or triples (the registry's own
-    constructors) is recorded apart from ``nested``.
+    An input real is created through a :class:`RealRegistry` and
+    carries its registry index; an arithmetic node (:func:`add`,
+    :func:`sub`, :func:`mul`) has ``index`` None.  No real refers back
+    to a registry.  Intervals are cached per index as integer triples
+    (see the module docstring), so the generator is evaluated at most
+    once per index.  ``nested`` alone picks the path.  A nested real
+    (every constructor and arithmetic node) has a generator of
+    ``(lo, hi, d)`` triples and is evaluated at the requested index
+    only; in debug builds the new interval is checked for ``lo <= hi``,
+    width at most ``2**-k`` and nesting with whichever neighbours
+    ``k - 1`` and ``k + 1`` are cached.  Any other real is a raw
+    generator of ``Fraction`` pairs: reading index ``k`` evaluates the
+    missing prefix up to ``k`` in order, and every new interval is
+    checked against its predecessor in all builds, raising
+    :class:`InvalidNesting` on the first violated clause.
     """
 
-    __slots__ = ("index", "registry", "nested", "_pairs", "_gen", "_cache")
+    __slots__ = ("index", "nested", "_gen", "_cache")
 
-    def __init__(self, index: Optional[int], registry: "RealRegistry",
-                 gen: Generator):
+    def __init__(self, index: Optional[int],
+                 gen: Callable[[int], Union[Interval, Triple]]):
         self.index = index
-        self.registry = registry
         self.nested = False
-        self._pairs = True
         self._gen = gen
         self._cache: dict[int, Triple] = {}
 
@@ -150,8 +146,6 @@ class RealNum:
             raise ValueError(f"precision index must be >= 0, got {k}")
         if self.nested:
             interval = self._gen(k)
-            if self._pairs:
-                interval = _triple(*interval)
             if __debug__:
                 _check_interval(k, interval, cache.get(k - 1))
                 if k + 1 in cache:
@@ -234,19 +228,18 @@ def _nested(real: RealNum) -> RealNum:
     Constructors pass a registered real, arithmetic nodes an
     unregistered one."""
     real.nested = True
-    real._pairs = False
     return real
 
 
-class RealRegistry:
+class RealRegistry(Sequence[RealNum]):
     """Append-only store of the input reals, indexed densely from 0.
 
-    The index doubles as the real's identity in knowledge states and
-    evidence chains.  Entries are never mutated after registration.
-    Only the constructors register; :meth:`add`, :meth:`sub` and
-    :meth:`mul` return unregistered nodes with no index, so the
-    registry's length is the number of input reals however much
-    arithmetic has been done on them.
+    Entries are never mutated after registration.  Only the
+    constructors register, and the arithmetic functions :func:`add`,
+    :func:`sub` and :func:`mul` do not, so the registry's length is the
+    number of input reals however much arithmetic has been done on
+    them.  A registry is a sequence of reals, so it can serve directly
+    as the reals ``r_0 .. r_n`` of a knowledge state.
     """
 
     def __init__(self) -> None:
@@ -271,7 +264,7 @@ class RealRegistry:
         raises :class:`InvalidNesting` on first evaluation.
         Constructors below validate more eagerly.
         """
-        real = RealNum(len(self._entries), self, gen)
+        real = RealNum(len(self._entries), gen)
         self._entries.append(real)
         return real
 
@@ -334,50 +327,53 @@ class RealRegistry:
             self._zero = self.from_rational(0)
         return self._zero
 
-    def add(self, a: RealNum, b: RealNum) -> RealNum:
-        """The node a + b.
 
-        The sum's interval at k reads both operands at k + 1, so the
-        width bound ``2**-(k+1) + 2**-(k+1) = 2**-k`` is preserved.
-        """
+def add(a: RealNum, b: RealNum) -> RealNum:
+    """The node a + b.
 
-        def gen(k: int) -> Triple:
-            alo, ahi, ad = a._at(k + 1)
-            blo, bhi, bd = b._at(k + 1)
-            sa, sb, d = _over_lcm(ad, bd)
-            return (alo * sa + blo * sb, ahi * sa + bhi * sb, d)
+    The sum's interval at k reads both operands at k + 1, so the width
+    bound ``2**-(k+1) + 2**-(k+1) = 2**-k`` is preserved.
+    """
 
-        return _nested(RealNum(None, self, gen))
+    def gen(k: int) -> Triple:
+        alo, ahi, ad = a._at(k + 1)
+        blo, bhi, bd = b._at(k + 1)
+        sa, sb, d = _over_lcm(ad, bd)
+        return (alo * sa + blo * sb, ahi * sa + bhi * sb, d)
 
-    def sub(self, a: RealNum, b: RealNum) -> RealNum:
-        """The node a - b, reading both operands at k + 1."""
+    return _nested(RealNum(None, gen))
 
-        def gen(k: int) -> Triple:
-            alo, ahi, ad = a._at(k + 1)
-            blo, bhi, bd = b._at(k + 1)
-            sa, sb, d = _over_lcm(ad, bd)
-            return (alo * sa - bhi * sb, ahi * sa - blo * sb, d)
 
-        return _nested(RealNum(None, self, gen))
+def sub(a: RealNum, b: RealNum) -> RealNum:
+    """The node a - b, reading both operands at k + 1."""
 
-    def mul(self, a: RealNum, b: RealNum) -> RealNum:
-        """The node a * b.
+    def gen(k: int) -> Triple:
+        alo, ahi, ad = a._at(k + 1)
+        blo, bhi, bd = b._at(k + 1)
+        sa, sb, d = _over_lcm(ad, bd)
+        return (alo * sa - bhi * sb, ahi * sa - blo * sb, d)
 
-        The product reads its operands at ``k + s`` where the shift
-        ``s = c_a + c_b + 2`` is fixed at construction from magnitude
-        bounds ``2**c_x`` at index 0.  Endpoints are the min and max of
-        the four endpoint products, over the product of the operands'
-        denominators.  Width bound: each factor interval at k + s has
-        width at most ``2**-(k+s)`` and magnitude at most ``2**c_x``,
-        so the product width is at most
-        ``(2**c_a + 2**c_b) * 2**-(k+s) <= 2**-(k+1)``.
-        """
-        shift = _magnitude_exponent(a) + _magnitude_exponent(b) + 2
+    return _nested(RealNum(None, gen))
 
-        def gen(k: int) -> Triple:
-            alo, ahi, ad = a._at(k + shift)
-            blo, bhi, bd = b._at(k + shift)
-            products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-            return (min(products), max(products), ad * bd)
 
-        return _nested(RealNum(None, self, gen))
+def mul(a: RealNum, b: RealNum) -> RealNum:
+    """The node a * b.
+
+    The product reads its operands at ``k + s`` where the shift
+    ``s = c_a + c_b + 2`` is fixed at construction from magnitude
+    bounds ``2**c_x`` at index 0.  Endpoints are the min and max of the
+    four endpoint products, over the product of the operands'
+    denominators.  Width bound: each factor interval at k + s has width
+    at most ``2**-(k+s)`` and magnitude at most ``2**c_x``, so the
+    product width is at most ``(2**c_a + 2**c_b) * 2**-(k+s) <=
+    2**-(k+1)``.
+    """
+    shift = _magnitude_exponent(a) + _magnitude_exponent(b) + 2
+
+    def gen(k: int) -> Triple:
+        alo, ahi, ad = a._at(k + shift)
+        blo, bhi, bd = b._at(k + shift)
+        products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+        return (min(products), max(products), ad * bd)
+
+    return _nested(RealNum(None, gen))

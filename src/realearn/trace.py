@@ -83,16 +83,6 @@ class TraceLog:
         return event
 
 
-def state_snapshot(state) -> list[dict]:
-    """Serializable view of a knowledge state, sorted by pair.
-
-    This is the state's own cached
-    :attr:`~realearn.knowledge.KnowledgeState.snapshot`: every event
-    that records one state shares one list, which must not be mutated.
-    """
-    return state.snapshot
-
-
 def write_trace(path, events: Sequence[TraceEvent]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for event in events:

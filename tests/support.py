@@ -1,4 +1,5 @@
-"""Shared randomized generators for the test suite.
+"""Shared randomized generators for the test suite and
+``scripts/random_convex_experiment.py``.
 
 Everything takes an explicit random.Random seeded by the caller, so a
 failing test reproduces from its seed alone.
@@ -76,8 +77,9 @@ def general_position_points(rng: Random, count: int) -> List[RationalPoint]:
 
 def register_points(pts: Sequence[RationalPoint], blurred: bool = False
                     ) -> Tuple[RealRegistry, List[Point]]:
-    """Registry layout required by the convex construction: y coordinates
-    first so point i's y order lives at real index i."""
+    """Register every y coordinate, then every x coordinate, and return
+    the registry with the points.  The convex construction does not
+    depend on this order; it learns over the points' own y list."""
     reg = RealRegistry()
     ctor = reg.blurred if blurred else reg.from_rational
     ys = [ctor(p.y) for p in pts]

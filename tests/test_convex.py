@@ -19,6 +19,7 @@ from realearn import (
     verify_bounding,
 )
 from realearn.oracle import RationalPoint, exact_convex_check
+from realearn.reals import add, mul, sub
 
 from support import general_position_points, register_points
 
@@ -40,13 +41,32 @@ def test_rejects_fewer_than_three_points():
         convex_angle(register(QUAD)[:2])
 
 
-def test_rejects_wrong_registry_layout():
-    reg = RealRegistry()
-    xs = [reg.from_rational(Fraction(x)) for x, _ in QUAD]
-    ys = [reg.from_rational(Fraction(y)) for _, y in QUAD]
-    bad = [Point(i, xs[i], ys[i]) for i in range(4)]
-    with pytest.raises(ValueError):
-        convex_angle(bad)
+def test_rejects_points_out_of_index_order():
+    pts = register(QUAD)
+    with pytest.raises(ValueError, match="position 0 carries index 1"):
+        convex_angle([pts[1], pts[0], *pts[2:]])
+
+
+def test_registry_order_does_not_matter():
+    # x coordinates registered before y: the construction learns over
+    # the points' own y list, so nothing it reports changes
+    rng = Random(2718)
+    for trial in range(30):
+        rational = general_position_points(rng, rng.randint(3, 12))
+        blurred = bool(trial % 2)
+        reg = RealRegistry()
+        ctor = reg.blurred if blurred else reg.from_rational
+        xs = [ctor(p.x) for p in rational]
+        ys = [ctor(p.y) for p in rational]
+        x_first = [Point(i, xs[i], ys[i]) for i in range(len(rational))]
+        _, y_first = register_points(rational, blurred=blurred)
+        runs = []
+        for pts in (x_first, y_first):
+            log = TraceLog()
+            res = convex_angle(pts, trace=log)
+            runs.append(((res.a, res.b, res.c), res.certificate, res.restarts,
+                         [event.to_json() for event in log.events]))
+        assert runs[0] == runs[1]
 
 
 def test_wedge_completes_without_backtracking():
@@ -141,8 +161,7 @@ def test_certificate_witnesses_are_observable():
 
     pts = register(WEDGE)
     res = convex_angle(pts)
-    reg = pts[0].x.registry
-    zero = reg.zero()
+    zero = RealRegistry().zero()
     for d, w in res.certificate.left.items():
         orient = orientation_real(pts[res.a], pts[res.b], pts[d])
         assert op_at(zero, orient, w)
@@ -203,9 +222,9 @@ def test_registry_holds_input_reals_only():
     inputs = len(reg)
     assert inputs == 24
     a, b = pts[1].x, pts[2].y
-    for node in (reg.add(a, b), reg.sub(a, b), reg.mul(a, b),
+    for node in (add(a, b), sub(a, b), mul(a, b),
                  orientation_real(pts[0], pts[1], pts[2])):
-        assert node.index is None and node.registry is reg
+        assert node.index is None
         node.interval_at(40)
     res = convex_angle(pts)
     verify_bounding(pts, res.a, res.b, res.c)

@@ -165,7 +165,7 @@ def test_unsound_final_state_is_refused_before_accepting(monkeypatch):
     # an extension that skips verification and keeps witness 0, at
     # which blurred 0 and -1 do not yet separate
     def unverified(state, i, j, k):
-        return KnowledgeState(state.registry, {**state.entries, (i, j): 0})
+        return KnowledgeState(state.reals, {**state.entries, (i, j): 0})
 
     monkeypatch.setattr(realearn.least, "extend", unverified)
     trace = TraceLog()

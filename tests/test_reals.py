@@ -17,7 +17,7 @@ from realearn import (
     op_at,
 )
 from realearn.oracle import separation_from_gap
-from realearn.reals import _magnitude_exponent
+from realearn.reals import _magnitude_exponent, add, mul, sub
 
 from support import random_real, random_table_prefix
 
@@ -160,7 +160,7 @@ def test_random_table_prefixes_are_valid():
 def test_add_sub_intervals_contain_exact_results(p, q, k):
     reg = RealRegistry()
     a, b = reg.blurred(p), reg.blurred(q)
-    for real, exact in ((reg.add(a, b), p + q), (reg.sub(a, b), p - q)):
+    for real, exact in ((add(a, b), p + q), (sub(a, b), p - q)):
         lo, hi = real.interval_at(k)
         assert lo <= exact <= hi
         assert hi - lo <= Fraction(1, 2 ** k)
@@ -170,7 +170,7 @@ def test_add_sub_intervals_contain_exact_results(p, q, k):
 @given(rationals, rationals, st.integers(min_value=0, max_value=25))
 def test_mul_intervals_contain_exact_results(p, q, k):
     reg = RealRegistry()
-    prod = reg.mul(reg.blurred(p), reg.blurred(q))
+    prod = mul(reg.blurred(p), reg.blurred(q))
     lo, hi = prod.interval_at(k)
     assert lo <= p * q <= hi
     assert hi - lo <= Fraction(1, 2 ** k)
@@ -182,7 +182,7 @@ def test_arithmetic_on_mixed_constructors():
     for _ in range(50):
         a, av = random_real(reg, rng)
         b, bv = random_real(reg, rng)
-        combined = reg.add(reg.mul(a, b), reg.sub(a, b))
+        combined = add(mul(a, b), sub(a, b))
         exact = av * bv + (av - bv)
         lo, hi = combined.interval_at(20)
         assert lo <= exact <= hi
@@ -233,8 +233,8 @@ def test_least_witness_edge_budgets():
 def _constructor_reals(reg, p, q):
     a, b = reg.blurred(p), reg.from_rational(q)
     table = reg.from_table([(p - 1, p), (p - Fraction(1, 2), p)], p)
-    return [a, b, table, reg.add(a, b), reg.sub(table, a),
-            reg.mul(a, table), reg.mul(reg.sub(a, b), reg.add(b, table))]
+    return [a, b, table, add(a, b), sub(table, a),
+            mul(a, table), mul(sub(a, b), add(b, table))]
 
 
 @settings(max_examples=40)
@@ -256,7 +256,7 @@ def test_constructors_are_independent_of_read_order(p, q, rng):
 
 def test_constructors_evaluate_only_the_requested_index():
     reg = RealRegistry()
-    prod = reg.mul(reg.blurred(3), reg.blurred(Fraction(1, 3)))
+    prod = mul(reg.blurred(3), reg.blurred(Fraction(1, 3)))
     prod.interval_at(30)
     assert sorted(prod._cache) == [30]
 
@@ -264,7 +264,9 @@ def test_constructors_evaluate_only_the_requested_index():
 @pytest.mark.skipif(not __debug__, reason="neighbour checks are debug-only")
 def test_random_access_checks_cached_neighbours():
     reg = RealRegistry()
-    r = reg.register(lambda k: (Fraction(k % 2, 2), Fraction(k % 2, 2)))
+    # a triple generator (k % 2, k % 2, 2): [0, 0] at even k, [1/2, 1/2]
+    # at odd k, nested at no k
+    r = reg.register(lambda k: (k % 2, k % 2, 2))
     r.nested = True
     r.interval_at(3)
     with pytest.raises(InvalidNesting) as exc:
@@ -418,11 +420,18 @@ kernel_exprs = st.recursive(
     max_leaves=6)
 
 
+ARITHMETIC = {"add": add, "sub": sub, "mul": mul}
+
+
 def build_expr(reg, expr):
-    """Call the registry method each tuple names, building operands first."""
+    """Build the real each tuple names, operands first.  Constructors
+    are registry methods.  Arithmetic is a method of the reference
+    registry and a :mod:`realearn.reals` function otherwise."""
     name, *args = expr
-    if name in ("add", "sub", "mul"):
+    if name in ARITHMETIC:
         args = [build_expr(reg, arg) for arg in args]
+        if isinstance(reg, RealRegistry):
+            return ARITHMETIC[name](*args)
     return getattr(reg, name)(*args)
 
 

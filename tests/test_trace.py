@@ -4,7 +4,7 @@ import pytest
 
 from realearn import RealRegistry, TraceLog, empty_state, extend
 from realearn.inputs import InputError
-from realearn.trace import TraceEvent, read_trace, state_snapshot, write_trace
+from realearn.trace import TraceEvent, read_trace, write_trace
 
 
 def test_emit_assigns_sequence_numbers():
@@ -51,7 +51,7 @@ def test_state_snapshot_is_sorted():
         reg.blurred(q)
     state = extend(empty_state(reg), 0, 3, 2)
     state = extend(state, 0, 1, 1)
-    snap = state_snapshot(state)
+    snap = state.snapshot
     assert snap == [{"i": 0, "j": 1, "witness": 1},
                     {"i": 0, "j": 3, "witness": 2}]
 
