@@ -34,22 +34,18 @@ from .geometry import (
     strictly_below_witness,
     three_points,
 )
+from .inputs import read_trace
 from .knowledge import (
     Assumed,
-    AssumeLeq,
-    Decision,
     Falsified,
     KnowledgeState,
     LeqEvidence,
     Refl,
     ReflFalsified,
     Step,
-    StrictLt,
     UnsoundWitness,
     blame,
     check_leq,
-    claim,
-    decide_total,
     empty_state,
     extend,
     is_sound,
@@ -86,6 +82,6 @@ from .reals import (
     least_witness,
     op_at,
 )
-from .trace import TraceEvent, TraceLog, read_trace, write_trace
+from .trace import TraceEvent, TraceLog, write_trace
 
 __version__ = "0.1.0"

@@ -8,9 +8,13 @@ Subcommands::
     realearn tree TRACE...  replay recorded traces against the tree
 
 Exit codes: 0 success, 1 input error, 2 restart budget exhausted,
-3 degenerate geometry, 4 verification failure.  The ``--kmax`` default
-is 256 and can be overridden by the ``REALEARN_KMAX`` environment
-variable; an explicit flag wins over the environment.
+3 degenerate geometry, 4 verification failure.  They are decided in
+one place, the :data:`FAILURES` table: a command returns 0 (``tree``
+returns 4 for a replay that is not ok) or raises, and :func:`main`
+maps the exception to its exit code and one-line stderr message and
+writes the partial trace.  The ``--kmax`` default is 256 and can be
+overridden by the ``REALEARN_KMAX`` environment variable; an explicit
+flag wins over the environment.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .inputs import (
     load_document,
     load_script,
     rational_points,
+    read_trace,
     real_limits,
 )
 from .knowledge import empty_state
@@ -48,7 +53,7 @@ from .oracle import (
     replay_paths,
 )
 from .reals import InvalidNesting
-from .trace import TraceLog, read_trace, write_trace
+from .trace import TraceLog, write_trace
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -58,6 +63,18 @@ EXIT_VERIFY = 4
 
 DEFAULT_KMAX = 256
 KMAX_ENV = "REALEARN_KMAX"
+
+# (exception class, exit code, stderr prefix): the first row whose class
+# matches decides the exit code, and the line printed is "prefix: exc".
+FAILURES = (
+    (InputError, EXIT_INPUT, "input error"),
+    (OSError, EXIT_INPUT, "input error"),
+    (RestartBudgetExceeded, EXIT_BUDGET, "restart budget exhausted"),
+    (DegenerateInput, EXIT_DEGENERATE, "degenerate input"),
+    (ForcedChallengeDenied, EXIT_VERIFY, "verification failed: forced challenge"),
+    (CertificateFailure, EXIT_VERIFY, "verification failed"),
+    (PathMismatch, EXIT_VERIFY, "replay failed"),
+)
 
 
 def _nonnegative(source: str, value) -> int:
@@ -103,15 +120,6 @@ def _registered(build, document):
         raise InputError(str(exc)) from exc
 
 
-def _failed(args, log: TraceLog, message: str, code: int) -> int:
-    """Write the partial trace if ``--trace`` is set, report ``message``
-    on stderr and return the exit ``code``."""
-    if args.trace:
-        write_trace(args.trace, log.events)
-    print(message, file=sys.stderr)
-    return code
-
-
 def cmd_least(args) -> int:
     kmax = _resolve_kmax(args.kmax)
     max_restarts = _resolve_max_restarts(args.max_restarts)
@@ -139,16 +147,7 @@ def cmd_least(args) -> int:
         auditor = ScriptedAuditor(script)
     else:
         raise InputError(f"unknown auditor {args.auditor!r}")
-    log = TraceLog()
-    try:
-        outcome = learn_least(n, auditor, empty_state(reals), budget, log)
-    except RestartBudgetExceeded as exc:
-        return _failed(args, log, f"restart budget exhausted: {exc}",
-                       EXIT_BUDGET)
-    except ForcedChallengeDenied as exc:
-        return _failed(args, log,
-                       f"verification failed: forced challenge: {exc}",
-                       EXIT_VERIFY)
+    outcome = learn_least(n, auditor, empty_state(reals), budget, args.log)
     if args.trace:
         write_trace(args.trace, outcome.trace)
     print(f"candidate: {outcome.candidate.candidate}")
@@ -173,15 +172,9 @@ def cmd_convex(args) -> int:
     if not document.points:
         raise InputError(f"{args.input}: no points in document")
     _, points = _registered(build_points, document)
-    log = TraceLog()
     try:
         result = convex_angle(points, k_max=kmax,
-                              max_restarts=max_restarts, trace=log)
-    except RestartBudgetExceeded as exc:
-        return _failed(args, log, f"restart budget exhausted: {exc}",
-                       EXIT_BUDGET)
-    except DegenerateInput as exc:
-        return _failed(args, log, f"degenerate input: {exc}", EXIT_DEGENERATE)
+                              max_restarts=max_restarts, trace=args.log)
     except TooFewPoints as exc:
         raise InputError(f"{args.input}: {exc}")
     if args.trace:
@@ -225,26 +218,20 @@ def cmd_check(args) -> int:
         raise InputError(f"{args.input}: no points in document")
     _, points = _registered(build_points, document)
     a, b, c = record.get("a"), record.get("b"), record.get("c")
-    if not all(isinstance(v, int) for v in (a, b, c)):
+    if not all(isinstance(v, int) and not isinstance(v, bool)
+               for v in (a, b, c)):
         raise InputError(f"{args.result}: a, b, c must be integers")
     kmax = (_nonnegative(f"{args.result}: kmax",
                          record.get("kmax", DEFAULT_KMAX))
             if args.kmax is None else _resolve_kmax(args.kmax))
-    try:
-        derived = verify_bounding(points, a, b, c, k_max=kmax)
-    except CertificateFailure as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    derived = verify_bounding(points, a, b, c, k_max=kmax)
     stored = record.get("certificate")
     if stored is not None and stored != _certificate_obj(derived):
-        print("verification failed: stored certificate does not match "
-              "re-derived witnesses", file=sys.stderr)
-        return EXIT_VERIFY
-    limits = rational_points(document)
-    if not exact_convex_check(limits, a, b, c):
-        print("verification failed: exact bounding condition is false "
-              f"for apex {a}, rays {b}, {c}", file=sys.stderr)
-        return EXIT_VERIFY
+        raise CertificateFailure(
+            "stored certificate does not match re-derived witnesses")
+    if not exact_convex_check(rational_points(document), a, b, c):
+        raise CertificateFailure("exact bounding condition is false "
+                                 f"for apex {a}, rays {b}, {c}")
     print(f"ok: apex {a}, rays {b} {c}, "
           f"{len(derived.left)} bounded points re-verified")
     return EXIT_OK
@@ -252,11 +239,7 @@ def cmd_check(args) -> int:
 
 def cmd_tree(args) -> int:
     runs = [read_trace(path) for path in args.traces]
-    try:
-        verdict = replay_paths(runs, n=args.n)
-    except PathMismatch as exc:
-        print(f"replay failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    verdict = replay_paths(runs, n=args.n)
     print(f"n: {verdict.n}")
     for path, run in zip(args.traces, verdict.runs):
         print(f"run: {path}")
@@ -319,14 +302,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_CAUGHT = tuple(cls for cls, _, _ in FAILURES)
+_TRACED = tuple(cls for cls, code, _ in FAILURES if code != EXIT_INPUT)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and turn a failure into its exit code.
+
+    A command run with ``--trace`` that fails with exit 2-4 writes the
+    events it recorded in ``args.log``; an input error writes no trace.
+    A partial trace that cannot be written is itself an input error.
+    """
+    args = build_parser().parse_args(argv)
+    args.log = TraceLog()
     try:
-        return args.func(args)
-    except (InputError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        try:
+            return args.func(args)
+        except _TRACED:
+            if getattr(args, "trace", None):
+                write_trace(args.trace, args.log.events)
+            raise
+    except _CAUGHT as exc:
+        code, prefix = next((code, prefix) for cls, code, prefix in FAILURES
+                            if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

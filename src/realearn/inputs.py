@@ -20,6 +20,9 @@ other string (decimals, exponents, spaces) are rejected, so a value's
 size is bounded by the size of its text.  Every constructor has a
 known rational limit (the value for rational and blurred reals, the
 tail for tables), which the oracle tools rely on.
+
+Trace files, written by :func:`~realearn.trace.write_trace`, are read
+back here with :func:`read_trace`, beside the other file readers.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from typing import Iterator, List, Optional, Tuple
 from .geometry import Point, RationalPoint
 from .least import Challenge
 from .reals import RealNum, RealRegistry
+from .trace import TraceEvent
 
 
 class InputError(ValueError):
@@ -65,6 +69,19 @@ def _records(path, what: str) -> Iterator[Tuple[int, dict]]:
         yield lineno, record
 
 
+def read_trace(path) -> List[TraceEvent]:
+    """Read a trace file; a malformed line raises :class:`InputError`
+    naming the file and the line number, and a file that is not UTF-8
+    raises one naming the file."""
+    events: List[TraceEvent] = []
+    for lineno, line in numbered_lines(path):
+        try:
+            events.append(TraceEvent.from_json(line))
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
+    return events
+
+
 REAL_KINDS = ("rational", "blurred", "table")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
@@ -81,10 +98,6 @@ def parse_fraction(value) -> Fraction:
             raise InputError(f"cannot parse rational {value!r}") from exc
     raise InputError(f"cannot parse rational {value!r}: "
                      "expected an integer or num/den")
-
-
-def format_fraction(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
 
 
 @dataclass(frozen=True)
@@ -137,16 +150,6 @@ class RealSpec:
         if "value" not in obj:
             raise InputError(f"{kind} spec needs a value")
         return RealSpec(kind=kind, value=parse_fraction(obj["value"]))
-
-    def to_obj(self) -> dict:
-        if self.kind == "table":
-            return {
-                "kind": "table",
-                "prefix": [[format_fraction(lo), format_fraction(hi)]
-                           for lo, hi in (self.prefix or ())],
-                "tail": format_fraction(self.tail),
-            }
-        return {"kind": self.kind, "value": format_fraction(self.value)}
 
 
 @dataclass(frozen=True)
@@ -241,21 +244,3 @@ def load_script(path) -> List[Challenge]:
             raise InputError(f"{path}:{lineno}: force must be a boolean")
         challenges.append(Challenge(j=j, precision=precision, force=force))
     return challenges
-
-
-def dump_document(document: InputDocument, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for spec in document.reals:
-            record = {"type": "real"}
-            record.update(spec.to_obj())
-            handle.write(json.dumps(record, sort_keys=True))
-            handle.write("\n")
-        for point in document.points:
-            record = {
-                "type": "point",
-                "index": point.index,
-                "x": point.x.to_obj(),
-                "y": point.y.to_obj(),
-            }
-            handle.write(json.dumps(record, sort_keys=True))
-            handle.write("\n")

@@ -13,10 +13,11 @@ into a sound state, and a run needs to re-verify only the state it
 started from; :func:`~realearn.least.learn_least` does so, and checks
 the state it ends with, in debug builds.
 
-Comparisons that the state knows nothing about are answered by
-assumption (:class:`AssumeLeq`), and each assumption is backed by an
-evidence value so that later refutations can be traced back to the
-assumption that caused them.  Evidence chains are linear:
+Comparisons that the state knows nothing about
+(:meth:`KnowledgeState.get` answers None) are answered by assumption,
+and each assumption is backed by an evidence value so that later
+refutations can be traced back to the assumption that caused them.
+Evidence chains are linear:
 
 * ``Refl(i)`` claims ``r_i <= r_i`` and can never be refuted.
 * ``Assumed(i, j)`` claims ``r_i <= r_j`` with no justification.
@@ -134,28 +135,6 @@ class Step:
 LeqEvidence = Union[Refl, Assumed, Step]
 
 
-def claim(ev: LeqEvidence) -> Pair:
-    """The endpoints (subject, target) of the claim ev supports."""
-    return (ev.subject, ev.target)
-
-
-@dataclass(frozen=True)
-class AssumeLeq:
-    """Decision: no counterexample known, assume the comparison."""
-
-    evidence: Assumed
-
-
-@dataclass(frozen=True)
-class StrictLt:
-    """Decision: a stored counterexample witnesses the strict order."""
-
-    witness: int
-
-
-Decision = Union[AssumeLeq, StrictLt]
-
-
 @dataclass(frozen=True)
 class KnowledgeState:
     """An immutable, sealed record of everything learned so far about
@@ -211,23 +190,6 @@ def is_sound(state: KnowledgeState) -> bool:
         op_at(state.reals[j], state.reals[i], k)
         for (i, j), k in state.entries.items()
     )
-
-
-def decide_total(state: KnowledgeState, i: int, j: int) -> Decision:
-    """Answer the comparison r_i <= r_j from current knowledge.
-
-    Undecided pairs are assumed (with fresh :class:`Assumed` evidence);
-    pairs with a stored counterexample answer strictly.  The answer is
-    :meth:`KnowledgeState.get`, which the least-element pass reads
-    directly.  The witness is not re-verified here: every entry of a
-    sealed state was either verified by :func:`extend` or given to the
-    constructor, and a state built that way is what :func:`is_sound`
-    audits.
-    """
-    witness = state.get(i, j)
-    if witness is None:
-        return AssumeLeq(Assumed(i, j))
-    return StrictLt(witness)
 
 
 def extend(state: KnowledgeState, i: int, j: int, k: int) -> KnowledgeState:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .geometry import RationalPoint
 from .least import Challenge, LeastCandidate
@@ -93,13 +93,15 @@ class OracleAuditor:
     (``true_values[i]`` is the limit of ``reals[i]``).  While the
     candidate is not the true argmin, the auditor picks the lowest
     index whose value lies strictly below the candidate's and
-    challenges that claim at a separation precision; once the true
-    argmin is proposed it accepts.  The scan compares integer ranks of
-    the values, computed once, instead of the values themselves.
+    challenges that claim at a separation precision: the least strict
+    witness :func:`~realearn.reals.find_strict_witness` finds between
+    the two reals, within a budget set by the gap of their limits.
+    Once the true argmin is proposed it accepts.  The scan compares
+    integer ranks of the values, computed once, instead of the values
+    themselves.
     """
 
-    def __init__(self, reals: Sequence[RealNum], true_values: Sequence[Fraction],
-                 separation_precision: Optional[Callable[[int, int], int]] = None):
+    def __init__(self, reals: Sequence[RealNum], true_values: Sequence[Fraction]):
         values = [Fraction(v) for v in true_values]
         if len(set(values)) != len(values):
             raise TieDetected("true values must be distinct")
@@ -109,9 +111,8 @@ class OracleAuditor:
         for rank, j in enumerate(sorted(range(len(values)),
                                         key=values.__getitem__)):
             self._ranks[j] = rank
-        self._separation = separation_precision or self._scan_separation
 
-    def _scan_separation(self, j: int, m: int) -> int:
+    def _separation(self, j: int, m: int) -> int:
         gap = self._values[m] - self._values[j]
         budget = separation_from_gap(gap) + 64
         witness = find_strict_witness(self._reals[j], self._reals[m], budget)

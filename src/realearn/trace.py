@@ -4,7 +4,8 @@ Every learning or geometry run can record what it did as a sequence of
 :class:`TraceEvent` records.  Serialized traces are line oriented: one
 JSON object per line, keys sorted, integers and ``num/den`` fraction
 strings only.  Two runs of the same input therefore produce byte
-identical trace files.
+identical trace files.  :func:`~realearn.inputs.read_trace` reads
+one back.
 """
 
 from __future__ import annotations
@@ -88,18 +89,3 @@ def write_trace(path, events: Sequence[TraceEvent]) -> None:
         for event in events:
             handle.write(event.to_json())
             handle.write("\n")
-
-
-def read_trace(path) -> List[TraceEvent]:
-    """Read a trace file; a malformed line raises ``InputError``
-    naming the file and the line number, and a file that is not UTF-8
-    raises one naming the file."""
-    from .inputs import InputError, numbered_lines  # inputs depends on this module
-
-    events: List[TraceEvent] = []
-    for lineno, line in numbered_lines(path):
-        try:
-            events.append(TraceEvent.from_json(line))
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from None
-    return events

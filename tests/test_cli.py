@@ -8,6 +8,7 @@ from random import Random
 
 import pytest
 
+from realearn.inputs import read_trace
 from support import general_position_points
 
 REPO = Path(__file__).resolve().parent.parent
@@ -61,7 +62,44 @@ def test_least_budget_exhaustion():
                    "--auditor", f"script:{WORKED_SCRIPT}",
                    "--max-restarts", "1")
     assert proc.returncode == 2
-    assert "budget" in proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == ("restart budget exhausted: "
+                           "restart 2 exceeds budget 1\n")
+
+
+@pytest.mark.parametrize("case", ["least-budget", "convex-budget", "forced",
+                                  "degenerate"])
+def test_failed_run_writes_its_partial_trace(tmp_path, case):
+    forced = tmp_path / "forced.jsonl"
+    forced.write_text(json.dumps({"j": 5, "precision": 5, "force": True}) + "\n")
+    args, code, last = {
+        "least-budget": (("least", WORKED_REALS, "--auditor",
+                          f"script:{WORKED_SCRIPT}", "--max-restarts", "1"),
+                         2, ("extend", {"pair": [0, 2], "witness": 33})),
+        "convex-budget": (("convex", QUAD, "--max-restarts", "0"),
+                          2, ("extend", {"pair": [0, 3], "witness": 0})),
+        "forced": (("least", WORKED_REALS, "--auditor", f"script:{forced}"),
+                   4, ("challenge", {"j": 5, "precision": 5, "forced": True})),
+        "degenerate": (("convex", COLLINEAR),
+                       3, ("select-A", {"candidate": 0, "state": []})),
+    }[case]
+    trace = tmp_path / "partial.trace"
+    proc = run_cli(*args, "--trace", trace)
+    assert proc.returncode == code
+    events = read_trace(trace)
+    assert [e.seq for e in events] == list(range(len(events)))
+    phase, payload = last
+    assert events[-1].phase == phase
+    assert payload.items() <= events[-1].payload.items()
+
+
+def test_input_error_writes_no_trace(tmp_path):
+    two = tmp_path / "two.jsonl"
+    two.write_text("".join(WEDGE.read_text().splitlines(True)[:2]))
+    trace = tmp_path / "partial.trace"
+    proc = run_cli("convex", two, "--trace", trace)
+    assert proc.returncode == 1
+    assert not trace.exists()
 
 
 def test_least_rejects_unknown_auditor():
@@ -135,6 +173,30 @@ def test_check_rejects_tampered_result(tmp_path):
     assert "verification failed" in check.stderr
     assert "mutual pair" in check.stderr
 
+    # the rays restored, only the stored certificate tampered with
+    record["b"], record["c"] = record["c"], record["b"]
+    record["certificate"]["c_left"] += 1
+    result.write_text(json.dumps(record))
+    check = run_cli("check", result, QUAD)
+    assert check.returncode == 4
+    assert check.stdout == ""
+    assert check.stderr == ("verification failed: stored certificate does "
+                            "not match re-derived witnesses\n")
+
+
+def test_check_rejects_boolean_point_indices(tmp_path):
+    result = tmp_path / "quad.json"
+    run_cli("convex", QUAD, "--result", result)
+    record = json.loads(result.read_text())
+    assert record["c"] == 1
+    record["c"] = True
+    del record["certificate"]
+    result.write_text(json.dumps(record))
+    proc = run_cli("check", result, QUAD)
+    assert proc.stdout == ""
+    assert proc.stderr == f"input error: {result}: a, b, c must be integers\n"
+    assert proc.returncode == 1
+
 
 def test_convex_collinear_exits_3():
     proc = run_cli("convex", COLLINEAR)
@@ -186,6 +248,12 @@ def test_tree_replays_convex_trace(tmp_path):
     proc = run_cli("tree", trace)
     assert proc.returncode == 0
     assert "n: 3" in proc.stdout
+
+    wrong_n = run_cli("tree", trace, "--n", "2")
+    assert wrong_n.returncode == 4
+    assert wrong_n.stdout == ""
+    assert wrong_n.stderr == ("replay failed: path length 3 "
+                              "does not match n = 2\n")
 
 
 def test_tree_replays_a_20_point_convex_trace(tmp_path):

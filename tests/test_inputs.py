@@ -8,8 +8,6 @@ from realearn.inputs import (
     RealSpec,
     build_points,
     build_reals,
-    dump_document,
-    format_fraction,
     load_document,
     load_script,
     parse_fraction,
@@ -30,11 +28,6 @@ def test_parse_fraction_accepts_exact_forms():
 def test_parse_fraction_rejects_inexact_forms(bad):
     with pytest.raises(InputError):
         parse_fraction(bad)
-
-
-def test_format_fraction_roundtrips():
-    q = Fraction(-22, 7)
-    assert parse_fraction(format_fraction(q)) == q
 
 
 def test_load_reals_document(tmp_path):
@@ -108,20 +101,6 @@ def test_load_script(tmp_path):
     script_path.write_text('{"j": 1, "precision": "high"}\n')
     with pytest.raises(InputError):
         load_script(script_path)
-
-
-def test_dump_document_roundtrips(tmp_path):
-    source = tmp_path / "in.jsonl"
-    source.write_text(
-        '{"type": "real", "kind": "blurred", "value": "1/3"}\n'
-        '{"type": "point", "index": 0, "x": "2/1",'
-        ' "y": {"kind": "table", "prefix": [["0/1", "1/1"]], "tail": "1/2"}}\n')
-    document = load_document(source)
-    out = tmp_path / "out.jsonl"
-    dump_document(document, out)
-    again = load_document(out)
-    assert again.reals == document.reals
-    assert again.points == document.points
 
 
 def test_table_spec_eagerly_validates(tmp_path):

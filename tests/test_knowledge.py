@@ -5,19 +5,15 @@ import pytest
 
 from realearn import (
     Assumed,
-    AssumeLeq,
     Falsified,
     KnowledgeState,
     RealRegistry,
     Refl,
     ReflFalsified,
     Step,
-    StrictLt,
     UnsoundWitness,
     blame,
     check_leq,
-    claim,
-    decide_total,
     empty_state,
     extend,
     is_sound,
@@ -32,13 +28,17 @@ def worked_registry() -> RealRegistry:
     return reg
 
 
+def endpoints(ev):
+    return (ev.subject, ev.target)
+
+
 def test_evidence_endpoints():
-    assert claim(Refl(4)) == (4, 4)
-    assert claim(Assumed(0, 2)) == (0, 2)
+    assert endpoints(Refl(4)) == (4, 4)
+    assert endpoints(Assumed(0, 2)) == (0, 2)
     step = Step(33, Assumed(0, 2), 3)
-    assert claim(step) == (3, 2)
+    assert endpoints(step) == (3, 2)
     nested = Step(5, step, 7)
-    assert claim(nested) == (7, 2)
+    assert endpoints(nested) == (7, 2)
 
 
 def test_step_requires_evidence_rest():
@@ -92,17 +92,18 @@ def test_blame_on_refl_is_a_contradiction():
         blame(Refl(0), 7)
 
 
+# The learner's total decision on r_i <= r_j reads KnowledgeState.get:
+# None means assume the comparison, a witness means strict order.
 def test_decide_total_assumes_unknown_pairs():
     state = empty_state(worked_registry())
-    decision = decide_total(state, 0, 3)
-    assert decision == AssumeLeq(Assumed(0, 3))
+    assert state.get(0, 3) is None
 
 
 def test_decide_total_answers_strictly_from_state():
     state = extend(empty_state(worked_registry()), 0, 3, 33)
-    assert decide_total(state, 0, 3) == StrictLt(33)
+    assert state.get(0, 3) == 33
     # the reverse pair is still unknown
-    assert decide_total(state, 3, 0) == AssumeLeq(Assumed(3, 0))
+    assert state.get(3, 0) is None
 
 
 def test_extend_verifies_the_witness():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from realearn import (
     Assumed,
-    AssumeLeq,
     Challenge,
     ForcedChallengeDenied,
     KnowledgeState,
@@ -21,7 +20,6 @@ from realearn import (
     Step,
     TraceLog,
     UnsoundWitness,
-    decide_total,
     empty_state,
     evidence_graph,
     extend,
@@ -248,17 +246,17 @@ def eager_least_candidate(state, n, trace=None):
     candidate = 0
     evidences = {0: Refl(0)}
     for i in range(1, n + 1):
-        decision = decide_total(state, candidate, i)
-        if isinstance(decision, AssumeLeq):
+        witness = state.get(candidate, i)
+        if witness is None:
             if trace is not None:
                 trace.emit("decide", step=i, pair=[candidate, i], decision="assume")
-            evidences[i] = decision.evidence
+            evidences[i] = Assumed(candidate, i)
         else:
             if trace is not None:
                 trace.emit("decide", step=i, pair=[candidate, i],
-                           decision="strict", witness=decision.witness)
+                           decision="strict", witness=witness)
             evidences = {
-                j: Step(decision.witness, ev, i) for j, ev in evidences.items()
+                j: Step(witness, ev, i) for j, ev in evidences.items()
             }
             evidences[i] = Refl(i)
             candidate = i

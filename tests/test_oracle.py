@@ -8,8 +8,8 @@ from realearn import (
     Challenge,
     LeastCandidate,
     RealRegistry,
-    TraceLog,
     empty_state,
+    find_strict_witness,
     learn_least,
 )
 from realearn.oracle import (
@@ -91,10 +91,14 @@ def fraction_scan_challenge(values, separation, candidate):
 @given(st.lists(st.fractions(max_denominator=2 ** 12), min_size=1,
                 max_size=25, unique=True))
 def test_rank_scan_picks_the_fraction_scan_challenge(values):
-    def separation(j, m):
-        return 1000 * j + m
+    reg = RealRegistry()
+    for q in values:
+        reg.blurred(q)
 
-    auditor = OracleAuditor(RealRegistry(), values, separation)
+    def separation(j, m):
+        return find_strict_witness(reg[j], reg[m], 256)
+
+    auditor = OracleAuditor(reg, values)
     for m in range(len(values)):
         assert auditor.challenge(LeastCandidate(m, {})) == \
             fraction_scan_challenge(values, separation, m)

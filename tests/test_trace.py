@@ -3,8 +3,8 @@ import json
 import pytest
 
 from realearn import RealRegistry, TraceLog, empty_state, extend
-from realearn.inputs import InputError
-from realearn.trace import TraceEvent, read_trace, write_trace
+from realearn.inputs import InputError, read_trace
+from realearn.trace import TraceEvent, write_trace
 
 
 def test_emit_assigns_sequence_numbers():
