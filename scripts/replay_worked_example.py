@@ -68,7 +68,7 @@ def main() -> None:
     args = parser.parse_args()
 
     document = load_document(args.reals)
-    registry, reals = build_reals(document)
+    reals = build_reals(document)
     script = load_script(args.challenges)
     limits = real_limits(document)
     n = len(reals) - 1
@@ -79,7 +79,7 @@ def main() -> None:
     print(f"{len(script)} scripted challenges, restart budget {budget}")
     print()
 
-    outcome = learn_least(n, ScriptedAuditor(script), empty_state(registry),
+    outcome = learn_least(n, ScriptedAuditor(script), empty_state(reals),
                           max_restarts=budget)
     print_events(outcome.trace)
     print()

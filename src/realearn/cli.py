@@ -52,7 +52,6 @@ from .oracle import (
     exact_convex_check,
     replay_paths,
 )
-from .reals import InvalidNesting
 from .trace import TraceLog, write_trace
 
 EXIT_OK = 0
@@ -100,8 +99,8 @@ def _resolve_kmax(flag: Optional[int]) -> int:
     return _nonnegative(KMAX_ENV, value)
 
 
-def _resolve_max_restarts(flag: Optional[int]) -> Optional[int]:
-    return None if flag is None else _nonnegative("--max-restarts", flag)
+def _optional_nonnegative(source: str, flag: Optional[int]) -> Optional[int]:
+    return None if flag is None else _nonnegative(source, flag)
 
 
 def _print_state(state) -> None:
@@ -109,26 +108,14 @@ def _print_state(state) -> None:
                                sort_keys=True, separators=(",", ":")))
 
 
-def _registered(build, document):
-    """``build(document)``, reporting a badly nested table real as an
-    input error.  Tables are checked in full when registered, so an
-    :class:`InvalidNesting` raised later comes from computed intervals
-    and is left to propagate."""
-    try:
-        return build(document)
-    except InvalidNesting as exc:
-        raise InputError(str(exc)) from exc
-
-
 def cmd_least(args) -> int:
     kmax = _resolve_kmax(args.kmax)
-    max_restarts = _resolve_max_restarts(args.max_restarts)
+    max_restarts = _optional_nonnegative("--max-restarts", args.max_restarts)
     document = load_document(args.input)
     if not document.reals:
         raise InputError(f"{args.input}: no reals in document")
-    _, reals = _registered(build_reals, document)
+    reals = build_reals(document)
     n = len(document.reals) - 1
-    budget = max_restarts if max_restarts is not None else 2 ** n
     if args.auditor == "none":
         auditor = NullAuditor()
     elif args.auditor == "oracle":
@@ -147,7 +134,8 @@ def cmd_least(args) -> int:
         auditor = ScriptedAuditor(script)
     else:
         raise InputError(f"unknown auditor {args.auditor!r}")
-    outcome = learn_least(n, auditor, empty_state(reals), budget, args.log)
+    outcome = learn_least(n, auditor, empty_state(reals), max_restarts,
+                          args.log)
     if args.trace:
         write_trace(args.trace, outcome.trace)
     print(f"candidate: {outcome.candidate.candidate}")
@@ -167,26 +155,18 @@ def _certificate_obj(certificate) -> dict:
 
 def cmd_convex(args) -> int:
     kmax = _resolve_kmax(args.kmax)
-    max_restarts = _resolve_max_restarts(args.max_restarts)
+    max_restarts = _optional_nonnegative("--max-restarts", args.max_restarts)
     document = load_document(args.input)
     if not document.points:
         raise InputError(f"{args.input}: no points in document")
-    _, points = _registered(build_points, document)
+    points = build_points(document)
     try:
         result = convex_angle(points, k_max=kmax,
                               max_restarts=max_restarts, trace=args.log)
     except TooFewPoints as exc:
         raise InputError(f"{args.input}: {exc}")
-    if args.trace:
-        write_trace(args.trace, result.trace)
-    witnesses = [result.certificate.c_left, result.certificate.b_right]
-    witnesses.extend(result.certificate.left.values())
-    witnesses.extend(result.certificate.right.values())
-    print(f"apex: {result.a}")
-    print(f"rays: {result.b} {result.c}")
-    print(f"restarts: {result.restarts}")
-    print(f"max-witness: {max(witnesses)}")
-    _print_state(result.state)
+    # The result record is written first: a path that cannot be written
+    # is an input error, which leaves no trace and prints nothing.
     if args.result:
         record = {
             "type": "convex-result",
@@ -202,6 +182,16 @@ def cmd_convex(args) -> int:
             handle.write(json.dumps(record, sort_keys=True,
                                     separators=(",", ":")))
             handle.write("\n")
+    if args.trace:
+        write_trace(args.trace, result.trace)
+    witnesses = [result.certificate.c_left, result.certificate.b_right]
+    witnesses.extend(result.certificate.left.values())
+    witnesses.extend(result.certificate.right.values())
+    print(f"apex: {result.a}")
+    print(f"rays: {result.b} {result.c}")
+    print(f"restarts: {result.restarts}")
+    print(f"max-witness: {max(witnesses)}")
+    _print_state(result.state)
     return EXIT_OK
 
 
@@ -216,7 +206,7 @@ def cmd_check(args) -> int:
     document = load_document(args.input)
     if not document.points:
         raise InputError(f"{args.input}: no points in document")
-    _, points = _registered(build_points, document)
+    points = build_points(document)
     a, b, c = record.get("a"), record.get("b"), record.get("c")
     if not all(isinstance(v, int) and not isinstance(v, bool)
                for v in (a, b, c)):
@@ -238,8 +228,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_tree(args) -> int:
+    n = _optional_nonnegative("--n", args.n)
     runs = [read_trace(path) for path in args.traces]
-    verdict = replay_paths(runs, n=args.n)
+    verdict = replay_paths(runs, n=n)
     print(f"n: {verdict.n}")
     for path, run in zip(args.traces, verdict.runs):
         print(f"run: {path}")

@@ -96,36 +96,6 @@ class ConvexAngleResult:
     trace: List[TraceEvent]
 
 
-class _SideOracle:
-    """Caching wrapper over decide_side for one construction run.
-
-    Decisions are cached per index triple, so re-scans after candidate
-    replacement do not rebuild and re-witness the orientation.  The
-    orientation node is dropped with its decision.
-    """
-
-    def __init__(self, points: Sequence[Point], k_max: int,
-                 trace: Optional[TraceLog]):
-        self._points = points
-        self._k_max = k_max
-        self._trace = trace
-        self._decisions: Dict[Tuple[int, int, int], SideDecision] = {}
-
-    def side(self, p: int, q: int, r: int, stage: str) -> SideDecision:
-        key = (p, q, r)
-        decision = self._decisions.get(key)
-        if decision is None:
-            pp, pq, pr = (self._points[i] for i in key)
-            decision = decide_side(pp, pq, pr, self._k_max,
-                                   orientation_real(pp, pq, pr))
-            self._decisions[key] = decision
-        if self._trace is not None:
-            name = "left" if isinstance(decision, Left) else "right"
-            self._trace.emit("side", stage=stage, line=[p, q], point=r,
-                             side=name, witness=decision.witness)
-        return decision
-
-
 def _check_point_layout(points: Sequence[Point]) -> None:
     for position, point in enumerate(points):
         if point.index != position:
@@ -149,8 +119,20 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
     budget = max_restarts if max_restarts is not None else 2 ** n
     log = trace if trace is not None else TraceLog()
     state = empty_state([p.y for p in points])
-    sides = _SideOracle(points, k_max, log)
     restarts = 0
+
+    def side(p: int, q: int, r: int, stage: str,
+             decision: Optional[SideDecision] = None) -> SideDecision:
+        """Decide P_r's side of P_p->P_q, unless ``decision`` repeats an
+        earlier answer, and record it as a ``side`` event."""
+        if decision is None:
+            pp, pq, pr = points[p], points[q], points[r]
+            decision = decide_side(pp, pq, pr, k_max,
+                                   orientation_real(pp, pq, pr))
+        log.emit("side", stage=stage, line=[p, q], point=r,
+                 side="left" if isinstance(decision, Left) else "right",
+                 witness=decision.witness)
+        return decision
 
     while True:
         cand = least_candidate(state, n, log)
@@ -159,13 +141,16 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
 
         rest = [i for i in range(n + 1) if i != a]
         ray = [rest[0], rest[1]]
-        first = sides.side(a, ray[1], ray[0], "init")
+        first = side(a, ray[1], ray[0], "init")
         swapped = isinstance(first, Left)
         if swapped:
             ray.reverse()
-        # mutual[s]: the other ray's point on the inner side of ray s
-        b_right = sides.side(a, ray[1], ray[0], "mutual")
-        mutual = [sides.side(a, ray[0], ray[1], "mutual"), b_right]
+        # mutual[s]: the other ray's point on the inner side of ray s.
+        # One of the two queries is the init query again: (a, c, b)
+        # unswapped, (a, b, c) swapped.
+        b_right = side(a, ray[1], ray[0], "mutual", None if swapped else first)
+        mutual = [side(a, ray[0], ray[1], "mutual", first if swapped else None),
+                  b_right]
         assert all(isinstance(mutual[s], _INNER[s]) for s in (0, 1)), \
             "rays not ordered after swap"
         log.emit("init-BC", b=ray[0], c=ray[1], swapped=swapped,
@@ -175,7 +160,7 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
         # witnesses[s][d]: P_d on the inner side of ray s
         witnesses: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
         for d in rest[2:]:
-            found = [sides.side(a, ray[s], d, "scan") for s in (0, 1)]
+            found = [side(a, ray[s], d, "scan") for s in (0, 1)]
             wrong = [s for s in (0, 1) if not isinstance(found[s], _INNER[s])]
             if not wrong:
                 log.emit("scan", d=d, case="keep")
@@ -199,16 +184,16 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
             log.emit("scan", d=d, case=_REPLACE_CASE[s])
             old = ray[s]
             ray[s] = d
-            moved = sides.side(a, d, old, "rescan")
+            moved = side(a, d, old, "rescan")
             assert isinstance(moved, _INNER[s]), "replaced ray not inside new ray"
             witnesses[s][old] = moved.witness
             witnesses[o][old] = mutual[o].witness
             mutual[o] = found[o]
-            mutual[s] = sides.side(a, d, ray[o], "mutual")
+            mutual[s] = side(a, d, ray[o], "mutual")
             assert isinstance(mutual[s], _INNER[s]), "other ray not inside new ray"
             for prior in sorted(witnesses[s]):
                 if prior != old:
-                    redo = sides.side(a, d, prior, "rescan")
+                    redo = side(a, d, prior, "rescan")
                     assert isinstance(redo, _INNER[s]), "point not inside new ray"
                     witnesses[s][prior] = redo.witness
         else:  # no point blocked the scan: accept
@@ -240,12 +225,14 @@ def verify_bounding(points: Sequence[Point], a: int, b: int, c: int,
                     k_max: int = 256) -> BoundingCertificate:
     """Independently re-derive the bounding certificate for (a, b, c).
 
+    Points must be listed in index order, as for :func:`convex_angle`.
     Runs fresh side decisions for every clause and raises
     :class:`CertificateFailure` on the first clause whose side comes
     out wrong or cannot be witnessed within the budget.  Intended as a
     post-hoc audit of :func:`convex_angle` output.
     """
-    indices = {point.index for point in points}
+    _check_point_layout(points)
+    indices = range(len(points))
     for name, value in (("a", a), ("b", b), ("c", c)):
         if value not in indices:
             raise CertificateFailure(f"{name} = {value} is not a point index")
@@ -267,7 +254,7 @@ def verify_bounding(points: Sequence[Point], a: int, b: int, c: int,
     b_right = audit(a, c, b, False, "mutual pair")
     left: Dict[int, int] = {}
     right: Dict[int, int] = {}
-    for d in sorted(indices - {a, b, c}):
+    for d in sorted(set(indices) - {a, b, c}):
         left[d] = audit(a, b, d, True, f"bounding clause for point {d}")
         right[d] = audit(a, c, d, False, f"bounding clause for point {d}")
     return BoundingCertificate(a=a, b=b, c=c, left=left, right=right,

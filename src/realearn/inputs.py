@@ -35,7 +35,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from .geometry import Point, RationalPoint
 from .least import Challenge
-from .reals import RealNum, RealRegistry
+from .reals import InvalidNesting, RealNum, RealRegistry
 from .trace import TraceEvent
 
 
@@ -195,26 +195,36 @@ def load_document(path) -> InputDocument:
     return InputDocument(reals=reals, points=points)
 
 
-def build_reals(document: InputDocument) -> Tuple[RealRegistry, List[RealNum]]:
-    """Register the document's reals at indices 0..n, in order."""
+def _registered(specs: List[RealSpec]) -> RealRegistry:
+    """A registry holding ``specs`` at indices 0.., in order.  A badly
+    nested table is an :class:`InputError`: tables are checked in full
+    when registered, so an :class:`InvalidNesting` raised later comes
+    from computed intervals and is not one."""
     registry = RealRegistry()
-    reals = [spec.build(registry) for spec in document.reals]
-    return registry, reals
+    try:
+        for spec in specs:
+            spec.build(registry)
+    except InvalidNesting as exc:
+        raise InputError(str(exc)) from exc
+    return registry
 
 
-def build_points(document: InputDocument) -> Tuple[RealRegistry, List[Point]]:
-    """Register the document's points: all y coordinates in point
-    order, then all x coordinates.  The order is a convention only;
-    :func:`~realearn.convex.convex_angle` learns over the points' own
-    y list, wherever the reals sit in the registry.
+def build_reals(document: InputDocument) -> RealRegistry:
+    """The document's reals r_0 .. r_n, registered in order."""
+    return _registered(document.reals)
+
+
+def build_points(document: InputDocument) -> List[Point]:
+    """The document's points, with all y coordinates registered in
+    point order, then all x coordinates.  The order is a convention
+    only; :func:`~realearn.convex.convex_angle` learns over the points'
+    own y list, wherever the reals sit in the registry.
     """
-    registry = RealRegistry()
-    ys = [spec.y.build(registry) for spec in document.points]
-    xs = [spec.x.build(registry) for spec in document.points]
-    return registry, [
-        Point(index=spec.index, x=xs[i], y=ys[i])
-        for i, spec in enumerate(document.points)
-    ]
+    count = len(document.points)
+    registry = _registered([spec.y for spec in document.points]
+                           + [spec.x for spec in document.points])
+    return [Point(index=spec.index, x=registry[count + i], y=registry[i])
+            for i, spec in enumerate(document.points)]
 
 
 def real_limits(document: InputDocument) -> List[Fraction]:

@@ -238,7 +238,7 @@ def _audit(state: KnowledgeState, which: str) -> None:
 
 
 def learn_least(n: int, auditor: Auditor, initial: KnowledgeState,
-                max_restarts: int,
+                max_restarts: Optional[int] = None,
                 trace: Optional[TraceLog] = None) -> LearnOutcome:
     """Interactive least-element learning with restart backtracking.
 
@@ -246,7 +246,9 @@ def learn_least(n: int, auditor: Auditor, initial: KnowledgeState,
     auditor challenge claims one at a time; a challenge that checks out
     is simply recorded, a refuted one is blamed on its assumption, the
     state is extended, and the whole pass restarts.  The auditor
-    accepting (returning None) ends the run.
+    accepting (returning None) ends the run.  More than
+    ``max_restarts`` restarts (default ``2 ** n``) raise
+    :class:`RestartBudgetExceeded`.
 
     In debug builds the run re-verifies the initial state before its
     first pass and the final state before it accepts, and raises
@@ -256,6 +258,7 @@ def learn_least(n: int, auditor: Auditor, initial: KnowledgeState,
     """
     if __debug__:
         _audit(initial, "initial")
+    budget = max_restarts if max_restarts is not None else 2 ** n
     log = trace if trace is not None else TraceLog()
     state = initial
     reals = state.reals
@@ -290,7 +293,7 @@ def learn_least(n: int, auditor: Auditor, initial: KnowledgeState,
             log.emit("extend", pair=list(result.pair), witness=result.witness,
                      state=state.snapshot)
             restarts += 1
-            if restarts > max_restarts:
-                raise RestartBudgetExceeded(restarts, max_restarts)
+            if restarts > budget:
+                raise RestartBudgetExceeded(restarts, budget)
             log.emit("restart", count=restarts)
             restarted = True

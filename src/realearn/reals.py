@@ -244,7 +244,6 @@ class RealRegistry(Sequence[RealNum]):
 
     def __init__(self) -> None:
         self._entries: list[RealNum] = []
-        self._zero: Optional[RealNum] = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -320,12 +319,6 @@ class RealRegistry(Sequence[RealNum]):
             return tail_interval
 
         return _nested(self.register(gen))
-
-    def zero(self) -> RealNum:
-        """The constant real 0, registered once per registry on demand."""
-        if self._zero is None:
-            self._zero = self.from_rational(0)
-        return self._zero
 
 
 def add(a: RealNum, b: RealNum) -> RealNum:

@@ -1,0 +1,69 @@
+"""The benchmark tracer's contract with the program.
+
+``perfbench/tracing.py`` wraps named functions on the realearn modules
+and raises ``AttributeError`` from ``install`` when one of them has
+left its module.  This test installs it on the modules the suite
+imports, runs one construction and one audit through the wrappers, and
+checks that ``uninstall`` puts every original back.
+"""
+
+import importlib
+import importlib.util
+from fractions import Fraction
+from pathlib import Path
+
+from realearn.oracle import RationalPoint
+
+from support import register_points
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+MODULES = ("reals", "geometry", "knowledge", "least", "convex", "oracle",
+           "inputs")
+QUAD = [(0, 0), (-1, 1), (1, 1), (0, -1)]
+
+
+def namespaces(modules):
+    """Every module given and every class defined in one, with a copy
+    of its attributes."""
+    owners = list(modules.values())
+    owners += [value for module in modules.values()
+               for value in vars(module).values()
+               if isinstance(value, type)
+               and value.__module__.startswith("realearn.")]
+    return [(owner, dict(vars(owner))) for owner in owners]
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_installs_on_the_program():
+    modules = {name: importlib.import_module(f"realearn.{name}")
+               for name in MODULES}
+    convex = modules["convex"]
+    originals = namespaces(modules)
+    points = register_points(
+        [RationalPoint(Fraction(x), Fraction(y)) for x, y in QUAD])[1]
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install(modules)
+        result = convex.convex_angle(points)
+        convex.verify_bounding(points, result.a, result.b, result.c)
+    finally:
+        tracer.uninstall()
+
+    assert tracer.calls("convex.convex_angle") == 1
+    assert tracer.calls("convex.verify_bounding") == 1
+    assert tracer.calls("least.least_candidate") == result.restarts + 1
+    assert tracer.calls("knowledge.blame") == result.restarts
+    sides = sum(1 for event in result.trace if event.phase == "side")
+    # one decision per side event, but the init decision is asked again
+    # as a mutual query once per attempt and not decided again
+    assert tracer.counts["convex.side_decided"] == sides - (result.restarts + 1)
+    for owner, attrs in originals:
+        for attr, value in attrs.items():
+            assert vars(owner)[attr] is value, \
+                f"{owner.__name__}.{attr} not restored"

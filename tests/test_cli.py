@@ -102,6 +102,15 @@ def test_input_error_writes_no_trace(tmp_path):
     assert not trace.exists()
 
 
+def test_unwritable_result_writes_no_trace(tmp_path):
+    trace = tmp_path / "quad.trace"
+    proc = run_cli("convex", QUAD, "--trace", trace,
+                   "--result", tmp_path / "missing" / "quad.json")
+    assert_input_error(proc, "No such file or directory")
+    assert proc.stdout == ""
+    assert not trace.exists()
+
+
 def test_least_rejects_unknown_auditor():
     proc = run_cli("least", WORKED_REALS, "--auditor", "clever")
     assert proc.returncode == 1
@@ -254,6 +263,19 @@ def test_tree_replays_convex_trace(tmp_path):
     assert wrong_n.stdout == ""
     assert wrong_n.stderr == ("replay failed: path length 3 "
                               "does not match n = 2\n")
+
+
+def test_tree_n_must_not_be_negative(tmp_path):
+    trace = tmp_path / "quad.trace"
+    run_cli("convex", QUAD, "--trace", trace)
+    proc = run_cli("tree", trace, "--n", "-1")
+    assert_input_error(proc)
+    assert proc.stdout == ""
+    assert proc.stderr == "input error: --n must be >= 0, got -1\n"
+    zero = run_cli("tree", trace, "--n", "0")
+    assert zero.returncode == 4
+    assert zero.stderr == ("replay failed: path length 3 "
+                           "does not match n = 0\n")
 
 
 def test_tree_replays_a_20_point_convex_trace(tmp_path):

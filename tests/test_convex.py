@@ -141,6 +141,19 @@ def test_verify_bounding_rejects_wrong_angle():
         verify_bounding(pts, res.a, res.b, 99)
 
 
+def test_verify_bounding_enforces_the_point_layout():
+    # the audit reads points by list position, so like convex_angle it
+    # needs points[i].index == i rather than judging another triple
+    pts = register([(0, 0), (4, 1), (-4, 1), (0, 3)])
+    res = convex_angle(pts)
+    assert (res.a, res.b, res.c) == (0, 1, 2)
+    with pytest.raises(ValueError, match="position 0 carries index 3"):
+        verify_bounding([pts[3], pts[1], pts[2], pts[0]], 0, 1, 2)
+    shifted = [Point(p.index + 5, p.x, p.y) for p in pts]
+    with pytest.raises(ValueError, match="position 0 carries index 5"):
+        verify_bounding(shifted, 5, 6, 7)
+
+
 def test_random_instances_match_exact_oracle():
     rng = Random(31415)
     for trial in range(20):
@@ -161,7 +174,7 @@ def test_certificate_witnesses_are_observable():
 
     pts = register(WEDGE)
     res = convex_angle(pts)
-    zero = RealRegistry().zero()
+    zero = RealRegistry().from_rational(0)
     for d, w in res.certificate.left.items():
         orient = orientation_real(pts[res.a], pts[res.b], pts[d])
         assert op_at(zero, orient, w)

@@ -127,7 +127,7 @@ def scan_strict_witness(r, s, k_max):
 
 def scan_decide_side(p, q, r, k_max):
     orient = orientation_real(p, q, r)
-    zero = RealRegistry().zero()
+    zero = RealRegistry().from_rational(0)
     for k in range(k_max + 1):
         if op_at(zero, orient, k):
             return Left(k)

@@ -40,8 +40,8 @@ def test_load_reals_document(tmp_path):
         ' "prefix": [["0/1", "1/1"]], "tail": "1/2"}\n')
     document = load_document(doc_path)
     assert real_limits(document) == [Fraction(1, 2), Fraction(-2), Fraction(1, 2)]
-    registry, reals = build_reals(document)
-    assert len(registry) == 3
+    reals = build_reals(document)
+    assert len(reals) == 3
     assert reals[1].interval_at(0) == (Fraction(-5, 2), Fraction(-3, 2))
 
 
@@ -54,7 +54,7 @@ def test_load_points_document(tmp_path):
     document = load_document(doc_path)
     # records sort by index regardless of file order
     assert [p.index for p in document.points] == [0, 1]
-    registry, points = build_points(document)
+    points = build_points(document)
     # y coordinates occupy real indices 0..n, x coordinates follow
     assert points[0].y.index == 0 and points[1].y.index == 1
     assert points[0].x.index == 2 and points[1].x.index == 3
@@ -109,9 +109,10 @@ def test_table_spec_eagerly_validates(tmp_path):
         '{"type": "real", "kind": "table",'
         ' "prefix": [["1/1", "0/1"]], "tail": "0/1"}\n')
     document = load_document(doc_path)
-    from realearn import InvalidNesting
-    with pytest.raises(InvalidNesting):
+    with pytest.raises(InputError) as exc:
         build_reals(document)
+    assert str(exc.value) == ("invalid interval table at index 0: "
+                              "lower endpoint above upper endpoint")
 
 
 def test_real_spec_shorthand():

@@ -67,13 +67,6 @@ def test_registry_indexing():
     assert (a.index, b.index) == (0, 1)
 
 
-def test_zero_registered_once():
-    reg = RealRegistry()
-    z = reg.zero()
-    assert reg.zero() is z
-    assert len(reg) == 1
-
-
 @pytest.mark.parametrize("prefix,tail,k,clause", [
     ([(Fraction(1), Fraction(0))], 0, 0, "lower endpoint above upper endpoint"),
     ([(Fraction(0), Fraction(2))], 1, 0, "width exceeds 2^-0"),
