@@ -166,7 +166,9 @@ def cmd_convex(args) -> int:
     except TooFewPoints as exc:
         raise InputError(f"{args.input}: {exc}")
     # The result record is written first: a path that cannot be written
-    # is an input error, which leaves no trace and prints nothing.
+    # is an input error, which leaves no trace and prints nothing.  A
+    # trace that cannot be written is one too, and takes the record
+    # back, so an exit-1 run leaves neither file.
     if args.result:
         record = {
             "type": "convex-result",
@@ -183,7 +185,12 @@ def cmd_convex(args) -> int:
                                     separators=(",", ":")))
             handle.write("\n")
     if args.trace:
-        write_trace(args.trace, result.trace)
+        try:
+            write_trace(args.trace, result.trace)
+        except OSError:
+            if args.result:
+                os.remove(args.result)
+            raise
     witnesses = [result.certificate.c_left, result.certificate.b_right]
     witnesses.extend(result.certificate.left.values())
     witnesses.extend(result.certificate.right.values())

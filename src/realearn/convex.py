@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .geometry import (
     DegenerateInput,
+    Differences,
     Left,
     Point,
     Right,
@@ -128,7 +129,7 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
         if decision is None:
             pp, pq, pr = points[p], points[q], points[r]
             decision = decide_side(pp, pq, pr, k_max,
-                                   orientation_real(pp, pq, pr))
+                                   orientation_real(pp, pq, pr, differences))
         log.emit("side", stage=stage, line=[p, q], point=r,
                  side="left" if isinstance(decision, Left) else "right",
                  witness=decision.witness)
@@ -138,6 +139,8 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
         cand = least_candidate(state, n, log)
         a = cand.candidate
         log.emit("select-A", candidate=a, state=state.snapshot)
+        # the attempt's difference nodes about apex a, dropped with it
+        differences: Differences = {}
 
         rest = [i for i in range(n + 1) if i != a]
         ray = [rest[0], rest[1]]
@@ -228,8 +231,10 @@ def verify_bounding(points: Sequence[Point], a: int, b: int, c: int,
     Points must be listed in index order, as for :func:`convex_angle`.
     Runs fresh side decisions for every clause and raises
     :class:`CertificateFailure` on the first clause whose side comes
-    out wrong or cannot be witnessed within the budget.  Intended as a
-    post-hoc audit of :func:`convex_angle` output.
+    out wrong or cannot be witnessed within the budget.  The audit's
+    orientations share one dict of difference nodes, all about apex
+    ``a``, and nothing from the construction.  Intended as a post-hoc
+    audit of :func:`convex_angle` output.
     """
     _check_point_layout(points)
     indices = range(len(points))
@@ -239,9 +244,13 @@ def verify_bounding(points: Sequence[Point], a: int, b: int, c: int,
     if len({a, b, c}) != 3:
         raise CertificateFailure(f"apex and ray indices overlap: {(a, b, c)}")
 
+    differences: Differences = {}
+
     def audit(p: int, q: int, r: int, want_left: bool, clause: str) -> int:
+        pp, pq, pr = points[p], points[q], points[r]
         try:
-            decision = decide_side(points[p], points[q], points[r], k_max)
+            decision = decide_side(pp, pq, pr, k_max,
+                                   orientation_real(pp, pq, pr, differences))
         except DegenerateInput as exc:
             raise CertificateFailure(f"{clause}: {exc}") from exc
         if want_left != isinstance(decision, Left):

@@ -7,9 +7,11 @@ line is decided through the orientation quantity
 
 built as a tree of arithmetic nodes (:func:`~realearn.reals.sub` and
 :func:`~realearn.reals.mul`) over the points' coordinates, so it adds
-nothing to any registry and is dropped with the decision: R lies to
-the left of the line through P and Q when the orientation is strictly
-positive, to the right when strictly negative.
+nothing to any registry: R lies to the left of the line through P and
+Q when the orientation is strictly positive, to the right when
+strictly negative.  The differences ``Q - P`` and ``R - P`` are the
+tree's leaves; decisions about one apex P may share them through a
+dict that the caller owns, and they are dropped with that dict.
 Because strict order of reals is only semi-decidable,
 :func:`decide_side` searches for the least precision at which the
 orientation's interval excludes zero, with the galloping search
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .reals import RealNum, find_strict_witness, least_witness, mul, op_at, sub
 
@@ -65,14 +67,39 @@ class NoWitnessFound(DegenerateInput):
     """A dovetailed witness search exhausted its precision budget."""
 
 
-def orientation_real(p: Point, q: Point, r: Point) -> RealNum:
+# (apex index, point index) -> (x difference, y difference) nodes
+Differences = Dict[Tuple[int, int], Tuple[RealNum, RealNum]]
+
+
+def orientation_real(p: Point, q: Point, r: Point,
+                     differences: Optional[Differences] = None) -> RealNum:
     """The orientation of r relative to the line p -> q, as an
-    arithmetic node."""
-    dx_q = sub(q.x, p.x)
-    dy_r = sub(r.y, p.y)
-    dx_r = sub(r.x, p.x)
-    dy_q = sub(q.y, p.y)
+    arithmetic node.
+
+    The difference nodes ``q - p`` and ``r - p`` are looked up in
+    ``differences``, keyed by ``(p.index, q.index)``, and built and
+    stored there on a miss, so orientations about one apex that share
+    the dict share those nodes and their cached intervals.  The key
+    names the apex, so apexes never share a node; it names points by
+    index, so one dict serves the points of one list only.  Left out,
+    a fresh dict is used.  Shared or not, the tree has the same shape,
+    so every node has the same intervals.
+    """
+    if differences is None:
+        differences = {}
+    dx_q, dy_q = _difference(p, q, differences)
+    dx_r, dy_r = _difference(p, r, differences)
     return sub(mul(dx_q, dy_r), mul(dx_r, dy_q))
+
+
+def _difference(p: Point, q: Point,
+                differences: Differences) -> Tuple[RealNum, RealNum]:
+    """The nodes ``(q.x - p.x, q.y - p.y)``, built once per dict."""
+    key = (p.index, q.index)
+    pair = differences.get(key)
+    if pair is None:
+        pair = differences[key] = (sub(q.x, p.x), sub(q.y, p.y))
+    return pair
 
 
 def decide_side(p: Point, q: Point, r: Point, k_max: int,

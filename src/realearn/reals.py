@@ -119,10 +119,13 @@ class RealNum:
     generator of ``Fraction`` pairs: reading index ``k`` evaluates the
     missing prefix up to ``k`` in order, and every new interval is
     checked against its predecessor in all builds, raising
-    :class:`InvalidNesting` on the first violated clause.
+    :class:`InvalidNesting` on the first violated clause.  The
+    magnitude exponent that :func:`mul` reads from index 0 is cached in
+    ``_magnitude`` once computed, so a node shared by many products
+    reads it once.
     """
 
-    __slots__ = ("index", "nested", "_gen", "_cache")
+    __slots__ = ("index", "nested", "_gen", "_cache", "_magnitude")
 
     def __init__(self, index: Optional[int],
                  gen: Callable[[int], Union[Interval, Triple]]):
@@ -130,6 +133,7 @@ class RealNum:
         self.nested = False
         self._gen = gen
         self._cache: dict[int, Triple] = {}
+        self._magnitude: Optional[int] = None
 
     def interval_at(self, k: int) -> Interval:
         """The interval at precision index ``k`` (exact endpoints)."""
@@ -211,14 +215,20 @@ def find_strict_witness(r: RealNum, s: RealNum, k_max: int) -> Optional[int]:
 
 
 def _magnitude_exponent(x: RealNum) -> int:
-    """Smallest c >= 0 such that 2**c bounds |x| at index 0."""
+    """Smallest c >= 0 such that 2**c bounds |x| at index 0, computed
+    once per real.  Index 0 never changes once cached, so neither does
+    the answer."""
+    c = x._magnitude
+    if c is not None:
+        return c
     lo, hi, d = x._at(0)
     m = max(abs(lo), abs(hi))
-    if m <= d:
-        return 0
-    c = max(0, m.bit_length() - d.bit_length() - 1)
-    while d << c < m:
-        c += 1
+    c = 0
+    if m > d:
+        c = max(0, m.bit_length() - d.bit_length() - 1)
+        while d << c < m:
+            c += 1
+    x._magnitude = c
     return c
 
 

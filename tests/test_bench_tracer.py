@@ -63,6 +63,9 @@ def test_benchmark_tracer_installs_on_the_program():
     # one decision per side event, but the init decision is asked again
     # as a mutual query once per attempt and not decided again
     assert tracer.counts["convex.side_decided"] == sides - (result.restarts + 1)
+    # the benchmark's side layer sees one orientation per decision
+    assert tracer.calls("geometry.orientation_real") == \
+        tracer.calls("geometry.decide_side")
     for owner, attrs in originals:
         for attr, value in attrs.items():
             assert vars(owner)[attr] is value, \

@@ -111,6 +111,16 @@ def test_unwritable_result_writes_no_trace(tmp_path):
     assert not trace.exists()
 
 
+def test_unwritable_trace_leaves_no_result(tmp_path):
+    result = tmp_path / "quad.json"
+    proc = run_cli("convex", QUAD, "--result", result,
+                   "--trace", tmp_path / "missing" / "quad.trace")
+    assert_input_error(proc, "No such file or directory")
+    assert proc.stdout == ""
+    assert not result.exists()
+    assert not (tmp_path / "missing").exists()
+
+
 def test_least_rejects_unknown_auditor():
     proc = run_cli("least", WORKED_REALS, "--auditor", "clever")
     assert proc.returncode == 1

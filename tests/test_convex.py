@@ -1,14 +1,18 @@
 import hashlib
 import math
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+import realearn.convex
+import realearn.geometry
 from realearn import (
     CertificateFailure,
     DegenerateInput,
     Point,
+    RealNum,
     RealRegistry,
     RestartBudgetExceeded,
     TooFewPoints,
@@ -228,6 +232,47 @@ def test_wide_trace_digest_is_pinned():
         digest.update(event.to_json().encode() + b"\n")
     assert digest.hexdigest() == (
         "1af4743992a0f76f058017604b0cf0f67d9066a423805198e9fdb913cad0ce9f")
+
+
+def test_an_attempt_builds_each_difference_once(monkeypatch):
+    # apex 0 is the lowest point, so the first attempt is accepted; it
+    # needs one x and one y difference per other point, and one outer
+    # sub per decision joins the two products
+    n = 24
+    _, pts = register_points(angle_ordered_points(n + 1), blurred=True)
+    built, factors, decisions = [], [], []
+    index_0_reads = Counter()
+    sub, mul = realearn.geometry.sub, realearn.geometry.mul
+    decide_side, at = realearn.convex.decide_side, RealNum._at
+
+    def counted_sub(a, b):
+        built.append(sub(a, b))
+        return built[-1]
+
+    def counted_mul(a, b):
+        factors.extend((a, b))
+        return mul(a, b)
+
+    def counted_decide_side(*args):
+        decisions.append(args)
+        return decide_side(*args)
+
+    def counted_at(real, k):
+        if k == 0:
+            index_0_reads[id(real)] += 1
+        return at(real, k)
+
+    monkeypatch.setattr(realearn.geometry, "sub", counted_sub)
+    monkeypatch.setattr(realearn.geometry, "mul", counted_mul)
+    monkeypatch.setattr(realearn.convex, "decide_side", counted_decide_side)
+    monkeypatch.setattr(RealNum, "_at", counted_at)
+    res = convex_angle(pts)
+    assert res.restarts == 0
+    assert len(decisions) > 2 * n
+    assert len(built) <= 2 * n + len(decisions)
+    # a product reads its factors at k + 2 or above, so a difference is
+    # read at index 0 only for its magnitude, and that once
+    assert {index_0_reads[id(real)] for real in factors} == {1}
 
 
 def test_registry_holds_input_reals_only():

@@ -198,3 +198,24 @@ def test_collinear_triple_exhausts_kmax_256_with_the_same_message():
     assert outcome(decide_side, p, q, r, 256) == \
         outcome(scan_decide_side, p, q, r, 256)
     assert outcome(decide_side, p, q, r, 256)[0] is DegenerateInput
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=3, max_value=6).flatmap(point_sets),
+       st.booleans())
+def test_shared_differences_match_fresh_orientations(coords, blurred):
+    # one dict of differences about apex p serves every (q, r) pair,
+    # and each orientation built from it is the fresh one, level by level
+    p, *others = simple_points(coords, blurred=blurred)
+    shared = {}
+    for q in others:
+        for r in others:
+            if q is r:
+                continue
+            together = orientation_real(p, q, r, shared)
+            assert outcome(decide_side, p, q, r, 64, together) == \
+                outcome(decide_side, p, q, r, 64)
+            alone = orientation_real(p, q, r)
+            assert [together._at(k) for k in range(81)] == \
+                [alone._at(k) for k in range(81)]
+    assert set(shared) == {(p.index, q.index) for q in others}
