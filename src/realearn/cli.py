@@ -7,14 +7,15 @@ Subcommands::
     realearn check RESULT INPUT   audit a convex result file
     realearn tree TRACE...  replay recorded traces against the tree
 
-Exit codes: 0 success, 1 input error, 2 restart budget exhausted,
-3 degenerate geometry, 4 verification failure.  They are decided in
-one place, the :data:`FAILURES` table: a command returns 0 (``tree``
-returns 4 for a replay that is not ok) or raises, and :func:`main`
-maps the exception to its exit code and one-line stderr message and
-writes the partial trace.  The ``--kmax`` default is 256 and can be
-overridden by the ``REALEARN_KMAX`` environment variable; an explicit
-flag wins over the environment.
+Exit codes: 0 success, 1 input error (a usage error is one),
+2 restart budget exhausted, 3 degenerate geometry, 4 verification
+failure.  They are decided in one place, the :data:`FAILURES` table:
+a command returns 0 (``tree`` returns 4 for a replay that is not ok)
+or raises, and :func:`main` maps the exception to its exit code and
+one-line stderr message and writes the partial trace.  The
+``--kmax`` default is 256 and can be overridden by the
+``REALEARN_KMAX`` environment variable; an explicit flag wins over the
+environment.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .convex import CertificateFailure, TooFewPoints, convex_angle, verify_bounding
 from .geometry import DegenerateInput
@@ -250,8 +251,16 @@ def cmd_tree(args) -> int:
     return EXIT_OK if verdict.ok else EXIT_VERIFY
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an :class:`InputError`, so that it too
+    is one line on stderr and exit 1."""
+
+    def error(self, message: str) -> NoReturn:
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="realearn",
         description="Exact reals, least-element learning, convex angles.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -311,9 +320,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     events it recorded in ``args.log``; an input error writes no trace.
     A partial trace that cannot be written is itself an input error.
     """
-    args = build_parser().parse_args(argv)
-    args.log = TraceLog()
     try:
+        args = build_parser().parse_args(argv)
+        args.log = TraceLog()
         try:
             return args.func(args)
         except _TRACED:

@@ -22,38 +22,111 @@ triples) raises :class:`DegenerateInput`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Dict, Optional, Tuple, Union
 
 from .reals import RealNum, find_strict_witness, least_witness, mul, op_at, sub
 
 
-@dataclass(frozen=True)
 class Point:
-    """A plane point with exact real coordinates."""
+    """A plane point with exact real coordinates.
 
-    index: int
-    x: RealNum
-    y: RealNum
+    A ``__slots__`` record with read-only fields that compares and
+    hashes by value, like realearn's other value records: a dataclass
+    would compile generated source at every import.
+    """
+
+    __slots__ = ("_index", "_x", "_y")
+
+    def __init__(self, index: int, x: RealNum, y: RealNum) -> None:
+        self._index = index
+        self._x = x
+        self._y = y
+
+    index = property(attrgetter("_index"))
+    x = property(attrgetter("_x"))
+    y = property(attrgetter("_y"))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Point:
+            return NotImplemented
+        return (self._index, self._x, self._y) == \
+            (other._index, other._x, other._y)
+
+    def __hash__(self) -> int:
+        return hash((self._index, self._x, self._y))
+
+    def __repr__(self) -> str:
+        return f"Point(index={self._index!r}, x={self._x!r}, y={self._y!r})"
 
 
-@dataclass(frozen=True)
 class RationalPoint:
     """A plane point with exact rational coordinates."""
 
-    x: Fraction
-    y: Fraction
+    __slots__ = ("_x", "_y")
+
+    def __init__(self, x: Fraction, y: Fraction) -> None:
+        self._x = x
+        self._y = y
+
+    x = property(attrgetter("_x"))
+    y = property(attrgetter("_y"))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not RationalPoint:
+            return NotImplemented
+        return (self._x, self._y) == (other._x, other._y)
+
+    def __hash__(self) -> int:
+        return hash((self._x, self._y))
+
+    def __repr__(self) -> str:
+        return f"RationalPoint(x={self._x!r}, y={self._y!r})"
 
 
-@dataclass(frozen=True)
 class Left:
-    witness: int
+    """R strictly left of P -> Q, first seen at precision ``witness``."""
+
+    __slots__ = ("_witness",)
+
+    def __init__(self, witness: int) -> None:
+        self._witness = witness
+
+    witness = property(attrgetter("_witness"))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Left:
+            return NotImplemented
+        return self._witness == other._witness
+
+    def __hash__(self) -> int:
+        return hash(self._witness)
+
+    def __repr__(self) -> str:
+        return f"Left(witness={self._witness!r})"
 
 
-@dataclass(frozen=True)
 class Right:
-    witness: int
+    """R strictly right of P -> Q, first seen at precision ``witness``."""
+
+    __slots__ = ("_witness",)
+
+    def __init__(self, witness: int) -> None:
+        self._witness = witness
+
+    witness = property(attrgetter("_witness"))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Right:
+            return NotImplemented
+        return self._witness == other._witness
+
+    def __hash__(self) -> int:
+        return hash(self._witness)
+
+    def __repr__(self) -> str:
+        return f"Right(witness={self._witness!r})"
 
 
 SideDecision = Union[Left, Right]

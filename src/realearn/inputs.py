@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator, List, Optional, Tuple
 
 from .geometry import Point, RationalPoint
@@ -100,12 +100,39 @@ def parse_fraction(value) -> Fraction:
                      "expected an integer or num/den")
 
 
-@dataclass(frozen=True)
 class RealSpec:
-    kind: str
-    value: Optional[Fraction] = None
-    prefix: Optional[Tuple[Tuple[Fraction, Fraction], ...]] = None
-    tail: Optional[Fraction] = None
+    """One parsed real record: a read-only ``__slots__`` record that
+    compares and hashes by its fields."""
+
+    __slots__ = ("_kind", "_value", "_prefix", "_tail")
+
+    def __init__(self, kind: str, value: Optional[Fraction] = None,
+                 prefix: Optional[Tuple[Tuple[Fraction, Fraction], ...]] = None,
+                 tail: Optional[Fraction] = None) -> None:
+        self._kind = kind
+        self._value = value
+        self._prefix = prefix
+        self._tail = tail
+
+    kind = property(attrgetter("_kind"))
+    value = property(attrgetter("_value"))
+    prefix = property(attrgetter("_prefix"))
+    tail = property(attrgetter("_tail"))
+
+    def _fields(self) -> tuple:
+        return (self._kind, self._value, self._prefix, self._tail)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not RealSpec:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"RealSpec(kind={self._kind!r}, value={self._value!r}, "
+                f"prefix={self._prefix!r}, tail={self._tail!r})")
 
     @property
     def limit(self) -> Fraction:
@@ -152,17 +179,40 @@ class RealSpec:
         return RealSpec(kind=kind, value=parse_fraction(obj["value"]))
 
 
-@dataclass(frozen=True)
 class PointSpec:
-    index: int
-    x: RealSpec
-    y: RealSpec
+    """One parsed point record, read-only like :class:`RealSpec`."""
+
+    __slots__ = ("_index", "_x", "_y")
+
+    def __init__(self, index: int, x: RealSpec, y: RealSpec) -> None:
+        self._index = index
+        self._x = x
+        self._y = y
+
+    index = property(attrgetter("_index"))
+    x = property(attrgetter("_x"))
+    y = property(attrgetter("_y"))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not PointSpec:
+            return NotImplemented
+        return (self._index, self._x, self._y) == \
+            (other._index, other._x, other._y)
+
+    def __hash__(self) -> int:
+        return hash((self._index, self._x, self._y))
+
+    def __repr__(self) -> str:
+        return (f"PointSpec(index={self._index!r}, x={self._x!r}, "
+                f"y={self._y!r})")
 
 
-@dataclass
 class InputDocument:
-    reals: List[RealSpec]
-    points: List[PointSpec]
+    __slots__ = ("reals", "points")
+
+    def __init__(self, reals: List[RealSpec], points: List[PointSpec]) -> None:
+        self.reals = reals
+        self.points = points
 
 
 def load_document(path) -> InputDocument:

@@ -33,8 +33,7 @@ strict witness along the way, and lands on the terminal assumption.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
-from functools import cached_property
+from operator import attrgetter
 from types import MappingProxyType
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -52,49 +51,77 @@ class ReflFalsified(RuntimeError):
     """A reflexive claim was reported false: internal contradiction."""
 
 
-@dataclass(frozen=True)
 class Refl:
-    """Evidence for r_i <= r_i."""
+    """Evidence for r_i <= r_i.
 
-    i: int
+    Evidence values are ``__slots__`` records with read-only fields;
+    they compare equal, and hash equal, exactly when they have the same
+    type and fields.
+    """
 
-    @property
-    def subject(self) -> int:
-        return self.i
+    __slots__ = ("_i",)
 
-    @property
-    def target(self) -> int:
-        return self.i
+    def __init__(self, i: int) -> None:
+        self._i = i
+
+    i = subject = target = property(attrgetter("_i"))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Refl:
+            return NotImplemented
+        return self._i == other._i
+
+    def __hash__(self) -> int:
+        return hash(self._i)
+
+    def __repr__(self) -> str:
+        return f"Refl(i={self._i!r})"
 
 
-@dataclass(frozen=True)
 class Assumed:
     """Unjustified assumption of r_i <= r_j, open to refutation."""
 
-    i: int
-    j: int
+    __slots__ = ("_i", "_j")
 
-    @property
-    def subject(self) -> int:
-        return self.i
+    def __init__(self, i: int, j: int) -> None:
+        self._i = i
+        self._j = j
 
-    @property
-    def target(self) -> int:
-        return self.j
+    i = subject = property(attrgetter("_i"))
+    j = target = property(attrgetter("_j"))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Assumed:
+            return NotImplemented
+        return (self._i, self._j) == (other._i, other._j)
+
+    def __hash__(self) -> int:
+        return hash((self._i, self._j))
+
+    def __repr__(self) -> str:
+        return f"Assumed(i={self._i!r}, j={self._j!r})"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Step:
     """Chained evidence: r_subject < r_rest.subject (at ``witness``),
     and ``rest`` claims r_rest.subject <= r_rest.target.
 
-    Equality, hashing and repr have the dataclass meaning but walk the
-    chain in a loop, because chains can be longer than the stack.
+    Equality, hashing and repr walk the chain in a loop, because chains
+    can be longer than the stack.  Every ``Step`` built runs the class
+    attribute ``__post_init__``, which checks ``rest``.
     """
 
-    witness: int
-    rest: "LeqEvidence"
-    subject: int
+    __slots__ = ("_witness", "_rest", "_subject")
+
+    def __init__(self, witness: int, rest: "LeqEvidence", subject: int) -> None:
+        self._witness = witness
+        self._rest = rest
+        self._subject = subject
+        self.__post_init__()
+
+    witness = property(attrgetter("_witness"))
+    rest = property(attrgetter("_rest"))
+    subject = property(attrgetter("_subject"))
 
     def __post_init__(self) -> None:
         if not isinstance(self.rest, (Refl, Assumed, Step)):
@@ -135,7 +162,6 @@ class Step:
 LeqEvidence = Union[Refl, Assumed, Step]
 
 
-@dataclass(frozen=True)
 class KnowledgeState:
     """An immutable, sealed record of everything learned so far about
     the reals ``r_0 .. r_n``.
@@ -148,16 +174,29 @@ class KnowledgeState:
     not change the state, and assigning to or deleting from ``entries``
     raises ``TypeError``.  :func:`extend` returns a new state and never
     mutates.  A state built directly from a dict is not verified;
-    :func:`is_sound` checks one.
+    :func:`is_sound` checks one.  States compare equal when their reals
+    and entries do.
     """
 
-    reals: Sequence[RealNum]
-    entries: Mapping[Pair, int] = field(default_factory=dict)
+    __slots__ = ("_reals", "_entries", "_view", "_snapshot")
 
-    def __post_init__(self) -> None:
-        entries = dict(self.entries)
-        object.__setattr__(self, "_entries", entries)
-        object.__setattr__(self, "entries", MappingProxyType(entries))
+    def __init__(self, reals: Sequence[RealNum],
+                 entries: Mapping[Pair, int] = MappingProxyType({})) -> None:
+        self._reals = reals
+        self._entries = dict(entries)
+        self._view = MappingProxyType(self._entries)
+        self._snapshot: Optional[list[dict]] = None
+
+    reals = property(attrgetter("_reals"))
+    entries = property(attrgetter("_view"))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not KnowledgeState:
+            return NotImplemented
+        return (self._reals, self._entries) == (other._reals, other._entries)
+
+    def __repr__(self) -> str:
+        return f"KnowledgeState(reals={self._reals!r}, entries={self._view!r})"
 
     @property
     def size(self) -> int:
@@ -170,13 +209,15 @@ class KnowledgeState:
     def sorted_entries(self) -> list[tuple[int, int, int]]:
         return [(i, j, w) for (i, j), w in sorted(self._entries.items())]
 
-    @cached_property
+    @property
     def snapshot(self) -> list[dict]:
         """The trace view of the state: ``{"i", "j", "witness"}`` dicts
         sorted by pair.  It is built once per state and shared by every
         event that records the state, so it must not be mutated."""
-        return [{"i": i, "j": j, "witness": w}
-                for i, j, w in self.sorted_entries()]
+        if self._snapshot is None:
+            self._snapshot = [{"i": i, "j": j, "witness": w}
+                              for i, j, w in self.sorted_entries()]
+        return self._snapshot
 
 
 def empty_state(reals: Sequence[RealNum]) -> KnowledgeState:
@@ -222,12 +263,28 @@ def blame(ev: LeqEvidence, p: int) -> Tuple[Pair, int]:
     raise ReflFalsified(f"reflexive claim on index {ev.i} reported false")
 
 
-@dataclass(frozen=True)
 class Falsified:
     """Outcome of a failed check: which pair to learn, at what witness."""
 
-    pair: Pair
-    witness: int
+    __slots__ = ("_pair", "_witness")
+
+    def __init__(self, pair: Pair, witness: int) -> None:
+        self._pair = pair
+        self._witness = witness
+
+    pair = property(attrgetter("_pair"))
+    witness = property(attrgetter("_witness"))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Falsified:
+            return NotImplemented
+        return (self._pair, self._witness) == (other._pair, other._witness)
+
+    def __hash__(self) -> int:
+        return hash((self._pair, self._witness))
+
+    def __repr__(self) -> str:
+        return f"Falsified(pair={self._pair!r}, witness={self._witness!r})"
 
 
 def check_leq(reals: Sequence[RealNum], ev: LeqEvidence,

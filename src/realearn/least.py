@@ -26,7 +26,7 @@ bounded by ``2**n - 1``.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import (Dict, Iterable, Iterator, List, Optional, Protocol,
                     Sequence, Set, Tuple)
 
@@ -95,19 +95,35 @@ class Evidences(Mapping):
         return len(self._joined)
 
 
-@dataclass(frozen=True)
 class LeastCandidate:
     """A proposed least index plus evidence for each comparison.
 
     ``evidences[j]`` claims ``r_candidate <= r_j`` for every j in
-    ``0..n``; the candidate's own entry is reflexive.
+    ``0..n``; the candidate's own entry is reflexive.  Fields are
+    read-only; candidates compare equal when both fields do.
     """
 
-    candidate: int
-    evidences: Mapping[int, LeqEvidence]
+    __slots__ = ("_candidate", "_evidences")
+
+    def __init__(self, candidate: int,
+                 evidences: Mapping[int, LeqEvidence]) -> None:
+        self._candidate = candidate
+        self._evidences = evidences
+
+    candidate = property(attrgetter("_candidate"))
+    evidences = property(attrgetter("_evidences"))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not LeastCandidate:
+            return NotImplemented
+        return (self._candidate, self._evidences) == \
+            (other._candidate, other._evidences)
+
+    def __repr__(self) -> str:
+        return (f"LeastCandidate(candidate={self._candidate!r}, "
+                f"evidences={self._evidences!r})")
 
 
-@dataclass(frozen=True)
 class Challenge:
     """An auditor's demand: test claim ``candidate <= j`` at ``precision``.
 
@@ -118,9 +134,29 @@ class Challenge:
     state extension is still verified against the actual reals.
     """
 
-    j: int
-    precision: int
-    force: bool = False
+    __slots__ = ("_j", "_precision", "_force")
+
+    def __init__(self, j: int, precision: int, force: bool = False) -> None:
+        self._j = j
+        self._precision = precision
+        self._force = force
+
+    j = property(attrgetter("_j"))
+    precision = property(attrgetter("_precision"))
+    force = property(attrgetter("_force"))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Challenge:
+            return NotImplemented
+        return (self._j, self._precision, self._force) == \
+            (other._j, other._precision, other._force)
+
+    def __hash__(self) -> int:
+        return hash((self._j, self._precision, self._force))
+
+    def __repr__(self) -> str:
+        return (f"Challenge(j={self._j!r}, precision={self._precision!r}, "
+                f"force={self._force!r})")
 
 
 class Auditor(Protocol):
@@ -204,12 +240,15 @@ def evidence_graph(cand: LeastCandidate) -> Tuple[Set[Tuple[int, int, int]],
     return solid, dotted
 
 
-@dataclass
 class LearnOutcome:
-    candidate: LeastCandidate
-    state: KnowledgeState
-    trace: List[TraceEvent]
-    restarts: int
+    __slots__ = ("candidate", "state", "trace", "restarts")
+
+    def __init__(self, candidate: LeastCandidate, state: KnowledgeState,
+                 trace: List[TraceEvent], restarts: int) -> None:
+        self.candidate = candidate
+        self.state = state
+        self.trace = trace
+        self.restarts = restarts
 
 
 def _forced_refutation(reals: Sequence[RealNum], ev: LeqEvidence,

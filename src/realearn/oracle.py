@@ -16,7 +16,6 @@ by walking it once, in time linear in its length, for any n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -130,24 +129,31 @@ class OracleAuditor:
         return None
 
 
-@dataclass
 class RunReplay:
-    leaf_ranks: List[int]
-    leaf_candidates: List[int]
-    restarts: int
-    progress_ok: bool
-    unique_ok: bool
-    bound_ok: bool
+    __slots__ = ("leaf_ranks", "leaf_candidates", "restarts", "progress_ok",
+                 "unique_ok", "bound_ok")
+
+    def __init__(self, leaf_ranks: List[int], leaf_candidates: List[int],
+                 restarts: int, progress_ok: bool, unique_ok: bool,
+                 bound_ok: bool) -> None:
+        self.leaf_ranks = leaf_ranks
+        self.leaf_candidates = leaf_candidates
+        self.restarts = restarts
+        self.progress_ok = progress_ok
+        self.unique_ok = unique_ok
+        self.bound_ok = bound_ok
 
     @property
     def ok(self) -> bool:
         return self.progress_ok and self.unique_ok and self.bound_ok
 
 
-@dataclass
 class ReplayVerdict:
-    n: int
-    runs: List[RunReplay]
+    __slots__ = ("n", "runs")
+
+    def __init__(self, n: int, runs: List[RunReplay]) -> None:
+        self.n = n
+        self.runs = runs
 
     @property
     def ok(self) -> bool:

@@ -4,7 +4,9 @@
 and raises ``AttributeError`` from ``install`` when one of them has
 left its module.  This test installs it on the modules the suite
 imports, runs one construction and one audit through the wrappers, and
-checks that ``uninstall`` puts every original back.
+checks that ``uninstall`` puts every original back.  It also reads
+every evidence chain of one least-element pass and checks that the
+tracer counted each ``Step`` built.
 """
 
 import importlib
@@ -70,3 +72,28 @@ def test_benchmark_tracer_installs_on_the_program():
         for attr, value in attrs.items():
             assert vars(owner)[attr] is value, \
                 f"{owner.__name__}.{attr} not restored"
+
+
+def test_benchmark_tracer_counts_every_step_built():
+    modules = {name: importlib.import_module(f"realearn.{name}")
+               for name in MODULES}
+    knowledge = modules["knowledge"]
+    reals = register_points(
+        [RationalPoint(Fraction(x), Fraction(y)) for x, y in QUAD])[0]
+    # over r_0 .. r_5: strict answers at i = 2 and i = 4, assumed elsewhere
+    state = knowledge.KnowledgeState(reals, {(0, 2): 1, (2, 4): 3})
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install(modules)
+        cand = modules["least"].least_candidate(state, 5)
+        chains = [cand.evidences[j] for j in range(6)]
+    finally:
+        tracer.uninstall()
+
+    steps = 0
+    for ev in chains:
+        while isinstance(ev, knowledge.Step):
+            steps += 1
+            ev = ev.rest
+    assert cand.candidate == 4 and steps == 6
+    assert tracer.counts["least.steps_built"] == steps

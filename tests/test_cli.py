@@ -157,6 +157,41 @@ def test_kmax_flag_must_not_be_negative():
         assert proc.stderr == "input error: --kmax must be >= 0, got -3\n"
 
 
+@pytest.mark.parametrize("args, message", [
+    (("convex", QUAD, "--kmax", "abc"),
+     "argument --kmax: invalid int value: 'abc'"),
+    (("bogus",), "argument command: invalid choice: 'bogus'"),
+    ((), "the following arguments are required: command"),
+    (("convex",), "the following arguments are required: input"),
+    (("least", WORKED_REALS, "--verbose"), "unrecognized arguments: --verbose"),
+], ids=["bad-int", "unknown-command", "no-command", "no-input", "unknown-flag"])
+def test_usage_errors_are_one_line_input_errors(args, message):
+    # exit 2 is the restart budget's code, never a usage error's
+    proc = run_cli(*args)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(f"input error: {message}")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
+def test_help_exits_0():
+    for args in (("-h",), ("convex", "-h")):
+        proc = run_cli(*args)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("usage: realearn")
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # compared with the same interpreter before the import, so modules
+    # that site loads at start-up do not count
+    probe = ("import sys; before = set(sys.modules); import realearn.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True)
+    added = set(proc.stdout.split())
+    assert "realearn.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
 def test_convex_wedge():
     proc = run_cli("convex", WEDGE)
     assert proc.returncode == 0
