@@ -35,7 +35,7 @@ counterexample and the whole construction restarts.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .geometry import (
     DegenerateInput,
@@ -50,7 +50,7 @@ from .geometry import (
 )
 from .knowledge import KnowledgeState, blame, empty_state, extend
 from .least import RestartBudgetExceeded, least_candidate
-from .trace import TraceEvent, TraceLog
+from .trace import TraceLog, emit_with_state
 
 
 # Side 0 is the ray A->B, side 1 the ray A->C; a point is inside the
@@ -113,18 +113,24 @@ class BoundingCertificate:
 
 
 class ConvexAngleResult:
-    __slots__ = ("a", "b", "c", "certificate", "state", "restarts", "trace")
+    """The apex, the rays, their certificate, the final state, the
+    restart count and, read-only, the run's ``trace``: the events of
+    its log, built on the first read."""
+
+    __slots__ = ("a", "b", "c", "certificate", "state", "restarts", "_log")
 
     def __init__(self, a: int, b: int, c: int,
                  certificate: BoundingCertificate, state: KnowledgeState,
-                 restarts: int, trace: List[TraceEvent]) -> None:
+                 restarts: int, log: TraceLog) -> None:
         self.a = a
         self.b = b
         self.c = c
         self.certificate = certificate
         self.state = state
         self.restarts = restarts
-        self.trace = trace
+        self._log = log
+
+    trace = property(attrgetter("_log.events"))
 
 
 def _check_point_layout(points: Sequence[Point]) -> None:
@@ -168,7 +174,7 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
     while True:
         cand = least_candidate(state, n, log)
         a = cand.candidate
-        log.emit("select-A", candidate=a, state=state.snapshot)
+        emit_with_state(log, "select-A", state, candidate=a)
         # the attempt's difference nodes about apex a, dropped with it
         differences: Differences = {}
 
@@ -238,16 +244,16 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
                 a=a, b=b, c=c, left=dict(sorted(witnesses[0].items())),
                 right=dict(sorted(witnesses[1].items())),
                 c_left=mutual[0].witness, b_right=mutual[1].witness)
-            log.emit("accept", a=a, b=b, c=c, restarts=restarts,
-                     state=state.snapshot)
+            emit_with_state(log, "accept", state, a=a, b=b, c=c,
+                            restarts=restarts)
             return ConvexAngleResult(a, b, c, certificate, state,
-                                     restarts, log.events)
+                                     restarts, log)
 
         pair, witness = blame(cand.evidences[x], w)
         log.emit("blame", claim=[a, x], pair=list(pair), witness=witness)
         state = extend(state, pair[0], pair[1], witness)
-        log.emit("extend", pair=list(pair), witness=witness,
-                 state=state.snapshot)
+        emit_with_state(log, "extend", state, pair=list(pair),
+                        witness=witness)
         restarts += 1
         if restarts > budget:
             raise RestartBudgetExceeded(restarts, budget)

@@ -9,6 +9,10 @@ knowledge state.  The pass keeps one shared list of the strict steps
 it took and one join position per index, and builds an index's
 evidence, base and chain alike, only when it is read, so a pass costs
 O(n) and allocates no evidence however many strict answers it meets.
+Its trace is deferred the same way: with a log, the pass records its
+``decide`` events as one block that is built from the strict list when
+the trace is read, and the events that carry a state snapshot are
+built then too, so a run whose trace is never read builds neither.
 
 :func:`learn_least` wraps the pass in an interactive loop.  An auditor
 challenges claims at chosen precisions; a refuted claim is blamed on
@@ -45,7 +49,7 @@ from .knowledge import (
     is_sound,
 )
 from .reals import RealNum, op_at
-from .trace import TraceEvent, TraceLog
+from .trace import TraceEvent, TraceLog, emit_with_state
 
 
 class RestartBudgetExceeded(RuntimeError):
@@ -198,27 +202,51 @@ def least_candidate(state: KnowledgeState, n: int,
     stored witness is assumed and keeps the candidate; a strict answer
     switches the candidate to i and appends the strict step to the
     shared list, which puts it in front of every chain recorded so far.
-    Each decision is one :meth:`KnowledgeState.get` and, with a trace,
-    one event; no evidence is built until it is read.
+    Each decision is one :meth:`KnowledgeState.get`; no evidence is
+    built until it is read.  With a trace, the pass defers its n
+    ``decide`` events as one block that :func:`_decide_events` builds
+    from the strict list when the trace is read.
     """
     get = state.get
-    emit = trace.emit if trace is not None else None
     candidate = 0
     strict: List[Tuple[int, int]] = []
     joined: Dict[int, int] = {0: 0}
     for i in range(1, n + 1):
         witness = get(candidate, i)
-        if witness is None:
-            if emit is not None:
-                emit("decide", step=i, pair=[candidate, i], decision="assume")
-        else:
-            if emit is not None:
-                emit("decide", step=i, pair=[candidate, i],
-                     decision="strict", witness=witness)
+        if witness is not None:
             strict.append((witness, i))
             candidate = i
         joined[i] = len(strict)
+    if trace is not None:
+        trace.defer(n, lambda seq: _decide_events(seq, n, strict))
     return LeastCandidate(candidate, Evidences(strict, joined))
+
+
+def _decide_events(seq: int, n: int,
+                   strict: List[Tuple[int, int]]) -> List[TraceEvent]:
+    """The ``decide`` events of a pass over ``0..n``, numbered from
+    ``seq``, rebuilt from its strict steps.
+
+    Step i is strict exactly when i is the next strict subject, and the
+    candidate it is compared with is the last strict subject before it,
+    or 0.  The pass is not walked again: no state lookup is made.
+    """
+    events = []
+    candidate = 0
+    steps = iter(strict)
+    witness, subject = next(steps, (None, 0))
+    for i in range(1, n + 1):
+        if i == subject:
+            payload = {"step": i, "pair": [candidate, i],
+                       "decision": "strict", "witness": witness}
+            candidate = i
+            witness, subject = next(steps, (None, 0))
+        else:
+            payload = {"step": i, "pair": [candidate, i],
+                       "decision": "assume"}
+        events.append(TraceEvent(seq, "decide", payload))
+        seq += 1
+    return events
 
 
 def evidence_graph(cand: LeastCandidate) -> Tuple[Set[Tuple[int, int, int]],
@@ -241,14 +269,20 @@ def evidence_graph(cand: LeastCandidate) -> Tuple[Set[Tuple[int, int, int]],
 
 
 class LearnOutcome:
-    __slots__ = ("candidate", "state", "trace", "restarts")
+    """The accepted candidate, the final state, the restart count and,
+    read-only, the run's ``trace``: the events of its log, built on
+    the first read."""
+
+    __slots__ = ("candidate", "state", "_log", "restarts")
 
     def __init__(self, candidate: LeastCandidate, state: KnowledgeState,
-                 trace: List[TraceEvent], restarts: int) -> None:
+                 log: TraceLog, restarts: int) -> None:
         self.candidate = candidate
         self.state = state
-        self.trace = trace
+        self._log = log
         self.restarts = restarts
+
+    trace = property(attrgetter("_log.events"))
 
 
 def _forced_refutation(reals: Sequence[RealNum], ev: LeqEvidence,
@@ -304,16 +338,16 @@ def learn_least(n: int, auditor: Auditor, initial: KnowledgeState,
     restarts = 0
     while True:
         cand = least_candidate(state, n, log)
-        log.emit("candidate", candidate=cand.candidate, state=state.snapshot)
+        emit_with_state(log, "candidate", state, candidate=cand.candidate)
         restarted = False
         while not restarted:
             ch = auditor.challenge(cand)
             if ch is None:
                 if __debug__:
                     _audit(state, "final")
-                log.emit("accept", candidate=cand.candidate,
-                         restarts=restarts, state=state.snapshot)
-                return LearnOutcome(cand, state, log.events, restarts)
+                emit_with_state(log, "accept", state,
+                                candidate=cand.candidate, restarts=restarts)
+                return LearnOutcome(cand, state, log, restarts)
             ev = cand.evidences[ch.j]
             log.emit("challenge", j=ch.j, precision=ch.precision,
                      claim=[ev.subject, ev.target], forced=ch.force)
@@ -329,8 +363,8 @@ def learn_least(n: int, auditor: Auditor, initial: KnowledgeState,
             before = state.size
             state = extend(state, result.pair[0], result.pair[1], result.witness)
             assert state.size == before + 1, "blamed pair was already known"
-            log.emit("extend", pair=list(result.pair), witness=result.witness,
-                     state=state.snapshot)
+            emit_with_state(log, "extend", state, pair=list(result.pair),
+                            witness=result.witness)
             restarts += 1
             if restarts > budget:
                 raise RestartBudgetExceeded(restarts, budget)

@@ -6,13 +6,19 @@ JSON object per line, keys sorted, integers and ``num/den`` fraction
 strings only.  Two runs of the same input therefore produce byte
 identical trace files.  :func:`~realearn.inputs.read_trace` reads
 one back.
+
+A run records the events it can build cheaply as it goes and defers
+the rest: the ``decide`` events of a least-element pass and every
+event that carries a knowledge-state snapshot are built from what the
+run keeps anyway, and only when :attr:`TraceLog.events` is first read.
+A run whose trace is never read never builds them.
 """
 
 from __future__ import annotations
 
 import json
 from operator import attrgetter
-from typing import Any, List, Sequence
+from typing import Any, Callable, List, Sequence, Union
 
 
 class TraceEvent:
@@ -72,16 +78,68 @@ class TraceEvent:
 
 
 class TraceLog:
-    """Append-only event recorder with an auto-incrementing sequence."""
+    """Append-only event recorder with an auto-incrementing sequence.
+
+    :meth:`emit` records one event now.  :meth:`defer` reserves the
+    next ``count`` sequence numbers for events that ``build(seq)``
+    returns, numbered from ``seq``, when :attr:`events` is first read;
+    a later :meth:`emit` continues the sequence after them.  Reading
+    :attr:`events` builds every deferred block in order, dropping each
+    one as soon as it is built, and returns the same list on every
+    read, the list that later events are appended to.
+    """
+
+    __slots__ = ("_events", "_pending", "_tail", "_next")
 
     def __init__(self) -> None:
-        self.events: List[TraceEvent] = []
+        self._events: List[TraceEvent] = []
+        # events and deferred (seq, count, build) blocks recorded after
+        # the first block not yet built, in order
+        self._pending: List[Union[TraceEvent, tuple]] = []
+        self._tail = self._events
+        self._next = 0
 
     def emit(self, phase: str, **payload: Any) -> TraceEvent:
-        events = self.events
-        event = TraceEvent(len(events), phase, payload)
-        events.append(event)
+        event = TraceEvent(self._next, phase, payload)
+        self._next += 1
+        self._tail.append(event)
         return event
+
+    def defer(self, count: int,
+              build: Callable[[int], List[TraceEvent]]) -> None:
+        self._pending.append((self._next, count, build))
+        self._next += count
+        self._tail = self._pending
+
+    @property
+    def events(self) -> List[TraceEvent]:
+        pending = self._pending
+        if pending:
+            events = self._events
+            pending.reverse()
+            while pending:
+                part = pending.pop()
+                if part.__class__ is TraceEvent:
+                    events.append(part)
+                    continue
+                seq, count, build = part
+                events.extend(build(seq))
+                assert len(events) == seq + count, \
+                    "deferred block built the wrong number of events"
+            self._tail = events
+        return self._events
+
+
+def emit_with_state(log: TraceLog, phase: str, state,
+                    **payload: Any) -> None:
+    """Record ``phase`` with ``payload`` and then the knowledge state's
+    ``state.snapshot`` under ``"state"``.  The event is built when the
+    trace is read; a state is sealed, so its snapshot is the same then."""
+    def build(seq: int) -> List[TraceEvent]:
+        payload["state"] = state.snapshot
+        return [TraceEvent(seq, phase, payload)]
+
+    log.defer(1, build)
 
 
 def write_trace(path, events: Sequence[TraceEvent]) -> None:

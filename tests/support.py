@@ -9,7 +9,8 @@ from fractions import Fraction
 from random import Random
 from typing import List, Sequence, Tuple
 
-from realearn import Point, RealNum, RealRegistry
+import realearn.trace
+from realearn import KnowledgeState, Point, RealNum, RealRegistry, TraceLog
 from realearn.oracle import RationalPoint, exact_orientation
 
 
@@ -85,3 +86,34 @@ def register_points(pts: Sequence[RationalPoint], blurred: bool = False
     ys = [ctor(p.y) for p in pts]
     xs = [ctor(p.x) for p in pts]
     return reg, [Point(i, xs[i], ys[i]) for i in range(len(pts))]
+
+
+class EagerLog(TraceLog):
+    """A trace log that builds each deferred block as soon as it is
+    recorded: the events of a run whose trace is read after every
+    pass, in the order such a run sees them."""
+
+    def defer(self, count, build):
+        super().defer(count, build)
+        self.events
+
+
+def count_trace_builds(monkeypatch) -> Tuple[List[str], List[int]]:
+    """From now on, record the phase of every ``TraceEvent`` built and
+    the size of every knowledge-state snapshot read."""
+    phases: List[str] = []
+    snapshots: List[int] = []
+    init = realearn.trace.TraceEvent.__init__
+    snapshot = KnowledgeState.snapshot.fget
+
+    def counted_init(event, seq, phase, payload):
+        phases.append(phase)
+        init(event, seq, phase, payload)
+
+    def counted_snapshot(state):
+        snapshots.append(state.size)
+        return snapshot(state)
+
+    monkeypatch.setattr(realearn.trace.TraceEvent, "__init__", counted_init)
+    monkeypatch.setattr(KnowledgeState, "snapshot", property(counted_snapshot))
+    return phases, snapshots

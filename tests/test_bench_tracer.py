@@ -6,7 +6,10 @@ left its module.  This test installs it on the modules the suite
 imports, runs one construction and one audit through the wrappers, and
 checks that ``uninstall`` puts every original back.  It also reads
 every evidence chain of one least-element pass and checks that the
-tracer counted each ``Step`` built.
+tracer counted each ``Step`` built, and it reads the traces of two
+runs under the tracer and checks that the read called nothing the
+tracer wraps: the benchmark reads each trace with the tracer still
+installed.
 """
 
 import importlib
@@ -14,7 +17,7 @@ import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
-from realearn.oracle import RationalPoint
+from realearn.oracle import OracleAuditor, RationalPoint
 
 from support import register_points
 
@@ -97,3 +100,37 @@ def test_benchmark_tracer_counts_every_step_built():
             ev = ev.rest
     assert cand.candidate == 4 and steps == 6
     assert tracer.counts["least.steps_built"] == steps
+
+
+def test_reading_a_trace_calls_nothing_the_tracer_wraps():
+    modules = {name: importlib.import_module(f"realearn.{name}")
+               for name in MODULES}
+    values = [Fraction(-i, 7) for i in range(21)]
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install(modules)
+        reg = modules["reals"].RealRegistry()
+        for q in values:
+            reg.blurred(q)
+        outcome = modules["least"].learn_least(
+            20, OracleAuditor(reg, values),
+            modules["knowledge"].empty_state(reg))
+        points = register_points(
+            [RationalPoint(Fraction(x), Fraction(y)) for x, y in QUAD])[1]
+        result = modules["convex"].convex_angle(points)
+        stats = {name: list(stat) for name, stat in tracer.stats.items()}
+        counts = dict(tracer.counts)
+        traces = (outcome.trace, result.trace)
+    finally:
+        tracer.uninstall()
+
+    assert outcome.restarts == 20 and result.restarts == 1
+    decides = [sum(1 for event in trace if event.phase == "decide")
+               for trace in traces]
+    assert decides == [21 * 20, 2 * 3]
+    assert stats["least.least_candidate"][0] == 21 + 2
+    assert stats["reals.op_at"][0] > 0
+    # the read re-ran no pass, looked nothing up and built no evidence:
+    # no call count, time or counter moved, least.steps_built included
+    assert {name: list(stat) for name, stat in tracer.stats.items()} == stats
+    assert dict(tracer.counts) == counts

@@ -25,7 +25,8 @@ from realearn import (
 from realearn.oracle import RationalPoint, exact_convex_check
 from realearn.reals import add, mul, sub
 
-from support import general_position_points, register_points
+from support import (EagerLog, count_trace_builds, general_position_points,
+                     register_points)
 
 WEDGE = [(0, 1), (-2, -1), (2, -1), (0, -2), (-1, -3), (1, -4)]
 QUAD = [(0, 0), (-1, 1), (1, 1), (0, -1)]
@@ -82,6 +83,23 @@ def test_wedge_completes_without_backtracking():
     assert scan_cases(log.events) == ["keep", "keep", "keep"]
     assert set(res.certificate.left) == {3, 4, 5}
     assert set(res.certificate.right) == {3, 4, 5}
+
+
+def test_an_unread_trace_is_never_built(monkeypatch):
+    eager = convex_angle(register(QUAD), trace=EagerLog()).trace
+    phases, snapshots = count_trace_builds(monkeypatch)
+    res = convex_angle(register(QUAD))
+    assert res.restarts == 1
+    assert "decide" not in phases
+    assert snapshots == []
+
+    trace = res.trace
+    assert res.trace is trace
+    assert phases.count("decide") == 2 * 3
+    # one select-A event per attempt, one extend per restart, one accept
+    assert len(snapshots) == 2 + 1 + 1
+    assert [e.seq for e in trace] == list(range(len(trace)))
+    assert trace == eager
 
 
 def test_quad_restarts_once_and_relearns_apex():

@@ -32,7 +32,7 @@ import realearn.knowledge
 import realearn.least
 from realearn.oracle import OracleAuditor, exact_min_index, replay_paths
 
-from support import distinct_fractions
+from support import EagerLog, count_trace_builds, distinct_fractions
 
 WORKED_VALUES = (0, Fraction(-5, 2), -1, -2, -3, 1)
 WORKED_SCRIPT = [
@@ -197,6 +197,36 @@ def test_oracle_run_verifies_each_witness_once(monkeypatch):
     assert outcome.candidate.candidate == 100
     assert outcome.restarts == 100
     assert len(calls) == (300 if __debug__ else 200)
+
+
+def descending_oracle_run(n, trace=None):
+    rng = Random(1)
+    keys = sorted(rng.sample(range(-2 ** 19, 2 ** 19 + 1), n + 1),
+                  reverse=True)
+    values = [Fraction(key, 2 ** 12) for key in keys]
+    reg = RealRegistry()
+    for q in values:
+        reg.blurred(q)
+    return learn_least(n, OracleAuditor(reg, values), empty_state(reg),
+                       2 ** n, trace)
+
+
+def test_an_unread_trace_is_never_built(monkeypatch):
+    # n = 100 descending values: 101 passes of 100 decisions each
+    eager = descending_oracle_run(100, EagerLog()).trace
+    phases, snapshots = count_trace_builds(monkeypatch)
+    outcome = descending_oracle_run(100)
+    assert outcome.restarts == 100
+    assert "decide" not in phases
+    assert snapshots == []
+
+    trace = outcome.trace
+    assert outcome.trace is trace
+    assert phases.count("decide") == 101 * 100
+    # one candidate event per pass, one extend per restart, one accept
+    assert len(snapshots) == 101 + 100 + 1
+    assert [e.seq for e in trace] == list(range(len(trace)))
+    assert trace == eager
 
 
 def test_restart_budget_enforced():
