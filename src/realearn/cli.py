@@ -207,7 +207,7 @@ def cmd_check(args) -> int:
     try:
         with open(args.result, "r", encoding="utf-8") as handle:
             record = json.loads(handle.read())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"{args.result}: cannot read result: {exc}")
     if not isinstance(record, dict) or record.get("type") != "convex-result":
         raise InputError(f"{args.result}: not a convex result file")

@@ -17,7 +17,11 @@ Point records pair two real specs with a dense index::
 All rationals are plain integers or strings of the form
 ``[+-]?digits`` or ``[+-]?digits/digits``; float literals and every
 other string (decimals, exponents, spaces) are rejected, so a value's
-size is bounded by the size of its text.  Every constructor has a
+size is bounded by the size of its text.  An integer, a JSON number
+or either part of a rational string, may have at most as many digits
+as Python converts from text, 4300 unless ``PYTHONINTMAXSTRDIGITS``
+says otherwise; a longer one is an :class:`InputError` in every file
+read here and in the ``check`` result file.  Every constructor has a
 known rational limit (the value for rational and blurred reals, the
 tail for tables), which the oracle tools rely on.
 
@@ -62,8 +66,10 @@ def _records(path, what: str) -> Iterator[Tuple[int, dict]]:
     for lineno, line in numbered_lines(path):
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            # malformed JSON, an integer over the digit limit, or nesting
+            # too deep for the parser
+            raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from None
         if not isinstance(record, dict):
             raise InputError(f"{path}:{lineno}: {what} must be an object")
         yield lineno, record
@@ -77,7 +83,7 @@ def read_trace(path) -> List[TraceEvent]:
     for lineno, line in numbered_lines(path):
         try:
             events.append(TraceEvent.from_json(line))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from None
     return events
 
@@ -94,8 +100,13 @@ def parse_fraction(value) -> Fraction:
     if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError as exc:
             raise InputError(f"cannot parse rational {value!r}") from exc
+        except ValueError as exc:
+            # the text matched, so int() refused its digits: echo them cut
+            raise InputError(
+                f"cannot parse rational '{value[:20]}...{value[-20:]}' "
+                f"({len(value)} characters): {exc}") from None
     raise InputError(f"cannot parse rational {value!r}: "
                      "expected an integer or num/den")
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from operator import attrgetter
 from types import MappingProxyType
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .reals import RealNum, op_at
 
@@ -173,22 +173,38 @@ class KnowledgeState:
     copy of the dict passed in, so changing that dict afterwards does
     not change the state, and assigning to or deleting from ``entries``
     raises ``TypeError``.  :func:`extend` returns a new state and never
-    mutates.  A state built directly from a dict is not verified;
-    :func:`is_sound` checks one.  States compare equal when their reals
-    and entries do.
+    mutates the entries.  A state built directly from a dict is not
+    verified; :func:`is_sound` checks one.  States compare equal when
+    their reals and entries do.
+
+    :meth:`strict_steps` follows an index ``i -> (witness, j)`` of the
+    entry ``(i, j)`` with the least ``j > i``, built when first needed.
+    :func:`extend` hands the index to the new state and updates it in
+    place, and the parent rebuilds one if it is asked again.  So a state
+    must not be extended in one thread while another thread extends it
+    or asks it for strict steps.
     """
 
-    __slots__ = ("_reals", "_entries", "_view", "_snapshot")
+    __slots__ = ("_reals", "_entries", "_view", "_snapshot", "_successors")
 
     def __init__(self, reals: Sequence[RealNum],
                  entries: Mapping[Pair, int] = MappingProxyType({})) -> None:
+        self._seal(reals, dict(entries), None)
+
+    def _seal(self, reals: Sequence[RealNum], entries: Dict[Pair, int],
+              successors: Optional[Dict[int, Tuple[int, int]]]) -> None:
         self._reals = reals
-        self._entries = dict(entries)
-        self._view = MappingProxyType(self._entries)
+        self._entries = entries
+        self._view = MappingProxyType(entries)
         self._snapshot: Optional[list[dict]] = None
+        self._successors = successors
 
     reals = property(attrgetter("_reals"))
     entries = property(attrgetter("_view"))
+
+    def __copy__(self) -> "KnowledgeState":
+        # a state is immutable, and a shallow copy would share its index
+        return self
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not KnowledgeState:
@@ -205,6 +221,26 @@ class KnowledgeState:
     def get(self, i: int, j: int) -> Optional[int]:
         """The stored witness refuting ``r_i <= r_j``, or None."""
         return self._entries.get((i, j))
+
+    def _index(self) -> Dict[int, Tuple[int, int]]:
+        if self._successors is None:
+            # pairs in descending order, so each i keeps its least j
+            self._successors = {
+                i: (w, j) for (i, j), w in sorted(self._entries.items(),
+                                                  reverse=True) if j > i}
+        return self._successors
+
+    def strict_steps(self, n: int) -> List[Tuple[int, int]]:
+        """The strict steps ``(witness, j)`` of a least-element pass over
+        ``0..n``: from i = 0, the stored entry ``(i, j)`` with the least
+        ``j > i``, then the same from j, while j <= n."""
+        successor = self._index().get
+        steps = []
+        step = successor(0)
+        while step is not None and step[1] <= n:
+            steps.append(step)
+            step = successor(step[1])
+        return steps
 
     def sorted_entries(self) -> list[tuple[int, int, int]]:
         return [(i, j, w) for (i, j), w in sorted(self._entries.items())]
@@ -239,13 +275,20 @@ def extend(state: KnowledgeState, i: int, j: int, k: int) -> KnowledgeState:
     Extending with an already known pair is a no-op that keeps the
     first witness.  A witness that does not verify raises
     :class:`UnsoundWitness`: that is a programming error in the caller,
-    never a learnable fact.
+    never a learnable fact.  The new state takes over ``state``'s
+    successor index.
     """
     if (i, j) in state.entries:
         return state
     if not op_at(state.reals[j], state.reals[i], k):
         raise UnsoundWitness(f"op_at(r_{j}, r_{i}, {k}) is false")
-    return KnowledgeState(state.reals, {**state.entries, (i, j): k})
+    successors = state._index()
+    state._successors = None
+    if j > i and (i not in successors or j < successors[i][1]):
+        successors[i] = (k, j)
+    child = KnowledgeState.__new__(KnowledgeState)
+    child._seal(state.reals, {**state._entries, (i, j): k}, successors)
+    return child
 
 
 def blame(ev: LeqEvidence, p: int) -> Tuple[Pair, int]:

@@ -4,11 +4,12 @@
 returns the least element relative to the current knowledge state,
 together with an evidence chain for every comparison it relied on.
 With an empty state this is pure guessing: index 0 is proposed and
-every comparison is assumed.  A decision is one lookup in the sealed
-knowledge state.  The pass keeps one shared list of the strict steps
-it took and one join position per index, and builds an index's
-evidence, base and chain alike, only when it is read, so a pass costs
-O(n) and allocates no evidence however many strict answers it meets.
+every comparison is assumed.  Only strict answers change anything, so
+the pass follows the knowledge state's successor index from candidate
+to candidate, one lookup per strict step.  It keeps the list of those
+steps and builds an index's evidence, base and chain alike, only
+when it is read, so a pass costs O(strict steps) and allocates no
+evidence however many strict answers it meets.
 Its trace is deferred the same way: with a log, the pass records its
 ``decide`` events as one block that is built from the strict list when
 the trace is read, and the events that carry a state snapshot are
@@ -29,10 +30,11 @@ bounded by ``2**n - 1``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Mapping
-from operator import attrgetter
-from typing import (Dict, Iterable, Iterator, List, Optional, Protocol,
-                    Sequence, Set, Tuple)
+from operator import attrgetter, itemgetter
+from typing import (Iterable, Iterator, List, Optional, Protocol, Sequence,
+                    Set, Tuple)
 
 from .knowledge import (
     Assumed,
@@ -66,26 +68,29 @@ class ForcedChallengeDenied(ValueError):
 
 
 class Evidences(Mapping):
-    """Read-only ``j -> evidence`` mapping of one least-element pass.
+    """Read-only ``j -> evidence`` mapping of one least-element pass
+    over ``0..n``.
 
     ``strict`` lists the pass's strict steps ``(witness, new
-    candidate)`` in order, and ``joined[j]`` is the length of
-    ``strict`` when j joined the pass.  The candidate then in force is
-    the subject of the last strict step before that position, or 0:
-    j's base evidence is ``Refl(j)`` when that candidate is j itself,
-    else ``Assumed(candidate, j)``.  Reading ``evidences[j]`` builds
-    that base and wraps it in a :class:`Step` for each strict step from
-    ``joined[j]`` on; nothing is built before.
+    candidate)`` in order.  The candidate in force when j joined the
+    pass is the subject of the last strict step whose subject is at
+    most j, or 0: j's base evidence is ``Refl(j)`` when that candidate
+    is j itself, else ``Assumed(candidate, j)``.  Reading
+    ``evidences[j]`` finds that step by bisecting the subjects, builds
+    the base and wraps it in a :class:`Step` for each strict step
+    after it; nothing is built before.
     """
 
-    __slots__ = ("_strict", "_joined")
+    __slots__ = ("_strict", "_n")
 
-    def __init__(self, strict: List[Tuple[int, int]], joined: Dict[int, int]):
+    def __init__(self, strict: List[Tuple[int, int]], n: int):
         self._strict = strict
-        self._joined = joined
+        self._n = n
 
     def __getitem__(self, j: int) -> LeqEvidence:
-        pos = self._joined[j]
+        if j not in range(self._n + 1):
+            raise KeyError(j)
+        pos = bisect_right(self._strict, j, key=itemgetter(1))
         candidate = self._strict[pos - 1][1] if pos else 0
         ev: LeqEvidence = Refl(j) if candidate == j else Assumed(candidate, j)
         for witness, subject in self._strict[pos:]:
@@ -93,10 +98,10 @@ class Evidences(Mapping):
         return ev
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._joined)
+        return iter(range(self._n + 1))
 
     def __len__(self) -> int:
-        return len(self._joined)
+        return self._n + 1
 
 
 class LeastCandidate:
@@ -202,24 +207,18 @@ def least_candidate(state: KnowledgeState, n: int,
     stored witness is assumed and keeps the candidate; a strict answer
     switches the candidate to i and appends the strict step to the
     shared list, which puts it in front of every chain recorded so far.
-    Each decision is one :meth:`KnowledgeState.get`; no evidence is
-    built until it is read.  With a trace, the pass defers its n
-    ``decide`` events as one block that :func:`_decide_events` builds
-    from the strict list when the trace is read.
+    Between two strict answers every comparison is assumed, so the pass
+    takes its strict steps from :meth:`KnowledgeState.strict_steps`,
+    one index lookup per strict step and none per assumed one; no
+    evidence is built until it is read.  With a trace, the pass defers
+    its n ``decide`` events as one block that :func:`_decide_events`
+    builds from the strict list when the trace is read.
     """
-    get = state.get
-    candidate = 0
-    strict: List[Tuple[int, int]] = []
-    joined: Dict[int, int] = {0: 0}
-    for i in range(1, n + 1):
-        witness = get(candidate, i)
-        if witness is not None:
-            strict.append((witness, i))
-            candidate = i
-        joined[i] = len(strict)
+    strict = state.strict_steps(n)
+    candidate = strict[-1][1] if strict else 0
     if trace is not None:
         trace.defer(n, lambda seq: _decide_events(seq, n, strict))
-    return LeastCandidate(candidate, Evidences(strict, joined))
+    return LeastCandidate(candidate, Evidences(strict, n))
 
 
 def _decide_events(seq: int, n: int,

@@ -17,6 +17,7 @@ by walking it once, in time linear in its length, for any n.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 from .geometry import RationalPoint
@@ -79,10 +80,8 @@ def separation_from_gap(gap: Fraction) -> int:
     reals whose limits differ by exactly ``gap``."""
     if gap <= 0:
         raise ValueError(f"gap must be positive, got {gap}")
-    k = 0
-    while Fraction(1, 2 ** k) >= gap:
-        k += 1
-    return k
+    # 2**-k < p/q exactly when 2**k > q/p, that is when 2**k > q // p
+    return (gap.denominator // gap.numerator).bit_length()
 
 
 class OracleAuditor:
@@ -95,9 +94,9 @@ class OracleAuditor:
     challenges that claim at a separation precision: the least strict
     witness :func:`~realearn.reals.find_strict_witness` finds between
     the two reals, within a budget set by the gap of their limits.
-    Once the true argmin is proposed it accepts.  The scan compares
-    integer ranks of the values, computed once, instead of the values
-    themselves.
+    Once the true argmin is proposed it accepts.  For each index m the
+    lowest index whose value lies below m's is found once, from the
+    values in sorted order, so a challenge scans nothing.
     """
 
     def __init__(self, reals: Sequence[RealNum], true_values: Sequence[Fraction]):
@@ -106,10 +105,11 @@ class OracleAuditor:
             raise TieDetected("true values must be distinct")
         self._reals = reals
         self._values = values
-        self._ranks = [0] * len(values)
-        for rank, j in enumerate(sorted(range(len(values)),
-                                        key=values.__getitem__)):
-            self._ranks[j] = rank
+        order = sorted(range(len(values)), key=values.__getitem__)
+        # the lowest of the indices before m in order, or None
+        self._first_below: List[Optional[int]] = [None] * len(values)
+        for m, lowest in zip(order[1:], accumulate(order, min)):
+            self._first_below[m] = lowest
 
     def _separation(self, j: int, m: int) -> int:
         gap = self._values[m] - self._values[j]
@@ -122,11 +122,8 @@ class OracleAuditor:
 
     def challenge(self, cand: LeastCandidate) -> Optional[Challenge]:
         m = cand.candidate
-        below = self._ranks[m]
-        for j, rank in enumerate(self._ranks):
-            if rank < below:
-                return Challenge(j, self._separation(j, m))
-        return None
+        j = self._first_below[m]
+        return None if j is None else Challenge(j, self._separation(j, m))
 
 
 class RunReplay:

@@ -468,3 +468,62 @@ def test_exponent_notation_is_rejected_at_once(tmp_path, capsys):
     assert elapsed < 0.5
     assert err.startswith("input error: ") and err.count("\n") == 1
     assert "'1e10000000'" in err
+
+
+HUGE = "1" + "0" * 5000  # past Python's default limit of 4300 digits
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.fixture
+def digit_limit():
+    limit = sys.get_int_max_str_digits()
+    if not 0 < limit < len(HUGE):
+        pytest.skip(f"this interpreter converts {limit or 'any number of'} "
+                    "digits")
+    return limit
+
+
+def json_entry_point(tmp_path, entry, literal):
+    """The command that reads ``literal`` as a JSON value in ``entry``,
+    the kind of file it appears in."""
+    path = tmp_path / f"{entry}.jsonl"
+    if entry == "document":
+        path.write_text('{"type": "real", "kind": "rational", '
+                        f'"value": {literal}}}\n')
+        return ("least", path)
+    if entry == "script":
+        path.write_text(f'{{"j": 1, "precision": {literal}}}\n')
+        return ("least", WORKED_REALS, "--auditor", f"script:{path}")
+    if entry == "result":
+        path.write_text(f'{{"type": "convex-result", "a": {literal}}}\n')
+        return ("check", path, QUAD)
+    path.write_text(f'{{"seq": {literal}, "phase": "decide"}}\n')
+    return ("tree", path)
+
+
+@pytest.mark.parametrize("entry", ["document", "script", "result", "trace"])
+def test_an_integer_over_the_digit_limit_is_an_input_error(
+        tmp_path, digit_limit, entry):
+    proc = run_cli(*json_entry_point(tmp_path, entry, HUGE))
+    assert_input_error(proc, f"{entry}.jsonl",
+                       f"Exceeds the limit ({digit_limit}")
+    assert len(proc.stderr) < 400
+
+
+@pytest.mark.parametrize("entry", ["document", "script", "result", "trace"])
+def test_json_nested_too_deeply_is_an_input_error(tmp_path, entry):
+    assert_input_error(run_cli(*json_entry_point(tmp_path, entry, DEEP)),
+                       f"{entry}.jsonl")
+
+
+def test_a_rational_over_the_digit_limit_is_named_and_shortened(
+        tmp_path, digit_limit):
+    doc = tmp_path / "reals.jsonl"
+    for value in (HUGE, f"-1/{HUGE}"):
+        doc.write_text(json.dumps({"type": "real", "kind": "blurred",
+                                   "value": value}) + "\n")
+        proc = run_cli("least", doc)
+        assert_input_error(
+            proc, f"cannot parse rational '{value[:10]}",
+            f" ({len(value)} characters): Exceeds the limit ({digit_limit}")
+        assert len(proc.stderr) < 400

@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import re
 from fractions import Fraction
 from random import Random
@@ -229,6 +231,28 @@ def test_an_unread_trace_is_never_built(monkeypatch):
     assert trace == eager
 
 
+def trace_sha256(values):
+    reg = RealRegistry()
+    for q in values:
+        reg.blurred(q)
+    outcome = learn_least(len(values) - 1, OracleAuditor(reg, values),
+                          empty_state(reg))
+    text = "".join(event.to_json() + "\n" for event in outcome.trace)
+    return outcome.restarts, hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_oracle_traces_are_pinned():
+    # the sha256 of each run's trace file, as the former pass, which
+    # looked up every index, wrote it
+    descending = [Fraction(60 - i, 3) for i in range(61)]
+    assert trace_sha256(descending) == (
+        60, "2787f8f650dcd7de621d2b83016e4f6384a7c85a1ffb530fbf5756792a83c0d5")
+    keys = Random(40).sample(range(-2 ** 19, 2 ** 19 + 1), 41)
+    shuffled = [Fraction(key, 2 ** 12) for key in keys]
+    assert trace_sha256(shuffled) == (
+        3, "b7bb9d9e3b30bceff8cf580191c72f6604f62f57e9f3a4f8f8dd1dba0c001a3f")
+
+
 def test_restart_budget_enforced():
     with pytest.raises(RestartBudgetExceeded) as exc:
         learn_least(5, ScriptedAuditor(WORKED_SCRIPT),
@@ -294,12 +318,17 @@ def eager_least_candidate(state, n, trace=None):
 
 
 @st.composite
-def sound_states(draw):
-    """Distinct blurred reals on the 2^-12 grid and a random subset of
-    the sound extensions over them."""
-    n = draw(st.integers(0, 30))
+def reals_and_states(draw):
+    """Distinct blurred reals r_0 .. r_m on the 2^-12 grid, a pass
+    length n <= m, a state over them, and up to two sound pairs the
+    state does not hold.  The state is a random subset of the sound
+    extensions grown by ``extend``, or a dict of arbitrary pairs and
+    witnesses given to ``KnowledgeState`` directly; such a dict may
+    hold pairs with i >= j or j > n, and need not be sound."""
+    m = draw(st.integers(0, 30))
+    n = draw(st.integers(0, m)) if draw(st.booleans()) else m
     keys = draw(st.lists(st.integers(-2 ** 20, 2 ** 20),
-                         min_size=n + 1, max_size=n + 1, unique=True))
+                         min_size=m + 1, max_size=m + 1, unique=True))
     if draw(st.booleans()):
         keys.sort(reverse=True)  # every pass comparison can be strict
     density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
@@ -307,19 +336,25 @@ def sound_states(draw):
     reg = RealRegistry()
     for key in keys:
         reg.blurred(Fraction(key, 2 ** 12))
-    state = empty_state(reg)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if keys[j] < keys[i] and rng.random() < density:
-                witness = find_strict_witness(reg[j], reg[i], 64)
-                state = extend(state, i, j, witness)
-    return state, n
+    pairs = [(i, j) for i in range(m + 1) for j in range(m + 1)
+             if rng.random() < density]
+    if draw(st.booleans()):
+        state = KnowledgeState(reg, {pair: rng.randrange(40) for pair in pairs})
+    else:
+        state = empty_state(reg)
+        for i, j in pairs:
+            if keys[j] < keys[i]:
+                state = extend(state, i, j, sound_witness(reg, i, j))
+    new = [(i, j) for i in range(m + 1) for j in range(m + 1)
+           if keys[j] < keys[i] and (i, j) not in state.entries]
+    return state, n, rng.sample(new, min(2, len(new)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(sound_states())
-def test_pass_matches_the_eager_reference(drawn):
-    state, n = drawn
+def sound_witness(reg, i, j):
+    return find_strict_witness(reg[j], reg[i], 64)
+
+
+def assert_pass_matches_the_eager_reference(state, n):
     lazy_log, eager_log = TraceLog(), TraceLog()
     lazy = least_candidate(state, n, lazy_log)
     eager = eager_least_candidate(state, n, eager_log)
@@ -331,6 +366,31 @@ def test_pass_matches_the_eager_reference(drawn):
     assert lazy == eager
     assert evidence_graph(lazy) == evidence_graph(eager)
     assert lazy_log.events == eager_log.events
+
+
+@settings(max_examples=60, deadline=None)
+@given(reals_and_states())
+def test_pass_matches_the_eager_reference(drawn):
+    # The parent is extended twice, with different pairs, and passed
+    # again after each extension; every state's pass is checked.
+    state, n, pairs = drawn
+    assert_pass_matches_the_eager_reference(state, n)
+    children = []
+    for i, j in pairs:
+        children.append(extend(state, i, j, sound_witness(state.reals, i, j)))
+        assert_pass_matches_the_eager_reference(state, n)
+    for child in children:
+        assert child.size == state.size + 1
+        assert_pass_matches_the_eager_reference(child, n)
+
+
+def test_a_copied_state_keeps_its_own_strict_steps():
+    state = extend(empty_state(worked_registry()), 0, 3, 33)
+    assert state.strict_steps(5) == [(33, 3)]
+    copied = copy.copy(state)
+    assert extend(state, 0, 2, 25).strict_steps(5) == [(25, 2)]
+    assert copied.strict_steps(5) == [(33, 3)]
+    assert_pass_matches_the_eager_reference(copied, 5)
 
 
 def test_evidences_is_a_read_only_mapping():

@@ -66,6 +66,51 @@ def test_separation_from_gap():
         separation_from_gap(Fraction(0))
 
 
+def looped_separation(gap):
+    """The former search: count up to the least k with 2**-k < gap."""
+    k = 0
+    while Fraction(1, 2 ** k) >= gap:
+        k += 1
+    return k
+
+
+big_ints = st.integers(1, 10 ** 300)
+gaps = st.one_of(
+    st.fractions(min_value=Fraction(1, 2 ** 80)).filter(lambda q: q > 0),
+    st.builds(Fraction, big_ints, big_ints),
+    st.integers(-20, 1000).map(lambda e: Fraction(2) ** -e),
+    st.integers(-20, 1000).map(lambda e: Fraction(2) ** -e * Fraction(1, 3)),
+    st.integers(1, 1000).map(
+        lambda e: Fraction(2) ** -e + Fraction(1, 10 ** 300)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gaps)
+def test_separation_from_gap_matches_the_loop(gap):
+    assert separation_from_gap(gap) == looped_separation(gap)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda size: st.permutations(range(size))))
+def test_oracle_challenges_the_lowest_index_ranked_below(order):
+    # order[i] is the rank of value i; the values are spread on a grid
+    values = [Fraction(3 * rank - 40, 7) for rank in order]
+    reg = RealRegistry()
+    for q in values:
+        reg.blurred(q)
+    auditor = OracleAuditor(reg, values)
+    for m in range(len(values)):
+        below = [j for j in range(len(values)) if values[j] < values[m]]
+        ch = auditor.challenge(LeastCandidate(m, {}))
+        if not below:
+            assert ch is None
+            continue
+        j = below[0]
+        budget = separation_from_gap(values[m] - values[j]) + 64
+        assert ch == Challenge(j, find_strict_witness(reg[j], reg[m], budget))
+
+
 def test_oracle_auditor_challenges_lowest_refutable_index():
     reg = RealRegistry()
     values = [Fraction(2), Fraction(1), Fraction(3)]
