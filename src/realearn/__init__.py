@@ -31,7 +31,6 @@ from .geometry import (
     SideDecision,
     decide_side,
     orientation_real,
-    strictly_below_witness,
     three_points,
 )
 from .inputs import read_trace
@@ -59,7 +58,6 @@ from .least import (
     NullAuditor,
     RestartBudgetExceeded,
     ScriptedAuditor,
-    evidence_graph,
     learn_least,
     least_candidate,
 )

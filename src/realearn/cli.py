@@ -24,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from decimal import Decimal
 from typing import NoReturn, Optional, Sequence
 
 from .convex import CertificateFailure, TooFewPoints, convex_angle, verify_bounding
@@ -242,7 +243,9 @@ def cmd_tree(args) -> int:
     print(f"n: {verdict.n}")
     for path, run in zip(args.traces, verdict.runs):
         print(f"run: {path}")
-        print(f"  leaves: {' '.join(map(str, run.leaf_ranks))}")
+        # str(Decimal) prints ranks past the 4300-digit int str() limit
+        leaves = " ".join(str(Decimal(rank)) for rank in run.leaf_ranks)
+        print(f"  leaves: {leaves}")
         print(f"  candidates: {' '.join(map(str, run.leaf_candidates))}")
         print(f"  restarts: {run.restarts}")
         print(f"  progress: {'ok' if run.progress_ok else 'VIOLATED'}")

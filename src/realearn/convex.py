@@ -37,6 +37,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Dict, Optional, Sequence, Tuple
 
+from ._record import _Record
 from .geometry import (
     DegenerateInput,
     Differences,
@@ -67,17 +68,17 @@ class CertificateFailure(RuntimeError):
     """A bounding certificate failed to re-derive."""
 
 
-class BoundingCertificate:
+class BoundingCertificate(_Record):
     """Witnessed bounding condition for apex a and rays a->b, a->c.
 
     ``left[d]`` witnesses P_d strictly left of a->b and ``right[d]``
     strictly right of a->c, for every point index d outside
     ``{a, b, c}``.  The mutual pair: ``c_left`` witnesses P_c left of
-    a->b, ``b_right`` witnesses P_b right of a->c.  Fields are
-    read-only; certificates compare equal when all fields do.
+    a->b, ``b_right`` witnesses P_b right of a->c.
     """
 
     __slots__ = ("_a", "_b", "_c", "_left", "_right", "_c_left", "_b_right")
+    __hash__ = None
 
     def __init__(self, a: int, b: int, c: int, left: Dict[int, int],
                  right: Dict[int, int], c_left: int, b_right: int) -> None:
@@ -88,28 +89,6 @@ class BoundingCertificate:
         self._right = right
         self._c_left = c_left
         self._b_right = b_right
-
-    a = property(attrgetter("_a"))
-    b = property(attrgetter("_b"))
-    c = property(attrgetter("_c"))
-    left = property(attrgetter("_left"))
-    right = property(attrgetter("_right"))
-    c_left = property(attrgetter("_c_left"))
-    b_right = property(attrgetter("_b_right"))
-
-    def _fields(self) -> tuple:
-        return (self._a, self._b, self._c, self._left, self._right,
-                self._c_left, self._b_right)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not BoundingCertificate:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return (f"BoundingCertificate(a={self._a!r}, b={self._b!r}, "
-                f"c={self._c!r}, left={self._left!r}, right={self._right!r}, "
-                f"c_left={self._c_left!r}, b_right={self._b_right!r})")
 
 
 class ConvexAngleResult:

@@ -23,19 +23,15 @@ triples) raises :class:`DegenerateInput`.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import attrgetter
 from typing import Dict, Optional, Tuple, Union
 
+from ._record import _Record
+# perfbench/tracing.py wraps find_strict_witness on this module
 from .reals import RealNum, find_strict_witness, least_witness, mul, op_at, sub
 
 
-class Point:
-    """A plane point with exact real coordinates.
-
-    A ``__slots__`` record with read-only fields that compares and
-    hashes by value, like realearn's other value records: a dataclass
-    would compile generated source at every import.
-    """
+class Point(_Record):
+    """A plane point with exact real coordinates."""
 
     __slots__ = ("_index", "_x", "_y")
 
@@ -44,24 +40,8 @@ class Point:
         self._x = x
         self._y = y
 
-    index = property(attrgetter("_index"))
-    x = property(attrgetter("_x"))
-    y = property(attrgetter("_y"))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Point:
-            return NotImplemented
-        return (self._index, self._x, self._y) == \
-            (other._index, other._x, other._y)
-
-    def __hash__(self) -> int:
-        return hash((self._index, self._x, self._y))
-
-    def __repr__(self) -> str:
-        return f"Point(index={self._index!r}, x={self._x!r}, y={self._y!r})"
-
-
-class RationalPoint:
+class RationalPoint(_Record):
     """A plane point with exact rational coordinates."""
 
     __slots__ = ("_x", "_y")
@@ -70,22 +50,8 @@ class RationalPoint:
         self._x = x
         self._y = y
 
-    x = property(attrgetter("_x"))
-    y = property(attrgetter("_y"))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not RationalPoint:
-            return NotImplemented
-        return (self._x, self._y) == (other._x, other._y)
-
-    def __hash__(self) -> int:
-        return hash((self._x, self._y))
-
-    def __repr__(self) -> str:
-        return f"RationalPoint(x={self._x!r}, y={self._y!r})"
-
-
-class Left:
+class Left(_Record):
     """R strictly left of P -> Q, first seen at precision ``witness``."""
 
     __slots__ = ("_witness",)
@@ -93,40 +59,14 @@ class Left:
     def __init__(self, witness: int) -> None:
         self._witness = witness
 
-    witness = property(attrgetter("_witness"))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Left:
-            return NotImplemented
-        return self._witness == other._witness
-
-    def __hash__(self) -> int:
-        return hash(self._witness)
-
-    def __repr__(self) -> str:
-        return f"Left(witness={self._witness!r})"
-
-
-class Right:
+class Right(_Record):
     """R strictly right of P -> Q, first seen at precision ``witness``."""
 
     __slots__ = ("_witness",)
 
     def __init__(self, witness: int) -> None:
         self._witness = witness
-
-    witness = property(attrgetter("_witness"))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Right:
-            return NotImplemented
-        return self._witness == other._witness
-
-    def __hash__(self) -> int:
-        return hash(self._witness)
-
-    def __repr__(self) -> str:
-        return f"Right(witness={self._witness!r})"
 
 
 SideDecision = Union[Left, Right]
@@ -197,11 +137,6 @@ def decide_side(p: Point, q: Point, r: Point, k_max: int,
         f"no side witness for points ({p.index}, {q.index}, {r.index}) "
         f"within precision {k_max}"
     )
-
-
-def strictly_below_witness(a: Point, b: Point, k_max: int) -> Optional[int]:
-    """A precision witnessing y_b strictly below y_a, if one is found."""
-    return find_strict_witness(b.y, a.y, k_max)
 
 
 def three_points(a: Point, q0: Point, q1: Point, q2: Point,

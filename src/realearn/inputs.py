@@ -34,9 +34,9 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from operator import attrgetter
 from typing import Iterator, List, Optional, Tuple
 
+from ._record import _Record
 from .geometry import Point, RationalPoint
 from .least import Challenge
 from .reals import InvalidNesting, RealNum, RealRegistry
@@ -111,9 +111,8 @@ def parse_fraction(value) -> Fraction:
                      "expected an integer or num/den")
 
 
-class RealSpec:
-    """One parsed real record: a read-only ``__slots__`` record that
-    compares and hashes by its fields."""
+class RealSpec(_Record):
+    """One parsed real record."""
 
     __slots__ = ("_kind", "_value", "_prefix", "_tail")
 
@@ -124,26 +123,6 @@ class RealSpec:
         self._value = value
         self._prefix = prefix
         self._tail = tail
-
-    kind = property(attrgetter("_kind"))
-    value = property(attrgetter("_value"))
-    prefix = property(attrgetter("_prefix"))
-    tail = property(attrgetter("_tail"))
-
-    def _fields(self) -> tuple:
-        return (self._kind, self._value, self._prefix, self._tail)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not RealSpec:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (f"RealSpec(kind={self._kind!r}, value={self._value!r}, "
-                f"prefix={self._prefix!r}, tail={self._tail!r})")
 
     @property
     def limit(self) -> Fraction:
@@ -190,8 +169,8 @@ class RealSpec:
         return RealSpec(kind=kind, value=parse_fraction(obj["value"]))
 
 
-class PointSpec:
-    """One parsed point record, read-only like :class:`RealSpec`."""
+class PointSpec(_Record):
+    """One parsed point record."""
 
     __slots__ = ("_index", "_x", "_y")
 
@@ -199,23 +178,6 @@ class PointSpec:
         self._index = index
         self._x = x
         self._y = y
-
-    index = property(attrgetter("_index"))
-    x = property(attrgetter("_x"))
-    y = property(attrgetter("_y"))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not PointSpec:
-            return NotImplemented
-        return (self._index, self._x, self._y) == \
-            (other._index, other._x, other._y)
-
-    def __hash__(self) -> int:
-        return hash((self._index, self._x, self._y))
-
-    def __repr__(self) -> str:
-        return (f"PointSpec(index={self._index!r}, x={self._x!r}, "
-                f"y={self._y!r})")
 
 
 class InputDocument:

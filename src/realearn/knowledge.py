@@ -37,6 +37,7 @@ from operator import attrgetter
 from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ._record import _Record
 from .reals import RealNum, op_at
 
 Pair = Tuple[int, int]
@@ -51,34 +52,18 @@ class ReflFalsified(RuntimeError):
     """A reflexive claim was reported false: internal contradiction."""
 
 
-class Refl:
-    """Evidence for r_i <= r_i.
-
-    Evidence values are ``__slots__`` records with read-only fields;
-    they compare equal, and hash equal, exactly when they have the same
-    type and fields.
-    """
+class Refl(_Record):
+    """Evidence for r_i <= r_i."""
 
     __slots__ = ("_i",)
 
     def __init__(self, i: int) -> None:
         self._i = i
 
-    i = subject = target = property(attrgetter("_i"))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Refl:
-            return NotImplemented
-        return self._i == other._i
-
-    def __hash__(self) -> int:
-        return hash(self._i)
-
-    def __repr__(self) -> str:
-        return f"Refl(i={self._i!r})"
+    subject = target = property(attrgetter("_i"))
 
 
-class Assumed:
+class Assumed(_Record):
     """Unjustified assumption of r_i <= r_j, open to refutation."""
 
     __slots__ = ("_i", "_j")
@@ -87,19 +72,8 @@ class Assumed:
         self._i = i
         self._j = j
 
-    i = subject = property(attrgetter("_i"))
-    j = target = property(attrgetter("_j"))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Assumed:
-            return NotImplemented
-        return (self._i, self._j) == (other._i, other._j)
-
-    def __hash__(self) -> int:
-        return hash((self._i, self._j))
-
-    def __repr__(self) -> str:
-        return f"Assumed(i={self._i!r}, j={self._j!r})"
+    subject = property(attrgetter("_i"))
+    target = property(attrgetter("_j"))
 
 
 class Step:
@@ -306,7 +280,7 @@ def blame(ev: LeqEvidence, p: int) -> Tuple[Pair, int]:
     raise ReflFalsified(f"reflexive claim on index {ev.i} reported false")
 
 
-class Falsified:
+class Falsified(_Record):
     """Outcome of a failed check: which pair to learn, at what witness."""
 
     __slots__ = ("_pair", "_witness")
@@ -314,20 +288,6 @@ class Falsified:
     def __init__(self, pair: Pair, witness: int) -> None:
         self._pair = pair
         self._witness = witness
-
-    pair = property(attrgetter("_pair"))
-    witness = property(attrgetter("_witness"))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Falsified:
-            return NotImplemented
-        return (self._pair, self._witness) == (other._pair, other._witness)
-
-    def __hash__(self) -> int:
-        return hash((self._pair, self._witness))
-
-    def __repr__(self) -> str:
-        return f"Falsified(pair={self._pair!r}, witness={self._witness!r})"
 
 
 def check_leq(reals: Sequence[RealNum], ev: LeqEvidence,

@@ -33,9 +33,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Mapping
 from operator import attrgetter, itemgetter
-from typing import (Iterable, Iterator, List, Optional, Protocol, Sequence,
-                    Set, Tuple)
+from typing import Iterable, Iterator, List, Optional, Protocol, Sequence, Tuple
 
+from ._record import _Record
 from .knowledge import (
     Assumed,
     Falsified,
@@ -104,36 +104,23 @@ class Evidences(Mapping):
         return self._n + 1
 
 
-class LeastCandidate:
+class LeastCandidate(_Record):
     """A proposed least index plus evidence for each comparison.
 
     ``evidences[j]`` claims ``r_candidate <= r_j`` for every j in
-    ``0..n``; the candidate's own entry is reflexive.  Fields are
-    read-only; candidates compare equal when both fields do.
+    ``0..n``; the candidate's own entry is reflexive.
     """
 
     __slots__ = ("_candidate", "_evidences")
+    __hash__ = None
 
     def __init__(self, candidate: int,
                  evidences: Mapping[int, LeqEvidence]) -> None:
         self._candidate = candidate
         self._evidences = evidences
 
-    candidate = property(attrgetter("_candidate"))
-    evidences = property(attrgetter("_evidences"))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not LeastCandidate:
-            return NotImplemented
-        return (self._candidate, self._evidences) == \
-            (other._candidate, other._evidences)
-
-    def __repr__(self) -> str:
-        return (f"LeastCandidate(candidate={self._candidate!r}, "
-                f"evidences={self._evidences!r})")
-
-
-class Challenge:
+class Challenge(_Record):
     """An auditor's demand: test claim ``candidate <= j`` at ``precision``.
 
     ``force`` marks the challenge as carrying its own refutation: the
@@ -149,23 +136,6 @@ class Challenge:
         self._j = j
         self._precision = precision
         self._force = force
-
-    j = property(attrgetter("_j"))
-    precision = property(attrgetter("_precision"))
-    force = property(attrgetter("_force"))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Challenge:
-            return NotImplemented
-        return (self._j, self._precision, self._force) == \
-            (other._j, other._precision, other._force)
-
-    def __hash__(self) -> int:
-        return hash((self._j, self._precision, self._force))
-
-    def __repr__(self) -> str:
-        return (f"Challenge(j={self._j!r}, precision={self._precision!r}, "
-                f"force={self._force!r})")
 
 
 class Auditor(Protocol):
@@ -246,25 +216,6 @@ def _decide_events(seq: int, n: int,
         events.append(TraceEvent(seq, "decide", payload))
         seq += 1
     return events
-
-
-def evidence_graph(cand: LeastCandidate) -> Tuple[Set[Tuple[int, int, int]],
-                                                  Set[Tuple[int, int]]]:
-    """Edge view of a candidate's evidence.
-
-    Returns ``(solid, dotted)``: solid edges ``(a, b, w)`` are strict
-    facts ``op_at(r_a, r_b, w)``; dotted edges ``(i, j)`` are open
-    assumptions ``r_i <= r_j``.
-    """
-    solid: Set[Tuple[int, int, int]] = set()
-    dotted: Set[Tuple[int, int]] = set()
-    for ev in cand.evidences.values():
-        while isinstance(ev, Step):
-            solid.add((ev.subject, ev.rest.subject, ev.witness))
-            ev = ev.rest
-        if isinstance(ev, Assumed):
-            dotted.add((ev.i, ev.j))
-    return solid, dotted
 
 
 class LearnOutcome:

@@ -17,43 +17,26 @@ A run whose trace is never read never builds them.
 from __future__ import annotations
 
 import json
-from operator import attrgetter
 from typing import Any, Callable, List, Sequence, Union
 
+from ._record import _Record
 
-class TraceEvent:
+
+class TraceEvent(_Record):
     """One recorded step: its position ``seq`` in the run, its ``phase``
     and a ``payload`` dict of JSON values.
 
-    A ``__slots__`` class rather than a frozen dataclass, because a
-    learner run records one event per decision and this builds in
-    about a third of the time.  The fields are read-only properties;
-    events compare equal when all three fields do, and defining
-    ``__eq__`` leaves them unhashable, as the dataclass with its dict
-    payload was.  A payload may share lists with other events, such as a
-    knowledge state's snapshot, so payloads must not be mutated.
+    A payload may share lists with other events, such as a knowledge
+    state's snapshot, so payloads must not be mutated.
     """
 
     __slots__ = ("_seq", "_phase", "_payload")
+    __hash__ = None
 
     def __init__(self, seq: int, phase: str, payload: dict) -> None:
         self._seq = seq
         self._phase = phase
         self._payload = payload
-
-    seq = property(attrgetter("_seq"))
-    phase = property(attrgetter("_phase"))
-    payload = property(attrgetter("_payload"))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not TraceEvent:
-            return NotImplemented
-        return (self.seq == other.seq and self.phase == other.phase
-                and self.payload == other.payload)
-
-    def __repr__(self) -> str:
-        return (f"TraceEvent(seq={self.seq!r}, phase={self.phase!r}, "
-                f"payload={self.payload!r})")
 
     def to_json(self) -> str:
         record = {"seq": self.seq, "phase": self.phase}

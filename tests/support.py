@@ -7,10 +7,11 @@ failing test reproduces from its seed alone.
 
 from fractions import Fraction
 from random import Random
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Set, Tuple
 
 import realearn.trace
-from realearn import KnowledgeState, Point, RealNum, RealRegistry, TraceLog
+from realearn import (Assumed, KnowledgeState, LeastCandidate, Point, RealNum,
+                      RealRegistry, Step, TraceLog)
 from realearn.oracle import RationalPoint, exact_orientation
 
 
@@ -117,3 +118,22 @@ def count_trace_builds(monkeypatch) -> Tuple[List[str], List[int]]:
     monkeypatch.setattr(realearn.trace.TraceEvent, "__init__", counted_init)
     monkeypatch.setattr(KnowledgeState, "snapshot", property(counted_snapshot))
     return phases, snapshots
+
+
+def evidence_graph(cand: LeastCandidate) -> Tuple[Set[Tuple[int, int, int]],
+                                                  Set[Tuple[int, int]]]:
+    """Edge view of a candidate's evidence.
+
+    Returns ``(solid, dotted)``: solid edges ``(a, b, w)`` are strict
+    facts ``op_at(r_a, r_b, w)``; dotted edges ``(i, j)`` are open
+    assumptions ``r_i <= r_j``.
+    """
+    solid: Set[Tuple[int, int, int]] = set()
+    dotted: Set[Tuple[int, int]] = set()
+    for ev in cand.evidences.values():
+        while isinstance(ev, Step):
+            solid.add((ev.subject, ev.rest.subject, ev.witness))
+            ev = ev.rest
+        if isinstance(ev, Assumed):
+            dotted.add((ev.i, ev.j))
+    return solid, dotted

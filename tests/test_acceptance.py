@@ -26,7 +26,6 @@ from realearn import (
     blame,
     convex_angle,
     empty_state,
-    evidence_graph,
     extend,
     learn_least,
     least_candidate,
@@ -43,6 +42,7 @@ from realearn.oracle import (
 
 from support import (
     distinct_fractions,
+    evidence_graph,
     general_position_points,
     random_real,
     register_points,

@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 from random import Random
 
 import pytest
 
 from realearn.inputs import read_trace
+from realearn.oracle import replay_paths
 from support import general_position_points
 
 REPO = Path(__file__).resolve().parent.parent
@@ -189,7 +191,7 @@ def test_import_loads_no_dataclasses_or_inspect():
                           text=True, check=True)
     added = set(proc.stdout.split())
     assert "realearn.cli" in added
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & {"dataclasses", "inspect", "ast"}
 
 
 def test_convex_wedge():
@@ -338,6 +340,29 @@ def test_tree_replays_a_20_point_convex_trace(tmp_path):
     assert "Traceback" not in proc.stderr
     assert "n: 19" in proc.stdout
     assert "progress: ok" in proc.stdout
+
+
+def test_tree_prints_a_leaf_rank_past_the_int_digit_limit(tmp_path):
+    # 14,300 strict decisions make a rank of 4305 decimal digits, past
+    # the 4300 that str(int) prints
+    n = 14300
+    trace = tmp_path / "strict.trace"
+    with trace.open("w") as handle:
+        for depth in range(1, n + 1):
+            handle.write(json.dumps({
+                "seq": depth - 1, "phase": "decide", "step": depth,
+                "pair": [depth - 1, depth], "decision": "strict",
+                "witness": 0}) + "\n")
+        handle.write(json.dumps({"seq": n, "phase": "candidate",
+                                 "candidate": n}) + "\n")
+    proc = run_cli("tree", trace)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    [rank] = replay_paths([read_trace(trace)]).runs[0].leaf_ranks
+    assert rank == 2 ** n - 1
+    [digits] = [line.split(": ", 1)[1] for line in proc.stdout.splitlines()
+                if line.startswith("  leaves: ")]
+    assert digits.isdigit() and Decimal(digits) == rank
 
 
 def test_traces_are_byte_identical_across_runs(tmp_path):

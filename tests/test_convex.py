@@ -22,7 +22,8 @@ from realearn import (
     orientation_real,
     verify_bounding,
 )
-from realearn.oracle import RationalPoint, exact_convex_check
+from realearn.oracle import (RationalPoint, exact_convex_check,
+                             exact_orientation, separation_from_gap)
 from realearn.reals import add, mul, sub
 
 from support import (EagerLog, count_trace_builds, general_position_points,
@@ -203,6 +204,43 @@ def test_certificate_witnesses_are_observable():
     for d, w in res.certificate.right.items():
         orient = orientation_real(pts[res.a], pts[res.c], pts[d])
         assert op_at(orient, zero, w)
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(1, 2 ** 40)],
+                         ids=["unscaled", "scaled"])
+@pytest.mark.parametrize("blurred", [False, True], ids=["rational", "blurred"])
+def test_side_witnesses_need_no_more_than_the_separation_precision(
+        blurred, scale):
+    # at precision k the orientation's interval holds the exact value
+    # and is at most 2**-k wide, so it excludes zero once 2**-k is
+    # below |orientation|: no side witness exceeds that precision
+    def check(p, q, r, witness, left):
+        P, Q, R = (rational[i] for i in (p, q, r))
+        assert exact_orientation(P, Q, R) == (1 if left else -1)
+        value = (Q.x - P.x) * (R.y - P.y) - (R.x - P.x) * (Q.y - P.y)
+        assert witness <= separation_from_gap(abs(value)), (p, q, r)
+        checked.append(witness)
+
+    checked = []
+    rng = Random(5)
+    for _ in range(8):
+        rational = [RationalPoint(p.x * scale, p.y * scale) for p in
+                    general_position_points(rng, rng.randint(3, 10))]
+        _, pts = register_points(rational, blurred=blurred)
+        res = convex_angle(pts)
+        for event in res.trace:
+            if event.phase == "side":
+                payload = event.payload
+                check(*payload["line"], payload["point"], payload["witness"],
+                      payload["side"] == "left")
+        a, b, c = res.a, res.b, res.c
+        for cert in (res.certificate, verify_bounding(pts, a, b, c)):
+            check(a, b, c, cert.c_left, True)
+            check(a, c, b, cert.b_right, False)
+            for d in cert.left:
+                check(a, b, d, cert.left[d], True)
+                check(a, c, d, cert.right[d], False)
+    assert len(checked) > 100
 
 
 def test_trace_digest_is_pinned():

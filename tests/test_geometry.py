@@ -16,7 +16,6 @@ from realearn import (
     find_strict_witness,
     op_at,
     orientation_real,
-    strictly_below_witness,
     three_points,
 )
 from realearn.oracle import exact_orientation
@@ -86,13 +85,6 @@ def test_swapping_ray_points_mirrors_decision_and_witness():
             assert other == Right(one.witness)
         else:
             assert other == Left(one.witness)
-
-
-def test_strictly_below_witness_direction():
-    a, b = simple_points([(0, 1), (3, -1)], blurred=True)
-    w = strictly_below_witness(a, b, 64)
-    assert w == 0
-    assert strictly_below_witness(b, a, 64) is None
 
 
 def test_three_points_finds_a_vertex_below():

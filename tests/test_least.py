@@ -23,7 +23,6 @@ from realearn import (
     TraceLog,
     UnsoundWitness,
     empty_state,
-    evidence_graph,
     extend,
     find_strict_witness,
     is_sound,
@@ -34,7 +33,8 @@ import realearn.knowledge
 import realearn.least
 from realearn.oracle import OracleAuditor, exact_min_index, replay_paths
 
-from support import EagerLog, count_trace_builds, distinct_fractions
+from support import (EagerLog, count_trace_builds, distinct_fractions,
+                     evidence_graph)
 
 WORKED_VALUES = (0, Fraction(-5, 2), -1, -2, -3, 1)
 WORKED_SCRIPT = [

@@ -24,6 +24,9 @@ def test_event_json_roundtrip():
                            "payload={'pair': [0, 3], 'witness': 33})")
     with pytest.raises(AttributeError):
         event.seq = 8
+    # the payload is a dict, so events are unhashable
+    with pytest.raises(TypeError):
+        hash(event)
     blob = event.to_json()
     assert TraceEvent.from_json(blob) == event
     # serialization is canonical: sorted keys, no whitespace
