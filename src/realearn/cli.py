@@ -12,10 +12,14 @@ Exit codes: 0 success, 1 input error (a usage error is one),
 failure.  They are decided in one place, the :data:`FAILURES` table:
 a command returns 0 (``tree`` returns 4 for a replay that is not ok)
 or raises, and :func:`main` maps the exception to its exit code and
-one-line stderr message and writes the partial trace.  The
-``--kmax`` default is 256 and can be overridden by the
-``REALEARN_KMAX`` environment variable; an explicit flag wins over the
-environment.
+one-line stderr message and writes the partial trace.  The table's
+exceptions live in :mod:`realearn.errors`, which imports nothing, and
+each ``cmd_*`` imports the modules it runs when it runs, so a process
+loads only what its subcommand needs: ``tree`` loads only the trace
+reader and :mod:`realearn.replay`, ``least`` no convex or geometry
+module, and ``convex`` no oracle.  The ``--kmax`` default is 256 and
+can be overridden by the ``REALEARN_KMAX`` environment variable; an
+explicit flag wins over the environment.
 """
 
 from __future__ import annotations
@@ -27,34 +31,15 @@ import sys
 from decimal import Decimal
 from typing import NoReturn, Optional, Sequence
 
-from .convex import CertificateFailure, TooFewPoints, convex_angle, verify_bounding
-from .geometry import DegenerateInput
-from .inputs import (
-    InputError,
-    build_points,
-    build_reals,
-    load_document,
-    load_script,
-    rational_points,
-    read_trace,
-    real_limits,
-)
-from .knowledge import empty_state
-from .least import (
+from .errors import (
+    CertificateFailure,
+    DegenerateInput,
     ForcedChallengeDenied,
-    NullAuditor,
-    RestartBudgetExceeded,
-    ScriptedAuditor,
-    learn_least,
-)
-from .oracle import (
-    OracleAuditor,
+    InputError,
     PathMismatch,
-    TieDetected,
-    exact_convex_check,
-    replay_paths,
+    RestartBudgetExceeded,
 )
-from .trace import TraceLog, write_trace
+from .trace import NullLog, TraceLog, read_trace, write_trace
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -106,11 +91,14 @@ def _optional_nonnegative(source: str, flag: Optional[int]) -> Optional[int]:
 
 
 def _print_state(state) -> None:
-    print("state:", json.dumps(state.snapshot,
-                               sort_keys=True, separators=(",", ":")))
+    print("state:", state.snapshot_json)
 
 
 def cmd_least(args) -> int:
+    from .inputs import build_reals, load_document, load_script, real_limits
+    from .knowledge import empty_state
+    from .least import NullAuditor, ScriptedAuditor, learn_least
+
     kmax = _resolve_kmax(args.kmax)
     max_restarts = _optional_nonnegative("--max-restarts", args.max_restarts)
     document = load_document(args.input)
@@ -121,6 +109,8 @@ def cmd_least(args) -> int:
     if args.auditor == "none":
         auditor = NullAuditor()
     elif args.auditor == "oracle":
+        from .oracle import OracleAuditor, TieDetected
+
         try:
             auditor = OracleAuditor(reals, real_limits(document))
         except TieDetected as exc:
@@ -139,7 +129,7 @@ def cmd_least(args) -> int:
     outcome = learn_least(n, auditor, empty_state(reals), max_restarts,
                           args.log)
     if args.trace:
-        write_trace(args.trace, outcome.trace)
+        write_trace(args.trace, args.log)
     print(f"candidate: {outcome.candidate.candidate}")
     print(f"restarts: {outcome.restarts}")
     _print_state(outcome.state)
@@ -156,6 +146,9 @@ def _certificate_obj(certificate) -> dict:
 
 
 def cmd_convex(args) -> int:
+    from .convex import TooFewPoints, convex_angle
+    from .inputs import build_points, load_document
+
     kmax = _resolve_kmax(args.kmax)
     max_restarts = _optional_nonnegative("--max-restarts", args.max_restarts)
     document = load_document(args.input)
@@ -188,7 +181,7 @@ def cmd_convex(args) -> int:
             handle.write("\n")
     if args.trace:
         try:
-            write_trace(args.trace, result.trace)
+            write_trace(args.trace, args.log)
         except OSError:
             if args.result:
                 os.remove(args.result)
@@ -205,6 +198,10 @@ def cmd_convex(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .convex import verify_bounding
+    from .inputs import build_points, load_document, rational_points
+    from .oracle import exact_convex_check
+
     try:
         with open(args.result, "r", encoding="utf-8") as handle:
             record = json.loads(handle.read())
@@ -237,6 +234,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_tree(args) -> int:
+    from .replay import replay_paths
+
     n = _optional_nonnegative("--n", args.n)
     runs = [read_trace(path) for path in args.traces]
     verdict = replay_paths(runs, n=n)
@@ -319,18 +318,21 @@ _TRACED = tuple(cls for cls, code, _ in FAILURES if code != EXIT_INPUT)
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command and turn a failure into its exit code.
 
-    A command run with ``--trace`` that fails with exit 2-4 writes the
-    events it recorded in ``args.log``; an input error writes no trace.
-    A partial trace that cannot be written is itself an input error.
+    A command records its events in ``args.log``: a :class:`TraceLog`
+    with ``--trace``, otherwise a :class:`NullLog` that keeps nothing.
+    A run with ``--trace`` that fails with exit 2-4 writes the events it
+    recorded; an input error writes no trace.  A partial trace that
+    cannot be written is itself an input error.
     """
     try:
         args = build_parser().parse_args(argv)
-        args.log = TraceLog()
+        traced = getattr(args, "trace", None)
+        args.log = TraceLog() if traced else NullLog()
         try:
             return args.func(args)
         except _TRACED:
-            if getattr(args, "trace", None):
-                write_trace(args.trace, args.log.events)
+            if traced:
+                write_trace(args.trace, args.log)
             raise
     except _CAUGHT as exc:
         code, prefix = next((code, prefix) for cls, code, prefix in FAILURES

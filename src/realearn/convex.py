@@ -38,8 +38,8 @@ from operator import attrgetter
 from typing import Dict, Optional, Sequence, Tuple
 
 from ._record import _Record
+from .errors import CertificateFailure, DegenerateInput, RestartBudgetExceeded
 from .geometry import (
-    DegenerateInput,
     Differences,
     Left,
     Point,
@@ -50,7 +50,7 @@ from .geometry import (
     three_points,
 )
 from .knowledge import KnowledgeState, blame, empty_state, extend
-from .least import RestartBudgetExceeded, least_candidate
+from .least import least_candidate
 from .trace import TraceLog, emit_with_state
 
 
@@ -62,10 +62,6 @@ _REPLACE_CASE = ("new-b", "new-c")
 
 class TooFewPoints(ValueError):
     """The construction needs at least three points."""
-
-
-class CertificateFailure(RuntimeError):
-    """A bounding certificate failed to re-derive."""
 
 
 class BoundingCertificate(_Record):

@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple, Union
 
 from ._record import _Record
+from .errors import DegenerateInput
 # perfbench/tracing.py wraps find_strict_witness on this module
 from .reals import RealNum, find_strict_witness, least_witness, mul, op_at, sub
 
@@ -70,10 +71,6 @@ class Right(_Record):
 
 
 SideDecision = Union[Left, Right]
-
-
-class DegenerateInput(RuntimeError):
-    """No side witness within budget: input is (near) degenerate."""
 
 
 class NoWitnessFound(DegenerateInput):

@@ -25,8 +25,10 @@ read here and in the ``check`` result file.  Every constructor has a
 known rational limit (the value for rational and blurred reals, the
 tail for tables), which the oracle tools rely on.
 
-Trace files, written by :func:`~realearn.trace.write_trace`, are read
-back here with :func:`read_trace`, beside the other file readers.
+Trace files are read back by :func:`~realearn.trace.read_trace`, next
+to their writer.  The functions that build points and challenges import
+:mod:`~realearn.geometry` and :mod:`~realearn.least` when they run, so
+reading a document loads neither.
 """
 
 from __future__ import annotations
@@ -34,30 +36,16 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 from ._record import _Record
-from .geometry import Point, RationalPoint
-from .least import Challenge
+from .errors import InputError
 from .reals import InvalidNesting, RealNum, RealRegistry
-from .trace import TraceEvent
+from .trace import numbered_lines
 
-
-class InputError(ValueError):
-    """Malformed input document, script, or result file."""
-
-
-def numbered_lines(path) -> Iterator[Tuple[int, str]]:
-    """The stripped non-blank lines of a UTF-8 text file, numbered from
-    1; a file that is not UTF-8 raises :class:`InputError`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            for lineno, line in enumerate(handle, 1):
-                line = line.strip()
-                if line:
-                    yield lineno, line
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+if TYPE_CHECKING:
+    from .geometry import Point, RationalPoint
+    from .least import Challenge
 
 
 def _records(path, what: str) -> Iterator[Tuple[int, dict]]:
@@ -73,19 +61,6 @@ def _records(path, what: str) -> Iterator[Tuple[int, dict]]:
         if not isinstance(record, dict):
             raise InputError(f"{path}:{lineno}: {what} must be an object")
         yield lineno, record
-
-
-def read_trace(path) -> List[TraceEvent]:
-    """Read a trace file; a malformed line raises :class:`InputError`
-    naming the file and the line number, and a file that is not UTF-8
-    raises one naming the file."""
-    events: List[TraceEvent] = []
-    for lineno, line in numbered_lines(path):
-        try:
-            events.append(TraceEvent.from_json(line))
-        except (ValueError, RecursionError) as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from None
-    return events
 
 
 REAL_KINDS = ("rational", "blurred", "table")
@@ -243,6 +218,8 @@ def build_points(document: InputDocument) -> List[Point]:
     only; :func:`~realearn.convex.convex_angle` learns over the points'
     own y list, wherever the reals sit in the registry.
     """
+    from .geometry import Point
+
     count = len(document.points)
     registry = _registered([spec.y for spec in document.points]
                            + [spec.x for spec in document.points])
@@ -255,12 +232,16 @@ def real_limits(document: InputDocument) -> List[Fraction]:
 
 
 def rational_points(document: InputDocument) -> List[RationalPoint]:
+    from .geometry import RationalPoint
+
     return [RationalPoint(spec.x.limit, spec.y.limit)
             for spec in document.points]
 
 
 def load_script(path) -> List[Challenge]:
     """A challenge script: one ``{"j":, "precision":, "force"?:}`` per line."""
+    from .least import Challenge
+
     challenges: List[Challenge] = []
     for lineno, record in _records(path, "challenge"):
         j = record.get("j")

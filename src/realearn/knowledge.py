@@ -159,7 +159,8 @@ class KnowledgeState:
     or asks it for strict steps.
     """
 
-    __slots__ = ("_reals", "_entries", "_view", "_snapshot", "_successors")
+    __slots__ = ("_reals", "_entries", "_view", "_snapshot", "_snapshot_json",
+                 "_successors")
 
     def __init__(self, reals: Sequence[RealNum],
                  entries: Mapping[Pair, int] = MappingProxyType({})) -> None:
@@ -171,6 +172,7 @@ class KnowledgeState:
         self._entries = entries
         self._view = MappingProxyType(entries)
         self._snapshot: Optional[list[dict]] = None
+        self._snapshot_json: Optional[str] = None
         self._successors = successors
 
     reals = property(attrgetter("_reals"))
@@ -228,6 +230,17 @@ class KnowledgeState:
             self._snapshot = [{"i": i, "j": j, "witness": w}
                               for i, j, w in self.sorted_entries()]
         return self._snapshot
+
+    @property
+    def snapshot_json(self) -> str:
+        """:attr:`snapshot` as the trace writes it: sorted keys, no
+        spaces.  It is written straight from the entries, once per
+        state, and shared by every trace line that records the state."""
+        if self._snapshot_json is None:
+            self._snapshot_json = "[" + ",".join(
+                f'{{"i":{i},"j":{j},"witness":{w}}}'
+                for i, j, w in self.sorted_entries()) + "]"
+        return self._snapshot_json
 
 
 def empty_state(reals: Sequence[RealNum]) -> KnowledgeState:

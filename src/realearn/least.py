@@ -14,6 +14,8 @@ Its trace is deferred the same way: with a log, the pass records its
 ``decide`` events as one block that is built from the strict list when
 the trace is read, and the events that carry a state snapshot are
 built then too, so a run whose trace is never read builds neither.
+A trace that is written, not read, gets the block's lines as text made
+from the strict list, with no event built.
 
 :func:`learn_least` wraps the pass in an interactive loop.  An auditor
 challenges claims at chosen precisions; a refuted claim is blamed on
@@ -36,6 +38,7 @@ from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 from ._record import _Record
+from .errors import ForcedChallengeDenied, RestartBudgetExceeded
 from .knowledge import (
     Assumed,
     Falsified,
@@ -52,19 +55,6 @@ from .knowledge import (
 )
 from .reals import RealNum, op_at
 from .trace import TraceEvent, TraceLog, emit_with_state
-
-
-class RestartBudgetExceeded(RuntimeError):
-    """The run needed more restarts than the configured budget."""
-
-    def __init__(self, restarts: int, budget: int):
-        self.restarts = restarts
-        self.budget = budget
-        super().__init__(f"restart {restarts} exceeds budget {budget}")
-
-
-class ForcedChallengeDenied(ValueError):
-    """A forced challenge asserted a refutation that the reals deny."""
 
 
 class Evidences(Mapping):
@@ -182,12 +172,13 @@ def least_candidate(state: KnowledgeState, n: int,
     one index lookup per strict step and none per assumed one; no
     evidence is built until it is read.  With a trace, the pass defers
     its n ``decide`` events as one block that :func:`_decide_events`
-    builds from the strict list when the trace is read.
+    builds from the strict list when the trace is read, and that
+    :func:`_decide_text` serialises from it when the trace is written.
     """
     strict = state.strict_steps(n)
     candidate = strict[-1][1] if strict else 0
     if trace is not None:
-        trace.defer(n, lambda seq: _decide_events(seq, n, strict))
+        trace.defer(n, _decide_events, _decide_text, n, strict)
     return LeastCandidate(candidate, Evidences(strict, n))
 
 
@@ -216,6 +207,28 @@ def _decide_events(seq: int, n: int,
         events.append(TraceEvent(seq, "decide", payload))
         seq += 1
     return events
+
+
+def _decide_text(seq: int, n: int, strict: List[Tuple[int, int]]) -> str:
+    """The lines that :func:`_decide_events` would serialise, written as
+    text: sorted keys, no spaces, ``witness`` last on a strict step.
+
+    The steps between two strict subjects are assumed and compare the
+    same candidate, so each such run is one comprehension.
+    """
+    lines: List[str] = []
+    candidate, start = 0, 1
+    for witness, subject in [*strict, (None, n + 1)]:
+        lines += [f'{{"decision":"assume","pair":[{candidate},{i}],'
+                  f'"phase":"decide","seq":{seq + i - 1},"step":{i}}}\n'
+                  for i in range(start, subject)]
+        if subject <= n:
+            lines.append(f'{{"decision":"strict",'
+                         f'"pair":[{candidate},{subject}],"phase":"decide",'
+                         f'"seq":{seq + subject - 1},"step":{subject},'
+                         f'"witness":{witness}}}\n')
+        candidate, start = subject, subject + 1
+    return "".join(lines)
 
 
 class LearnOutcome:

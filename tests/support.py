@@ -12,7 +12,8 @@ from typing import List, Sequence, Set, Tuple
 import realearn.trace
 from realearn import (Assumed, KnowledgeState, LeastCandidate, Point, RealNum,
                       RealRegistry, Step, TraceLog)
-from realearn.oracle import RationalPoint, exact_orientation
+from realearn.geometry import RationalPoint
+from realearn.oracle import exact_orientation
 
 
 def random_fraction(rng: Random, span: int = 8, denom_bits: int = 6) -> Fraction:
@@ -94,8 +95,8 @@ class EagerLog(TraceLog):
     recorded: the events of a run whose trace is read after every
     pass, in the order such a run sees them."""
 
-    def defer(self, count, build):
-        super().defer(count, build)
+    def defer(self, count, build, text, *args):
+        super().defer(count, build, text, *args)
         self.events
 
 

@@ -32,9 +32,9 @@ from realearn import (
     op_at,
     verify_bounding,
 )
+from realearn.geometry import RationalPoint
 from realearn.oracle import (
     OracleAuditor,
-    RationalPoint,
     exact_convex_check,
     exact_min_index,
     replay_paths,

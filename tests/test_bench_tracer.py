@@ -17,7 +17,8 @@ import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
-from realearn.oracle import OracleAuditor, RationalPoint
+from realearn.geometry import RationalPoint
+from realearn.oracle import OracleAuditor
 
 from support import register_points
 

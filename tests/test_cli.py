@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,8 +10,8 @@ from random import Random
 
 import pytest
 
-from realearn.inputs import read_trace
 from realearn.oracle import replay_paths
+from realearn.trace import read_trace
 from support import general_position_points
 
 REPO = Path(__file__).resolve().parent.parent
@@ -376,6 +377,51 @@ def test_traces_are_byte_identical_across_runs(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_cli_least_trace_is_pinned(tmp_path):
+    # the 61 descending values of test_oracle_traces_are_pinned: the file
+    # the CLI writes from its log has the digest of the built events
+    doc = tmp_path / "desc61.jsonl"
+    doc.write_text("".join(
+        json.dumps({"type": "real", "kind": "blurred", "value": f"{60 - i}/3"})
+        + "\n" for i in range(61)))
+    trace = tmp_path / "desc61.trace"
+    proc = run_cli("least", doc, "--auditor", "oracle", "--trace", trace)
+    assert proc.returncode == 0
+    assert "restarts: 60" in proc.stdout
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == (
+        "2787f8f650dcd7de621d2b83016e4f6384a7c85a1ffb530fbf5756792a83c0d5")
+
+
+def test_a_run_without_trace_records_into_a_null_log(tmp_path, monkeypatch,
+                                                     capsys):
+    # an untraced run must keep nothing alive for a trace nobody reads
+    import realearn.convex
+    import realearn.least
+    from realearn import cli
+    from realearn.trace import NullLog, TraceLog
+
+    logs = []
+    learn_least = realearn.least.learn_least
+    convex_angle = realearn.convex.convex_angle
+
+    def recording_least(n, auditor, initial, max_restarts, trace):
+        logs.append(type(trace))
+        return learn_least(n, auditor, initial, max_restarts, trace)
+
+    def recording_convex(points, trace, **kwargs):
+        logs.append(type(trace))
+        return convex_angle(points, trace=trace, **kwargs)
+
+    monkeypatch.setattr(realearn.least, "learn_least", recording_least)
+    monkeypatch.setattr(realearn.convex, "convex_angle", recording_convex)
+    for extra in ([], ["--trace", str(tmp_path / "run.trace")]):
+        assert cli.main(["least", str(WORKED_REALS), "--auditor", "oracle",
+                         *extra]) == 0
+        assert cli.main(["convex", str(QUAD), *extra]) == 0
+    capsys.readouterr()
+    assert logs == [NullLog, NullLog, TraceLog, TraceLog]
+
+
 def assert_input_error(proc, *fragments):
     assert proc.returncode == 1
     assert proc.stderr.startswith("input error: ")
@@ -459,6 +505,8 @@ def test_forced_challenge_that_does_not_verify_exits_4(tmp_path):
 def test_faults_outside_input_checks_are_not_input_errors(monkeypatch):
     # an interval self-check or an unsound witness raised while computing
     # is a fault in the program: it must surface, not read as bad input
+    import realearn.convex
+    import realearn.least
     from realearn import InvalidNesting, UnsoundWitness, cli
 
     def computed_interval_fault(*args, **kwargs):
@@ -467,10 +515,11 @@ def test_faults_outside_input_checks_are_not_input_errors(monkeypatch):
     def unsound_witness(*args, **kwargs):
         raise UnsoundWitness("op_at(r_1, r_0, 3) is false")
 
-    monkeypatch.setattr(cli, "convex_angle", computed_interval_fault)
+    monkeypatch.setattr(realearn.convex, "convex_angle",
+                        computed_interval_fault)
     with pytest.raises(InvalidNesting):
         cli.main(["convex", str(WEDGE)])
-    monkeypatch.setattr(cli, "learn_least", unsound_witness)
+    monkeypatch.setattr(realearn.least, "learn_least", unsound_witness)
     for auditor in ("none", "oracle", f"script:{WORKED_SCRIPT}"):
         with pytest.raises(UnsoundWitness):
             cli.main(["least", str(WORKED_REALS), "--auditor", auditor])

@@ -22,8 +22,9 @@ from realearn import (
     orientation_real,
     verify_bounding,
 )
-from realearn.oracle import (RationalPoint, exact_convex_check,
-                             exact_orientation, separation_from_gap)
+from realearn.geometry import RationalPoint
+from realearn.oracle import (exact_convex_check, exact_orientation,
+                             separation_from_gap)
 from realearn.reals import add, mul, sub
 
 from support import (EagerLog, count_trace_builds, general_position_points,
@@ -241,6 +242,32 @@ def test_side_witnesses_need_no_more_than_the_separation_precision(
                 check(a, b, d, cert.left[d], True)
                 check(a, c, d, cert.right[d], False)
     assert len(checked) > 100
+
+
+def test_three_points_witnesses_need_no_more_than_the_separation_precision():
+    # op_at(q.y, a.y, k) compares two intervals, each holding its exact
+    # value and at most 2**-k wide, so it holds once 2 * 2**-k is below
+    # the gap: a vertex whose y lies g below the apex's is seen by
+    # precision separation_from_gap(g) + 1, and the witness is the first
+    # precision at which any vertex is seen
+    checked = []
+    for blurred in (False, True):
+        for scale in (1, Fraction(1, 2 ** 40)):
+            rng = Random(5)
+            for _ in range(60):
+                rational = [RationalPoint(p.x * scale, p.y * scale) for p in
+                            general_position_points(rng, rng.randint(3, 10))]
+                _, pts = register_points(rational, blurred=blurred)
+                for event in convex_angle(pts).trace:
+                    if event.phase != "three-points":
+                        continue
+                    payload = event.payload
+                    apex = rational[payload["a"]].y
+                    gap = max(apex - rational[q].y for q in payload["cycle"])
+                    assert gap > 0
+                    assert payload["witness"] <= separation_from_gap(gap) + 1
+                    checked.append(payload["witness"])
+    assert len(checked) >= 20
 
 
 def test_trace_digest_is_pinned():

@@ -1,0 +1,127 @@
+"""What a ``realearn`` process imports: the package resolves its exports
+on first access, and each subcommand loads only the modules it runs."""
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+FIXTURES = REPO / "fixtures"
+
+# run the CLI, then report the realearn modules loaded, on stderr
+PROBE = """import atexit, runpy, sys
+atexit.register(lambda: sys.stderr.write("\\nmodules " + " ".join(sorted(
+    m for m in sys.modules if m.startswith("realearn."))) + "\\n"))
+runpy.run_module("realearn", run_name="__main__", alter_sys=True)
+"""
+
+TREE = {"_record", "cli", "errors", "replay", "trace"}
+COMMON = TREE - {"replay"} | {"inputs", "reals"}
+ALL = COMMON | {"convex", "geometry", "knowledge", "least", "oracle",
+                "replay"}
+
+# every name `from realearn import ...` gave before the exports were
+# lazy, by a module that holds it (read_trace moved from inputs to trace)
+EXPORTS = {
+    "convex": ["BoundingCertificate", "CertificateFailure",
+               "ConvexAngleResult", "TooFewPoints", "convex_angle",
+               "verify_bounding"],
+    "geometry": ["DegenerateInput", "Left", "NoWitnessFound", "Point",
+                 "RationalPoint", "Right", "SideDecision", "decide_side",
+                 "orientation_real", "three_points"],
+    "knowledge": ["Assumed", "Falsified", "KnowledgeState", "LeqEvidence",
+                  "Refl", "ReflFalsified", "Step", "UnsoundWitness", "blame",
+                  "check_leq", "empty_state", "extend", "is_sound"],
+    "least": ["Auditor", "Challenge", "ForcedChallengeDenied",
+              "LeastCandidate", "LearnOutcome", "NullAuditor",
+              "RestartBudgetExceeded", "ScriptedAuditor", "learn_least",
+              "least_candidate"],
+    "oracle": ["OracleAuditor", "PathMismatch", "ReplayVerdict",
+               "TieDetected", "exact_convex_check", "exact_min_index",
+               "exact_orientation", "replay_paths", "separation_from_gap"],
+    "reals": ["InvalidNesting", "RealNum", "RealRegistry",
+              "find_strict_witness", "least_witness", "op_at"],
+    "trace": ["TraceEvent", "TraceLog", "read_trace", "write_trace"],
+}
+
+
+def loaded_by(*args):
+    proc = subprocess.run([sys.executable, "-c", PROBE, *map(str, args)],
+                          capture_output=True, text=True, cwd=REPO)
+    head, _, modules = proc.stderr.rpartition("\nmodules ")
+    assert modules, proc.stderr
+    return proc.returncode, {m[len("realearn."):] for m in modules.split()}
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("imports")
+    paths = {"trace": root / "quad.trace", "result": root / "quad.json"}
+    code, _ = loaded_by("convex", FIXTURES / "quad_points.jsonl", "--trace",
+                        paths["trace"], "--result", paths["result"])
+    assert code == 0
+    return paths
+
+
+def test_each_command_loads_only_the_modules_it_runs(files):
+    reals = FIXTURES / "worked_example_reals.jsonl"
+    quad = FIXTURES / "quad_points.jsonl"
+    expected = [
+        (("tree", files["trace"]), TREE),
+        (("least", reals), COMMON | {"knowledge", "least"}),
+        (("least", reals, "--auditor", "oracle"),
+         COMMON | {"knowledge", "least", "oracle", "replay"}),
+        (("convex", quad), ALL - {"oracle", "replay"}),
+        (("check", files["result"], quad), ALL),
+    ]
+    for args, modules in expected:
+        assert loaded_by(*args) == (0, modules), args
+
+
+def test_importing_the_package_loads_no_submodule():
+    probe = ("import sys, realearn; print(sorted(m for m in sys.modules "
+             "if m.startswith('realearn.')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_every_export_resolves_to_its_module_object(module):
+    import importlib
+
+    import realearn
+
+    home = importlib.import_module(f"realearn.{module}")
+    for name in EXPORTS[module]:
+        namespace = {}
+        exec(f"from realearn import {name}", namespace)
+        assert namespace[name] is getattr(home, name), name
+        assert name in realearn.__all__
+
+
+def test_the_export_table_names_nothing_else():
+    import realearn
+
+    names = sorted(name for names in EXPORTS.values() for name in names)
+    assert realearn.__all__ == names
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        realearn.nothing
+    from realearn import cli
+    assert cli.FAILURES
+
+
+def test_exit_code_exceptions_live_in_one_leaf_module():
+    # the modules that raise them re-export them: see EXPORTS above
+    source = (REPO / "src" / "realearn" / "errors.py").read_text()
+    assert not [node for node in ast.walk(ast.parse(source))
+                if isinstance(node, (ast.Import, ast.ImportFrom))]
+    import realearn.errors
+    from realearn import cli
+
+    assert {cls for cls, _, _ in cli.FAILURES} - {OSError} == {
+        value for value in vars(realearn.errors).values()
+        if isinstance(value, type)}

@@ -12,10 +12,10 @@ from realearn import (
     find_strict_witness,
     learn_least,
 )
+from realearn.geometry import RationalPoint
 from realearn.oracle import (
     OracleAuditor,
     PathMismatch,
-    RationalPoint,
     TieDetected,
     exact_convex_check,
     exact_min_index,

@@ -1,10 +1,16 @@
 import json
+from fractions import Fraction
+from random import Random
 
 import pytest
 
-from realearn import RealRegistry, TraceLog, empty_state, extend
-from realearn.inputs import InputError, read_trace
-from realearn.trace import TraceEvent, write_trace
+from realearn import (OracleAuditor, RealRegistry, TraceLog, convex_angle,
+                      empty_state, extend, learn_least)
+from realearn.errors import InputError
+from realearn.trace import NullLog, TraceEvent, read_trace, write_trace
+
+from support import (EagerLog, count_trace_builds, general_position_points,
+                     register_points)
 
 
 def test_emit_assigns_sequence_numbers():
@@ -39,11 +45,11 @@ def test_write_then_read_trace(tmp_path):
     log.emit("candidate", candidate=0, state=[])
     log.emit("accept", candidate=0, restarts=0, state=[])
     path = tmp_path / "run.trace"
-    write_trace(path, log.events)
+    write_trace(path, log)
     assert read_trace(path) == log.events
     # one JSON object per line, byte-stable across writes
     first = path.read_bytes()
-    write_trace(path, log.events)
+    write_trace(path, log)
     assert path.read_bytes() == first
     assert len(first.splitlines()) == 2
 
@@ -71,3 +77,76 @@ def test_read_trace_names_file_and_line_of_a_bad_event(tmp_path, bad, message):
     with pytest.raises(InputError) as exc:
         read_trace(path)
     assert str(exc.value).startswith(f"{path}:3: {message}")
+
+
+def test_decide_text_matches_the_built_events():
+    # the text block of a least-element pass writes, line for line, what
+    # to_json makes of the events the same strict steps build
+    from realearn.least import _decide_events, _decide_text
+
+    rng = Random(11)
+    cases = [(0, []), (6, []), (6, [(w, i) for i, w in enumerate(
+        (4, 0, 9, 1, 2, 33), 1)]), (1, [(7, 1)])]
+    for _ in range(200):
+        n = rng.randint(0, 40)
+        subjects = sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))
+        cases.append((n, [(rng.randint(0, 300), j) for j in subjects]))
+    for n, strict in cases:
+        seq = rng.randint(0, 10 ** 6)
+        events = _decide_events(seq, n, strict)
+        assert len(events) == n
+        assert _decide_text(seq, n, strict) == "".join(
+            event.to_json() + "\n" for event in events)
+
+
+def oracle_run(values, trace):
+    reg = RealRegistry()
+    for q in values:
+        reg.blurred(q)
+    return learn_least(len(values) - 1, OracleAuditor(reg, values),
+                       empty_state(reg), None, trace)
+
+
+def test_a_log_is_written_from_its_text_without_building_events(
+        tmp_path, monkeypatch):
+    values = [Fraction(key, 2 ** 12)
+              for key in Random(3).sample(range(-2 ** 19, 2 ** 19), 30)]
+    points = general_position_points(Random(4), 12)
+    runs = []
+    for make in (TraceLog, EagerLog):
+        log = make()
+        oracle_run(values, log)
+        runs.append(log)
+        log = make()
+        convex_angle(register_points(points, blurred=True)[1], trace=log)
+        runs.append(log)
+    phases, snapshots = count_trace_builds(monkeypatch)
+    texts = ["".join(log.lines()) for log in runs]
+    assert phases == [] and snapshots == []
+    for log, text in zip(runs, texts):
+        assert text == "".join(event.to_json() + "\n" for event in log.events)
+        path = tmp_path / "run.trace"
+        write_trace(path, log)
+        assert path.read_text() == text
+    assert texts[0] == texts[2] and texts[1] == texts[3]
+
+
+def test_snapshot_text_is_the_snapshot_serialised():
+    reg = RealRegistry()
+    for q in range(6, 0, -1):
+        reg.blurred(100 * q)
+    state = empty_state(reg)
+    assert state.snapshot_json == "[]"
+    for i, j, k in ((0, 3, 2), (4, 5, 0), (0, 1, 1), (1, 2, 12)):
+        state = extend(state, i, j, k)
+        assert state.snapshot_json == json.dumps(
+            state.snapshot, sort_keys=True, separators=(",", ":"))
+    assert state.snapshot_json is state.snapshot_json
+
+
+def test_a_null_log_keeps_nothing():
+    log = NullLog()
+    log.emit("candidate", candidate=0)
+    log.defer(3, lambda seq: [], lambda seq: "")
+    log.defer(1, lambda seq, x: [], lambda seq, x: "", 7)
+    assert not hasattr(log, "events") and log.__slots__ == ()
