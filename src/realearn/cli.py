@@ -19,7 +19,11 @@ loads only what its subcommand needs: ``tree`` loads only the trace
 reader and :mod:`realearn.replay`, ``least`` no convex or geometry
 module, and ``convex`` no oracle.  The ``--kmax`` default is 256 and
 can be overridden by the ``REALEARN_KMAX`` environment variable; an
-explicit flag wins over the environment.
+explicit flag wins over the environment.  Every kmax, from the flag,
+the environment or a ``check`` result file, is at most
+:data:`KMAX_CEILING` = 2^20: a probe at precision k works on integers
+about k bits long, so with a larger budget a degenerate input could
+run for minutes or more before it ends.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ EXIT_DEGENERATE = 3
 EXIT_VERIFY = 4
 
 DEFAULT_KMAX = 256
+KMAX_CEILING = 2 ** 20
 KMAX_ENV = "REALEARN_KMAX"
 
 # (exception class, exit code, stderr prefix): the first row whose class
@@ -73,9 +78,18 @@ def _nonnegative(source: str, value) -> int:
     return value
 
 
+def _kmax(source: str, value) -> int:
+    """``value`` if it is an integer in ``0..KMAX_CEILING``, else an
+    input error naming ``source``."""
+    if _nonnegative(source, value) > KMAX_CEILING:
+        raise InputError(
+            f"{source} must be at most {KMAX_CEILING} (2^20), got {value}")
+    return value
+
+
 def _resolve_kmax(flag: Optional[int]) -> int:
     if flag is not None:
-        return _nonnegative("--kmax", flag)
+        return _kmax("--kmax", flag)
     raw = os.environ.get(KMAX_ENV)
     if raw is None:
         return DEFAULT_KMAX
@@ -83,7 +97,7 @@ def _resolve_kmax(flag: Optional[int]) -> int:
         value = int(raw)
     except ValueError:
         raise InputError(f"{KMAX_ENV} must be an integer, got {raw!r}")
-    return _nonnegative(KMAX_ENV, value)
+    return _kmax(KMAX_ENV, value)
 
 
 def _optional_nonnegative(source: str, flag: Optional[int]) -> Optional[int]:
@@ -217,8 +231,7 @@ def cmd_check(args) -> int:
     if not all(isinstance(v, int) and not isinstance(v, bool)
                for v in (a, b, c)):
         raise InputError(f"{args.result}: a, b, c must be integers")
-    kmax = (_nonnegative(f"{args.result}: kmax",
-                         record.get("kmax", DEFAULT_KMAX))
+    kmax = (_kmax(f"{args.result}: kmax", record.get("kmax", DEFAULT_KMAX))
             if args.kmax is None else _resolve_kmax(args.kmax))
     derived = verify_bounding(points, a, b, c, k_max=kmax)
     stored = record.get("certificate")
@@ -271,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     least.add_argument("input")
     least.add_argument("--kmax", type=int, default=None,
                        help="precision ceiling for scripted challenges "
-                            "(default 256, or REALEARN_KMAX)")
+                            "(default 256, or REALEARN_KMAX; at most 2^20)")
     least.add_argument("--max-restarts", type=int, default=None,
                        help="restart budget (default 2^n)")
     least.add_argument("--auditor", default="none",
@@ -284,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     convex.add_argument("input")
     convex.add_argument("--kmax", type=int, default=None,
                         help="precision budget for side decisions "
-                             "(default 256, or REALEARN_KMAX)")
+                             "(default 256, or REALEARN_KMAX; at most 2^20)")
     convex.add_argument("--max-restarts", type=int, default=None,
                         help="restart budget (default 2^n)")
     convex.add_argument("--trace", default=None,
@@ -297,8 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("result")
     check.add_argument("input")
     check.add_argument("--kmax", type=int, default=None,
-                       help="re-verification budget (default: the "
-                            "kmax recorded in the result file)")
+                       help="re-verification budget, at most 2^20 "
+                            "(default: the kmax recorded in the result "
+                            "file)")
     check.set_defaults(func=cmd_check)
 
     tree = sub.add_parser("tree", help="replay traces against the tree")

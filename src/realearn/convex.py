@@ -132,15 +132,20 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
     log = trace if trace is not None else TraceLog()
     state = empty_state([p.y for p in points])
     restarts = 0
+    last = 0
 
     def side(p: int, q: int, r: int, stage: str,
              decision: Optional[SideDecision] = None) -> SideDecision:
         """Decide P_r's side of P_p->P_q, unless ``decision`` repeats an
-        earlier answer, and record it as a ``side`` event."""
+        earlier answer, and record it as a ``side`` event.  The witness
+        search starts at the witness of the last decision made."""
+        nonlocal last
         if decision is None:
             pp, pq, pr = points[p], points[q], points[r]
             decision = decide_side(pp, pq, pr, k_max,
-                                   orientation_real(pp, pq, pr, differences))
+                                   orientation_real(pp, pq, pr, differences),
+                                   last)
+            last = decision.witness
         log.emit("side", stage=stage, line=[p, q], point=r,
                  side="left" if isinstance(decision, Left) else "right",
                  witness=decision.witness)
@@ -244,8 +249,9 @@ def verify_bounding(points: Sequence[Point], a: int, b: int, c: int,
     :class:`CertificateFailure` on the first clause whose side comes
     out wrong or cannot be witnessed within the budget.  The audit's
     orientations share one dict of difference nodes, all about apex
-    ``a``, and nothing from the construction.  Intended as a post-hoc
-    audit of :func:`convex_angle` output.
+    ``a``, and nothing from the construction.  Each decision's witness
+    search starts at the witness of the audit's previous decision.
+    Intended as a post-hoc audit of :func:`convex_angle` output.
     """
     _check_point_layout(points)
     indices = range(len(points))
@@ -256,14 +262,18 @@ def verify_bounding(points: Sequence[Point], a: int, b: int, c: int,
         raise CertificateFailure(f"apex and ray indices overlap: {(a, b, c)}")
 
     differences: Differences = {}
+    last = 0
 
     def audit(p: int, q: int, r: int, want_left: bool, clause: str) -> int:
+        nonlocal last
         pp, pq, pr = points[p], points[q], points[r]
         try:
             decision = decide_side(pp, pq, pr, k_max,
-                                   orientation_real(pp, pq, pr, differences))
+                                   orientation_real(pp, pq, pr, differences),
+                                   last)
         except DegenerateInput as exc:
             raise CertificateFailure(f"{clause}: {exc}") from exc
+        last = decision.witness
         if want_left != isinstance(decision, Left):
             side = "left" if isinstance(decision, Left) else "right"
             raise CertificateFailure(

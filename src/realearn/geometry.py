@@ -17,7 +17,11 @@ Because strict order of reals is only semi-decidable,
 orientation's interval excludes zero, with the galloping search
 :func:`~realearn.reals.least_witness`, and reports the side together
 with that precision; exhausting the budget (as happens for collinear
-triples) raises :class:`DegenerateInput`.
+triples) raises :class:`DegenerateInput`.  The search gallops from a
+start precision that the caller may pass, such as the witness of its
+previous decision: neighbouring decisions of one construction have
+close witnesses, so fewer precisions are probed, and the least witness
+is the same from any start.
 """
 
 from __future__ import annotations
@@ -113,13 +117,17 @@ def _difference(p: Point, q: Point,
 
 
 def decide_side(p: Point, q: Point, r: Point, k_max: int,
-                orientation: Optional[RealNum] = None) -> SideDecision:
+                orientation: Optional[RealNum] = None,
+                start: int = 0) -> SideDecision:
     """Which side of the directed line p -> q does r lie on?
 
     The returned witness is the least precision k <= k_max at which the
     orientation's interval lies strictly above zero (Left, tested first)
     or strictly below it (Right).  That is :func:`op_at` against the
-    constant zero, whose interval is [0, 0] at every k.
+    constant zero, whose interval is [0, 0] at every k.  The search
+    starts at precision ``start``, a guess such as the witness of a
+    neighbouring decision; the guess decides which precisions are
+    probed, never the answer.
     """
     orient = orientation if orientation is not None else orientation_real(p, q, r)
 
@@ -127,7 +135,7 @@ def decide_side(p: Point, q: Point, r: Point, k_max: int,
         lo, hi, _ = orient._at(k)
         return (lo > 0) - (hi < 0)
 
-    k = least_witness(lambda k: sign(k) != 0, k_max)
+    k = least_witness(lambda k: sign(k) != 0, k_max, start)
     if k is not None:
         return Left(k) if sign(k) > 0 else Right(k)
     raise DegenerateInput(

@@ -42,7 +42,9 @@ predicate is monotone in ``k``, irreflexive, asymmetric, and
 transitive with witness ``max(k, l)``; those properties are theorems
 of the nesting invariants and are exercised by the test suite.
 Monotonicity is what lets :func:`least_witness` find the least
-witnessing precision by galloping and bisection instead of a scan.
+witnessing precision by galloping and bisection instead of a scan, and
+lets the gallop start from any precision: a caller that expects the
+witness near some k starts there, and the least witness is the same.
 """
 
 from __future__ import annotations
@@ -178,24 +180,43 @@ def op_at(r: RealNum, s: RealNum, k: int) -> bool:
     return r_hi * s_d < s_lo * r_d
 
 
-def least_witness(holds: Callable[[int], bool], k_max: int) -> Optional[int]:
+def least_witness(holds: Callable[[int], bool], k_max: int,
+                  start: int = 0) -> Optional[int]:
     """Least k in ``0..k_max`` with ``holds(k)``, or None.
 
     ``holds`` must be monotone in k (once true, true at every higher
-    index), as :func:`op_at` is for nested reals.  The search gallops
-    through k = 0, 1, 2, 4, 8, ... capped at ``k_max`` until ``holds``
-    is true, then bisects between the last false and the first true
-    probe, so it returns what a scan over 0, 1, 2, ... would return
-    using O(log k) probes.  A negative ``k_max`` returns None without
-    probing.
+    index), as :func:`op_at` is for nested reals.  The search probes
+    ``start``, clamped to ``0..k_max``, then gallops away from it by
+    1, 2, 4, 8, ... capped at 0 and ``k_max``: down while ``holds`` is
+    true, up while it is false.  It then bisects between the last false
+    and the first true probe, so it returns what a scan over 0, 1, 2,
+    ... would return whatever the start, using O(log |k - start|)
+    probes.  From ``start=0`` it probes 0, 1, 2, 4, 8, ...  A negative
+    ``k_max`` returns None without probing.
     """
     if k_max < 0:
         return None
-    below, k = -1, 0
-    while not holds(k):
-        if k >= k_max:
+    if not 0 <= start <= k_max:
+        start = 0 if start < 0 else k_max
+    k = start
+    step = 1
+    if holds(k):
+        below = -1
+        while k > 0:
+            probe = start - step if step < start else 0
+            if not holds(probe):
+                below = probe
+                break
+            k, step = probe, 2 * step
+    else:
+        below = k
+        while below < k_max:
+            k = start + step if step < k_max - start else k_max
+            if holds(k):
+                break
+            below, step = k, 2 * step
+        else:
             return None
-        below, k = k, min(2 * k or 1, k_max)
     while k - below > 1:
         mid = (below + k) // 2
         if holds(mid):

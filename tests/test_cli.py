@@ -160,6 +160,43 @@ def test_kmax_flag_must_not_be_negative():
         assert proc.stderr == "input error: --kmax must be >= 0, got -3\n"
 
 
+KMAX_CEILING = 2 ** 20
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "result"])
+def test_kmax_has_a_ceiling_of_2_to_the_20(tmp_path, source):
+    # (0, 0), (1, 1) and (2, 2) are collinear, so every run below probes
+    # up to its kmax; a probe at k handles k-bit integers, so kmax 10^12
+    # ran for minutes before the ceiling
+    points = tmp_path / "diagonal.jsonl"
+    points.write_text("".join(
+        json.dumps({"type": "point", "index": i,
+                    "x": {"kind": "blurred", "value": str(x)},
+                    "y": {"kind": "blurred", "value": str(y)}}) + "\n"
+        for i, (x, y) in enumerate([(0, 0), (1, 1), (2, 2), (5, -1)])))
+    result = tmp_path / "result.json"
+
+    def run(kmax):
+        if source == "flag":
+            return run_cli("convex", points, "--kmax", kmax)
+        if source == "env":
+            return run_cli("convex", points,
+                           env_extra={"REALEARN_KMAX": str(kmax)})
+        result.write_text(json.dumps({"type": "convex-result", "a": 0,
+                                      "b": 1, "c": 2, "kmax": kmax}))
+        return run_cli("check", result, points)
+
+    proc = run(KMAX_CEILING)
+    # check reports the audit's degenerate clause as a verification failure
+    assert proc.returncode == (4 if source == "result" else 3)
+    assert proc.stderr.endswith(f"within precision {KMAX_CEILING}\n")
+    name = {"flag": "--kmax", "env": "REALEARN_KMAX",
+            "result": f"{result}: kmax"}[source]
+    for kmax in (KMAX_CEILING + 1, 10 ** 12):
+        assert_input_error(run(kmax), f"{name} must be at most {KMAX_CEILING} "
+                                      f"(2^20), got {kmax}\n")
+
+
 @pytest.mark.parametrize("args, message", [
     (("convex", QUAD, "--kmax", "abc"),
      "argument --kmax: invalid int value: 'abc'"),

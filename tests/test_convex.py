@@ -288,6 +288,55 @@ def test_trace_digest_is_pinned():
         "a73aebbb8ba9a0364913659da1fa8b7030eae0def3f13efe625853f69debc1e3")
 
 
+def deep_instances():
+    """The points of 40 seeded instances (4-8 points, odd ones blurred)
+    scaled by 2^-60, so blurred side witnesses land near 50."""
+    rng = Random(11)
+    for trial in range(40):
+        rational = [RationalPoint(p.x / 2 ** 60, p.y / 2 ** 60) for p in
+                    general_position_points(rng, rng.randint(4, 8))]
+        yield register_points(rational, blurred=bool(trial % 2))[1]
+
+
+def test_deep_trace_digest_is_pinned(monkeypatch):
+    # each side decision starts its witness search at the witness of the
+    # decision before it: the witnesses must stay the least ones, and
+    # the searches must probe at most half the levels they probe from 0
+    least_witness = realearn.geometry.least_witness
+    probes = []
+
+    def counted(holds, k_max, start=0):
+        return least_witness(lambda k: probes.append(k) or holds(k),
+                             k_max, start)
+
+    def probed(search):
+        monkeypatch.setattr(realearn.geometry, "least_witness", search)
+        probes.clear()
+        runs = []
+        for pts in deep_instances():
+            log = TraceLog()
+            res = convex_angle(pts, trace=log)
+            assert verify_bounding(pts, res.a, res.b, res.c) == res.certificate
+            runs.append((pts, log.events))
+        return len(probes), runs
+
+    levels, runs = probed(counted)
+    from_zero, _ = probed(lambda holds, k_max, start=0: counted(holds, k_max))
+    assert 2 * levels <= from_zero, (levels, from_zero)
+    digest = hashlib.sha256()
+    for pts, events in runs:
+        for event in events:
+            digest.update(event.to_json().encode() + b"\n")
+            payload = event.payload
+            if event.phase == "side" and payload["witness"] > 0:
+                p, q = payload["line"]
+                orient = orientation_real(pts[p], pts[q], pts[payload["point"]])
+                lo, hi = orient.interval_at(payload["witness"] - 1)
+                assert lo <= 0 <= hi, payload
+    assert digest.hexdigest() == (
+        "7b986fe3c874a08c58dcdbf44514d2e62d08e02e4a7a796c539605e2fe777b9f")
+
+
 def angle_ordered_points(n):
     """Apex 0 is the lowest point and point i lies at angle
     0.05 + 3.0 i / n around it on the unit circle, on the 2^-12 grid:

@@ -184,6 +184,15 @@ def test_galloping_matches_linear_scan_in_three_points(coords, blurred, k_max):
         outcome(scan_three_points, a, q0, q1, q2, k_max)
 
 
+@settings(max_examples=30, deadline=None)
+@given(point_sets(3), st.booleans(), st.integers(min_value=0, max_value=64))
+def test_side_decisions_do_not_depend_on_the_start(coords, blurred, k_max):
+    p, q, r = simple_points(coords, blurred=blurred)
+    expected = outcome(decide_side, p, q, r, k_max)
+    for start in range(81):
+        assert outcome(decide_side, p, q, r, k_max, None, start) == expected
+
+
 def test_collinear_triple_exhausts_kmax_256_with_the_same_message():
     p, q, r = simple_points([(0, 0), (1, Fraction(1, 2 ** 20)),
                              (2, Fraction(2, 2 ** 20))], blurred=True)

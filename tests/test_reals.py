@@ -205,6 +205,53 @@ def test_least_witness_matches_linear_scan(k_max, threshold):
     assert found == scan_least_witness(holds, k_max)
 
 
+def check_search_from(start, k_max, threshold):
+    """Run least_witness from ``start`` on the predicate k >= threshold
+    and check its answer, its probes and their number."""
+    probes = []
+
+    def holds(k):
+        return threshold is not None and k >= threshold
+
+    found = least_witness(lambda k: probes.append(k) or holds(k), k_max,
+                          start)
+    assert found == scan_least_witness(holds, k_max)
+    assert all(0 <= k <= k_max for k in probes)
+    first = min(max(start, 0), k_max)
+    witness = k_max if found is None else found
+    assert len(probes) <= 2 * abs(witness - first).bit_length() + 2
+
+
+@given(st.integers(min_value=-3, max_value=300),
+       st.one_of(st.none(), st.integers(min_value=0, max_value=310)),
+       st.data())
+def test_least_witness_from_any_start_matches_linear_scan(k_max, threshold,
+                                                          data):
+    start = data.draw(st.integers(min_value=-3, max_value=k_max + 3))
+    check_search_from(start, k_max, threshold)
+
+
+def test_least_witness_from_every_start_on_small_budgets():
+    for k_max in range(-1, 25):
+        for start in range(-3, k_max + 4):
+            for threshold in (None, *range(k_max + 2)):
+                check_search_from(start, k_max, threshold)
+
+
+def test_least_witness_gallops_away_from_its_start():
+    probes = []
+
+    def from_50(k):
+        probes.append(k)
+        return k >= 50
+
+    assert least_witness(from_50, 256, 40) == 50
+    assert probes[:6] == [40, 41, 42, 44, 48, 56]
+    probes.clear()
+    assert least_witness(from_50, 256, 60) == 50
+    assert probes[:5] == [60, 59, 58, 56, 52]
+
+
 def test_least_witness_edge_budgets():
     probes = []
 
