@@ -18,7 +18,8 @@ from pathlib import Path
 from realearn.inputs import build_reals, load_document, load_script, real_limits
 from realearn.knowledge import empty_state
 from realearn.least import ScriptedAuditor, learn_least
-from realearn.oracle import exact_min_index, replay_paths
+from realearn.oracle import exact_min_index
+from realearn.replay import replay_paths
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -27,14 +27,13 @@ __version__ = "0.1.0"
 
 # module -> the names the package exports from it
 _MODULES = {
-    "convex": ("BoundingCertificate", "ConvexAngleResult", "TooFewPoints",
-               "convex_angle", "verify_bounding"),
+    "convex": ("ConvexAngleResult", "TooFewPoints", "convex_angle"),
     "errors": ("CertificateFailure", "DegenerateInput",
                "ForcedChallengeDenied", "PathMismatch",
                "RestartBudgetExceeded"),
-    "geometry": ("Left", "NoWitnessFound", "Point", "RationalPoint", "Right",
-                 "SideDecision", "decide_side", "orientation_real",
-                 "three_points"),
+    "geometry": ("BoundingCertificate", "Left", "NoWitnessFound", "Point",
+                 "RationalPoint", "Right", "SideDecision", "decide_side",
+                 "orientation_real", "three_points", "verify_bounding"),
     "knowledge": ("Assumed", "Falsified", "KnowledgeState", "LeqEvidence",
                   "Refl", "ReflFalsified", "Step", "UnsoundWitness", "blame",
                   "check_leq", "empty_state", "extend", "is_sound"),

@@ -16,9 +16,9 @@ class _Record:
     body and stays unhashable.
 
     Not a frozen dataclass: that would compile generated source at
-    every import, and a learner run, which records one trace event per
-    decision, builds a ``__slots__`` record in about a third of the
-    time.
+    every import, and a trace read in the process, which parses one
+    event per decision, builds a ``__slots__`` record in about a third
+    of the time.
     """
 
     __slots__ = ()

@@ -16,8 +16,9 @@ one-line stderr message and writes the partial trace.  The table's
 exceptions live in :mod:`realearn.errors`, which imports nothing, and
 each ``cmd_*`` imports the modules it runs when it runs, so a process
 loads only what its subcommand needs: ``tree`` loads only the trace
-reader and :mod:`realearn.replay`, ``least`` no convex or geometry
-module, and ``convex`` no oracle.  The ``--kmax`` default is 256 and
+reader and :mod:`realearn.replay`, ``least`` no convex, geometry or
+replay module, ``convex`` no oracle, and ``check`` no learner (no
+knowledge, least or convex module).  The ``--kmax`` default is 256 and
 can be overridden by the ``REALEARN_KMAX`` environment variable; an
 explicit flag wins over the environment.  Every kmax, from the flag,
 the environment or a ``check`` result file, is at most
@@ -212,7 +213,7 @@ def cmd_convex(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .convex import verify_bounding
+    from .geometry import verify_bounding
     from .inputs import build_points, load_document, rational_points
     from .oracle import exact_convex_check
 

@@ -22,15 +22,19 @@ start precision that the caller may pass, such as the witness of its
 previous decision: neighbouring decisions of one construction have
 close witnesses, so fewer precisions are probed, and the least witness
 is the same from any start.
+
+A :class:`BoundingCertificate` records the witnesses of a bounding
+angle, and :func:`verify_bounding` re-derives one from the points
+alone, so an audit of a convex result loads no learner.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from ._record import _Record
-from .errors import DegenerateInput
+from .errors import CertificateFailure, DegenerateInput
 # perfbench/tracing.py wraps find_strict_witness on this module
 from .reals import RealNum, find_strict_witness, least_witness, mul, op_at, sub
 
@@ -164,3 +168,85 @@ def three_points(a: Point, q0: Point, q1: Point, q2: Point,
         f"no point of ({q0.index}, {q1.index}, {q2.index}) observed below "
         f"{a.index} within precision {k_max}"
     )
+
+
+class BoundingCertificate(_Record):
+    """Witnessed bounding condition for apex a and rays a->b, a->c.
+
+    ``left[d]`` witnesses P_d strictly left of a->b and ``right[d]``
+    strictly right of a->c, for every point index d outside
+    ``{a, b, c}``.  The mutual pair: ``c_left`` witnesses P_c left of
+    a->b, ``b_right`` witnesses P_b right of a->c.
+    """
+
+    __slots__ = ("_a", "_b", "_c", "_left", "_right", "_c_left", "_b_right")
+    __hash__ = None
+
+    def __init__(self, a: int, b: int, c: int, left: Dict[int, int],
+                 right: Dict[int, int], c_left: int, b_right: int) -> None:
+        self._a = a
+        self._b = b
+        self._c = c
+        self._left = left
+        self._right = right
+        self._c_left = c_left
+        self._b_right = b_right
+
+
+def _check_point_layout(points: Sequence[Point]) -> None:
+    for position, point in enumerate(points):
+        if point.index != position:
+            raise ValueError(
+                f"point at position {position} carries index {point.index}")
+
+
+def verify_bounding(points: Sequence[Point], a: int, b: int, c: int,
+                    k_max: int = 256) -> BoundingCertificate:
+    """Independently re-derive the bounding certificate for (a, b, c).
+
+    Points must be listed in index order, as for
+    :func:`~realearn.convex.convex_angle`.  Runs fresh side decisions
+    for every clause and raises :class:`CertificateFailure` on the first
+    clause whose side comes out wrong or cannot be witnessed within the
+    budget.  The audit's orientations share one dict of difference
+    nodes, all about apex ``a``, and nothing from the construction.
+    Each decision's witness search starts at the witness of the audit's
+    previous decision.  Intended as a post-hoc audit of
+    :func:`~realearn.convex.convex_angle` output.
+    """
+    _check_point_layout(points)
+    indices = range(len(points))
+    for name, value in (("a", a), ("b", b), ("c", c)):
+        if value not in indices:
+            raise CertificateFailure(f"{name} = {value} is not a point index")
+    if len({a, b, c}) != 3:
+        raise CertificateFailure(f"apex and ray indices overlap: {(a, b, c)}")
+
+    differences: Differences = {}
+    last = 0
+
+    def audit(p: int, q: int, r: int, want_left: bool, clause: str) -> int:
+        nonlocal last
+        pp, pq, pr = points[p], points[q], points[r]
+        try:
+            decision = decide_side(pp, pq, pr, k_max,
+                                   orientation_real(pp, pq, pr, differences),
+                                   last)
+        except DegenerateInput as exc:
+            raise CertificateFailure(f"{clause}: {exc}") from exc
+        last = decision.witness
+        if want_left != isinstance(decision, Left):
+            side = "left" if isinstance(decision, Left) else "right"
+            raise CertificateFailure(
+                f"{clause}: point {r} is {side} of line {p}->{q}")
+        return decision.witness
+
+    c_left = audit(a, b, c, True, "mutual pair")
+    b_right = audit(a, c, b, False, "mutual pair")
+    left: Dict[int, int] = {}
+    right: Dict[int, int] = {}
+    for d in sorted(set(indices) - {a, b, c}):
+        left[d] = audit(a, b, d, True, f"bounding clause for point {d}")
+        right[d] = audit(a, c, d, False, f"bounding clause for point {d}")
+    return BoundingCertificate(a=a, b=b, c=c, left=left, right=right,
+                               c_left=c_left, b_right=b_right)

@@ -159,8 +159,7 @@ class KnowledgeState:
     or asks it for strict steps.
     """
 
-    __slots__ = ("_reals", "_entries", "_view", "_snapshot", "_snapshot_json",
-                 "_successors")
+    __slots__ = ("_reals", "_entries", "_view", "_snapshot_json", "_successors")
 
     def __init__(self, reals: Sequence[RealNum],
                  entries: Mapping[Pair, int] = MappingProxyType({})) -> None:
@@ -171,7 +170,6 @@ class KnowledgeState:
         self._reals = reals
         self._entries = entries
         self._view = MappingProxyType(entries)
-        self._snapshot: Optional[list[dict]] = None
         self._snapshot_json: Optional[str] = None
         self._successors = successors
 
@@ -224,12 +222,9 @@ class KnowledgeState:
     @property
     def snapshot(self) -> list[dict]:
         """The trace view of the state: ``{"i", "j", "witness"}`` dicts
-        sorted by pair.  It is built once per state and shared by every
-        event that records the state, so it must not be mutated."""
-        if self._snapshot is None:
-            self._snapshot = [{"i": i, "j": j, "witness": w}
-                              for i, j, w in self.sorted_entries()]
-        return self._snapshot
+        sorted by pair, a new list on every read."""
+        return [{"i": i, "j": j, "witness": w}
+                for i, j, w in self.sorted_entries()]
 
     @property
     def snapshot_json(self) -> str:

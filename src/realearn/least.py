@@ -10,12 +10,9 @@ to candidate, one lookup per strict step.  It keeps the list of those
 steps and builds an index's evidence, base and chain alike, only
 when it is read, so a pass costs O(strict steps) and allocates no
 evidence however many strict answers it meets.
-Its trace is deferred the same way: with a log, the pass records its
-``decide`` events as one block that is built from the strict list when
-the trace is read, and the events that carry a state snapshot are
-built then too, so a run whose trace is never read builds neither.
-A trace that is written, not read, gets the block's lines as text made
-from the strict list, with no event built.
+With a log, the pass records its ``decide`` events as one block whose
+lines :func:`_decide_text` writes from the strict list when the trace
+is read, so a run whose trace is never read writes none of them.
 
 :func:`learn_least` wraps the pass in an interactive loop.  An auditor
 challenges claims at chosen precisions; a refuted claim is blamed on
@@ -54,7 +51,7 @@ from .knowledge import (
     is_sound,
 )
 from .reals import RealNum, op_at
-from .trace import TraceEvent, TraceLog, emit_with_state
+from .trace import TraceLog, emit_with_state
 
 
 class Evidences(Mapping):
@@ -171,50 +168,26 @@ def least_candidate(state: KnowledgeState, n: int,
     takes its strict steps from :meth:`KnowledgeState.strict_steps`,
     one index lookup per strict step and none per assumed one; no
     evidence is built until it is read.  With a trace, the pass defers
-    its n ``decide`` events as one block that :func:`_decide_events`
-    builds from the strict list when the trace is read, and that
-    :func:`_decide_text` serialises from it when the trace is written.
+    its n ``decide`` events as one block, whose lines
+    :func:`_decide_text` writes from the strict list.
     """
     strict = state.strict_steps(n)
     candidate = strict[-1][1] if strict else 0
     if trace is not None:
-        trace.defer(n, _decide_events, _decide_text, n, strict)
+        trace.defer(n, _decide_text, n, strict)
     return LeastCandidate(candidate, Evidences(strict, n))
 
 
-def _decide_events(seq: int, n: int,
-                   strict: List[Tuple[int, int]]) -> List[TraceEvent]:
-    """The ``decide`` events of a pass over ``0..n``, numbered from
-    ``seq``, rebuilt from its strict steps.
-
-    Step i is strict exactly when i is the next strict subject, and the
-    candidate it is compared with is the last strict subject before it,
-    or 0.  The pass is not walked again: no state lookup is made.
-    """
-    events = []
-    candidate = 0
-    steps = iter(strict)
-    witness, subject = next(steps, (None, 0))
-    for i in range(1, n + 1):
-        if i == subject:
-            payload = {"step": i, "pair": [candidate, i],
-                       "decision": "strict", "witness": witness}
-            candidate = i
-            witness, subject = next(steps, (None, 0))
-        else:
-            payload = {"step": i, "pair": [candidate, i],
-                       "decision": "assume"}
-        events.append(TraceEvent(seq, "decide", payload))
-        seq += 1
-    return events
-
-
 def _decide_text(seq: int, n: int, strict: List[Tuple[int, int]]) -> str:
-    """The lines that :func:`_decide_events` would serialise, written as
-    text: sorted keys, no spaces, ``witness`` last on a strict step.
+    """The ``decide`` lines of a pass over ``0..n``, numbered from
+    ``seq``, written from its strict steps: sorted keys, no spaces,
+    ``witness`` last on a strict step.
 
-    The steps between two strict subjects are assumed and compare the
-    same candidate, so each such run is one comprehension.
+    Step i is strict exactly when i is a strict subject, and it
+    compares i with the last strict subject before it, or 0.  The steps
+    between two strict subjects are assumed and compare the same
+    candidate, so each such run is one comprehension.  The pass is not
+    walked again: no state lookup is made.
     """
     lines: List[str] = []
     candidate, start = 0, 1
@@ -233,8 +206,8 @@ def _decide_text(seq: int, n: int, strict: List[Tuple[int, int]]) -> str:
 
 class LearnOutcome:
     """The accepted candidate, the final state, the restart count and,
-    read-only, the run's ``trace``: the events of its log, built on
-    the first read."""
+    read-only, the run's ``trace``: the events parsed from its log's
+    lines, anew on every read."""
 
     __slots__ = ("candidate", "state", "_log", "restarts")
 

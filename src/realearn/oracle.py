@@ -1,12 +1,12 @@
-"""Exact rational reference implementations and replay audits.
+"""Exact rational reference implementations.
 
 Everything here works on exact rational data (the known limits of the
 reals, or plain rational coordinates) and serves as an
 independent check on the interval-based machinery: closed-form
-orientation signs, the true argmin, the full bounding condition, an
-auditor that challenges exactly-false claims, and replay of recorded
-runs along the decision tree of the least-element pass, which lives in
-:mod:`~realearn.replay` and is re-exported here.
+orientation signs, the true argmin, the full bounding condition and an
+auditor that challenges exactly-false claims.  Replay of recorded runs
+along the decision tree of the least-element pass lives in
+:mod:`~realearn.replay`.
 
 Points and candidates are only annotations here, and the auditor binds
 :class:`~realearn.least.Challenge` when it is built, so this module
@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from .errors import PathMismatch  # re-exported
 from .reals import RealNum, find_strict_witness
-from .replay import ReplayVerdict, replay_paths  # re-exported
 
 if TYPE_CHECKING:
     from .geometry import RationalPoint

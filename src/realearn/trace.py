@@ -1,28 +1,26 @@
-"""Structured trace events for interactive runs.
+"""Trace events for interactive runs.
 
-Every learning or geometry run can record what it did as a sequence of
-:class:`TraceEvent` records.  Serialized traces are line oriented: one
-JSON object per line, keys sorted, integers and ``num/den`` fraction
-strings only.  Two runs of the same input therefore produce byte
-identical trace files.  :func:`write_trace` writes one and
-:func:`read_trace` reads one back.
+Every learning or geometry run can record what it did in a
+:class:`TraceLog`.  A trace is text: one JSON object per line, keys
+sorted, no spaces, integers and ``num/den`` fraction strings only.  Two
+runs of the same input therefore produce byte identical trace files.
+:func:`write_trace` writes one and :func:`read_trace` reads one back as
+:class:`TraceEvent` records.
 
-A run records the events it can build cheaply as it goes and defers
-the rest: the ``decide`` events of a least-element pass and every
-event that carries a knowledge-state snapshot are built from what the
-run keeps anyway, and only when :attr:`TraceLog.events` is first read.
-A run whose trace is never read never builds them.  A deferred block
-also says how to serialise itself, and :func:`write_trace` writes a
-log from that text without building its events: a pass's ``decide``
-lines come straight from its strict steps, and a knowledge state's
-snapshot is serialised once for every event that records it.
-:class:`NullLog` keeps nothing, for a run whose trace is never read.
+A log keeps what each line is written from and writes the line only
+when the trace is read: an event keeps its payload, a least-element
+pass its strict steps, and an event that records a knowledge state the
+state, whose snapshot text is serialised once and shared by every line
+that records it.  :attr:`TraceLog.events` parses those lines, so a
+trace read in the process is the trace read from its file, and a run
+whose trace is never read writes nothing.  :class:`NullLog` keeps
+nothing, for a run whose trace is never read.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Iterator, List, Tuple, Union
+from typing import Any, Callable, Iterator, List, Tuple
 
 from ._record import _Record
 from .errors import InputError
@@ -33,11 +31,7 @@ _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 class TraceEvent(_Record):
     """One recorded step: its position ``seq`` in the run, its ``phase``
-    and a ``payload`` dict of JSON values.
-
-    A payload may share lists with other events, such as a knowledge
-    state's snapshot, so payloads must not be mutated.
-    """
+    and a ``payload`` dict of JSON values."""
 
     __slots__ = ("_seq", "_phase", "_payload")
     __hash__ = None
@@ -70,75 +64,44 @@ class TraceEvent(_Record):
 
 
 class TraceLog:
-    """Append-only event recorder with an auto-incrementing sequence.
+    """Append-only trace with an auto-incrementing sequence.
 
-    :meth:`emit` records one event now.  :meth:`defer` reserves the
-    next ``count`` sequence numbers for events that ``build(seq,
-    *args)`` returns, numbered from ``seq``, when :attr:`events` is
-    first read; a later :meth:`emit` continues the sequence after them.
-    Reading :attr:`events` builds every deferred block in order,
-    dropping each one as soon as it is built, and returns the same list
-    on every read, the list that later events are appended to.
-    :meth:`lines` serialises the log, and writes a block that is not
-    built yet from its ``text(seq, *args)``.
+    The log is a list of ``(seq, text, args)`` blocks in sequence
+    order: ``text(seq, *args)`` returns the block's lines, numbered
+    from ``seq``, each ended by a newline.  :meth:`emit` appends a
+    block of one event, :meth:`defer` one of ``count`` events.  A block
+    keeps its arguments, not a closure or its text, so recording one
+    builds no function and serialises nothing.
     """
 
-    __slots__ = ("_events", "_pending", "_tail", "_next")
+    __slots__ = ("_blocks", "_next")
 
     def __init__(self) -> None:
-        self._events: List[TraceEvent] = []
-        # events and deferred (seq, count, build, text, args) blocks
-        # recorded after the first block not yet built, in order
-        self._pending: List[Union[TraceEvent, tuple]] = []
-        self._tail = self._events
+        self._blocks: List[Tuple[int, Callable[..., str], tuple]] = []
         self._next = 0
 
-    def emit(self, phase: str, **payload: Any) -> TraceEvent:
-        event = TraceEvent(self._next, phase, payload)
+    def emit(self, phase: str, **payload: Any) -> None:
+        self._blocks.append((self._next, _event_line, (phase, payload)))
         self._next += 1
-        self._tail.append(event)
-        return event
 
-    def defer(self, count: int, build: Callable[..., List[TraceEvent]],
-              text: Callable[..., str], *args: Any) -> None:
-        """``text(seq, *args)`` returns the lines of ``build(seq,
-        *args)``'s events as :meth:`TraceEvent.to_json` writes them, each
-        ended by a newline.  A block keeps its arguments, not a closure,
-        so deferring one builds no function."""
-        self._pending.append((self._next, count, build, text, args))
+    def defer(self, count: int, text: Callable[..., str], *args: Any) -> None:
+        """Reserve the next ``count`` sequence numbers for the lines
+        that ``text(seq, *args)`` writes when the trace is read."""
+        self._blocks.append((self._next, text, args))
         self._next += count
-        self._tail = self._pending
+
+    def lines(self) -> Iterator[str]:
+        """The serialised trace in sequence order, one block's lines at
+        a time."""
+        for seq, text, args in self._blocks:
+            yield text(seq, *args)
 
     @property
     def events(self) -> List[TraceEvent]:
-        pending = self._pending
-        if pending:
-            events = self._events
-            pending.reverse()
-            while pending:
-                part = pending.pop()
-                if part.__class__ is TraceEvent:
-                    events.append(part)
-                    continue
-                seq, count, build, _, args = part
-                events.extend(build(seq, *args))
-                assert len(events) == seq + count, \
-                    "deferred block built the wrong number of events"
-            self._tail = events
-        return self._events
-
-    def lines(self) -> Iterator[str]:
-        """The serialised trace in sequence order, as one or more whole
-        lines at a time.  A deferred block is written from its text, not
-        built; the log is left as it was."""
-        for event in self._events:
-            yield event.to_json() + "\n"
-        for part in self._pending:
-            if part.__class__ is TraceEvent:
-                yield part.to_json() + "\n"
-            else:
-                seq, _, _, text, args = part
-                yield text(seq, *args)
+        """The events parsed from :meth:`lines`: a new list of new
+        events on every read."""
+        return [TraceEvent.from_json(line)
+                for line in "".join(self.lines()).splitlines()]
 
 
 class NullLog:
@@ -151,24 +114,22 @@ class NullLog:
     def emit(self, phase: str, **payload: Any) -> None:
         pass
 
-    def defer(self, count: int, build: Callable[..., List[TraceEvent]],
-              text: Callable[..., str], *args: Any) -> None:
+    def defer(self, count: int, text: Callable[..., str], *args: Any) -> None:
         pass
+
+
+def _event_line(seq: int, phase: str, payload: dict) -> str:
+    return _dumps({"seq": seq, "phase": phase, **payload}) + "\n"
 
 
 def emit_with_state(log: TraceLog, phase: str, state,
                     **payload: Any) -> None:
     """Record ``phase`` with ``payload`` and then the knowledge state's
-    ``state.snapshot`` under ``"state"``.  The event is built, or its
-    line written, when the trace is read; a state is sealed, so its
-    snapshot is the same then.  The line takes the snapshot's text from
-    ``state.snapshot_json``, which each state serialises once."""
-    log.defer(1, _state_event, _state_line, phase, state, payload)
-
-
-def _state_event(seq: int, phase: str, state, payload: dict
-                 ) -> List[TraceEvent]:
-    return [TraceEvent(seq, phase, {**payload, "state": state.snapshot})]
+    snapshot under ``"state"``.  The line is written when the trace is
+    read; a state is sealed, so its snapshot is the same then, and the
+    line takes its text from ``state.snapshot_json``, which each state
+    serialises once."""
+    log.defer(1, _state_line, phase, state, payload)
 
 
 def _state_line(seq: int, phase: str, state, payload: dict) -> str:

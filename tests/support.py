@@ -11,7 +11,7 @@ from typing import List, Sequence, Set, Tuple
 
 import realearn.trace
 from realearn import (Assumed, KnowledgeState, LeastCandidate, Point, RealNum,
-                      RealRegistry, Step, TraceLog)
+                      RealRegistry, Step)
 from realearn.geometry import RationalPoint
 from realearn.oracle import exact_orientation
 
@@ -88,16 +88,6 @@ def register_points(pts: Sequence[RationalPoint], blurred: bool = False
     ys = [ctor(p.y) for p in pts]
     xs = [ctor(p.x) for p in pts]
     return reg, [Point(i, xs[i], ys[i]) for i in range(len(pts))]
-
-
-class EagerLog(TraceLog):
-    """A trace log that builds each deferred block as soon as it is
-    recorded: the events of a run whose trace is read after every
-    pass, in the order such a run sees them."""
-
-    def defer(self, count, build, text, *args):
-        super().defer(count, build, text, *args)
-        self.events
 
 
 def count_trace_builds(monkeypatch) -> Tuple[List[str], List[int]]:

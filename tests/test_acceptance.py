@@ -37,8 +37,8 @@ from realearn.oracle import (
     OracleAuditor,
     exact_convex_check,
     exact_min_index,
-    replay_paths,
 )
+from realearn.replay import replay_paths
 
 from support import (
     distinct_fractions,

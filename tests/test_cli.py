@@ -10,7 +10,7 @@ from random import Random
 
 import pytest
 
-from realearn.oracle import replay_paths
+from realearn.replay import replay_paths
 from realearn.trace import read_trace
 from support import general_position_points
 

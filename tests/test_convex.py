@@ -26,8 +26,9 @@ from realearn.geometry import RationalPoint
 from realearn.oracle import (exact_convex_check, exact_orientation,
                              separation_from_gap)
 from realearn.reals import add, mul, sub
+from realearn.trace import read_trace, write_trace
 
-from support import (EagerLog, count_trace_builds, general_position_points,
+from support import (count_trace_builds, general_position_points,
                      register_points)
 
 WEDGE = [(0, 1), (-2, -1), (2, -1), (0, -2), (-1, -3), (1, -4)]
@@ -87,21 +88,29 @@ def test_wedge_completes_without_backtracking():
     assert set(res.certificate.right) == {3, 4, 5}
 
 
-def test_an_unread_trace_is_never_built(monkeypatch):
-    eager = convex_angle(register(QUAD), trace=EagerLog()).trace
+def test_an_unread_trace_is_never_built(monkeypatch, tmp_path):
     phases, snapshots = count_trace_builds(monkeypatch)
-    res = convex_angle(register(QUAD))
+    log = TraceLog()
+    res = convex_angle(register(QUAD), trace=log)
     assert res.restarts == 1
-    assert "decide" not in phases
-    assert snapshots == []
+    assert phases == [] and snapshots == []
 
+    path = tmp_path / "run.trace"
+    write_trace(path, log)
     trace = res.trace
-    assert res.trace is trace
     assert phases.count("decide") == 2 * 3
-    # one select-A event per attempt, one extend per restart, one accept
-    assert len(snapshots) == 2 + 1 + 1
+    assert trace == read_trace(path)
+    # one select-A event per attempt, one extend per restart, one accept,
+    # each written from its state's snapshot text
+    assert sum("state" in e.payload for e in trace) == 2 + 1 + 1
+    assert snapshots == []
     assert [e.seq for e in trace] == list(range(len(trace)))
-    assert trace == eager
+
+    again = res.trace
+    assert again == trace and again is not trace
+    again[0].payload["pair"].append(7)
+    again[-1].payload["state"].clear()
+    assert res.trace == trace
 
 
 def test_quad_restarts_once_and_relearns_apex():

@@ -20,18 +20,16 @@ runpy.run_module("realearn", run_name="__main__", alter_sys=True)
 
 TREE = {"_record", "cli", "errors", "replay", "trace"}
 COMMON = TREE - {"replay"} | {"inputs", "reals"}
-ALL = COMMON | {"convex", "geometry", "knowledge", "least", "oracle",
-                "replay"}
 
 # every name `from realearn import ...` gave before the exports were
-# lazy, by a module that holds it (read_trace moved from inputs to trace)
+# lazy, by a module that holds it (read_trace moved from inputs to
+# trace, the certificate and its audit from convex to geometry)
 EXPORTS = {
-    "convex": ["BoundingCertificate", "CertificateFailure",
-               "ConvexAngleResult", "TooFewPoints", "convex_angle",
-               "verify_bounding"],
-    "geometry": ["DegenerateInput", "Left", "NoWitnessFound", "Point",
+    "convex": ["ConvexAngleResult", "TooFewPoints", "convex_angle"],
+    "geometry": ["BoundingCertificate", "CertificateFailure",
+                 "DegenerateInput", "Left", "NoWitnessFound", "Point",
                  "RationalPoint", "Right", "SideDecision", "decide_side",
-                 "orientation_real", "three_points"],
+                 "orientation_real", "three_points", "verify_bounding"],
     "knowledge": ["Assumed", "Falsified", "KnowledgeState", "LeqEvidence",
                   "Refl", "ReflFalsified", "Step", "UnsoundWitness", "blame",
                   "check_leq", "empty_state", "extend", "is_sound"],
@@ -39,11 +37,12 @@ EXPORTS = {
               "LeastCandidate", "LearnOutcome", "NullAuditor",
               "RestartBudgetExceeded", "ScriptedAuditor", "learn_least",
               "least_candidate"],
-    "oracle": ["OracleAuditor", "PathMismatch", "ReplayVerdict",
-               "TieDetected", "exact_convex_check", "exact_min_index",
-               "exact_orientation", "replay_paths", "separation_from_gap"],
+    "oracle": ["OracleAuditor", "PathMismatch", "TieDetected",
+               "exact_convex_check", "exact_min_index", "exact_orientation",
+               "separation_from_gap"],
     "reals": ["InvalidNesting", "RealNum", "RealRegistry",
               "find_strict_witness", "least_witness", "op_at"],
+    "replay": ["ReplayVerdict", "replay_paths"],
     "trace": ["TraceEvent", "TraceLog", "read_trace", "write_trace"],
 }
 
@@ -73,9 +72,10 @@ def test_each_command_loads_only_the_modules_it_runs(files):
         (("tree", files["trace"]), TREE),
         (("least", reals), COMMON | {"knowledge", "least"}),
         (("least", reals, "--auditor", "oracle"),
-         COMMON | {"knowledge", "least", "oracle", "replay"}),
-        (("convex", quad), ALL - {"oracle", "replay"}),
-        (("check", files["result"], quad), ALL),
+         COMMON | {"knowledge", "least", "oracle"}),
+        (("convex", quad),
+         COMMON | {"convex", "geometry", "knowledge", "least"}),
+        (("check", files["result"], quad), COMMON | {"geometry", "oracle"}),
     ]
     for args, modules in expected:
         assert loaded_by(*args) == (0, modules), args

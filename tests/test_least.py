@@ -31,10 +31,11 @@ from realearn import (
 )
 import realearn.knowledge
 import realearn.least
-from realearn.oracle import OracleAuditor, exact_min_index, replay_paths
+from realearn.oracle import OracleAuditor, exact_min_index
+from realearn.replay import replay_paths
+from realearn.trace import read_trace, write_trace
 
-from support import (EagerLog, count_trace_builds, distinct_fractions,
-                     evidence_graph)
+from support import count_trace_builds, distinct_fractions, evidence_graph
 
 WORKED_VALUES = (0, Fraction(-5, 2), -1, -2, -3, 1)
 WORKED_SCRIPT = [
@@ -213,22 +214,30 @@ def descending_oracle_run(n, trace=None):
                        2 ** n, trace)
 
 
-def test_an_unread_trace_is_never_built(monkeypatch):
+def test_an_unread_trace_is_never_built(monkeypatch, tmp_path):
     # n = 100 descending values: 101 passes of 100 decisions each
-    eager = descending_oracle_run(100, EagerLog()).trace
     phases, snapshots = count_trace_builds(monkeypatch)
-    outcome = descending_oracle_run(100)
+    log = TraceLog()
+    outcome = descending_oracle_run(100, log)
     assert outcome.restarts == 100
-    assert "decide" not in phases
-    assert snapshots == []
+    assert phases == [] and snapshots == []
 
+    path = tmp_path / "run.trace"
+    write_trace(path, log)
     trace = outcome.trace
-    assert outcome.trace is trace
     assert phases.count("decide") == 101 * 100
-    # one candidate event per pass, one extend per restart, one accept
-    assert len(snapshots) == 101 + 100 + 1
+    assert trace == read_trace(path)
+    # one candidate event per pass, one extend per restart, one accept,
+    # each written from its state's snapshot text
+    assert sum("state" in e.payload for e in trace) == 101 + 100 + 1
+    assert snapshots == []
     assert [e.seq for e in trace] == list(range(len(trace)))
-    assert trace == eager
+
+    again = outcome.trace
+    assert again == trace and again is not trace
+    again[0].payload["pair"].append(7)
+    again[-1].payload["state"].clear()
+    assert outcome.trace == trace
 
 
 def trace_sha256(values):

@@ -20,9 +20,9 @@ from realearn.oracle import (
     exact_convex_check,
     exact_min_index,
     exact_orientation,
-    replay_paths,
     separation_from_gap,
 )
+from realearn.replay import replay_paths
 from realearn.trace import TraceEvent
 
 

@@ -9,7 +9,7 @@ from realearn import (OracleAuditor, RealRegistry, TraceLog, convex_angle,
 from realearn.errors import InputError
 from realearn.trace import NullLog, TraceEvent, read_trace, write_trace
 
-from support import (EagerLog, count_trace_builds, general_position_points,
+from support import (count_trace_builds, general_position_points,
                      register_points)
 
 
@@ -79,10 +79,12 @@ def test_read_trace_names_file_and_line_of_a_bad_event(tmp_path, bad, message):
     assert str(exc.value).startswith(f"{path}:3: {message}")
 
 
-def test_decide_text_matches_the_built_events():
-    # the text block of a least-element pass writes, line for line, what
-    # to_json makes of the events the same strict steps build
-    from realearn.least import _decide_events, _decide_text
+def test_decide_text_writes_the_path_of_the_strict_steps():
+    # the text block of a least-element pass: one decide event per step,
+    # numbered on from seq, strict with its witness exactly at a strict
+    # subject, assumed elsewhere, along the decision tree's path
+    from realearn.least import _decide_text
+    from realearn.replay import replay_paths
 
     rng = Random(11)
     cases = [(0, []), (6, []), (6, [(w, i) for i, w in enumerate(
@@ -93,10 +95,21 @@ def test_decide_text_matches_the_built_events():
         cases.append((n, [(rng.randint(0, 300), j) for j in subjects]))
     for n, strict in cases:
         seq = rng.randint(0, 10 ** 6)
-        events = _decide_events(seq, n, strict)
-        assert len(events) == n
-        assert _decide_text(seq, n, strict) == "".join(
-            event.to_json() + "\n" for event in events)
+        events = [TraceEvent.from_json(line)
+                  for line in _decide_text(seq, n, strict).splitlines()]
+        assert [(e.seq, e.phase) for e in events] == [
+            (seq + i, "decide") for i in range(n)]
+        witnesses = {j: w for w, j in strict}
+        candidate = 0
+        for i, event in enumerate(events, 1):
+            payload = {"step": i, "pair": [candidate, i], "decision": "assume"}
+            if i in witnesses:
+                payload.update(decision="strict", witness=witnesses[i])
+                candidate = i
+            assert event.payload == payload
+        leaf = strict[-1][1] if strict else 0
+        run = events + [TraceEvent(seq + n, "candidate", {"candidate": leaf})]
+        assert replay_paths([run], n).runs[0].leaf_candidates == [leaf]
 
 
 def oracle_run(values, trace):
@@ -112,14 +125,9 @@ def test_a_log_is_written_from_its_text_without_building_events(
     values = [Fraction(key, 2 ** 12)
               for key in Random(3).sample(range(-2 ** 19, 2 ** 19), 30)]
     points = general_position_points(Random(4), 12)
-    runs = []
-    for make in (TraceLog, EagerLog):
-        log = make()
-        oracle_run(values, log)
-        runs.append(log)
-        log = make()
-        convex_angle(register_points(points, blurred=True)[1], trace=log)
-        runs.append(log)
+    runs = [TraceLog(), TraceLog()]
+    oracle_run(values, runs[0])
+    convex_angle(register_points(points, blurred=True)[1], trace=runs[1])
     phases, snapshots = count_trace_builds(monkeypatch)
     texts = ["".join(log.lines()) for log in runs]
     assert phases == [] and snapshots == []
@@ -128,7 +136,6 @@ def test_a_log_is_written_from_its_text_without_building_events(
         path = tmp_path / "run.trace"
         write_trace(path, log)
         assert path.read_text() == text
-    assert texts[0] == texts[2] and texts[1] == texts[3]
 
 
 def test_snapshot_text_is_the_snapshot_serialised():
@@ -147,6 +154,6 @@ def test_snapshot_text_is_the_snapshot_serialised():
 def test_a_null_log_keeps_nothing():
     log = NullLog()
     log.emit("candidate", candidate=0)
-    log.defer(3, lambda seq: [], lambda seq: "")
-    log.defer(1, lambda seq, x: [], lambda seq, x: "", 7)
+    log.defer(3, lambda seq: "")
+    log.defer(1, lambda seq, x: "", 7)
     assert not hasattr(log, "events") and log.__slots__ == ()
