@@ -45,7 +45,7 @@ _MODULES = {
     "reals": ("InvalidNesting", "RealNum", "RealRegistry",
               "find_strict_witness", "least_witness", "op_at"),
     "replay": ("ReplayVerdict", "replay_paths"),
-    "trace": ("TraceEvent", "TraceLog", "read_trace", "write_trace"),
+    "trace": ("TraceEvent", "TraceLog", "read_trace"),
 }
 _EXPORTS = {name: module for module, names in _MODULES.items()
             for name in names}

@@ -7,24 +7,26 @@ Subcommands::
     realearn check RESULT INPUT   audit a convex result file
     realearn tree TRACE...  replay recorded traces against the tree
 
-Exit codes: 0 success, 1 input error (a usage error is one),
-2 restart budget exhausted, 3 degenerate geometry, 4 verification
-failure.  They are decided in one place, the :data:`FAILURES` table:
-a command returns 0 (``tree`` returns 4 for a replay that is not ok)
-or raises, and :func:`main` maps the exception to its exit code and
-one-line stderr message and writes the partial trace.  The table's
-exceptions live in :mod:`realearn.errors`, which imports nothing, and
-each ``cmd_*`` imports the modules it runs when it runs, so a process
-loads only what its subcommand needs: ``tree`` loads only the trace
-reader and :mod:`realearn.replay`, ``least`` no convex, geometry or
-replay module, ``convex`` no oracle, and ``check`` no learner (no
-knowledge, least or convex module).  The ``--kmax`` default is 256 and
-can be overridden by the ``REALEARN_KMAX`` environment variable; an
-explicit flag wins over the environment.  Every kmax, from the flag,
-the environment or a ``check`` result file, is at most
-:data:`KMAX_CEILING` = 2^20: a probe at precision k works on integers
-about k bits long, so with a larger budget a degenerate input could
-run for minutes or more before it ends.
+Exit codes: 0 success, 1 input error (a usage error is one), 2 restart
+budget exhausted, 3 degenerate geometry, 4 verification failure.  They
+are decided in one place, the :data:`FAILURES` table: a command returns
+0 (``tree`` returns 4 for a replay that is not ok) or raises, and
+:func:`main` maps the exception to its exit code and one-line stderr
+message.  A ``--trace`` file is opened after the input checks, written
+as the run records each event and closed when it ends, so exit 2-4
+leaves the events recorded; exit 1 removes it.  No output may name the
+input or the other output.  The table's exceptions live in
+:mod:`realearn.errors`, which imports nothing, and each ``cmd_*``
+imports the modules it runs when it runs, so a process loads only what
+its subcommand needs: ``tree`` loads only the trace reader and
+:mod:`realearn.replay`, ``least`` no convex, geometry or replay module,
+``convex`` no oracle, and ``check`` no learner (no knowledge, least or
+convex module).  The ``--kmax`` default is 256 and can be overridden by
+the ``REALEARN_KMAX`` environment variable; an explicit flag wins over
+the environment.  Every kmax, from the flag, the environment or a
+``check`` result file, is at most :data:`KMAX_CEILING` = 2^20: a probe
+at precision k works on integers about k bits long, so with a larger
+budget a degenerate input could run for minutes or more before it ends.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from decimal import Decimal
 from typing import NoReturn, Optional, Sequence
 
@@ -44,7 +47,7 @@ from .errors import (
     PathMismatch,
     RestartBudgetExceeded,
 )
-from .trace import NullLog, TraceLog, read_trace, write_trace
+from .trace import NullLog, TraceFile, read_trace
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -105,6 +108,32 @@ def _optional_nonnegative(source: str, flag: Optional[int]) -> Optional[int]:
     return None if flag is None else _nonnegative(source, flag)
 
 
+def _distinct(*paths: Optional[str]) -> None:
+    """An input error if two of the paths given name one file: an output
+    would overwrite the input or interleave with the other output."""
+    real = [os.path.realpath(path) for path in paths if path]
+    if len(set(real)) < len(real):
+        raise InputError("the input and the output files must differ, got "
+                         + ", ".join(path for path in paths if path))
+
+
+@contextmanager
+def _trace_log(path: Optional[str]):
+    """A :class:`NullLog` without a path, else a :class:`TraceFile` on
+    ``path``, which an input error removes if it is a regular file."""
+    if not path:
+        yield NullLog()
+        return
+    handle = open(path, "w", encoding="utf-8")
+    try:
+        with handle:
+            yield TraceFile(handle)
+    except (InputError, OSError):
+        if os.path.isfile(path):
+            os.remove(path)
+        raise
+
+
 def _print_state(state) -> None:
     print("state:", state.snapshot_json)
 
@@ -114,6 +143,7 @@ def cmd_least(args) -> int:
     from .knowledge import empty_state
     from .least import NullAuditor, ScriptedAuditor, learn_least
 
+    _distinct(args.input, args.trace)
     kmax = _resolve_kmax(args.kmax)
     max_restarts = _optional_nonnegative("--max-restarts", args.max_restarts)
     document = load_document(args.input)
@@ -141,10 +171,9 @@ def cmd_least(args) -> int:
         auditor = ScriptedAuditor(script)
     else:
         raise InputError(f"unknown auditor {args.auditor!r}")
-    outcome = learn_least(n, auditor, empty_state(reals), max_restarts,
-                          args.log)
-    if args.trace:
-        write_trace(args.trace, args.log)
+    with _trace_log(args.trace) as log:
+        outcome = learn_least(n, auditor, empty_state(reals), max_restarts,
+                              log)
     print(f"candidate: {outcome.candidate.candidate}")
     print(f"restarts: {outcome.restarts}")
     _print_state(outcome.state)
@@ -164,43 +193,34 @@ def cmd_convex(args) -> int:
     from .convex import TooFewPoints, convex_angle
     from .inputs import build_points, load_document
 
+    _distinct(args.input, args.trace, args.result)
     kmax = _resolve_kmax(args.kmax)
     max_restarts = _optional_nonnegative("--max-restarts", args.max_restarts)
     document = load_document(args.input)
     if not document.points:
         raise InputError(f"{args.input}: no points in document")
     points = build_points(document)
-    try:
-        result = convex_angle(points, k_max=kmax,
-                              max_restarts=max_restarts, trace=args.log)
-    except TooFewPoints as exc:
-        raise InputError(f"{args.input}: {exc}")
-    # The result record is written first: a path that cannot be written
-    # is an input error, which leaves no trace and prints nothing.  A
-    # trace that cannot be written is one too, and takes the record
-    # back, so an exit-1 run leaves neither file.
-    if args.result:
-        record = {
-            "type": "convex-result",
-            "a": result.a,
-            "b": result.b,
-            "c": result.c,
-            "kmax": kmax,
-            "restarts": result.restarts,
-            "certificate": _certificate_obj(result.certificate),
-            "state": result.state.snapshot,
-        }
-        with open(args.result, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True,
-                                    separators=(",", ":")))
-            handle.write("\n")
-    if args.trace:
+    with _trace_log(args.trace) as log:
         try:
-            write_trace(args.trace, args.log)
-        except OSError:
-            if args.result:
-                os.remove(args.result)
-            raise
+            result = convex_angle(points, k_max=kmax,
+                                  max_restarts=max_restarts, trace=log)
+        except TooFewPoints as exc:
+            raise InputError(f"{args.input}: {exc}")
+        if args.result:
+            record = {
+                "type": "convex-result",
+                "a": result.a,
+                "b": result.b,
+                "c": result.c,
+                "kmax": kmax,
+                "restarts": result.restarts,
+                "certificate": _certificate_obj(result.certificate),
+                "state": result.state.snapshot,
+            }
+            with open(args.result, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(record, sort_keys=True,
+                                        separators=(",", ":")))
+                handle.write("\n")
     witnesses = [result.certificate.c_left, result.certificate.b_right]
     witnesses.extend(result.certificate.left.values())
     witnesses.extend(result.certificate.right.values())
@@ -327,28 +347,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _CAUGHT = tuple(cls for cls, _, _ in FAILURES)
-_TRACED = tuple(cls for cls, code, _ in FAILURES if code != EXIT_INPUT)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one command and turn a failure into its exit code.
-
-    A command records its events in ``args.log``: a :class:`TraceLog`
-    with ``--trace``, otherwise a :class:`NullLog` that keeps nothing.
-    A run with ``--trace`` that fails with exit 2-4 writes the events it
-    recorded; an input error writes no trace.  A partial trace that
-    cannot be written is itself an input error.
-    """
+    """Run one command and turn a failure into its exit code."""
     try:
         args = build_parser().parse_args(argv)
-        traced = getattr(args, "trace", None)
-        args.log = TraceLog() if traced else NullLog()
-        try:
-            return args.func(args)
-        except _TRACED:
-            if traced:
-                write_trace(args.trace, args.log)
-            raise
+        return args.func(args)
     except _CAUGHT as exc:
         code, prefix = next((code, prefix) for cls, code, prefix in FAILURES
                             if isinstance(exc, cls))

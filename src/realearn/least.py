@@ -11,8 +11,8 @@ steps and builds an index's evidence, base and chain alike, only
 when it is read, so a pass costs O(strict steps) and allocates no
 evidence however many strict answers it meets.
 With a log, the pass records its ``decide`` events as one block whose
-lines :func:`_decide_text` writes from the strict list when the trace
-is read, so a run whose trace is never read writes none of them.
+lines :func:`_decide_text` writes from the strict list when the log
+writes them, so an unread :class:`TraceLog` writes none of them.
 
 :func:`learn_least` wraps the pass in an interactive loop.  An auditor
 challenges claims at chosen precisions; a refuted claim is blamed on

@@ -1,20 +1,20 @@
 """Trace events for interactive runs.
 
-Every learning or geometry run can record what it did in a
-:class:`TraceLog`.  A trace is text: one JSON object per line, keys
-sorted, no spaces, integers and ``num/den`` fraction strings only.  Two
-runs of the same input therefore produce byte identical trace files.
-:func:`write_trace` writes one and :func:`read_trace` reads one back as
-:class:`TraceEvent` records.
+Every learning or geometry run can record what it did in a log.  A
+trace is text: one JSON object per line, keys sorted, no spaces,
+integers and ``num/den`` fraction strings only.  Two runs of the same
+input therefore produce byte identical trace files, and
+:func:`read_trace` reads one back as :class:`TraceEvent` records.
 
-A log keeps what each line is written from and writes the line only
-when the trace is read: an event keeps its payload, a least-element
-pass its strict steps, and an event that records a knowledge state the
-state, whose snapshot text is serialised once and shared by every line
-that records it.  :attr:`TraceLog.events` parses those lines, so a
-trace read in the process is the trace read from its file, and a run
-whose trace is never read writes nothing.  :class:`NullLog` keeps
-nothing, for a run whose trace is never read.
+A :class:`TraceFile`, the CLI's ``--trace`` sink, writes each line when
+it is recorded.  A :class:`TraceLog`, the library default, keeps what
+each line is written from and writes it when the trace is read: an
+event keeps its payload, a least-element pass its strict steps, and a
+line that records a knowledge state the state, whose snapshot text is
+serialised once.  Both write the same bytes, as every block is sealed
+when it is recorded.  :attr:`TraceLog.events` parses the lines, so a
+trace read in the process is the trace read from its file.
+:class:`NullLog` keeps nothing, for a run whose trace is never read.
 """
 
 from __future__ import annotations
@@ -64,15 +64,11 @@ class TraceEvent(_Record):
 
 
 class TraceLog:
-    """Append-only trace with an auto-incrementing sequence.
-
-    The log is a list of ``(seq, text, args)`` blocks in sequence
-    order: ``text(seq, *args)`` returns the block's lines, numbered
-    from ``seq``, each ended by a newline.  :meth:`emit` appends a
-    block of one event, :meth:`defer` one of ``count`` events.  A block
+    """Append-only trace: a list of ``(seq, text, args)`` blocks in
+    sequence order, where ``text(seq, *args)`` returns the block's
+    lines, numbered from ``seq``, each ended by a newline.  A block
     keeps its arguments, not a closure or its text, so recording one
-    builds no function and serialises nothing.
-    """
+    builds no function and serialises nothing."""
 
     __slots__ = ("_blocks", "_next")
 
@@ -104,10 +100,27 @@ class TraceLog:
                 for line in "".join(self.lines()).splitlines()]
 
 
+class TraceFile:
+    """A log that writes each block's lines to ``handle`` at once."""
+
+    __slots__ = ("_write", "_next")
+
+    def __init__(self, handle) -> None:
+        self._write = handle.write
+        self._next = 0
+
+    def emit(self, phase: str, **payload: Any) -> None:
+        self._write(_event_line(self._next, phase, payload))
+        self._next += 1
+
+    def defer(self, count: int, text: Callable[..., str], *args: Any) -> None:
+        self._write(text(self._next, *args))
+        self._next += count
+
+
 class NullLog:
     """A log that drops what it is given: a run recording into it keeps
-    nothing alive for a trace that nobody reads, and has no trace to
-    read."""
+    nothing alive for a trace that nobody reads."""
 
     __slots__ = ()
 
@@ -124,11 +137,9 @@ def _event_line(seq: int, phase: str, payload: dict) -> str:
 
 def emit_with_state(log: TraceLog, phase: str, state,
                     **payload: Any) -> None:
-    """Record ``phase`` with ``payload`` and then the knowledge state's
-    snapshot under ``"state"``.  The line is written when the trace is
-    read; a state is sealed, so its snapshot is the same then, and the
-    line takes its text from ``state.snapshot_json``, which each state
-    serialises once."""
+    """Record ``phase`` with ``payload`` and the sealed knowledge state's
+    snapshot under ``"state"``, written from ``state.snapshot_json``,
+    which each state serialises once."""
     log.defer(1, _state_line, phase, state, payload)
 
 
@@ -139,13 +150,6 @@ def _state_line(seq: int, phase: str, state, payload: dict) -> str:
     tail = _dumps({k: v for k, v in record.items() if k > "state"})
     rest = "," + tail[1:] if len(tail) > 2 else "}"
     return f'{head[:-1]},"state":{state.snapshot_json}{rest}\n'
-
-
-def write_trace(path, log: TraceLog) -> None:
-    """Write the log's events, one JSON object per line, from
-    :meth:`TraceLog.lines`."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(log.lines())
 
 
 def numbered_lines(path) -> Iterator[Tuple[int, str]]:

@@ -105,6 +105,22 @@ def test_input_error_writes_no_trace(tmp_path):
     assert not trace.exists()
 
 
+def test_input_error_removes_no_trace_that_is_not_a_regular_file(
+        tmp_path, monkeypatch, capsys):
+    # run as root, removing the trace path /dev/null would delete the device
+    from realearn import cli
+
+    two = tmp_path / "two.jsonl"
+    two.write_text("".join(WEDGE.read_text().splitlines(True)[:2]))
+    removed = []
+    monkeypatch.setattr(os, "remove", removed.append)
+    assert cli.main(["convex", str(two), "--trace", os.devnull]) == 1
+    assert cli.main(["convex", str(two), "--trace",
+                     str(tmp_path / "run.trace")]) == 1
+    capsys.readouterr()
+    assert removed == [str(tmp_path / "run.trace")]
+
+
 def test_unwritable_result_writes_no_trace(tmp_path):
     trace = tmp_path / "quad.trace"
     proc = run_cli("convex", QUAD, "--trace", trace,
@@ -435,7 +451,7 @@ def test_a_run_without_trace_records_into_a_null_log(tmp_path, monkeypatch,
     import realearn.convex
     import realearn.least
     from realearn import cli
-    from realearn.trace import NullLog, TraceLog
+    from realearn.trace import NullLog, TraceFile
 
     logs = []
     learn_least = realearn.least.learn_least
@@ -456,7 +472,39 @@ def test_a_run_without_trace_records_into_a_null_log(tmp_path, monkeypatch,
                          *extra]) == 0
         assert cli.main(["convex", str(QUAD), *extra]) == 0
     capsys.readouterr()
-    assert logs == [NullLog, NullLog, TraceLog, TraceLog]
+    assert logs == [NullLog, NullLog, TraceFile, TraceFile]
+
+
+@pytest.mark.parametrize("case", ["trace-is-result", "trace-is-input",
+                                  "result-is-input", "least-trace-is-input",
+                                  "result-links-to-trace"])
+def test_an_output_naming_the_input_or_the_other_output_is_an_input_error(
+        tmp_path, case):
+    # the two outputs would interleave, and an output would overwrite the
+    # document it is made from
+    points, reals = tmp_path / "quad.jsonl", tmp_path / "reals.jsonl"
+    points.write_bytes(QUAD.read_bytes())
+    reals.write_bytes(WORKED_REALS.read_bytes())
+    out, link, sub = tmp_path / "out", tmp_path / "link", tmp_path / "sub"
+    link.symlink_to(out)
+    sub.mkdir()
+    args = {
+        "trace-is-result": ("convex", points, "--trace", out,
+                            "--result", tmp_path / "." / "out"),
+        "trace-is-input": ("convex", points, "--trace", points),
+        "result-is-input": ("convex", points, "--trace", out,
+                            "--result", points),
+        "least-trace-is-input": ("least", reals, "--auditor", "oracle",
+                                 "--trace", sub / ".." / "reals.jsonl"),
+        "result-links-to-trace": ("convex", points, "--trace", out,
+                                  "--result", link),
+    }[case]
+    proc = run_cli(*args)
+    assert_input_error(proc, "must differ")
+    assert proc.stdout == ""
+    assert not out.exists()
+    assert points.read_bytes() == QUAD.read_bytes()
+    assert reals.read_bytes() == WORKED_REALS.read_bytes()
 
 
 def assert_input_error(proc, *fragments):

@@ -26,7 +26,7 @@ from realearn.geometry import RationalPoint
 from realearn.oracle import (exact_convex_check, exact_orientation,
                              separation_from_gap)
 from realearn.reals import add, mul, sub
-from realearn.trace import read_trace, write_trace
+from realearn.trace import read_trace
 
 from support import (count_trace_builds, general_position_points,
                      register_points)
@@ -96,7 +96,7 @@ def test_an_unread_trace_is_never_built(monkeypatch, tmp_path):
     assert phases == [] and snapshots == []
 
     path = tmp_path / "run.trace"
-    write_trace(path, log)
+    path.write_text("".join(log.lines()))
     trace = res.trace
     assert phases.count("decide") == 2 * 3
     assert trace == read_trace(path)

@@ -43,7 +43,7 @@ EXPORTS = {
     "reals": ["InvalidNesting", "RealNum", "RealRegistry",
               "find_strict_witness", "least_witness", "op_at"],
     "replay": ["ReplayVerdict", "replay_paths"],
-    "trace": ["TraceEvent", "TraceLog", "read_trace", "write_trace"],
+    "trace": ["TraceEvent", "TraceLog", "read_trace"],
 }
 
 

@@ -33,7 +33,7 @@ import realearn.knowledge
 import realearn.least
 from realearn.oracle import OracleAuditor, exact_min_index
 from realearn.replay import replay_paths
-from realearn.trace import read_trace, write_trace
+from realearn.trace import read_trace
 
 from support import count_trace_builds, distinct_fractions, evidence_graph
 
@@ -223,7 +223,7 @@ def test_an_unread_trace_is_never_built(monkeypatch, tmp_path):
     assert phases == [] and snapshots == []
 
     path = tmp_path / "run.trace"
-    write_trace(path, log)
+    path.write_text("".join(log.lines()))
     trace = outcome.trace
     assert phases.count("decide") == 101 * 100
     assert trace == read_trace(path)

@@ -6,8 +6,8 @@ import pytest
 
 from realearn import (OracleAuditor, RealRegistry, TraceLog, convex_angle,
                       empty_state, extend, learn_least)
-from realearn.errors import InputError
-from realearn.trace import NullLog, TraceEvent, read_trace, write_trace
+from realearn.errors import InputError, RestartBudgetExceeded
+from realearn.trace import NullLog, TraceEvent, TraceFile, read_trace
 
 from support import (count_trace_builds, general_position_points,
                      register_points)
@@ -45,11 +45,11 @@ def test_write_then_read_trace(tmp_path):
     log.emit("candidate", candidate=0, state=[])
     log.emit("accept", candidate=0, restarts=0, state=[])
     path = tmp_path / "run.trace"
-    write_trace(path, log)
+    path.write_text("".join(log.lines()))
     assert read_trace(path) == log.events
     # one JSON object per line, byte-stable across writes
     first = path.read_bytes()
-    write_trace(path, log)
+    path.write_text("".join(log.lines()))
     assert path.read_bytes() == first
     assert len(first.splitlines()) == 2
 
@@ -112,30 +112,55 @@ def test_decide_text_writes_the_path_of_the_strict_steps():
         assert replay_paths([run], n).runs[0].leaf_candidates == [leaf]
 
 
-def oracle_run(values, trace):
+def oracle_run(values, trace, max_restarts=None):
     reg = RealRegistry()
     for q in values:
         reg.blurred(q)
     return learn_least(len(values) - 1, OracleAuditor(reg, values),
-                       empty_state(reg), None, trace)
+                       empty_state(reg), max_restarts, trace)
+
+
+ORACLE_VALUES = [Fraction(key, 2 ** 12)
+                 for key in Random(3).sample(range(-2 ** 19, 2 ** 19), 30)]
+CONVEX_POINTS = general_position_points(Random(4), 12)
+
+
+def convex_run(trace):
+    return convex_angle(register_points(CONVEX_POINTS, blurred=True)[1],
+                        trace=trace)
 
 
 def test_a_log_is_written_from_its_text_without_building_events(
-        tmp_path, monkeypatch):
-    values = [Fraction(key, 2 ** 12)
-              for key in Random(3).sample(range(-2 ** 19, 2 ** 19), 30)]
-    points = general_position_points(Random(4), 12)
+        monkeypatch):
     runs = [TraceLog(), TraceLog()]
-    oracle_run(values, runs[0])
-    convex_angle(register_points(points, blurred=True)[1], trace=runs[1])
+    oracle_run(ORACLE_VALUES, runs[0])
+    convex_run(runs[1])
     phases, snapshots = count_trace_builds(monkeypatch)
     texts = ["".join(log.lines()) for log in runs]
     assert phases == [] and snapshots == []
     for log, text in zip(runs, texts):
         assert text == "".join(event.to_json() + "\n" for event in log.events)
-        path = tmp_path / "run.trace"
-        write_trace(path, log)
-        assert path.read_text() == text
+
+
+@pytest.mark.parametrize("run", [
+    lambda trace: oracle_run(ORACLE_VALUES, trace),
+    convex_run,
+    # a run cut by its restart budget: both sinks hold the partial trace
+    lambda trace: oracle_run(ORACLE_VALUES, trace, max_restarts=1),
+], ids=["least-oracle", "convex", "least-budget"])
+def test_a_trace_file_writes_the_text_of_a_trace_log(tmp_path, run):
+    def recorded(trace):
+        try:
+            run(trace)
+        except RestartBudgetExceeded:
+            pass
+    log = TraceLog()
+    recorded(log)
+    path = tmp_path / "run.trace"
+    with open(path, "w", encoding="utf-8") as handle:
+        recorded(TraceFile(handle))
+    text = path.read_text(encoding="utf-8")
+    assert text and text == "".join(log.lines())
 
 
 def test_snapshot_text_is_the_snapshot_serialised():
