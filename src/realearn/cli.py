@@ -206,6 +206,8 @@ def cmd_convex(args) -> int:
                                   max_restarts=max_restarts, trace=log)
         except TooFewPoints as exc:
             raise InputError(f"{args.input}: {exc}")
+        # an unwritable trace fails here, before the result is written
+        log.flush()
         if args.result:
             record = {
                 "type": "convex-result",

@@ -29,7 +29,9 @@ In the last case the triple (d, B, C) forms a left-turning cycle
 around A, so A lies strictly inside a triangle of other points and one
 of them must be strictly below A.  That point refutes one assumed
 y comparison; the knowledge state is extended with the blamed
-counterexample and the whole construction restarts.
+counterexample and the whole construction restarts.  An attempt decides
+each pair of points once: orientation(A, R, Q) is the exact negation of
+orientation(A, Q, R), so a reversed query keeps the witness.
 
 The certificate of an accepted angle, :class:`BoundingCertificate`,
 and its independent audit :func:`verify_bounding` live in
@@ -63,6 +65,7 @@ from .trace import TraceLog, emit_with_state
 # Side 0 is the ray A->B, side 1 the ray A->C; a point is inside the
 # angle when it lies on the inner side of both.
 _INNER = (Left, Right)
+_MIRROR = {Left: Right, Right: Left}
 _REPLACE_CASE = ("new-b", "new-c")
 
 
@@ -110,19 +113,20 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
     restarts = 0
     last = 0
 
-    def side(p: int, q: int, r: int, stage: str,
-             decision: Optional[SideDecision] = None) -> SideDecision:
-        """Decide P_r's side of P_p->P_q, unless ``decision`` repeats an
-        earlier answer, and record it as a ``side`` event.  The witness
-        search starts at the witness of the last decision made."""
+    def side(q: int, r: int, stage: str) -> SideDecision:
+        """Record P_r's side of A->P_q as a ``side`` event, deciding it
+        unless the attempt decided the pair before: reversed, the side
+        flips and the witness stays.  The search starts at the witness
+        of the last side recorded."""
         nonlocal last
+        decision = decided.get((q, r))
         if decision is None:
-            pp, pq, pr = points[p], points[q], points[r]
-            decision = decide_side(pp, pq, pr, k_max,
-                                   orientation_real(pp, pq, pr, differences),
-                                   last)
-            last = decision.witness
-        log.emit("side", stage=stage, line=[p, q], point=r,
+            pa, pq, pr = points[a], points[q], points[r]
+            orient = orientation_real(pa, pq, pr, differences)
+            decision = decided[q, r] = decide_side(pa, pq, pr, k_max, orient, last)
+            decided[r, q] = _MIRROR[type(decision)](decision.witness)
+        last = decision.witness
+        log.emit("side", stage=stage, line=[a, q], point=r,
                  side="left" if isinstance(decision, Left) else "right",
                  witness=decision.witness)
         return decision
@@ -131,21 +135,19 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
         cand = least_candidate(state, n, log)
         a = cand.candidate
         emit_with_state(log, "select-A", state, candidate=a)
-        # the attempt's difference nodes about apex a, dropped with it
+        # the attempt's difference nodes and side decisions, dropped with it
         differences: Differences = {}
+        decided: Dict[Tuple[int, int], SideDecision] = {}
 
         rest = [i for i in range(n + 1) if i != a]
         ray = [rest[0], rest[1]]
-        first = side(a, ray[1], ray[0], "init")
-        swapped = isinstance(first, Left)
+        swapped = isinstance(side(ray[1], ray[0], "init"), Left)
         if swapped:
             ray.reverse()
-        # mutual[s]: the other ray's point on the inner side of ray s.
-        # One of the two queries is the init query again: (a, c, b)
-        # unswapped, (a, b, c) swapped.
-        b_right = side(a, ray[1], ray[0], "mutual", None if swapped else first)
-        mutual = [side(a, ray[0], ray[1], "mutual", first if swapped else None),
-                  b_right]
+        # mutual[s]: the other ray's point on the inner side of ray s;
+        # both pairs are the init pair, one of them reversed
+        b_right = side(ray[1], ray[0], "mutual")
+        mutual = [side(ray[0], ray[1], "mutual"), b_right]
         assert all(isinstance(mutual[s], _INNER[s]) for s in (0, 1)), \
             "rays not ordered after swap"
         log.emit("init-BC", b=ray[0], c=ray[1], swapped=swapped,
@@ -155,7 +157,7 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
         # witnesses[s][d]: P_d on the inner side of ray s
         witnesses: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
         for d in rest[2:]:
-            found = [side(a, ray[s], d, "scan") for s in (0, 1)]
+            found = [side(ray[s], d, "scan") for s in (0, 1)]
             wrong = [s for s in (0, 1) if not isinstance(found[s], _INNER[s])]
             if not wrong:
                 log.emit("scan", d=d, case="keep")
@@ -167,7 +169,7 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
                 log.emit("scan", d=d, case="blocked")
                 cycle = [d, ray[0], ray[1]]
                 which, w = three_points(points[a], *(points[i] for i in cycle),
-                                        k_max)
+                                        k_max, last)
                 x = cycle[which]
                 log.emit("three-points", a=a, cycle=cycle, below=x, witness=w)
                 break
@@ -179,16 +181,16 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
             log.emit("scan", d=d, case=_REPLACE_CASE[s])
             old = ray[s]
             ray[s] = d
-            moved = side(a, d, old, "rescan")
+            moved = side(d, old, "rescan")
             assert isinstance(moved, _INNER[s]), "replaced ray not inside new ray"
             witnesses[s][old] = moved.witness
             witnesses[o][old] = mutual[o].witness
             mutual[o] = found[o]
-            mutual[s] = side(a, d, ray[o], "mutual")
+            mutual[s] = side(d, ray[o], "mutual")
             assert isinstance(mutual[s], _INNER[s]), "other ray not inside new ray"
             for prior in sorted(witnesses[s]):
                 if prior != old:
-                    redo = side(a, d, prior, "rescan")
+                    redo = side(d, prior, "rescan")
                     assert isinstance(redo, _INNER[s]), "point not inside new ray"
                     witnesses[s][prior] = redo.witness
         else:  # no point blocked the scan: accept

@@ -149,7 +149,7 @@ def decide_side(p: Point, q: Point, r: Point, k_max: int,
 
 
 def three_points(a: Point, q0: Point, q1: Point, q2: Point,
-                 k_max: int) -> Tuple[int, int]:
+                 k_max: int, start: int = 0) -> Tuple[int, int]:
     """Find some q_i strictly below a, given a left-turning cycle.
 
     Precondition: each q_{i+1} (cyclically) lies left of the line from
@@ -158,10 +158,10 @@ def three_points(a: Point, q0: Point, q1: Point, q2: Point,
     is the least precision at which some vertex is observed below a,
     and ``i`` is the first such vertex at that precision: the result
     ``(i, witness)`` is what dovetailing precision (outer) against the
-    three candidates (inner) would find first.
+    three candidates (inner) would find first, from any ``start``.
     """
     qs = (q0, q1, q2)
-    k = least_witness(lambda k: any(op_at(q.y, a.y, k) for q in qs), k_max)
+    k = least_witness(lambda k: any(op_at(q.y, a.y, k) for q in qs), k_max, start)
     if k is not None:
         return next((i, k) for i, q in enumerate(qs) if op_at(q.y, a.y, k))
     raise NoWitnessFound(
@@ -206,10 +206,11 @@ def verify_bounding(points: Sequence[Point], a: int, b: int, c: int,
 
     Points must be listed in index order, as for
     :func:`~realearn.convex.convex_angle`.  Runs fresh side decisions
-    for every clause and raises :class:`CertificateFailure` on the first
-    clause whose side comes out wrong or cannot be witnessed within the
-    budget.  The audit's orientations share one dict of difference
-    nodes, all about apex ``a``, and nothing from the construction.
+    for every clause but ``b_right``, the mirror of ``c_left``, and
+    raises :class:`CertificateFailure` on the first clause whose side
+    comes out wrong or cannot be witnessed within the budget.  The
+    audit's orientations share one dict of difference nodes, all about
+    apex ``a``, and nothing from the construction.
     Each decision's witness search starts at the witness of the audit's
     previous decision.  Intended as a post-hoc audit of
     :func:`~realearn.convex.convex_angle` output.
@@ -241,8 +242,8 @@ def verify_bounding(points: Sequence[Point], a: int, b: int, c: int,
                 f"{clause}: point {r} is {side} of line {p}->{q}")
         return decision.witness
 
-    c_left = audit(a, b, c, True, "mutual pair")
-    b_right = audit(a, c, b, False, "mutual pair")
+    # orientation(a, c, b) = -orientation(a, b, c): one witness serves both
+    c_left = b_right = audit(a, b, c, True, "mutual pair")
     left: Dict[int, int] = {}
     right: Dict[int, int] = {}
     for d in sorted(set(indices) - {a, b, c}):

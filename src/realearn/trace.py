@@ -103,11 +103,12 @@ class TraceLog:
 class TraceFile:
     """A log that writes each block's lines to ``handle`` at once."""
 
-    __slots__ = ("_write", "_next")
+    __slots__ = ("_write", "_next", "flush")
 
     def __init__(self, handle) -> None:
         self._write = handle.write
         self._next = 0
+        self.flush = handle.flush
 
     def emit(self, phase: str, **payload: Any) -> None:
         self._write(_event_line(self._next, phase, payload))
@@ -128,6 +129,9 @@ class NullLog:
         pass
 
     def defer(self, count: int, text: Callable[..., str], *args: Any) -> None:
+        pass
+
+    def flush(self) -> None:
         pass
 
 

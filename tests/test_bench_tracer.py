@@ -65,10 +65,19 @@ def test_benchmark_tracer_installs_on_the_program():
     assert tracer.calls("convex.verify_bounding") == 1
     assert tracer.calls("least.least_candidate") == result.restarts + 1
     assert tracer.calls("knowledge.blame") == result.restarts
-    sides = sum(1 for event in result.trace if event.phase == "side")
-    # one decision per side event, but the init decision is asked again
-    # as a mutual query once per attempt and not decided again
-    assert tracer.counts["convex.side_decided"] == sides - (result.restarts + 1)
+    # one decision per side event, but a pair that its attempt has
+    # decided before, either way round, is recalled and not decided again
+    sides = recalled = 0
+    for event in result.trace:
+        if event.phase == "select-A":
+            seen = set()
+        elif event.phase == "side":
+            pair = frozenset((event.payload["line"][1], event.payload["point"]))
+            sides += 1
+            recalled += pair in seen
+            seen.add(pair)
+    assert recalled > result.restarts + 1
+    assert tracer.counts["convex.side_decided"] == sides - recalled
     # the benchmark's side layer sees one orientation per decision
     assert tracer.calls("geometry.orientation_real") == \
         tracer.calls("geometry.decide_side")

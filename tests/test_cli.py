@@ -140,6 +140,18 @@ def test_unwritable_trace_leaves_no_result(tmp_path):
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full, a device every write to fails")
+def test_a_trace_that_fails_on_its_last_write_leaves_no_result(tmp_path):
+    # the quad trace fits the file's buffer, so its one failing write is
+    # the flush, which must come before the result is written
+    result = tmp_path / "quad.json"
+    proc = run_cli("convex", QUAD, "--trace", "/dev/full", "--result", result)
+    assert_input_error(proc, "No space left on device")
+    assert proc.stdout == ""
+    assert not result.exists()
+
+
 def test_least_rejects_unknown_auditor():
     proc = run_cli("least", WORKED_REALS, "--auditor", "clever")
     assert proc.returncode == 1

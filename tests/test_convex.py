@@ -416,6 +416,45 @@ def test_an_attempt_builds_each_difference_once(monkeypatch):
     assert {index_0_reads[id(real)] for real in factors} == {1}
 
 
+@pytest.mark.parametrize("rational, restarts", [
+    (angle_ordered_points(25), 0),
+    (general_position_points(Random(55), 10), 3),
+], ids=["angle-ordered", "restarting"])
+def test_no_attempt_decides_a_pair_twice(monkeypatch, rational, restarts):
+    # orientation(a, r, q) is the exact negation of orientation(a, q, r),
+    # so an attempt decides each pair {q, r} once, either way round, and
+    # recalls it for every later side event about that pair
+    _, pts = register_points(rational, blurred=True)
+    attempts = []
+    least_candidate = realearn.convex.least_candidate
+    decide_side = realearn.convex.decide_side
+
+    def counted_least_candidate(*args):
+        attempts.append([])
+        return least_candidate(*args)
+
+    def counted_decide_side(p, q, r, *rest):
+        attempts[-1].append(frozenset((q.index, r.index)))
+        return decide_side(p, q, r, *rest)
+
+    monkeypatch.setattr(realearn.convex, "least_candidate",
+                        counted_least_candidate)
+    monkeypatch.setattr(realearn.convex, "decide_side", counted_decide_side)
+    res = convex_angle(pts)
+    assert res.restarts == restarts == len(attempts) - 1
+    asked = []
+    for event in res.trace:
+        if event.phase == "select-A":
+            asked.append([])
+        elif event.phase == "side":
+            line, point = event.payload["line"], event.payload["point"]
+            asked[-1].append(frozenset((line[1], point)))
+    for decided, sides in zip(attempts, asked):
+        assert len(set(decided)) == len(decided)
+        assert set(decided) == set(sides)
+    assert sum(map(len, attempts)) < sum(map(len, asked))
+
+
 def test_registry_holds_input_reals_only():
     reg, pts = register_points(angle_ordered_points(12), blurred=True)
     inputs = len(reg)

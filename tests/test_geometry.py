@@ -20,7 +20,8 @@ from realearn import (
 )
 from realearn.oracle import exact_orientation
 
-from support import general_position_points, register_points
+from support import (general_position_points, random_table_prefix,
+                     register_points)
 
 
 def simple_points(coords, blurred=False):
@@ -191,6 +192,64 @@ def test_side_decisions_do_not_depend_on_the_start(coords, blurred, k_max):
     expected = outcome(decide_side, p, q, r, k_max)
     for start in range(81):
         assert outcome(decide_side, p, q, r, k_max, None, start) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(point_sets(4), st.booleans(), st.integers(min_value=0, max_value=64))
+def test_three_points_does_not_depend_on_the_start(coords, blurred, k_max):
+    a, q0, q1, q2 = simple_points(coords, blurred=blurred)
+    expected = outcome(three_points, a, q0, q1, q2, k_max)
+    for start in range(81):
+        assert outcome(three_points, a, q0, q1, q2, k_max, start) == expected
+
+
+@st.composite
+def mixed_points(draw, count):
+    """``count`` points of :func:`point_sets` whose coordinates are each
+    built one of four ways: a constant, a blurred real, an interval table
+    and a raw registered generator with lopsided intervals."""
+    reg = RealRegistry()
+
+    def real(value):
+        kind = draw(st.sampled_from(("rational", "blurred", "table", "raw")))
+        if kind == "rational":
+            return reg.from_rational(value)
+        if kind == "blurred":
+            return reg.blurred(value)
+        if kind == "table":
+            rng = Random(draw(st.integers(min_value=0, max_value=2 ** 16)))
+            return reg.from_table(random_table_prefix(value, rng, 8), value)
+        return reg.register(lambda k: (value - Fraction(1, 2 ** (k + 2)),
+                                       value + Fraction(1, 2 ** (k + 1))))
+
+    coords = draw(point_sets(count))
+    ys = [real(Fraction(y)) for _, y in coords]
+    xs = [real(Fraction(x)) for x, _ in coords]
+    return [Point(i, xs[i], ys[i]) for i in range(count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_points(3), st.booleans(), st.integers(min_value=0, max_value=64))
+def test_a_reversed_side_query_is_the_mirror_at_every_precision(
+        points, shared, k_max):
+    # orientation(p, r, q) is the exact negation of orientation(p, q, r)
+    # at every precision, shared differences or not, so the reversed
+    # decision has the same witness and the other side
+    p, q, r = points
+    differences = {} if shared else None
+    forward = orientation_real(p, q, r, differences)
+    reverse = orientation_real(p, r, q, differences)
+    for k in range(81):
+        lo, hi = forward.interval_at(k)
+        assert reverse.interval_at(k) == (-hi, -lo)
+    try:
+        one = decide_side(p, q, r, k_max, forward)
+    except DegenerateInput:
+        with pytest.raises(DegenerateInput):
+            decide_side(p, r, q, k_max, reverse)
+    else:
+        mirror = Right if isinstance(one, Left) else Left
+        assert decide_side(p, r, q, k_max, reverse) == mirror(one.witness)
 
 
 def test_collinear_triple_exhausts_kmax_256_with_the_same_message():
