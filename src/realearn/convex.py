@@ -28,8 +28,10 @@ rays:
 In the last case the triple (d, B, C) forms a left-turning cycle
 around A, so A lies strictly inside a triangle of other points and one
 of them must be strictly below A.  That point refutes one assumed
-y comparison; the knowledge state is extended with the blamed
-counterexample and the whole construction restarts.  An attempt decides
+y comparison.  The scan is an attempt of :func:`~realearn.least.learn`,
+the learning loop it shares with the least-element learner: the attempt
+returns the blamed counterexample, and the loop extends the knowledge
+state with it and restarts the whole construction.  An attempt decides
 each pair of points once: orientation(A, R, Q) is the exact negation of
 orientation(A, Q, R), so a reversed query keeps the witness.
 
@@ -41,9 +43,8 @@ and its independent audit :func:`verify_bounding` live in
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
-from .errors import RestartBudgetExceeded
 from .geometry import (
     BoundingCertificate,  # re-exported
     Differences,
@@ -57,8 +58,10 @@ from .geometry import (
     three_points,
     verify_bounding,  # re-exported
 )
-from .knowledge import KnowledgeState, blame, empty_state, extend
-from .least import least_candidate
+# perfbench/tracing.py wraps extend and least_candidate on this module;
+# only learn calls them
+from .knowledge import Falsified, KnowledgeState, blame, empty_state, extend
+from .least import LeastCandidate, learn, least_candidate
 from .trace import TraceLog, emit_with_state
 
 
@@ -102,42 +105,42 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
     Points must be listed in index order, ``points[i].index == i``.
     The knowledge state is over the y coordinates ``[p.y for p in
     points]``, so its entries about y order use point indices directly.
+    Each scan is an attempt of :func:`~realearn.least.learn`; more than
+    ``max_restarts`` restarts (default ``2 ** n``) raise
+    :class:`~realearn.errors.RestartBudgetExceeded`.
     """
     if len(points) < 3:
         raise TooFewPoints(f"need at least 3 points, got {len(points)}")
     _check_point_layout(points)
     n = len(points) - 1
-    budget = max_restarts if max_restarts is not None else 2 ** n
     log = trace if trace is not None else TraceLog()
-    state = empty_state([p.y for p in points])
-    restarts = 0
     last = 0
 
-    def side(q: int, r: int, stage: str) -> SideDecision:
-        """Record P_r's side of A->P_q as a ``side`` event, deciding it
-        unless the attempt decided the pair before: reversed, the side
-        flips and the witness stays.  The search starts at the witness
-        of the last side recorded."""
-        nonlocal last
-        decision = decided.get((q, r))
-        if decision is None:
-            pa, pq, pr = points[a], points[q], points[r]
-            orient = orientation_real(pa, pq, pr, differences)
-            decision = decided[q, r] = decide_side(pa, pq, pr, k_max, orient, last)
-            decided[r, q] = _MIRROR[type(decision)](decision.witness)
-        last = decision.witness
-        log.emit("side", stage=stage, line=[a, q], point=r,
-                 side="left" if isinstance(decision, Left) else "right",
-                 witness=decision.witness)
-        return decision
-
-    while True:
-        cand = least_candidate(state, n, log)
+    def attempt(state: KnowledgeState, cand: LeastCandidate,
+                restarts: int) -> Union[ConvexAngleResult, Falsified]:
         a = cand.candidate
         emit_with_state(log, "select-A", state, candidate=a)
         # the attempt's difference nodes and side decisions, dropped with it
         differences: Differences = {}
         decided: Dict[Tuple[int, int], SideDecision] = {}
+
+        def side(q: int, r: int, stage: str) -> SideDecision:
+            """Record P_r's side of A->P_q as a ``side`` event, deciding
+            it unless the attempt decided the pair before: reversed, the
+            side flips and the witness stays.  The search starts at the
+            witness of the last side recorded."""
+            nonlocal last
+            decision = decided.get((q, r))
+            if decision is None:
+                pa, pq, pr = points[a], points[q], points[r]
+                orient = orientation_real(pa, pq, pr, differences)
+                decision = decided[q, r] = decide_side(pa, pq, pr, k_max, orient, last)
+                decided[r, q] = _MIRROR[type(decision)](decision.witness)
+            last = decision.witness
+            log.emit("side", stage=stage, line=[a, q], point=r,
+                     side="left" if isinstance(decision, Left) else "right",
+                     witness=decision.witness)
+            return decision
 
         rest = [i for i in range(n + 1) if i != a]
         ray = [rest[0], rest[1]]
@@ -172,7 +175,9 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
                                         k_max, last)
                 x = cycle[which]
                 log.emit("three-points", a=a, cycle=cycle, below=x, witness=w)
-                break
+                pair, witness = blame(cand.evidences[x], w)
+                log.emit("blame", claim=[a, x], pair=list(pair), witness=witness)
+                return Falsified(pair, witness)
             # d lies outside ray s only, so it becomes ray s.  The angle
             # stays below pi, so the replaced point and every certified
             # point lie on the inner side of the new ray.
@@ -193,26 +198,18 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
                     redo = side(d, prior, "rescan")
                     assert isinstance(redo, _INNER[s]), "point not inside new ray"
                     witnesses[s][prior] = redo.witness
-        else:  # no point blocked the scan: accept
-            b, c = ray
-            expected = set(range(n + 1)) - {a, b, c}
-            assert set(witnesses[0]) == expected == set(witnesses[1]), \
-                "certificate does not cover all points"
-            certificate = BoundingCertificate(
-                a=a, b=b, c=c, left=dict(sorted(witnesses[0].items())),
-                right=dict(sorted(witnesses[1].items())),
-                c_left=mutual[0].witness, b_right=mutual[1].witness)
-            emit_with_state(log, "accept", state, a=a, b=b, c=c,
-                            restarts=restarts)
-            return ConvexAngleResult(a, b, c, certificate, state,
-                                     restarts, log)
 
-        pair, witness = blame(cand.evidences[x], w)
-        log.emit("blame", claim=[a, x], pair=list(pair), witness=witness)
-        state = extend(state, pair[0], pair[1], witness)
-        emit_with_state(log, "extend", state, pair=list(pair),
-                        witness=witness)
-        restarts += 1
-        if restarts > budget:
-            raise RestartBudgetExceeded(restarts, budget)
-        log.emit("restart", count=restarts)
+        # no point blocked the scan: accept
+        b, c = ray
+        expected = set(range(n + 1)) - {a, b, c}
+        assert set(witnesses[0]) == expected == set(witnesses[1]), \
+            "certificate does not cover all points"
+        certificate = BoundingCertificate(
+            a=a, b=b, c=c, left=dict(sorted(witnesses[0].items())),
+            right=dict(sorted(witnesses[1].items())),
+            c_left=mutual[0].witness, b_right=mutual[1].witness)
+        emit_with_state(log, "accept", state, a=a, b=b, c=c, restarts=restarts)
+        return ConvexAngleResult(a, b, c, certificate, state, restarts, log)
+
+    return learn(empty_state([p.y for p in points]), n, log, max_restarts,
+                 attempt)

@@ -14,11 +14,15 @@ With a log, the pass records its ``decide`` events as one block whose
 lines :func:`_decide_text` writes from the strict list when the log
 writes them, so an unread :class:`TraceLog` writes none of them.
 
-:func:`learn_least` wraps the pass in an interactive loop.  An auditor
-challenges claims at chosen precisions; a refuted claim is blamed on
-the assumption that produced it, the knowledge state is extended with
-the discovered counterexample, and the pass restarts from scratch.
-Every entry added in a run is verified by
+:func:`learn` is the one learning loop, shared by :func:`learn_least`
+and :func:`~realearn.convex.convex_angle`: each attempt guesses with a
+pass over the current state and runs the caller's test of the guess.
+The test either ends the run or returns the :class:`Falsified` pair
+it blamed; the loop then extends the state with that counterexample,
+counts the restart against the budget and starts a new attempt.  In
+:func:`learn_least` the test is an auditor's challenges at chosen
+precisions, and a refuted claim is blamed on the assumption that
+produced it.  Every entry added in a run is verified by
 :func:`~realearn.knowledge.extend`, so in debug builds the run audits
 the states it starts and ends with, not each answer of each pass.
 Each restart flips exactly one assumed comparison on the current
@@ -32,7 +36,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Mapping
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, List, Optional, Protocol, Sequence, Tuple
+from typing import (Callable, Iterable, Iterator, List, Optional, Protocol,
+                    Sequence, Tuple, TypeVar, Union)
 
 from ._record import _Record
 from .errors import ForcedChallengeDenied, RestartBudgetExceeded
@@ -52,6 +57,8 @@ from .knowledge import (
 )
 from .reals import RealNum, op_at
 from .trace import TraceLog, emit_with_state
+
+_R = TypeVar("_R")
 
 
 class Evidences(Mapping):
@@ -246,17 +253,50 @@ def _audit(state: KnowledgeState, which: str) -> None:
                              "that does not verify")
 
 
+def learn(state: KnowledgeState, n: int, log: TraceLog, budget: Optional[int],
+          attempt: Callable[[KnowledgeState, LeastCandidate, int],
+                            Union[_R, Falsified]]) -> _R:
+    """The restart loop of both learners, over the reals ``r_0 .. r_n``.
+
+    Each attempt proposes :func:`least_candidate` from ``state`` and
+    hands it to ``attempt(state, candidate, restarts)``, which records
+    its own events and returns the run's result, or a
+    :class:`Falsified` after recording its ``blame``.  A refutation
+    extends the state with the blamed counterexample, records
+    ``extend``, counts a restart and, unless that passes ``budget``
+    (default ``2 ** n``) and raises :class:`RestartBudgetExceeded`,
+    records ``restart`` and tries again.  Only this loop extends a
+    learner's state, and each blamed pair must be new to it.
+    """
+    if budget is None:
+        budget = 2 ** n
+    restarts = 0
+    while True:
+        result = attempt(state, least_candidate(state, n, log), restarts)
+        if not isinstance(result, Falsified):
+            return result
+        before = state.size
+        state = extend(state, result.pair[0], result.pair[1], result.witness)
+        assert state.size == before + 1, "blamed pair was already known"
+        emit_with_state(log, "extend", state, pair=list(result.pair),
+                        witness=result.witness)
+        restarts += 1
+        if restarts > budget:
+            raise RestartBudgetExceeded(restarts, budget)
+        log.emit("restart", count=restarts)
+
+
 def learn_least(n: int, auditor: Auditor, initial: KnowledgeState,
                 max_restarts: Optional[int] = None,
                 trace: Optional[TraceLog] = None) -> LearnOutcome:
     """Interactive least-element learning with restart backtracking.
 
-    Repeats: propose a candidate from the current state, let the
-    auditor challenge claims one at a time; a challenge that checks out
-    is simply recorded, a refuted one is blamed on its assumption, the
-    state is extended, and the whole pass restarts.  The auditor
-    accepting (returning None) ends the run.  More than
-    ``max_restarts`` restarts (default ``2 ** n``) raise
+    An attempt of :func:`learn` lets the auditor challenge claims of
+    its candidate one at a time: a challenge that checks out is simply
+    recorded, a refuted one is recorded as ``falsified``, blamed on its
+    assumption and returned, and the loop extends the state and
+    restarts.  The auditor accepting (returning None) ends the run.
+    More than ``max_restarts`` restarts (default ``2 ** n``) raise
     :class:`RestartBudgetExceeded`.
 
     In debug builds the run re-verifies the initial state before its
@@ -267,42 +307,29 @@ def learn_least(n: int, auditor: Auditor, initial: KnowledgeState,
     """
     if __debug__:
         _audit(initial, "initial")
-    budget = max_restarts if max_restarts is not None else 2 ** n
     log = trace if trace is not None else TraceLog()
-    state = initial
-    reals = state.reals
-    restarts = 0
-    while True:
-        cand = least_candidate(state, n, log)
+    reals = initial.reals
+
+    def attempt(state: KnowledgeState, cand: LeastCandidate,
+                restarts: int) -> Union[LearnOutcome, Falsified]:
         emit_with_state(log, "candidate", state, candidate=cand.candidate)
-        restarted = False
-        while not restarted:
-            ch = auditor.challenge(cand)
-            if ch is None:
-                if __debug__:
-                    _audit(state, "final")
-                emit_with_state(log, "accept", state,
-                                candidate=cand.candidate, restarts=restarts)
-                return LearnOutcome(cand, state, log, restarts)
+        while (ch := auditor.challenge(cand)) is not None:
             ev = cand.evidences[ch.j]
             log.emit("challenge", j=ch.j, precision=ch.precision,
                      claim=[ev.subject, ev.target], forced=ch.force)
             result = check_leq(reals, ev, ch.precision)
             if result is None and ch.force:
                 result = _forced_refutation(reals, ev, ch.precision)
-            if result is None:
-                log.emit("check", j=ch.j, precision=ch.precision, outcome="ok")
-                continue
-            log.emit("falsified", j=ch.j, precision=ch.precision,
-                     claim=[ev.subject, ev.target])
-            log.emit("blame", pair=list(result.pair), witness=result.witness)
-            before = state.size
-            state = extend(state, result.pair[0], result.pair[1], result.witness)
-            assert state.size == before + 1, "blamed pair was already known"
-            emit_with_state(log, "extend", state, pair=list(result.pair),
-                            witness=result.witness)
-            restarts += 1
-            if restarts > budget:
-                raise RestartBudgetExceeded(restarts, budget)
-            log.emit("restart", count=restarts)
-            restarted = True
+            if result is not None:
+                log.emit("falsified", j=ch.j, precision=ch.precision,
+                         claim=[ev.subject, ev.target])
+                log.emit("blame", pair=list(result.pair), witness=result.witness)
+                return result
+            log.emit("check", j=ch.j, precision=ch.precision, outcome="ok")
+        if __debug__:
+            _audit(state, "final")
+        emit_with_state(log, "accept", state,
+                        candidate=cand.candidate, restarts=restarts)
+        return LearnOutcome(cand, state, log, restarts)
+
+    return learn(initial, n, log, max_restarts, attempt)

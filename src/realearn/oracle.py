@@ -94,6 +94,31 @@ class OracleAuditor:
     Once the true argmin is proposed it accepts.  For each index m the
     lowest index whose value lies below m's is found once, from the
     values in sorted order, so a challenge scans nothing.
+
+    From the empty state this auditor learns every pair at its least
+    witness, because each challenged claim is a bare ``Assumed(m, j)``
+    with m the pass's candidate and j > m.  Write v_i for the limit of
+    r_i.  By induction over restarts, every entry (a, b) has b > a, and
+    b is the lowest index with v_b < v_a:
+
+    * each a gets at most one entry, since once (m, j) is learned a
+      pass that reaches m steps on to j, and m is never again a final
+      candidate;
+    * so a pass steps 0 = s_0 -> s_1 -> ... -> s_t = m along this
+      relation, and any i < m lies in some [s_k, s_(k+1)) with k < t,
+      so v_i >= v_(s_k) > v_m;
+    * so the challenged j, the lowest index with v_j < v_m, is greater
+      than m, no strict step follows m, ``evidences[j]`` is
+      ``Assumed(m, j)``, and the new entry keeps the invariant.
+
+    Each blame therefore falls on the challenged claim (m, j), and the
+    learned witness is the challenge's precision, the least k with
+    ``op_at(r_j, r_m, k)``; for blurred reals, whose intervals are
+    [v - 2^-(k+1), v + 2^-(k+1)], that is :func:`separation_from_gap`
+    of v_m - v_j.  The restart count is the length of the chain from 0
+    to the argmin, n on a descending list.  None of this holds for a
+    scripted auditor: it can challenge a chained claim, whose blamed
+    witness can then exceed the least witness of the blamed pair.
     """
 
     def __init__(self, reals: Sequence[RealNum], true_values: Sequence[Fraction]):

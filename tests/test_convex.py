@@ -8,6 +8,7 @@ import pytest
 
 import realearn.convex
 import realearn.geometry
+import realearn.least
 from realearn import (
     CertificateFailure,
     DegenerateInput,
@@ -426,7 +427,7 @@ def test_no_attempt_decides_a_pair_twice(monkeypatch, rational, restarts):
     # recalls it for every later side event about that pair
     _, pts = register_points(rational, blurred=True)
     attempts = []
-    least_candidate = realearn.convex.least_candidate
+    least_candidate = realearn.least.least_candidate
     decide_side = realearn.convex.decide_side
 
     def counted_least_candidate(*args):
@@ -437,7 +438,7 @@ def test_no_attempt_decides_a_pair_twice(monkeypatch, rational, restarts):
         attempts[-1].append(frozenset((q.index, r.index)))
         return decide_side(p, q, r, *rest)
 
-    monkeypatch.setattr(realearn.convex, "least_candidate",
+    monkeypatch.setattr(realearn.least, "least_candidate",
                         counted_least_candidate)
     monkeypatch.setattr(realearn.convex, "decide_side", counted_decide_side)
     res = convex_angle(pts)

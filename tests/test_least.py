@@ -31,11 +31,13 @@ from realearn import (
 )
 import realearn.knowledge
 import realearn.least
-from realearn.oracle import OracleAuditor, exact_min_index
+from realearn.least import learn
+from realearn.oracle import OracleAuditor, exact_min_index, separation_from_gap
 from realearn.replay import replay_paths
 from realearn.trace import read_trace
 
-from support import count_trace_builds, distinct_fractions, evidence_graph
+from support import (count_trace_builds, distinct_fractions, evidence_graph,
+                     random_table_prefix)
 
 WORKED_VALUES = (0, Fraction(-5, 2), -1, -2, -3, 1)
 WORKED_SCRIPT = [
@@ -270,6 +272,75 @@ def test_restart_budget_enforced():
     assert exc.value.budget == 2
 
 
+def refuting_attempt(log, pairs, sizes):
+    """An attempt for :func:`learn` over the worked reals that refutes
+    ``pairs`` in turn, each at a witness the reals verify, and then
+    accepts with its state and restart count; it appends the size of
+    each state it is given to ``sizes``."""
+    pending = iter(pairs)
+
+    def attempt(state, cand, restarts):
+        sizes.append(state.size)
+        pair = next(pending, None)
+        if pair is None:
+            log.emit("accept", restarts=restarts)
+            return state, restarts
+        i, j = pair
+        witness = sound_witness(state.reals, i, j)
+        log.emit("blame", pair=[i, j], witness=witness)
+        return realearn.knowledge.Falsified(pair, witness)
+
+    return attempt
+
+
+def loop_phases(log):
+    return [e.phase for e in log.events if e.phase != "decide"]
+
+
+def test_learn_accepting_the_first_attempt_restarts_nothing():
+    log, sizes = TraceLog(), []
+    state, restarts = learn(empty_state(worked_registry()), 5, log, None,
+                            refuting_attempt(log, [], sizes))
+    assert (state.size, restarts, sizes) == (0, 0, [0])
+    assert loop_phases(log) == ["accept"]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_learn_extends_once_and_restarts_once_per_refutation(k):
+    pairs = [(0, 1), (2, 3), (3, 4)][:k]
+    log, sizes = TraceLog(), []
+    state, restarts = learn(empty_state(worked_registry()), 5, log, None,
+                            refuting_attempt(log, pairs, sizes))
+    assert restarts == k and sizes == list(range(k + 1))
+    assert set(state.entries) == set(pairs)
+    assert loop_phases(log) == ["blame", "extend", "restart"] * k + ["accept"]
+    extends = [e.payload for e in log.events if e.phase == "extend"]
+    assert [p["pair"] for p in extends] == [list(pair) for pair in pairs]
+    assert [len(p["state"]) for p in extends] == list(range(1, k + 1))
+    assert [e.payload["count"] for e in log.events
+            if e.phase == "restart"] == list(range(1, k + 1))
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2])
+def test_learn_raises_past_its_budget(budget):
+    log = TraceLog()
+    with pytest.raises(RestartBudgetExceeded) as exc:
+        learn(empty_state(worked_registry()), 5, log, budget,
+              refuting_attempt(log, [(0, 1), (2, 3), (3, 4)], []))
+    assert (exc.value.restarts, exc.value.budget) == (budget + 1, budget)
+    assert loop_phases(log) == ["blame", "extend", "restart"] * budget + [
+        "blame", "extend"]
+
+
+@pytest.mark.skipif(not __debug__, reason="asserts are stripped under -O")
+def test_learn_refuses_a_pair_it_already_knows():
+    log = TraceLog()
+    with pytest.raises(AssertionError, match="blamed pair was already known"):
+        learn(empty_state(worked_registry()), 5, log, None,
+              refuting_attempt(log, [(0, 1), (0, 1)], []))
+    assert loop_phases(log) == ["blame", "extend", "restart", "blame"]
+
+
 def test_script_exhaustion_accepts_current_candidate():
     script = [Challenge(3, 33)]
     outcome = learn_least(5, ScriptedAuditor(script),
@@ -301,6 +372,61 @@ def test_oracle_runs_on_random_values():
         assert outcome.restarts <= 2 ** n - 1
         assert is_sound(outcome.state)
         assert replay_paths([outcome.trace], n).ok
+
+
+@st.composite
+def oracle_inputs(draw):
+    """Reals r_0 .. r_n with distinct limits on a 2^-10 grid, scaled by
+    1, 2^-20 or 2^-40, each rational, blurred or given by a table of up
+    to six intervals: the registry, the limits and which reals are
+    blurred."""
+    keys = draw(st.lists(st.integers(-2 ** 12, 2 ** 12), min_size=1,
+                         max_size=13, unique=True))
+    scale = draw(st.sampled_from([1, 2 ** 20, 2 ** 40]))
+    kinds = draw(st.lists(st.sampled_from(["rational", "blurred", "table"]),
+                          min_size=len(keys), max_size=len(keys)))
+    rng = draw(st.randoms(use_true_random=False))
+    reg = RealRegistry()
+    values = [Fraction(key, 2 ** 10 * scale) for key in keys]
+    for kind, value in zip(kinds, values):
+        if kind == "rational":
+            reg.from_rational(value)
+        elif kind == "blurred":
+            reg.blurred(value)
+        else:
+            reg.from_table(random_table_prefix(value, rng, rng.randint(0, 6)),
+                           value)
+    return reg, values, [kind == "blurred" for kind in kinds]
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_inputs())
+def test_oracle_learns_each_pair_at_its_least_witness(drawn):
+    # the argument in OracleAuditor's docstring: from the empty state
+    # every challenge is a bare assumption (m, j), blamed as it is
+    reg, values, blurred = drawn
+    n = len(values) - 1
+    outcome = learn_least(n, OracleAuditor(reg, values), empty_state(reg))
+    claim = None
+    for event in outcome.trace:
+        if event.phase == "challenge":
+            claim = event.payload["claim"]
+        elif event.phase == "blame":
+            assert event.payload["pair"] == claim
+    for (i, j), witness in outcome.state.entries.items():
+        below = [b for b, v in enumerate(values) if v < values[i]]
+        assert i < j == below[0]
+        gap = values[i] - values[j]
+        assert witness == find_strict_witness(
+            reg[j], reg[i], separation_from_gap(gap) + 64)
+        if blurred[i] and blurred[j]:
+            assert witness == separation_from_gap(gap)
+    # the chain 0 -> ... -> argmin, each step to the lowest index below
+    m, length = 0, 0
+    while any(v < values[m] for v in values):
+        m = next(b for b, v in enumerate(values) if v < values[m])
+        length += 1
+    assert (outcome.candidate.candidate, outcome.restarts) == (m, length)
 
 
 def eager_least_candidate(state, n, trace=None):
