@@ -14,19 +14,25 @@ are decided in one place, the :data:`FAILURES` table: a command returns
 :func:`main` maps the exception to its exit code and one-line stderr
 message.  A ``--trace`` file is opened after the input checks, written
 as the run records each event and closed when it ends, so exit 2-4
-leaves the events recorded; exit 1 removes it.  No output may name the
-input or the other output.  The table's exceptions live in
-:mod:`realearn.errors`, which imports nothing, and each ``cmd_*``
-imports the modules it runs when it runs, so a process loads only what
-its subcommand needs: ``tree`` loads only the trace reader and
-:mod:`realearn.replay`, ``least`` no convex, geometry or replay module,
-``convex`` no oracle, and ``check`` no learner (no knowledge, least or
-convex module).  The ``--kmax`` default is 256 and can be overridden by
-the ``REALEARN_KMAX`` environment variable; an explicit flag wins over
-the environment.  Every kmax, from the flag, the environment or a
-``check`` result file, is at most :data:`KMAX_CEILING` = 2^20: a probe
-at precision k works on integers about k bits long, so with a larger
-budget a degenerate input could run for minutes or more before it ends.
+leaves the events recorded; exit 1 removes it.  No output may name an
+input, the document or a ``least`` challenge script, or the other
+output.  ``least`` and ``convex`` share the flags ``--kmax``,
+``--max-restarts`` and ``--trace``, and every count a flag, the
+environment or a result file gives is checked by :func:`_count`.  The
+table's exceptions live in :mod:`realearn.errors`, which imports
+nothing, and each ``cmd_*`` imports the modules it runs when it runs,
+so a process loads only what its subcommand needs: ``tree`` loads only
+the trace reader and :mod:`realearn.replay`, ``least`` no convex,
+geometry or replay module, ``convex`` no oracle, and ``check`` no
+learner (no knowledge, least or convex module).  The ``--kmax``
+default of ``least`` and ``convex`` is 256 and can be overridden by the
+``REALEARN_KMAX`` environment variable; an explicit flag wins over the
+environment.  ``check`` never reads the variable: its kmax is its
+``--kmax`` or the one its result file records.  Every kmax, from the
+flag, the environment or a ``check`` result file, is at most
+:data:`KMAX_CEILING` = 2^20: a probe at precision k works on integers
+about k bits long, so with a larger budget a degenerate input could run
+for minutes or more before it ends.
 """
 
 from __future__ import annotations
@@ -72,20 +78,15 @@ FAILURES = (
 )
 
 
-def _nonnegative(source: str, value) -> int:
-    """``value`` if it is an integer >= 0, else an input error naming
+def _count(source: str, value, kmax: bool = False) -> int:
+    """``value`` if it is an integer >= 0, and at most
+    :data:`KMAX_CEILING` for a ``kmax``, else an input error naming
     ``source``."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise InputError(f"{source} must be an integer, got {value!r}")
     if value < 0:
         raise InputError(f"{source} must be >= 0, got {value}")
-    return value
-
-
-def _kmax(source: str, value) -> int:
-    """``value`` if it is an integer in ``0..KMAX_CEILING``, else an
-    input error naming ``source``."""
-    if _nonnegative(source, value) > KMAX_CEILING:
+    if kmax and value > KMAX_CEILING:
         raise InputError(
             f"{source} must be at most {KMAX_CEILING} (2^20), got {value}")
     return value
@@ -93,19 +94,13 @@ def _kmax(source: str, value) -> int:
 
 def _resolve_kmax(flag: Optional[int]) -> int:
     if flag is not None:
-        return _kmax("--kmax", flag)
-    raw = os.environ.get(KMAX_ENV)
-    if raw is None:
-        return DEFAULT_KMAX
+        return _count("--kmax", flag, kmax=True)
+    raw = os.environ.get(KMAX_ENV, DEFAULT_KMAX)
     try:
         value = int(raw)
     except ValueError:
         raise InputError(f"{KMAX_ENV} must be an integer, got {raw!r}")
-    return _kmax(KMAX_ENV, value)
-
-
-def _optional_nonnegative(source: str, flag: Optional[int]) -> Optional[int]:
-    return None if flag is None else _nonnegative(source, flag)
+    return _count(KMAX_ENV, value, kmax=True)
 
 
 def _distinct(*paths: Optional[str]) -> None:
@@ -134,21 +129,27 @@ def _trace_log(path: Optional[str]):
         raise
 
 
-def _print_state(state) -> None:
-    print("state:", state.snapshot_json)
+def _document(path: str, what: str):
+    """The input document at ``path``, which must hold some ``what``,
+    ``"reals"`` or ``"points"``."""
+    from .inputs import load_document
+
+    document = load_document(path)
+    if not getattr(document, what):
+        raise InputError(f"{path}: no {what} in document")
+    return document
 
 
 def cmd_least(args) -> int:
-    from .inputs import build_reals, load_document, load_script, real_limits
+    from .inputs import build_reals, load_script, real_limits
     from .knowledge import empty_state
     from .least import NullAuditor, ScriptedAuditor, learn_least
 
     _distinct(args.input, args.trace)
     kmax = _resolve_kmax(args.kmax)
-    max_restarts = _optional_nonnegative("--max-restarts", args.max_restarts)
-    document = load_document(args.input)
-    if not document.reals:
-        raise InputError(f"{args.input}: no reals in document")
+    max_restarts = (None if args.max_restarts is None
+                    else _count("--max-restarts", args.max_restarts))
+    document = _document(args.input, "reals")
     reals = build_reals(document)
     n = len(document.reals) - 1
     if args.auditor == "none":
@@ -161,7 +162,9 @@ def cmd_least(args) -> int:
         except TieDetected as exc:
             raise InputError(f"oracle auditor: {exc}")
     elif args.auditor.startswith("script:"):
-        script = load_script(args.auditor[len("script:"):])
+        path = args.auditor[len("script:"):]
+        _distinct(path, args.trace)
+        script = load_script(path)
         for ch in script:
             if not 0 <= ch.j <= n:
                 raise InputError(f"challenge j {ch.j} is outside 0..{n}")
@@ -176,7 +179,7 @@ def cmd_least(args) -> int:
                               log)
     print(f"candidate: {outcome.candidate.candidate}")
     print(f"restarts: {outcome.restarts}")
-    _print_state(outcome.state)
+    print("state:", outcome.state.snapshot_json)
     return EXIT_OK
 
 
@@ -191,15 +194,13 @@ def _certificate_obj(certificate) -> dict:
 
 def cmd_convex(args) -> int:
     from .convex import TooFewPoints, convex_angle
-    from .inputs import build_points, load_document
+    from .inputs import build_points
 
     _distinct(args.input, args.trace, args.result)
     kmax = _resolve_kmax(args.kmax)
-    max_restarts = _optional_nonnegative("--max-restarts", args.max_restarts)
-    document = load_document(args.input)
-    if not document.points:
-        raise InputError(f"{args.input}: no points in document")
-    points = build_points(document)
+    max_restarts = (None if args.max_restarts is None
+                    else _count("--max-restarts", args.max_restarts))
+    points = build_points(_document(args.input, "points"))
     with _trace_log(args.trace) as log:
         try:
             result = convex_angle(points, k_max=kmax,
@@ -223,20 +224,19 @@ def cmd_convex(args) -> int:
                 handle.write(json.dumps(record, sort_keys=True,
                                         separators=(",", ":")))
                 handle.write("\n")
-    witnesses = [result.certificate.c_left, result.certificate.b_right]
-    witnesses.extend(result.certificate.left.values())
-    witnesses.extend(result.certificate.right.values())
+    cert = result.certificate
     print(f"apex: {result.a}")
     print(f"rays: {result.b} {result.c}")
     print(f"restarts: {result.restarts}")
-    print(f"max-witness: {max(witnesses)}")
-    _print_state(result.state)
+    print("max-witness:", max(cert.c_left, cert.b_right, *cert.left.values(),
+                              *cert.right.values()))
+    print("state:", result.state.snapshot_json)
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
     from .geometry import verify_bounding
-    from .inputs import build_points, load_document, rational_points
+    from .inputs import build_points, rational_points
     from .oracle import exact_convex_check
 
     try:
@@ -246,15 +246,14 @@ def cmd_check(args) -> int:
         raise InputError(f"{args.result}: cannot read result: {exc}")
     if not isinstance(record, dict) or record.get("type") != "convex-result":
         raise InputError(f"{args.result}: not a convex result file")
-    document = load_document(args.input)
-    if not document.points:
-        raise InputError(f"{args.input}: no points in document")
+    document = _document(args.input, "points")
     points = build_points(document)
     a, b, c = record.get("a"), record.get("b"), record.get("c")
     if not all(isinstance(v, int) and not isinstance(v, bool)
                for v in (a, b, c)):
         raise InputError(f"{args.result}: a, b, c must be integers")
-    kmax = (_kmax(f"{args.result}: kmax", record.get("kmax", DEFAULT_KMAX))
+    kmax = (_count(f"{args.result}: kmax", record.get("kmax", DEFAULT_KMAX),
+                   kmax=True)
             if args.kmax is None else _resolve_kmax(args.kmax))
     derived = verify_bounding(points, a, b, c, k_max=kmax)
     stored = record.get("certificate")
@@ -272,7 +271,7 @@ def cmd_check(args) -> int:
 def cmd_tree(args) -> int:
     from .replay import replay_paths
 
-    n = _optional_nonnegative("--n", args.n)
+    n = None if args.n is None else _count("--n", args.n)
     runs = [read_trace(path) for path in args.traces]
     verdict = replay_paths(runs, n=n)
     print(f"n: {verdict.n}")
@@ -303,31 +302,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact reals, least-element learning, convex angles.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    least = sub.add_parser("least", help="learn the least element")
-    least.add_argument("input")
-    least.add_argument("--kmax", type=int, default=None,
-                       help="precision ceiling for scripted challenges "
-                            "(default 256, or REALEARN_KMAX; at most 2^20)")
-    least.add_argument("--max-restarts", type=int, default=None,
-                       help="restart budget (default 2^n)")
-    least.add_argument("--auditor", default="none",
-                       help="none | oracle | script:<path>")
-    least.add_argument("--trace", default=None,
-                       help="write the event trace to this file")
-    least.set_defaults(func=cmd_least)
-
-    convex = sub.add_parser("convex", help="construct a bounding angle")
-    convex.add_argument("input")
-    convex.add_argument("--kmax", type=int, default=None,
-                        help="precision budget for side decisions "
-                             "(default 256, or REALEARN_KMAX; at most 2^20)")
-    convex.add_argument("--max-restarts", type=int, default=None,
-                        help="restart budget (default 2^n)")
-    convex.add_argument("--trace", default=None,
-                        help="write the event trace to this file")
-    convex.add_argument("--result", default=None,
-                        help="write a machine-readable result record")
-    convex.set_defaults(func=cmd_convex)
+    runs = {}
+    for name, summary, budget, func in (
+            ("least", "learn the least element",
+             "precision ceiling for scripted challenges", cmd_least),
+            ("convex", "construct a bounding angle",
+             "precision budget for side decisions", cmd_convex)):
+        run = runs[name] = sub.add_parser(name, help=summary)
+        run.add_argument("input")
+        run.add_argument("--kmax", type=int, default=None,
+                         help=f"{budget} "
+                              "(default 256, or REALEARN_KMAX; at most 2^20)")
+        run.add_argument("--max-restarts", type=int, default=None,
+                         help="restart budget (default 2^n)")
+        run.add_argument("--trace", default=None,
+                         help="write the event trace to this file")
+        run.set_defaults(func=func)
+    runs["least"].add_argument("--auditor", default="none",
+                               help="none | oracle | script:<path>")
+    runs["convex"].add_argument("--result", default=None,
+                                help="write a machine-readable result record")
 
     check = sub.add_parser("check", help="audit a convex result file")
     check.add_argument("result")

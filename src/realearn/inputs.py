@@ -22,8 +22,9 @@ or either part of a rational string, may have at most as many digits
 as Python converts from text, 4300 unless ``PYTHONINTMAXSTRDIGITS``
 says otherwise; a longer one is an :class:`InputError` in every file
 read here and in the ``check`` result file.  Every constructor has a
-known rational limit (the value for rational and blurred reals, the
-tail for tables), which the oracle tools rely on.
+known rational limit, the value of a rational or blurred real and the
+tail of a table, which the oracle tools rely on; a :class:`RealSpec`
+keeps it in one field, ``limit``, whatever its kind.
 
 Trace files are read back by :func:`~realearn.trace.read_trace`, next
 to their writer.  The functions that build points and challenges import
@@ -36,7 +37,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Tuple
 
 from ._record import _Record
 from .errors import InputError
@@ -87,61 +88,49 @@ def parse_fraction(value) -> Fraction:
 
 
 class RealSpec(_Record):
-    """One parsed real record."""
+    """One parsed real record: its ``kind``, the exact ``limit`` it
+    converges to (a rational or blurred real's value, a table's tail)
+    and, for a table, its ``prefix`` of intervals."""
 
-    __slots__ = ("_kind", "_value", "_prefix", "_tail")
+    __slots__ = ("_kind", "_limit", "_prefix")
 
-    def __init__(self, kind: str, value: Optional[Fraction] = None,
-                 prefix: Optional[Tuple[Tuple[Fraction, Fraction], ...]] = None,
-                 tail: Optional[Fraction] = None) -> None:
+    def __init__(self, kind: str, limit: Fraction,
+                 prefix: Tuple[Tuple[Fraction, Fraction], ...] = ()) -> None:
         self._kind = kind
-        self._value = value
+        self._limit = limit
         self._prefix = prefix
-        self._tail = tail
-
-    @property
-    def limit(self) -> Fraction:
-        """The exact real number this spec converges to."""
-        if self.kind == "table":
-            assert self.tail is not None
-            return self.tail
-        assert self.value is not None
-        return self.value
 
     def build(self, registry: RealRegistry) -> RealNum:
         if self.kind == "rational":
-            return registry.from_rational(self.value)
+            return registry.from_rational(self.limit)
         if self.kind == "blurred":
-            return registry.blurred(self.value)
-        return registry.from_table(self.prefix or (), self.tail)
+            return registry.blurred(self.limit)
+        return registry.from_table(self.prefix, self.limit)
 
     @staticmethod
     def from_obj(obj) -> "RealSpec":
         if isinstance(obj, str) or (isinstance(obj, int)
                                     and not isinstance(obj, bool)):
             # bare "num/den" shorthand for an exact rational
-            return RealSpec(kind="rational", value=parse_fraction(obj))
+            return RealSpec("rational", parse_fraction(obj))
         if not isinstance(obj, dict):
             raise InputError(f"real spec must be an object, got {obj!r}")
         kind = obj.get("kind")
         if kind not in REAL_KINDS:
             raise InputError(f"unknown real kind {kind!r}")
+        parsed = []
         if kind == "table":
             prefix = obj.get("prefix", [])
             if not isinstance(prefix, list):
                 raise InputError("table prefix must be a list of pairs")
-            parsed = []
             for entry in prefix:
                 if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                     raise InputError(f"bad table interval {entry!r}")
                 parsed.append((parse_fraction(entry[0]), parse_fraction(entry[1])))
-            if "tail" not in obj:
-                raise InputError("table spec needs a tail")
-            return RealSpec(kind="table", prefix=tuple(parsed),
-                            tail=parse_fraction(obj["tail"]))
-        if "value" not in obj:
-            raise InputError(f"{kind} spec needs a value")
-        return RealSpec(kind=kind, value=parse_fraction(obj["value"]))
+        key = "tail" if kind == "table" else "value"
+        if key not in obj:
+            raise InputError(f"{kind} spec needs a {key}")
+        return RealSpec(kind, parse_fraction(obj[key]), tuple(parsed))
 
 
 class PointSpec(_Record):

@@ -92,23 +92,27 @@ def register_points(pts: Sequence[RationalPoint], blurred: bool = False
 
 def count_trace_builds(monkeypatch) -> Tuple[List[str], List[int]]:
     """From now on, record the phase of every ``TraceEvent`` built and
-    the size of every knowledge-state snapshot read."""
+    the size of every knowledge state whose snapshot text is rendered
+    for the first time.  Trace lines are written from
+    ``snapshot_json``, which a state renders once and then reuses."""
     phases: List[str] = []
-    snapshots: List[int] = []
+    renders: List[int] = []
     init = realearn.trace.TraceEvent.__init__
-    snapshot = KnowledgeState.snapshot.fget
+    snapshot_json = KnowledgeState.snapshot_json.fget
 
     def counted_init(event, seq, phase, payload):
         phases.append(phase)
         init(event, seq, phase, payload)
 
-    def counted_snapshot(state):
-        snapshots.append(state.size)
-        return snapshot(state)
+    def counted_snapshot_json(state):
+        if state._snapshot_json is None:
+            renders.append(state.size)
+        return snapshot_json(state)
 
     monkeypatch.setattr(realearn.trace.TraceEvent, "__init__", counted_init)
-    monkeypatch.setattr(KnowledgeState, "snapshot", property(counted_snapshot))
-    return phases, snapshots
+    monkeypatch.setattr(KnowledgeState, "snapshot_json",
+                        property(counted_snapshot_json))
+    return phases, renders
 
 
 def evidence_graph(cand: LeastCandidate) -> Tuple[Set[Tuple[int, int, int]],

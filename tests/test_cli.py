@@ -519,6 +519,36 @@ def test_an_output_naming_the_input_or_the_other_output_is_an_input_error(
     assert reals.read_bytes() == WORKED_REALS.read_bytes()
 
 
+def test_a_trace_naming_the_script_is_an_input_error(tmp_path):
+    # the trace would overwrite the challenges it is learned from
+    script = tmp_path / "script.jsonl"
+    script.write_bytes(WORKED_SCRIPT.read_bytes())
+    proc = run_cli("least", WORKED_REALS, "--auditor", f"script:{script}",
+                   "--trace", tmp_path / "." / "script.jsonl")
+    assert_input_error(proc, "must differ")
+    assert proc.stdout == ""
+    assert script.read_bytes() == WORKED_SCRIPT.read_bytes()
+    # a document that is also the script is read as a script, as before
+    proc = run_cli("least", WORKED_REALS, "--auditor", f"script:{WORKED_REALS}")
+    assert_input_error(proc, "challenge needs integer j and precision")
+
+
+def test_check_never_reads_the_kmax_environment(tmp_path):
+    # check's budget is --kmax or the result file's kmax, while least
+    # and convex fall back on REALEARN_KMAX
+    result = tmp_path / "quad.json"
+    run_cli("convex", QUAD, "--result", result)
+    for value in ("abc", "-1", str(KMAX_CEILING + 1), "0"):
+        for flag in ([], ["--kmax", "64"]):
+            proc = run_cli("check", result, QUAD, *flag,
+                           env_extra={"REALEARN_KMAX": value})
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert proc.stdout.startswith("ok: apex 3, rays 2 1")
+    assert_input_error(run_cli("least", WORKED_REALS,
+                               env_extra={"REALEARN_KMAX": "abc"}),
+                       "REALEARN_KMAX must be an integer")
+
+
 def assert_input_error(proc, *fragments):
     assert proc.returncode == 1
     assert proc.stderr.startswith("input error: ")

@@ -90,11 +90,11 @@ def test_wedge_completes_without_backtracking():
 
 
 def test_an_unread_trace_is_never_built(monkeypatch, tmp_path):
-    phases, snapshots = count_trace_builds(monkeypatch)
+    phases, renders = count_trace_builds(monkeypatch)
     log = TraceLog()
     res = convex_angle(register(QUAD), trace=log)
     assert res.restarts == 1
-    assert phases == [] and snapshots == []
+    assert phases == [] and renders == []
 
     path = tmp_path / "run.trace"
     path.write_text("".join(log.lines()))
@@ -102,9 +102,10 @@ def test_an_unread_trace_is_never_built(monkeypatch, tmp_path):
     assert phases.count("decide") == 2 * 3
     assert trace == read_trace(path)
     # one select-A event per attempt, one extend per restart, one accept,
-    # each written from its state's snapshot text
+    # each written from its state's snapshot text, which each of the two
+    # states renders once
     assert sum("state" in e.payload for e in trace) == 2 + 1 + 1
-    assert snapshots == []
+    assert renders == [0, 1]
     assert [e.seq for e in trace] == list(range(len(trace)))
 
     again = res.trace

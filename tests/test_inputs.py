@@ -117,5 +117,5 @@ def test_table_spec_eagerly_validates(tmp_path):
 
 def test_real_spec_shorthand():
     spec = RealSpec.from_obj("5/4")
-    assert spec.kind == "rational" and spec.value == Fraction(5, 4)
-    assert RealSpec.from_obj(3).value == Fraction(3)
+    assert spec.kind == "rational" and spec.limit == Fraction(5, 4)
+    assert RealSpec.from_obj(3).limit == Fraction(3)

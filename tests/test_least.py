@@ -218,11 +218,11 @@ def descending_oracle_run(n, trace=None):
 
 def test_an_unread_trace_is_never_built(monkeypatch, tmp_path):
     # n = 100 descending values: 101 passes of 100 decisions each
-    phases, snapshots = count_trace_builds(monkeypatch)
+    phases, renders = count_trace_builds(monkeypatch)
     log = TraceLog()
     outcome = descending_oracle_run(100, log)
     assert outcome.restarts == 100
-    assert phases == [] and snapshots == []
+    assert phases == [] and renders == []
 
     path = tmp_path / "run.trace"
     path.write_text("".join(log.lines()))
@@ -230,9 +230,10 @@ def test_an_unread_trace_is_never_built(monkeypatch, tmp_path):
     assert phases.count("decide") == 101 * 100
     assert trace == read_trace(path)
     # one candidate event per pass, one extend per restart, one accept,
-    # each written from its state's snapshot text
+    # each written from its state's snapshot text, which each of the 101
+    # states, with 0..100 entries, renders once
     assert sum("state" in e.payload for e in trace) == 101 + 100 + 1
-    assert snapshots == []
+    assert renders == list(range(101))
     assert [e.seq for e in trace] == list(range(len(trace)))
 
     again = outcome.trace

@@ -28,8 +28,8 @@ from realearn.inputs import PointSpec, RealSpec
 
 REG = RealRegistry()
 X, Y = REG.from_rational(1), REG.blurred(F(-1, 2))
-HALF = RealSpec(kind="rational", value=F(1, 2))
-TABLE = RealSpec("table", None, ((F(0), F(1)),), F(1, 2))
+HALF = RealSpec(kind="rational", limit=F(1, 2))
+TABLE = RealSpec("table", F(1, 2), ((F(0), F(1)),))
 
 # (class, positional args, keyword args that build the same record,
 #  {field: value} of that record, positional args of a different record,
@@ -65,18 +65,16 @@ CASES = [
     (Challenge, (1, 4, True), {"j": 1, "precision": 4, "force": True},
      {"j": 1, "precision": 4, "force": True}, (1, 4), True,
      "Challenge(j=1, precision=4, force=True)"),
-    (RealSpec, ("rational", F(1, 2)), {"kind": "rational", "value": F(1, 2)},
-     {"kind": "rational", "value": F(1, 2), "prefix": None, "tail": None},
+    (RealSpec, ("rational", F(1, 2)), {"kind": "rational", "limit": F(1, 2)},
+     {"kind": "rational", "limit": F(1, 2), "prefix": ()},
      ("blurred", F(1, 2)), True,
-     "RealSpec(kind='rational', value=Fraction(1, 2), prefix=None, "
-     "tail=None)"),
-    (RealSpec, ("table", None, ((F(0), F(1)),), F(1, 2)),
-     {"kind": "table", "prefix": ((F(0), F(1)),), "tail": F(1, 2)},
-     {"kind": "table", "value": None, "prefix": ((F(0), F(1)),),
-      "tail": F(1, 2)},
-     ("table", None, (), F(1, 2)), True,
-     "RealSpec(kind='table', value=None, prefix=((Fraction(0, 1), "
-     "Fraction(1, 1)),), tail=Fraction(1, 2))"),
+     "RealSpec(kind='rational', limit=Fraction(1, 2), prefix=())"),
+    (RealSpec, ("table", F(1, 2), ((F(0), F(1)),)),
+     {"kind": "table", "prefix": ((F(0), F(1)),), "limit": F(1, 2)},
+     {"kind": "table", "limit": F(1, 2), "prefix": ((F(0), F(1)),)},
+     ("table", F(1, 2), ()), True,
+     "RealSpec(kind='table', limit=Fraction(1, 2), prefix=((Fraction(0, 1), "
+     "Fraction(1, 1)),))"),
     (PointSpec, (0, HALF, TABLE), {"index": 0, "x": HALF, "y": TABLE},
      {"index": 0, "x": HALF, "y": TABLE}, (0, TABLE, HALF), True,
      f"PointSpec(index=0, x={HALF!r}, y={TABLE!r})"),

@@ -135,9 +135,11 @@ def test_a_log_is_written_from_its_text_without_building_events(
     runs = [TraceLog(), TraceLog()]
     oracle_run(ORACLE_VALUES, runs[0])
     convex_run(runs[1])
-    phases, snapshots = count_trace_builds(monkeypatch)
+    phases, renders = count_trace_builds(monkeypatch)
     texts = ["".join(log.lines()) for log in runs]
-    assert phases == [] and snapshots == []
+    # no event is built, and each run's states, the least run's four and
+    # the convex run's two, render their snapshot text once
+    assert phases == [] and renders == [0, 1, 2, 3, 0, 1]
     for log, text in zip(runs, texts):
         assert text == "".join(event.to_json() + "\n" for event in log.events)
 
