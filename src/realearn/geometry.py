@@ -31,7 +31,7 @@ alone, so an audit of a convex result loads no learner.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 from ._record import _Record
 from .errors import CertificateFailure, DegenerateInput
@@ -78,7 +78,7 @@ class Right(_Record):
         self._witness = witness
 
 
-SideDecision = Union[Left, Right]
+SideDecision = Left | Right
 
 
 class NoWitnessFound(DegenerateInput):
@@ -86,7 +86,7 @@ class NoWitnessFound(DegenerateInput):
 
 
 # (apex index, point index) -> (x difference, y difference) nodes
-Differences = Dict[Tuple[int, int], Tuple[RealNum, RealNum]]
+Differences = dict[tuple[int, int], tuple[RealNum, RealNum]]
 
 
 def orientation_real(p: Point, q: Point, r: Point,
@@ -135,13 +135,13 @@ def decide_side(p: Point, q: Point, r: Point, k_max: int,
     """
     orient = orientation if orientation is not None else orientation_real(p, q, r)
 
-    def sign(k: int) -> int:
+    def excludes_zero(k: int) -> bool:
         lo, hi, _ = orient._at(k)
-        return (lo > 0) - (hi < 0)
+        return lo > 0 or hi < 0
 
-    k = least_witness(lambda k: sign(k) != 0, k_max, start)
+    k = least_witness(excludes_zero, k_max, start)
     if k is not None:
-        return Left(k) if sign(k) > 0 else Right(k)
+        return Left(k) if orient._at(k)[0] > 0 else Right(k)
     raise DegenerateInput(
         f"no side witness for points ({p.index}, {q.index}, {r.index}) "
         f"within precision {k_max}"

@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._record import _Record
 from .reals import RealNum, op_at
@@ -133,7 +133,7 @@ class Step:
                 + "".join(f", subject={s.subject!r})" for s in reversed(steps)))
 
 
-LeqEvidence = Union[Refl, Assumed, Step]
+LeqEvidence = Refl | Assumed | Step
 
 
 class KnowledgeState:

@@ -10,10 +10,14 @@ Internally every interval is one integer triple ``(lo, hi, d)`` with
 ``d > 0``, meaning ``[lo/d, hi/d]``: both endpoints share one
 denominator, which is a power of two for dyadic inputs and whatever
 the rationals need otherwise.  Sums and differences put their operands
-over the lcm of the two denominators, products multiply numerators and
-denominators, and comparisons cross-multiply.  Nothing is rounded and
-nothing is normalised, so each triple equals, as a pair of rationals,
-the interval that :class:`fractions.Fraction` arithmetic would give.
+over the lcm of the two denominators, and operands over one ``d`` keep
+it.  Products multiply numerators and denominators; the endpoints are
+the min and max of the four endpoint products, and when neither
+operand straddles zero the signs say which two products those are, so
+only those two are taken.  Comparisons cross-multiply.  Nothing is
+rounded and nothing is normalised, so each triple equals, as a pair of
+rationals, the interval that :class:`fractions.Fraction` arithmetic
+would give.
 The public :meth:`RealNum.interval_at` returns that interval as a
 ``Fraction`` pair, and a raw generator handed to
 :meth:`RealRegistry.register` returns ``Fraction`` pairs, converted
@@ -49,9 +53,10 @@ witness near some k starts there, and the least witness is the same.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, Optional, Tuple, Union
 
 Interval = Tuple[Fraction, Fraction]
 # (lo, hi, d) with d > 0, meaning the interval [lo/d, hi/d]
@@ -117,14 +122,15 @@ class RealNum:
     ``(lo, hi, d)`` triples and is evaluated at the requested index
     only; in debug builds the new interval is checked for ``lo <= hi``,
     width at most ``2**-k`` and nesting with whichever neighbours
-    ``k - 1`` and ``k + 1`` are cached.  Any other real is a raw
-    generator of ``Fraction`` pairs: reading index ``k`` evaluates the
-    missing prefix up to ``k`` in order, and every new interval is
-    checked against its predecessor in all builds, raising
-    :class:`InvalidNesting` on the first violated clause.  The
-    magnitude exponent that :func:`mul` reads from index 0 is cached in
-    ``_magnitude`` once computed, so a node shared by many products
-    reads it once.
+    ``k - 1`` and ``k + 1`` are cached.  The clauses are tested inline
+    and :func:`_check_interval` is called only to name a failing one.
+    Any other real is a raw generator of ``Fraction`` pairs: reading
+    index ``k`` evaluates the missing prefix up to ``k`` in order, and
+    every new interval is checked against its predecessor in all
+    builds, raising :class:`InvalidNesting` on the first violated
+    clause.  The magnitude exponent that :func:`mul` reads from index 0
+    is cached in ``_magnitude`` once computed, so a node shared by many
+    products reads it once.
     """
 
     __slots__ = ("index", "nested", "_gen", "_cache", "_magnitude")
@@ -153,9 +159,19 @@ class RealNum:
         if self.nested:
             interval = self._gen(k)
             if __debug__:
-                _check_interval(k, interval, cache.get(k - 1))
-                if k + 1 in cache:
-                    _check_interval(k + 1, cache[k + 1], interval)
+                # the clauses of _check_interval, which runs only to
+                # name the first one that fails
+                lo, hi, d = interval
+                outer = cache.get(k - 1)
+                if (lo > hi or (hi - lo) << k > d or outer is not None and (
+                        lo * outer[2] < outer[0] * d
+                        or hi * outer[2] > outer[1] * d)):
+                    _check_interval(k, interval, outer)
+                # a cached k + 1 passed its own clauses: test its nesting
+                inner = cache.get(k + 1)
+                if inner is not None and (inner[0] * d < lo * inner[2]
+                                          or inner[1] * d > hi * inner[2]):
+                    _check_interval(k + 1, inner, interval)
             cache[k] = interval
             return interval
         for j in range(len(cache), k + 1):
@@ -362,6 +378,8 @@ def add(a: RealNum, b: RealNum) -> RealNum:
     def gen(k: int) -> Triple:
         alo, ahi, ad = a._at(k + 1)
         blo, bhi, bd = b._at(k + 1)
+        if ad == bd:
+            return (alo + blo, ahi + bhi, ad)
         sa, sb, d = _over_lcm(ad, bd)
         return (alo * sa + blo * sb, ahi * sa + bhi * sb, d)
 
@@ -374,6 +392,8 @@ def sub(a: RealNum, b: RealNum) -> RealNum:
     def gen(k: int) -> Triple:
         alo, ahi, ad = a._at(k + 1)
         blo, bhi, bd = b._at(k + 1)
+        if ad == bd:
+            return (alo - bhi, ahi - blo, ad)
         sa, sb, d = _over_lcm(ad, bd)
         return (alo * sa - bhi * sb, ahi * sa - blo * sb, d)
 
@@ -387,16 +407,27 @@ def mul(a: RealNum, b: RealNum) -> RealNum:
     ``s = c_a + c_b + 2`` is fixed at construction from magnitude
     bounds ``2**c_x`` at index 0.  Endpoints are the min and max of the
     four endpoint products, over the product of the operands'
-    denominators.  Width bound: each factor interval at k + s has width
-    at most ``2**-(k+s)`` and magnitude at most ``2**c_x``, so the
-    product width is at most ``(2**c_a + 2**c_b) * 2**-(k+s) <=
-    2**-(k+1)``.
+    denominators; when neither operand straddles zero, the signs name
+    those two products and only they are computed.  Width bound: each
+    factor interval at k + s has width at most ``2**-(k+s)`` and
+    magnitude at most ``2**c_x``, so the product width is at most
+    ``(2**c_a + 2**c_b) * 2**-(k+s) <= 2**-(k+1)``.
     """
     shift = _magnitude_exponent(a) + _magnitude_exponent(b) + 2
 
     def gen(k: int) -> Triple:
         alo, ahi, ad = a._at(k + shift)
         blo, bhi, bd = b._at(k + shift)
+        if alo >= 0:
+            if blo >= 0:
+                return (alo * blo, ahi * bhi, ad * bd)
+            if bhi <= 0:
+                return (ahi * blo, alo * bhi, ad * bd)
+        elif ahi <= 0:
+            if blo >= 0:
+                return (alo * bhi, ahi * blo, ad * bd)
+            if bhi <= 0:
+                return (ahi * bhi, alo * blo, ad * bd)
         products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
         return (min(products), max(products), ad * bd)
 

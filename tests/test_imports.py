@@ -125,3 +125,36 @@ def test_exit_code_exceptions_live_in_one_leaf_module():
     assert {cls for cls, _, _ in cli.FAILURES} - {OSError} == {
         value for value in vars(realearn.errors).values()
         if isinstance(value, type)}
+
+
+# import every module of realearn afresh, six times; then report how
+# many realearn classes the first import made and how many are alive
+REIMPORT = """import gc, importlib, pkgutil, sys
+def load():
+    for name in [m for m in sys.modules if m.split(".")[0] == "realearn"]:
+        del sys.modules[name]
+    package = importlib.import_module("realearn")
+    for module in pkgutil.iter_modules(package.__path__):
+        if module.name != "__main__":
+            importlib.import_module(f"realearn.{module.name}")
+def classes():
+    gc.collect()
+    return sum(isinstance(o, type) and o.__module__.split(".")[0] == "realearn"
+               for o in gc.get_objects())
+load()
+once = classes()
+for _ in range(5):
+    load()
+print(once, classes())
+"""
+
+
+def test_a_fresh_import_lets_the_earlier_ones_go():
+    # a typing subscription of a realearn class at module level (such
+    # as Union[Left, Right]) is cached by typing and keeps the module's
+    # classes, and so the module, alive after it is re-imported
+    proc = subprocess.run([sys.executable, "-c", REIMPORT],
+                          capture_output=True, text=True, check=True)
+    once, alive = map(int, proc.stdout.split())
+    assert once > 30
+    assert alive == once

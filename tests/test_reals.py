@@ -17,7 +17,7 @@ from realearn import (
     op_at,
 )
 from realearn.oracle import separation_from_gap
-from realearn.reals import _magnitude_exponent, add, mul, sub
+from realearn.reals import _magnitude_exponent, _over_lcm, add, mul, sub
 
 from support import random_real, random_table_prefix
 
@@ -301,13 +301,18 @@ def test_constructors_evaluate_only_the_requested_index():
     assert sorted(prod._cache) == [30]
 
 
+def nested_real(gen):
+    """A nested real from a crafted ``(lo, hi, d)`` generator."""
+    real = RealRegistry().register(gen)
+    real.nested = True
+    return real
+
+
 @pytest.mark.skipif(not __debug__, reason="neighbour checks are debug-only")
 def test_random_access_checks_cached_neighbours():
-    reg = RealRegistry()
     # a triple generator (k % 2, k % 2, 2): [0, 0] at even k, [1/2, 1/2]
     # at odd k, nested at no k
-    r = reg.register(lambda k: (k % 2, k % 2, 2))
-    r.nested = True
+    r = nested_real(lambda k: (k % 2, k % 2, 2))
     r.interval_at(3)
     with pytest.raises(InvalidNesting) as exc:
         r.interval_at(2)
@@ -315,6 +320,57 @@ def test_random_access_checks_cached_neighbours():
     with pytest.raises(InvalidNesting) as exc:
         r.interval_at(4)
     assert (exc.value.k, exc.value.clause) == (4, "lower endpoint decreases")
+
+
+@pytest.mark.skipif(not __debug__, reason="nested-path checks are debug-only")
+@pytest.mark.parametrize("gen, clause", [
+    (lambda k: (1, 0, 1 << k), "lower endpoint above upper endpoint"),
+    (lambda k: (0, 2, 1 << k), "width exceeds 2^-3"),
+])
+def test_random_access_checks_its_own_clauses(gen, clause):
+    r = nested_real(gen)
+    with pytest.raises(InvalidNesting) as exc:
+        r.interval_at(3)
+    assert (exc.value.k, exc.value.clause) == (3, clause)
+    assert 3 not in r._cache
+
+
+# Operands of known signs at every index read: [lo/d, hi/d] with
+# 0 < lo, hi < 0, lo < 0 < hi, lo = 0 or hi = 0.
+SIGNED = {
+    "positive": lambda: RealRegistry().blurred(Fraction(7, 3)),
+    "negative": lambda: RealRegistry().blurred(Fraction(-5, 3)),
+    "straddling": lambda: RealRegistry().blurred(0),
+    "zero": lambda: RealRegistry().from_rational(0),
+    "from zero up": lambda: nested_real(lambda k: (0, 1, 2 << k)),
+    "from zero down": lambda: nested_real(lambda k: (-1, 0, 2 << k)),
+}
+
+
+@pytest.mark.parametrize("left, right, equal", [
+    ("positive", "negative", True), ("negative", "positive", True),
+    ("negative", "straddling", False), ("zero", "positive", False)])
+@pytest.mark.parametrize("k", [0, 7, 40])
+def test_sums_give_the_lcm_triple(left, right, equal, k):
+    a, b = SIGNED[left](), SIGNED[right]()
+    alo, ahi, ad = a._at(k + 1)
+    blo, bhi, bd = b._at(k + 1)
+    sa, sb, d = _over_lcm(ad, bd)
+    assert (ad == bd) == equal
+    assert add(a, b)._at(k) == (alo * sa + blo * sb, ahi * sa + bhi * sb, d)
+    assert sub(a, b)._at(k) == (alo * sa - bhi * sb, ahi * sa - blo * sb, d)
+
+
+@pytest.mark.parametrize("left", sorted(SIGNED))
+@pytest.mark.parametrize("right", sorted(SIGNED))
+@pytest.mark.parametrize("k", [0, 7, 40])
+def test_products_give_the_min_max_triple(left, right, k):
+    a, b = SIGNED[left](), SIGNED[right]()
+    shift = _magnitude_exponent(a) + _magnitude_exponent(b) + 2
+    alo, ahi, ad = a._at(k + shift)
+    blo, bhi, bd = b._at(k + shift)
+    products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+    assert mul(a, b)._at(k) == (min(products), max(products), ad * bd)
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
