@@ -32,17 +32,18 @@ from realearn.geometry import RationalPoint
 from realearn.oracle import separation_from_gap
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from support import general_position_points, register_points  # noqa: E402
+from support import (StringTrace, general_position_points,  # noqa: E402
+                     register_points)
 
 STAGES = ("init", "mutual", "scan", "rescan", "audit")
 SCALES = (0, 40, 60)
 INSTANCES = 30
 
 
-def side_decisions(result, audit):
+def side_decisions(events, audit):
     """``(stage, p, q, r, witness)`` for every side decision of the
-    construction's trace and of the audit's certificate."""
-    for event in result.trace:
+    construction's trace ``events`` and of the audit's certificate."""
+    for event in events:
         if event.phase == "side":
             payload = event.payload
             yield (payload["stage"], *payload["line"], payload["point"],
@@ -72,9 +73,10 @@ def main() -> None:
             rational = [RationalPoint(p.x * scale, p.y * scale) for p in
                         general_position_points(rng, rng.randint(3, 10))]
             _, points = register_points(rational, blurred=True)
-            result = convex_angle(points)
+            log = StringTrace()
+            result = convex_angle(points, trace=log)
             audit = verify_bounding(points, result.a, result.b, result.c)
-            for stage, p, q, r, witness in side_decisions(result, audit):
+            for stage, p, q, r, witness in side_decisions(log.events, audit):
                 histograms[stage][slack(rational, p, q, r, witness)] += 1
         print("scale", f"2^-{shift}" if shift else 1)
         for stage in STAGES:

@@ -12,7 +12,7 @@ statistics.
 The point sets come from the test suite's generators in
 ``tests/support.py``.  Run from the repository root:
 
-    python3 scripts/random_convex_experiment.py --instances 50 --seed 3
+    PYTHONPATH=src python3 scripts/random_convex_experiment.py --instances 50 --seed 3
 """
 
 import argparse
@@ -40,6 +40,10 @@ def main() -> None:
     args = parser.parse_args()
     if args.min_points < 3 or args.max_points < args.min_points:
         parser.error("need max-points >= min-points >= 3")
+    if args.instances < 1:
+        parser.error("need instances >= 1")
+    if args.kmax < 0:
+        parser.error("need kmax >= 0")
 
     rng = Random(args.seed)
     restart_counts = Counter()

@@ -9,10 +9,11 @@ accepted candidate with the exact argmin.
 
 Run from the repository root:
 
-    python3 scripts/replay_worked_example.py
+    PYTHONPATH=src python3 scripts/replay_worked_example.py
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from realearn.inputs import build_reals, load_document, load_script, real_limits
@@ -22,6 +23,8 @@ from realearn.oracle import exact_min_index
 from realearn.replay import replay_paths
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tests"))
+from support import StringTrace  # noqa: E402
 
 
 def print_events(events):
@@ -67,6 +70,8 @@ def main() -> None:
     parser.add_argument("--max-restarts", type=int, default=None,
                         help="restart budget, default 2**n - 1")
     args = parser.parse_args()
+    if args.max_restarts is not None and args.max_restarts < 0:
+        parser.error("need max-restarts >= 0")
 
     document = load_document(args.reals)
     reals = build_reals(document)
@@ -80,12 +85,14 @@ def main() -> None:
     print(f"{len(script)} scripted challenges, restart budget {budget}")
     print()
 
+    log = StringTrace()
     outcome = learn_least(n, ScriptedAuditor(script), empty_state(reals),
-                          max_restarts=budget)
-    print_events(outcome.trace)
+                          budget, log)
+    events = log.events
+    print_events(events)
     print()
 
-    verdict = replay_paths([outcome.trace], n=n)
+    verdict = replay_paths([events], n=n)
     run = verdict.runs[0]
     print(f"replay along the decision tree of depth {n}:")
     print(f"  leaf ranks      {run.leaf_ranks}"

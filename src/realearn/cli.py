@@ -112,6 +112,17 @@ def _distinct(*paths: Optional[str]) -> None:
                          + ", ".join(path for path in paths if path))
 
 
+def _run_flags(args, *outputs: Optional[str]) -> tuple[int, Optional[int]]:
+    """The ``--kmax`` and ``--max-restarts`` of a ``least`` or ``convex``
+    run, checked in this order, after :func:`_distinct` has checked the
+    input, the trace and ``outputs``."""
+    _distinct(args.input, args.trace, *outputs)
+    kmax = _resolve_kmax(args.kmax)
+    max_restarts = (None if args.max_restarts is None
+                    else _count("--max-restarts", args.max_restarts))
+    return kmax, max_restarts
+
+
 @contextmanager
 def _trace_log(path: Optional[str]):
     """A :class:`NullLog` without a path, else a :class:`TraceFile` on
@@ -145,10 +156,7 @@ def cmd_least(args) -> int:
     from .knowledge import empty_state
     from .least import NullAuditor, ScriptedAuditor, learn_least
 
-    _distinct(args.input, args.trace)
-    kmax = _resolve_kmax(args.kmax)
-    max_restarts = (None if args.max_restarts is None
-                    else _count("--max-restarts", args.max_restarts))
+    kmax, max_restarts = _run_flags(args)
     document = _document(args.input, "reals")
     reals = build_reals(document)
     n = len(document.reals) - 1
@@ -196,10 +204,7 @@ def cmd_convex(args) -> int:
     from .convex import TooFewPoints, convex_angle
     from .inputs import build_points
 
-    _distinct(args.input, args.trace, args.result)
-    kmax = _resolve_kmax(args.kmax)
-    max_restarts = (None if args.max_restarts is None
-                    else _count("--max-restarts", args.max_restarts))
+    kmax, max_restarts = _run_flags(args, args.result)
     points = build_points(_document(args.input, "points"))
     with _trace_log(args.trace) as log:
         try:

@@ -42,9 +42,7 @@ class TraceEvent(_Record):
         self._payload = payload
 
     def to_json(self) -> str:
-        record = {"seq": self.seq, "phase": self.phase}
-        record.update(self.payload)
-        return _dumps(record)
+        return _event_line(self._seq, self._phase, self._payload)[:-1]
 
     @staticmethod
     def from_json(line: str) -> "TraceEvent":

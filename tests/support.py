@@ -1,19 +1,21 @@
-"""Shared randomized generators for the test suite and
-``scripts/random_convex_experiment.py``.
+"""Shared randomized generators and a trace recorder for the test suite
+and the scripts ``random_convex_experiment.py``, ``precision_report.py``
+and ``replay_worked_example.py``.
 
 Everything takes an explicit random.Random seeded by the caller, so a
 failing test reproduces from its seed alone.
 """
 
+import io
 from fractions import Fraction
 from random import Random
 from typing import List, Sequence, Set, Tuple
 
-import realearn.trace
 from realearn import (Assumed, KnowledgeState, LeastCandidate, Point, RealNum,
                       RealRegistry, Step)
 from realearn.geometry import RationalPoint
 from realearn.oracle import exact_orientation
+from realearn.trace import TraceEvent, TraceFile
 
 
 def random_fraction(rng: Random, span: int = 8, denom_bits: int = 6) -> Fraction:
@@ -90,6 +92,28 @@ def register_points(pts: Sequence[RationalPoint], blurred: bool = False
     return reg, [Point(i, xs[i], ys[i]) for i in range(len(pts))]
 
 
+class StringTrace(TraceFile):
+    """A log that writes its trace as the CLI's ``--trace`` does, but to
+    an ``io.StringIO``: pass it to a run, then read :attr:`text`, the
+    text a trace file would hold, or :attr:`events`, each line parsed
+    with ``TraceEvent.from_json``.  A run cut by an exception leaves
+    what it recorded before it."""
+
+    __slots__ = ("_buffer",)
+
+    def __init__(self) -> None:
+        self._buffer = io.StringIO()
+        super().__init__(self._buffer)
+
+    @property
+    def text(self) -> str:
+        return self._buffer.getvalue()
+
+    @property
+    def events(self) -> List[TraceEvent]:
+        return [TraceEvent.from_json(line) for line in self.text.splitlines()]
+
+
 def count_trace_builds(monkeypatch) -> Tuple[List[str], List[int]]:
     """From now on, record the phase of every ``TraceEvent`` built and
     the size of every knowledge state whose snapshot text is rendered
@@ -97,7 +121,7 @@ def count_trace_builds(monkeypatch) -> Tuple[List[str], List[int]]:
     ``snapshot_json``, which a state renders once and then reuses."""
     phases: List[str] = []
     renders: List[int] = []
-    init = realearn.trace.TraceEvent.__init__
+    init = TraceEvent.__init__
     snapshot_json = KnowledgeState.snapshot_json.fget
 
     def counted_init(event, seq, phase, payload):
@@ -109,7 +133,7 @@ def count_trace_builds(monkeypatch) -> Tuple[List[str], List[int]]:
             renders.append(state.size)
         return snapshot_json(state)
 
-    monkeypatch.setattr(realearn.trace.TraceEvent, "__init__", counted_init)
+    monkeypatch.setattr(TraceEvent, "__init__", counted_init)
     monkeypatch.setattr(KnowledgeState, "snapshot_json",
                         property(counted_snapshot_json))
     return phases, renders

@@ -22,7 +22,6 @@ from realearn import (
     Refl,
     ScriptedAuditor,
     Step,
-    TraceLog,
     blame,
     convex_angle,
     empty_state,
@@ -41,6 +40,7 @@ from realearn.oracle import (
 from realearn.replay import replay_paths
 
 from support import (
+    StringTrace,
     distinct_fractions,
     evidence_graph,
     general_position_points,
@@ -101,10 +101,6 @@ def worked_registry():
     for q in WORKED_VALUES:
         reg.blurred(q)
     return reg
-
-
-def trace_bytes(events):
-    return "".join(e.to_json() + "\n" for e in events).encode()
 
 
 def first_witness(vec):
@@ -181,18 +177,18 @@ def test_criterion_4_golden_traces():
     assert solid == {(3, 0, 33)}
     assert dotted == {(3, 4), (3, 5), (0, 1), (0, 2)}
 
-    log = TraceLog()
-    outcome = learn_least(5, ScriptedAuditor(WORKED_SCRIPT),
-                          empty_state(worked_registry()), 32, log)
-    candidates = [e.payload["candidate"] for e in outcome.trace
+    log = StringTrace()
+    learn_least(5, ScriptedAuditor(WORKED_SCRIPT),
+                empty_state(worked_registry()), 32, log)
+    events = log.events
+    candidates = [e.payload["candidate"] for e in events
                   if e.phase == "candidate"]
     assert candidates == [0, 3, 2, 3, 1, 4]
     extends = [(tuple(e.payload["pair"]), e.payload["witness"])
-               for e in outcome.trace if e.phase == "extend"]
+               for e in events if e.phase == "extend"]
     assert extends == [((0, 3), 33), ((0, 2), 33), ((2, 3), 12),
                        ((0, 1), 33), ((1, 4), 9)]
-    snapshots = [e.payload["state"] for e in outcome.trace
-                 if e.phase == "extend"]
+    snapshots = [e.payload["state"] for e in events if e.phase == "extend"]
     assert [len(s) for s in snapshots] == [1, 2, 3, 4, 5]
     assert snapshots[-1] == [
         {"i": 0, "j": 1, "witness": 33},
@@ -201,7 +197,7 @@ def test_criterion_4_golden_traces():
         {"i": 1, "j": 4, "witness": 9},
         {"i": 2, "j": 3, "witness": 12},
     ]
-    ARTIFACTS["worked"] = trace_bytes(outcome.trace)
+    ARTIFACTS["worked"] = log.text
 
 
 @criterion(5, "oracle-audited learning finds the exact argmin, 200 instances")
@@ -214,11 +210,12 @@ def test_criterion_5_oracle_convergence():
         reg = RealRegistry()
         reals = [random_real(reg, rng, value=v)[0] for v in values]
         assert all(r.index == i for i, r in enumerate(reals))
+        log = StringTrace()
         outcome = learn_least(n, OracleAuditor(reg, values),
-                              empty_state(reg), 2 ** n)
+                              empty_state(reg), 2 ** n, log)
         assert outcome.candidate.candidate == exact_min_index(values)
         assert outcome.restarts <= 2 ** n - 1
-        verdict = replay_paths([outcome.trace], n)
+        verdict = replay_paths([log.events], n)
         assert verdict.ok
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"oracle convergence suite took {elapsed:.1f}s"
@@ -234,13 +231,13 @@ def test_criterion_6_convex_end_to_end():
         rational = general_position_points(rng, count)
         blurred = bool(trial % 2)
         _, points = register_points(rational, blurred=blurred)
-        log = TraceLog()
+        log = StringTrace()
         result = convex_angle(points, trace=log)
         assert exact_convex_check(rational, result.a, result.b, result.c)
         _, fresh = register_points(rational, blurred=blurred)
         derived = verify_bounding(fresh, result.a, result.b, result.c)
         assert derived == result.certificate
-        recorded.append((rational, blurred, trace_bytes(result.trace)))
+        recorded.append((rational, blurred, log.text))
     ARTIFACTS["convex"] = recorded
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"convex suite took {elapsed:.1f}s"
@@ -250,12 +247,12 @@ def test_criterion_6_convex_end_to_end():
 def test_criterion_7_no_backtracking():
     rational = [RationalPoint(Fraction(x), Fraction(y)) for x, y in WEDGE]
     _, points = register_points(rational)
-    log = TraceLog()
+    log = StringTrace()
     result = convex_angle(points, trace=log)
     assert (result.a, result.b, result.c) == (0, 1, 2)
     assert result.restarts == 0
     assert result.state.entries == {}
-    ARTIFACTS["wedge"] = trace_bytes(result.trace)
+    ARTIFACTS["wedge"] = log.text
 
 
 @criterion(8, "collinear input raises DegenerateInput and CLI exits 3")
@@ -281,19 +278,19 @@ def test_criterion_9_determinism():
     assert "worked" in ARTIFACTS and "wedge" in ARTIFACTS \
         and "convex" in ARTIFACTS, "earlier criteria did not record traces"
 
-    log = TraceLog()
+    log = StringTrace()
     learn_least(5, ScriptedAuditor(WORKED_SCRIPT),
                 empty_state(worked_registry()), 32, log)
-    assert trace_bytes(log.events) == ARTIFACTS["worked"]
+    assert log.text == ARTIFACTS["worked"]
 
     rational = [RationalPoint(Fraction(x), Fraction(y)) for x, y in WEDGE]
     _, points = register_points(rational)
-    log = TraceLog()
+    log = StringTrace()
     convex_angle(points, trace=log)
-    assert trace_bytes(log.events) == ARTIFACTS["wedge"]
+    assert log.text == ARTIFACTS["wedge"]
 
     for rational, blurred, first in ARTIFACTS["convex"]:
         _, points = register_points(rational, blurred=blurred)
-        log = TraceLog()
+        log = StringTrace()
         convex_angle(points, trace=log)
-        assert trace_bytes(log.events) == first
+        assert log.text == first

@@ -597,6 +597,20 @@ def test_max_restarts_must_not_be_negative():
         assert proc.stderr == "input error: --max-restarts must be >= 0, got -1\n"
 
 
+def test_run_flags_are_checked_in_one_order(tmp_path):
+    # the input and output files first, then --kmax, then
+    # --max-restarts: a run that gets all three wrong reports the first
+    bad = ("--kmax", "-3", "--max-restarts", "-1")
+    for command, fixture in (("convex", WEDGE), ("least", WORKED_REALS)):
+        document = tmp_path / fixture.name
+        document.write_bytes(fixture.read_bytes())
+        proc = run_cli(command, document, *bad)
+        assert proc.stderr == "input error: --kmax must be >= 0, got -3\n"
+        proc = run_cli(command, document, *bad, "--trace", document)
+        assert_input_error(proc, "must differ")
+        assert document.read_bytes() == fixture.read_bytes()
+
+
 def test_script_challenge_precision_must_not_be_negative(tmp_path):
     script = tmp_path / "script.jsonl"
     script.write_text(json.dumps({"j": 3, "precision": -1}) + "\n")

@@ -29,7 +29,7 @@ from realearn.oracle import (exact_convex_check, exact_orientation,
 from realearn.reals import add, mul, sub
 from realearn.trace import read_trace
 
-from support import (count_trace_builds, general_position_points,
+from support import (StringTrace, count_trace_builds, general_position_points,
                      register_points)
 
 WEDGE = [(0, 1), (-2, -1), (2, -1), (0, -2), (-1, -3), (1, -4)]
@@ -71,15 +71,15 @@ def test_registry_order_does_not_matter():
         _, y_first = register_points(rational, blurred=blurred)
         runs = []
         for pts in (x_first, y_first):
-            log = TraceLog()
+            log = StringTrace()
             res = convex_angle(pts, trace=log)
             runs.append(((res.a, res.b, res.c), res.certificate, res.restarts,
-                         [event.to_json() for event in log.events]))
+                         log.text))
         assert runs[0] == runs[1]
 
 
 def test_wedge_completes_without_backtracking():
-    log = TraceLog()
+    log = StringTrace()
     res = convex_angle(register(WEDGE), trace=log)
     assert (res.a, res.b, res.c) == (0, 1, 2)
     assert res.restarts == 0
@@ -116,7 +116,7 @@ def test_an_unread_trace_is_never_built(monkeypatch, tmp_path):
 
 
 def test_quad_restarts_once_and_relearns_apex():
-    log = TraceLog()
+    log = StringTrace()
     res = convex_angle(register(QUAD), trace=log)
     assert (res.a, res.b, res.c) == (3, 2, 1)
     assert res.restarts == 1
@@ -132,7 +132,7 @@ def test_quad_restarts_once_and_relearns_apex():
 
 def test_ray_replacement_toward_c():
     coords = [(0, -10), (-1, 0), (1, 0), (-3, 1)]
-    log = TraceLog()
+    log = StringTrace()
     res = convex_angle(register(coords), trace=log)
     assert (res.a, res.b, res.c) == (0, 2, 3)
     assert res.restarts == 0
@@ -195,8 +195,7 @@ def test_random_instances_match_exact_oracle():
         count = rng.randint(3, 12)
         rational = general_position_points(rng, count)
         _, pts = register_points(rational, blurred=bool(trial % 2))
-        log = TraceLog()
-        res = convex_angle(pts, trace=log)
+        res = convex_angle(pts)
         assert exact_convex_check(rational, res.a, res.b, res.c)
         assert verify_bounding(pts, res.a, res.b, res.c) == res.certificate
         assert is_sound(res.state)
@@ -239,8 +238,9 @@ def test_side_witnesses_need_no_more_than_the_separation_precision(
         rational = [RationalPoint(p.x * scale, p.y * scale) for p in
                     general_position_points(rng, rng.randint(3, 10))]
         _, pts = register_points(rational, blurred=blurred)
-        res = convex_angle(pts)
-        for event in res.trace:
+        log = StringTrace()
+        res = convex_angle(pts, trace=log)
+        for event in log.events:
             if event.phase == "side":
                 payload = event.payload
                 check(*payload["line"], payload["point"], payload["witness"],
@@ -269,7 +269,9 @@ def test_three_points_witnesses_need_no_more_than_the_separation_precision():
                 rational = [RationalPoint(p.x * scale, p.y * scale) for p in
                             general_position_points(rng, rng.randint(3, 10))]
                 _, pts = register_points(rational, blurred=blurred)
-                for event in convex_angle(pts).trace:
+                log = StringTrace()
+                convex_angle(pts, trace=log)
+                for event in log.events:
                     if event.phase != "three-points":
                         continue
                     payload = event.payload
@@ -291,10 +293,9 @@ def test_trace_digest_is_pinned():
         count = rng.randint(3, 20)
         rational = general_position_points(rng, count)
         _, pts = register_points(rational, blurred=bool(trial % 2))
-        log = TraceLog()
+        log = StringTrace()
         convex_angle(pts, trace=log)
-        for event in log.events:
-            digest.update(event.to_json().encode() + b"\n")
+        digest.update(log.text.encode())
     assert digest.hexdigest() == (
         "a73aebbb8ba9a0364913659da1fa8b7030eae0def3f13efe625853f69debc1e3")
 
@@ -325,19 +326,19 @@ def test_deep_trace_digest_is_pinned(monkeypatch):
         probes.clear()
         runs = []
         for pts in deep_instances():
-            log = TraceLog()
+            log = StringTrace()
             res = convex_angle(pts, trace=log)
             assert verify_bounding(pts, res.a, res.b, res.c) == res.certificate
-            runs.append((pts, log.events))
+            runs.append((pts, log))
         return len(probes), runs
 
     levels, runs = probed(counted)
     from_zero, _ = probed(lambda holds, k_max, start=0: counted(holds, k_max))
     assert 2 * levels <= from_zero, (levels, from_zero)
     digest = hashlib.sha256()
-    for pts, events in runs:
-        for event in events:
-            digest.update(event.to_json().encode() + b"\n")
+    for pts, log in runs:
+        digest.update(log.text.encode())
+        for event in log.events:
             payload = event.payload
             if event.phase == "side" and payload["witness"] > 0:
                 p, q = payload["line"]
@@ -367,12 +368,10 @@ def test_wide_trace_digest_is_pinned():
     # are all in it.
     rational = angle_ordered_points(60)
     _, pts = register_points(rational, blurred=True)
-    log = TraceLog()
+    log = StringTrace()
     res = convex_angle(pts, trace=log)
     assert exact_convex_check(rational, res.a, res.b, res.c)
-    digest = hashlib.sha256()
-    for event in log.events:
-        digest.update(event.to_json().encode() + b"\n")
+    digest = hashlib.sha256(log.text.encode())
     assert digest.hexdigest() == (
         "1af4743992a0f76f058017604b0cf0f67d9066a423805198e9fdb913cad0ce9f")
 
@@ -442,10 +441,11 @@ def test_no_attempt_decides_a_pair_twice(monkeypatch, rational, restarts):
     monkeypatch.setattr(realearn.least, "least_candidate",
                         counted_least_candidate)
     monkeypatch.setattr(realearn.convex, "decide_side", counted_decide_side)
-    res = convex_angle(pts)
+    log = StringTrace()
+    res = convex_angle(pts, trace=log)
     assert res.restarts == restarts == len(attempts) - 1
     asked = []
-    for event in res.trace:
+    for event in log.events:
         if event.phase == "select-A":
             asked.append([])
         elif event.phase == "side":

@@ -36,8 +36,8 @@ from realearn.oracle import OracleAuditor, exact_min_index, separation_from_gap
 from realearn.replay import replay_paths
 from realearn.trace import read_trace
 
-from support import (count_trace_builds, distinct_fractions, evidence_graph,
-                     random_table_prefix)
+from support import (StringTrace, count_trace_builds, distinct_fractions,
+                     evidence_graph, random_table_prefix)
 
 WORKED_VALUES = (0, Fraction(-5, 2), -1, -2, -3, 1)
 WORKED_SCRIPT = [
@@ -96,10 +96,10 @@ def test_null_auditor_accepts_first_guess():
 
 
 def test_worked_example_run():
-    trace = TraceLog()
+    trace = StringTrace()
     outcome = learn_least(5, ScriptedAuditor(WORKED_SCRIPT),
                           empty_state(worked_registry()), 32, trace)
-    assert candidate_sequence(outcome.trace) == [0, 3, 2, 3, 1, 4]
+    assert candidate_sequence(trace.events) == [0, 3, 2, 3, 1, 4]
     assert outcome.candidate.candidate == 4
     assert outcome.restarts == 5
     assert outcome.state.entries == {
@@ -109,7 +109,7 @@ def test_worked_example_run():
 
 
 def test_worked_example_state_grows_by_one_per_restart():
-    trace = TraceLog()
+    trace = StringTrace()
     learn_least(5, ScriptedAuditor(WORKED_SCRIPT),
                 empty_state(worked_registry()), 32, trace)
     sizes = [len(e.payload["state"]) for e in trace.events
@@ -118,9 +118,10 @@ def test_worked_example_state_grows_by_one_per_restart():
 
 
 def test_worked_example_replay_ranks():
-    outcome = learn_least(5, ScriptedAuditor(WORKED_SCRIPT),
-                          empty_state(worked_registry()), 32)
-    verdict = replay_paths([outcome.trace])
+    trace = StringTrace()
+    learn_least(5, ScriptedAuditor(WORKED_SCRIPT),
+                empty_state(worked_registry()), 32, trace)
+    verdict = replay_paths([trace.events])
     assert verdict.n == 5
     run = verdict.runs[0]
     assert run.leaf_ranks == [0, 4, 8, 12, 16, 18]
@@ -131,7 +132,7 @@ def test_worked_example_replay_ranks():
 def test_forced_challenge_still_extends_soundly():
     # the forced row reports a refutation its local check cannot see;
     # the extension it produces must still verify against the reals
-    trace = TraceLog()
+    trace = StringTrace()
     outcome = learn_least(5, ScriptedAuditor(WORKED_SCRIPT),
                           empty_state(worked_registry()), 32, trace)
     forced = [e for e in trace.events if e.phase == "challenge"
@@ -157,7 +158,7 @@ debug_only = pytest.mark.skipif(
 def test_unsound_initial_state_is_refused_before_the_first_pass():
     # r_3 = -2 is not below r_4 = -3 at any precision
     bad = KnowledgeState(worked_registry(), {(4, 3): 10})
-    trace = TraceLog()
+    trace = StringTrace()
     with pytest.raises(UnsoundWitness, match="initial knowledge state"):
         learn_least(5, NullAuditor(), bad, 32, trace)
     assert trace.events == []
@@ -171,7 +172,7 @@ def test_unsound_final_state_is_refused_before_accepting(monkeypatch):
         return KnowledgeState(state.reals, {**state.entries, (i, j): 0})
 
     monkeypatch.setattr(realearn.least, "extend", unverified)
-    trace = TraceLog()
+    trace = StringTrace()
     with pytest.raises(UnsoundWitness, match="final knowledge state"):
         learn_least(5, ScriptedAuditor([Challenge(2, 25)]),
                     empty_state(worked_registry()), 32, trace)
@@ -247,10 +248,10 @@ def trace_sha256(values):
     reg = RealRegistry()
     for q in values:
         reg.blurred(q)
+    log = StringTrace()
     outcome = learn_least(len(values) - 1, OracleAuditor(reg, values),
-                          empty_state(reg))
-    text = "".join(event.to_json() + "\n" for event in outcome.trace)
-    return outcome.restarts, hashlib.sha256(text.encode()).hexdigest()
+                          empty_state(reg), None, log)
+    return outcome.restarts, hashlib.sha256(log.text.encode()).hexdigest()
 
 
 def test_oracle_traces_are_pinned():
@@ -299,7 +300,7 @@ def loop_phases(log):
 
 
 def test_learn_accepting_the_first_attempt_restarts_nothing():
-    log, sizes = TraceLog(), []
+    log, sizes = StringTrace(), []
     state, restarts = learn(empty_state(worked_registry()), 5, log, None,
                             refuting_attempt(log, [], sizes))
     assert (state.size, restarts, sizes) == (0, 0, [0])
@@ -309,7 +310,7 @@ def test_learn_accepting_the_first_attempt_restarts_nothing():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_learn_extends_once_and_restarts_once_per_refutation(k):
     pairs = [(0, 1), (2, 3), (3, 4)][:k]
-    log, sizes = TraceLog(), []
+    log, sizes = StringTrace(), []
     state, restarts = learn(empty_state(worked_registry()), 5, log, None,
                             refuting_attempt(log, pairs, sizes))
     assert restarts == k and sizes == list(range(k + 1))
@@ -324,7 +325,7 @@ def test_learn_extends_once_and_restarts_once_per_refutation(k):
 
 @pytest.mark.parametrize("budget", [0, 1, 2])
 def test_learn_raises_past_its_budget(budget):
-    log = TraceLog()
+    log = StringTrace()
     with pytest.raises(RestartBudgetExceeded) as exc:
         learn(empty_state(worked_registry()), 5, log, budget,
               refuting_attempt(log, [(0, 1), (2, 3), (3, 4)], []))
@@ -335,7 +336,7 @@ def test_learn_raises_past_its_budget(budget):
 
 @pytest.mark.skipif(not __debug__, reason="asserts are stripped under -O")
 def test_learn_refuses_a_pair_it_already_knows():
-    log = TraceLog()
+    log = StringTrace()
     with pytest.raises(AssertionError, match="blamed pair was already known"):
         learn(empty_state(worked_registry()), 5, log, None,
               refuting_attempt(log, [(0, 1), (0, 1)], []))
@@ -367,12 +368,13 @@ def test_oracle_runs_on_random_values():
         reg = RealRegistry()
         for q in values:
             reg.blurred(q)
+        log = StringTrace()
         outcome = learn_least(n, OracleAuditor(reg, values),
-                              empty_state(reg), 2 ** (n + 1))
+                              empty_state(reg), 2 ** (n + 1), log)
         assert outcome.candidate.candidate == exact_min_index(values)
         assert outcome.restarts <= 2 ** n - 1
         assert is_sound(outcome.state)
-        assert replay_paths([outcome.trace], n).ok
+        assert replay_paths([log.events], n).ok
 
 
 @st.composite
@@ -407,9 +409,11 @@ def test_oracle_learns_each_pair_at_its_least_witness(drawn):
     # every challenge is a bare assumption (m, j), blamed as it is
     reg, values, blurred = drawn
     n = len(values) - 1
-    outcome = learn_least(n, OracleAuditor(reg, values), empty_state(reg))
+    log = StringTrace()
+    outcome = learn_least(n, OracleAuditor(reg, values), empty_state(reg),
+                          None, log)
     claim = None
-    for event in outcome.trace:
+    for event in log.events:
         if event.phase == "challenge":
             claim = event.payload["claim"]
         elif event.phase == "blame":
@@ -491,7 +495,7 @@ def sound_witness(reg, i, j):
 
 
 def assert_pass_matches_the_eager_reference(state, n):
-    lazy_log, eager_log = TraceLog(), TraceLog()
+    lazy_log, eager_log = StringTrace(), StringTrace()
     lazy = least_candidate(state, n, lazy_log)
     eager = eager_least_candidate(state, n, eager_log)
     assert lazy.candidate == eager.candidate
@@ -501,7 +505,7 @@ def assert_pass_matches_the_eager_reference(state, n):
         assert lazy.evidences[j] == eager.evidences[j]
     assert lazy == eager
     assert evidence_graph(lazy) == evidence_graph(eager)
-    assert lazy_log.events == eager_log.events
+    assert lazy_log.text == eager_log.text
 
 
 @settings(max_examples=60, deadline=None)

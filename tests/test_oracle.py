@@ -25,6 +25,8 @@ from realearn.oracle import (
 from realearn.replay import replay_paths
 from realearn.trace import TraceEvent
 
+from support import StringTrace
+
 
 def test_exact_orientation_signs():
     a = RationalPoint(Fraction(0), Fraction(0))
@@ -273,7 +275,8 @@ def test_replay_on_real_learner_output():
     values = [Fraction(3), Fraction(1), Fraction(2)]
     for q in values:
         reg.blurred(q)
-    outcome = learn_least(2, OracleAuditor(reg, values), empty_state(reg), 4)
-    verdict = replay_paths([outcome.trace])
+    log = StringTrace()
+    learn_least(2, OracleAuditor(reg, values), empty_state(reg), 4, log)
+    verdict = replay_paths([log.events])
     assert verdict.ok
     assert verdict.runs[0].leaf_candidates[-1] == 1
