@@ -5,7 +5,9 @@ fixtures/, runs the interactive least-element loop, and prints one
 block per candidate computation: the decision path, the challenge, who
 got blamed, and how the knowledge state grew.  Finishes by walking
 the recorded decision paths along the decision tree and comparing the
-accepted candidate with the exact argmin.
+accepted candidate with the exact argmin.  A ``--max-restarts`` budget
+that the run outgrows ends it with exit 2 and one stderr line, as it
+ends ``realearn least``.
 
 Run from the repository root:
 
@@ -18,7 +20,7 @@ from pathlib import Path
 
 from realearn.inputs import build_reals, load_document, load_script, real_limits
 from realearn.knowledge import empty_state
-from realearn.least import ScriptedAuditor, learn_least
+from realearn.least import RestartBudgetExceeded, ScriptedAuditor, learn_least
 from realearn.oracle import exact_min_index
 from realearn.replay import replay_paths
 
@@ -86,8 +88,12 @@ def main() -> None:
     print()
 
     log = StringTrace()
-    outcome = learn_least(n, ScriptedAuditor(script), empty_state(reals),
-                          budget, log)
+    try:
+        outcome = learn_least(n, ScriptedAuditor(script), empty_state(reals),
+                              budget, log)
+    except RestartBudgetExceeded as exc:
+        print(f"restart budget exhausted: {exc}", file=sys.stderr)
+        sys.exit(2)
     events = log.events
     print_events(events)
     print()

@@ -4,9 +4,7 @@ Everything here works on exact rational data (the known limits of the
 reals, or plain rational coordinates) and serves as an
 independent check on the interval-based machinery: closed-form
 orientation signs, the true argmin, the full bounding condition and an
-auditor that challenges exactly-false claims.  Replay of recorded runs
-along the decision tree of the least-element pass lives in
-:mod:`~realearn.replay`.
+auditor that challenges exactly-false claims.
 
 Points and candidates are only annotations here, and the auditor binds
 :class:`~realearn.least.Challenge` when it is built, so this module
@@ -19,7 +17,6 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from .errors import PathMismatch  # re-exported
 from .reals import RealNum, find_strict_witness
 
 if TYPE_CHECKING:

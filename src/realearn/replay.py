@@ -6,13 +6,17 @@ at depth i compares the current candidate with i (the pair
 ``(candidate, i)``), an assumed answer keeps the candidate and a
 strict one makes i the candidate.  A recorded path is therefore checked
 by walking it once, in time linear in its length, for any n.  The
-replay reads nothing but the recorded events, so ``realearn tree``
-loads no reals and no learner.
+replay reads each run once, as its events arrive.  It holds the depth,
+candidate and rank of the path it is walking, and the rank and
+reported candidate of each path it has walked, so its memory grows
+with the number of paths, not with the length of a trace.  It reads
+nothing but the recorded events, so ``realearn tree`` loads no reals
+and no learner.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional
 
 from .errors import PathMismatch
 
@@ -51,21 +55,7 @@ class ReplayVerdict:
         return all(run.ok for run in self.runs)
 
 
-def _extract_paths(events: Sequence[TraceEvent]) -> List[Tuple[List[dict], int]]:
-    paths: List[Tuple[List[dict], int]] = []
-    pending: List[dict] = []
-    for event in events:
-        if event.phase == "decide":
-            pending.append(event.payload)
-        elif event.phase in ("candidate", "select-A"):
-            paths.append((pending, event.payload.get("candidate")))
-            pending = []
-    if pending:
-        raise PathMismatch("trace ends with decisions but no candidate")
-    return paths
-
-
-def replay_paths(runs: Sequence[Sequence[TraceEvent]],
+def replay_paths(runs: Iterable[Iterable[TraceEvent]],
                  n: Optional[int] = None) -> ReplayVerdict:
     """Re-walk recorded runs along the decision tree over indices 1..n.
 
@@ -75,43 +65,62 @@ def replay_paths(runs: Sequence[Sequence[TraceEvent]],
     ranks strictly increase across restarts, that no path repeats, and
     that the number of restarts stays below ``2**n``.  A leaf's rank
     reads the path's answers as binary digits, strict = 1, root first.
+    ``n`` defaults to the length of the first run's first path.
+
+    Each run is read once, in order, and the first mismatch is raised
+    only when every run has been read, so an error that reading a run
+    raises comes before it.  In a run, decisions after its last
+    candidate come before a mismatch of one of its paths; in a path,
+    its length comes before a pair, and a pair before its candidate.
     """
-    if not runs:
-        raise ValueError("no runs to replay")
-    first_paths = _extract_paths(runs[0])
-    if not first_paths:
-        raise PathMismatch("run contains no candidate computations")
-    if n is None:
-        n = len(first_paths[0][0])
     replays: List[RunReplay] = []
-    for events in runs:
-        paths = _extract_paths(events)
-        restarts = sum(1 for e in events if e.phase == "restart")
+    mismatch: Optional[str] = None
+    for index, events in enumerate(runs):
         ranks: List[int] = []
-        leaf_candidates: List[int] = []
-        for decides, reported in paths:
-            if len(decides) != n:
-                raise PathMismatch(
-                    f"path length {len(decides)} does not match n = {n}")
-            candidate = rank = 0
-            for depth, payload in enumerate(decides, 1):
-                if payload.get("pair") != [candidate, depth]:
-                    raise PathMismatch(
-                        f"decision pair {payload.get('pair')} does not match "
-                        f"tree node {(candidate, depth)}")
-                strict = payload.get("decision") == "strict"
-                rank = (rank << 1) | int(strict)
+        candidates: List[int] = []
+        restarts = depth = candidate = rank = 0
+        error = wrong = None
+        for event in events:
+            phase = event.phase
+            if phase == "decide":
+                depth += 1
+                pair = event.payload.get("pair")
+                if wrong is None and pair != [candidate, depth]:
+                    wrong = (f"decision pair {pair} does not match "
+                             f"tree node {(candidate, depth)}")
+                strict = event.payload.get("decision") == "strict"
+                rank = rank << 1 | strict
                 if strict:
                     candidate = depth
-            if candidate != reported:
-                raise PathMismatch(
-                    f"leaf candidate {candidate} does not match "
-                    f"reported candidate {reported!r}")
-            ranks.append(rank)
-            leaf_candidates.append(reported)
-        progress_ok = all(x < y for x, y in zip(ranks, ranks[1:]))
-        unique_ok = len(set(ranks)) == len(ranks)
-        bound_ok = restarts <= 2 ** n - 1 and restarts == len(ranks) - 1
-        replays.append(RunReplay(ranks, leaf_candidates, restarts,
-                                 progress_ok, unique_ok, bound_ok))
+            elif phase in ("candidate", "select-A"):
+                reported = event.payload.get("candidate")
+                if n is None:
+                    n = depth
+                if depth != n:
+                    wrong = f"path length {depth} does not match n = {n}"
+                elif wrong is None and candidate != reported:
+                    wrong = (f"leaf candidate {candidate} does not match "
+                             f"reported candidate {reported!r}")
+                error = error or wrong
+                ranks.append(rank)
+                candidates.append(reported)
+                depth = candidate = rank = 0
+                wrong = None
+            elif phase == "restart":
+                restarts += 1
+        if depth:
+            error = "trace ends with decisions but no candidate"
+        elif index == 0 and not ranks:
+            error = "run contains no candidate computations"
+        mismatch = mismatch or error
+        if mismatch is None:
+            replays.append(RunReplay(
+                ranks, candidates, restarts,
+                all(x < y for x, y in zip(ranks, ranks[1:])),
+                len(set(ranks)) == len(ranks),
+                restarts <= 2 ** n - 1 and restarts == len(ranks) - 1))
+    if mismatch is not None:
+        raise PathMismatch(mismatch)
+    if not replays:
+        raise ValueError("no runs to replay")
     return ReplayVerdict(n, replays)

@@ -4,7 +4,10 @@ Every learning or geometry run can record what it did in a log.  A
 trace is text: one JSON object per line, keys sorted, no spaces,
 integers and ``num/den`` fraction strings only.  Two runs of the same
 input therefore produce byte identical trace files, and
-:func:`read_trace` reads one back as :class:`TraceEvent` records.
+:func:`read_trace` reads one back as an iterator of
+:class:`TraceEvent` records, parsing a line when its event is asked
+for, so a reader that walks the events holds one at a time, not the
+trace.
 
 A :class:`TraceFile`, the CLI's ``--trace`` sink, writes each line when
 it is recorded.  A :class:`TraceLog`, the library default, keeps what
@@ -168,14 +171,14 @@ def numbered_lines(path) -> Iterator[Tuple[int, str]]:
             raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def read_trace(path) -> List[TraceEvent]:
-    """Read a trace file; a malformed line raises :class:`InputError`
-    naming the file and the line number, and a file that is not UTF-8
-    raises one naming the file."""
-    events: List[TraceEvent] = []
+def read_trace(path) -> Iterator[TraceEvent]:
+    """The events of a trace file, parsed one line at a time as they
+    are asked for; a malformed line raises :class:`InputError` naming
+    the file and the line number, and a file that is not UTF-8 raises
+    one naming the file."""
     for lineno, line in numbered_lines(path):
         try:
-            events.append(TraceEvent.from_json(line))
+            event = TraceEvent.from_json(line)
         except (ValueError, RecursionError) as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from None
-    return events
+        yield event

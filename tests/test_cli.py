@@ -89,7 +89,7 @@ def test_failed_run_writes_its_partial_trace(tmp_path, case):
     trace = tmp_path / "partial.trace"
     proc = run_cli(*args, "--trace", trace)
     assert proc.returncode == code
-    events = read_trace(trace)
+    events = list(read_trace(trace))
     assert [e.seq for e in events] == list(range(len(events)))
     phase, payload = last
     assert events[-1].phase == phase
@@ -389,6 +389,36 @@ def test_tree_n_must_not_be_negative(tmp_path):
     assert zero.returncode == 4
     assert zero.stderr == ("replay failed: path length 3 "
                            "does not match n = 0\n")
+
+
+def test_tree_reports_an_input_error_in_any_trace_before_a_mismatch(
+        tmp_path):
+    wrong = tmp_path / "wrong.trace"
+    wrong.write_text('{"decision":"assume","pair":[0,2],"phase":"decide",'
+                     '"seq":0,"step":1}\n{"candidate":0,"phase":"candidate",'
+                     '"seq":1}\n')
+    proc = run_cli("tree", wrong)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == ("replay failed: decision pair [0, 2] "
+                           "does not match tree node (0, 1)\n")
+    malformed = tmp_path / "malformed.trace"
+    malformed.write_text('{"candidate":0,"phase":"candidate","seq":0}\n'
+                         '{"phase":"accept","seq":1}\n{not json\n')
+    proc = run_cli("tree", wrong, malformed)
+    assert_input_error(proc)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"input error: {malformed}:3: invalid JSON: ")
+    missing = tmp_path / "missing.trace"
+    proc = run_cli("tree", wrong, missing)
+    assert_input_error(proc, str(missing))
+    assert proc.stdout == ""
+    # a first trace with no candidate line fails even when --n is given
+    restart = tmp_path / "restart.trace"
+    restart.write_text('{"count":1,"phase":"restart","seq":0}\n')
+    proc = run_cli("tree", restart, "--n", "1")
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == ("replay failed: run contains no candidate "
+                           "computations\n")
 
 
 def test_tree_replays_a_20_point_convex_trace(tmp_path):

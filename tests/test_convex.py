@@ -100,7 +100,7 @@ def test_an_unread_trace_is_never_built(monkeypatch, tmp_path):
     path.write_text("".join(log.lines()))
     trace = res.trace
     assert phases.count("decide") == 2 * 3
-    assert trace == read_trace(path)
+    assert trace == list(read_trace(path))
     # one select-A event per attempt, one extend per restart, one accept,
     # each written from its state's snapshot text, which each of the two
     # states renders once

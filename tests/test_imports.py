@@ -23,7 +23,8 @@ COMMON = TREE - {"replay"} | {"inputs", "reals"}
 
 # every name `from realearn import ...` gave before the exports were
 # lazy, by a module that holds it (read_trace moved from inputs to
-# trace, the certificate and its audit from convex to geometry)
+# trace, the certificate and its audit from convex to geometry, and
+# PathMismatch from oracle to replay, which raises it)
 EXPORTS = {
     "convex": ["ConvexAngleResult", "TooFewPoints", "convex_angle"],
     "geometry": ["BoundingCertificate", "CertificateFailure",
@@ -37,12 +38,12 @@ EXPORTS = {
               "LeastCandidate", "LearnOutcome", "NullAuditor",
               "RestartBudgetExceeded", "ScriptedAuditor", "learn_least",
               "least_candidate"],
-    "oracle": ["OracleAuditor", "PathMismatch", "TieDetected",
+    "oracle": ["OracleAuditor", "TieDetected",
                "exact_convex_check", "exact_min_index", "exact_orientation",
                "separation_from_gap"],
     "reals": ["InvalidNesting", "RealNum", "RealRegistry",
               "find_strict_witness", "least_witness", "op_at"],
-    "replay": ["ReplayVerdict", "replay_paths"],
+    "replay": ["PathMismatch", "ReplayVerdict", "replay_paths"],
     "trace": ["TraceEvent", "TraceLog", "read_trace"],
 }
 

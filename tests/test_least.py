@@ -229,7 +229,7 @@ def test_an_unread_trace_is_never_built(monkeypatch, tmp_path):
     path.write_text("".join(log.lines()))
     trace = outcome.trace
     assert phases.count("decide") == 101 * 100
-    assert trace == read_trace(path)
+    assert trace == list(read_trace(path))
     # one candidate event per pass, one extend per restart, one accept,
     # each written from its state's snapshot text, which each of the 101
     # states, with 0..100 entries, renders once

@@ -12,10 +12,10 @@ from realearn import (
     find_strict_witness,
     learn_least,
 )
+from realearn.errors import PathMismatch
 from realearn.geometry import RationalPoint
 from realearn.oracle import (
     OracleAuditor,
-    PathMismatch,
     TieDetected,
     exact_convex_check,
     exact_min_index,
@@ -260,6 +260,30 @@ def test_replay_rejects_length_mismatch():
     run = synthetic_run([[((0, 1), "assume")]], [0], 0)
     with pytest.raises(PathMismatch):
         replay_paths([run], n=3)
+
+
+def test_replay_reports_the_mismatch_a_whole_run_shows_first():
+    # trailing decisions beat a wrong pair in an earlier path of the run
+    run = synthetic_run(
+        [[((0, 2), "assume")], [((0, 1), "strict")]], [0, 1], restarts=1)
+    run.append(TraceEvent(len(run), "decide",
+                          {"step": 1, "pair": [0, 1], "decision": "assume"}))
+    with pytest.raises(PathMismatch,
+                       match="^trace ends with decisions but no candidate$"):
+        replay_paths([run])
+    # a first run with no path, even when n is given
+    with pytest.raises(PathMismatch,
+                       match="^run contains no candidate computations$"):
+        replay_paths([[TraceEvent(0, "restart", {"count": 1})]], n=1)
+    # a path that is too short and has a wrong pair: its length
+    run = synthetic_run([[((0, 2), "assume")]], [0], 0)
+    with pytest.raises(PathMismatch,
+                       match=r"^path length 1 does not match n = 3$"):
+        replay_paths([run], n=3)
+    # the first run's mismatch beats a later run's trailing decisions
+    wrong = synthetic_run([[((0, 1), "strict")]], [0], 0)
+    with pytest.raises(PathMismatch, match="^leaf candidate 1 does not"):
+        replay_paths([tree_run(1, [0, 1]), wrong, run[:1]])
 
 
 def test_replay_checks_restart_count_against_paths():

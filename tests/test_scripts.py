@@ -1,5 +1,7 @@
 """The scripts under ``scripts/``: each answers ``--help``, and a count
-that a script cannot run is a usage error (exit 2), not a traceback."""
+that a script cannot run is a usage error (exit 2), not a traceback.  A
+worked-example replay whose restart budget runs out exits 2 too, with
+the CLI's one stderr line."""
 
 import os
 import subprocess
@@ -41,3 +43,14 @@ def test_a_count_a_script_cannot_run_is_a_usage_error(name, args, message):
     assert proc.stderr.startswith(f"usage: {name}")
     assert proc.stderr.endswith(f"\n{name}: error: {message}\n")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("budget", [0, 4])
+def test_a_replay_over_its_restart_budget_ends_in_one_line(budget):
+    # the worked example takes 5 restarts
+    proc = run_script("replay_worked_example.py", "--max-restarts",
+                      str(budget))
+    assert (proc.returncode, proc.stderr) == (2, (
+        f"restart budget exhausted: restart {budget + 1} exceeds budget "
+        f"{budget}\n"))
+    assert proc.stdout.endswith(f"restart budget {budget}\n\n")

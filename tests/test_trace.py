@@ -46,7 +46,7 @@ def test_write_then_read_trace(tmp_path):
     log.emit("accept", candidate=0, restarts=0, state=[])
     path = tmp_path / "run.trace"
     path.write_text("".join(log.lines()))
-    assert read_trace(path) == log.events
+    assert list(read_trace(path)) == log.events
     # one JSON object per line, byte-stable across writes
     first = path.read_bytes()
     path.write_text("".join(log.lines()))
@@ -75,7 +75,7 @@ def test_read_trace_names_file_and_line_of_a_bad_event(tmp_path, bad, message):
     path = tmp_path / "bad.trace"
     path.write_text('{"phase":"candidate","seq":0}\n\n' + bad + "\n")
     with pytest.raises(InputError) as exc:
-        read_trace(path)
+        list(read_trace(path))
     assert str(exc.value).startswith(f"{path}:3: {message}")
 
 
