@@ -243,6 +243,7 @@ def cmd_check(args) -> int:
     from .geometry import verify_bounding
     from .inputs import build_points, rational_points
     from .oracle import exact_convex_check
+    from .reals import op_at
 
     try:
         with open(args.result, "r", encoding="utf-8") as handle:
@@ -260,6 +261,31 @@ def cmd_check(args) -> int:
     kmax = (_count(f"{args.result}: kmax", record.get("kmax", DEFAULT_KMAX),
                    kmax=True)
             if args.kmax is None else _resolve_kmax(args.kmax))
+    # the recorded state and restarts, each audited when present: first
+    # that every entry names two points and a witness within kmax, then
+    # that each holds and that there is one per restart
+    state = record.get("state")
+    if state is not None and not isinstance(state, list):
+        raise InputError(f"{args.result}: state must be a list of entries")
+    entries = [tuple(entry.get(key) if isinstance(entry, dict) else None
+                     for key in ("i", "j", "witness"))
+               for entry in state or ()]
+    for number, (i, j, w) in enumerate(entries):
+        if not (all(type(v) is int for v in (i, j, w))
+                and i in range(len(points)) and j in range(len(points))
+                and w in range(kmax + 1)):
+            raise InputError(
+                f"{args.result}: state entry {number} must name two points "
+                f"0..{len(points) - 1} and a witness 0..{kmax}")
+    for i, j, w in entries:
+        if not op_at(points[j].y, points[i].y, w):
+            raise CertificateFailure(
+                f"state entry ({i}, {j}): op_at(y_{j}, y_{i}, {w}) is false")
+    if record.get("restarts") is not None:
+        restarts = _count(f"{args.result}: restarts", record["restarts"])
+        if state is not None and restarts != len(entries):
+            raise CertificateFailure(f"restarts {restarts} is not the "
+                                     f"state's entry count {len(entries)}")
     derived = verify_bounding(points, a, b, c, k_max=kmax)
     stored = record.get("certificate")
     if stored is not None and stored != _certificate_obj(derived):

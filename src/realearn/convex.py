@@ -15,8 +15,7 @@ is smaller than pi, and every certified point lies strictly inside it.
 Each remaining point d is classified by its sides relative to the two
 rays:
 
-* left of A->B and right of A->C: d is inside the angle, record both
-  witnesses;
+* left of A->B and right of A->C: d is inside the angle;
 * on the wrong side of exactly one ray: d lies beyond that ray but
   less than pi from the other one, so d replaces that ray's point.  The
   new angle is still smaller than pi and contains the old one, so the
@@ -35,8 +34,12 @@ state with it and restarts the whole construction.  An attempt decides
 each pair of points once: orientation(A, R, Q) is the exact negation of
 orientation(A, Q, R), so a reversed query keeps the witness.
 
-The certificate of an accepted angle, :class:`BoundingCertificate`,
-and its independent audit :func:`verify_bounding` live in
+An attempt keeps its side decisions in one table keyed by pair, and
+the only other thing it keeps is the list of points found inside.  At
+accept the certificate, :class:`BoundingCertificate`, is read from that
+table: each of its witnesses is the witness of a ``side`` event the
+attempt recorded about that pair, against the final rays.  The
+certificate and its independent audit :func:`verify_bounding` live in
 :mod:`~realearn.geometry` and are re-exported here.
 """
 
@@ -147,25 +150,24 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
         swapped = isinstance(side(ray[1], ray[0], "init"), Left)
         if swapped:
             ray.reverse()
-        # mutual[s]: the other ray's point on the inner side of ray s;
-        # both pairs are the init pair, one of them reversed
+        # the mutual pair is the init pair, both ways round
         b_right = side(ray[1], ray[0], "mutual")
-        mutual = [side(ray[0], ray[1], "mutual"), b_right]
-        assert all(isinstance(mutual[s], _INNER[s]) for s in (0, 1)), \
+        c_left = side(ray[0], ray[1], "mutual")
+        assert isinstance(c_left, Left) and isinstance(b_right, Right), \
             "rays not ordered after swap"
         log.emit("init-BC", b=ray[0], c=ray[1], swapped=swapped,
-                 b_right_witness=mutual[1].witness,
-                 c_left_witness=mutual[0].witness)
+                 b_right_witness=b_right.witness,
+                 c_left_witness=c_left.witness)
 
-        # witnesses[s][d]: P_d on the inner side of ray s
-        witnesses: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
+        # the points certified inside the angle; their witnesses are in
+        # decided, against whichever rays the scan ends with
+        inside = []
         for d in rest[2:]:
-            found = [side(ray[s], d, "scan") for s in (0, 1)]
-            wrong = [s for s in (0, 1) if not isinstance(found[s], _INNER[s])]
+            wrong = [s for s in (0, 1)
+                     if not isinstance(side(ray[s], d, "scan"), _INNER[s])]
             if not wrong:
                 log.emit("scan", d=d, case="keep")
-                for s in (0, 1):
-                    witnesses[s][d] = found[s].witness
+                inside.append(d)
                 continue
             if len(wrong) == 2:
                 # d is behind the apex: right of A->B yet left of A->C.
@@ -182,32 +184,28 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
             # stays below pi, so the replaced point and every certified
             # point lie on the inner side of the new ray.
             s = wrong[0]
-            o = 1 - s
             log.emit("scan", d=d, case=_REPLACE_CASE[s])
             old = ray[s]
             ray[s] = d
             moved = side(d, old, "rescan")
             assert isinstance(moved, _INNER[s]), "replaced ray not inside new ray"
-            witnesses[s][old] = moved.witness
-            witnesses[o][old] = mutual[o].witness
-            mutual[o] = found[o]
-            mutual[s] = side(d, ray[o], "mutual")
-            assert isinstance(mutual[s], _INNER[s]), "other ray not inside new ray"
-            for prior in sorted(witnesses[s]):
-                if prior != old:
-                    redo = side(d, prior, "rescan")
-                    assert isinstance(redo, _INNER[s]), "point not inside new ray"
-                    witnesses[s][prior] = redo.witness
+            other = side(d, ray[1 - s], "mutual")
+            assert isinstance(other, _INNER[s]), "other ray not inside new ray"
+            for prior in sorted(inside):
+                redo = side(d, prior, "rescan")
+                assert isinstance(redo, _INNER[s]), "point not inside new ray"
+            inside.append(old)
 
-        # no point blocked the scan: accept
+        # no point blocked the scan: accept, with the certificate read
+        # from the side decisions the attempt recorded
         b, c = ray
-        expected = set(range(n + 1)) - {a, b, c}
-        assert set(witnesses[0]) == expected == set(witnesses[1]), \
+        inside.sort()
+        assert set(inside) == set(range(n + 1)) - {a, b, c}, \
             "certificate does not cover all points"
         certificate = BoundingCertificate(
-            a=a, b=b, c=c, left=dict(sorted(witnesses[0].items())),
-            right=dict(sorted(witnesses[1].items())),
-            c_left=mutual[0].witness, b_right=mutual[1].witness)
+            a=a, b=b, c=c, left={d: decided[b, d].witness for d in inside},
+            right={d: decided[c, d].witness for d in inside},
+            c_left=decided[b, c].witness, b_right=decided[c, b].witness)
         emit_with_state(log, "accept", state, a=a, b=b, c=c, restarts=restarts)
         return ConvexAngleResult(a, b, c, certificate, state, restarts, log)
 

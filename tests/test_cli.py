@@ -320,6 +320,100 @@ def test_check_rejects_boolean_point_indices(tmp_path):
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize("change, code, stderr", [
+    # a malformed entry is reported before any entry's witness is tested
+    ({"state": [{"i": 0, "j": 1, "witness": 0}, {"i": 5, "j": 9, "witness": 3}],
+      "restarts": 77},
+     1, "input error: {result}: state entry 1 must name two points 0..3 and "
+        "a witness 0..256\n"),
+    ({"state": [{"i": 0, "j": 1, "witness": 0}]},
+     4, "verification failed: state entry (0, 1): op_at(y_1, y_0, 0) is "
+        "false\n"),
+    ({"restarts": 2},
+     4, "verification failed: restarts 2 is not the state's entry count 1\n"),
+    ({"state": "nonsense"},
+     1, "input error: {result}: state must be a list of entries\n"),
+], ids=["no-point-9", "unsound", "restarts-off-by-one", "not-a-list"])
+def test_check_audits_the_recorded_state_and_restarts(tmp_path, change, code,
+                                                       stderr):
+    result = tmp_path / "quad.json"
+    run_cli("convex", QUAD, "--result", result)
+    record = json.loads(result.read_text())
+    assert (record["state"], record["restarts"]) == (
+        [{"i": 0, "j": 3, "witness": 0}], 1)
+    result.write_text(json.dumps({**record, **change}))
+    proc = run_cli("check", result, QUAD)
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr == stderr.format(result=result)
+
+
+def test_check_rejects_every_malformed_state_entry(tmp_path):
+    result = tmp_path / "quad.json"
+    run_cli("convex", QUAD, "--result", result)
+    record = json.loads(result.read_text())
+    sound = {"i": 0, "j": 3, "witness": 0}
+    for entry in ([0, 3, 0], {"i": 0, "j": 3}, {**sound, "witness": True},
+                  {**sound, "i": "0"}, {**sound, "j": -1}, {**sound, "i": 4},
+                  {**sound, "witness": -1}, {**sound, "witness": 257},
+                  {**sound, "witness": 0.0}):
+        record["state"] = [sound, entry]
+        result.write_text(json.dumps(record))
+        assert_input_error(run_cli("check", result, QUAD),
+                           f"{result}: state entry 1 must name two points")
+    record["state"] = [sound]
+    for restarts in (-1, True, "1"):
+        record["restarts"] = restarts
+        result.write_text(json.dumps(record))
+        assert_input_error(run_cli("check", result, QUAD),
+                           f"{result}: restarts must be")
+    # the witness range is the audit's own kmax, here --kmax
+    record.update(restarts=1, state=[{**sound, "witness": 65}])
+    result.write_text(json.dumps(record))
+    assert_input_error(run_cli("check", result, QUAD, "--kmax", "64"),
+                       "a witness 0..64")
+
+
+def test_check_leaves_a_missing_state_or_restarts_unclaimed(tmp_path):
+    result = tmp_path / "quad.json"
+    run_cli("convex", QUAD, "--result", result)
+    record = json.loads(result.read_text())
+    for missing in (("state",), ("restarts",), ("state", "restarts")):
+        kept = {key: value for key, value in record.items()
+                if key not in missing}
+        result.write_text(json.dumps(kept))
+        proc = run_cli("check", result, QUAD)
+        assert (proc.returncode, proc.stderr) == (0, ""), missing
+    # a present but empty state claims that the run never restarted
+    record["state"] = []
+    result.write_text(json.dumps(record))
+    proc = run_cli("check", result, QUAD)
+    assert proc.returncode == 4
+    assert proc.stderr.endswith("restarts 1 is not the state's entry count 0\n")
+
+
+def test_check_audits_a_deep_state_at_its_witness(tmp_path):
+    # points on a 2^-72 grid: the recorded state entry needs a witness
+    # near 50, and the same entry at witness 0 does not hold
+    rng = Random(60)
+    doc = tmp_path / "deep.jsonl"
+    doc.write_text("".join(json.dumps({
+        "type": "point", "index": i,
+        **{axis: {"kind": "blurred",
+                  "value": f"{rng.randint(-2 ** 20, 2 ** 20)}/{2 ** 72}"}
+           for axis in ("x", "y")}}) + "\n" for i in range(8)))
+    result = tmp_path / "deep.json"
+    assert run_cli("convex", doc, "--result", result).returncode == 0
+    record = json.loads(result.read_text())
+    assert record["restarts"] == len(record["state"]) > 0
+    assert min(entry["witness"] for entry in record["state"]) > 40
+    assert run_cli("check", result, doc).returncode == 0
+    record["state"][0]["witness"] = 0
+    result.write_text(json.dumps(record))
+    proc = run_cli("check", result, doc)
+    assert proc.returncode == 4
+    assert proc.stderr.endswith(", 0) is false\n")
+
+
 def test_convex_collinear_exits_3():
     proc = run_cli("convex", COLLINEAR)
     assert proc.returncode == 3

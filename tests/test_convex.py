@@ -217,6 +217,54 @@ def test_certificate_witnesses_are_observable():
         assert op_at(orient, zero, w)
 
 
+def accepted_sides(events):
+    """The side events of the last attempt: for each ordered pair
+    (q, r), the set of (side of P_r from A->P_q, witness) they record,
+    a reversed event counted with its side flipped."""
+    flip = {"left": "right", "right": "left"}
+    sides = {}
+    for event in events:
+        if event.phase == "select-A":
+            sides = {}
+        elif event.phase == "side":
+            payload = event.payload
+            q, r, side = payload["line"][1], payload["point"], payload["side"]
+            for key, seen in (((q, r), side), ((r, q), flip[side])):
+                sides.setdefault(key, set()).add((seen, payload["witness"]))
+    return sides
+
+
+def test_certificate_is_the_recorded_side_decisions():
+    # every certificate witness is the witness of a side event of the
+    # accepting attempt about that pair, either way round, and no event
+    # of that attempt about the pair records another side or witness
+    rng = Random(27)
+    seen = Counter()
+    corpus = [([RationalPoint(p.x * scale, p.y * scale) for p in
+                general_position_points(rng, rng.randint(3, 12))], blurred)
+              for scale in (1, Fraction(1, 2 ** 60))
+              for blurred in (False, True) for _ in range(6)]
+    corpus.append((angle_ordered_points(20), True))
+    for rational, blurred in corpus:
+        _, pts = register_points(rational, blurred=blurred)
+        log = StringTrace()
+        res = convex_angle(pts, trace=log)
+        sides = accepted_sides(log.events)
+        cert, b, c = res.certificate, res.b, res.c
+        assert sides[b, c] == {("left", cert.c_left)}
+        assert sides[c, b] == {("right", cert.b_right)}
+        assert set(cert.left) == set(cert.right) == (
+            set(range(len(pts))) - {res.a, b, c})
+        for d in cert.left:
+            assert sides[b, d] == {("left", cert.left[d])}
+            assert sides[c, d] == {("right", cert.right[d])}
+        seen["restarted" if res.restarts else "first attempt"] += 1
+        seen["deep"] += max(cert.left.values(), default=0) > 0
+        seen["replaced"] += any(case.startswith("new-")
+                                for case in scan_cases(log.events))
+    assert min(seen.values()) >= 2, seen
+
+
 @pytest.mark.parametrize("scale", [1, Fraction(1, 2 ** 40)],
                          ids=["unscaled", "scaled"])
 @pytest.mark.parametrize("blurred", [False, True], ids=["rational", "blurred"])
