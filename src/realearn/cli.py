@@ -239,6 +239,18 @@ def cmd_convex(args) -> int:
     return EXIT_OK
 
 
+def _least_candidate(entries: list[tuple[int, int, int]]) -> int:
+    """The candidate of a least-element pass under the state ``entries``
+    (``(i, j, witness)`` triples): from 0, the entry ``(i, j)`` with the
+    least ``j > i``, then the same from j, to the last such j."""
+    # entries in descending order, so each i keeps its least j
+    successor = {i: j for i, j, _ in sorted(entries, reverse=True) if j > i}
+    candidate = 0
+    while candidate in successor:
+        candidate = successor[candidate]
+    return candidate
+
+
 def cmd_check(args) -> int:
     from .geometry import verify_bounding
     from .inputs import build_points, rational_points
@@ -263,7 +275,8 @@ def cmd_check(args) -> int:
             if args.kmax is None else _resolve_kmax(args.kmax))
     # the recorded state and restarts, each audited when present: first
     # that every entry names two points and a witness within kmax, then
-    # that each holds and that there is one per restart
+    # that each holds, that there is one per restart and that the apex
+    # is the state's least-element candidate
     state = record.get("state")
     if state is not None and not isinstance(state, list):
         raise InputError(f"{args.result}: state must be a list of entries")
@@ -286,6 +299,9 @@ def cmd_check(args) -> int:
         if state is not None and restarts != len(entries):
             raise CertificateFailure(f"restarts {restarts} is not the "
                                      f"state's entry count {len(entries)}")
+    if state is not None and a != (candidate := _least_candidate(entries)):
+        raise CertificateFailure(f"apex {a} is not the least-element "
+                                 f"candidate {candidate} of the recorded state")
     derived = verify_bounding(points, a, b, c, k_max=kmax)
     stored = record.get("certificate")
     if stored is not None and stored != _certificate_obj(derived):

@@ -32,8 +32,9 @@ strict witness along the way, and lands on the terminal assumption.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Mapping
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -151,27 +152,34 @@ class KnowledgeState:
     verified; :func:`is_sound` checks one.  States compare equal when
     their reals and entries do.
 
-    :meth:`strict_steps` follows an index ``i -> (witness, j)`` of the
-    entry ``(i, j)`` with the least ``j > i``, built when first needed.
-    :func:`extend` hands the index to the new state and updates it in
-    place, and the parent rebuilds one if it is asked again.  So a state
-    must not be extended in one thread while another thread extends it
-    or asks it for strict steps.
+    The state's chain is its strict steps ``(witness, j)`` from 0 over
+    all its indices: from i = 0, the entry ``(i, j)`` with the least
+    ``j > i``, then the same from j.  It is walked, through an index
+    ``i -> (witness, j)`` of those entries, when first needed, and
+    :meth:`strict_steps` hands out its prefixes.  :func:`extend` hands
+    the index and the chain to the new state: it updates the index in
+    place, and the parent rebuilds its own if it is asked again; the
+    chain is never changed, so parent and child may share it.  So a
+    state must not be extended in one thread while another thread
+    extends it or asks it for strict steps.
     """
 
-    __slots__ = ("_reals", "_entries", "_view", "_snapshot_json", "_successors")
+    __slots__ = ("_reals", "_entries", "_view", "_snapshot_json",
+                 "_successors", "_chain")
 
     def __init__(self, reals: Sequence[RealNum],
                  entries: Mapping[Pair, int] = MappingProxyType({})) -> None:
-        self._seal(reals, dict(entries), None)
+        self._seal(reals, dict(entries), None, None)
 
     def _seal(self, reals: Sequence[RealNum], entries: Dict[Pair, int],
-              successors: Optional[Dict[int, Tuple[int, int]]]) -> None:
+              successors: Optional[Dict[int, Tuple[int, int]]],
+              chain: Optional[List[Tuple[int, int]]]) -> None:
         self._reals = reals
         self._entries = entries
         self._view = MappingProxyType(entries)
         self._snapshot_json: Optional[str] = None
         self._successors = successors
+        self._chain = chain
 
     reals = property(attrgetter("_reals"))
     entries = property(attrgetter("_view"))
@@ -207,14 +215,15 @@ class KnowledgeState:
     def strict_steps(self, n: int) -> List[Tuple[int, int]]:
         """The strict steps ``(witness, j)`` of a least-element pass over
         ``0..n``: from i = 0, the stored entry ``(i, j)`` with the least
-        ``j > i``, then the same from j, while j <= n."""
-        successor = self._index().get
-        steps = []
-        step = successor(0)
-        while step is not None and step[1] <= n:
-            steps.append(step)
-            step = successor(step[1])
-        return steps
+        ``j > i``, then the same from j, while j <= n.  That is the
+        prefix of the state's chain whose subjects are at most n, found
+        by bisection: the chain itself when it ends by n, else a new
+        list.  Either way the list never changes, and must not be
+        changed."""
+        if self._chain is None:
+            self._chain = _walk(self._index(), [], 0)
+        cut = bisect_right(self._chain, n, key=itemgetter(1))
+        return self._chain if cut == len(self._chain) else self._chain[:cut]
 
     def sorted_entries(self) -> list[tuple[int, int, int]]:
         return [(i, j, w) for (i, j), w in sorted(self._entries.items())]
@@ -238,6 +247,16 @@ class KnowledgeState:
         return self._snapshot_json
 
 
+def _walk(successors: Dict[int, Tuple[int, int]],
+          steps: List[Tuple[int, int]], i: int) -> List[Tuple[int, int]]:
+    """``steps`` extended, in place, by the strict steps from i on."""
+    step = successors.get(i)
+    while step is not None:
+        steps.append(step)
+        step = successors.get(step[1])
+    return steps
+
+
 def empty_state(reals: Sequence[RealNum]) -> KnowledgeState:
     """The state that knows nothing about the reals ``r_0 .. r_n``."""
     return KnowledgeState(reals, {})
@@ -258,7 +277,9 @@ def extend(state: KnowledgeState, i: int, j: int, k: int) -> KnowledgeState:
     first witness.  A witness that does not verify raises
     :class:`UnsoundWitness`: that is a programming error in the caller,
     never a learnable fact.  The new state takes over ``state``'s
-    successor index.
+    successor index and shares its chain, unless ``(i, j)`` becomes the
+    successor of 0 or of a subject on the chain: then the new state's
+    chain is a new list, cut after i and walked on from j.
     """
     if (i, j) in state.entries:
         return state
@@ -266,10 +287,15 @@ def extend(state: KnowledgeState, i: int, j: int, k: int) -> KnowledgeState:
         raise UnsoundWitness(f"op_at(r_{j}, r_{i}, {k}) is false")
     successors = state._index()
     state._successors = None
+    chain = state._chain
     if j > i and (i not in successors or j < successors[i][1]):
         successors[i] = (k, j)
+        if chain is not None:
+            cut = bisect_right(chain, i, key=itemgetter(1))
+            if i == 0 or cut and chain[cut - 1][1] == i:
+                chain = _walk(successors, chain[:cut], i)
     child = KnowledgeState.__new__(KnowledgeState)
-    child._seal(state.reals, {**state._entries, (i, j): k}, successors)
+    child._seal(state.reals, {**state._entries, (i, j): k}, successors, chain)
     return child
 
 

@@ -5,11 +5,12 @@ returns the least element relative to the current knowledge state,
 together with an evidence chain for every comparison it relied on.
 With an empty state this is pure guessing: index 0 is proposed and
 every comparison is assumed.  Only strict answers change anything, so
-the pass follows the knowledge state's successor index from candidate
-to candidate, one lookup per strict step.  It keeps the list of those
-steps and builds an index's evidence, base and chain alike, only
-when it is read, so a pass costs O(strict steps) and allocates no
-evidence however many strict answers it meets.
+the pass takes its strict steps from the chain the knowledge state
+carries, which :func:`~realearn.knowledge.extend` keeps up to date as
+the state grows, so the pass walks nothing.  It keeps the list of
+those steps and builds an index's evidence, base and chain alike,
+only when it is read, so a pass costs at most a copy of its strict
+steps and allocates no evidence however many strict answers it meets.
 With a log, the pass records its ``decide`` events as one block whose
 lines :func:`_decide_text` writes from the strict list when the log
 writes them, so an unread :class:`TraceLog` writes none of them.
@@ -172,9 +173,9 @@ def least_candidate(state: KnowledgeState, n: int,
     switches the candidate to i and appends the strict step to the
     shared list, which puts it in front of every chain recorded so far.
     Between two strict answers every comparison is assumed, so the pass
-    takes its strict steps from :meth:`KnowledgeState.strict_steps`,
-    one index lookup per strict step and none per assumed one; no
-    evidence is built until it is read.  With a trace, the pass defers
+    takes its strict steps from :meth:`KnowledgeState.strict_steps`, a
+    prefix of the state's chain, and looks nothing up; no evidence is
+    built until it is read.  With a trace, the pass defers
     its n ``decide`` events as one block, whose lines
     :func:`_decide_text` writes from the strict list.
     """

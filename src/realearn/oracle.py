@@ -69,13 +69,19 @@ def exact_convex_check(points: Sequence[RationalPoint], a: int, b: int,
     return True
 
 
+def separation_bits(p: int, q: int) -> int:
+    """Smallest k with 2**-k < p/q, for positive ints p and q that need
+    not be coprime."""
+    # 2**-k < p/q exactly when 2**k > q/p, that is when 2**k > q // p
+    return (q // p).bit_length()
+
+
 def separation_from_gap(gap: Fraction) -> int:
     """Smallest k with 2**-k < gap; a separation precision for blurred
     reals whose limits differ by exactly ``gap``."""
     if gap <= 0:
         raise ValueError(f"gap must be positive, got {gap}")
-    # 2**-k < p/q exactly when 2**k > q/p, that is when 2**k > q // p
-    return (gap.denominator // gap.numerator).bit_length()
+    return separation_bits(gap.numerator, gap.denominator)
 
 
 class OracleAuditor:
@@ -90,7 +96,10 @@ class OracleAuditor:
     the two reals, within a budget set by the gap of their limits.
     Once the true argmin is proposed it accepts.  For each index m the
     lowest index whose value lies below m's is found once, from the
-    values in sorted order, so a challenge scans nothing.
+    values in sorted order, so a challenge scans nothing.  Each value's
+    numerator and denominator are kept as ints, and a challenge takes
+    the gap's :func:`separation_bits` from them without building a
+    ``Fraction``.
 
     From the empty state this auditor learns every pair at its least
     witness, because each challenged claim is a bare ``Assumed(m, j)``
@@ -126,7 +135,7 @@ class OracleAuditor:
         if len(set(values)) != len(values):
             raise TieDetected("true values must be distinct")
         self._reals = reals
-        self._values = values
+        self._ratios = [(v.numerator, v.denominator) for v in values]
         order = sorted(range(len(values)), key=values.__getitem__)
         # the lowest of the indices before m in order, or None
         self._first_below: List[Optional[int]] = [None] * len(values)
@@ -134,8 +143,9 @@ class OracleAuditor:
             self._first_below[m] = lowest
 
     def _separation(self, j: int, m: int) -> int:
-        gap = self._values[m] - self._values[j]
-        budget = separation_from_gap(gap) + 64
+        (a, b), (c, d) = self._ratios[m], self._ratios[j]
+        # v_m - v_j = (a*d - c*b) / (b*d), unreduced
+        budget = separation_bits(a * d - c * b, b * d) + 64
         witness = find_strict_witness(self._reals[j], self._reals[m], budget)
         if witness is None:
             raise RuntimeError(

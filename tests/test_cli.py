@@ -9,7 +9,11 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from realearn import KnowledgeState, least_candidate
+from realearn.cli import _least_candidate
 from realearn.replay import replay_paths
 from realearn.trace import read_trace
 from support import general_position_points
@@ -333,7 +337,11 @@ def test_check_rejects_boolean_point_indices(tmp_path):
      4, "verification failed: restarts 2 is not the state's entry count 1\n"),
     ({"state": "nonsense"},
      1, "input error: {result}: state must be a list of entries\n"),
-], ids=["no-point-9", "unsound", "restarts-off-by-one", "not-a-list"])
+    # under the empty state a pass proposes point 0, not the apex 3
+    ({"state": [], "restarts": 0},
+     4, "verification failed: apex 3 is not the least-element candidate 0 "
+        "of the recorded state\n"),
+], ids=["no-point-9", "unsound", "restarts-off-by-one", "not-a-list", "apex"])
 def test_check_audits_the_recorded_state_and_restarts(tmp_path, change, code,
                                                        stderr):
     result = tmp_path / "quad.json"
@@ -371,6 +379,19 @@ def test_check_rejects_every_malformed_state_entry(tmp_path):
     result.write_text(json.dumps(record))
     assert_input_error(run_cli("check", result, QUAD, "--kmax", "64"),
                        "a witness 0..64")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n), st.integers(0, n),
+                       st.integers(0, 40)), max_size=3 * n + 3))))
+def test_check_walks_to_the_least_element_candidate(drawn):
+    # arbitrary entries, j < i and repeated pairs among them
+    n, entries = drawn
+    state = KnowledgeState([None] * (n + 1),
+                           {(i, j): w for i, j, w in reversed(entries)})
+    assert _least_candidate(entries) == least_candidate(state, n).candidate
 
 
 def test_check_leaves_a_missing_state_or_restarts_unclaimed(tmp_path):

@@ -533,6 +533,71 @@ def test_a_copied_state_keeps_its_own_strict_steps():
     assert_pass_matches_the_eager_reference(copied, 5)
 
 
+def walked_strict_steps(entries, n):
+    """The strict steps of a pass over ``0..n``, walked on the entries
+    themselves: from 0, the entry (i, j) with the least j > i, while
+    j <= n."""
+    steps, i = [], 0
+    while later := [(j, w) for (a, j), w in entries.items()
+                    if a == i and i < j <= n]:
+        i, witness = min(later)
+        steps.append((witness, i))
+    return steps
+
+
+@st.composite
+def extend_sequences(draw):
+    """Distinct blurred reals r_0 .. r_m and operations on a growing
+    list of states that starts with the empty one: extend a drawn state
+    with a drawn sound pair it does not hold, or ask a drawn state for
+    its strict steps.  A pair may have j < i, an i off the chain or cut
+    the chain in the middle; a state may be extended more than once and
+    asked before, between and after its extensions."""
+    m = draw(st.integers(1, 12))
+    keys = draw(st.lists(st.integers(-2 ** 20, 2 ** 20),
+                         min_size=m + 1, max_size=m + 1, unique=True))
+    if draw(st.booleans()):
+        keys.sort(reverse=True)  # every pair (i, j) with j > i is sound
+    ops = draw(st.lists(st.tuples(st.booleans(), st.integers(0, 2 ** 16),
+                                  st.integers(0, 2 ** 16)), max_size=40))
+    return keys, ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(extend_sequences())
+def test_the_chain_follows_every_extension(drawn):
+    keys, ops = drawn
+    reg = RealRegistry()
+    for key in keys:
+        reg.blurred(Fraction(key, 2 ** 12))
+    m = len(keys) - 1
+    sound = [(i, j) for i in range(m + 1) for j in range(m + 1)
+             if keys[j] < keys[i]]
+    states = [empty_state(reg)]
+    handed = []
+
+    def ask(state):
+        for n in range(m + 1):
+            steps = state.strict_steps(n)
+            assert steps == walked_strict_steps(state.entries, n)
+            assert steps == KnowledgeState(reg, state.entries).strict_steps(n)
+            handed.append((steps, list(steps)))
+
+    for extending, p, q in ops:
+        state = states[p % len(states)]
+        new = [pair for pair in sound if pair not in state.entries]
+        if extending and new:
+            i, j = new[q % len(new)]
+            states.append(extend(state, i, j, sound_witness(reg, i, j)))
+        else:
+            ask(state)
+    for state in states:
+        ask(state)
+    # no list handed out has changed since
+    for steps, copied in handed:
+        assert steps == copied
+
+
 def test_evidences_is_a_read_only_mapping():
     state = extend(empty_state(worked_registry()), 0, 3, 33)
     evidences = least_candidate(state, 5).evidences

@@ -20,6 +20,7 @@ from realearn.oracle import (
     exact_convex_check,
     exact_min_index,
     exact_orientation,
+    separation_bits,
     separation_from_gap,
 )
 from realearn.replay import replay_paths
@@ -91,6 +92,25 @@ gaps = st.one_of(
 @given(gaps)
 def test_separation_from_gap_matches_the_loop(gap):
     assert separation_from_gap(gap) == looped_separation(gap)
+
+
+exact_values = st.one_of(
+    st.fractions(),
+    st.builds(Fraction, st.integers(-10 ** 300, 10 ** 300), big_ints),
+    st.integers(-1000, 1000).map(lambda e: Fraction(2) ** e),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(exact_values, min_size=2, max_size=2, unique=True),
+       st.integers(1, 2 ** 70))
+def test_the_integer_budget_is_the_separation_of_the_gap(pair, scale):
+    # the oracle's unreduced gap (a*d - c*b) / (b*d), here with a/b
+    # unreduced too, has the floor of the reduced one
+    lo, hi = sorted(pair)
+    a, b = hi.numerator * scale, hi.denominator * scale
+    c, d = lo.numerator, lo.denominator
+    assert separation_bits(a * d - c * b, b * d) == separation_from_gap(hi - lo)
 
 
 @settings(max_examples=100, deadline=None)
