@@ -5,13 +5,14 @@ line is decided through the orientation quantity
 
     orient(P, Q, R) = (x_Q - x_P) * (y_R - y_P) - (x_R - x_P) * (y_Q - y_P)
 
-built as a tree of arithmetic nodes (:func:`~realearn.reals.sub` and
-:func:`~realearn.reals.mul`) over the points' coordinates, so it adds
-nothing to any registry: R lies to the left of the line through P and
-Q when the orientation is strictly positive, to the right when
-strictly negative.  The differences ``Q - P`` and ``R - P`` are the
-tree's leaves; decisions about one apex P may share them through a
-dict that the caller owns, and they are dropped with that dict.
+built as one :func:`~realearn.reals.det2` node over four
+:func:`~realearn.reals.sub` nodes, the differences of the points'
+coordinates, so it adds nothing to any registry: R lies to the left
+of the line through P and Q when the orientation is strictly positive,
+to the right when strictly negative.  The differences ``Q - P`` and
+``R - P`` are the node's operands; decisions about one apex P may
+share them through a dict that the caller owns, and they are dropped
+with that dict.
 Because strict order of reals is only semi-decidable,
 :func:`decide_side` searches for the least precision at which the
 orientation's interval excludes zero, with the galloping search
@@ -36,7 +37,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from ._record import _Record
 from .errors import CertificateFailure, DegenerateInput
 # perfbench/tracing.py wraps find_strict_witness on this module
-from .reals import RealNum, find_strict_witness, least_witness, mul, op_at, sub
+from .reals import RealNum, det2, find_strict_witness, least_witness, op_at, sub
 
 
 class Point(_Record):
@@ -107,7 +108,7 @@ def orientation_real(p: Point, q: Point, r: Point,
         differences = {}
     dx_q, dy_q = _difference(p, q, differences)
     dx_r, dy_r = _difference(p, r, differences)
-    return sub(mul(dx_q, dy_r), mul(dx_r, dy_q))
+    return det2(dx_q, dy_r, dx_r, dy_q)
 
 
 def _difference(p: Point, q: Point,

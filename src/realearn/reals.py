@@ -14,7 +14,11 @@ over the lcm of the two denominators, and operands over one ``d`` keep
 it.  Products multiply numerators and denominators; the endpoints are
 the min and max of the four endpoint products, and when neither
 operand straddles zero the signs say which two products those are, so
-only those two are taken.  Comparisons cross-multiply.  Nothing is
+only those two are taken.  A difference of two products, ``a*b - c*d``,
+is one node, :func:`det2`, that takes both products at the precision
+where the node tree ``sub(mul(a, b), mul(c, d))`` would and joins them
+as that ``sub`` does, so it has the tree's triples without building or
+caching its two product nodes.  Comparisons cross-multiply.  Nothing is
 rounded and nothing is normalised, so each triple equals, as a pair of
 rationals, the interval that :class:`fractions.Fraction` arithmetic
 would give.
@@ -25,10 +29,10 @@ once on evaluation.
 
 A :class:`RealRegistry` holds the input reals only: its constructors
 register each real under a dense index.  Sums, differences and
-products are the functions :func:`add`, :func:`sub` and :func:`mul`;
-they return nodes with no index that know nothing of any registry,
-and a node and its cached intervals live only as long as the caller
-keeps them.  The learners name reals by their position in whatever
+products are the functions :func:`add`, :func:`sub`, :func:`mul` and
+:func:`det2`; they return nodes with no index that know nothing of any
+registry, and a node and its cached intervals live only as long as the
+caller keeps them.  The learners name reals by their position in whatever
 sequence of reals they are given, a registry or a plain list.
 
 Evaluation is lazy in precision as well as in time.  Reals built by the
@@ -114,23 +118,24 @@ class RealNum:
 
     An input real is created through a :class:`RealRegistry` and
     carries its registry index; an arithmetic node (:func:`add`,
-    :func:`sub`, :func:`mul`) has ``index`` None.  No real refers back
-    to a registry.  Intervals are cached per index as integer triples
-    (see the module docstring), so the generator is evaluated at most
-    once per index.  ``nested`` alone picks the path.  A nested real
-    (every constructor and arithmetic node) has a generator of
-    ``(lo, hi, d)`` triples and is evaluated at the requested index
-    only; in debug builds the new interval is checked for ``lo <= hi``,
-    width at most ``2**-k`` and nesting with whichever neighbours
-    ``k - 1`` and ``k + 1`` are cached.  The clauses are tested inline
-    and :func:`_check_interval` is called only to name a failing one.
+    :func:`sub`, :func:`mul`, :func:`det2`) has ``index`` None.  No
+    real refers back to a registry.  Intervals are cached per index as
+    integer triples (see the module docstring), so the generator is
+    evaluated at most once per index.  ``nested`` alone picks the
+    path.  A nested real (every constructor and arithmetic node) has a
+    generator of ``(lo, hi, d)`` triples and is evaluated at the
+    requested index only; in debug builds the new interval is checked
+    for ``lo <= hi``, width at most ``2**-k`` and nesting with whichever
+    neighbours ``k - 1`` and ``k + 1`` are cached.  The clauses are
+    tested inline and :func:`_check_interval` is called only to name a
+    failing one.
     Any other real is a raw generator of ``Fraction`` pairs: reading
     index ``k`` evaluates the missing prefix up to ``k`` in order, and
     every new interval is checked against its predecessor in all
     builds, raising :class:`InvalidNesting` on the first violated
-    clause.  The magnitude exponent that :func:`mul` reads from index 0
-    is cached in ``_magnitude`` once computed, so a node shared by many
-    products reads it once.
+    clause.  The magnitude exponent that :func:`mul` and :func:`det2`
+    read from index 0 is cached in ``_magnitude`` once computed, so a
+    node shared by many products reads it once.
     """
 
     __slots__ = ("index", "nested", "_gen", "_cache", "_magnitude")
@@ -283,10 +288,10 @@ class RealRegistry(Sequence[RealNum]):
 
     Entries are never mutated after registration.  Only the
     constructors register, and the arithmetic functions :func:`add`,
-    :func:`sub` and :func:`mul` do not, so the registry's length is the
-    number of input reals however much arithmetic has been done on
-    them.  A registry is a sequence of reals, so it can serve directly
-    as the reals ``r_0 .. r_n`` of a knowledge state.
+    :func:`sub`, :func:`mul` and :func:`det2` do not, so the registry's
+    length is the number of input reals however much arithmetic has
+    been done on them.  A registry is a sequence of reals, so it can
+    serve directly as the reals ``r_0 .. r_n`` of a knowledge state.
     """
 
     def __init__(self) -> None:
@@ -400,35 +405,65 @@ def sub(a: RealNum, b: RealNum) -> RealNum:
     return _nested(RealNum(None, gen))
 
 
+def _product(a: Triple, b: Triple) -> Triple:
+    """The triple of the interval product of two triples: the min and
+    max of the four endpoint products over ``ad * bd``.  When neither
+    operand straddles zero, the signs name those two products and only
+    they are computed."""
+    alo, ahi, ad = a
+    blo, bhi, bd = b
+    if alo >= 0:
+        if blo >= 0:
+            return (alo * blo, ahi * bhi, ad * bd)
+        if bhi <= 0:
+            return (ahi * blo, alo * bhi, ad * bd)
+    elif ahi <= 0:
+        if blo >= 0:
+            return (alo * bhi, ahi * blo, ad * bd)
+        if bhi <= 0:
+            return (ahi * bhi, alo * blo, ad * bd)
+    products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+    return (min(products), max(products), ad * bd)
+
+
 def mul(a: RealNum, b: RealNum) -> RealNum:
     """The node a * b.
 
     The product reads its operands at ``k + s`` where the shift
     ``s = c_a + c_b + 2`` is fixed at construction from magnitude
-    bounds ``2**c_x`` at index 0.  Endpoints are the min and max of the
-    four endpoint products, over the product of the operands'
-    denominators; when neither operand straddles zero, the signs name
-    those two products and only they are computed.  Width bound: each
-    factor interval at k + s has width at most ``2**-(k+s)`` and
-    magnitude at most ``2**c_x``, so the product width is at most
-    ``(2**c_a + 2**c_b) * 2**-(k+s) <= 2**-(k+1)``.
+    bounds ``2**c_x`` at index 0, and takes their :func:`_product`.
+    Width bound: each factor interval at k + s has width at most
+    ``2**-(k+s)`` and magnitude at most ``2**c_x``, so the product
+    width is at most ``(2**c_a + 2**c_b) * 2**-(k+s) <= 2**-(k+1)``.
     """
     shift = _magnitude_exponent(a) + _magnitude_exponent(b) + 2
 
     def gen(k: int) -> Triple:
-        alo, ahi, ad = a._at(k + shift)
-        blo, bhi, bd = b._at(k + shift)
-        if alo >= 0:
-            if blo >= 0:
-                return (alo * blo, ahi * bhi, ad * bd)
-            if bhi <= 0:
-                return (ahi * blo, alo * bhi, ad * bd)
-        elif ahi <= 0:
-            if blo >= 0:
-                return (alo * bhi, ahi * blo, ad * bd)
-            if bhi <= 0:
-                return (ahi * bhi, alo * blo, ad * bd)
-        products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-        return (min(products), max(products), ad * bd)
+        return _product(a._at(k + shift), b._at(k + shift))
+
+    return _nested(RealNum(None, gen))
+
+
+def det2(a: RealNum, b: RealNum, c: RealNum, d: RealNum) -> RealNum:
+    """The node a * b - c * d as one node.
+
+    At every k its triple is the one ``sub(mul(a, b), mul(c, d))``
+    gives, whose products are read at ``k + 1``: each product is the
+    :func:`_product` of its factors read at ``k + c_x + c_y + 3``, and
+    the two are joined as :func:`sub` joins its operands.  So each
+    product has width at most ``2**-(k+2)`` (see :func:`mul`) and the
+    difference at most ``2**-(k+1)``.  The tree's two product nodes
+    are never built, cached or checked.
+    """
+    s_ab = _magnitude_exponent(a) + _magnitude_exponent(b) + 3
+    s_cd = _magnitude_exponent(c) + _magnitude_exponent(d) + 3
+
+    def gen(k: int) -> Triple:
+        lo, hi, pd = _product(a._at(k + s_ab), b._at(k + s_ab))
+        qlo, qhi, qd = _product(c._at(k + s_cd), d._at(k + s_cd))
+        if pd == qd:
+            return (lo - qhi, hi - qlo, pd)
+        sp, sq, dd = _over_lcm(pd, qd)
+        return (lo * sp - qhi * sq, hi * sp - qlo * sq, dd)
 
     return _nested(RealNum(None, gen))

@@ -26,7 +26,7 @@ from realearn import (
 from realearn.geometry import RationalPoint
 from realearn.oracle import (exact_convex_check, exact_orientation,
                              separation_from_gap)
-from realearn.reals import add, mul, sub
+from realearn.reals import add, det2, mul, sub
 from realearn.trace import read_trace
 
 from support import (StringTrace, count_trace_builds, general_position_points,
@@ -426,22 +426,23 @@ def test_wide_trace_digest_is_pinned():
 
 def test_an_attempt_builds_each_difference_once(monkeypatch):
     # apex 0 is the lowest point, so the first attempt is accepted; it
-    # needs one x and one y difference per other point, and one outer
-    # sub per decision joins the two products
+    # needs one x and one y difference per other point, and one det2
+    # node per decision over four of them
     n = 24
     _, pts = register_points(angle_ordered_points(n + 1), blurred=True)
     built, factors, decisions = [], [], []
     index_0_reads = Counter()
-    sub, mul = realearn.geometry.sub, realearn.geometry.mul
+    sub, det2 = realearn.geometry.sub, realearn.geometry.det2
     decide_side, at = realearn.convex.decide_side, RealNum._at
 
     def counted_sub(a, b):
         built.append(sub(a, b))
         return built[-1]
 
-    def counted_mul(a, b):
-        factors.extend((a, b))
-        return mul(a, b)
+    def counted_det2(a, b, c, d):
+        factors.extend((a, b, c, d))
+        built.append(det2(a, b, c, d))
+        return built[-1]
 
     def counted_decide_side(*args):
         decisions.append(args)
@@ -453,16 +454,48 @@ def test_an_attempt_builds_each_difference_once(monkeypatch):
         return at(real, k)
 
     monkeypatch.setattr(realearn.geometry, "sub", counted_sub)
-    monkeypatch.setattr(realearn.geometry, "mul", counted_mul)
+    monkeypatch.setattr(realearn.geometry, "det2", counted_det2)
     monkeypatch.setattr(realearn.convex, "decide_side", counted_decide_side)
     monkeypatch.setattr(RealNum, "_at", counted_at)
     res = convex_angle(pts)
     assert res.restarts == 0
     assert len(decisions) > 2 * n
     assert len(built) <= 2 * n + len(decisions)
-    # a product reads its factors at k + 2 or above, so a difference is
-    # read at index 0 only for its magnitude, and that once
+    # det2 reads its factors at k + 3 or above, so a difference is read
+    # at index 0 only for its magnitude, and that once
     assert {index_0_reads[id(real)] for real in factors} == {1}
+
+
+def deep8_points():
+    """CI's deep8 input: 8 points of blurred coordinates k / 2**72 with
+    |k| <= 2**20, drawn x then y from ``Random(60)``."""
+    rng = Random(60)
+    reg = RealRegistry()
+    return [Point(i, *(reg.blurred(Fraction(rng.randint(-2 ** 20, 2 ** 20),
+                                            2 ** 72)) for _ in "xy"))
+            for i in range(8)]
+
+
+def test_deep8_evaluates_few_arithmetic_nodes(monkeypatch):
+    # an evaluation is an interval computed, not read from the cache;
+    # orientations are one det2 node each, so the construction and its
+    # audit compute 434 node intervals (698 as sub(mul, mul) trees), and
+    # the input reals are read exactly as they were
+    pts = deep8_points()
+    evaluations = Counter()
+    at = RealNum._at
+
+    def counted_at(real, k):
+        if k not in real._cache:
+            evaluations["node" if real.index is None else "input"] += 1
+        return at(real, k)
+
+    monkeypatch.setattr(RealNum, "_at", counted_at)
+    res = convex_angle(pts)
+    assert verify_bounding(pts, res.a, res.b, res.c) == res.certificate
+    assert (res.a, res.b, res.c, res.restarts) == (4, 7, 2, 1)
+    assert evaluations["input"] == 216
+    assert evaluations["node"] <= 434, evaluations
 
 
 @pytest.mark.parametrize("rational, restarts", [
@@ -510,7 +543,7 @@ def test_registry_holds_input_reals_only():
     inputs = len(reg)
     assert inputs == 24
     a, b = pts[1].x, pts[2].y
-    for node in (add(a, b), sub(a, b), mul(a, b),
+    for node in (add(a, b), sub(a, b), mul(a, b), det2(a, b, pts[3].x, a),
                  orientation_real(pts[0], pts[1], pts[2])):
         assert node.index is None
         node.interval_at(40)

@@ -17,7 +17,8 @@ from realearn import (
     op_at,
 )
 from realearn.oracle import separation_from_gap
-from realearn.reals import _magnitude_exponent, _over_lcm, add, mul, sub
+from realearn.reals import (_magnitude_exponent, _over_lcm, add, det2, mul,
+                            sub)
 
 from support import random_real, random_table_prefix
 
@@ -373,6 +374,29 @@ def test_products_give_the_min_max_triple(left, right, k):
     assert mul(a, b)._at(k) == (min(products), max(products), ad * bd)
 
 
+SIGNS = ("positive", "negative", "straddling")
+
+
+@pytest.mark.parametrize("left", SIGNS)
+@pytest.mark.parametrize("right", SIGNS)
+def test_det2_gives_the_triples_of_its_tree(left, right):
+    # a * b in each of its nine sign cases against c * d in each of
+    # theirs; equal sign cases give equal product denominators, and
+    # factors of other magnitudes give other shifts and denominators
+    a, b = SIGNED[left](), SIGNED[right]()
+    equal_denominators = set()
+    for c_sign in SIGNS:
+        for d_sign in SIGNS:
+            c, d = SIGNED[c_sign](), SIGNED[d_sign]()
+            node, ab, cd = det2(a, b, c, d), mul(a, b), mul(c, d)
+            tree = sub(ab, cd)
+            for k in range(65):
+                # the same triple, so the same pair of rationals
+                assert node._at(k) == tree._at(k)
+                equal_denominators.add(ab._at(k + 1)[2] == cd._at(k + 1)[2])
+    assert equal_denominators == {True, False}
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_raw_generator_nesting_is_checked_in_every_build(flags):
     code = (
@@ -393,7 +417,8 @@ def test_raw_generator_nesting_is_checked_in_every_build(flags):
 
 
 # Reference: the Fraction kernel that the integer triples replace, kept
-# as it was (constructors, arithmetic nodes and _magnitude_exponent).
+# as it was (constructors, arithmetic nodes and _magnitude_exponent);
+# its det2 is the node tree sub(mul(a, b), mul(c, d)).
 # Each reference real is read only at the indices asked, as nested
 # reals are.
 
@@ -480,6 +505,9 @@ class RefRegistry:
 
         return RefReal(gen)
 
+    def det2(self, a, b, c, d):
+        return self.sub(self.mul(a, b), self.mul(c, d))
+
 
 # Dyadic and non-dyadic values: 1/3, 5/7, k/2**j, ...
 kernel_values = st.builds(
@@ -511,12 +539,13 @@ kernel_leaves = st.one_of(
 
 kernel_exprs = st.recursive(
     kernel_leaves,
-    lambda inner: st.tuples(st.sampled_from(["add", "sub", "mul"]),
-                            inner, inner),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(["add", "sub", "mul"]), inner, inner),
+        st.tuples(st.just("det2"), inner, inner, inner, inner)),
     max_leaves=6)
 
 
-ARITHMETIC = {"add": add, "sub": sub, "mul": mul}
+ARITHMETIC = {"add": add, "sub": sub, "mul": mul, "det2": det2}
 
 
 def build_expr(reg, expr):
