@@ -31,7 +31,6 @@ alone, so an audit of a convex result loads no learner.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from ._record import _Record
@@ -45,20 +44,11 @@ class Point(_Record):
 
     __slots__ = ("_index", "_x", "_y")
 
-    def __init__(self, index: int, x: RealNum, y: RealNum) -> None:
-        self._index = index
-        self._x = x
-        self._y = y
-
 
 class RationalPoint(_Record):
     """A plane point with exact rational coordinates."""
 
     __slots__ = ("_x", "_y")
-
-    def __init__(self, x: Fraction, y: Fraction) -> None:
-        self._x = x
-        self._y = y
 
 
 class Left(_Record):
@@ -66,17 +56,11 @@ class Left(_Record):
 
     __slots__ = ("_witness",)
 
-    def __init__(self, witness: int) -> None:
-        self._witness = witness
-
 
 class Right(_Record):
     """R strictly right of P -> Q, first seen at precision ``witness``."""
 
     __slots__ = ("_witness",)
-
-    def __init__(self, witness: int) -> None:
-        self._witness = witness
 
 
 SideDecision = Left | Right
@@ -182,16 +166,6 @@ class BoundingCertificate(_Record):
 
     __slots__ = ("_a", "_b", "_c", "_left", "_right", "_c_left", "_b_right")
     __hash__ = None
-
-    def __init__(self, a: int, b: int, c: int, left: Dict[int, int],
-                 right: Dict[int, int], c_left: int, b_right: int) -> None:
-        self._a = a
-        self._b = b
-        self._c = c
-        self._left = left
-        self._right = right
-        self._c_left = c_left
-        self._b_right = b_right
 
 
 def _check_point_layout(points: Sequence[Point]) -> None:

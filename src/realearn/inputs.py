@@ -138,18 +138,13 @@ class PointSpec(_Record):
 
     __slots__ = ("_index", "_x", "_y")
 
-    def __init__(self, index: int, x: RealSpec, y: RealSpec) -> None:
-        self._index = index
-        self._x = x
-        self._y = y
 
+class InputDocument(_Record):
+    """A parsed document: its ``reals`` and its ``points``, in file
+    order."""
 
-class InputDocument:
-    __slots__ = ("reals", "points")
-
-    def __init__(self, reals: List[RealSpec], points: List[PointSpec]) -> None:
-        self.reals = reals
-        self.points = points
+    __slots__ = ("_reals", "_points")
+    __hash__ = None
 
 
 def load_document(path) -> InputDocument:

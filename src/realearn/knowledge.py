@@ -57,10 +57,6 @@ class Refl(_Record):
     """Evidence for r_i <= r_i."""
 
     __slots__ = ("_i",)
-
-    def __init__(self, i: int) -> None:
-        self._i = i
-
     subject = target = property(attrgetter("_i"))
 
 
@@ -68,11 +64,6 @@ class Assumed(_Record):
     """Unjustified assumption of r_i <= r_j, open to refutation."""
 
     __slots__ = ("_i", "_j")
-
-    def __init__(self, i: int, j: int) -> None:
-        self._i = i
-        self._j = j
-
     subject = property(attrgetter("_i"))
     target = property(attrgetter("_j"))
 
@@ -318,10 +309,6 @@ class Falsified(_Record):
     """Outcome of a failed check: which pair to learn, at what witness."""
 
     __slots__ = ("_pair", "_witness")
-
-    def __init__(self, pair: Pair, witness: int) -> None:
-        self._pair = pair
-        self._witness = witness
 
 
 def check_leq(reals: Sequence[RealNum], ev: LeqEvidence,

@@ -109,11 +109,6 @@ class LeastCandidate(_Record):
     __slots__ = ("_candidate", "_evidences")
     __hash__ = None
 
-    def __init__(self, candidate: int,
-                 evidences: Mapping[int, LeqEvidence]) -> None:
-        self._candidate = candidate
-        self._evidences = evidences
-
 
 class Challenge(_Record):
     """An auditor's demand: test claim ``candidate <= j`` at ``precision``.

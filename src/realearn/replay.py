@@ -18,37 +18,32 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, List, Optional
 
+from ._record import _Record
 from .errors import PathMismatch
 
 if TYPE_CHECKING:
     from .trace import TraceEvent
 
 
-class RunReplay:
-    __slots__ = ("leaf_ranks", "leaf_candidates", "restarts", "progress_ok",
-                 "unique_ok", "bound_ok")
+class RunReplay(_Record):
+    """One replayed run: the rank and reported candidate of each of its
+    paths, its restarts, and whether its ranks increase, are unique and
+    stay within the bound."""
 
-    def __init__(self, leaf_ranks: List[int], leaf_candidates: List[int],
-                 restarts: int, progress_ok: bool, unique_ok: bool,
-                 bound_ok: bool) -> None:
-        self.leaf_ranks = leaf_ranks
-        self.leaf_candidates = leaf_candidates
-        self.restarts = restarts
-        self.progress_ok = progress_ok
-        self.unique_ok = unique_ok
-        self.bound_ok = bound_ok
+    __slots__ = ("_leaf_ranks", "_leaf_candidates", "_restarts",
+                 "_progress_ok", "_unique_ok", "_bound_ok")
+    __hash__ = None
 
     @property
     def ok(self) -> bool:
         return self.progress_ok and self.unique_ok and self.bound_ok
 
 
-class ReplayVerdict:
-    __slots__ = ("n", "runs")
+class ReplayVerdict(_Record):
+    """The replay of every run over indices ``1..n``."""
 
-    def __init__(self, n: int, runs: List[RunReplay]) -> None:
-        self.n = n
-        self.runs = runs
+    __slots__ = ("_n", "_runs")
+    __hash__ = None
 
     @property
     def ok(self) -> bool:

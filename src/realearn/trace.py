@@ -39,11 +39,6 @@ class TraceEvent(_Record):
     __slots__ = ("_seq", "_phase", "_payload")
     __hash__ = None
 
-    def __init__(self, seq: int, phase: str, payload: dict) -> None:
-        self._seq = seq
-        self._phase = phase
-        self._payload = payload
-
     def to_json(self) -> str:
         return _event_line(self._seq, self._phase, self._payload)[:-1]
 

@@ -159,3 +159,63 @@ def test_a_fresh_import_lets_the_earlier_ones_go():
     once, alive = map(int, proc.stdout.split())
     assert once > 30
     assert alive == once
+
+
+# top-level imports that their module keeps without using them, each
+# with its reason
+UNUSED_IMPORTS = {
+    ("geometry", "find_strict_witness"): "perfbench/tracing.py wraps it here",
+    ("convex", "extend"): "perfbench/tracing.py wraps it here",
+    ("convex", "least_candidate"): "perfbench/tracing.py wraps it here",
+    ("convex", "verify_bounding"): "re-exported from geometry",
+}
+
+
+def _top_level_imports(body):
+    """The ``(name, node)`` of each name bound by an import outside any
+    function or class, ``if`` and ``try`` blocks included."""
+    for node in body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0]
+        elif isinstance(node, (ast.If, ast.Try)):
+            for block in ("body", "orelse", "finalbody", "handlers"):
+                for inner in getattr(node, block, ()):
+                    yield from _top_level_imports(
+                        inner.body if isinstance(inner, ast.excepthandler)
+                        else [inner])
+
+
+def _names_used(tree):
+    """Every name the module reads, counting the names inside string
+    annotations such as ``-> "TraceEvent"``."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            annotations.append(node.returns)
+            annotations.extend(arg.annotation for arg in [
+                *args.posonlyargs, *args.args, *args.kwonlyargs,
+                args.vararg, args.kwarg] if arg is not None)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                yield from _names_used(ast.parse(node.value, mode="eval"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+
+
+@pytest.mark.parametrize("path", sorted(
+    (REPO / "src" / "realearn").glob("*.py")), ids=lambda path: path.stem)
+def test_every_top_level_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = set(_names_used(tree))
+    unused = {name for name in _top_level_imports(tree.body)
+              if name not in used}
+    assert unused == {name for module, name in UNUSED_IMPORTS
+                      if module == path.stem}

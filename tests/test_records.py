@@ -3,13 +3,18 @@
 Every record below is built positionally and by keyword, with its
 defaults left out where it has some, and is checked for its field
 values, equality within its type only, hashing, read-only fields and
-repr text.
+repr text.  Every record class takes its fields in slot order, and a
+wrong call raises what a hand-written ``__init__`` raises.
 """
 
+import importlib
+import inspect
+import pkgutil
 from fractions import Fraction as F
 
 import pytest
 
+import realearn
 from realearn import (
     Assumed,
     BoundingCertificate,
@@ -24,12 +29,17 @@ from realearn import (
     Right,
 )
 from realearn.geometry import RationalPoint
-from realearn.inputs import PointSpec, RealSpec
+from realearn._record import _Record
+from realearn.inputs import InputDocument, PointSpec, RealSpec
+from realearn.replay import ReplayVerdict, RunReplay
 
 REG = RealRegistry()
 X, Y = REG.from_rational(1), REG.blurred(F(-1, 2))
 HALF = RealSpec(kind="rational", limit=F(1, 2))
 TABLE = RealSpec("table", F(1, 2), ((F(0), F(1)),))
+RUN = RunReplay([0, 1], [0, 2], 1, True, True, True)
+RUN_TEXT = ("RunReplay(leaf_ranks=[0, 1], leaf_candidates=[0, 2], restarts=1, "
+            "progress_ok=True, unique_ok=True, bound_ok=True)")
 
 # (class, positional args, keyword args that build the same record,
 #  {field: value} of that record, positional args of a different record,
@@ -93,6 +103,21 @@ CASES = [
      {"reals": REG, "entries": {(1, 0): 2}}, (REG, {(1, 0): 3}), False,
      f"KnowledgeState(reals={REG!r}, "
      "entries=mappingproxy({(1, 0): 2}))"),
+    (InputDocument, ([HALF], [PointSpec(0, HALF, TABLE)]),
+     {"points": [PointSpec(0, HALF, TABLE)], "reals": [HALF]},
+     {"reals": [HALF], "points": [PointSpec(0, HALF, TABLE)]},
+     ([HALF], []), False,
+     f"InputDocument(reals=[{HALF!r}], "
+     f"points=[PointSpec(index=0, x={HALF!r}, y={TABLE!r})])"),
+    (RunReplay, ([0, 1], [0, 2], 1, True, True, True),
+     {"leaf_ranks": [0, 1], "leaf_candidates": [0, 2], "restarts": 1,
+      "progress_ok": True, "unique_ok": True, "bound_ok": True},
+     {"leaf_ranks": [0, 1], "leaf_candidates": [0, 2], "restarts": 1,
+      "progress_ok": True, "unique_ok": True, "bound_ok": True, "ok": True},
+     ([1, 0], [0, 2], 1, False, True, True), False, RUN_TEXT),
+    (ReplayVerdict, (2, [RUN]), {"n": 2, "runs": [RUN]},
+     {"n": 2, "runs": [RUN], "ok": True}, (2, []), False,
+     f"ReplayVerdict(n=2, runs=[{RUN_TEXT}])"),
 ]
 
 
@@ -123,3 +148,53 @@ def test_record_semantics(cls, args, kwargs, fields, other, hashable, text):
             delattr(record, name)
     assert {name: getattr(record, name) for name in fields} == fields
     assert repr(record) == text
+
+
+def record_classes():
+    for module in pkgutil.iter_modules(realearn.__path__):
+        importlib.import_module(f"realearn.{module.name}")
+    return _Record.__subclasses__()
+
+
+def test_only_records_with_defaults_write_an_init():
+    written = {cls.__name__ for cls in record_classes()
+               if cls.__init__.__code__.co_filename != "<string>"}
+    assert written == {"Challenge", "RealSpec"}
+
+
+def call_error(cls, *args, **kwargs):
+    with pytest.raises(TypeError) as info:
+        cls(*args, **kwargs)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("cls", sorted(record_classes(),
+                                       key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_a_record_takes_its_fields_in_slot_order(cls):
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    names = [param.name for param in params]
+    assert names == [slot[1:] for slot in cls.__slots__]
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+    assert cls.__init__.__module__ == cls.__module__
+    # a hand-written __init__ of the same signature, for the errors a
+    # wrong call raises
+    source = ", ".join(param.name if param.default is param.empty
+                       else f"{param.name}=None" for param in params)
+    namespace = {}
+    exec(f"class {cls.__name__}:\n"
+         f"    def __init__(self, {source}):\n"
+         "        pass\n", namespace)
+    reference = namespace[cls.__name__]
+    required = [param for param in params if param.default is param.empty]
+    calls = [
+        ((), {}),
+        ((None,) * (len(required) - 1), {}),
+        ((None,) * len(required), {"unknown": None}),
+        ((None,) * (len(params) + 1), {}),
+        ((None,), {names[0]: None}),
+    ]
+    for args, kwargs in calls:
+        text = call_error(reference, *args, **kwargs)
+        assert text.startswith(f"{cls.__name__}.__init__() ")
+        assert call_error(cls, *args, **kwargs) == text
