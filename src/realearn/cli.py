@@ -275,8 +275,9 @@ def cmd_check(args) -> int:
             if args.kmax is None else _resolve_kmax(args.kmax))
     # the recorded state and restarts, each audited when present: first
     # that every entry names two points and a witness within kmax, then
-    # that each holds, that there is one per restart and that the apex
-    # is the state's least-element candidate
+    # that each is a pair a run learns, (candidate, j) with j above the
+    # candidate and learned once, and holds, that there is one per
+    # restart and that the apex is the state's least-element candidate
     state = record.get("state")
     if state is not None and not isinstance(state, list):
         raise InputError(f"{args.result}: state must be a list of entries")
@@ -290,7 +291,15 @@ def cmd_check(args) -> int:
             raise InputError(
                 f"{args.result}: state entry {number} must name two points "
                 f"0..{len(points) - 1} and a witness 0..{kmax}")
+    learned = set()
     for i, j, w in entries:
+        if j <= i:
+            raise CertificateFailure(
+                f"state entry ({i}, {j}): j is not above i, so no run blames it")
+        if (i, j) in learned:
+            raise CertificateFailure(
+                f"state entry ({i}, {j}) repeats an earlier entry")
+        learned.add((i, j))
         if not op_at(points[j].y, points[i].y, w):
             raise CertificateFailure(
                 f"state entry ({i}, {j}): op_at(y_{j}, y_{i}, {w}) is false")

@@ -189,20 +189,23 @@ def _decide_text(seq: int, n: int, strict: List[Tuple[int, int]]) -> str:
     Step i is strict exactly when i is a strict subject, and it
     compares i with the last strict subject before it, or 0.  The steps
     between two strict subjects are assumed and compare the same
-    candidate, so each such run is one comprehension.  The pass is not
-    walked again: no state lookup is made.
+    candidate, so each nonempty run is one comprehension over a line
+    head fixed for the run.  The pass is not walked again: no state
+    lookup is made.
     """
     lines: List[str] = []
+    append = lines.append
+    base = seq - 1  # step i is line base + i
     candidate, start = 0, 1
     for witness, subject in [*strict, (None, n + 1)]:
-        lines += [f'{{"decision":"assume","pair":[{candidate},{i}],'
-                  f'"phase":"decide","seq":{seq + i - 1},"step":{i}}}\n'
-                  for i in range(start, subject)]
+        if start < subject:
+            head = f'{{"decision":"assume","pair":[{candidate},'
+            lines += [f'{head}{i}],"phase":"decide","seq":{base + i},'
+                      f'"step":{i}}}\n' for i in range(start, subject)]
         if subject <= n:
-            lines.append(f'{{"decision":"strict",'
-                         f'"pair":[{candidate},{subject}],"phase":"decide",'
-                         f'"seq":{seq + subject - 1},"step":{subject},'
-                         f'"witness":{witness}}}\n')
+            append(f'{{"decision":"strict","pair":[{candidate},{subject}],'
+                   f'"phase":"decide","seq":{base + subject},'
+                   f'"step":{subject},"witness":{witness}}}\n')
         candidate, start = subject, subject + 1
     return "".join(lines)
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from .reals import RealNum, find_strict_witness
+from .reals import RealNum, _fraction, find_strict_witness
 
 if TYPE_CHECKING:
     from .geometry import RationalPoint
@@ -96,9 +96,12 @@ class OracleAuditor:
     the two reals, within a budget set by the gap of their limits.
     Once the true argmin is proposed it accepts.  For each index m the
     lowest index whose value lies below m's is found once, from the
-    values in sorted order, so a challenge scans nothing.  Each value's
-    numerator and denominator are kept as ints, and a challenge takes
-    the gap's :func:`separation_bits` from them without building a
+    values in sorted order, so a challenge scans nothing.  A true value
+    that is an exact ``Fraction`` is taken as it is, and any other
+    rational goes through ``Fraction(v)``.  Each value's numerator and
+    denominator are kept as an integer pair; ties are found on those
+    pairs, which are equal exactly when the values are, and a challenge
+    takes the gap's :func:`separation_bits` from them without building a
     ``Fraction``.
 
     From the empty state this auditor learns every pair at its least
@@ -131,11 +134,12 @@ class OracleAuditor:
         from .least import Challenge
 
         self._Challenge = Challenge
-        values = [Fraction(v) for v in true_values]
-        if len(set(values)) != len(values):
-            raise TieDetected("true values must be distinct")
+        values = [_fraction(v) for v in true_values]
         self._reals = reals
         self._ratios = [(v.numerator, v.denominator) for v in values]
+        # two Fractions are equal exactly when their reduced pairs are
+        if len(set(self._ratios)) != len(values):
+            raise TieDetected("true values must be distinct")
         order = sorted(range(len(values)), key=values.__getitem__)
         # the lowest of the indices before m in order, or None
         self._first_below: List[Optional[int]] = [None] * len(values)

@@ -89,9 +89,16 @@ def _over_lcm(da: int, db: int) -> Tuple[int, int, int]:
     return sa, sb, da * sa
 
 
+def _fraction(q: RationalLike) -> Fraction:
+    """``q`` as a ``Fraction``: an exact ``Fraction`` is taken as it is
+    (``Fraction(q)`` would only copy its numerator and denominator), and
+    anything else, a subclass included, goes through ``Fraction(q)``."""
+    return q if type(q) is Fraction else Fraction(q)
+
+
 def _triple(lo: RationalLike, hi: RationalLike) -> Triple:
     """The rational pair ``(lo, hi)`` over the lcm of its denominators."""
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = _fraction(lo), _fraction(hi)
     s_lo, s_hi, d = _over_lcm(lo.denominator, hi.denominator)
     return (lo.numerator * s_lo, hi.numerator * s_hi, d)
 
@@ -320,8 +327,12 @@ class RealRegistry(Sequence[RealNum]):
         return real
 
     def from_rational(self, q: RationalLike) -> RealNum:
-        """The real with constant degenerate interval [q, q]."""
-        value = Fraction(q)
+        """The real with constant degenerate interval [q, q].
+
+        An exact ``Fraction`` q is taken as it is; an int, a string or
+        another rational goes through ``Fraction(q)``.
+        """
+        value = _fraction(q)
         interval = (value.numerator, value.numerator, value.denominator)
 
         def gen(k: int) -> Triple:
@@ -335,9 +346,10 @@ class RealRegistry(Sequence[RealNum]):
         The interval at k is ``[q - 2**-(k+1), q + 2**-(k+1)]``, so the
         limit is only ever known up to the current precision.  With
         ``q = n/m`` the triple is ``(c - m, c + m, m * 2**(k+1))`` where
-        ``c = n * 2**(k+1)``.
+        ``c = n * 2**(k+1)``.  An exact ``Fraction`` q is taken as it is,
+        anything else goes through ``Fraction(q)``.
         """
-        value = Fraction(q)
+        value = _fraction(q)
         n, m = value.numerator, value.denominator
 
         def gen(k: int) -> Triple:
@@ -351,7 +363,9 @@ class RealRegistry(Sequence[RealNum]):
         """A real given by an explicit finite interval prefix.
 
         Past the prefix the sequence is the degenerate interval
-        ``[tail, tail]``.  The whole table is validated eagerly; the
+        ``[tail, tail]``.  The endpoints and the tail are taken as
+        :meth:`from_rational` takes q: an exact ``Fraction`` as it is.
+        The whole table is validated eagerly; the
         first violated clause raises :class:`InvalidNesting` with the
         offending index.
         """

@@ -341,7 +341,17 @@ def test_check_rejects_boolean_point_indices(tmp_path):
     ({"state": [], "restarts": 0},
      4, "verification failed: apex 3 is not the least-element candidate 0 "
         "of the recorded state\n"),
-], ids=["no-point-9", "unsound", "restarts-off-by-one", "not-a-list", "apex"])
+    # each entry holds, but no run learns a pair twice or a pair (i, j)
+    # with j <= i: every blamed pair is (candidate, j) with j above it
+    ({"state": [{"i": 0, "j": 3, "witness": 0}, {"i": 0, "j": 3, "witness": 0}],
+      "restarts": 2},
+     4, "verification failed: state entry (0, 3) repeats an earlier entry\n"),
+    ({"state": [{"i": 0, "j": 3, "witness": 0}, {"i": 1, "j": 0, "witness": 0}],
+      "restarts": 2},
+     4, "verification failed: state entry (1, 0): j is not above i, so no run "
+        "blames it\n"),
+], ids=["no-point-9", "unsound", "restarts-off-by-one", "not-a-list", "apex",
+        "repeat", "reversed"])
 def test_check_audits_the_recorded_state_and_restarts(tmp_path, change, code,
                                                        stderr):
     result = tmp_path / "quad.json"

@@ -171,10 +171,19 @@ def test_rank_scan_picks_the_fraction_scan_challenge(values):
             fraction_scan_challenge(values, separation, m)
 
 
-def test_oracle_auditor_rejects_tied_values():
+@pytest.mark.parametrize("values", [
+    [Fraction(1), Fraction(1)],
+    [Fraction(1, 2), "2/4"],
+    [1, "3/3"],
+    ["-3/6", Fraction(-1, 2)],
+    [Fraction(0), 5, "-0/7"],
+], ids=["fractions", "fraction-string", "int-string", "string-fraction",
+        "zero-forms"])
+def test_oracle_auditor_rejects_tied_values(values):
+    # equal values in different forms are one reduced integer pair
     reg = RealRegistry()
     with pytest.raises(TieDetected):
-        OracleAuditor(reg, [Fraction(1), Fraction(1)])
+        OracleAuditor(reg, values)
 
 
 def synthetic_run(decisions_per_path, candidates, restarts):

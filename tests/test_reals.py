@@ -17,8 +17,8 @@ from realearn import (
     op_at,
 )
 from realearn.oracle import separation_from_gap
-from realearn.reals import (_magnitude_exponent, _over_lcm, add, det2, mul,
-                            sub)
+from realearn.reals import (_fraction, _magnitude_exponent, _over_lcm, add,
+                            det2, mul, sub)
 
 from support import random_real, random_table_prefix
 
@@ -32,6 +32,32 @@ def test_from_rational_is_degenerate_everywhere():
     r = reg.from_rational(Fraction(3, 7))
     for k in (0, 1, 5, 40):
         assert r.interval_at(k) == (Fraction(3, 7), Fraction(3, 7))
+
+
+@pytest.mark.parametrize("forms", [
+    (6, "18/3", Fraction(6)),
+    (0, "0/5", Fraction(0)),
+    (-3, "-12/4", Fraction(-3)),
+])
+def test_constructors_take_every_form_of_a_rational_alike(forms):
+    # an int, an unreduced "n/d" string and the equal Fraction, which is
+    # taken as it is, give identical triples at every index
+    v = forms[0]
+    prefix = [(Fraction(2 * v - 1, 2), f"{2 * v + 1}/2"),
+              (f"{4 * v - 1}/4", v)]
+    reg = RealRegistry()
+    reals = [[reg.from_rational(q), reg.blurred(q), reg.from_table(prefix, q)]
+             for q in forms]
+    for k in range(65):
+        assert len({tuple(r._at(k) for r in row) for row in reals}) == 1
+    exact = forms[2]
+    assert _fraction(exact) is exact
+
+    class Rational(Fraction):
+        pass
+
+    # a subclass goes through Fraction(q), which makes an exact Fraction
+    assert type(_fraction(Rational(exact))) is Fraction
 
 
 def test_blurred_interval_is_centered_with_exact_width():
