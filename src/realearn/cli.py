@@ -312,8 +312,12 @@ def cmd_check(args) -> int:
         raise CertificateFailure(f"apex {a} is not the least-element "
                                  f"candidate {candidate} of the recorded state")
     derived = verify_bounding(points, a, b, c, k_max=kmax)
-    stored = record.get("certificate")
-    if stored is not None and stored != _certificate_obj(derived):
+    # == takes a stored false or 0.0 for the 0 a run writes, so an equal
+    # certificate must also have the same JSON text
+    stored, certificate = record.get("certificate"), _certificate_obj(derived)
+    if stored is not None and (
+            stored != certificate or json.dumps(stored, sort_keys=True)
+            != json.dumps(certificate, sort_keys=True)):
         raise CertificateFailure(
             "stored certificate does not match re-derived witnesses")
     if not exact_convex_check(rational_points(document), a, b, c):

@@ -27,6 +27,24 @@ The public :meth:`RealNum.interval_at` returns that interval as a
 :meth:`RealRegistry.register` returns ``Fraction`` pairs, converted
 once on evaluation.
 
+An affine real ``(c, w, l)``, with ``2w <= l``, is one whose triple at
+every k is ``((c << k) - w, (c << k) + w, l << k)``: the interval of
+centre ``c/l`` and radius ``w / (l * 2**k)``, so its width is at most
+``2**-k`` and each interval nests in the one before.  A blurred real
+``n/m`` is the affine real ``(2n, m, 2m)``.  Affine reals are closed
+under :func:`add` and :func:`sub`, and their join has a closed form
+that reads no operand.  Read at ``k + 1``, the operands' denominators
+are ``l1 << (k+1)`` and ``l2 << (k+1)``, whose gcd is ``g << (k+1)``
+for ``g = gcd(l1, l2)``.  So the join's scale factors ``sa = l2/g``
+and ``sb = l1/g`` (both 1 when ``l1 == l2``, which is when the two
+denominators are equal) do not depend on k, and the join is the
+affine real ``(2(c1*sa ± c2*sb), w1*sa + w2*sb, 2*l1*sa)``: the same
+integers as the join of the operands' triples, and again
+``2w <= l``.  Only blurred reals and sums and differences of them are
+affine; a rational, a table, a raw generator or a product is not, and
+a sum or difference with such an operand reads both operands at
+``k + 1`` as before.
+
 A :class:`RealRegistry` holds the input reals only: its constructors
 register each real under a dense index.  Sums, differences and
 products are the functions :func:`add`, :func:`sub`, :func:`mul` and
@@ -65,6 +83,9 @@ from typing import Callable, Iterator, Optional, Tuple, Union
 Interval = Tuple[Fraction, Fraction]
 # (lo, hi, d) with d > 0, meaning the interval [lo/d, hi/d]
 Triple = Tuple[int, int, int]
+# (c, w, l) with 0 <= 2 * w <= l, the affine real with triple
+# ((c << k) - w, (c << k) + w, l << k) at every k
+Affine = Tuple[int, int, int]
 RationalLike = Union[Fraction, int, str]
 Generator = Callable[[int], Interval]
 
@@ -142,10 +163,13 @@ class RealNum:
     builds, raising :class:`InvalidNesting` on the first violated
     clause.  The magnitude exponent that :func:`mul` and :func:`det2`
     read from index 0 is cached in ``_magnitude`` once computed, so a
-    node shared by many products reads it once.
+    node shared by many products reads it once.  An affine real (see
+    the module docstring) keeps its ``(c, w, l)`` in ``_affine``, which
+    is None for every other real.
     """
 
-    __slots__ = ("index", "nested", "_gen", "_cache", "_magnitude")
+    __slots__ = ("index", "nested", "_gen", "_cache", "_magnitude",
+                 "_affine")
 
     def __init__(self, index: Optional[int],
                  gen: Callable[[int], Union[Interval, Triple]]):
@@ -154,6 +178,7 @@ class RealNum:
         self._gen = gen
         self._cache: dict[int, Triple] = {}
         self._magnitude: Optional[int] = None
+        self._affine: Optional[Affine] = None
 
     def interval_at(self, k: int) -> Interval:
         """The interval at precision index ``k`` (exact endpoints)."""
@@ -290,6 +315,22 @@ def _nested(real: RealNum) -> RealNum:
     return real
 
 
+def _affine_real(make: Callable[[Callable[[int], Triple]], RealNum],
+                 affine: Affine) -> RealNum:
+    """The nested real that ``make`` builds on the generator of the
+    affine real ``affine = (c, w, l)``: the triple
+    ``((c << k) - w, (c << k) + w, l << k)`` at every k."""
+    c, w, l = affine
+
+    def gen(k: int) -> Triple:
+        centre = c << k
+        return (centre - w, centre + w, l << k)
+
+    real = make(gen)
+    real._affine = affine
+    return _nested(real)
+
+
 class RealRegistry(Sequence[RealNum]):
     """Append-only store of the input reals, indexed densely from 0.
 
@@ -346,17 +387,14 @@ class RealRegistry(Sequence[RealNum]):
         The interval at k is ``[q - 2**-(k+1), q + 2**-(k+1)]``, so the
         limit is only ever known up to the current precision.  With
         ``q = n/m`` the triple is ``(c - m, c + m, m * 2**(k+1))`` where
-        ``c = n * 2**(k+1)``.  An exact ``Fraction`` q is taken as it is,
+        ``c = n * 2**(k+1)``: the affine real ``(2n, m, 2m)``, so a sum
+        or difference of two blurred reals reads neither (see
+        :func:`add`).  An exact ``Fraction`` q is taken as it is,
         anything else goes through ``Fraction(q)``.
         """
         value = _fraction(q)
         n, m = value.numerator, value.denominator
-
-        def gen(k: int) -> Triple:
-            centre = n << (k + 1)
-            return (centre - m, centre + m, m << (k + 1))
-
-        return _nested(self.register(gen))
+        return _affine_real(self.register, (2 * n, m, 2 * m))
 
     def from_table(self, prefix: Sequence[Tuple[RationalLike, RationalLike]],
                    tail: RationalLike) -> RealNum:
@@ -387,12 +425,28 @@ class RealRegistry(Sequence[RealNum]):
         return _nested(self.register(gen))
 
 
+def _affine_join(a: Affine, b: Affine, sign: int) -> RealNum:
+    """The affine node ``a + sign * b`` of two affine reals: the triple
+    at every k that :func:`add` (``sign`` 1) or :func:`sub` (``sign``
+    -1) joins from the operands' triples at k + 1, with neither read."""
+    c1, w1, l1 = a
+    c2, w2, l2 = b
+    sa, sb, l = _over_lcm(l1, l2)
+    return _affine_real(lambda gen: RealNum(None, gen),
+                        (2 * (c1 * sa + sign * c2 * sb), w1 * sa + w2 * sb,
+                         2 * l))
+
+
 def add(a: RealNum, b: RealNum) -> RealNum:
     """The node a + b.
 
     The sum's interval at k reads both operands at k + 1, so the width
-    bound ``2**-(k+1) + 2**-(k+1) = 2**-k`` is preserved.
+    bound ``2**-(k+1) + 2**-(k+1) = 2**-k`` is preserved.  When both
+    operands are affine reals, so is the sum, and its generator computes
+    that join in closed form and reads neither operand.
     """
+    if a._affine is not None and b._affine is not None:
+        return _affine_join(a._affine, b._affine, 1)
 
     def gen(k: int) -> Triple:
         alo, ahi, ad = a._at(k + 1)
@@ -406,7 +460,10 @@ def add(a: RealNum, b: RealNum) -> RealNum:
 
 
 def sub(a: RealNum, b: RealNum) -> RealNum:
-    """The node a - b, reading both operands at k + 1."""
+    """The node a - b, reading both operands at k + 1; of two affine
+    reals, the affine node that reads neither (see :func:`add`)."""
+    if a._affine is not None and b._affine is not None:
+        return _affine_join(a._affine, b._affine, -1)
 
     def gen(k: int) -> Triple:
         alo, ahi, ad = a._at(k + 1)

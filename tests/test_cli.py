@@ -310,6 +310,26 @@ def test_check_rejects_tampered_result(tmp_path):
                             "not match re-derived witnesses\n")
 
 
+@pytest.mark.parametrize("change", [
+    {"left": [[0, False]]}, {"left": [[False, 0]]}, {"right": [[0, 0.0]]},
+    {"c_left": 0.0}, {"b_right": False}])
+def test_check_compares_the_stored_certificate_type_exactly(tmp_path, change):
+    # each stored value equals the derived 0 under ==, but no run writes it
+    result = tmp_path / "quad.json"
+    run_cli("convex", QUAD, "--result", result)
+    record = json.loads(result.read_text())
+    certificate = record["certificate"]
+    assert certificate == {"left": [[0, 0]], "right": [[0, 0]], "c_left": 0,
+                           "b_right": 0}
+    record["certificate"] = {**certificate, **change}
+    result.write_text(json.dumps(record))
+    check = run_cli("check", result, QUAD)
+    assert check.returncode == 4
+    assert check.stdout == ""
+    assert check.stderr == ("verification failed: stored certificate does "
+                            "not match re-derived witnesses\n")
+
+
 def test_check_rejects_boolean_point_indices(tmp_path):
     result = tmp_path / "quad.json"
     run_cli("convex", QUAD, "--result", result)

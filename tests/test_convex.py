@@ -479,8 +479,10 @@ def deep8_points():
 def test_deep8_evaluates_few_arithmetic_nodes(monkeypatch):
     # an evaluation is an interval computed, not read from the cache;
     # orientations are one det2 node each, so the construction and its
-    # audit compute 434 node intervals (698 as sub(mul, mul) trees), and
-    # the input reals are read exactly as they were
+    # audit compute 434 node intervals (698 as sub(mul, mul) trees); a
+    # difference of two blurred coordinates is an affine node that reads
+    # neither, so the only input intervals computed are the 10 that the
+    # learner's comparisons of y coordinates read
     pts = deep8_points()
     evaluations = Counter()
     at = RealNum._at
@@ -494,7 +496,7 @@ def test_deep8_evaluates_few_arithmetic_nodes(monkeypatch):
     res = convex_angle(pts)
     assert verify_bounding(pts, res.a, res.b, res.c) == res.certificate
     assert (res.a, res.b, res.c, res.restarts) == (4, 7, 2, 1)
-    assert evaluations["input"] == 216
+    assert evaluations["input"] == 10
     assert evaluations["node"] <= 434, evaluations
 
 

@@ -388,6 +388,73 @@ def test_sums_give_the_lcm_triple(left, right, equal, k):
     assert sub(a, b)._at(k) == (alo * sa - bhi * sb, ahi * sa - blo * sb, d)
 
 
+def unaffine_blurred(q):
+    """The triples of the blurred real q from a nested real that is not
+    affine, so add and sub read it at k + 1 like any other operand."""
+    n, m = q.numerator, q.denominator
+
+    def gen(k):
+        centre = n << (k + 1)
+        return (centre - m, centre + m, m << (k + 1))
+
+    return nested_real(gen)
+
+
+def difference_tree(a, b, c, d):
+    """The sums and differences of a, b, c and d whose triples are
+    compared, nested chains included."""
+    return [add(a, b), sub(a, b), add(c, d), sub(d, c),
+            sub(sub(a, b), add(c, d)), add(sub(d, a), sub(sub(b, c), a))]
+
+
+# equal and unequal denominators, dyadic and non-dyadic
+@pytest.mark.parametrize("denominators", [
+    (3, 3, 3, 3), (1, 1, 2 ** 20, 2 ** 20), (3, 7, 3 * 2 ** 5, 1),
+    (7, 3 * 2 ** 5, 2 ** 20, 3), (3 * 2 ** 5, 3 * 2 ** 5, 7, 7)])
+def test_affine_sums_give_the_triples_of_their_tree(denominators):
+    values = [Fraction(n, m) for n, m in zip((5, -11, 0, 2 ** 19), denominators)]
+    reg = RealRegistry()
+    affine = difference_tree(*(reg.blurred(q) for q in values))
+    reference = difference_tree(*(unaffine_blurred(q) for q in values))
+    for node, tree in zip(affine, reference):
+        assert node._affine is not None and tree._affine is None
+        for k in range(65):
+            assert node._at(k) == tree._at(k)
+
+
+def test_an_affine_node_reads_no_operand():
+    reg = RealRegistry()
+    a, b, c, d = (reg.blurred(Fraction(n, m))
+                  for n, m in ((1, 3), (-2, 7), (5, 96), (9, 1)))
+    inner = [sub(a, b), add(c, d)]
+    node = sub(*inner)
+    for k in (0, 5, 64, 3):
+        node._at(k)
+    assert sorted(node._cache) == [0, 3, 5, 64]
+    assert [real._cache for real in (a, b, c, d, *inner)] == [{}] * 6
+
+
+MIXED = {
+    "rational": lambda reg: reg.from_rational(Fraction(2, 3)),
+    "table": lambda reg: reg.from_table([(0, 1), (Fraction(1, 3), "2/3")],
+                                        Fraction(1, 2)),
+    "product": lambda reg: mul(reg.blurred(3), reg.blurred(Fraction(1, 7))),
+}
+
+
+@pytest.mark.parametrize("other", sorted(MIXED))
+@pytest.mark.parametrize("op", [add, sub])
+@pytest.mark.parametrize("k", [0, 9])
+def test_a_mixed_sum_reads_its_operands_at_the_next_index(other, op, k):
+    reg = RealRegistry()
+    for a, b in ((reg.blurred(Fraction(5, 7)), MIXED[other](reg)),
+                 (MIXED[other](reg), reg.blurred(Fraction(5, 7)))):
+        node = op(a, b)
+        assert node._affine is None
+        node._at(k)
+        assert sorted(a._cache) == sorted(b._cache) == [k + 1]
+
+
 @pytest.mark.parametrize("left", sorted(SIGNED))
 @pytest.mark.parametrize("right", sorted(SIGNED))
 @pytest.mark.parametrize("k", [0, 7, 40])
