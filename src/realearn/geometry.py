@@ -13,8 +13,10 @@ to the right when strictly negative.  The differences ``Q - P`` and
 ``R - P`` are the node's operands; decisions about one apex P may
 share them through a dict that the caller owns, and they are dropped
 with that dict.  A difference of two blurred coordinates is an affine
-node whose intervals are computed in closed form, so the orientation
-of three blurred points reads no coordinate.
+node whose intervals are computed in closed form, and a ``det2`` of
+four affine nodes computes their triples and magnitudes from them, so
+the orientation of three blurred points reads no coordinate and no
+difference.
 Because strict order of reals is only semi-decidable,
 :func:`decide_side` searches for the least precision at which the
 orientation's interval excludes zero, with the galloping search

@@ -45,6 +45,17 @@ affine; a rational, a table, a raw generator or a product is not, and
 a sum or difference with such an operand reads both operands at
 ``k + 1`` as before.
 
+A :func:`det2` of four affine reals reads no factor either.  It
+computes each factor's triple at its shift ``K = k + s`` from
+``(c, w, l)`` and takes the two products, whose denominators are
+``P << 2k`` and ``Q << 2k`` for ``P = (l_a * l_b) << 2 * s_ab`` and
+``Q = (l_c * l_d) << 2 * s_cd``.  Their gcd is ``gcd(P, Q) << 2k``,
+so the scale factors that join the products, ``Q / gcd(P, Q)`` and
+``P / gcd(P, Q)``, do not depend on k and are computed once, and the
+joined triple is the one the node tree gives.  A factor's magnitude
+exponent is read from ``(c, w, l)`` too, so no factor is evaluated
+at any index.
+
 A :class:`RealRegistry` holds the input reals only: its constructors
 register each real under a dense index.  Sums, differences and
 products are the functions :func:`add`, :func:`sub`, :func:`mul` and
@@ -165,7 +176,9 @@ class RealNum:
     read from index 0 is cached in ``_magnitude`` once computed, so a
     node shared by many products reads it once.  An affine real (see
     the module docstring) keeps its ``(c, w, l)`` in ``_affine``, which
-    is None for every other real.
+    is None for every other real; its magnitude exponent and, as a
+    factor of a :func:`det2` of affine reals, its triples are computed
+    from it, so such a real is never evaluated.
     """
 
     __slots__ = ("index", "nested", "_gen", "_cache", "_magnitude",
@@ -291,11 +304,17 @@ def find_strict_witness(r: RealNum, s: RealNum, k_max: int) -> Optional[int]:
 def _magnitude_exponent(x: RealNum) -> int:
     """Smallest c >= 0 such that 2**c bounds |x| at index 0, computed
     once per real.  Index 0 never changes once cached, so neither does
-    the answer."""
+    the answer.  An affine real ``(c, w, l)`` has the triple
+    ``(c - w, c + w, l)`` at index 0, taken from ``_affine`` without
+    evaluating or caching the real."""
     c = x._magnitude
     if c is not None:
         return c
-    lo, hi, d = x._at(0)
+    if x._affine is not None:
+        centre, w, d = x._affine
+        lo, hi = centre - w, centre + w
+    else:
+        lo, hi, d = x._at(0)
     m = max(abs(lo), abs(hi))
     c = 0
     if m > d:
@@ -515,6 +534,33 @@ def mul(a: RealNum, b: RealNum) -> RealNum:
     return _nested(RealNum(None, gen))
 
 
+def _affine_det2(a: Affine, b: Affine, c: Affine, d: Affine,
+                 s_ab: int, s_cd: int) -> RealNum:
+    """The :func:`det2` node ``a * b - c * d`` of four affine reals,
+    whose factors are read at ``k + s_ab`` and ``k + s_cd``: the same
+    triple at every k, with no factor read.  The product denominators
+    are ``P << 2k`` and ``Q << 2k``, whose gcd is ``gcd(P, Q) << 2k``,
+    so the join's scale factors and ``lcm(P, Q)`` come from
+    ``_over_lcm(P, Q)`` once, and the denominator at k is
+    ``lcm(P, Q) << 2k``.  The products' own denominators are not
+    needed, so the factor triples carry 1 in their place."""
+    ca, wa, la = a
+    cb, wb, lb = b
+    cc, wc, lc = c
+    cd, wd, ld = d
+    sp, sq, dd = _over_lcm((la * lb) << 2 * s_ab, (lc * ld) << 2 * s_cd)
+
+    def gen(k: int) -> Triple:
+        k_ab, k_cd = k + s_ab, k + s_cd
+        x, y = ca << k_ab, cb << k_ab
+        lo, hi, _ = _product((x - wa, x + wa, 1), (y - wb, y + wb, 1))
+        x, y = cc << k_cd, cd << k_cd
+        qlo, qhi, _ = _product((x - wc, x + wc, 1), (y - wd, y + wd, 1))
+        return (lo * sp - qhi * sq, hi * sp - qlo * sq, dd << 2 * k)
+
+    return _nested(RealNum(None, gen))
+
+
 def det2(a: RealNum, b: RealNum, c: RealNum, d: RealNum) -> RealNum:
     """The node a * b - c * d as one node.
 
@@ -524,10 +570,16 @@ def det2(a: RealNum, b: RealNum, c: RealNum, d: RealNum) -> RealNum:
     the two are joined as :func:`sub` joins its operands.  So each
     product has width at most ``2**-(k+2)`` (see :func:`mul`) and the
     difference at most ``2**-(k+1)``.  The tree's two product nodes
-    are never built, cached or checked.
+    are never built, cached or checked.  When all four factors are
+    affine reals, the node computes their triples in closed form and
+    joins the products with scale factors fixed at construction (see
+    :func:`_affine_det2`), so it reads no factor.
     """
     s_ab = _magnitude_exponent(a) + _magnitude_exponent(b) + 3
     s_cd = _magnitude_exponent(c) + _magnitude_exponent(d) + 3
+    affine = (a._affine, b._affine, c._affine, d._affine)
+    if None not in affine:
+        return _affine_det2(*affine, s_ab, s_cd)
 
     def gen(k: int) -> Triple:
         lo, hi, pd = _product(a._at(k + s_ab), b._at(k + s_ab))

@@ -431,9 +431,8 @@ def test_an_attempt_builds_each_difference_once(monkeypatch):
     n = 24
     _, pts = register_points(angle_ordered_points(n + 1), blurred=True)
     built, factors, decisions = [], [], []
-    index_0_reads = Counter()
     sub, det2 = realearn.geometry.sub, realearn.geometry.det2
-    decide_side, at = realearn.convex.decide_side, RealNum._at
+    decide_side = realearn.convex.decide_side
 
     def counted_sub(a, b):
         built.append(sub(a, b))
@@ -448,22 +447,17 @@ def test_an_attempt_builds_each_difference_once(monkeypatch):
         decisions.append(args)
         return decide_side(*args)
 
-    def counted_at(real, k):
-        if k == 0:
-            index_0_reads[id(real)] += 1
-        return at(real, k)
-
     monkeypatch.setattr(realearn.geometry, "sub", counted_sub)
     monkeypatch.setattr(realearn.geometry, "det2", counted_det2)
     monkeypatch.setattr(realearn.convex, "decide_side", counted_decide_side)
-    monkeypatch.setattr(RealNum, "_at", counted_at)
     res = convex_angle(pts)
     assert res.restarts == 0
     assert len(decisions) > 2 * n
     assert len(built) <= 2 * n + len(decisions)
-    # det2 reads its factors at k + 3 or above, so a difference is read
-    # at index 0 only for its magnitude, and that once
-    assert {index_0_reads[id(real)] for real in factors} == {1}
+    # every factor is a difference of blurred coordinates, an affine
+    # real: det2 computes its factors' triples and magnitudes in closed
+    # form, so no factor is ever evaluated, at index 0 or any other
+    assert factors and all(real._cache == {} for real in factors)
 
 
 def deep8_points():
@@ -478,11 +472,13 @@ def deep8_points():
 
 def test_deep8_evaluates_few_arithmetic_nodes(monkeypatch):
     # an evaluation is an interval computed, not read from the cache;
-    # orientations are one det2 node each, so the construction and its
-    # audit compute 434 node intervals (698 as sub(mul, mul) trees); a
-    # difference of two blurred coordinates is an affine node that reads
-    # neither, so the only input intervals computed are the 10 that the
-    # learner's comparisons of y coordinates read
+    # orientations are one det2 node each, and its four factors are
+    # differences of blurred coordinates, affine nodes that det2 reads
+    # in closed form, as they read the coordinates; so the only node
+    # intervals the construction and its audit compute are the 132 of
+    # det2 nodes (434 when det2 read its factors, 698 as sub(mul, mul)
+    # trees), and the only input intervals the 10 that the learner's
+    # comparisons of y coordinates read
     pts = deep8_points()
     evaluations = Counter()
     at = RealNum._at
@@ -497,7 +493,7 @@ def test_deep8_evaluates_few_arithmetic_nodes(monkeypatch):
     assert verify_bounding(pts, res.a, res.b, res.c) == res.certificate
     assert (res.a, res.b, res.c, res.restarts) == (4, 7, 2, 1)
     assert evaluations["input"] == 10
-    assert evaluations["node"] <= 434, evaluations
+    assert evaluations["node"] <= 132, evaluations
 
 
 @pytest.mark.parametrize("rational, restarts", [

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -408,11 +409,20 @@ def difference_tree(a, b, c, d):
 
 
 # equal and unequal denominators, dyadic and non-dyadic
-@pytest.mark.parametrize("denominators", [
+DENOMINATOR_SETS = [
     (3, 3, 3, 3), (1, 1, 2 ** 20, 2 ** 20), (3, 7, 3 * 2 ** 5, 1),
-    (7, 3 * 2 ** 5, 2 ** 20, 3), (3 * 2 ** 5, 3 * 2 ** 5, 7, 7)])
+    (7, 3 * 2 ** 5, 2 ** 20, 3), (3 * 2 ** 5, 3 * 2 ** 5, 7, 7)]
+
+
+def affine_values(denominators):
+    """A positive, a negative, a zero and a large value, whose blurred
+    reals are positive, negative, straddling and positive."""
+    return [Fraction(n, m) for n, m in zip((5, -11, 0, 2 ** 19), denominators)]
+
+
+@pytest.mark.parametrize("denominators", DENOMINATOR_SETS)
 def test_affine_sums_give_the_triples_of_their_tree(denominators):
-    values = [Fraction(n, m) for n, m in zip((5, -11, 0, 2 ** 19), denominators)]
+    values = affine_values(denominators)
     reg = RealRegistry()
     affine = difference_tree(*(reg.blurred(q) for q in values))
     reference = difference_tree(*(unaffine_blurred(q) for q in values))
@@ -434,6 +444,68 @@ def test_an_affine_node_reads_no_operand():
     assert [real._cache for real in (a, b, c, d, *inner)] == [{}] * 6
 
 
+def affine_factors(reals):
+    """The blurred reals a, b, c (positive, negative, straddling) and
+    the differences a - b, b - a and c - c (positive, negative,
+    straddling) of the four reals a, b, c, d."""
+    a, b, c, _ = reals
+    return [a, b, c, sub(a, b), sub(b, a), sub(c, c)]
+
+
+@pytest.mark.parametrize("denominators", DENOMINATOR_SETS)
+def test_affine_det2_gives_the_triples_of_its_tree(denominators):
+    values = affine_values(denominators)
+    reg = RealRegistry()
+    factors = affine_factors([reg.blurred(q) for q in values])
+    twins = affine_factors([unaffine_blurred(q) for q in values])
+    assert all(f._affine is not None for f in factors)
+    assert all(t._affine is None for t in twins)
+    equal_denominators = set()
+    # each factor in each position, in each sign case against each;
+    # b * a has the denominator of a * b, and other products mostly not
+    for i, j in itertools.product(range(6), repeat=2):
+        for chosen in ((i, j, j, i), (i, j, (i + 1) % 6, (j + 2) % 6)):
+            node = det2(*(factors[n] for n in chosen))
+            twin = det2(*(twins[n] for n in chosen))
+            ab = mul(factors[chosen[0]], factors[chosen[1]])
+            cd = mul(factors[chosen[2]], factors[chosen[3]])
+            tree = sub(ab, cd)
+            for k in range(65):
+                assert node._at(k) == twin._at(k) == tree._at(k)
+            # P == Q exactly when the products' denominators are equal
+            equal_denominators.add(ab._at(1)[2] == cd._at(1)[2])
+    assert equal_denominators == {True, False}
+
+
+def test_an_affine_det2_reads_no_factor():
+    reg = RealRegistry()
+    a, b, c, d = (reg.blurred(Fraction(n, m))
+                  for n, m in ((1, 3), (-2, 7), (5, 96), (9, 1)))
+    factors = [sub(a, b), add(c, d), a, sub(d, b)]
+    node = det2(*factors)
+    for k in (0, 5, 64, 3):
+        node._at(k)
+    assert sorted(node._cache) == [0, 3, 5, 64]
+    assert [real._cache for real in (a, b, c, d, *factors)] == [{}] * 8
+
+
+@pytest.mark.parametrize("q", [Fraction(0), Fraction(1, 2), Fraction(1),
+                               Fraction(-3, 2), Fraction(2 ** 19, 3),
+                               Fraction(-2 ** 40 + 1, 96)])
+def test_affine_magnitude_is_read_in_closed_form(q):
+    reg = RealRegistry()
+    other = Fraction(7, 5)
+    reals = [reg.blurred(q), sub(reg.blurred(q), reg.blurred(other)),
+             add(reg.blurred(other), reg.blurred(q))]
+    twins = [unaffine_blurred(q),
+             sub(unaffine_blurred(q), unaffine_blurred(other)),
+             add(unaffine_blurred(other), unaffine_blurred(q))]
+    for real, twin in zip(reals, twins):
+        assert real._affine is not None and twin._affine is None
+        assert _magnitude_exponent(real) == _magnitude_exponent(twin)
+        assert real._cache == {}
+
+
 MIXED = {
     "rational": lambda reg: reg.from_rational(Fraction(2, 3)),
     "table": lambda reg: reg.from_table([(0, 1), (Fraction(1, 3), "2/3")],
@@ -453,6 +525,24 @@ def test_a_mixed_sum_reads_its_operands_at_the_next_index(other, op, k):
         assert node._affine is None
         node._at(k)
         assert sorted(a._cache) == sorted(b._cache) == [k + 1]
+
+
+@pytest.mark.parametrize("other", sorted(MIXED))
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize("k", [0, 9])
+def test_a_mixed_det2_reads_its_factors_at_their_shift(other, position, k):
+    reg = RealRegistry()
+    factors = [reg.blurred(Fraction(n, m))
+               for n, m in ((5, 7), (-2, 3), (11, 96), (1, 1))]
+    factors[position] = MIXED[other](reg)
+    s_ab = _magnitude_exponent(factors[0]) + _magnitude_exponent(factors[1]) + 3
+    s_cd = _magnitude_exponent(factors[2]) + _magnitude_exponent(factors[3]) + 3
+    det2(*factors)._at(k)
+    for n, real in enumerate(factors):
+        shift = s_ab if n < 2 else s_cd
+        # the mixed factor's magnitude is read from index 0
+        expected = [0, k + shift] if n == position else [k + shift]
+        assert sorted(real._cache) == expected
 
 
 @pytest.mark.parametrize("left", sorted(SIGNED))
@@ -653,10 +743,37 @@ def build_expr(reg, expr):
     return getattr(reg, name)(*args)
 
 
+# Every leaf blurred, so every sum and difference is an affine node and
+# every det2 reads four affine factors in closed form.
+affine_sums = st.recursive(
+    st.tuples(st.just("blurred"), kernel_values),
+    lambda inner: st.tuples(st.sampled_from(["add", "sub"]), inner, inner),
+    max_leaves=4)
+
+affine_exprs = st.one_of(
+    affine_sums,
+    st.tuples(st.just("det2"), affine_sums, affine_sums, affine_sums,
+              affine_sums))
+
+kernel_levels = st.lists(st.integers(min_value=0, max_value=300),
+                         min_size=1, max_size=4)
+
+
 @settings(max_examples=150, deadline=None)
-@given(kernel_exprs, kernel_exprs,
-       st.lists(st.integers(min_value=0, max_value=300), min_size=1, max_size=4))
+@given(kernel_exprs, kernel_exprs, kernel_levels)
 def test_integer_kernel_matches_fraction_reference(e1, e2, levels):
+    check_against_reference(e1, e2, levels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(affine_exprs, affine_exprs, kernel_levels)
+def test_affine_closed_forms_match_fraction_reference(e1, e2, levels):
+    check_against_reference(e1, e2, levels)
+
+
+def check_against_reference(e1, e2, levels):
+    """The reals of two expressions and their Fraction references have
+    the same magnitude exponents, intervals and ``op_at`` answers."""
     reg = RealRegistry()
     reals = [build_expr(reg, e1), build_expr(reg, e2)]
     ref = RefRegistry()
