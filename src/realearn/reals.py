@@ -24,8 +24,8 @@ rationals, the interval that :class:`fractions.Fraction` arithmetic
 would give.
 The public :meth:`RealNum.interval_at` returns that interval as a
 ``Fraction`` pair, and a raw generator handed to
-:meth:`RealRegistry.register` returns ``Fraction`` pairs, converted
-once on evaluation.
+:meth:`RealRegistry.from_generator` returns ``Fraction`` pairs,
+converted once on evaluation.
 
 An affine real ``(c, w, l)``, with ``2w <= l``, is one whose triple at
 every k is ``((c << k) - w, (c << k) + w, l << k)``: the interval of
@@ -64,13 +64,13 @@ registry, and a node and its cached intervals live only as long as the
 caller keeps them.  The learners name reals by their position in whatever
 sequence of reals they are given, a registry or a plain list.
 
-Evaluation is lazy in precision as well as in time.  Reals built by the
-registry's constructors and arithmetic nodes are nested by
-construction, so they are evaluated only at the indices actually read:
-a product read at ``k`` reads its operands at ``k + shift`` and nothing
-below it.  A raw generator has no such proof, so it is evaluated on
-the whole prefix ``0..k`` and each new interval is checked against its
-predecessor.
+Evaluation is lazy in precision as well as in time.  Every real is a
+generator of triples that is nested by construction, evaluated only
+at the indices actually read: a product read at ``k`` reads its
+operands at ``k + shift`` and nothing below it.  A raw generator has
+no such proof, so :meth:`RealRegistry.from_generator` wraps it in a
+triple generator that evaluates the whole prefix ``0..k`` and checks
+each new interval against its predecessor in every build.
 
 Strict order between two reals is observed through :func:`op_at`, a
 decidable precision-indexed predicate: ``op_at(r, s, k)`` holds when
@@ -158,21 +158,17 @@ class RealNum:
     An input real is created through a :class:`RealRegistry` and
     carries its registry index; an arithmetic node (:func:`add`,
     :func:`sub`, :func:`mul`, :func:`det2`) has ``index`` None.  No
-    real refers back to a registry.  Intervals are cached per index as
-    integer triples (see the module docstring), so the generator is
-    evaluated at most once per index.  ``nested`` alone picks the
-    path.  A nested real (every constructor and arithmetic node) has a
-    generator of ``(lo, hi, d)`` triples and is evaluated at the
-    requested index only; in debug builds the new interval is checked
-    for ``lo <= hi``, width at most ``2**-k`` and nesting with whichever
-    neighbours ``k - 1`` and ``k + 1`` are cached.  The clauses are
-    tested inline and :func:`_check_interval` is called only to name a
-    failing one.
-    Any other real is a raw generator of ``Fraction`` pairs: reading
-    index ``k`` evaluates the missing prefix up to ``k`` in order, and
-    every new interval is checked against its predecessor in all
-    builds, raising :class:`InvalidNesting` on the first violated
-    clause.  The magnitude exponent that :func:`mul` and :func:`det2`
+    real refers back to a registry.  Every real has one evaluation
+    path: its generator returns the ``(lo, hi, d)`` triple of the
+    requested index only, and the triple is cached, so the generator
+    is evaluated at most once per index.  In debug builds the new
+    interval is checked for ``lo <= hi``, width at most ``2**-k`` and
+    nesting with whichever neighbours ``k - 1`` and ``k + 1`` are
+    cached.  The clauses are tested inline and :func:`_check_interval`
+    is called only to name a failing one.  A raw generator of
+    ``Fraction`` pairs is checked in every build by the triple
+    generator that :meth:`RealRegistry.from_generator` wraps it in.
+    The magnitude exponent that :func:`mul` and :func:`det2`
     read from index 0 is cached in ``_magnitude`` once computed, so a
     node shared by many products reads it once.  An affine real (see
     the module docstring) keeps its ``(c, w, l)`` in ``_affine``, which
@@ -181,13 +177,10 @@ class RealNum:
     from it, so such a real is never evaluated.
     """
 
-    __slots__ = ("index", "nested", "_gen", "_cache", "_magnitude",
-                 "_affine")
+    __slots__ = ("index", "_gen", "_cache", "_magnitude", "_affine")
 
-    def __init__(self, index: Optional[int],
-                 gen: Callable[[int], Union[Interval, Triple]]):
+    def __init__(self, index: Optional[int], gen: Callable[[int], Triple]):
         self.index = index
-        self.nested = False
         self._gen = gen
         self._cache: dict[int, Triple] = {}
         self._magnitude: Optional[int] = None
@@ -206,29 +199,23 @@ class RealNum:
             return interval
         if k < 0:
             raise ValueError(f"precision index must be >= 0, got {k}")
-        if self.nested:
-            interval = self._gen(k)
-            if __debug__:
-                # the clauses of _check_interval, which runs only to
-                # name the first one that fails
-                lo, hi, d = interval
-                outer = cache.get(k - 1)
-                if (lo > hi or (hi - lo) << k > d or outer is not None and (
-                        lo * outer[2] < outer[0] * d
-                        or hi * outer[2] > outer[1] * d)):
-                    _check_interval(k, interval, outer)
-                # a cached k + 1 passed its own clauses: test its nesting
-                inner = cache.get(k + 1)
-                if inner is not None and (inner[0] * d < lo * inner[2]
-                                          or inner[1] * d > hi * inner[2]):
-                    _check_interval(k + 1, inner, interval)
-            cache[k] = interval
-            return interval
-        for j in range(len(cache), k + 1):
-            interval = _triple(*self._gen(j))
-            _check_interval(j, interval, cache.get(j - 1))
-            cache[j] = interval
-        return cache[k]
+        interval = self._gen(k)
+        if __debug__:
+            # the clauses of _check_interval, which runs only to name
+            # the first one that fails
+            lo, hi, d = interval
+            outer = cache.get(k - 1)
+            if (lo > hi or (hi - lo) << k > d or outer is not None and (
+                    lo * outer[2] < outer[0] * d
+                    or hi * outer[2] > outer[1] * d)):
+                _check_interval(k, interval, outer)
+            # a cached k + 1 passed its own clauses: test its nesting
+            inner = cache.get(k + 1)
+            if inner is not None and (inner[0] * d < lo * inner[2]
+                                      or inner[1] * d > hi * inner[2]):
+                _check_interval(k + 1, inner, interval)
+        cache[k] = interval
+        return interval
 
     def __repr__(self) -> str:
         return f"RealNum({self.index})"
@@ -325,19 +312,10 @@ def _magnitude_exponent(x: RealNum) -> int:
     return c
 
 
-def _nested(real: RealNum) -> RealNum:
-    """Mark ``real`` as a generator of ``(lo, hi, d)`` triples that is
-    nested by construction, for evaluation at the requested index only.
-    Constructors pass a registered real, arithmetic nodes an
-    unregistered one."""
-    real.nested = True
-    return real
-
-
 def _affine_real(make: Callable[[Callable[[int], Triple]], RealNum],
                  affine: Affine) -> RealNum:
-    """The nested real that ``make`` builds on the generator of the
-    affine real ``affine = (c, w, l)``: the triple
+    """The real that ``make`` builds on the generator of the affine
+    real ``affine = (c, w, l)``: the triple
     ``((c << k) - w, (c << k) + w, l << k)`` at every k."""
     c, w, l = affine
 
@@ -347,7 +325,7 @@ def _affine_real(make: Callable[[Callable[[int], Triple]], RealNum],
 
     real = make(gen)
     real._affine = affine
-    return _nested(real)
+    return real
 
 
 class RealRegistry(Sequence[RealNum]):
@@ -373,18 +351,41 @@ class RealRegistry(Sequence[RealNum]):
     def __iter__(self) -> Iterator[RealNum]:
         return iter(self._entries)
 
-    def register(self, gen: Generator) -> RealNum:
-        """Register a raw interval generator and return its handle.
+    def register(self, gen: Callable[[int], Triple]) -> RealNum:
+        """Register a generator of ``(lo, hi, d)`` triples and return its
+        handle.
 
-        The generator must produce nested intervals of width at most
-        ``2**-k`` as pairs of rationals; each pair is converted once to
-        a triple.  It is evaluated prefix by prefix and a violation
-        raises :class:`InvalidNesting` on first evaluation.
-        Constructors below validate more eagerly.
+        The generator must be nested by construction: its triple at
+        every k has width at most ``2**-k`` and lies inside its triple
+        at ``k - 1``.  It is the one entry of every constructor below,
+        and it is evaluated at the requested index only, with the
+        checks of :meth:`RealNum._at`.
         """
         real = RealNum(len(self._entries), gen)
         self._entries.append(real)
         return real
+
+    def from_generator(self, gen: Generator) -> RealNum:
+        """A real given by a raw generator of rational pairs.
+
+        The generator must produce nested intervals of width at most
+        ``2**-k``.  It is wrapped in a triple generator that, to read
+        index k, evaluates the missing prefix up to k in order,
+        converts each pair once to a triple and checks it against its
+        predecessor in every build, ``python -O`` included: the first
+        violated clause raises :class:`InvalidNesting`.  The checked
+        prefix is kept, so each index is evaluated once.
+        """
+        prefix: list[Triple] = []
+
+        def nested(k: int) -> Triple:
+            for j in range(len(prefix), k + 1):
+                interval = _triple(*gen(j))
+                _check_interval(j, interval, prefix[-1] if j else None)
+                prefix.append(interval)
+            return prefix[k]
+
+        return self.register(nested)
 
     def from_rational(self, q: RationalLike) -> RealNum:
         """The real with constant degenerate interval [q, q].
@@ -398,7 +399,7 @@ class RealRegistry(Sequence[RealNum]):
         def gen(k: int) -> Triple:
             return interval
 
-        return _nested(self.register(gen))
+        return self.register(gen)
 
     def blurred(self, q: RationalLike) -> RealNum:
         """A real converging to q with interval width exactly 2**-k.
@@ -437,11 +438,9 @@ class RealRegistry(Sequence[RealNum]):
                 raise InvalidNesting(len(intervals), "tail outside final interval")
 
         def gen(k: int) -> Triple:
-            if k < len(intervals):
-                return intervals[k]
-            return tail_interval
+            return intervals[k] if k < len(intervals) else tail_interval
 
-        return _nested(self.register(gen))
+        return self.register(gen)
 
 
 def _affine_join(a: Affine, b: Affine, sign: int) -> RealNum:
@@ -456,6 +455,26 @@ def _affine_join(a: Affine, b: Affine, sign: int) -> RealNum:
                          2 * l))
 
 
+def _join(a: Triple, b: Triple, sign: int) -> Triple:
+    """The triple of ``a + sign * b``, for ``sign`` 1 or -1, with both
+    operands over the lcm of their denominators."""
+    alo, ahi, ad = a
+    blo, bhi, bd = b if sign > 0 else (-b[1], -b[0], b[2])
+    sa, sb, d = _over_lcm(ad, bd)
+    return (alo * sa + blo * sb, ahi * sa + bhi * sb, d)
+
+
+def _sum(a: RealNum, b: RealNum, sign: int) -> RealNum:
+    """The node ``a + sign * b`` that :func:`add` and :func:`sub` build."""
+    if a._affine is not None and b._affine is not None:
+        return _affine_join(a._affine, b._affine, sign)
+
+    def gen(k: int) -> Triple:
+        return _join(a._at(k + 1), b._at(k + 1), sign)
+
+    return RealNum(None, gen)
+
+
 def add(a: RealNum, b: RealNum) -> RealNum:
     """The node a + b.
 
@@ -464,35 +483,13 @@ def add(a: RealNum, b: RealNum) -> RealNum:
     operands are affine reals, so is the sum, and its generator computes
     that join in closed form and reads neither operand.
     """
-    if a._affine is not None and b._affine is not None:
-        return _affine_join(a._affine, b._affine, 1)
-
-    def gen(k: int) -> Triple:
-        alo, ahi, ad = a._at(k + 1)
-        blo, bhi, bd = b._at(k + 1)
-        if ad == bd:
-            return (alo + blo, ahi + bhi, ad)
-        sa, sb, d = _over_lcm(ad, bd)
-        return (alo * sa + blo * sb, ahi * sa + bhi * sb, d)
-
-    return _nested(RealNum(None, gen))
+    return _sum(a, b, 1)
 
 
 def sub(a: RealNum, b: RealNum) -> RealNum:
     """The node a - b, reading both operands at k + 1; of two affine
     reals, the affine node that reads neither (see :func:`add`)."""
-    if a._affine is not None and b._affine is not None:
-        return _affine_join(a._affine, b._affine, -1)
-
-    def gen(k: int) -> Triple:
-        alo, ahi, ad = a._at(k + 1)
-        blo, bhi, bd = b._at(k + 1)
-        if ad == bd:
-            return (alo - bhi, ahi - blo, ad)
-        sa, sb, d = _over_lcm(ad, bd)
-        return (alo * sa - bhi * sb, ahi * sa - blo * sb, d)
-
-    return _nested(RealNum(None, gen))
+    return _sum(a, b, -1)
 
 
 def _product(a: Triple, b: Triple) -> Triple:
@@ -531,7 +528,7 @@ def mul(a: RealNum, b: RealNum) -> RealNum:
     def gen(k: int) -> Triple:
         return _product(a._at(k + shift), b._at(k + shift))
 
-    return _nested(RealNum(None, gen))
+    return RealNum(None, gen)
 
 
 def _affine_det2(a: Affine, b: Affine, c: Affine, d: Affine,
@@ -558,7 +555,7 @@ def _affine_det2(a: Affine, b: Affine, c: Affine, d: Affine,
         qlo, qhi, _ = _product((x - wc, x + wc, 1), (y - wd, y + wd, 1))
         return (lo * sp - qhi * sq, hi * sp - qlo * sq, dd << 2 * k)
 
-    return _nested(RealNum(None, gen))
+    return RealNum(None, gen)
 
 
 def det2(a: RealNum, b: RealNum, c: RealNum, d: RealNum) -> RealNum:
@@ -582,11 +579,7 @@ def det2(a: RealNum, b: RealNum, c: RealNum, d: RealNum) -> RealNum:
         return _affine_det2(*affine, s_ab, s_cd)
 
     def gen(k: int) -> Triple:
-        lo, hi, pd = _product(a._at(k + s_ab), b._at(k + s_ab))
-        qlo, qhi, qd = _product(c._at(k + s_cd), d._at(k + s_cd))
-        if pd == qd:
-            return (lo - qhi, hi - qlo, pd)
-        sp, sq, dd = _over_lcm(pd, qd)
-        return (lo * sp - qhi * sq, hi * sp - qlo * sq, dd)
+        return _join(_product(a._at(k + s_ab), b._at(k + s_ab)),
+                     _product(c._at(k + s_cd), d._at(k + s_cd)), -1)
 
-    return _nested(RealNum(None, gen))
+    return RealNum(None, gen)

@@ -207,7 +207,7 @@ def test_three_points_does_not_depend_on_the_start(coords, blurred, k_max):
 def mixed_points(draw, count):
     """``count`` points of :func:`point_sets` whose coordinates are each
     built one of four ways: a constant, a blurred real, an interval table
-    and a raw registered generator with lopsided intervals."""
+    and a raw generator with lopsided intervals."""
     reg = RealRegistry()
 
     def real(value):
@@ -219,8 +219,9 @@ def mixed_points(draw, count):
         if kind == "table":
             rng = Random(draw(st.integers(min_value=0, max_value=2 ** 16)))
             return reg.from_table(random_table_prefix(value, rng, 8), value)
-        return reg.register(lambda k: (value - Fraction(1, 2 ** (k + 2)),
-                                       value + Fraction(1, 2 ** (k + 1))))
+        return reg.from_generator(
+            lambda k: (value - Fraction(1, 2 ** (k + 2)),
+                       value + Fraction(1, 2 ** (k + 1))))
 
     coords = draw(point_sets(count))
     ys = [real(Fraction(y)) for _, y in coords]

@@ -78,7 +78,7 @@ def test_intervals_memoized():
         calls.append(k)
         return (Fraction(0), Fraction(1, 2 ** k))
 
-    r = reg.register(gen)
+    r = reg.from_generator(gen)
     r.interval_at(4)
     r.interval_at(4)
     r.interval_at(2)
@@ -330,10 +330,8 @@ def test_constructors_evaluate_only_the_requested_index():
 
 
 def nested_real(gen):
-    """A nested real from a crafted ``(lo, hi, d)`` generator."""
-    real = RealRegistry().register(gen)
-    real.nested = True
-    return real
+    """A real from a crafted ``(lo, hi, d)`` generator."""
+    return RealRegistry().register(gen)
 
 
 @pytest.mark.skipif(not __debug__, reason="neighbour checks are debug-only")
@@ -580,23 +578,49 @@ def test_det2_gives_the_triples_of_its_tree(left, right):
     assert equal_denominators == {True, False}
 
 
-@pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_raw_generator_nesting_is_checked_in_every_build(flags):
+# one bad prefix per clause of _check_interval, and the (k, clause) it raises
+BAD_PREFIXES = [
+    ([(1, 0)], "0 lower endpoint above upper endpoint"),
+    ([(0, 2)], "0 width exceeds 2^-0"),
+    ([(0, 1), (-1, Fraction(-1, 2))], "1 lower endpoint decreases"),
+    ([(0, 1), (1, Fraction(3, 2))], "1 upper endpoint increases"),
+]
+
+
+@pytest.mark.parametrize("flags, prefix, error", [
+    pytest.param(flags, prefix, error,
+                 id=f"flags{i}" if prefix is None else f"flags{i}-{error}")
+    for prefix, error in [(None, "1 upper endpoint increases"), *BAD_PREFIXES]
+    for i, flags in enumerate(([], ["-O"]))])
+def test_raw_generator_nesting_is_checked_in_every_build(flags, prefix, error):
+    # with no prefix, a generator nested at no odd k; with one, a
+    # generator that reads the prefix and then 0, and raises the
+    # (k, clause) that from_table raises at construction
+    if prefix is None:
+        gen = "lambda k: (Fraction(k % 2, 2), Fraction(k % 2, 2))"
+        table = ""
+    else:
+        gen = f"lambda k: {prefix!r}[k] if k < {len(prefix)} else (0, 0)"
+        table = (
+            "try:\n"
+            f"    RealRegistry().from_table({prefix!r}, 0)\n"
+            "except InvalidNesting as exc:\n"
+            "    print(exc.k, exc.clause)\n"
+        )
     code = (
         "from fractions import Fraction\n"
         "from realearn import InvalidNesting, RealRegistry\n"
-        "r = RealRegistry().register("
-        "lambda k: (Fraction(k % 2, 2), Fraction(k % 2, 2)))\n"
+        f"r = RealRegistry().from_generator({gen})\n"
         "try:\n"
         "    r.interval_at(3)\n"
         "except InvalidNesting as exc:\n"
         "    print(exc.k, exc.clause)\n"
-    )
+    ) + table
     proc = subprocess.run([sys.executable, *flags, "-c", code],
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1 upper endpoint increases\n"
+    assert proc.stdout == (error + "\n") * (1 if prefix is None else 2)
 
 
 # Reference: the Fraction kernel that the integer triples replace, kept
@@ -661,6 +685,9 @@ class RefRegistry:
 
         return RefReal(gen)
 
+    def from_generator(self, gen):
+        return RefReal(gen)
+
     def add(self, a, b):
         def gen(k):
             alo, ahi = a.interval_at(k + 1)
@@ -715,10 +742,24 @@ def kernel_tables(draw):
     return ("from_table", prefix, value)
 
 
+def raw_generator(value, share):
+    """The ``from_generator`` leaf of a raw generator of rational pairs
+    around ``value``, lopsided by ``share`` in [0, 1]:
+    ``[v - share / 2**k, v + (1 - share) / 2**k]``."""
+    def gen(k):
+        scale = Fraction(1, 2 ** k)
+        return (value - share * scale, value + (1 - share) * scale)
+
+    return ("from_generator", gen)
+
+
 kernel_leaves = st.one_of(
     st.tuples(st.just("from_rational"), kernel_values),
     st.tuples(st.just("blurred"), kernel_values),
-    kernel_tables())
+    kernel_tables(),
+    st.builds(raw_generator, kernel_values,
+              st.builds(Fraction, st.integers(min_value=0, max_value=15),
+                        st.just(15))))
 
 kernel_exprs = st.recursive(
     kernel_leaves,
