@@ -130,8 +130,8 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
         def side(q: int, r: int, stage: str) -> SideDecision:
             """Record P_r's side of A->P_q as a ``side`` event, deciding
             it unless the attempt decided the pair before: reversed, the
-            side flips and the witness stays.  The search starts at the
-            witness of the last side recorded."""
+            side flips and the witness stays.  The search is given the
+            witness of the last side recorded as its start."""
             nonlocal last
             decision = decided.get((q, r))
             if decision is None:

@@ -26,7 +26,11 @@ triples) raises :class:`DegenerateInput`.  The search gallops from a
 start precision that the caller may pass, such as the witness of its
 previous decision: neighbouring decisions of one construction have
 close witnesses, so fewer precisions are probed, and the least witness
-is the same from any start.
+is the same from any start.  The orientation of three blurred points
+says where its witness is: unless its interval at the start 0 already
+excludes zero, the search starts at the ``det2`` node's own estimate,
+within one level of the witness on almost every decision, and a
+triple whose limits are collinear raises without a search.
 
 A :class:`BoundingCertificate` records the witnesses of a bounding
 angle, and :func:`verify_bounding` re-derives one from the points
@@ -121,6 +125,15 @@ def decide_side(p: Point, q: Point, r: Point, k_max: int,
     starts at precision ``start``, a guess such as the witness of a
     neighbouring decision; the guess decides which precisions are
     probed, never the answer.
+
+    An orientation of affine reals, such as one of blurred points,
+    estimates its own witness from its integer coefficients (see
+    :func:`~realearn.reals._affine_det2`), and the search starts there
+    instead.  From ``start`` 0 it first reads the interval at 0, and a
+    decision witnessed there computes no estimate.  An orientation
+    whose limit is zero, the orientation of collinear limits, has no
+    estimate and no witness at any precision, so it raises
+    :class:`DegenerateInput` without searching.
     """
     orient = orientation if orientation is not None else orientation_real(p, q, r)
 
@@ -128,7 +141,15 @@ def decide_side(p: Point, q: Point, r: Point, k_max: int,
         lo, hi, _ = orient._at(k)
         return lo > 0 or hi < 0
 
-    k = least_witness(excludes_zero, k_max, start)
+    estimate = orient._estimate
+    if estimate is None:
+        k = least_witness(excludes_zero, k_max, start)
+    elif start == 0 and k_max >= 0 and excludes_zero(0):
+        k = 0
+    else:
+        # None: the limit is zero, and every interval contains it
+        hint = estimate()
+        k = None if hint is None else least_witness(excludes_zero, k_max, hint)
     if k is not None:
         return Left(k) if orient._at(k)[0] > 0 else Right(k)
     raise DegenerateInput(
@@ -191,7 +212,10 @@ def verify_bounding(points: Sequence[Point], a: int, b: int, c: int,
     audit's orientations share one dict of difference nodes, all about
     apex ``a``, and nothing from the construction.
     Each decision's witness search starts at the witness of the audit's
-    previous decision.  Intended as a post-hoc audit of
+    previous decision, or, when the points are blurred, at the
+    orientation's own estimate (see :func:`decide_side`), so a clause
+    over collinear limits fails without a search.  Intended as a
+    post-hoc audit of
     :func:`~realearn.convex.convex_angle` output.
     """
     _check_point_layout(points)

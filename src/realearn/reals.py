@@ -54,7 +54,14 @@ so the scale factors that join the products, ``Q / gcd(P, Q)`` and
 ``P / gcd(P, Q)``, do not depend on k and are computed once, and the
 joined triple is the one the node tree gives.  A factor's magnitude
 exponent is read from ``(c, w, l)`` too, so no factor is evaluated
-at any index.
+at any index.  Such a node also knows where its interval first
+excludes zero: with ``t = 2**k``, its numerators' centre grows like
+``A * t**2`` and their half-width like ``B * t``, for integers ``A``,
+the numerator of the limit over the node's denominator at 0, and
+``B``, both fixed by the coefficients (see :func:`_affine_det2`).  So the least
+such k is about ``B.bit_length() - |A|.bit_length()``, computed only
+when asked for, and ``A == 0`` means the limit is zero, which every
+interval contains, so no k excludes zero.
 
 A :class:`RealRegistry` holds the input reals only: its constructors
 register each real under a dense index.  Sums, differences and
@@ -81,7 +88,8 @@ of the nesting invariants and are exercised by the test suite.
 Monotonicity is what lets :func:`least_witness` find the least
 witnessing precision by galloping and bisection instead of a scan, and
 lets the gallop start from any precision: a caller that expects the
-witness near some k starts there, and the least witness is the same.
+witness near some k, such as the estimate of an affine ``det2`` node,
+starts there, and the least witness is the same.
 """
 
 from __future__ import annotations
@@ -174,10 +182,15 @@ class RealNum:
     the module docstring) keeps its ``(c, w, l)`` in ``_affine``, which
     is None for every other real; its magnitude exponent and, as a
     factor of a :func:`det2` of affine reals, its triples are computed
-    from it, so such a real is never evaluated.
+    from it, so such a real is never evaluated.  A :func:`det2` node of
+    four affine reals keeps in ``_estimate`` a function that estimates,
+    from its integer coefficients, the least k at which its interval
+    excludes zero, and returns None when its limit is zero (see
+    :func:`_affine_det2`); the slot is None for every other real.
     """
 
-    __slots__ = ("index", "_gen", "_cache", "_magnitude", "_affine")
+    __slots__ = ("index", "_gen", "_cache", "_magnitude", "_affine",
+                 "_estimate")
 
     def __init__(self, index: Optional[int], gen: Callable[[int], Triple]):
         self.index = index
@@ -185,6 +198,7 @@ class RealNum:
         self._cache: dict[int, Triple] = {}
         self._magnitude: Optional[int] = None
         self._affine: Optional[Affine] = None
+        self._estimate: Optional[Callable[[], Optional[int]]] = None
 
     def interval_at(self, k: int) -> Interval:
         """The interval at precision index ``k`` (exact endpoints)."""
@@ -540,7 +554,19 @@ def _affine_det2(a: Affine, b: Affine, c: Affine, d: Affine,
     so the join's scale factors and ``lcm(P, Q)`` come from
     ``_over_lcm(P, Q)`` once, and the denominator at k is
     ``lcm(P, Q) << 2k``.  The products' own denominators are not
-    needed, so the factor triples carry 1 in their place."""
+    needed, so the factor triples carry 1 in their place.
+
+    The node's ``_estimate`` says where its interval first excludes
+    zero.  Write ``t = 2**k``: the numerators' centre grows like
+    ``A * t**2`` and their half-width like ``B * t``, for
+    ``A = (sp*ca*cb << 2*s_ab) - (sq*cc*cd << 2*s_cd)``, the node's
+    limit times ``lcm(P, Q)``, and
+    ``B = (sp*(|ca|*wb + |cb|*wa) << s_ab) + (sq*(|cc|*wd + |cd|*wc) << s_cd)``.
+    So the interval excludes zero from about ``t > B / |A|``, and the
+    estimate is ``max(0, B.bit_length() - |A|.bit_length())``, computed
+    only when called.  ``A == 0`` means the limit is zero, which every
+    interval contains, so no k excludes zero and there is no estimate:
+    it returns None."""
     ca, wa, la = a
     cb, wb, lb = b
     cc, wc, lc = c
@@ -555,7 +581,17 @@ def _affine_det2(a: Affine, b: Affine, c: Affine, d: Affine,
         qlo, qhi, _ = _product((x - wc, x + wc, 1), (y - wd, y + wd, 1))
         return (lo * sp - qhi * sq, hi * sp - qlo * sq, dd << 2 * k)
 
-    return RealNum(None, gen)
+    def estimate() -> Optional[int]:
+        lead = (sp * ca * cb << 2 * s_ab) - (sq * cc * cd << 2 * s_cd)
+        if not lead:
+            return None
+        spread = ((sp * (abs(ca) * wb + abs(cb) * wa) << s_ab)
+                  + (sq * (abs(cc) * wd + abs(cd) * wc) << s_cd))
+        return max(0, spread.bit_length() - abs(lead).bit_length())
+
+    node = RealNum(None, gen)
+    node._estimate = estimate
+    return node
 
 
 def det2(a: RealNum, b: RealNum, c: RealNum, d: RealNum) -> RealNum:

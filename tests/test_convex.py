@@ -360,8 +360,12 @@ def deep_instances():
 
 def test_deep_trace_digest_is_pinned(monkeypatch):
     # each side decision starts its witness search at the witness of the
-    # decision before it: the witnesses must stay the least ones, and
-    # the searches must probe at most half the levels they probe from 0
+    # decision before it, or, on blurred points, at the orientation's
+    # own estimate: the witnesses must stay the least ones, and the
+    # searches must probe at most a quarter of the levels they probe
+    # from 0 (942 against 4,167; the rational instances keep the start
+    # they are given, and a read at 0 before an estimated start is no
+    # search probe)
     least_witness = realearn.geometry.least_witness
     probes = []
 
@@ -382,7 +386,7 @@ def test_deep_trace_digest_is_pinned(monkeypatch):
 
     levels, runs = probed(counted)
     from_zero, _ = probed(lambda holds, k_max, start=0: counted(holds, k_max))
-    assert 2 * levels <= from_zero, (levels, from_zero)
+    assert 4 * levels <= from_zero, (levels, from_zero)
     digest = hashlib.sha256()
     for pts, log in runs:
         digest.update(log.text.encode())
@@ -475,10 +479,11 @@ def test_deep8_evaluates_few_arithmetic_nodes(monkeypatch):
     # orientations are one det2 node each, and its four factors are
     # differences of blurred coordinates, affine nodes that det2 reads
     # in closed form, as they read the coordinates; so the only node
-    # intervals the construction and its audit compute are the 132 of
-    # det2 nodes (434 when det2 read its factors, 698 as sub(mul, mul)
-    # trees), and the only input intervals the 10 that the learner's
-    # comparisons of y coordinates read
+    # intervals the construction and its audit compute are the 76 of
+    # det2 nodes, whose searches start at the nodes' own estimates (132
+    # from the previous witness, 434 when det2 read its factors, 698 as
+    # sub(mul, mul) trees), and the only input intervals the 10 that the
+    # learner's comparisons of y coordinates read
     pts = deep8_points()
     evaluations = Counter()
     at = RealNum._at
@@ -493,7 +498,7 @@ def test_deep8_evaluates_few_arithmetic_nodes(monkeypatch):
     assert verify_bounding(pts, res.a, res.b, res.c) == res.certificate
     assert (res.a, res.b, res.c, res.restarts) == (4, 7, 2, 1)
     assert evaluations["input"] == 10
-    assert evaluations["node"] <= 132, evaluations
+    assert evaluations["node"] <= 76, evaluations
 
 
 @pytest.mark.parametrize("rational, restarts", [

@@ -261,6 +261,64 @@ def test_collinear_triple_exhausts_kmax_256_with_the_same_message():
     assert outcome(decide_side, p, q, r, 256)[0] is DegenerateInput
 
 
+@st.composite
+def affine_triples(draw):
+    """Three points of blurred coordinates ``n/m`` with m in 3, 7 and
+    3 * 2^5, scaled by 2^-60 or not.  Small numerators often give equal
+    or nearby coordinates, so factors of the orientation straddle zero,
+    and the third point is often put on the line through the first two,
+    so collinear triples are drawn too."""
+    scale = draw(st.sampled_from((Fraction(1), Fraction(1, 2 ** 60))))
+    numerator = st.one_of(st.integers(min_value=-4, max_value=4),
+                          st.integers(min_value=-2 ** 20, max_value=2 ** 20))
+    value = st.builds(Fraction, numerator, st.sampled_from((3, 7, 3 * 2 ** 5)))
+    coords = draw(st.lists(st.tuples(value, value), min_size=3, max_size=3))
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        (px, py), (qx, qy) = coords[0], coords[1]
+        t = draw(st.sampled_from((Fraction(-2), Fraction(1, 2), Fraction(3))))
+        coords[2] = (px + t * (qx - px), py + t * (qy - py))
+    return [(x * scale, y * scale) for x, y in coords]
+
+
+@settings(max_examples=100, deadline=None)
+@given(affine_triples(), st.integers(min_value=0, max_value=160))
+def test_the_estimated_start_gives_the_scanned_witness(coords, k_max):
+    # decide_side starts an orientation of blurred points at its own
+    # estimate (from start 0, once the interval at 0 fails): from every
+    # start the outcome is the linear scan's, and with k_max one below
+    # the scanned witness it is the scan's failure
+    p, q, r = simple_points(coords, blurred=True)
+    assert orientation_real(p, q, r)._estimate is not None
+    expected = outcome(scan_decide_side, p, q, r, k_max)
+    for start in range(81):
+        assert outcome(decide_side, p, q, r, k_max, None, start) == expected
+    if isinstance(expected, (Left, Right)) and expected.witness > 0:
+        below = expected.witness - 1
+        failed = outcome(scan_decide_side, p, q, r, below)
+        assert failed[0] is DegenerateInput
+        for start in (0, below, expected.witness, 80):
+            assert outcome(decide_side, p, q, r, below, None, start) == failed
+
+
+@pytest.mark.parametrize("start", [0, 1, 50])
+def test_collinear_limits_raise_without_a_search(start):
+    # the limits (0, 0), (1, 1) and (2, 2) are collinear, so the
+    # orientation's limit is 0 and no precision excludes zero: only a
+    # search from start 0 reads an interval, the one at 0, before the
+    # node's estimate says there is no witness; the message is the
+    # scan's, whose form is checked at a k_max it can reach
+    p, q, r = simple_points([(0, 0), (1, 1), (2, 2)], blurred=True)
+    orient = orientation_real(p, q, r)
+    k_max = 2 ** 20
+    with pytest.raises(DegenerateInput) as failure:
+        decide_side(p, q, r, k_max, orient, start)
+    assert list(orient._cache) == ([0] if start == 0 else [])
+    assert outcome(scan_decide_side, p, q, r, 64) == \
+        outcome(decide_side, p, q, r, 64, None, start)
+    assert str(failure.value) == \
+        outcome(scan_decide_side, p, q, r, 64)[1].replace("64", str(k_max))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=3, max_value=6).flatmap(point_sets),
        st.booleans())
