@@ -48,6 +48,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Dict, Optional, Sequence, Tuple, Union
 
+from ._record import _Record
 from .geometry import (
     BoundingCertificate,  # re-exported
     Differences,
@@ -79,23 +80,14 @@ class TooFewPoints(ValueError):
     """The construction needs at least three points."""
 
 
-class ConvexAngleResult:
+class ConvexAngleResult(_Record):
     """The apex, the rays, their certificate, the final state, the
-    restart count and, read-only, the run's ``trace``: the events
-    parsed from its log's lines, anew on every read."""
+    restart count, the run's log and its ``trace``: the events parsed
+    from the log's lines, anew on every read."""
 
-    __slots__ = ("a", "b", "c", "certificate", "state", "restarts", "_log")
-
-    def __init__(self, a: int, b: int, c: int,
-                 certificate: BoundingCertificate, state: KnowledgeState,
-                 restarts: int, log: TraceLog) -> None:
-        self.a = a
-        self.b = b
-        self.c = c
-        self.certificate = certificate
-        self.state = state
-        self.restarts = restarts
-        self._log = log
+    __slots__ = ("_a", "_b", "_c", "_certificate", "_state", "_restarts",
+                 "_log")
+    __hash__ = None
 
     trace = property(attrgetter("_log.events"))
 

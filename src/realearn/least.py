@@ -210,19 +210,13 @@ def _decide_text(seq: int, n: int, strict: List[Tuple[int, int]]) -> str:
     return "".join(lines)
 
 
-class LearnOutcome:
-    """The accepted candidate, the final state, the restart count and,
-    read-only, the run's ``trace``: the events parsed from its log's
-    lines, anew on every read."""
+class LearnOutcome(_Record):
+    """The accepted candidate, the final state, the run's log, the
+    restart count and the run's ``trace``: the events parsed from the
+    log's lines, anew on every read."""
 
-    __slots__ = ("candidate", "state", "_log", "restarts")
-
-    def __init__(self, candidate: LeastCandidate, state: KnowledgeState,
-                 log: TraceLog, restarts: int) -> None:
-        self.candidate = candidate
-        self.state = state
-        self._log = log
-        self.restarts = restarts
+    __slots__ = ("_candidate", "_state", "_log", "_restarts")
+    __hash__ = None
 
     trace = property(attrgetter("_log.events"))
 

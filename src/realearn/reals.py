@@ -9,19 +9,17 @@ no floating point is used anywhere.
 Internally every interval is one integer triple ``(lo, hi, d)`` with
 ``d > 0``, meaning ``[lo/d, hi/d]``: both endpoints share one
 denominator, which is a power of two for dyadic inputs and whatever
-the rationals need otherwise.  Sums and differences put their operands
-over the lcm of the two denominators, and operands over one ``d`` keep
-it.  Products multiply numerators and denominators; the endpoints are
-the min and max of the four endpoint products, and when neither
-operand straddles zero the signs say which two products those are, so
-only those two are taken.  A difference of two products, ``a*b - c*d``,
-is one node, :func:`det2`, that takes both products at the precision
-where the node tree ``sub(mul(a, b), mul(c, d))`` would and joins them
-as that ``sub`` does, so it has the tree's triples without building or
-caching its two product nodes.  Comparisons cross-multiply.  Nothing is
-rounded and nothing is normalised, so each triple equals, as a pair of
-rationals, the interval that :class:`fractions.Fraction` arithmetic
-would give.
+the rationals need otherwise.  A difference, :func:`sub`, puts its
+operands over the lcm of the two denominators, and operands over one
+``d`` keep it.  The one other node, :func:`det2`, is the difference of
+two products ``a*b - c*d``.  It multiplies its factors' numerators and
+denominators; a product's endpoints are the min and max of the four
+endpoint products, and when neither factor straddles zero the signs say
+which two products those are, so only those two are taken.  It joins
+the two products as :func:`sub` joins its operands.  Comparisons
+cross-multiply.  Nothing is rounded and nothing is normalised, so each
+triple equals, as a pair of rationals, the interval that
+:class:`fractions.Fraction` arithmetic would give.
 The public :meth:`RealNum.interval_at` returns that interval as a
 ``Fraction`` pair, and a raw generator handed to
 :meth:`RealRegistry.from_generator` returns ``Fraction`` pairs,
@@ -32,18 +30,17 @@ every k is ``((c << k) - w, (c << k) + w, l << k)``: the interval of
 centre ``c/l`` and radius ``w / (l * 2**k)``, so its width is at most
 ``2**-k`` and each interval nests in the one before.  A blurred real
 ``n/m`` is the affine real ``(2n, m, 2m)``.  Affine reals are closed
-under :func:`add` and :func:`sub`, and their join has a closed form
-that reads no operand.  Read at ``k + 1``, the operands' denominators
+under :func:`sub`, and its join has a closed form that reads no
+operand.  Read at ``k + 1``, the operands' denominators
 are ``l1 << (k+1)`` and ``l2 << (k+1)``, whose gcd is ``g << (k+1)``
 for ``g = gcd(l1, l2)``.  So the join's scale factors ``sa = l2/g``
 and ``sb = l1/g`` (both 1 when ``l1 == l2``, which is when the two
 denominators are equal) do not depend on k, and the join is the
-affine real ``(2(c1*sa ± c2*sb), w1*sa + w2*sb, 2*l1*sa)``: the same
+affine real ``(2(c1*sa - c2*sb), w1*sa + w2*sb, 2*l1*sa)``: the same
 integers as the join of the operands' triples, and again
-``2w <= l``.  Only blurred reals and sums and differences of them are
-affine; a rational, a table, a raw generator or a product is not, and
-a sum or difference with such an operand reads both operands at
-``k + 1`` as before.
+``2w <= l``.  Only blurred reals and differences of them are affine; a
+rational, a table, a raw generator or a :func:`det2` is not, and a
+difference with such an operand reads both operands at ``k + 1``.
 
 A :func:`det2` of four affine reals reads no factor either.  It
 computes each factor's triple at its shift ``K = k + s`` from
@@ -52,7 +49,7 @@ computes each factor's triple at its shift ``K = k + s`` from
 ``Q = (l_c * l_d) << 2 * s_cd``.  Their gcd is ``gcd(P, Q) << 2k``,
 so the scale factors that join the products, ``Q / gcd(P, Q)`` and
 ``P / gcd(P, Q)``, do not depend on k and are computed once, and the
-joined triple is the one the node tree gives.  A factor's magnitude
+joined triple is the one the factors' triples give.  A factor's magnitude
 exponent is read from ``(c, w, l)`` too, so no factor is evaluated
 at any index.  Such a node also knows where its interval first
 excludes zero: with ``t = 2**k``, its numerators' centre grows like
@@ -64,17 +61,17 @@ when asked for, and ``A == 0`` means the limit is zero, which every
 interval contains, so no k excludes zero.
 
 A :class:`RealRegistry` holds the input reals only: its constructors
-register each real under a dense index.  Sums, differences and
-products are the functions :func:`add`, :func:`sub`, :func:`mul` and
-:func:`det2`; they return nodes with no index that know nothing of any
-registry, and a node and its cached intervals live only as long as the
-caller keeps them.  The learners name reals by their position in whatever
-sequence of reals they are given, a registry or a plain list.
+register each real under a dense index.  Differences and differences
+of products are the functions :func:`sub` and :func:`det2`; they
+return nodes with no index that know nothing of any registry, and a
+node and its cached intervals live only as long as the caller keeps
+them.  The learners name reals by their position in whatever sequence
+of reals they are given, a registry or a plain list.
 
 Evaluation is lazy in precision as well as in time.  Every real is a
 generator of triples that is nested by construction, evaluated only
-at the indices actually read: a product read at ``k`` reads its
-operands at ``k + shift`` and nothing below it.  A raw generator has
+at the indices actually read: a :func:`det2` read at ``k`` reads its
+factors at ``k + shift`` and nothing below it.  A raw generator has
 no such proof, so :meth:`RealRegistry.from_generator` wraps it in a
 triple generator that evaluates the whole prefix ``0..k`` and checks
 each new interval against its predecessor in every build.
@@ -164,25 +161,24 @@ class RealNum:
     """One real: a memoized generator of nested intervals.
 
     An input real is created through a :class:`RealRegistry` and
-    carries its registry index; an arithmetic node (:func:`add`,
-    :func:`sub`, :func:`mul`, :func:`det2`) has ``index`` None.  No
-    real refers back to a registry.  Every real has one evaluation
-    path: its generator returns the ``(lo, hi, d)`` triple of the
-    requested index only, and the triple is cached, so the generator
-    is evaluated at most once per index.  In debug builds the new
-    interval is checked for ``lo <= hi``, width at most ``2**-k`` and
-    nesting with whichever neighbours ``k - 1`` and ``k + 1`` are
-    cached.  The clauses are tested inline and :func:`_check_interval`
+    carries its registry index; an arithmetic node (:func:`sub`,
+    :func:`det2`) has ``index`` None.  No real refers back to a
+    registry.  Every real has one evaluation path: its generator
+    returns the ``(lo, hi, d)`` triple of the requested index only,
+    and the triple is cached, so the generator is evaluated at most
+    once per index.  In debug builds the new interval is checked for
+    ``lo <= hi``, width at most ``2**-k`` and nesting with whichever
+    neighbours ``k - 1`` and ``k + 1`` are cached.  The clauses are tested inline and :func:`_check_interval`
     is called only to name a failing one.  A raw generator of
     ``Fraction`` pairs is checked in every build by the triple
     generator that :meth:`RealRegistry.from_generator` wraps it in.
-    The magnitude exponent that :func:`mul` and :func:`det2`
-    read from index 0 is cached in ``_magnitude`` once computed, so a
-    node shared by many products reads it once.  An affine real (see
-    the module docstring) keeps its ``(c, w, l)`` in ``_affine``, which
-    is None for every other real; its magnitude exponent and, as a
-    factor of a :func:`det2` of affine reals, its triples are computed
-    from it, so such a real is never evaluated.  A :func:`det2` node of
+    The magnitude exponent that :func:`det2` reads from index 0 is
+    cached in ``_magnitude`` once computed, so a node shared by many
+    products reads it once.  An affine real (see the module docstring)
+    keeps its ``(c, w, l)`` in ``_affine``, which is None for every
+    other real; its magnitude exponent and, as a factor of a
+    :func:`det2` of affine reals, its triples are computed from it, so
+    such a real is never evaluated.  A :func:`det2` node of
     four affine reals keeps in ``_estimate`` a function that estimates,
     from its integer coefficients, the least k at which its interval
     excludes zero, and returns None when its limit is zero (see
@@ -303,11 +299,12 @@ def find_strict_witness(r: RealNum, s: RealNum, k_max: int) -> Optional[int]:
 
 
 def _magnitude_exponent(x: RealNum) -> int:
-    """Smallest c >= 0 such that 2**c bounds |x| at index 0, computed
-    once per real.  Index 0 never changes once cached, so neither does
-    the answer.  An affine real ``(c, w, l)`` has the triple
-    ``(c - w, c + w, l)`` at index 0, taken from ``_affine`` without
-    evaluating or caching the real."""
+    """Smallest c >= 0 such that 2**c bounds |x| at index 0, and so at
+    every index, computed once per real: the bound that fixes the
+    precision at which :func:`det2` reads x as a factor.  Index 0 never
+    changes once cached, so neither does the answer.  An affine real
+    ``(c, w, l)`` has the triple ``(c - w, c + w, l)`` at index 0,
+    taken from ``_affine`` without evaluating or caching the real."""
     c = x._magnitude
     if c is not None:
         return c
@@ -346,11 +343,11 @@ class RealRegistry(Sequence[RealNum]):
     """Append-only store of the input reals, indexed densely from 0.
 
     Entries are never mutated after registration.  Only the
-    constructors register, and the arithmetic functions :func:`add`,
-    :func:`sub`, :func:`mul` and :func:`det2` do not, so the registry's
-    length is the number of input reals however much arithmetic has
-    been done on them.  A registry is a sequence of reals, so it can
-    serve directly as the reals ``r_0 .. r_n`` of a knowledge state.
+    constructors register, and the arithmetic functions :func:`sub` and
+    :func:`det2` do not, so the registry's length is the number of
+    input reals however much arithmetic has been done on them.  A
+    registry is a sequence of reals, so it can serve directly as the
+    reals ``r_0 .. r_n`` of a knowledge state.
     """
 
     def __init__(self) -> None:
@@ -421,10 +418,10 @@ class RealRegistry(Sequence[RealNum]):
         The interval at k is ``[q - 2**-(k+1), q + 2**-(k+1)]``, so the
         limit is only ever known up to the current precision.  With
         ``q = n/m`` the triple is ``(c - m, c + m, m * 2**(k+1))`` where
-        ``c = n * 2**(k+1)``: the affine real ``(2n, m, 2m)``, so a sum
-        or difference of two blurred reals reads neither (see
-        :func:`add`).  An exact ``Fraction`` q is taken as it is,
-        anything else goes through ``Fraction(q)``.
+        ``c = n * 2**(k+1)``: the affine real ``(2n, m, 2m)``, so a
+        difference of two blurred reals reads neither (see :func:`sub`).
+        An exact ``Fraction`` q is taken as it is, anything else goes
+        through ``Fraction(q)``.
         """
         value = _fraction(q)
         n, m = value.numerator, value.denominator
@@ -457,53 +454,41 @@ class RealRegistry(Sequence[RealNum]):
         return self.register(gen)
 
 
-def _affine_join(a: Affine, b: Affine, sign: int) -> RealNum:
-    """The affine node ``a + sign * b`` of two affine reals: the triple
-    at every k that :func:`add` (``sign`` 1) or :func:`sub` (``sign``
-    -1) joins from the operands' triples at k + 1, with neither read."""
+def _affine_join(a: Affine, b: Affine) -> RealNum:
+    """The affine node ``a - b`` of two affine reals: the triple at
+    every k that :func:`sub` joins from the operands' triples at k + 1,
+    with neither read."""
     c1, w1, l1 = a
     c2, w2, l2 = b
     sa, sb, l = _over_lcm(l1, l2)
     return _affine_real(lambda gen: RealNum(None, gen),
-                        (2 * (c1 * sa + sign * c2 * sb), w1 * sa + w2 * sb,
-                         2 * l))
+                        (2 * (c1 * sa - c2 * sb), w1 * sa + w2 * sb, 2 * l))
 
 
-def _join(a: Triple, b: Triple, sign: int) -> Triple:
-    """The triple of ``a + sign * b``, for ``sign`` 1 or -1, with both
-    operands over the lcm of their denominators."""
+def _join(a: Triple, b: Triple) -> Triple:
+    """The triple of ``a - b``, with both operands over the lcm of their
+    denominators."""
     alo, ahi, ad = a
-    blo, bhi, bd = b if sign > 0 else (-b[1], -b[0], b[2])
+    blo, bhi, bd = b
     sa, sb, d = _over_lcm(ad, bd)
-    return (alo * sa + blo * sb, ahi * sa + bhi * sb, d)
-
-
-def _sum(a: RealNum, b: RealNum, sign: int) -> RealNum:
-    """The node ``a + sign * b`` that :func:`add` and :func:`sub` build."""
-    if a._affine is not None and b._affine is not None:
-        return _affine_join(a._affine, b._affine, sign)
-
-    def gen(k: int) -> Triple:
-        return _join(a._at(k + 1), b._at(k + 1), sign)
-
-    return RealNum(None, gen)
-
-
-def add(a: RealNum, b: RealNum) -> RealNum:
-    """The node a + b.
-
-    The sum's interval at k reads both operands at k + 1, so the width
-    bound ``2**-(k+1) + 2**-(k+1) = 2**-k`` is preserved.  When both
-    operands are affine reals, so is the sum, and its generator computes
-    that join in closed form and reads neither operand.
-    """
-    return _sum(a, b, 1)
+    return (alo * sa - bhi * sb, ahi * sa - blo * sb, d)
 
 
 def sub(a: RealNum, b: RealNum) -> RealNum:
-    """The node a - b, reading both operands at k + 1; of two affine
-    reals, the affine node that reads neither (see :func:`add`)."""
-    return _sum(a, b, -1)
+    """The node a - b.
+
+    Its interval at k reads both operands at k + 1, so the width bound
+    ``2**-(k+1) + 2**-(k+1) = 2**-k`` is preserved.  When both operands
+    are affine reals, so is the difference, and its generator computes
+    that join in closed form and reads neither operand.
+    """
+    if a._affine is not None and b._affine is not None:
+        return _affine_join(a._affine, b._affine)
+
+    def gen(k: int) -> Triple:
+        return _join(a._at(k + 1), b._at(k + 1))
+
+    return RealNum(None, gen)
 
 
 def _product(a: Triple, b: Triple) -> Triple:
@@ -525,24 +510,6 @@ def _product(a: Triple, b: Triple) -> Triple:
             return (ahi * bhi, alo * blo, ad * bd)
     products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
     return (min(products), max(products), ad * bd)
-
-
-def mul(a: RealNum, b: RealNum) -> RealNum:
-    """The node a * b.
-
-    The product reads its operands at ``k + s`` where the shift
-    ``s = c_a + c_b + 2`` is fixed at construction from magnitude
-    bounds ``2**c_x`` at index 0, and takes their :func:`_product`.
-    Width bound: each factor interval at k + s has width at most
-    ``2**-(k+s)`` and magnitude at most ``2**c_x``, so the product
-    width is at most ``(2**c_a + 2**c_b) * 2**-(k+s) <= 2**-(k+1)``.
-    """
-    shift = _magnitude_exponent(a) + _magnitude_exponent(b) + 2
-
-    def gen(k: int) -> Triple:
-        return _product(a._at(k + shift), b._at(k + shift))
-
-    return RealNum(None, gen)
 
 
 def _affine_det2(a: Affine, b: Affine, c: Affine, d: Affine,
@@ -597,15 +564,16 @@ def _affine_det2(a: Affine, b: Affine, c: Affine, d: Affine,
 def det2(a: RealNum, b: RealNum, c: RealNum, d: RealNum) -> RealNum:
     """The node a * b - c * d as one node.
 
-    At every k its triple is the one ``sub(mul(a, b), mul(c, d))``
-    gives, whose products are read at ``k + 1``: each product is the
-    :func:`_product` of its factors read at ``k + c_x + c_y + 3``, and
-    the two are joined as :func:`sub` joins its operands.  So each
-    product has width at most ``2**-(k+2)`` (see :func:`mul`) and the
-    difference at most ``2**-(k+1)``.  The tree's two product nodes
-    are never built, cached or checked.  When all four factors are
-    affine reals, the node computes their triples in closed form and
-    joins the products with scale factors fixed at construction (see
+    At every k each product is the :func:`_product` of its factors read
+    at ``k + c_x + c_y + 3``, where ``2**c_x`` bounds ``|x|`` (see
+    :func:`_magnitude_exponent`), and the two products are joined by
+    :func:`_join`.  Width bound: each factor interval at ``k + s`` has
+    width at most ``2**-(k+s)`` and magnitude at most ``2**c_x``, so
+    each product has width at most
+    ``(2**c_x + 2**c_y) * 2**-(k+s) <= 2**-(k+2)`` and the difference
+    at most ``2**-(k+1)``.  When all four factors are affine reals, the
+    node computes their triples in closed form and joins the products
+    with scale factors fixed at construction (see
     :func:`_affine_det2`), so it reads no factor.
     """
     s_ab = _magnitude_exponent(a) + _magnitude_exponent(b) + 3
@@ -616,6 +584,6 @@ def det2(a: RealNum, b: RealNum, c: RealNum, d: RealNum) -> RealNum:
 
     def gen(k: int) -> Triple:
         return _join(_product(a._at(k + s_ab), b._at(k + s_ab)),
-                     _product(c._at(k + s_cd), d._at(k + s_cd)), -1)
+                     _product(c._at(k + s_cd), d._at(k + s_cd)))
 
     return RealNum(None, gen)

@@ -70,7 +70,7 @@ def replay_paths(runs: Iterable[Iterable[TraceEvent]],
     """
     replays: List[RunReplay] = []
     mismatch: Optional[str] = None
-    for index, events in enumerate(runs):
+    for events in runs:
         ranks: List[int] = []
         candidates: List[int] = []
         restarts = depth = candidate = rank = 0
@@ -105,7 +105,7 @@ def replay_paths(runs: Iterable[Iterable[TraceEvent]],
                 restarts += 1
         if depth:
             error = "trace ends with decisions but no candidate"
-        elif index == 0 and not ranks:
+        elif not ranks:
             error = "run contains no candidate computations"
         mismatch = mismatch or error
         if mismatch is None:

@@ -557,13 +557,18 @@ def test_tree_reports_an_input_error_in_any_trace_before_a_mismatch(
     proc = run_cli("tree", wrong, missing)
     assert_input_error(proc, str(missing))
     assert proc.stdout == ""
-    # a first trace with no candidate line fails even when --n is given
+    # a trace with no candidate line fails in any position, first even
+    # when --n is given, and after a trace that replays
     restart = tmp_path / "restart.trace"
     restart.write_text('{"count":1,"phase":"restart","seq":0}\n')
-    proc = run_cli("tree", restart, "--n", "1")
-    assert (proc.returncode, proc.stdout) == (4, "")
-    assert proc.stderr == ("replay failed: run contains no candidate "
-                           "computations\n")
+    good = tmp_path / "good.trace"
+    good.write_text('{"candidate":0,"phase":"candidate","seq":0}\n')
+    assert run_cli("tree", good).returncode == 0
+    for args in ((restart, "--n", "1"), (good, restart)):
+        proc = run_cli("tree", *args)
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr == ("replay failed: run contains no candidate "
+                               "computations\n")
 
 
 def test_tree_replays_a_20_point_convex_trace(tmp_path):

@@ -26,11 +26,11 @@ from realearn import (
 from realearn.geometry import RationalPoint
 from realearn.oracle import (exact_convex_check, exact_orientation,
                              separation_from_gap)
-from realearn.reals import add, det2, mul, sub
+from realearn.reals import det2, sub
 from realearn.trace import read_trace
 
 from support import (StringTrace, count_trace_builds, general_position_points,
-                     register_points)
+                     random_real, register_points)
 
 WEDGE = [(0, 1), (-2, -1), (2, -1), (0, -2), (-1, -3), (1, -4)]
 QUAD = [(0, 0), (-1, 1), (1, 1), (0, -1)]
@@ -428,6 +428,51 @@ def test_wide_trace_digest_is_pinned():
         "1af4743992a0f76f058017604b0cf0f67d9066a423805198e9fdb913cad0ce9f")
 
 
+def mixed_instances():
+    """The points of 100 seeded instances (3-12 points, odd ones scaled
+    by 2^-40) whose coordinates are each rational, blurred or a table,
+    drawn as ``support.random_real`` draws them, every y before every x."""
+    rng = Random(13)
+    for trial in range(100):
+        rational = general_position_points(rng, rng.randint(3, 12))
+        if trial % 2:
+            rational = [RationalPoint(p.x / 2 ** 40, p.y / 2 ** 40)
+                        for p in rational]
+        reg = RealRegistry()
+        ys = [random_real(reg, rng, p.y)[0] for p in rational]
+        xs = [random_real(reg, rng, p.x)[0] for p in rational]
+        yield [Point(i, xs[i], ys[i]) for i in range(len(rational))]
+
+
+def test_mixed_trace_digest_is_pinned(monkeypatch):
+    # sha256 over the traces of points whose coordinates mix real kinds:
+    # they reach the joins that no all-rational or all-blurred instance
+    # does, a difference with exactly one affine operand and a det2 with
+    # some affine factors and some not
+    mixed = Counter()
+    sub, det2 = realearn.geometry.sub, realearn.geometry.det2
+
+    def counted_sub(a, b):
+        mixed["sub"] += (a._affine is None) != (b._affine is None)
+        return sub(a, b)
+
+    def counted_det2(*factors):
+        mixed["det2"] += 0 < sum(f._affine is None for f in factors) < 4
+        return det2(*factors)
+
+    monkeypatch.setattr(realearn.geometry, "sub", counted_sub)
+    monkeypatch.setattr(realearn.geometry, "det2", counted_det2)
+    digest = hashlib.sha256()
+    for pts in mixed_instances():
+        log = StringTrace()
+        res = convex_angle(pts, trace=log)
+        assert verify_bounding(pts, res.a, res.b, res.c) == res.certificate
+        digest.update(log.text.encode())
+    assert mixed["sub"] >= 1000 and mixed["det2"] >= 900, mixed
+    assert digest.hexdigest() == (
+        "c9e28eabdc97ef0be6f34f2bcec1b271d1dbbc9640ccff79256f8e463bfeb407")
+
+
 def test_an_attempt_builds_each_difference_once(monkeypatch):
     # apex 0 is the lowest point, so the first attempt is accepted; it
     # needs one x and one y difference per other point, and one det2
@@ -546,7 +591,7 @@ def test_registry_holds_input_reals_only():
     inputs = len(reg)
     assert inputs == 24
     a, b = pts[1].x, pts[2].y
-    for node in (add(a, b), sub(a, b), mul(a, b), det2(a, b, pts[3].x, a),
+    for node in (sub(a, b), det2(a, b, pts[3].x, a),
                  orientation_real(pts[0], pts[1], pts[2])):
         assert node.index is None
         node.interval_at(40)

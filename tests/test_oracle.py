@@ -300,10 +300,12 @@ def test_replay_reports_the_mismatch_a_whole_run_shows_first():
     with pytest.raises(PathMismatch,
                        match="^trace ends with decisions but no candidate$"):
         replay_paths([run])
-    # a first run with no path, even when n is given
-    with pytest.raises(PathMismatch,
-                       match="^run contains no candidate computations$"):
-        replay_paths([[TraceEvent(0, "restart", {"count": 1})]], n=1)
+    # a run with no path, first or later, even when n is given
+    empty = [TraceEvent(0, "restart", {"count": 1})]
+    for runs in ([empty], [tree_run(1, [0, 1]), empty]):
+        with pytest.raises(PathMismatch,
+                           match="^run contains no candidate computations$"):
+            replay_paths(runs, n=1)
     # a path that is too short and has a wrong pair: its length
     run = synthetic_run([[((0, 2), "assume")]], [0], 0)
     with pytest.raises(PathMismatch,

@@ -18,8 +18,8 @@ from realearn import (
     op_at,
 )
 from realearn.oracle import separation_from_gap
-from realearn.reals import (_fraction, _magnitude_exponent, _over_lcm, add,
-                            det2, mul, sub)
+from realearn.reals import (_fraction, _magnitude_exponent, _over_lcm,
+                            _product, det2, sub)
 
 from support import random_real, random_table_prefix
 
@@ -178,22 +178,21 @@ def test_random_table_prefixes_are_valid():
 
 
 @given(rationals, rationals, st.integers(min_value=0, max_value=30))
-def test_add_sub_intervals_contain_exact_results(p, q, k):
+def test_sub_intervals_contain_exact_results(p, q, k):
     reg = RealRegistry()
-    a, b = reg.blurred(p), reg.blurred(q)
-    for real, exact in ((add(a, b), p + q), (sub(a, b), p - q)):
-        lo, hi = real.interval_at(k)
-        assert lo <= exact <= hi
-        assert hi - lo <= Fraction(1, 2 ** k)
+    lo, hi = sub(reg.blurred(p), reg.blurred(q)).interval_at(k)
+    assert lo <= p - q <= hi
+    assert hi - lo <= Fraction(1, 2 ** k)
 
 
 @settings(max_examples=60)
-@given(rationals, rationals, st.integers(min_value=0, max_value=25))
-def test_mul_intervals_contain_exact_results(p, q, k):
+@given(rationals, rationals, rationals, rationals,
+       st.integers(min_value=0, max_value=25))
+def test_det2_intervals_contain_exact_results(p, q, r, s, k):
     reg = RealRegistry()
-    prod = mul(reg.blurred(p), reg.blurred(q))
-    lo, hi = prod.interval_at(k)
-    assert lo <= p * q <= hi
+    node = det2(*map(reg.blurred, (p, q, r, s)))
+    lo, hi = node.interval_at(k)
+    assert lo <= p * q - r * s <= hi
     assert hi - lo <= Fraction(1, 2 ** k)
 
 
@@ -203,8 +202,9 @@ def test_arithmetic_on_mixed_constructors():
     for _ in range(50):
         a, av = random_real(reg, rng)
         b, bv = random_real(reg, rng)
-        combined = add(mul(a, b), sub(a, b))
-        exact = av * bv + (av - bv)
+        c, cv = random_real(reg, rng)
+        combined = det2(a, b, sub(b, a), c)
+        exact = av * bv - (bv - av) * cv
         lo, hi = combined.interval_at(20)
         assert lo <= exact <= hi
         assert hi - lo <= Fraction(1, 2 ** 20)
@@ -301,8 +301,8 @@ def test_least_witness_edge_budgets():
 def _constructor_reals(reg, p, q):
     a, b = reg.blurred(p), reg.from_rational(q)
     table = reg.from_table([(p - 1, p), (p - Fraction(1, 2), p)], p)
-    return [a, b, table, add(a, b), sub(table, a),
-            mul(a, table), mul(sub(a, b), add(b, table))]
+    return [a, b, table, sub(a, b), sub(table, a), det2(a, table, b, a),
+            det2(sub(a, b), sub(b, table), table, b)]
 
 
 @settings(max_examples=40)
@@ -324,9 +324,10 @@ def test_constructors_are_independent_of_read_order(p, q, rng):
 
 def test_constructors_evaluate_only_the_requested_index():
     reg = RealRegistry()
-    prod = mul(reg.blurred(3), reg.blurred(Fraction(1, 3)))
-    prod.interval_at(30)
-    assert sorted(prod._cache) == [30]
+    node = det2(reg.blurred(3), reg.blurred(Fraction(1, 3)),
+                reg.from_rational(1), reg.from_rational(2))
+    node.interval_at(30)
+    assert sorted(node._cache) == [30]
 
 
 def nested_real(gen):
@@ -362,14 +363,16 @@ def test_random_access_checks_its_own_clauses(gen, clause):
 
 
 # Operands of known signs at every index read: [lo/d, hi/d] with
-# 0 < lo, hi < 0, lo < 0 < hi, lo = 0 or hi = 0.
+# 0 < lo, hi < 0, lo < 0 < hi, lo = 0 or hi = 0, each built in the
+# registry given: a RealRegistry or, for the three blurred reals, the
+# Fraction reference's.
 SIGNED = {
-    "positive": lambda: RealRegistry().blurred(Fraction(7, 3)),
-    "negative": lambda: RealRegistry().blurred(Fraction(-5, 3)),
-    "straddling": lambda: RealRegistry().blurred(0),
-    "zero": lambda: RealRegistry().from_rational(0),
-    "from zero up": lambda: nested_real(lambda k: (0, 1, 2 << k)),
-    "from zero down": lambda: nested_real(lambda k: (-1, 0, 2 << k)),
+    "positive": lambda reg: reg.blurred(Fraction(7, 3)),
+    "negative": lambda reg: reg.blurred(Fraction(-5, 3)),
+    "straddling": lambda reg: reg.blurred(0),
+    "zero": lambda reg: reg.from_rational(0),
+    "from zero up": lambda reg: reg.register(lambda k: (0, 1, 2 << k)),
+    "from zero down": lambda reg: reg.register(lambda k: (-1, 0, 2 << k)),
 }
 
 
@@ -378,18 +381,18 @@ SIGNED = {
     ("negative", "straddling", False), ("zero", "positive", False)])
 @pytest.mark.parametrize("k", [0, 7, 40])
 def test_sums_give_the_lcm_triple(left, right, equal, k):
-    a, b = SIGNED[left](), SIGNED[right]()
+    reg = RealRegistry()
+    a, b = SIGNED[left](reg), SIGNED[right](reg)
     alo, ahi, ad = a._at(k + 1)
     blo, bhi, bd = b._at(k + 1)
     sa, sb, d = _over_lcm(ad, bd)
     assert (ad == bd) == equal
-    assert add(a, b)._at(k) == (alo * sa + blo * sb, ahi * sa + bhi * sb, d)
     assert sub(a, b)._at(k) == (alo * sa - bhi * sb, ahi * sa - blo * sb, d)
 
 
 def unaffine_blurred(q):
     """The triples of the blurred real q from a nested real that is not
-    affine, so add and sub read it at k + 1 like any other operand."""
+    affine, so sub reads it at k + 1 like any other operand."""
     n, m = q.numerator, q.denominator
 
     def gen(k):
@@ -400,10 +403,10 @@ def unaffine_blurred(q):
 
 
 def difference_tree(a, b, c, d):
-    """The sums and differences of a, b, c and d whose triples are
-    compared, nested chains included."""
-    return [add(a, b), sub(a, b), add(c, d), sub(d, c),
-            sub(sub(a, b), add(c, d)), add(sub(d, a), sub(sub(b, c), a))]
+    """The differences of a, b, c and d whose triples are compared,
+    nested chains included."""
+    return [sub(a, b), sub(b, a), sub(c, d), sub(d, c),
+            sub(sub(a, b), sub(c, d)), sub(sub(d, a), sub(sub(b, c), a))]
 
 
 # equal and unequal denominators, dyadic and non-dyadic
@@ -434,7 +437,7 @@ def test_an_affine_node_reads_no_operand():
     reg = RealRegistry()
     a, b, c, d = (reg.blurred(Fraction(n, m))
                   for n, m in ((1, 3), (-2, 7), (5, 96), (9, 1)))
-    inner = [sub(a, b), add(c, d)]
+    inner = [sub(a, b), sub(c, d)]
     node = sub(*inner)
     for k in (0, 5, 64, 3):
         node._at(k)
@@ -442,20 +445,32 @@ def test_an_affine_node_reads_no_operand():
     assert [real._cache for real in (a, b, c, d, *inner)] == [{}] * 6
 
 
-def affine_factors(reals):
-    """The blurred reals a, b, c (positive, negative, straddling) and
-    the differences a - b, b - a and c - c (positive, negative,
-    straddling) of the four reals a, b, c, d."""
+def affine_factors(reals, difference):
+    """The reals a, b, c (positive, negative, straddling) and their
+    differences a - b, b - a and c - c (positive, negative, straddling),
+    of the four reals a, b, c, d."""
     a, b, c, _ = reals
-    return [a, b, c, sub(a, b), sub(b, a), sub(c, c)]
+    return [a, b, c, difference(a, b), difference(b, a), difference(c, c)]
+
+
+def equal_product_denominators(a, b, c, d, k):
+    """Whether the two products that ``det2(a, b, c, d)`` joins at k
+    have equal denominators, from its factors' triples at their shifts."""
+    s_ab = _magnitude_exponent(a) + _magnitude_exponent(b) + 3
+    s_cd = _magnitude_exponent(c) + _magnitude_exponent(d) + 3
+    return (a._at(k + s_ab)[2] * b._at(k + s_ab)[2]
+            == c._at(k + s_cd)[2] * d._at(k + s_cd)[2])
 
 
 @pytest.mark.parametrize("denominators", DENOMINATOR_SETS)
 def test_affine_det2_gives_the_triples_of_its_tree(denominators):
+    # the closed form against the generic det2 of twins that are not
+    # affine, triple for triple, and against the Fraction reference
     values = affine_values(denominators)
-    reg = RealRegistry()
-    factors = affine_factors([reg.blurred(q) for q in values])
-    twins = affine_factors([unaffine_blurred(q) for q in values])
+    reg, ref = RealRegistry(), RefRegistry()
+    factors = affine_factors([reg.blurred(q) for q in values], sub)
+    twins = affine_factors([unaffine_blurred(q) for q in values], sub)
+    refs = affine_factors([ref.blurred(q) for q in values], ref.sub)
     assert all(f._affine is not None for f in factors)
     assert all(t._affine is None for t in twins)
     equal_denominators = set()
@@ -465,13 +480,13 @@ def test_affine_det2_gives_the_triples_of_its_tree(denominators):
         for chosen in ((i, j, j, i), (i, j, (i + 1) % 6, (j + 2) % 6)):
             node = det2(*(factors[n] for n in chosen))
             twin = det2(*(twins[n] for n in chosen))
-            ab = mul(factors[chosen[0]], factors[chosen[1]])
-            cd = mul(factors[chosen[2]], factors[chosen[3]])
-            tree = sub(ab, cd)
+            tree = ref.det2(*(refs[n] for n in chosen))
             for k in range(65):
-                assert node._at(k) == twin._at(k) == tree._at(k)
+                assert node._at(k) == twin._at(k)
+                assert node.interval_at(k) == tree.interval_at(k)
             # P == Q exactly when the products' denominators are equal
-            equal_denominators.add(ab._at(1)[2] == cd._at(1)[2])
+            equal_denominators.add(equal_product_denominators(
+                *(twins[n] for n in chosen), 0))
     assert equal_denominators == {True, False}
 
 
@@ -479,7 +494,7 @@ def test_an_affine_det2_reads_no_factor():
     reg = RealRegistry()
     a, b, c, d = (reg.blurred(Fraction(n, m))
                   for n, m in ((1, 3), (-2, 7), (5, 96), (9, 1)))
-    factors = [sub(a, b), add(c, d), a, sub(d, b)]
+    factors = [sub(a, b), sub(c, d), a, sub(d, b)]
     node = det2(*factors)
     for k in (0, 5, 64, 3):
         node._at(k)
@@ -494,10 +509,10 @@ def test_affine_magnitude_is_read_in_closed_form(q):
     reg = RealRegistry()
     other = Fraction(7, 5)
     reals = [reg.blurred(q), sub(reg.blurred(q), reg.blurred(other)),
-             add(reg.blurred(other), reg.blurred(q))]
+             sub(reg.blurred(other), reg.blurred(q))]
     twins = [unaffine_blurred(q),
              sub(unaffine_blurred(q), unaffine_blurred(other)),
-             add(unaffine_blurred(other), unaffine_blurred(q))]
+             sub(unaffine_blurred(other), unaffine_blurred(q))]
     for real, twin in zip(reals, twins):
         assert real._affine is not None and twin._affine is None
         assert _magnitude_exponent(real) == _magnitude_exponent(twin)
@@ -508,12 +523,13 @@ MIXED = {
     "rational": lambda reg: reg.from_rational(Fraction(2, 3)),
     "table": lambda reg: reg.from_table([(0, 1), (Fraction(1, 3), "2/3")],
                                         Fraction(1, 2)),
-    "product": lambda reg: mul(reg.blurred(3), reg.blurred(Fraction(1, 7))),
+    "product": lambda reg: det2(reg.blurred(3), reg.blurred(Fraction(1, 7)),
+                                reg.blurred(1), reg.blurred(Fraction(1, 7))),
 }
 
 
 @pytest.mark.parametrize("other", sorted(MIXED))
-@pytest.mark.parametrize("op", [add, sub])
+@pytest.mark.parametrize("op", [sub])
 @pytest.mark.parametrize("k", [0, 9])
 def test_a_mixed_sum_reads_its_operands_at_the_next_index(other, op, k):
     reg = RealRegistry()
@@ -547,12 +563,12 @@ def test_a_mixed_det2_reads_its_factors_at_their_shift(other, position, k):
 @pytest.mark.parametrize("right", sorted(SIGNED))
 @pytest.mark.parametrize("k", [0, 7, 40])
 def test_products_give_the_min_max_triple(left, right, k):
-    a, b = SIGNED[left](), SIGNED[right]()
-    shift = _magnitude_exponent(a) + _magnitude_exponent(b) + 2
-    alo, ahi, ad = a._at(k + shift)
-    blo, bhi, bd = b._at(k + shift)
+    reg = RealRegistry()
+    a, b = SIGNED[left](reg)._at(k), SIGNED[right](reg)._at(k)
+    alo, ahi, ad = a
+    blo, bhi, bd = b
     products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-    assert mul(a, b)._at(k) == (min(products), max(products), ad * bd)
+    assert _product(a, b) == (min(products), max(products), ad * bd)
 
 
 SIGNS = ("positive", "negative", "straddling")
@@ -562,19 +578,20 @@ SIGNS = ("positive", "negative", "straddling")
 @pytest.mark.parametrize("right", SIGNS)
 def test_det2_gives_the_triples_of_its_tree(left, right):
     # a * b in each of its nine sign cases against c * d in each of
-    # theirs; equal sign cases give equal product denominators, and
-    # factors of other magnitudes give other shifts and denominators
-    a, b = SIGNED[left](), SIGNED[right]()
+    # theirs, against the Fraction reference; equal sign cases give
+    # equal product denominators, and factors of other magnitudes give
+    # other shifts and denominators
+    reg, ref = RealRegistry(), RefRegistry()
     equal_denominators = set()
     for c_sign in SIGNS:
         for d_sign in SIGNS:
-            c, d = SIGNED[c_sign](), SIGNED[d_sign]()
-            node, ab, cd = det2(a, b, c, d), mul(a, b), mul(c, d)
-            tree = sub(ab, cd)
+            signs = (left, right, c_sign, d_sign)
+            factors = [SIGNED[sign](reg) for sign in signs]
+            node = det2(*factors)
+            tree = ref.det2(*(SIGNED[sign](ref) for sign in signs))
             for k in range(65):
-                # the same triple, so the same pair of rationals
-                assert node._at(k) == tree._at(k)
-                equal_denominators.add(ab._at(k + 1)[2] == cd._at(k + 1)[2])
+                assert node.interval_at(k) == tree.interval_at(k)
+                equal_denominators.add(equal_product_denominators(*factors, k))
     assert equal_denominators == {True, False}
 
 
@@ -624,8 +641,9 @@ def test_raw_generator_nesting_is_checked_in_every_build(flags, prefix, error):
 
 
 # Reference: the Fraction kernel that the integer triples replace, kept
-# as it was (constructors, arithmetic nodes and _magnitude_exponent);
-# its det2 is the node tree sub(mul(a, b), mul(c, d)).
+# as it was (constructors, the nodes that sub and det2 need, and
+# _magnitude_exponent); its det2 is the node tree
+# sub(mul(a, b), mul(c, d)), whose products are read at k + 1.
 # Each reference real is read only at the indices asked, as nested
 # reals are.
 
@@ -686,14 +704,6 @@ class RefRegistry:
         return RefReal(gen)
 
     def from_generator(self, gen):
-        return RefReal(gen)
-
-    def add(self, a, b):
-        def gen(k):
-            alo, ahi = a.interval_at(k + 1)
-            blo, bhi = b.interval_at(k + 1)
-            return (alo + blo, ahi + bhi)
-
         return RefReal(gen)
 
     def sub(self, a, b):
@@ -764,12 +774,12 @@ kernel_leaves = st.one_of(
 kernel_exprs = st.recursive(
     kernel_leaves,
     lambda inner: st.one_of(
-        st.tuples(st.sampled_from(["add", "sub", "mul"]), inner, inner),
+        st.tuples(st.just("sub"), inner, inner),
         st.tuples(st.just("det2"), inner, inner, inner, inner)),
     max_leaves=6)
 
 
-ARITHMETIC = {"add": add, "sub": sub, "mul": mul, "det2": det2}
+ARITHMETIC = {"sub": sub, "det2": det2}
 
 
 def build_expr(reg, expr):
@@ -784,17 +794,17 @@ def build_expr(reg, expr):
     return getattr(reg, name)(*args)
 
 
-# Every leaf blurred, so every sum and difference is an affine node and
-# every det2 reads four affine factors in closed form.
-affine_sums = st.recursive(
+# Every leaf blurred, so every difference is an affine node and every
+# det2 reads four affine factors in closed form.
+affine_differences = st.recursive(
     st.tuples(st.just("blurred"), kernel_values),
-    lambda inner: st.tuples(st.sampled_from(["add", "sub"]), inner, inner),
+    lambda inner: st.tuples(st.just("sub"), inner, inner),
     max_leaves=4)
 
 affine_exprs = st.one_of(
-    affine_sums,
-    st.tuples(st.just("det2"), affine_sums, affine_sums, affine_sums,
-              affine_sums))
+    affine_differences,
+    st.tuples(st.just("det2"), affine_differences, affine_differences,
+              affine_differences, affine_differences))
 
 kernel_levels = st.lists(st.integers(min_value=0, max_value=300),
                          min_size=1, max_size=4)

@@ -19,14 +19,17 @@ from realearn import (
     Assumed,
     BoundingCertificate,
     Challenge,
+    ConvexAngleResult,
     Falsified,
     KnowledgeState,
+    LearnOutcome,
     LeastCandidate,
     Left,
     Point,
     RealRegistry,
     Refl,
     Right,
+    TraceLog,
 )
 from realearn.geometry import RationalPoint
 from realearn._record import _Record
@@ -40,6 +43,10 @@ TABLE = RealSpec("table", F(1, 2), ((F(0), F(1)),))
 RUN = RunReplay([0, 1], [0, 2], 1, True, True, True)
 RUN_TEXT = ("RunReplay(leaf_ranks=[0, 1], leaf_candidates=[0, 2], restarts=1, "
             "progress_ok=True, unique_ok=True, bound_ok=True)")
+CERT = BoundingCertificate(0, 1, 2, {3: 4}, {3: 5}, 6, 7)
+STATE = KnowledgeState(REG)
+CAND = LeastCandidate(0, {0: Refl(0)})
+LOG = TraceLog()
 
 # (class, positional args, keyword args that build the same record,
 #  {field: value} of that record, positional args of a different record,
@@ -118,6 +125,21 @@ CASES = [
     (ReplayVerdict, (2, [RUN]), {"n": 2, "runs": [RUN]},
      {"n": 2, "runs": [RUN], "ok": True}, (2, []), False,
      f"ReplayVerdict(n=2, runs=[{RUN_TEXT}])"),
+    (ConvexAngleResult, (0, 1, 2, CERT, STATE, 3, LOG),
+     {"a": 0, "b": 1, "c": 2, "certificate": CERT, "state": STATE,
+      "restarts": 3, "log": LOG},
+     {"a": 0, "b": 1, "c": 2, "certificate": CERT, "state": STATE,
+      "restarts": 3, "log": LOG, "trace": []},
+     (0, 2, 1, CERT, STATE, 3, LOG), False,
+     f"ConvexAngleResult(a=0, b=1, c=2, certificate={CERT!r}, "
+     f"state={STATE!r}, restarts=3, log={LOG!r})"),
+    (LearnOutcome, (CAND, STATE, LOG, 0),
+     {"candidate": CAND, "state": STATE, "log": LOG, "restarts": 0},
+     {"candidate": CAND, "state": STATE, "log": LOG, "restarts": 0,
+      "trace": []},
+     (CAND, STATE, LOG, 1), False,
+     f"LearnOutcome(candidate={CAND!r}, state={STATE!r}, log={LOG!r}, "
+     "restarts=0)"),
 ]
 
 
