@@ -6,12 +6,14 @@ sequence to a witness precision ``k``.  An entry records a
 previously discovered counterexample: the claim ``r_i <= r_j`` was
 refuted because ``op_at(r_j, r_i, k)`` holds.  A state is sound when
 every stored witness actually verifies.  A state is sealed: its entries
-are a read-only view of a private copy taken at construction, and
-:func:`extend`, which verifies the new witness before it adds it, is
-the only way to grow one.  A sound state therefore only ever grows
-into a sound state, and a run needs to re-verify only the state it
-started from; :func:`~realearn.least.learn_least` does so, and checks
-the state it ends with, in debug builds.
+are the first ``size`` items of an insertion-ordered dict that it
+shares with the states it was extended from and into, a prefix that no
+later extension changes, and :func:`extend`, which verifies the new
+witness before it adds it, is the only way to grow one.  A sound state
+therefore only ever grows into a sound state, and a run needs to
+re-verify only the state it started from;
+:func:`~realearn.least.learn_least` does so, and checks the state it
+ends with, in debug builds.
 
 Comparisons that the state knows nothing about
 (:meth:`KnowledgeState.get` answers None) are answered by assumption,
@@ -34,9 +36,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Mapping
+from itertools import islice
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ._record import _Record
 from .reals import RealNum, op_at
@@ -135,13 +138,23 @@ class KnowledgeState:
     ``reals[i]`` is r_i: a :class:`~realearn.reals.RealRegistry` or any
     other sequence of reals serves.  ``entries[(i, j)] = k`` records
     that ``op_at(r_j, r_i, k)`` holds, refuting the claim
-    ``r_i <= r_j``.  ``entries`` is a read-only mapping over a private
-    copy of the dict passed in, so changing that dict afterwards does
-    not change the state, and assigning to or deleting from ``entries``
-    raises ``TypeError``.  :func:`extend` returns a new state and never
-    mutates the entries.  A state built directly from a dict is not
-    verified; :func:`is_sound` checks one.  States compare equal when
-    their reals and entries do.
+    ``r_i <= r_j``.  A state built from a dict copies it, so changing
+    that dict afterwards does not change the state.  A state built
+    directly from a dict is not verified; :func:`is_sound` checks one.
+    States compare equal when their reals and entries do.
+
+    A lineage of states shares one insertion-ordered dict, and a state
+    holds its ``size``: its entries are the dict's first ``size``
+    items.  :func:`extend` appends to the dict when the state is the
+    newest of its lineage (the dict's length is its size) and otherwise
+    starts a new lineage with a copy of the prefix, so no state's
+    prefix ever changes.  The module's own readers (:meth:`get`,
+    equality, :meth:`sorted_entries`, :func:`is_sound`, :func:`extend`)
+    read the shared dict: the whole of it while the state is the newest
+    of its lineage, its prefix otherwise.  ``entries`` is a read-only
+    mapping over a copy of the prefix, built on its first read, so it
+    never grows, and assigning to or deleting from it raises
+    ``TypeError``.
 
     The state's chain is its strict steps ``(witness, j)`` from 0 over
     all its indices: from i = 0, the entry ``(i, j)`` with the least
@@ -155,25 +168,47 @@ class KnowledgeState:
     extends it or asks it for strict steps.
     """
 
-    __slots__ = ("_reals", "_entries", "_view", "_snapshot_json",
+    __slots__ = ("_reals", "_entries", "_size", "_view", "_snapshot_json",
                  "_successors", "_chain")
 
     def __init__(self, reals: Sequence[RealNum],
                  entries: Mapping[Pair, int] = MappingProxyType({})) -> None:
-        self._seal(reals, dict(entries), None, None)
+        entries = dict(entries)
+        self._seal(reals, entries, len(entries), None, None)
 
     def _seal(self, reals: Sequence[RealNum], entries: Dict[Pair, int],
-              successors: Optional[Dict[int, Tuple[int, int]]],
+              size: int, successors: Optional[Dict[int, Tuple[int, int]]],
               chain: Optional[List[Tuple[int, int]]]) -> None:
         self._reals = reals
         self._entries = entries
-        self._view = MappingProxyType(entries)
+        self._size = size
+        self._view: Optional[Mapping[Pair, int]] = None
         self._snapshot_json: Optional[str] = None
         self._successors = successors
         self._chain = chain
 
     reals = property(attrgetter("_reals"))
-    entries = property(attrgetter("_view"))
+    size = property(attrgetter("_size"))
+
+    @property
+    def entries(self) -> Mapping[Pair, int]:
+        """A read-only mapping of the state's entries, over a copy of
+        its prefix taken on the first read."""
+        if self._view is None:
+            self._view = MappingProxyType(dict(self._items()))
+        return self._view
+
+    def _items(self) -> Iterator[Tuple[Pair, int]]:
+        """The state's entries in insertion order, read in place."""
+        return islice(self._entries.items(), self._size)
+
+    def _dict(self) -> Dict[Pair, int]:
+        """The state's entries as a dict: the shared one while the
+        state is the newest of its lineage, else a new copy of its
+        prefix."""
+        if len(self._entries) == self._size:
+            return self._entries
+        return dict(self._items())
 
     def __copy__(self) -> "KnowledgeState":
         # a state is immutable, and a shallow copy would share its index
@@ -182,24 +217,20 @@ class KnowledgeState:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not KnowledgeState:
             return NotImplemented
-        return (self._reals, self._entries) == (other._reals, other._entries)
+        return self._reals == other._reals and self._dict() == other._dict()
 
     def __repr__(self) -> str:
-        return f"KnowledgeState(reals={self._reals!r}, entries={self._view!r})"
-
-    @property
-    def size(self) -> int:
-        return len(self._entries)
+        return f"KnowledgeState(reals={self._reals!r}, entries={self.entries!r})"
 
     def get(self, i: int, j: int) -> Optional[int]:
         """The stored witness refuting ``r_i <= r_j``, or None."""
-        return self._entries.get((i, j))
+        return self._dict().get((i, j))
 
     def _index(self) -> Dict[int, Tuple[int, int]]:
         if self._successors is None:
             # pairs in descending order, so each i keeps its least j
             self._successors = {
-                i: (w, j) for (i, j), w in sorted(self._entries.items(),
+                i: (w, j) for (i, j), w in sorted(self._items(),
                                                   reverse=True) if j > i}
         return self._successors
 
@@ -217,7 +248,7 @@ class KnowledgeState:
         return self._chain if cut == len(self._chain) else self._chain[:cut]
 
     def sorted_entries(self) -> list[tuple[int, int, int]]:
-        return [(i, j, w) for (i, j), w in sorted(self._entries.items())]
+        return [(i, j, w) for (i, j), w in sorted(self._items())]
 
     @property
     def snapshot(self) -> list[dict]:
@@ -257,7 +288,7 @@ def is_sound(state: KnowledgeState) -> bool:
     """Full re-verification of every stored witness."""
     return all(
         op_at(state.reals[j], state.reals[i], k)
-        for (i, j), k in state.entries.items()
+        for (i, j), k in state._items()
     )
 
 
@@ -267,12 +298,16 @@ def extend(state: KnowledgeState, i: int, j: int, k: int) -> KnowledgeState:
     Extending with an already known pair is a no-op that keeps the
     first witness.  A witness that does not verify raises
     :class:`UnsoundWitness`: that is a programming error in the caller,
-    never a learnable fact.  The new state takes over ``state``'s
+    never a learnable fact.  The new state shares ``state``'s entries
+    dict and appends to it when ``state`` is the newest of its lineage,
+    and otherwise holds a new dict, a copy of ``state``'s prefix plus
+    the new entry.  It takes over ``state``'s
     successor index and shares its chain, unless ``(i, j)`` becomes the
     successor of 0 or of a subject on the chain: then the new state's
     chain is a new list, cut after i and walked on from j.
     """
-    if (i, j) in state.entries:
+    entries = state._dict()
+    if (i, j) in entries:
         return state
     if not op_at(state.reals[j], state.reals[i], k):
         raise UnsoundWitness(f"op_at(r_{j}, r_{i}, {k}) is false")
@@ -285,8 +320,9 @@ def extend(state: KnowledgeState, i: int, j: int, k: int) -> KnowledgeState:
             cut = bisect_right(chain, i, key=itemgetter(1))
             if i == 0 or cut and chain[cut - 1][1] == i:
                 chain = _walk(successors, chain[:cut], i)
+    entries[(i, j)] = k
     child = KnowledgeState.__new__(KnowledgeState)
-    child._seal(state.reals, {**state._entries, (i, j): k}, successors, chain)
+    child._seal(state.reals, entries, state._size + 1, successors, chain)
     return child
 
 

@@ -93,7 +93,9 @@ class OracleAuditor:
     index whose value lies strictly below the candidate's and
     challenges that claim at a separation precision: the least strict
     witness :func:`~realearn.reals.find_strict_witness` finds between
-    the two reals, within a budget set by the gap of their limits.
+    the two reals, within a budget set by the gap of their limits.  For
+    blurred reals that witness is a closed form of their coefficients,
+    so a challenge reads no interval.
     Once the true argmin is proposed it accepts.  For each index m the
     lowest index whose value lies below m's is found once, from the
     values in sorted order, so a challenge scans nothing.  A true value

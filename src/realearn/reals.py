@@ -86,7 +86,14 @@ Monotonicity is what lets :func:`least_witness` find the least
 witnessing precision by galloping and bisection instead of a scan, and
 lets the gallop start from any precision: a caller that expects the
 witness near some k, such as the estimate of an affine ``det2`` node,
-starts there, and the least witness is the same.
+starts there, and the least witness is the same.  Two affine reals
+need no interval and no search.  Cross-multiplied and divided by
+``2**k``, r's upper endpoint at k lies below s's lower endpoint exactly
+when ``G << k > S``, for integers ``G`` (the gap of the limits times
+``l1 * l2``) and ``S`` (the sum of the radii at 0 times it) fixed by
+the two ``(c, w, l)``; so :func:`op_at` is that test, and
+:func:`find_strict_witness` returns the least such k from the bit
+lengths of ``G`` and ``S``.  Any other pair reads intervals.
 """
 
 from __future__ import annotations
@@ -231,13 +238,31 @@ class RealNum:
         return f"RealNum({self.index})"
 
 
+def _affine_gap(a: Affine, b: Affine) -> Tuple[int, int]:
+    """``(G, S)`` of the order test of two affine reals
+    ``a = (c1, w1, l1)`` and ``b = (c2, w2, l2)``: ``G = c2*l1 - c1*l2``
+    and ``S = w1*l2 + w2*l1``, so ``a``'s upper endpoint at k lies
+    strictly below ``b``'s lower endpoint exactly when ``G << k > S``."""
+    c1, w1, l1 = a
+    c2, w2, l2 = b
+    return c2 * l1 - c1 * l2, w1 * l2 + w2 * l1
+
+
 def op_at(r: RealNum, s: RealNum, k: int) -> bool:
     """Decide whether r is strictly below s at precision ``k``.
 
     True exactly when r's upper endpoint at ``k`` is strictly less than
     s's lower endpoint at ``k``.  A single True answer at any precision
-    certifies the strict real-number order r < s.
+    certifies the strict real-number order r < s.  For two affine reals
+    ``(c1, w1, l1)`` and ``(c2, w2, l2)`` that is
+    ``((c1 << k) + w1) * l2 < ((c2 << k) - w2) * l1``, the
+    cross-multiplied endpoints divided by ``2**k``, which is the test
+    ``G << k > S`` of :func:`_affine_gap`: no interval is read or
+    cached.
     """
+    if r._affine is not None and s._affine is not None:
+        gap, spread = _affine_gap(r._affine, s._affine)
+        return gap << k > spread
     _, r_hi, r_d = r._at(k)
     s_lo, _, s_d = s._at(k)
     return r_hi * s_d < s_lo * r_d
@@ -293,8 +318,23 @@ def find_strict_witness(r: RealNum, s: RealNum, k_max: int) -> Optional[int]:
     """Smallest k <= k_max with ``op_at(r, s, k)``, or None.
 
     This is the bounded search for a strict-order witness; None means
-    the search budget was exhausted, not that r < s is false.
+    the search budget was exhausted, not that r < s is false.  For two
+    affine reals the least k with ``G << k > S`` (see
+    :func:`_affine_gap`) is computed, not searched: none when
+    ``G <= 0``, else ``k0 = max(0, S.bit_length() - G.bit_length())``,
+    or ``k0 + 1`` when ``G << k0 <= S``, since below ``k0`` the shifted
+    ``G`` has fewer bits than ``S`` and at ``k0 + 1`` it has more.  No
+    interval is read.  Any other pair is searched by
+    :func:`least_witness` over :func:`op_at`.
     """
+    if r._affine is not None and s._affine is not None:
+        gap, spread = _affine_gap(r._affine, s._affine)
+        if gap <= 0 or k_max < 0:
+            return None
+        k = max(0, spread.bit_length() - gap.bit_length())
+        if gap << k <= spread:
+            k += 1
+        return k if k <= k_max else None
     return least_witness(lambda k: op_at(r, s, k), k_max)
 
 

@@ -527,8 +527,9 @@ def test_deep8_evaluates_few_arithmetic_nodes(monkeypatch):
     # intervals the construction and its audit compute are the 76 of
     # det2 nodes, whose searches start at the nodes' own estimates (132
     # from the previous witness, 434 when det2 read its factors, 698 as
-    # sub(mul, mul) trees), and the only input intervals the 10 that the
-    # learner's comparisons of y coordinates read
+    # sub(mul, mul) trees); the learner compares y coordinates, blurred
+    # reals that op_at and find_strict_witness compare in closed form, so
+    # no input interval is computed (10 when they read intervals)
     pts = deep8_points()
     evaluations = Counter()
     at = RealNum._at
@@ -542,7 +543,7 @@ def test_deep8_evaluates_few_arithmetic_nodes(monkeypatch):
     res = convex_angle(pts)
     assert verify_bounding(pts, res.a, res.b, res.c) == res.certificate
     assert (res.a, res.b, res.c, res.restarts) == (4, 7, 2, 1)
-    assert evaluations["input"] == 10
+    assert evaluations["input"] == 0
     assert evaluations["node"] <= 76, evaluations
 
 

@@ -34,7 +34,7 @@ import realearn.least
 from realearn.least import learn
 from realearn.oracle import OracleAuditor, exact_min_index, separation_from_gap
 from realearn.replay import replay_paths
-from realearn.trace import read_trace
+from realearn.trace import emit_with_state, read_trace
 
 from support import (StringTrace, count_trace_builds, distinct_fractions,
                      evidence_graph, random_table_prefix)
@@ -596,6 +596,62 @@ def test_the_chain_follows_every_extension(drawn):
     # no list handed out has changed since
     for steps, copied in handed:
         assert steps == copied
+
+
+def state_reads(state, m):
+    """Everything a reader sees of ``state`` over the reals r_0 .. r_m,
+    its entries read last, so the other readers run before its view is
+    built."""
+    pairs = [(i, j) for i in range(m + 1) for j in range(m + 1)]
+    return ({pair: state.get(*pair) for pair in pairs}, state.size,
+            state.sorted_entries(), state.snapshot_json,
+            [list(state.strict_steps(n)) for n in range(m + 1)],
+            dict(state.entries))
+
+
+@settings(max_examples=150, deadline=None)
+@given(extend_sequences())
+def test_every_state_stays_sealed_over_sibling_extensions(drawn):
+    # states of one lineage share their entries dict: extending any
+    # state, the newest or an earlier one, must change no read of any
+    # other, nor any view handed out, nor the trace lines a TraceLog
+    # writes of a state after later extensions
+    keys, ops = drawn
+    reg = RealRegistry()
+    for key in keys:
+        reg.blurred(Fraction(key, 2 ** 12))
+    m = len(keys) - 1
+    sound = [(i, j) for i in range(m + 1) for j in range(m + 1)
+             if keys[j] < keys[i]]
+    states = [empty_state(reg)]
+    log, expected = TraceLog(), StringTrace()
+    seen = []
+
+    def record(state):
+        # the line a trace file writes now, from a state of its own
+        entries = {(i, j): w for i, j, w in state.sorted_entries()}
+        emit_with_state(log, "candidate", state, candidate=state.size)
+        emit_with_state(expected, "candidate", KnowledgeState(reg, entries),
+                        candidate=state.size)
+        reads = state_reads(state, m)
+        seen.append((state, reads, state.entries))
+
+    for extending, p, q in ops:
+        state = states[p % len(states)]
+        new = [pair for pair in sound if pair not in state.entries]
+        if extending and new:
+            i, j = new[q % len(new)]
+            states.append(extend(state, i, j, sound_witness(reg, i, j)))
+            record(states[-1])
+        else:
+            record(state)
+    for state, reads, view in seen:
+        assert state_reads(state, m) == reads
+        assert dict(view) == reads[-1] and len(view) == state.size
+        assert is_sound(state)
+        for other, other_reads, _ in seen:
+            assert (state == other) == (reads[-1] == other_reads[-1])
+    assert "".join(log.lines()) == expected.text
 
 
 def test_evidences_is_a_read_only_mapping():

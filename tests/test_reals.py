@@ -836,3 +836,84 @@ def check_against_reference(e1, e2, levels):
             assert real.interval_at(k) == expected.interval_at(k)
         for i, j in ((0, 1), (1, 0), (0, 0)):
             assert op_at(reals[i], reals[j], k) == ref_op_at(refs[i], refs[j], k)
+
+
+# The closed forms of two affine reals against the comparison of their
+# triples, which is what op_at and find_strict_witness read for any
+# other pair.
+
+def interval_op_at(r, s, k):
+    """``op_at`` from the two reals' ``(lo, hi, d)`` triples at k."""
+    _, r_hi, r_d = r._at(k)
+    s_lo, _, s_d = s._at(k)
+    return r_hi * s_d < s_lo * r_d
+
+
+witness_budgets = st.one_of(st.sampled_from([-1, 0, 3, 40, 256]),
+                            st.integers(min_value=-2, max_value=100))
+
+
+@st.composite
+def affine_pairs(draw):
+    """Two affine reals, blurred values or differences of them: two
+    drawn ones, one real twice, a drawn real and a nested chain of
+    differences with the same limit, ``(r - x) - (0 - x)``, or blurred
+    reals ``2**-j`` apart, whose intervals touch at k = j."""
+    reg = RealRegistry()
+    kind = draw(st.sampled_from(["drawn", "same", "equal limit", "touching"]))
+    if kind == "touching":
+        value, j = draw(kernel_values), draw(st.integers(0, 90))
+        return reg.blurred(value), reg.blurred(value + Fraction(1, 2 ** j))
+    r = build_expr(reg, draw(affine_differences))
+    if kind == "same":
+        return r, r
+    if kind == "equal limit":
+        x = build_expr(reg, draw(affine_differences))
+        return r, sub(sub(r, x), sub(reg.blurred(0), x))
+    return r, build_expr(reg, draw(affine_differences))
+
+
+@settings(max_examples=200, deadline=None)
+@given(affine_pairs(), witness_budgets)
+def test_affine_comparisons_are_closed_forms(pair, k_max):
+    r, s = pair
+    assert r._affine is not None and s._affine is not None
+    levels = range(81)
+    orders = [(r, s), (s, r)]
+    answers = [[op_at(a, b, k) for k in levels] for a, b in orders]
+    witnesses = [find_strict_witness(a, b, k_max) for a, b in orders]
+    # no interval was read
+    assert r._cache == {} and s._cache == {}
+    for (a, b), answer, witness in zip(orders, answers, witnesses):
+        assert answer == [interval_op_at(a, b, k) for k in levels]
+        assert witness == least_witness(
+            lambda k: interval_op_at(a, b, k), k_max)
+
+
+# A real that is not affine: a rational, a table, a raw generator or an
+# orientation of affine reals.
+non_affine_exprs = st.one_of(
+    st.tuples(st.just("from_rational"), kernel_values),
+    kernel_tables(),
+    st.builds(raw_generator, kernel_values,
+              st.builds(Fraction, st.integers(min_value=0, max_value=15),
+                        st.just(15))),
+    st.tuples(st.just("det2"), affine_differences, affine_differences,
+              affine_differences, affine_differences))
+
+
+@settings(max_examples=150, deadline=None)
+@given(affine_differences, non_affine_exprs, st.booleans(), witness_budgets,
+       st.lists(st.integers(min_value=0, max_value=80), min_size=1,
+                max_size=4))
+def test_mixed_comparisons_read_intervals(affine, other, affine_first, k_max,
+                                          levels):
+    reg = RealRegistry()
+    a, b = build_expr(reg, affine), build_expr(reg, other)
+    assert a._affine is not None and b._affine is None
+    r, s = (a, b) if affine_first else (b, a)
+    for k in levels:
+        assert op_at(r, s, k) == interval_op_at(r, s, k)
+        assert k in r._cache and k in s._cache
+    assert find_strict_witness(r, s, k_max) == least_witness(
+        lambda k: interval_op_at(r, s, k), k_max)
