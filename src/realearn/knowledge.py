@@ -8,8 +8,10 @@ refuted because ``op_at(r_j, r_i, k)`` holds.  A state is sound when
 every stored witness actually verifies.  A state is sealed: its entries
 are the first ``size`` items of an insertion-ordered dict that it
 shares with the states it was extended from and into, a prefix that no
-later extension changes, and :func:`extend`, which verifies the new
-witness before it adds it, is the only way to grow one.  A sound state
+later extension changes.  The newest state of such a lineage owns the
+dict and the lineage's successor index, and :func:`extend`, which
+verifies the new witness before it adds it, is the only way to grow
+one; extending any other state starts a new lineage.  A sound state
 therefore only ever grows into a sound state, and a run needs to
 re-verify only the state it started from;
 :func:`~realearn.least.learn_least` does so, and checks the state it
@@ -39,7 +41,7 @@ from collections.abc import Mapping
 from itertools import islice
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ._record import _Record
 from .reals import RealNum, op_at
@@ -143,46 +145,44 @@ class KnowledgeState:
     directly from a dict is not verified; :func:`is_sound` checks one.
     States compare equal when their reals and entries do.
 
-    A lineage of states shares one insertion-ordered dict, and a state
-    holds its ``size``: its entries are the dict's first ``size``
-    items.  :func:`extend` appends to the dict when the state is the
-    newest of its lineage (the dict's length is its size) and otherwise
-    starts a new lineage with a copy of the prefix, so no state's
-    prefix ever changes.  The module's own readers (:meth:`get`,
-    equality, :meth:`sorted_entries`, :func:`is_sound`, :func:`extend`)
-    read the shared dict: the whole of it while the state is the newest
-    of its lineage, its prefix otherwise.  ``entries`` is a read-only
-    mapping over a copy of the prefix, built on its first read, so it
-    never grows, and assigning to or deleting from it raises
-    ``TypeError``.
+    A lineage of states shares one insertion-ordered dict and one
+    successor index ``i -> (witness, j)``, of the entries ``(i, j)``
+    with the least ``j > i``.  A state holds its ``size``: its entries
+    are the dict's first ``size`` items.  The newest state of the
+    lineage, whose size is the dict's length, owns the dict and the
+    index, and :func:`extend` grows both in place; any other state reads
+    its own prefix, and extending it starts a new lineage with a new
+    dict and a new index built from that prefix.  So no state's
+    entries ever change.  ``entries`` is a read-only mapping over a new
+    copy of the prefix on every read, so it never grows, and assigning
+    to or deleting from it raises ``TypeError``.  A shallow copy of a
+    state is one more state of the same lineage.
 
     The state's chain is its strict steps ``(witness, j)`` from 0 over
     all its indices: from i = 0, the entry ``(i, j)`` with the least
-    ``j > i``, then the same from j.  It is walked, through an index
-    ``i -> (witness, j)`` of those entries, when first needed, and
-    :meth:`strict_steps` hands out its prefixes.  :func:`extend` hands
-    the index and the chain to the new state: it updates the index in
-    place, and the parent rebuilds its own if it is asked again; the
-    chain is never changed, so parent and child may share it.  So a
-    state must not be extended in one thread while another thread
-    extends it or asks it for strict steps.
+    ``j > i``, then the same from j.  A state built from a dict walks
+    it through the index once, :func:`extend` hands it on or cuts and
+    walks a new one, and :meth:`strict_steps` hands out its prefixes.
+    No chain changes once built.  Because a lineage's dict and index
+    grow in place, a lineage must not be extended in one thread while
+    another thread extends it or reads a state of it.
     """
 
-    __slots__ = ("_reals", "_entries", "_size", "_view", "_snapshot_json",
+    __slots__ = ("_reals", "_entries", "_size", "_snapshot_json",
                  "_successors", "_chain")
 
     def __init__(self, reals: Sequence[RealNum],
                  entries: Mapping[Pair, int] = MappingProxyType({})) -> None:
         entries = dict(entries)
-        self._seal(reals, entries, len(entries), None, None)
+        index = _successors(entries.items())
+        self._seal(reals, entries, len(entries), index, _walk(index, [], 0))
 
     def _seal(self, reals: Sequence[RealNum], entries: Dict[Pair, int],
-              size: int, successors: Optional[Dict[int, Tuple[int, int]]],
-              chain: Optional[List[Tuple[int, int]]]) -> None:
+              size: int, successors: Dict[int, Tuple[int, int]],
+              chain: List[Tuple[int, int]]) -> None:
         self._reals = reals
         self._entries = entries
         self._size = size
-        self._view: Optional[Mapping[Pair, int]] = None
         self._snapshot_json: Optional[str] = None
         self._successors = successors
         self._chain = chain
@@ -192,27 +192,27 @@ class KnowledgeState:
 
     @property
     def entries(self) -> Mapping[Pair, int]:
-        """A read-only mapping of the state's entries, over a copy of
-        its prefix taken on the first read."""
-        if self._view is None:
-            self._view = MappingProxyType(dict(self._items()))
-        return self._view
+        """A read-only mapping over a new copy of the state's entries."""
+        return MappingProxyType(dict(self._items()))
 
     def _items(self) -> Iterator[Tuple[Pair, int]]:
         """The state's entries in insertion order, read in place."""
         return islice(self._entries.items(), self._size)
 
     def _dict(self) -> Dict[Pair, int]:
-        """The state's entries as a dict: the shared one while the
-        state is the newest of its lineage, else a new copy of its
-        prefix."""
+        """The state's entries as a dict: the lineage's own while the
+        state is the newest, else a new copy of its prefix."""
         if len(self._entries) == self._size:
             return self._entries
         return dict(self._items())
 
-    def __copy__(self) -> "KnowledgeState":
-        # a state is immutable, and a shallow copy would share its index
-        return self
+    def _index(self) -> Dict[int, Tuple[int, int]]:
+        """The successor index of the state's entries: the lineage's
+        own while the state is the newest, else a new one built from
+        its prefix."""
+        if len(self._entries) == self._size:
+            return self._successors
+        return _successors(self._items())
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not KnowledgeState:
@@ -226,14 +226,6 @@ class KnowledgeState:
         """The stored witness refuting ``r_i <= r_j``, or None."""
         return self._dict().get((i, j))
 
-    def _index(self) -> Dict[int, Tuple[int, int]]:
-        if self._successors is None:
-            # pairs in descending order, so each i keeps its least j
-            self._successors = {
-                i: (w, j) for (i, j), w in sorted(self._items(),
-                                                  reverse=True) if j > i}
-        return self._successors
-
     def strict_steps(self, n: int) -> List[Tuple[int, int]]:
         """The strict steps ``(witness, j)`` of a least-element pass over
         ``0..n``: from i = 0, the stored entry ``(i, j)`` with the least
@@ -242,8 +234,6 @@ class KnowledgeState:
         by bisection: the chain itself when it ends by n, else a new
         list.  Either way the list never changes, and must not be
         changed."""
-        if self._chain is None:
-            self._chain = _walk(self._index(), [], 0)
         cut = bisect_right(self._chain, n, key=itemgetter(1))
         return self._chain if cut == len(self._chain) else self._chain[:cut]
 
@@ -269,13 +259,19 @@ class KnowledgeState:
         return self._snapshot_json
 
 
+def _successors(items: Iterable[Tuple[Pair, int]]) -> Dict[int, Tuple[int, int]]:
+    """The successor index of the entries ``items``: for each i, the
+    ``(witness, j)`` of its entry with the least ``j > i``."""
+    # pairs in descending order, so each i keeps its least j
+    return {i: (w, j) for (i, j), w in sorted(items, reverse=True) if j > i}
+
+
 def _walk(successors: Dict[int, Tuple[int, int]],
           steps: List[Tuple[int, int]], i: int) -> List[Tuple[int, int]]:
     """``steps`` extended, in place, by the strict steps from i on."""
-    step = successors.get(i)
-    while step is not None:
+    while (step := successors.get(i)) is not None:
         steps.append(step)
-        step = successors.get(step[1])
+        i = step[1]
     return steps
 
 
@@ -298,13 +294,12 @@ def extend(state: KnowledgeState, i: int, j: int, k: int) -> KnowledgeState:
     Extending with an already known pair is a no-op that keeps the
     first witness.  A witness that does not verify raises
     :class:`UnsoundWitness`: that is a programming error in the caller,
-    never a learnable fact.  The new state shares ``state``'s entries
-    dict and appends to it when ``state`` is the newest of its lineage,
-    and otherwise holds a new dict, a copy of ``state``'s prefix plus
-    the new entry.  It takes over ``state``'s
-    successor index and shares its chain, unless ``(i, j)`` becomes the
-    successor of 0 or of a subject on the chain: then the new state's
-    chain is a new list, cut after i and walked on from j.
+    never a learnable fact.  The new state is the newest of its
+    lineage: it grows ``state``'s dict and index when ``state`` is the
+    newest, and new ones built from ``state``'s prefix otherwise.  It
+    shares ``state``'s chain, unless ``(i, j)`` becomes the successor
+    of 0 or of a subject on the chain: then its chain is a new list,
+    cut after i and walked on from j.  No slot of ``state`` is written.
     """
     entries = state._dict()
     if (i, j) in entries:
@@ -312,14 +307,12 @@ def extend(state: KnowledgeState, i: int, j: int, k: int) -> KnowledgeState:
     if not op_at(state.reals[j], state.reals[i], k):
         raise UnsoundWitness(f"op_at(r_{j}, r_{i}, {k}) is false")
     successors = state._index()
-    state._successors = None
     chain = state._chain
     if j > i and (i not in successors or j < successors[i][1]):
         successors[i] = (k, j)
-        if chain is not None:
-            cut = bisect_right(chain, i, key=itemgetter(1))
-            if i == 0 or cut and chain[cut - 1][1] == i:
-                chain = _walk(successors, chain[:cut], i)
+        cut = bisect_right(chain, i, key=itemgetter(1))
+        if i == 0 or cut and chain[cut - 1][1] == i:
+            chain = _walk(successors, chain[:cut], i)
     entries[(i, j)] = k
     child = KnowledgeState.__new__(KnowledgeState)
     child._seal(state.reals, entries, state._size + 1, successors, chain)

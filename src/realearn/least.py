@@ -5,9 +5,9 @@ returns the least element relative to the current knowledge state,
 together with an evidence chain for every comparison it relied on.
 With an empty state this is pure guessing: index 0 is proposed and
 every comparison is assumed.  Only strict answers change anything, so
-the pass takes its strict steps from the chain the knowledge state
-carries, which :func:`~realearn.knowledge.extend` keeps up to date as
-the state grows, so the pass walks nothing.  It keeps the list of
+the pass takes its strict steps from the chain that every knowledge
+state carries from the start, and that :func:`~realearn.knowledge.extend`
+gives each new state, so the pass walks nothing.  It keeps the list of
 those steps and builds an index's evidence, base and chain alike,
 only when it is read, so a pass costs at most a copy of its strict
 steps and allocates no evidence however many strict answers it meets.
@@ -141,22 +141,18 @@ class NullAuditor:
 
 
 class ScriptedAuditor:
-    """Plays back a fixed list of challenges, then accepts.
+    """Plays back a fixed list of challenges, taken when it is built,
+    then accepts.
 
     Challenge order across candidates is the script's responsibility;
     the auditor simply hands out the next entry each time it is asked.
     """
 
     def __init__(self, script: Iterable[Challenge]):
-        self._script = list(script)
-        self._next = 0
+        self._script = iter(tuple(script))
 
     def challenge(self, cand: LeastCandidate) -> Optional[Challenge]:
-        if self._next >= len(self._script):
-            return None
-        entry = self._script[self._next]
-        self._next += 1
-        return entry
+        return next(self._script, None)
 
 
 def least_candidate(state: KnowledgeState, n: int,

@@ -343,23 +343,20 @@ def _magnitude_exponent(x: RealNum) -> int:
     every index, computed once per real: the bound that fixes the
     precision at which :func:`det2` reads x as a factor.  Index 0 never
     changes once cached, so neither does the answer.  An affine real
-    ``(c, w, l)`` has the triple ``(c - w, c + w, l)`` at index 0,
-    taken from ``_affine`` without evaluating or caching the real."""
+    ``(c, w, l)`` has the triple ``(c - w, c + w, l)`` at index 0, so
+    |x| is at most ``(|c| + w) / l`` there, taken from ``_affine``
+    without evaluating or caching the real."""
     c = x._magnitude
     if c is not None:
         return c
     if x._affine is not None:
         centre, w, d = x._affine
-        lo, hi = centre - w, centre + w
+        m = abs(centre) + w
     else:
         lo, hi, d = x._at(0)
-    m = max(abs(lo), abs(hi))
-    c = 0
-    if m > d:
-        c = max(0, m.bit_length() - d.bit_length() - 1)
-        while d << c < m:
-            c += 1
-    x._magnitude = c
+        m = max(abs(lo), abs(hi))
+    # m <= d << c exactly when 2**c > ceil(m / d) - 1 = (m - 1) // d
+    c = x._magnitude = ((m - 1) // d).bit_length() if m > d else 0
     return c
 
 

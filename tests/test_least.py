@@ -345,10 +345,15 @@ def test_learn_refuses_a_pair_it_already_knows():
 
 def test_script_exhaustion_accepts_current_candidate():
     script = [Challenge(3, 33)]
-    outcome = learn_least(5, ScriptedAuditor(script),
-                          empty_state(worked_registry()), 32)
+    auditor = ScriptedAuditor(script)
+    # the auditor plays the script it was built with: the caller's
+    # later changes to its list are not played
+    script[0] = Challenge(1, 7)
+    script += WORKED_SCRIPT[1:]
+    outcome = learn_least(5, auditor, empty_state(worked_registry()), 32)
     assert outcome.candidate.candidate == 3
     assert outcome.restarts == 1
+    assert auditor.challenge(outcome.candidate) is None
 
 
 def test_oracle_auditor_reaches_true_minimum():
@@ -549,16 +554,18 @@ def walked_strict_steps(entries, n):
 def extend_sequences(draw):
     """Distinct blurred reals r_0 .. r_m and operations on a growing
     list of states that starts with the empty one: extend a drawn state
-    with a drawn sound pair it does not hold, or ask a drawn state for
-    its strict steps.  A pair may have j < i, an i off the chain or cut
-    the chain in the middle; a state may be extended more than once and
-    asked before, between and after its extensions."""
+    with a drawn sound pair it does not hold, add a shallow copy of a
+    drawn state, which shares its lineage, or ask a drawn state for its
+    strict steps.  A pair may have j < i, an i off the chain or cut the
+    chain in the middle; a state, a copy included, may be extended more
+    than once and asked before, between and after its extensions."""
     m = draw(st.integers(1, 12))
     keys = draw(st.lists(st.integers(-2 ** 20, 2 ** 20),
                          min_size=m + 1, max_size=m + 1, unique=True))
     if draw(st.booleans()):
         keys.sort(reverse=True)  # every pair (i, j) with j > i is sound
-    ops = draw(st.lists(st.tuples(st.booleans(), st.integers(0, 2 ** 16),
+    ops = draw(st.lists(st.tuples(st.sampled_from(["extend", "copy", "ask"]),
+                                  st.integers(0, 2 ** 16),
                                   st.integers(0, 2 ** 16)), max_size=40))
     return keys, ops
 
@@ -583,12 +590,14 @@ def test_the_chain_follows_every_extension(drawn):
             assert steps == KnowledgeState(reg, state.entries).strict_steps(n)
             handed.append((steps, list(steps)))
 
-    for extending, p, q in ops:
+    for op, p, q in ops:
         state = states[p % len(states)]
         new = [pair for pair in sound if pair not in state.entries]
-        if extending and new:
+        if op == "extend" and new:
             i, j = new[q % len(new)]
             states.append(extend(state, i, j, sound_witness(reg, i, j)))
+        elif op == "copy":
+            states.append(copy.copy(state))
         else:
             ask(state)
     for state in states:
@@ -600,8 +609,7 @@ def test_the_chain_follows_every_extension(drawn):
 
 def state_reads(state, m):
     """Everything a reader sees of ``state`` over the reals r_0 .. r_m,
-    its entries read last, so the other readers run before its view is
-    built."""
+    its entries, a view over a new copy on every read, last."""
     pairs = [(i, j) for i in range(m + 1) for j in range(m + 1)]
     return ({pair: state.get(*pair) for pair in pairs}, state.size,
             state.sorted_entries(), state.snapshot_json,
@@ -612,10 +620,11 @@ def state_reads(state, m):
 @settings(max_examples=150, deadline=None)
 @given(extend_sequences())
 def test_every_state_stays_sealed_over_sibling_extensions(drawn):
-    # states of one lineage share their entries dict: extending any
-    # state, the newest or an earlier one, must change no read of any
-    # other, nor any view handed out, nor the trace lines a TraceLog
-    # writes of a state after later extensions
+    # states of one lineage, copies included, share their entries dict
+    # and successor index: extending any state, the newest or an
+    # earlier one, must change no read of any other, nor any view
+    # handed out, nor the trace lines a TraceLog writes of a state
+    # after later extensions
     keys, ops = drawn
     reg = RealRegistry()
     for key in keys:
@@ -628,20 +637,25 @@ def test_every_state_stays_sealed_over_sibling_extensions(drawn):
     seen = []
 
     def record(state):
-        # the line a trace file writes now, from a state of its own
+        # the reads and the line a trace file writes now, from a state
+        # of its own
         entries = {(i, j): w for i, j, w in state.sorted_entries()}
+        own = KnowledgeState(reg, entries)
         emit_with_state(log, "candidate", state, candidate=state.size)
-        emit_with_state(expected, "candidate", KnowledgeState(reg, entries),
-                        candidate=state.size)
+        emit_with_state(expected, "candidate", own, candidate=state.size)
         reads = state_reads(state, m)
+        assert reads == state_reads(own, m)
         seen.append((state, reads, state.entries))
 
-    for extending, p, q in ops:
+    for op, p, q in ops:
         state = states[p % len(states)]
         new = [pair for pair in sound if pair not in state.entries]
-        if extending and new:
+        if op == "extend" and new:
             i, j = new[q % len(new)]
             states.append(extend(state, i, j, sound_witness(reg, i, j)))
+            record(states[-1])
+        elif op == "copy":
+            states.append(copy.copy(state))
             record(states[-1])
         else:
             record(state)

@@ -18,8 +18,8 @@ from realearn import (
     op_at,
 )
 from realearn.oracle import separation_from_gap
-from realearn.reals import (_fraction, _magnitude_exponent, _over_lcm,
-                            _product, det2, sub)
+from realearn.reals import (_affine_real, _fraction, _magnitude_exponent,
+                            _over_lcm, _product, det2, sub)
 
 from support import random_real, random_table_prefix
 
@@ -836,6 +836,41 @@ def check_against_reference(e1, e2, levels):
             assert real.interval_at(k) == expected.interval_at(k)
         for i, j in ((0, 1), (1, 0), (0, 0)):
             assert op_at(reals[i], reals[j], k) == ref_op_at(refs[i], refs[j], k)
+
+
+# The bound m = max |endpoint| and the denominator d of index 0 at the
+# edges of the closed form: m <= d, m == d << c, m == (d << c) + 1 and
+# one below it, with intervals above, around and below zero.
+AFFINE_MAGNITUDES = [  # (c, w, l), the magnitude exponent
+    ((0, 1, 2), 0), ((1, 1, 2), 0), ((-1, 1, 2), 0),
+    ((2, 1, 2), 1), ((-2, 1, 2), 1),
+    ((6, 2, 4), 1), ((-6, 2, 4), 1), ((5, 2, 4), 1), ((13, 3, 8), 1),
+    ((7, 2, 4), 2), ((-7, 2, 4), 2),
+    ((30, 2, 4), 3), ((-30, 2, 4), 3),
+    ((31, 2, 4), 4), ((-31, 2, 4), 4)]
+TABLE_MAGNITUDES = [  # the interval at index 0, the magnitude exponent
+    (("1/3", "2/3"), 0), (("-1", "0"), 0), (("-1/3", "1/3"), 0),
+    (("1/3", "4/3"), 1), (("-4/3", "-1/3"), 1),
+    (("5/3", "2"), 1), (("-2", "-5/3"), 1), (("3", "4"), 2),
+    (("-4", "-3"), 2), (("2", "7/3"), 2), (("-7/3", "-2"), 2),
+    (("4", "5"), 3), (("-5", "-4"), 3)]
+
+
+@pytest.mark.parametrize("affine, expected", AFFINE_MAGNITUDES)
+def test_affine_magnitude_exponent_at_its_edges(affine, expected):
+    c, w, l = affine
+    real = _affine_real(RealRegistry().register, affine)
+    twin = RefReal(lambda k: (Fraction(c - w, l), Fraction(c + w, l)))
+    assert _magnitude_exponent(real) == ref_magnitude_exponent(twin) == expected
+    assert real._cache == {}
+
+
+@pytest.mark.parametrize("interval, expected", TABLE_MAGNITUDES)
+def test_table_magnitude_exponent_at_its_edges(interval, expected):
+    lo, hi = map(Fraction, interval)
+    real = RealRegistry().from_table([(lo, hi)], lo)
+    twin = RefRegistry().from_table([(lo, hi)], lo)
+    assert _magnitude_exponent(real) == ref_magnitude_exponent(twin) == expected
 
 
 # The closed forms of two affine reals against the comparison of their
