@@ -24,7 +24,8 @@ nothing, and each ``cmd_*`` imports the modules it runs when it runs,
 so a process loads only what its subcommand needs: ``tree`` loads only
 the trace reader and :mod:`realearn.replay`, ``least`` no convex,
 geometry or replay module, ``convex`` no oracle, and ``check`` no
-learner (no knowledge, least or convex module).  The ``--kmax``
+least, convex or replay module: it rebuilds the recorded state with
+:mod:`realearn.knowledge`, which runs no learner.  The ``--kmax``
 default of ``least`` and ``convex`` is 256 and can be overridden by the
 ``REALEARN_KMAX`` environment variable; an explicit flag wins over the
 environment.  ``check`` never reads the variable: its kmax is its
@@ -53,7 +54,7 @@ from .errors import (
     PathMismatch,
     RestartBudgetExceeded,
 )
-from .trace import NullLog, TraceFile, read_trace
+from .trace import NullLog, TraceFile, _dumps, read_trace
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -226,8 +227,7 @@ def cmd_convex(args) -> int:
                 "state": result.state.snapshot,
             }
             with open(args.result, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(record, sort_keys=True,
-                                        separators=(",", ":")))
+                handle.write(_dumps(record))
                 handle.write("\n")
     cert = result.certificate
     print(f"apex: {result.a}")
@@ -239,23 +239,11 @@ def cmd_convex(args) -> int:
     return EXIT_OK
 
 
-def _least_candidate(entries: list[tuple[int, int, int]]) -> int:
-    """The candidate of a least-element pass under the state ``entries``
-    (``(i, j, witness)`` triples): from 0, the entry ``(i, j)`` with the
-    least ``j > i``, then the same from j, to the last such j."""
-    # entries in descending order, so each i keeps its least j
-    successor = {i: j for i, j, _ in sorted(entries, reverse=True) if j > i}
-    candidate = 0
-    while candidate in successor:
-        candidate = successor[candidate]
-    return candidate
-
-
 def cmd_check(args) -> int:
     from .geometry import verify_bounding
     from .inputs import build_points, rational_points
+    from .knowledge import UnsoundWitness, empty_state, extend
     from .oracle import exact_convex_check
-    from .reals import op_at
 
     try:
         with open(args.result, "r", encoding="utf-8") as handle:
@@ -276,8 +264,9 @@ def cmd_check(args) -> int:
     # the recorded state and restarts, each audited when present: first
     # that every entry names two points and a witness within kmax, then
     # that each is a pair a run learns, (candidate, j) with j above the
-    # candidate and learned once, and holds, that there is one per
-    # restart and that the apex is the state's least-element candidate
+    # candidate, and that extend, which keeps a pair once and verifies
+    # its witness, grows the state by it; then that there is one entry
+    # per restart and that the apex ends the state's chain of strict steps
     state = record.get("state")
     if state is not None and not isinstance(state, list):
         raise InputError(f"{args.result}: state must be a list of entries")
@@ -291,24 +280,28 @@ def cmd_check(args) -> int:
             raise InputError(
                 f"{args.result}: state entry {number} must name two points "
                 f"0..{len(points) - 1} and a witness 0..{kmax}")
-    learned = set()
+    learned = empty_state([p.y for p in points])
     for i, j, w in entries:
         if j <= i:
             raise CertificateFailure(
                 f"state entry ({i}, {j}): j is not above i, so no run blames it")
-        if (i, j) in learned:
+        try:
+            grown = extend(learned, i, j, w)
+        except UnsoundWitness:
+            raise CertificateFailure(
+                f"state entry ({i}, {j}): op_at(y_{j}, y_{i}, {w}) is false"
+            ) from None
+        if grown is learned:
             raise CertificateFailure(
                 f"state entry ({i}, {j}) repeats an earlier entry")
-        learned.add((i, j))
-        if not op_at(points[j].y, points[i].y, w):
-            raise CertificateFailure(
-                f"state entry ({i}, {j}): op_at(y_{j}, y_{i}, {w}) is false")
+        learned = grown
     if record.get("restarts") is not None:
         restarts = _count(f"{args.result}: restarts", record["restarts"])
         if state is not None and restarts != len(entries):
             raise CertificateFailure(f"restarts {restarts} is not the "
                                      f"state's entry count {len(entries)}")
-    if state is not None and a != (candidate := _least_candidate(entries)):
+    steps = learned.strict_steps(len(points) - 1)
+    if state is not None and a != (candidate := steps[-1][1] if steps else 0):
         raise CertificateFailure(f"apex {a} is not the least-element "
                                  f"candidate {candidate} of the recorded state")
     derived = verify_bounding(points, a, b, c, k_max=kmax)
@@ -316,8 +309,7 @@ def cmd_check(args) -> int:
     # certificate must also have the same JSON text
     stored, certificate = record.get("certificate"), _certificate_obj(derived)
     if stored is not None and (
-            stored != certificate or json.dumps(stored, sort_keys=True)
-            != json.dumps(certificate, sort_keys=True)):
+            stored != certificate or _dumps(stored) != _dumps(certificate)):
         raise CertificateFailure(
             "stored certificate does not match re-derived witnesses")
     if not exact_convex_check(rational_points(document), a, b, c):

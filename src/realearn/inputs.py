@@ -101,8 +101,9 @@ class RealSpec(_Record):
         self._prefix = prefix
 
     def build(self, registry: RealRegistry) -> RealNum:
-        if self.kind == "rational":
-            return registry.from_rational(self.limit)
+        """Register the real: a blurred real by its value, and a table
+        or a rational, which is the table with no prefix, by its prefix
+        and limit."""
         if self.kind == "blurred":
             return registry.blurred(self.limit)
         return registry.from_table(self.prefix, self.limit)

@@ -92,8 +92,8 @@ need no interval and no search.  Cross-multiplied and divided by
 when ``G << k > S``, for integers ``G`` (the gap of the limits times
 ``l1 * l2``) and ``S`` (the sum of the radii at 0 times it) fixed by
 the two ``(c, w, l)``; so :func:`op_at` is that test, and
-:func:`find_strict_witness` returns the least such k from the bit
-lengths of ``G`` and ``S``.  Any other pair reads intervals.
+:func:`find_strict_witness` returns the least such k, the bit length
+of ``S // G``.  Any other pair reads intervals.
 """
 
 from __future__ import annotations
@@ -321,19 +321,16 @@ def find_strict_witness(r: RealNum, s: RealNum, k_max: int) -> Optional[int]:
     the search budget was exhausted, not that r < s is false.  For two
     affine reals the least k with ``G << k > S`` (see
     :func:`_affine_gap`) is computed, not searched: none when
-    ``G <= 0``, else ``k0 = max(0, S.bit_length() - G.bit_length())``,
-    or ``k0 + 1`` when ``G << k0 <= S``, since below ``k0`` the shifted
-    ``G`` has fewer bits than ``S`` and at ``k0 + 1`` it has more.  No
-    interval is read.  Any other pair is searched by
-    :func:`least_witness` over :func:`op_at`.
+    ``G <= 0``, else ``(S // G).bit_length()``, since ``G << k > S``
+    exactly when ``2**k > S // G``.  That k is at least 0, so a negative
+    ``k_max`` returns None.  No interval is read.  Any other pair is
+    searched by :func:`least_witness` over :func:`op_at`.
     """
     if r._affine is not None and s._affine is not None:
         gap, spread = _affine_gap(r._affine, s._affine)
-        if gap <= 0 or k_max < 0:
+        if gap <= 0:
             return None
-        k = max(0, spread.bit_length() - gap.bit_length())
-        if gap << k <= spread:
-            k += 1
+        k = (spread // gap).bit_length()
         return k if k <= k_max else None
     return least_witness(lambda k: op_at(r, s, k), k_max)
 
@@ -436,18 +433,10 @@ class RealRegistry(Sequence[RealNum]):
         return self.register(nested)
 
     def from_rational(self, q: RationalLike) -> RealNum:
-        """The real with constant degenerate interval [q, q].
-
-        An exact ``Fraction`` q is taken as it is; an int, a string or
-        another rational goes through ``Fraction(q)``.
-        """
-        value = _fraction(q)
-        interval = (value.numerator, value.numerator, value.denominator)
-
-        def gen(k: int) -> Triple:
-            return interval
-
-        return self.register(gen)
+        """The real with constant degenerate interval [q, q]: the table
+        with no prefix and tail q, whose triple at every k is
+        ``(n, n, d)`` for ``q = n/d``."""
+        return self.from_table((), q)
 
     def blurred(self, q: RationalLike) -> RealNum:
         """A real converging to q with interval width exactly 2**-k.
@@ -469,9 +458,9 @@ class RealRegistry(Sequence[RealNum]):
         """A real given by an explicit finite interval prefix.
 
         Past the prefix the sequence is the degenerate interval
-        ``[tail, tail]``.  The endpoints and the tail are taken as
-        :meth:`from_rational` takes q: an exact ``Fraction`` as it is.
-        The whole table is validated eagerly; the
+        ``[tail, tail]``.  An exact ``Fraction`` endpoint or tail is
+        taken as it is; an int, a string or another rational goes
+        through ``Fraction``.  The whole table is validated eagerly; the
         first violated clause raises :class:`InvalidNesting` with the
         offending index.
         """

@@ -55,8 +55,9 @@ def replay_paths(runs: Iterable[Iterable[TraceEvent]],
     """Re-walk recorded runs along the decision tree over indices 1..n.
 
     Each candidate computation in a run maps to one root-to-leaf path.
-    Verifies that every path is a path of the tree (each pair is
-    ``(candidate, depth)`` and the final candidate agrees), that leaf
+    Verifies that every path is a path of the tree (each pair is the
+    integers ``(candidate, depth)``, each decision is ``"assume"`` or
+    ``"strict"`` and the final candidate is the same integer), that leaf
     ranks strictly increase across restarts, that no path repeats, and
     that the number of restarts stays below ``2**n``.  A leaf's rank
     reads the path's answers as binary digits, strict = 1, root first.
@@ -66,7 +67,9 @@ def replay_paths(runs: Iterable[Iterable[TraceEvent]],
     only when every run has been read, so an error that reading a run
     raises comes before it.  In a run, decisions after its last
     candidate come before a mismatch of one of its paths; in a path,
-    its length comes before a pair, and a pair before its candidate.
+    its length comes before a decision, a decision's pair before its
+    answer, an earlier decision before a later one, and every decision
+    before the candidate.
     """
     replays: List[RunReplay] = []
     mismatch: Optional[str] = None
@@ -80,10 +83,19 @@ def replay_paths(runs: Iterable[Iterable[TraceEvent]],
             if phase == "decide":
                 depth += 1
                 pair = event.payload.get("pair")
-                if wrong is None and pair != [candidate, depth]:
+                decision = event.payload.get("decision")
+                # == takes false, true and 0.0 for 0 and 1, so an equal
+                # pair must also hold ints, as the candidate must below
+                if wrong is None and (pair != [candidate, depth]
+                                      or type(pair[0]) is not int
+                                      or type(pair[1]) is not int):
                     wrong = (f"decision pair {pair} does not match "
                              f"tree node {(candidate, depth)}")
-                strict = event.payload.get("decision") == "strict"
+                if wrong is None and decision not in ("assume", "strict"):
+                    wrong = (f"decision {decision!r} at tree node "
+                             f"{(candidate, depth)} is neither 'assume' "
+                             "nor 'strict'")
+                strict = decision == "strict"
                 rank = rank << 1 | strict
                 if strict:
                     candidate = depth
@@ -93,7 +105,8 @@ def replay_paths(runs: Iterable[Iterable[TraceEvent]],
                     n = depth
                 if depth != n:
                     wrong = f"path length {depth} does not match n = {n}"
-                elif wrong is None and candidate != reported:
+                elif wrong is None and (type(reported) is not int
+                                        or candidate != reported):
                     wrong = (f"leaf candidate {candidate} does not match "
                              f"reported candidate {reported!r}")
                 error = error or wrong

@@ -9,11 +9,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from realearn import KnowledgeState, least_candidate
-from realearn.cli import _least_candidate
 from realearn.replay import replay_paths
 from realearn.trace import read_trace
 from support import general_position_points
@@ -411,17 +407,43 @@ def test_check_rejects_every_malformed_state_entry(tmp_path):
                        "a witness 0..64")
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
-    st.just(n),
-    st.lists(st.tuples(st.integers(0, n), st.integers(0, n),
-                       st.integers(0, 40)), max_size=3 * n + 3))))
-def test_check_walks_to_the_least_element_candidate(drawn):
-    # arbitrary entries, j < i and repeated pairs among them
-    n, entries = drawn
-    state = KnowledgeState([None] * (n + 1),
-                           {(i, j): w for i, j, w in reversed(entries)})
-    assert _least_candidate(entries) == least_candidate(state, n).candidate
+def write_points(path, points):
+    """A document of the rational points ``points``, in index order."""
+    with path.open("w") as handle:
+        for i, point in enumerate(points):
+            coords = {axis: {"kind": "rational", "value": str(value)}
+                      for axis, value in (("x", point.x), ("y", point.y))}
+            handle.write(json.dumps({"type": "point", "index": i, **coords}))
+            handle.write("\n")
+
+
+@pytest.mark.parametrize("change, code, stderr", [
+    ({}, 0, ""),
+    ("reversed", 0, ""),
+    ({"a": 3}, 4, "verification failed: apex 3 is not the least-element "
+                  "candidate 9 of the recorded state\n"),
+    ({"a": 8}, 4, "verification failed: apex 8 is not the least-element "
+                  "candidate 9 of the recorded state\n"),
+], ids=["as-written", "reversed", "apex-3", "apex-8"])
+def test_check_follows_the_chain_of_a_learned_state(tmp_path, change, code,
+                                                     stderr):
+    # ten seeded points whose run restarts three times, each learned pair
+    # the successor of the one before: the chain 0 -> 3 -> 8 -> 9
+    doc = tmp_path / "points.jsonl"
+    write_points(doc, general_position_points(Random(55), 10))
+    result = tmp_path / "result.json"
+    assert run_cli("convex", doc, "--result", result).returncode == 0
+    record = json.loads(result.read_text())
+    assert (record["a"], record["restarts"]) == (9, 3)
+    assert [(e["i"], e["j"]) for e in record["state"]] == [(0, 3), (3, 8),
+                                                           (8, 9)]
+    # the chain does not depend on the order of the entries
+    if change == "reversed":
+        change = {"state": record["state"][::-1]}
+    result.write_text(json.dumps({**record, **change}))
+    proc = run_cli("check", result, doc)
+    assert (proc.returncode, proc.stderr) == (code, stderr)
+    assert proc.stdout.startswith("ok: apex 9") == (code == 0)
 
 
 def test_check_leaves_a_missing_state_or_restarts_unclaimed(tmp_path):
@@ -509,6 +531,30 @@ def test_tree_replays_least_trace(tmp_path):
     assert wrong_n.returncode == 4
 
 
+@pytest.mark.parametrize("tamper, stderr", [
+    ({'"decision":"assume"': '"decision":"bogus"'},
+     "decision 'bogus' at tree node (0, 1) is neither 'assume' nor 'strict'"),
+    ({'"candidate":0,': '"candidate":false,'},
+     "leaf candidate 0 does not match reported candidate False"),
+    ({'"candidate":0,': '"candidate":false,',
+      '"pair":[0,1]': '"pair":[false,true]'},
+     "decision pair [False, True] does not match tree node (0, 1)"),
+], ids=["decision-bogus", "candidate-false", "pair-and-candidate-false"])
+def test_tree_rejects_a_tampered_worked_example(tmp_path, tamper, stderr):
+    # == takes false for 0 and true for 1, and a decision other than
+    # "strict" used to count as "assume"
+    trace = tmp_path / "least.trace"
+    run_cli("least", WORKED_REALS, "--auditor", "oracle", "--trace", trace)
+    text = trace.read_text()
+    for old, new in tamper.items():
+        assert old in text
+        text = text.replace(old, new, 1)
+    trace.write_text(text)
+    proc = run_cli("tree", trace)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == f"replay failed: {stderr}\n"
+
+
 def test_tree_replays_convex_trace(tmp_path):
     trace = tmp_path / "quad.trace"
     run_cli("convex", QUAD, "--trace", trace)
@@ -573,12 +619,7 @@ def test_tree_reports_an_input_error_in_any_trace_before_a_mismatch(
 
 def test_tree_replays_a_20_point_convex_trace(tmp_path):
     doc = tmp_path / "points.jsonl"
-    with doc.open("w") as handle:
-        for i, point in enumerate(general_position_points(Random(20), 20)):
-            coords = {axis: {"kind": "rational", "value": str(value)}
-                      for axis, value in (("x", point.x), ("y", point.y))}
-            handle.write(json.dumps({"type": "point", "index": i, **coords}))
-            handle.write("\n")
+    write_points(doc, general_position_points(Random(20), 20))
     trace = tmp_path / "convex.trace"
     assert run_cli("convex", doc, "--trace", trace).returncode == 0
     proc = run_cli("tree", trace)

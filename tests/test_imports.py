@@ -76,7 +76,10 @@ def test_each_command_loads_only_the_modules_it_runs(files):
          COMMON | {"knowledge", "least", "oracle"}),
         (("convex", quad),
          COMMON | {"convex", "geometry", "knowledge", "least"}),
-        (("check", files["result"], quad), COMMON | {"geometry", "oracle"}),
+        # check rebuilds the recorded state with knowledge, and loads no
+        # learner: no least or convex module
+        (("check", files["result"], quad),
+         COMMON | {"geometry", "knowledge", "oracle"}),
     ]
     for args, modules in expected:
         assert loaded_by(*args) == (0, modules), args

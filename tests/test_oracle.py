@@ -285,6 +285,67 @@ def test_replay_rejects_wrong_candidate():
         replay_paths([run])
 
 
+# tree_run(2, [0, 1]): the decisions (0, 1) and (0, 2) and the candidate
+# 0 at events 0-2, a restart, then (0, 1), a strict (0, 2) and 2 at 4-6
+@pytest.mark.parametrize("event, key, value, message", [
+    (0, "pair", [False, 1], r"decision pair \[False, 1\] does not match "
+                            r"tree node \(0, 1\)"),
+    (0, "pair", [0, True], r"decision pair \[0, True\] does not match"),
+    (1, "pair", [0.0, 2], r"decision pair \[0.0, 2\] does not match"),
+    (5, "pair", [0, 2.0], r"decision pair \[0, 2.0\] does not match"),
+    (0, "pair", [0, 1, 2], r"decision pair \[0, 1, 2\] does not match"),
+    (0, "pair", "0,1", r"decision pair 0,1 does not match"),
+    (2, "candidate", False, r"leaf candidate 0 does not match reported "
+                            r"candidate False$"),
+    (2, "candidate", 0.0, r"leaf candidate 0 does not match reported "
+                          r"candidate 0.0$"),
+    (6, "candidate", 2.0, r"leaf candidate 2 does not match reported "
+                          r"candidate 2.0$"),
+    (0, "decision", "bogus", r"decision 'bogus' at tree node \(0, 1\) is "
+                             r"neither 'assume' nor 'strict'$"),
+    (5, "decision", "Strict", r"decision 'Strict' at tree node \(0, 2\)"),
+    (1, "decision", True, r"decision True at tree node \(0, 2\)"),
+    (4, "decision", None, r"decision None at tree node \(0, 1\)"),
+    (4, "decision", "missing", r"decision None at tree node \(0, 1\)"),
+], ids=["pair-false", "pair-true", "pair-float", "pair-float-last",
+        "pair-three", "pair-text", "candidate-false", "candidate-float",
+        "candidate-float-last", "decision-bogus", "decision-case",
+        "decision-true", "decision-null", "decision-missing"])
+def test_replay_compares_pairs_candidates_and_decisions_exactly(
+        event, key, value, message):
+    run = tree_run(2, [0, 1])
+    assert replay_paths([run]).ok
+    if value == "missing":
+        del run[event].payload[key]
+    else:
+        run[event].payload[key] = value
+    with pytest.raises(PathMismatch, match="^" + message):
+        replay_paths([run])
+
+
+def test_replay_reports_a_wrong_decision_in_path_order():
+    # in one decision its pair comes first, then its answer
+    run = tree_run(2, [0, 1])
+    run[0].payload.update(pair=[0, 2], decision="bogus")
+    with pytest.raises(PathMismatch, match=r"^decision pair \[0, 2\]"):
+        replay_paths([run])
+    # an earlier decision before a later one, and both before the candidate
+    run = tree_run(2, [0, 1])
+    run[0].payload["decision"] = "bogus"
+    run[1].payload["pair"] = [1, 2]
+    run[2].payload["candidate"] = False
+    with pytest.raises(PathMismatch, match=r"^decision 'bogus' at tree node "
+                                           r"\(0, 1\)"):
+        replay_paths([run])
+    run[0].payload["decision"] = "assume"
+    with pytest.raises(PathMismatch, match=r"^decision pair \[1, 2\]"):
+        replay_paths([run])
+    # the path's length before any of them
+    with pytest.raises(PathMismatch, match=r"^path length 2 does not match "
+                                           r"n = 3$"):
+        replay_paths([run], n=3)
+
+
 def test_replay_rejects_length_mismatch():
     run = synthetic_run([[((0, 1), "assume")]], [0], 0)
     with pytest.raises(PathMismatch):

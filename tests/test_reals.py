@@ -18,8 +18,9 @@ from realearn import (
     op_at,
 )
 from realearn.oracle import separation_from_gap
-from realearn.reals import (_affine_real, _fraction, _magnitude_exponent,
-                            _over_lcm, _product, det2, sub)
+from realearn.reals import (_affine_gap, _affine_real, _fraction,
+                            _magnitude_exponent, _over_lcm, _product, det2,
+                            sub)
 
 from support import random_real, random_table_prefix
 
@@ -42,15 +43,17 @@ def test_from_rational_is_degenerate_everywhere():
 ])
 def test_constructors_take_every_form_of_a_rational_alike(forms):
     # an int, an unreduced "n/d" string and the equal Fraction, which is
-    # taken as it is, give identical triples at every index
+    # taken as it is, give identical triples at every index; a rational
+    # is the table with no prefix
     v = forms[0]
     prefix = [(Fraction(2 * v - 1, 2), f"{2 * v + 1}/2"),
               (f"{4 * v - 1}/4", v)]
     reg = RealRegistry()
-    reals = [[reg.from_rational(q), reg.blurred(q), reg.from_table(prefix, q)]
-             for q in forms]
+    reals = [[reg.from_rational(q), reg.from_table((), q), reg.blurred(q),
+              reg.from_table(prefix, q)] for q in forms]
     for k in range(65):
         assert len({tuple(r._at(k) for r in row) for row in reals}) == 1
+        assert reals[0][0]._at(k) == reals[0][1]._at(k)
     exact = forms[2]
     assert _fraction(exact) is exact
 
@@ -923,6 +926,35 @@ def test_affine_comparisons_are_closed_forms(pair, k_max):
         assert answer == [interval_op_at(a, b, k) for k in levels]
         assert witness == least_witness(
             lambda k: interval_op_at(a, b, k), k_max)
+
+
+def affine_edges():
+    """``(gap, spread, witness)``: ``G`` and ``S`` at the edges of the
+    least k with ``G << k > S``, one below ``G << m``, at it and one
+    above it, and ``S = 0``."""
+    for gap in (1, 3, 2 ** 40 + 7):
+        for m in (0, 1, 4, 70):
+            if gap > 1 or m > 0:  # 1 << 0 plus 1 is 2, two bits
+                yield from ((gap, (gap << m) - 1, m), (gap, gap << m, m + 1),
+                            (gap, (gap << m) + 1, m + 1))
+        yield gap, 0, 0
+
+
+@pytest.mark.parametrize("gap, spread, witness", list(affine_edges()))
+def test_affine_witness_at_its_edges(gap, spread, witness):
+    # the exact 0, (0, 0, 1), below the affine real of centre gap/l and
+    # radius spread / (l * 2**k): its G is gap and its S is spread
+    register = RealRegistry().register
+    r = _affine_real(register, (0, 0, 1))
+    s = _affine_real(register, (gap, spread, max(1, 2 * spread)))
+    assert _affine_gap(r._affine, s._affine) == (gap, spread)
+    budgets = (witness - 1, witness, witness + 5, -1)
+    expected = [witness if witness <= k_max else None for k_max in budgets]
+    assert [find_strict_witness(r, s, k_max) for k_max in budgets] == expected
+    assert [find_strict_witness(s, r, k_max) for k_max in budgets] == [None] * 4
+    assert r._cache == {} and s._cache == {}
+    assert [least_witness(lambda k: interval_op_at(r, s, k), k_max)
+            for k_max in budgets] == expected
 
 
 # A real that is not affine: a rational, a table, a raw generator or an
