@@ -300,8 +300,9 @@ def cmd_check(args) -> int:
         if state is not None and restarts != len(entries):
             raise CertificateFailure(f"restarts {restarts} is not the "
                                      f"state's entry count {len(entries)}")
-    steps = learned.strict_steps(len(points) - 1)
-    if state is not None and a != (candidate := steps[-1][1] if steps else 0):
+    steps, length = learned.strict_steps(len(points) - 1)
+    if state is not None and a != (
+            candidate := steps[length - 1][1] if length else 0):
         raise CertificateFailure(f"apex {a} is not the least-element "
                                  f"candidate {candidate} of the recorded state")
     derived = verify_bounding(points, a, b, c, k_max=kmax)

@@ -160,32 +160,39 @@ class KnowledgeState:
 
     The state's chain is its strict steps ``(witness, j)`` from 0 over
     all its indices: from i = 0, the entry ``(i, j)`` with the least
-    ``j > i``, then the same from j.  A state built from a dict walks
-    it through the index once, :func:`extend` hands it on or cuts and
-    walks a new one, and :meth:`strict_steps` hands out its prefixes.
-    No chain changes once built.  Because a lineage's dict and index
-    grow in place, a lineage must not be extended in one thread while
-    another thread extends it or reads a state of it.
+    ``j > i``, then the same from j.  A state holds a chain list and
+    its chain's length: its chain is the list's first ``length``
+    items, which, like its entries, no later extension changes.  A
+    state built from a dict walks its chain through the index once.
+    :func:`extend` hands the list on, grows it in place when the new
+    step extends the chain at its end and the list holds no more than
+    the chain, and otherwise cuts a copy and walks on from there; so a
+    descending run grows one list.  :meth:`strict_steps` hands out a
+    prefix as the list and its length.  Because a lineage's dict, index
+    and chain list grow in place, a lineage must not be extended in one
+    thread while another thread extends it or reads a state of it.
     """
 
     __slots__ = ("_reals", "_entries", "_size", "_snapshot_json",
-                 "_successors", "_chain")
+                 "_successors", "_chain", "_length")
 
     def __init__(self, reals: Sequence[RealNum],
                  entries: Mapping[Pair, int] = MappingProxyType({})) -> None:
         entries = dict(entries)
         index = _successors(entries.items())
-        self._seal(reals, entries, len(entries), index, _walk(index, [], 0))
+        chain = _walk(index, [], 0)
+        self._seal(reals, entries, len(entries), index, chain, len(chain))
 
     def _seal(self, reals: Sequence[RealNum], entries: Dict[Pair, int],
               size: int, successors: Dict[int, Tuple[int, int]],
-              chain: List[Tuple[int, int]]) -> None:
+              chain: List[Tuple[int, int]], length: int) -> None:
         self._reals = reals
         self._entries = entries
         self._size = size
         self._snapshot_json: Optional[str] = None
         self._successors = successors
         self._chain = chain
+        self._length = length
 
     reals = property(attrgetter("_reals"))
     size = property(attrgetter("_size"))
@@ -226,16 +233,17 @@ class KnowledgeState:
         """The stored witness refuting ``r_i <= r_j``, or None."""
         return self._dict().get((i, j))
 
-    def strict_steps(self, n: int) -> List[Tuple[int, int]]:
+    def strict_steps(self, n: int) -> Tuple[List[Tuple[int, int]], int]:
         """The strict steps ``(witness, j)`` of a least-element pass over
         ``0..n``: from i = 0, the stored entry ``(i, j)`` with the least
         ``j > i``, then the same from j, while j <= n.  That is the
         prefix of the state's chain whose subjects are at most n, found
-        by bisection: the chain itself when it ends by n, else a new
-        list.  Either way the list never changes, and must not be
-        changed."""
-        cut = bisect_right(self._chain, n, key=itemgetter(1))
-        return self._chain if cut == len(self._chain) else self._chain[:cut]
+        by bisection and returned as ``(steps, length)``: the steps are
+        the first ``length`` items of the shared chain list, which no
+        extension changes.  The list may grow past them, so read it
+        within ``length``, and never change it."""
+        cut = bisect_right(self._chain, n, 0, self._length, key=itemgetter(1))
+        return self._chain, cut
 
     def sorted_entries(self) -> list[tuple[int, int, int]]:
         return [(i, j, w) for (i, j), w in sorted(self._items())]
@@ -297,9 +305,12 @@ def extend(state: KnowledgeState, i: int, j: int, k: int) -> KnowledgeState:
     never a learnable fact.  The new state is the newest of its
     lineage: it grows ``state``'s dict and index when ``state`` is the
     newest, and new ones built from ``state``'s prefix otherwise.  It
-    shares ``state``'s chain, unless ``(i, j)`` becomes the successor
-    of 0 or of a subject on the chain: then its chain is a new list,
-    cut after i and walked on from j.  No slot of ``state`` is written.
+    shares ``state``'s chain list and length, unless ``(i, j)`` becomes
+    the successor of 0 or of a subject on the chain: then its chain is
+    cut after i and walked on from j.  When i ends ``state``'s chain
+    and the list holds nothing past it, the walk appends to the shared
+    list in place; otherwise it walks on a copy of the chain up to i.
+    No slot of ``state`` is written, and no state's chain changes.
     """
     entries = state._dict()
     if (i, j) in entries:
@@ -307,15 +318,18 @@ def extend(state: KnowledgeState, i: int, j: int, k: int) -> KnowledgeState:
     if not op_at(state.reals[j], state.reals[i], k):
         raise UnsoundWitness(f"op_at(r_{j}, r_{i}, {k}) is false")
     successors = state._index()
-    chain = state._chain
+    chain, length = state._chain, state._length
     if j > i and (i not in successors or j < successors[i][1]):
         successors[i] = (k, j)
-        cut = bisect_right(chain, i, key=itemgetter(1))
+        cut = bisect_right(chain, i, 0, length, key=itemgetter(1))
         if i == 0 or cut and chain[cut - 1][1] == i:
-            chain = _walk(successors, chain[:cut], i)
+            if not cut == length == len(chain):
+                chain = chain[:cut]
+            length = len(_walk(successors, chain, i))
     entries[(i, j)] = k
     child = KnowledgeState.__new__(KnowledgeState)
-    child._seal(state.reals, entries, state._size + 1, successors, chain)
+    child._seal(state.reals, entries, state._size + 1, successors, chain,
+                length)
     return child
 
 

@@ -7,13 +7,14 @@ With an empty state this is pure guessing: index 0 is proposed and
 every comparison is assumed.  Only strict answers change anything, so
 the pass takes its strict steps from the chain that every knowledge
 state carries from the start, and that :func:`~realearn.knowledge.extend`
-gives each new state, so the pass walks nothing.  It keeps the list of
-those steps and builds an index's evidence, base and chain alike,
-only when it is read, so a pass costs at most a copy of its strict
-steps and allocates no evidence however many strict answers it meets.
-With a log, the pass records its ``decide`` events as one block whose
-lines :func:`_decide_text` writes from the strict list when the log
-writes them, so an unread :class:`TraceLog` writes none of them.
+gives each new state, so the pass walks nothing.  It keeps the state's
+chain list and the length of the prefix that holds its steps, and
+builds an index's evidence, base and chain alike, only when it is
+read, so a pass copies nothing and allocates no evidence however many
+strict answers it meets.  With a log, the pass records its ``decide``
+events as one block whose lines :func:`_decide_text` writes from the
+list and the length when the log writes them, so an unread
+:class:`TraceLog` writes none of them.
 
 :func:`learn` is the one learning loop, shared by :func:`learn_least`
 and :func:`~realearn.convex.convex_angle`: each attempt guesses with a
@@ -23,9 +24,12 @@ it blamed; the loop then extends the state with that counterexample,
 counts the restart against the budget and starts a new attempt.  In
 :func:`learn_least` the test is an auditor's challenges at chosen
 precisions, and a refuted claim is blamed on the assumption that
-produced it.  Every entry added in a run is verified by
-:func:`~realearn.knowledge.extend`, so in debug builds the run audits
-the states it starts and ends with, not each answer of each pass.
+produced it.  A restart records what it writes as blocks of plain
+arguments, the ints, states and records it already holds, and the
+trace's serializers write their lines when the log is read.  Every
+entry added in a run is verified by :func:`~realearn.knowledge.extend`,
+so in debug builds the run audits the states it starts and ends with,
+not each answer of each pass.
 Each restart flips exactly one assumed comparison on the current
 decision path to a strict one, so progress through the space of
 decision paths is strictly left to right and the number of restarts is
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Mapping
+from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import (Callable, Iterable, Iterator, List, Optional, Protocol,
                     Sequence, Tuple, TypeVar, Union)
@@ -57,7 +62,7 @@ from .knowledge import (
     is_sound,
 )
 from .reals import RealNum, op_at
-from .trace import TraceLog, emit_with_state
+from .trace import TraceLog, _event_line, _state_line, emit_with_state
 
 _R = TypeVar("_R")
 
@@ -66,9 +71,10 @@ class Evidences(Mapping):
     """Read-only ``j -> evidence`` mapping of one least-element pass
     over ``0..n``.
 
-    ``strict`` lists the pass's strict steps ``(witness, new
-    candidate)`` in order.  The candidate in force when j joined the
-    pass is the subject of the last strict step whose subject is at
+    The first ``length`` items of ``strict`` are the pass's strict
+    steps ``(witness, new candidate)`` in order; the list may hold more,
+    which the pass never reads.  The candidate in force when j joined
+    the pass is the subject of the last strict step whose subject is at
     most j, or 0: j's base evidence is ``Refl(j)`` when that candidate
     is j itself, else ``Assumed(candidate, j)``.  Reading
     ``evidences[j]`` finds that step by bisecting the subjects, builds
@@ -76,19 +82,21 @@ class Evidences(Mapping):
     after it; nothing is built before.
     """
 
-    __slots__ = ("_strict", "_n")
+    __slots__ = ("_strict", "_length", "_n")
 
-    def __init__(self, strict: List[Tuple[int, int]], n: int):
+    def __init__(self, strict: List[Tuple[int, int]], length: int, n: int):
         self._strict = strict
+        self._length = length
         self._n = n
 
     def __getitem__(self, j: int) -> LeqEvidence:
         if j not in range(self._n + 1):
             raise KeyError(j)
-        pos = bisect_right(self._strict, j, key=itemgetter(1))
-        candidate = self._strict[pos - 1][1] if pos else 0
+        strict = self._strict
+        pos = bisect_right(strict, j, 0, self._length, key=itemgetter(1))
+        candidate = strict[pos - 1][1] if pos else 0
         ev: LeqEvidence = Refl(j) if candidate == j else Assumed(candidate, j)
-        for witness, subject in self._strict[pos:]:
+        for witness, subject in strict[pos:self._length]:
             ev = Step(witness, ev, subject)
         return ev
 
@@ -165,22 +173,26 @@ def least_candidate(state: KnowledgeState, n: int,
     shared list, which puts it in front of every chain recorded so far.
     Between two strict answers every comparison is assumed, so the pass
     takes its strict steps from :meth:`KnowledgeState.strict_steps`, a
-    prefix of the state's chain, and looks nothing up; no evidence is
-    built until it is read.  With a trace, the pass defers
-    its n ``decide`` events as one block, whose lines
-    :func:`_decide_text` writes from the strict list.
+    prefix of the state's chain list given with its length, and copies
+    and looks up nothing; no evidence is built until it is read.  With
+    a trace, the pass defers its n ``decide`` events as one block,
+    whose lines :func:`_decide_text` writes from the list and the
+    length, so the lines are the same however far the list has grown
+    by the time they are written.
     """
-    strict = state.strict_steps(n)
-    candidate = strict[-1][1] if strict else 0
+    strict, length = state.strict_steps(n)
+    candidate = strict[length - 1][1] if length else 0
     if trace is not None:
-        trace.defer(n, _decide_text, n, strict)
-    return LeastCandidate(candidate, Evidences(strict, n))
+        trace.defer(n, _decide_text, n, strict, length)
+    return LeastCandidate(candidate, Evidences(strict, length, n))
 
 
-def _decide_text(seq: int, n: int, strict: List[Tuple[int, int]]) -> str:
+def _decide_text(seq: int, n: int, strict: List[Tuple[int, int]],
+                 length: int) -> str:
     """The ``decide`` lines of a pass over ``0..n``, numbered from
-    ``seq``, written from its strict steps: sorted keys, no spaces,
-    ``witness`` last on a strict step.
+    ``seq``, written from its strict steps, the first ``length`` items
+    of ``strict``: sorted keys, no spaces, ``witness`` last on a strict
+    step.
 
     Step i is strict exactly when i is a strict subject, and it
     compares i with the last strict subject before it, or 0.  The steps
@@ -193,7 +205,7 @@ def _decide_text(seq: int, n: int, strict: List[Tuple[int, int]]) -> str:
     append = lines.append
     base = seq - 1  # step i is line base + i
     candidate, start = 0, 1
-    for witness, subject in [*strict, (None, n + 1)]:
+    for witness, subject in [*islice(strict, length), (None, n + 1)]:
         if start < subject:
             head = f'{{"decision":"assume","pair":[{candidate},'
             lines += [f'{head}{i}],"phase":"decide","seq":{base + i},'
@@ -251,11 +263,12 @@ def learn(state: KnowledgeState, n: int, log: TraceLog, budget: Optional[int],
     hands it to ``attempt(state, candidate, restarts)``, which records
     its own events and returns the run's result, or a
     :class:`Falsified` after recording its ``blame``.  A refutation
-    extends the state with the blamed counterexample, records
-    ``extend``, counts a restart and, unless that passes ``budget``
-    (default ``2 ** n``) and raises :class:`RestartBudgetExceeded`,
-    records ``restart`` and tries again.  Only this loop extends a
-    learner's state, and each blamed pair must be new to it.
+    extends the state with the blamed counterexample and counts a
+    restart.  If that passes ``budget`` (default ``2 ** n``), the loop
+    records ``extend`` alone and raises :class:`RestartBudgetExceeded`;
+    otherwise it records ``extend`` and ``restart`` as one block and
+    tries again.  Only this loop extends a learner's state, and each
+    blamed pair must be new to it.
     """
     if budget is None:
         budget = 2 ** n
@@ -267,12 +280,22 @@ def learn(state: KnowledgeState, n: int, log: TraceLog, budget: Optional[int],
         before = state.size
         state = extend(state, result.pair[0], result.pair[1], result.witness)
         assert state.size == before + 1, "blamed pair was already known"
-        emit_with_state(log, "extend", state, pair=list(result.pair),
-                        witness=result.witness)
         restarts += 1
         if restarts > budget:
+            log.defer(1, _extend_line, state, result)
             raise RestartBudgetExceeded(restarts, budget)
-        log.emit("restart", count=restarts)
+        log.defer(2, _restart_text, state, result, restarts)
+
+
+def _extend_line(seq: int, state: KnowledgeState, result: Falsified) -> str:
+    return _state_line(seq, "extend", state, {"pair": list(result.pair),
+                                              "witness": result.witness})
+
+
+def _restart_text(seq: int, state: KnowledgeState, result: Falsified,
+                  count: int) -> str:
+    return (_extend_line(seq, state, result)
+            + _event_line(seq + 1, "restart", {"count": count}))
 
 
 def learn_least(n: int, auditor: Auditor, initial: KnowledgeState,
@@ -281,11 +304,13 @@ def learn_least(n: int, auditor: Auditor, initial: KnowledgeState,
     """Interactive least-element learning with restart backtracking.
 
     An attempt of :func:`learn` lets the auditor challenge claims of
-    its candidate one at a time: a challenge that checks out is simply
-    recorded, a refuted one is recorded as ``falsified``, blamed on its
-    assumption and returned, and the loop extends the state and
-    restarts.  The auditor accepting (returning None) ends the run.
-    More than ``max_restarts`` restarts (default ``2 ** n``) raise
+    its candidate one at a time.  Each challenge is recorded before it
+    is checked, so a check that raises leaves it last in a trace file.
+    One that checks out is then recorded as ``check``; a refuted one is
+    recorded as ``falsified`` with its ``blame``, in one block, and
+    returned, and the loop extends the state and restarts.  The
+    auditor accepting (returning None) ends the run.  More than
+    ``max_restarts`` restarts (default ``2 ** n``) raise
     :class:`RestartBudgetExceeded`.
 
     In debug builds the run re-verifies the initial state before its
@@ -303,18 +328,18 @@ def learn_least(n: int, auditor: Auditor, initial: KnowledgeState,
                 restarts: int) -> Union[LearnOutcome, Falsified]:
         emit_with_state(log, "candidate", state, candidate=cand.candidate)
         while (ch := auditor.challenge(cand)) is not None:
-            ev = cand.evidences[ch.j]
-            log.emit("challenge", j=ch.j, precision=ch.precision,
-                     claim=[ev.subject, ev.target], forced=ch.force)
-            result = check_leq(reals, ev, ch.precision)
+            j, p = ch.j, ch.precision
+            ev = cand.evidences[j]
+            claim = ev.subject, ev.target
+            # recorded before the check, which may raise
+            log.defer(1, _challenge_line, j, p, claim, ch.force)
+            result = check_leq(reals, ev, p)
             if result is None and ch.force:
-                result = _forced_refutation(reals, ev, ch.precision)
+                result = _forced_refutation(reals, ev, p)
             if result is not None:
-                log.emit("falsified", j=ch.j, precision=ch.precision,
-                         claim=[ev.subject, ev.target])
-                log.emit("blame", pair=list(result.pair), witness=result.witness)
+                log.defer(2, _refuted_text, j, p, claim, result)
                 return result
-            log.emit("check", j=ch.j, precision=ch.precision, outcome="ok")
+            log.defer(1, _checked_line, j, p)
         if __debug__:
             _audit(state, "final")
         emit_with_state(log, "accept", state,
@@ -322,3 +347,23 @@ def learn_least(n: int, auditor: Auditor, initial: KnowledgeState,
         return LearnOutcome(cand, state, log, restarts)
 
     return learn(initial, n, log, max_restarts, attempt)
+
+
+def _challenge_line(seq: int, j: int, precision: int, claim: Tuple[int, int],
+                    forced: bool) -> str:
+    return _event_line(seq, "challenge", {"j": j, "precision": precision,
+                                          "claim": list(claim),
+                                          "forced": forced})
+
+
+def _refuted_text(seq: int, j: int, precision: int, claim: Tuple[int, int],
+                  result: Falsified) -> str:
+    return (_event_line(seq, "falsified", {"j": j, "precision": precision,
+                                           "claim": list(claim)})
+            + _event_line(seq + 1, "blame", {"pair": list(result.pair),
+                                             "witness": result.witness}))
+
+
+def _checked_line(seq: int, j: int, precision: int) -> str:
+    return _event_line(seq, "check", {"j": j, "precision": precision,
+                                      "outcome": "ok"})

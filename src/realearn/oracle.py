@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from math import inf
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .reals import RealNum, _fraction, find_strict_witness
 
@@ -84,6 +85,16 @@ def separation_from_gap(gap: Fraction) -> int:
     return separation_bits(gap.numerator, gap.denominator)
 
 
+def _float(ratio: Tuple[int, int]) -> float:
+    """The float nearest ``n / d``, or an infinity of its sign past the
+    float range."""
+    n, d = ratio
+    try:
+        return n / d
+    except OverflowError:
+        return inf if n > 0 else -inf
+
+
 class OracleAuditor:
     """Challenges exactly-false claims of the current candidate.
 
@@ -104,7 +115,11 @@ class OracleAuditor:
     denominator are kept as an integer pair; ties are found on those
     pairs, which are equal exactly when the values are, and a challenge
     takes the gap's :func:`separation_bits` from them without building a
-    ``Fraction``.
+    ``Fraction``.  The values are sorted on keys of their float first:
+    int true division rounds correctly, so the floats are in the
+    values' order, and only values with equal floats are compared as
+    fractions.  No key grows with the number of values or with
+    their denominators.
 
     From the empty state this auditor learns every pair at its least
     witness, because each challenged claim is a bare ``Assumed(m, j)``
@@ -142,7 +157,8 @@ class OracleAuditor:
         # two Fractions are equal exactly when their reduced pairs are
         if len(set(self._ratios)) != len(values):
             raise TieDetected("true values must be distinct")
-        order = sorted(range(len(values)), key=values.__getitem__)
+        order = [i for _, _, i in sorted(zip(map(_float, self._ratios),
+                                              values, range(len(values))))]
         # the lowest of the indices before m in order, or None
         self._first_below: List[Optional[int]] = [None] * len(values)
         for m, lowest in zip(order[1:], accumulate(order, min)):

@@ -56,20 +56,26 @@ def replay_paths(runs: Iterable[Iterable[TraceEvent]],
 
     Each candidate computation in a run maps to one root-to-leaf path.
     Verifies that every path is a path of the tree (each pair is the
-    integers ``(candidate, depth)``, each decision is ``"assume"`` or
-    ``"strict"`` and the final candidate is the same integer), that leaf
-    ranks strictly increase across restarts, that no path repeats, and
-    that the number of restarts stays below ``2**n``.  A leaf's rank
-    reads the path's answers as binary digits, strict = 1, root first.
-    ``n`` defaults to the length of the first run's first path.
+    integers ``(candidate, depth)``, each ``step`` the integer depth,
+    each decision is ``"assume"`` or ``"strict"`` and the final
+    candidate is the same integer), that leaf ranks strictly increase
+    across restarts, that no path repeats, and that the number of
+    restarts stays below ``2**n``.  The numbers that the tree does not
+    fix are checked too: the events' ``seq`` run 0, 1, 2, ... in each
+    run, and each ``restart`` event's ``count`` is the integer count of
+    restarts so far.  A leaf's rank reads the path's answers as binary
+    digits, strict = 1, root first.  ``n`` defaults to the length of the
+    first run's first path.
 
     Each run is read once, in order, and the first mismatch is raised
     only when every run has been read, so an error that reading a run
     raises comes before it.  In a run, decisions after its last
-    candidate come before a mismatch of one of its paths; in a path,
-    its length comes before a decision, a decision's pair before its
-    answer, an earlier decision before a later one, and every decision
-    before the candidate.
+    candidate come before any other mismatch.  A wrong ``seq`` or
+    ``count`` is found at its event, and a path's mismatch at its
+    candidate; of these, the one found first in the run comes first.
+    In a path, its length comes before a decision, a decision's pair
+    before its step, its step before its answer, an earlier decision
+    before a later one, and every decision before the candidate.
     """
     replays: List[RunReplay] = []
     mismatch: Optional[str] = None
@@ -78,19 +84,27 @@ def replay_paths(runs: Iterable[Iterable[TraceEvent]],
         candidates: List[int] = []
         restarts = depth = candidate = rank = 0
         error = wrong = None
-        for event in events:
+        for position, event in enumerate(events):
             phase = event.phase
+            # == takes false, true and 0.0 for 0 and 1, so every number
+            # read must also be an int
+            if (seq := event.seq) != position or type(seq) is not int:
+                error = error or (f"event seq {seq!r} does not match "
+                                  f"position {position}")
             if phase == "decide":
                 depth += 1
-                pair = event.payload.get("pair")
-                decision = event.payload.get("decision")
-                # == takes false, true and 0.0 for 0 and 1, so an equal
-                # pair must also hold ints, as the candidate must below
+                payload = event.payload
+                pair = payload.get("pair")
+                step = payload.get("step")
+                decision = payload.get("decision")
                 if wrong is None and (pair != [candidate, depth]
                                       or type(pair[0]) is not int
                                       or type(pair[1]) is not int):
                     wrong = (f"decision pair {pair} does not match "
                              f"tree node {(candidate, depth)}")
+                if wrong is None and (step != depth or type(step) is not int):
+                    wrong = (f"decision step {step!r} does not match "
+                             f"depth {depth}")
                 if wrong is None and decision not in ("assume", "strict"):
                     wrong = (f"decision {decision!r} at tree node "
                              f"{(candidate, depth)} is neither 'assume' "
@@ -116,6 +130,11 @@ def replay_paths(runs: Iterable[Iterable[TraceEvent]],
                 wrong = None
             elif phase == "restart":
                 restarts += 1
+                count = event.payload.get("count")
+                if error is None and (type(count) is not int
+                                      or count != restarts):
+                    error = (f"restart count {count!r} does not match "
+                             f"restart {restarts}")
         if depth:
             error = "trace ends with decisions but no candidate"
         elif not ranks:

@@ -12,12 +12,18 @@ trace.
 A :class:`TraceFile`, the CLI's ``--trace`` sink, writes each line when
 it is recorded.  A :class:`TraceLog`, the library default, keeps what
 each line is written from and writes it when the trace is read: an
-event keeps its payload, a least-element pass its strict steps, and a
-line that records a knowledge state the state, whose snapshot text is
-serialised once.  Both write the same bytes, as every block is sealed
-when it is recorded.  :attr:`TraceLog.events` parses the lines, so a
-trace read in the process is the trace read from its file.
-:class:`NullLog` keeps nothing, for a run whose trace is never read.
+emitted event keeps its payload, a least-element pass the shared chain
+list and its length, and a line that records a knowledge state the
+state, whose snapshot text is serialised once.  A restart of
+:func:`~realearn.least.learn_least` records deferred blocks of plain
+arguments, whose lines :func:`_event_line` and :func:`_state_line`
+write: its pass, its candidate, a challenge, then the challenge's
+``falsified`` and ``blame`` lines or its ``check`` line, and at last
+its ``extend`` and ``restart`` lines.  Both logs write the same bytes,
+as every block is sealed when it is recorded.  :attr:`TraceLog.events`
+parses the lines, so a trace read in the process is the trace read
+from its file.  :class:`NullLog` keeps nothing, for a run whose trace
+is never read.
 """
 
 from __future__ import annotations
@@ -64,7 +70,10 @@ class TraceLog:
     sequence order, where ``text(seq, *args)`` returns the block's
     lines, numbered from ``seq``, each ended by a newline.  A block
     keeps its arguments, not a closure or its text, so recording one
-    builds no function and serialises nothing."""
+    builds no function and serialises nothing.  An oracle restart of
+    :func:`~realearn.least.learn_least` records five blocks: the
+    pass's ``decide`` lines, ``candidate``, ``challenge``, ``falsified``
+    with ``blame``, and ``extend`` with ``restart``."""
 
     __slots__ = ("_blocks", "_next")
 

@@ -539,7 +539,12 @@ def test_tree_replays_least_trace(tmp_path):
     ({'"candidate":0,': '"candidate":false,',
       '"pair":[0,1]': '"pair":[false,true]'},
      "decision pair [False, True] does not match tree node (0, 1)"),
-], ids=["decision-bogus", "candidate-false", "pair-and-candidate-false"])
+    # the numbers the tree does not fix: each used to replay as ok
+    ({'"count":1': '"count":7'}, "restart count 7 does not match restart 1"),
+    ({'"step":2': '"step":9'}, "decision step 9 does not match depth 2"),
+    ({'"seq":3,': '"seq":99,'}, "event seq 99 does not match position 3"),
+], ids=["decision-bogus", "candidate-false", "pair-and-candidate-false",
+        "count", "step", "seq"])
 def test_tree_rejects_a_tampered_worked_example(tmp_path, tamper, stderr):
     # == takes false for 0 and true for 1, and a decision other than
     # "strict" used to count as "assume"

@@ -529,13 +529,62 @@ def test_pass_matches_the_eager_reference(drawn):
         assert_pass_matches_the_eager_reference(child, n)
 
 
+def strict_prefix(state, n):
+    """The strict steps of a pass over ``0..n``, read within the length
+    that ``strict_steps`` hands out with the shared list."""
+    steps, length = state.strict_steps(n)
+    return steps[:length]
+
+
 def test_a_copied_state_keeps_its_own_strict_steps():
     state = extend(empty_state(worked_registry()), 0, 3, 33)
-    assert state.strict_steps(5) == [(33, 3)]
+    assert strict_prefix(state, 5) == [(33, 3)]
     copied = copy.copy(state)
-    assert extend(state, 0, 2, 25).strict_steps(5) == [(25, 2)]
-    assert copied.strict_steps(5) == [(33, 3)]
+    assert strict_prefix(extend(state, 0, 2, 25), 5) == [(25, 2)]
+    assert strict_prefix(copied, 5) == [(33, 3)]
     assert_pass_matches_the_eager_reference(copied, 5)
+
+
+def descending_registry(count):
+    reg = RealRegistry()
+    for i in range(count):
+        reg.blurred(Fraction(count - i, 7))
+    return reg
+
+
+def test_siblings_at_one_length_keep_their_own_chains():
+    # r_0 > r_1 > ... : the first sibling appends to the shared list in
+    # place, a second at the same length copies the chain before it
+    # appends, and the parent still reads its own chain
+    reg = descending_registry(6)
+    parent = extend(extend(empty_state(reg), 0, 1, 4), 1, 2, 4)
+    first = extend(parent, 2, 3, 4)
+    second = extend(parent, 2, 4, 3)
+    assert first._chain is parent._chain
+    assert second._chain is not parent._chain
+    assert strict_prefix(parent, 5) == [(4, 1), (4, 2)]
+    assert strict_prefix(first, 5) == [(4, 1), (4, 2), (4, 3)]
+    assert strict_prefix(second, 5) == [(4, 1), (4, 2), (3, 4)]
+    # extending the first sibling at its end grows the one list again
+    assert extend(first, 3, 4, 4)._chain is parent._chain
+    assert strict_prefix(first, 5) == [(4, 1), (4, 2), (4, 3)]
+    assert strict_prefix(parent, 1) == [(4, 1)]
+
+
+def test_a_descending_run_grows_one_chain_list():
+    # each restart learns (m, m + 1) at the chain's end: every pass of
+    # the run reads the one list, at lengths 0, 1, ..., n
+    n = 60
+    reg = descending_registry(n + 1)
+    log = TraceLog()
+    values = [Fraction(n + 1 - i, 7) for i in range(n + 1)]
+    outcome = learn_least(n, OracleAuditor(reg, values), empty_state(reg),
+                          trace=log)
+    passes = [args for _, text, args in log._blocks
+              if text is realearn.least._decide_text]
+    assert [length for _, _, length in passes] == list(range(n + 1))
+    assert {id(strict) for _, strict, _ in passes} == {id(outcome.state._chain)}
+    assert len(outcome.state._chain) == n
 
 
 def walked_strict_steps(entries, n):
@@ -582,13 +631,19 @@ def test_the_chain_follows_every_extension(drawn):
              if keys[j] < keys[i]]
     states = [empty_state(reg)]
     handed = []
+    log, expected = TraceLog(), StringTrace()
 
     def ask(state):
+        own = KnowledgeState(reg, state.entries)
         for n in range(m + 1):
-            steps = state.strict_steps(n)
-            assert steps == walked_strict_steps(state.entries, n)
-            assert steps == KnowledgeState(reg, state.entries).strict_steps(n)
-            handed.append((steps, list(steps)))
+            steps, length = state.strict_steps(n)
+            assert steps[:length] == walked_strict_steps(state.entries, n)
+            assert steps[:length] == strict_prefix(own, n)
+            handed.append((steps, length, steps[:length]))
+            # the decide lines a TraceLog writes of this pass when it is
+            # read, after every later extension
+            least_candidate(state, n, log)
+            least_candidate(own, n, expected)
 
     for op, p, q in ops:
         state = states[p % len(states)]
@@ -602,9 +657,10 @@ def test_the_chain_follows_every_extension(drawn):
             ask(state)
     for state in states:
         ask(state)
-    # no list handed out has changed since
-    for steps, copied in handed:
-        assert steps == copied
+    # no prefix handed out has changed since, though the list may grow
+    for steps, length, copied in handed:
+        assert steps[:length] == copied
+    assert "".join(log.lines()) == expected.text
 
 
 def state_reads(state, m):
@@ -613,18 +669,18 @@ def state_reads(state, m):
     pairs = [(i, j) for i in range(m + 1) for j in range(m + 1)]
     return ({pair: state.get(*pair) for pair in pairs}, state.size,
             state.sorted_entries(), state.snapshot_json,
-            [list(state.strict_steps(n)) for n in range(m + 1)],
+            [strict_prefix(state, n) for n in range(m + 1)],
             dict(state.entries))
 
 
 @settings(max_examples=150, deadline=None)
 @given(extend_sequences())
 def test_every_state_stays_sealed_over_sibling_extensions(drawn):
-    # states of one lineage, copies included, share their entries dict
-    # and successor index: extending any state, the newest or an
-    # earlier one, must change no read of any other, nor any view
-    # handed out, nor the trace lines a TraceLog writes of a state
-    # after later extensions
+    # states of one lineage, copies included, share their entries dict,
+    # successor index and chain list: extending any state, the newest
+    # or an earlier one, must change no read of any other, nor any view
+    # handed out, nor the trace lines, a state's snapshot or a pass's
+    # decide lines, that a TraceLog writes after later extensions
     keys, ops = drawn
     reg = RealRegistry()
     for key in keys:
@@ -643,6 +699,8 @@ def test_every_state_stays_sealed_over_sibling_extensions(drawn):
         own = KnowledgeState(reg, entries)
         emit_with_state(log, "candidate", state, candidate=state.size)
         emit_with_state(expected, "candidate", own, candidate=state.size)
+        least_candidate(state, m, log)
+        least_candidate(own, m, expected)
         reads = state_reads(state, m)
         assert reads == state_reads(own, m)
         seen.append((state, reads, state.entries))

@@ -171,6 +171,40 @@ def test_rank_scan_picks_the_fraction_scan_challenge(values):
             fraction_scan_challenge(values, separation, m)
 
 
+def first_below_by_fractions(values):
+    """For each index m, the lowest index of the values before m in the
+    order that ``sorted`` gives the Fractions, or None."""
+    order = sorted(range(len(values)), key=lambda i: Fraction(values[i]))
+    first = [None] * len(values)
+    for pos, m in enumerate(order[1:], 1):
+        first[m] = min(order[:pos])
+    return first
+
+
+PRIMES = [p for p in range(2, 400) if all(p % q for q in range(2, p))]
+
+
+@pytest.mark.parametrize("values", [
+    [Fraction(1, 3), Fraction(-2, 7), Fraction(5, 12), -1, Fraction(1, 1000),
+     Fraction(-5, 2), Fraction(333, 1000), Fraction(-4, 14) - Fraction(1, 99)],
+    [1, 1 + Fraction(1, 2 ** 80), 1 - Fraction(1, 2 ** 80), Fraction(1, 2),
+     1 + Fraction(1, 2 ** 79)],
+    [10 ** 400, -10 ** 400, 10 ** 400 + 1, -10 ** 400 - 1, 0,
+     Fraction(10 ** 400, 3), Fraction(-10 ** 401, 7), 10 ** 308],
+    [Fraction(1, 10 ** 400), Fraction(-1, 10 ** 400), Fraction(2, 10 ** 400),
+     Fraction(1, 10 ** 401), 0],
+    [Fraction(1, p) for p in PRIMES] + [Fraction(-1, p) for p in PRIMES],
+    [Fraction(1, p) + Fraction(k, 2 ** 70) for p in (3, 5) for k in range(4)],
+], ids=["mixed", "close-to-one", "past-float-range", "below-float-range",
+        "prime-denominators", "equal-floats"])
+def test_oracle_auditor_orders_values_as_fractions_do(values):
+    auditor = OracleAuditor(RealRegistry(), values)
+    assert auditor._first_below == first_below_by_fractions(values)
+    shuffled = values[::-1]
+    assert (OracleAuditor(RealRegistry(), shuffled)._first_below
+            == first_below_by_fractions(shuffled))
+
+
 @pytest.mark.parametrize("values", [
     [Fraction(1), Fraction(1)],
     [Fraction(1, 2), "2/4"],
@@ -187,9 +221,11 @@ def test_oracle_auditor_rejects_tied_values(values):
 
 
 def synthetic_run(decisions_per_path, candidates, restarts):
-    """Build a trace skeleton the replay walker accepts."""
+    """Build a trace skeleton the replay walker accepts: seq numbered
+    from 0, each step its depth, each restart's count the running
+    count, for the first ``restarts`` paths."""
     events = []
-    seq = 0
+    seq = count = 0
     for decides, candidate in zip(decisions_per_path, candidates):
         for step, (pair, decision) in enumerate(decides, 1):
             payload = {"step": step, "pair": list(pair), "decision": decision}
@@ -197,10 +233,10 @@ def synthetic_run(decisions_per_path, candidates, restarts):
             seq += 1
         events.append(TraceEvent(seq, "candidate", {"candidate": candidate}))
         seq += 1
-        if restarts:
-            events.append(TraceEvent(seq, "restart", {"count": 1}))
+        if count < restarts:
+            count += 1
+            events.append(TraceEvent(seq, "restart", {"count": count}))
             seq += 1
-            restarts -= 1
     return events
 
 
@@ -320,6 +356,70 @@ def test_replay_compares_pairs_candidates_and_decisions_exactly(
     else:
         run[event].payload[key] = value
     with pytest.raises(PathMismatch, match="^" + message):
+        replay_paths([run])
+
+
+def retyped(event, seq):
+    return TraceEvent(seq, event.phase, event.payload)
+
+
+# tree_run(2, [0, 1]) again, with the restart at event 3: each event's
+# seq is its position, each decision's step its depth, and the restart's
+# count the running restart count, each an int
+@pytest.mark.parametrize("event, key, value, message", [
+    (3, "count", 7, r"restart count 7 does not match restart 1$"),
+    (3, "count", True, r"restart count True does not match restart 1$"),
+    (3, "count", "missing", r"restart count None does not match restart 1$"),
+    (1, "step", 9, r"decision step 9 does not match depth 2$"),
+    (4, "step", 1.0, r"decision step 1.0 does not match depth 1$"),
+    (5, "step", "missing", r"decision step None does not match depth 2$"),
+    (3, "seq", 99, r"event seq 99 does not match position 3$"),
+    (0, "seq", False, r"event seq False does not match position 0$"),
+    (6, "seq", 5, r"event seq 5 does not match position 6$"),
+], ids=["count", "count-true", "count-missing", "step", "step-float",
+        "step-missing", "seq", "seq-false", "seq-last"])
+def test_replay_checks_seq_step_and_count(event, key, value, message):
+    run = tree_run(2, [0, 1])
+    assert replay_paths([run]).ok
+    if key == "seq":
+        run[event] = retyped(run[event], value)
+    elif value == "missing":
+        del run[event].payload[key]
+    else:
+        run[event].payload[key] = value
+    with pytest.raises(PathMismatch, match="^" + message):
+        replay_paths([run])
+
+
+def test_replay_reports_a_wrong_number_in_run_order():
+    # a seq is checked at its event and a path at its candidate: a wrong
+    # seq inside a path beats that path's wrong pair
+    run = tree_run(2, [0, 1])
+    run[0].payload["pair"] = [0, 2]
+    run[1] = retyped(run[1], 7)
+    with pytest.raises(PathMismatch, match=r"^event seq 7 does not match"):
+        replay_paths([run])
+    # a path's mismatch beats a wrong count on the restart after it
+    run = tree_run(2, [0, 1])
+    run[2].payload["candidate"] = 1
+    run[3].payload["count"] = 2
+    with pytest.raises(PathMismatch, match=r"^leaf candidate 0 does not"):
+        replay_paths([run])
+    # in a decision, its pair before its step, its step before its answer
+    run = tree_run(2, [0, 1])
+    run[1].payload.update(pair=[0, 1], step=1, decision="bogus")
+    with pytest.raises(PathMismatch, match=r"^decision pair \[0, 1\]"):
+        replay_paths([run])
+    run[1].payload["pair"] = [0, 2]
+    with pytest.raises(PathMismatch, match=r"^decision step 1 does not"):
+        replay_paths([run])
+    # trailing decisions beat a wrong seq earlier in the run
+    run = tree_run(2, [0, 1])
+    run[0] = retyped(run[0], 1)
+    run.append(TraceEvent(len(run), "decide",
+                          {"step": 1, "pair": [0, 1], "decision": "assume"}))
+    with pytest.raises(PathMismatch,
+                       match="^trace ends with decisions but no candidate$"):
         replay_paths([run])
 
 

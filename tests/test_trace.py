@@ -4,9 +4,10 @@ from random import Random
 
 import pytest
 
-from realearn import (OracleAuditor, RealRegistry, TraceLog, convex_angle,
-                      empty_state, extend, learn_least)
-from realearn.errors import InputError, RestartBudgetExceeded
+from realearn import (Challenge, OracleAuditor, RealRegistry, ScriptedAuditor,
+                      TraceLog, convex_angle, empty_state, extend, learn_least)
+from realearn.errors import (ForcedChallengeDenied, InputError,
+                             RestartBudgetExceeded)
 from realearn.trace import NullLog, TraceEvent, TraceFile, read_trace
 
 from support import (count_trace_builds, general_position_points,
@@ -95,8 +96,10 @@ def test_decide_text_writes_the_path_of_the_strict_steps():
         cases.append((n, [(rng.randint(0, 300), j) for j in subjects]))
     for n, strict in cases:
         seq = rng.randint(0, 10 ** 6)
-        events = [TraceEvent.from_json(line)
-                  for line in _decide_text(seq, n, strict).splitlines()]
+        # the list may hold steps past the pass's length, never written
+        listed = strict + [(5, n + 1 + i) for i in range(rng.randint(0, 2))]
+        text = _decide_text(seq, n, listed, len(strict))
+        events = [TraceEvent.from_json(line) for line in text.splitlines()]
         assert [(e.seq, e.phase) for e in events] == [
             (seq + i, "decide") for i in range(n)]
         witnesses = {j: w for w, j in strict}
@@ -107,8 +110,11 @@ def test_decide_text_writes_the_path_of_the_strict_steps():
                 payload.update(decision="strict", witness=witnesses[i])
                 candidate = i
             assert event.payload == payload
+        # a trace numbers its events from 0
         leaf = strict[-1][1] if strict else 0
-        run = events + [TraceEvent(seq + n, "candidate", {"candidate": leaf})]
+        run = [TraceEvent.from_json(line) for line in
+               _decide_text(0, n, strict, len(strict)).splitlines()]
+        run.append(TraceEvent(n, "candidate", {"candidate": leaf}))
         assert replay_paths([run], n).runs[0].leaf_candidates == [leaf]
 
 
@@ -144,17 +150,39 @@ def test_a_log_is_written_from_its_text_without_building_events(
         assert text == "".join(event.to_json() + "\n" for event in log.events)
 
 
-@pytest.mark.parametrize("run", [
-    lambda trace: oracle_run(ORACLE_VALUES, trace),
-    convex_run,
+WORKED_VALUES = (0, Fraction(-5, 2), -1, -2, -3, 1)
+
+
+def scripted_run(script, trace):
+    reg = RealRegistry()
+    for q in WORKED_VALUES:
+        reg.blurred(q)
+    return learn_least(5, ScriptedAuditor(script), empty_state(reg), 32,
+                       trace)
+
+
+@pytest.mark.parametrize("run,last,checks", [
+    (lambda trace: oracle_run(ORACLE_VALUES, trace), "accept", 0),
+    (convex_run, "accept", 0),
     # a run cut by its restart budget: both sinks hold the partial trace
-    lambda trace: oracle_run(ORACLE_VALUES, trace, max_restarts=1),
-], ids=["least-oracle", "convex", "least-budget"])
-def test_a_trace_file_writes_the_text_of_a_trace_log(tmp_path, run):
+    (lambda trace: oracle_run(ORACLE_VALUES, trace, max_restarts=1),
+     "extend", 0),
+    # a challenge that checks out (r_0 = 0 <= r_5 = 1), one refuted, and
+    # after the restart one that checks out (r_3 = -2 <= r_2 = -1)
+    (lambda trace: scripted_run([Challenge(5, 3), Challenge(3, 33),
+                                 Challenge(2, 25)], trace), "accept", 2),
+    # a forced challenge the reals deny: the trace ends on that challenge
+    (lambda trace: scripted_run([Challenge(3, 33),
+                                 Challenge(5, 5, force=True)], trace),
+     "challenge", 0),
+], ids=["least-oracle", "convex", "least-budget", "least-check",
+        "least-denied"])
+def test_a_trace_file_writes_the_text_of_a_trace_log(tmp_path, run, last,
+                                                     checks):
     def recorded(trace):
         try:
             run(trace)
-        except RestartBudgetExceeded:
+        except (RestartBudgetExceeded, ForcedChallengeDenied):
             pass
     log = TraceLog()
     recorded(log)
@@ -163,6 +191,22 @@ def test_a_trace_file_writes_the_text_of_a_trace_log(tmp_path, run):
         recorded(TraceFile(handle))
     text = path.read_text(encoding="utf-8")
     assert text and text == "".join(log.lines())
+    assert json.loads(text.splitlines()[-1])["phase"] == last
+    if last == "challenge":
+        assert text.splitlines()[-1] == ('{"claim":[3,5],"forced":true,"j":5,'
+                                         '"phase":"challenge","precision":5,'
+                                         '"seq":17}')
+    assert text.count('"outcome":"ok"') == checks
+
+
+def test_an_oracle_restart_records_five_blocks():
+    # per restart: the pass's decide lines, candidate, challenge,
+    # falsified with blame, extend with restart; then the accepting
+    # attempt's decide lines, candidate and accept
+    log = TraceLog()
+    outcome = oracle_run(ORACLE_VALUES, log)
+    assert outcome.restarts > 0
+    assert len(log._blocks) == 5 * outcome.restarts + 3
 
 
 def test_snapshot_text_is_the_snapshot_serialised():
