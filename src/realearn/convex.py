@@ -66,13 +66,14 @@ from .geometry import (
 # only learn calls them
 from .knowledge import Falsified, KnowledgeState, blame, empty_state, extend
 from .least import LeastCandidate, learn, least_candidate
-from .trace import TraceLog, emit_with_state
+from .trace import TraceLog, _event_line, _state_line
 
 
 # Side 0 is the ray A->B, side 1 the ray A->C; a point is inside the
 # angle when it lies on the inner side of both.
 _INNER = (Left, Right)
 _MIRROR = {Left: Right, Right: Left}
+_SIDE_NAME = {Left: "left", Right: "right"}
 _REPLACE_CASE = ("new-b", "new-c")
 
 
@@ -114,7 +115,7 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
     def attempt(state: KnowledgeState, cand: LeastCandidate,
                 restarts: int) -> Union[ConvexAngleResult, Falsified]:
         a = cand.candidate
-        emit_with_state(log, "select-A", state, candidate=a)
+        log.defer(_state_line, "select-A", state, ("candidate",), a)
         # the attempt's difference nodes and side decisions, dropped with it
         differences: Differences = {}
         decided: Dict[Tuple[int, int], SideDecision] = {}
@@ -132,9 +133,9 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
                 decision = decided[q, r] = decide_side(pa, pq, pr, k_max, orient, last)
                 decided[r, q] = _MIRROR[type(decision)](decision.witness)
             last = decision.witness
-            log.emit("side", stage=stage, line=[a, q], point=r,
-                     side="left" if isinstance(decision, Left) else "right",
-                     witness=decision.witness)
+            log.defer(_event_line, "side",
+                      ("stage", "line", "point", "side", "witness"), stage,
+                      (a, q), r, _SIDE_NAME[type(decision)], decision.witness)
             return decision
 
         rest = [i for i in range(n + 1) if i != a]
@@ -147,9 +148,9 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
         c_left = side(ray[0], ray[1], "mutual")
         assert isinstance(c_left, Left) and isinstance(b_right, Right), \
             "rays not ordered after swap"
-        log.emit("init-BC", b=ray[0], c=ray[1], swapped=swapped,
-                 b_right_witness=b_right.witness,
-                 c_left_witness=c_left.witness)
+        log.defer(_event_line, "init-BC",
+                  ("b", "c", "swapped", "b_right_witness", "c_left_witness"),
+                  ray[0], ray[1], swapped, b_right.witness, c_left.witness)
 
         # the points certified inside the angle; their witnesses are in
         # decided, against whichever rays the scan ends with
@@ -158,25 +159,27 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
             wrong = [s for s in (0, 1)
                      if not isinstance(side(ray[s], d, "scan"), _INNER[s])]
             if not wrong:
-                log.emit("scan", d=d, case="keep")
+                log.defer(_event_line, "scan", ("d", "case"), d, "keep")
                 inside.append(d)
                 continue
             if len(wrong) == 2:
                 # d is behind the apex: right of A->B yet left of A->C.
-                log.emit("scan", d=d, case="blocked")
+                log.defer(_event_line, "scan", ("d", "case"), d, "blocked")
                 cycle = [d, ray[0], ray[1]]
                 which, w = three_points(points[a], *(points[i] for i in cycle),
-                                        k_max, last)
+                                        k_max)
                 x = cycle[which]
-                log.emit("three-points", a=a, cycle=cycle, below=x, witness=w)
+                log.defer(_event_line, "three-points",
+                          ("a", "cycle", "below", "witness"), a, cycle, x, w)
                 pair, witness = blame(cand.evidences[x], w)
-                log.emit("blame", claim=[a, x], pair=list(pair), witness=witness)
+                log.defer(_event_line, "blame", ("claim", "pair", "witness"),
+                          (a, x), pair, witness)
                 return Falsified(pair, witness)
             # d lies outside ray s only, so it becomes ray s.  The angle
             # stays below pi, so the replaced point and every certified
             # point lie on the inner side of the new ray.
             s = wrong[0]
-            log.emit("scan", d=d, case=_REPLACE_CASE[s])
+            log.defer(_event_line, "scan", ("d", "case"), d, _REPLACE_CASE[s])
             old = ray[s]
             ray[s] = d
             moved = side(d, old, "rescan")
@@ -198,7 +201,8 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
             a=a, b=b, c=c, left={d: decided[b, d].witness for d in inside},
             right={d: decided[c, d].witness for d in inside},
             c_left=decided[b, c].witness, b_right=decided[c, b].witness)
-        emit_with_state(log, "accept", state, a=a, b=b, c=c, restarts=restarts)
+        log.defer(_state_line, "accept", state, ("a", "b", "c", "restarts"),
+                  a, b, c, restarts)
         return ConvexAngleResult(a, b, c, certificate, state, restarts, log)
 
     return learn(empty_state([p.y for p in points]), n, log, max_restarts,

@@ -43,7 +43,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from ._record import _Record
 from .errors import CertificateFailure, DegenerateInput
-# perfbench/tracing.py wraps find_strict_witness on this module
+# perfbench/tracing.py wraps op_at on this module
 from .reals import RealNum, det2, find_strict_witness, least_witness, op_at, sub
 
 
@@ -159,7 +159,7 @@ def decide_side(p: Point, q: Point, r: Point, k_max: int,
 
 
 def three_points(a: Point, q0: Point, q1: Point, q2: Point,
-                 k_max: int, start: int = 0) -> Tuple[int, int]:
+                 k_max: int) -> Tuple[int, int]:
     """Find some q_i strictly below a, given a left-turning cycle.
 
     Precondition: each q_{i+1} (cyclically) lies left of the line from
@@ -168,12 +168,16 @@ def three_points(a: Point, q0: Point, q1: Point, q2: Point,
     is the least precision at which some vertex is observed below a,
     and ``i`` is the first such vertex at that precision: the result
     ``(i, witness)`` is what dovetailing precision (outer) against the
-    three candidates (inner) would find first, from any ``start``.
+    three candidates (inner) would find first.  As :func:`op_at` is
+    monotone in the precision, that is the first i whose own least
+    witness, :func:`~realearn.reals.find_strict_witness` of q_i.y below
+    a.y, is the least of the three: one division each for blurred ys.
     """
-    qs = (q0, q1, q2)
-    k = least_witness(lambda k: any(op_at(q.y, a.y, k) for q in qs), k_max, start)
-    if k is not None:
-        return next((i, k) for i, q in enumerate(qs) if op_at(q.y, a.y, k))
+    found = [(k, i) for i, q in enumerate((q0, q1, q2))
+             if (k := find_strict_witness(q.y, a.y, k_max)) is not None]
+    if found:
+        k, i = min(found)
+        return i, k
     raise NoWitnessFound(
         f"no point of ({q0.index}, {q1.index}, {q2.index}) observed below "
         f"{a.index} within precision {k_max}"

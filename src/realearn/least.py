@@ -24,12 +24,13 @@ it blamed; the loop then extends the state with that counterexample,
 counts the restart against the budget and starts a new attempt.  In
 :func:`learn_least` the test is an auditor's challenges at chosen
 precisions, and a refuted claim is blamed on the assumption that
-produced it.  A restart records what it writes as blocks of plain
-arguments, the ints, states and records it already holds, and the
-trace's serializers write their lines when the log is read.  Every
-entry added in a run is verified by :func:`~realearn.knowledge.extend`,
-so in debug builds the run audits the states it starts and ends with,
-not each answer of each pass.
+produced it.  Every other event is one block of the log's ``defer``:
+a writer of :mod:`~realearn.trace`, the event's keys and the sealed
+values it already holds, ints, tuples and states, so a
+:class:`TraceLog` writes its line only when the log is read.  Every
+entry added in a run is verified by
+:func:`~realearn.knowledge.extend`, so in debug builds the run audits
+the states it starts and ends with, not each answer of each pass.
 Each restart flips exactly one assumed comparison on the current
 decision path to a strict one, so progress through the space of
 decision paths is strictly left to right and the number of restarts is
@@ -62,7 +63,7 @@ from .knowledge import (
     is_sound,
 )
 from .reals import RealNum, op_at
-from .trace import TraceLog, _event_line, _state_line, emit_with_state
+from .trace import TraceLog, _event_line, _state_line
 
 _R = TypeVar("_R")
 
@@ -183,7 +184,7 @@ def least_candidate(state: KnowledgeState, n: int,
     strict, length = state.strict_steps(n)
     candidate = strict[length - 1][1] if length else 0
     if trace is not None:
-        trace.defer(n, _decide_text, n, strict, length)
+        trace.defer(_decide_text, n, strict, length)
     return LeastCandidate(candidate, Evidences(strict, length, n))
 
 
@@ -263,12 +264,11 @@ def learn(state: KnowledgeState, n: int, log: TraceLog, budget: Optional[int],
     hands it to ``attempt(state, candidate, restarts)``, which records
     its own events and returns the run's result, or a
     :class:`Falsified` after recording its ``blame``.  A refutation
-    extends the state with the blamed counterexample and counts a
-    restart.  If that passes ``budget`` (default ``2 ** n``), the loop
-    records ``extend`` alone and raises :class:`RestartBudgetExceeded`;
-    otherwise it records ``extend`` and ``restart`` as one block and
-    tries again.  Only this loop extends a learner's state, and each
-    blamed pair must be new to it.
+    extends the state with the blamed counterexample, counts a restart
+    and records ``extend``.  If the count passes ``budget`` (default
+    ``2 ** n``), the loop raises :class:`RestartBudgetExceeded`;
+    otherwise it records ``restart`` and tries again.  Only this loop
+    extends a learner's state, and each blamed pair must be new to it.
     """
     if budget is None:
         budget = 2 ** n
@@ -281,21 +281,11 @@ def learn(state: KnowledgeState, n: int, log: TraceLog, budget: Optional[int],
         state = extend(state, result.pair[0], result.pair[1], result.witness)
         assert state.size == before + 1, "blamed pair was already known"
         restarts += 1
+        log.defer(_state_line, "extend", state, ("pair", "witness"),
+                  result.pair, result.witness)
         if restarts > budget:
-            log.defer(1, _extend_line, state, result)
             raise RestartBudgetExceeded(restarts, budget)
-        log.defer(2, _restart_text, state, result, restarts)
-
-
-def _extend_line(seq: int, state: KnowledgeState, result: Falsified) -> str:
-    return _state_line(seq, "extend", state, {"pair": list(result.pair),
-                                              "witness": result.witness})
-
-
-def _restart_text(seq: int, state: KnowledgeState, result: Falsified,
-                  count: int) -> str:
-    return (_extend_line(seq, state, result)
-            + _event_line(seq + 1, "restart", {"count": count}))
+        log.defer(_event_line, "restart", ("count",), restarts)
 
 
 def learn_least(n: int, auditor: Auditor, initial: KnowledgeState,
@@ -307,11 +297,10 @@ def learn_least(n: int, auditor: Auditor, initial: KnowledgeState,
     its candidate one at a time.  Each challenge is recorded before it
     is checked, so a check that raises leaves it last in a trace file.
     One that checks out is then recorded as ``check``; a refuted one is
-    recorded as ``falsified`` with its ``blame``, in one block, and
-    returned, and the loop extends the state and restarts.  The
-    auditor accepting (returning None) ends the run.  More than
-    ``max_restarts`` restarts (default ``2 ** n``) raise
-    :class:`RestartBudgetExceeded`.
+    recorded as ``falsified``, then ``blame``, and returned, and the
+    loop extends the state and restarts.  The auditor accepting
+    (returning None) ends the run.  More than ``max_restarts``
+    restarts (default ``2 ** n``) raise :class:`RestartBudgetExceeded`.
 
     In debug builds the run re-verifies the initial state before its
     first pass and the final state before it accepts, and raises
@@ -326,44 +315,32 @@ def learn_least(n: int, auditor: Auditor, initial: KnowledgeState,
 
     def attempt(state: KnowledgeState, cand: LeastCandidate,
                 restarts: int) -> Union[LearnOutcome, Falsified]:
-        emit_with_state(log, "candidate", state, candidate=cand.candidate)
+        log.defer(_state_line, "candidate", state, ("candidate",),
+                  cand.candidate)
         while (ch := auditor.challenge(cand)) is not None:
             j, p = ch.j, ch.precision
             ev = cand.evidences[j]
             claim = ev.subject, ev.target
             # recorded before the check, which may raise
-            log.defer(1, _challenge_line, j, p, claim, ch.force)
+            log.defer(_event_line, "challenge",
+                      ("j", "precision", "claim", "forced"),
+                      j, p, claim, ch.force)
             result = check_leq(reals, ev, p)
             if result is None and ch.force:
                 result = _forced_refutation(reals, ev, p)
             if result is not None:
-                log.defer(2, _refuted_text, j, p, claim, result)
+                log.defer(_event_line, "falsified",
+                          ("j", "precision", "claim"), j, p, claim)
+                log.defer(_event_line, "blame", ("pair", "witness"),
+                          result.pair, result.witness)
                 return result
-            log.defer(1, _checked_line, j, p)
+            log.defer(_event_line, "check", ("j", "precision", "outcome"),
+                      j, p, "ok")
         if __debug__:
             _audit(state, "final")
-        emit_with_state(log, "accept", state,
-                        candidate=cand.candidate, restarts=restarts)
+        log.defer(_state_line, "accept", state, ("candidate", "restarts"),
+                  cand.candidate, restarts)
         return LearnOutcome(cand, state, log, restarts)
 
     return learn(initial, n, log, max_restarts, attempt)
 
-
-def _challenge_line(seq: int, j: int, precision: int, claim: Tuple[int, int],
-                    forced: bool) -> str:
-    return _event_line(seq, "challenge", {"j": j, "precision": precision,
-                                          "claim": list(claim),
-                                          "forced": forced})
-
-
-def _refuted_text(seq: int, j: int, precision: int, claim: Tuple[int, int],
-                  result: Falsified) -> str:
-    return (_event_line(seq, "falsified", {"j": j, "precision": precision,
-                                           "claim": list(claim)})
-            + _event_line(seq + 1, "blame", {"pair": list(result.pair),
-                                             "witness": result.witness}))
-
-
-def _checked_line(seq: int, j: int, precision: int) -> str:
-    return _event_line(seq, "check", {"j": j, "precision": precision,
-                                      "outcome": "ok"})

@@ -9,27 +9,28 @@ input therefore produce byte identical trace files, and
 for, so a reader that walks the events holds one at a time, not the
 trace.
 
-A :class:`TraceFile`, the CLI's ``--trace`` sink, writes each line when
-it is recorded.  A :class:`TraceLog`, the library default, keeps what
-each line is written from and writes it when the trace is read: an
-emitted event keeps its payload, a least-element pass the shared chain
-list and its length, and a line that records a knowledge state the
-state, whose snapshot text is serialised once.  A restart of
-:func:`~realearn.least.learn_least` records deferred blocks of plain
-arguments, whose lines :func:`_event_line` and :func:`_state_line`
-write: its pass, its candidate, a challenge, then the challenge's
-``falsified`` and ``blame`` lines or its ``check`` line, and at last
-its ``extend`` and ``restart`` lines.  Both logs write the same bytes,
-as every block is sealed when it is recorded.  :attr:`TraceLog.events`
-parses the lines, so a trace read in the process is the trace read
-from its file.  :class:`NullLog` keeps nothing, for a run whose trace
-is never read.
+A run records into a log one way: ``defer(text, *args)``, a block
+whose lines ``text(seq, *args)`` writes, numbered from ``seq``, each
+ended by one newline.  Every sink numbers the next block by counting
+the newlines of the ones before.  :func:`_event_line` writes one event
+from a tuple of keys and their values, and :func:`_state_line` one that
+also records a knowledge state, from the state's snapshot text, which
+each state serialises once.  A least-element pass writes its ``decide``
+lines with :func:`~realearn.least._decide_text`.
+
+A :class:`TraceFile`, the CLI's ``--trace`` sink, writes each block's
+lines when it is recorded.  A :class:`TraceLog`, the library default,
+keeps each block's writer and arguments and writes the lines when the
+trace is read.  Both logs write the same bytes, as every argument is
+sealed when it is recorded.  :attr:`TraceLog.events` parses the lines,
+so a trace read in the process is the trace read from its file.
+:class:`NullLog` keeps nothing, for a run whose trace is never read.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Iterator, List, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Tuple
 
 from ._record import _Record
 from .errors import InputError
@@ -46,7 +47,9 @@ class TraceEvent(_Record):
     __hash__ = None
 
     def to_json(self) -> str:
-        return _event_line(self._seq, self._phase, self._payload)[:-1]
+        payload = self._payload
+        return _event_line(self._seq, self._phase, payload.keys(),
+                           *payload.values())[:-1]
 
     @staticmethod
     def from_json(line: str) -> "TraceEvent":
@@ -66,36 +69,33 @@ class TraceEvent(_Record):
 
 
 class TraceLog:
-    """Append-only trace: a list of ``(seq, text, args)`` blocks in
-    sequence order, where ``text(seq, *args)`` returns the block's
-    lines, numbered from ``seq``, each ended by a newline.  A block
-    keeps its arguments, not a closure or its text, so recording one
-    builds no function and serialises nothing.  An oracle restart of
-    :func:`~realearn.least.learn_least` records five blocks: the
-    pass's ``decide`` lines, ``candidate``, ``challenge``, ``falsified``
-    with ``blame``, and ``extend`` with ``restart``."""
+    """Append-only trace: a list of ``(text, args)`` blocks in sequence
+    order, where ``text(seq, *args)`` returns the block's lines,
+    numbered from ``seq``.  A block keeps its arguments, not a closure
+    or its text, so recording one builds no function and serialises
+    nothing.  An oracle restart of :func:`~realearn.least.learn_least`
+    records seven blocks: the pass's ``decide`` lines, ``candidate``,
+    ``challenge``, ``falsified``, ``blame``, ``extend`` and
+    ``restart``."""
 
-    __slots__ = ("_blocks", "_next")
+    __slots__ = ("_blocks",)
 
     def __init__(self) -> None:
-        self._blocks: List[Tuple[int, Callable[..., str], tuple]] = []
-        self._next = 0
+        self._blocks: List[Tuple[Callable[..., str], tuple]] = []
 
-    def emit(self, phase: str, **payload: Any) -> None:
-        self._blocks.append((self._next, _event_line, (phase, payload)))
-        self._next += 1
-
-    def defer(self, count: int, text: Callable[..., str], *args: Any) -> None:
-        """Reserve the next ``count`` sequence numbers for the lines
-        that ``text(seq, *args)`` writes when the trace is read."""
-        self._blocks.append((self._next, text, args))
-        self._next += count
+    def defer(self, text: Callable[..., str], *args: Any) -> None:
+        """Record the lines that ``text(seq, *args)`` writes when the
+        trace is read."""
+        self._blocks.append((text, args))
 
     def lines(self) -> Iterator[str]:
         """The serialised trace in sequence order, one block's lines at
         a time."""
-        for seq, text, args in self._blocks:
-            yield text(seq, *args)
+        seq = 0
+        for text, args in self._blocks:
+            block = text(seq, *args)
+            seq += block.count("\n")
+            yield block
 
     @property
     def events(self) -> List[TraceEvent]:
@@ -115,13 +115,10 @@ class TraceFile:
         self._next = 0
         self.flush = handle.flush
 
-    def emit(self, phase: str, **payload: Any) -> None:
-        self._write(_event_line(self._next, phase, payload))
-        self._next += 1
-
-    def defer(self, count: int, text: Callable[..., str], *args: Any) -> None:
-        self._write(text(self._next, *args))
-        self._next += count
+    def defer(self, text: Callable[..., str], *args: Any) -> None:
+        block = text(self._next, *args)
+        self._write(block)
+        self._next += block.count("\n")
 
 
 class NullLog:
@@ -130,31 +127,27 @@ class NullLog:
 
     __slots__ = ()
 
-    def emit(self, phase: str, **payload: Any) -> None:
-        pass
-
-    def defer(self, count: int, text: Callable[..., str], *args: Any) -> None:
+    def defer(self, text: Callable[..., str], *args: Any) -> None:
         pass
 
     def flush(self) -> None:
         pass
 
 
-def _event_line(seq: int, phase: str, payload: dict) -> str:
-    return _dumps({"seq": seq, "phase": phase, **payload}) + "\n"
+def _event_line(seq: int, phase: str, keys: Iterable[str],
+                *values: Any) -> str:
+    """The line of event ``phase`` at ``seq`` whose payload maps each
+    of ``keys`` to its value.  ``_dumps`` escapes a newline inside a
+    string, so the line ends in its only newline."""
+    return _dumps(dict(zip(keys, values), seq=seq, phase=phase)) + "\n"
 
 
-def emit_with_state(log: TraceLog, phase: str, state,
-                    **payload: Any) -> None:
-    """Record ``phase`` with ``payload`` and the sealed knowledge state's
-    snapshot under ``"state"``, written from ``state.snapshot_json``,
-    which each state serialises once."""
-    log.defer(1, _state_line, phase, state, payload)
-
-
-def _state_line(seq: int, phase: str, state, payload: dict) -> str:
+def _state_line(seq: int, phase: str, state, keys: Iterable[str],
+                *values: Any) -> str:
+    """:func:`_event_line` with the sealed knowledge state's snapshot
+    under ``"state"``, written from ``state.snapshot_json``."""
     # the keys sorted before "state", the state, then those after it
-    record = {"seq": seq, "phase": phase, **payload}
+    record = dict(zip(keys, values), seq=seq, phase=phase)
     head = _dumps({k: v for k, v in record.items() if k < "state"})
     tail = _dumps({k: v for k, v in record.items() if k > "state"})
     rest = "," + tail[1:] if len(tail) > 2 else "}"

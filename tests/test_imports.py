@@ -167,7 +167,7 @@ def test_a_fresh_import_lets_the_earlier_ones_go():
 # top-level imports that their module keeps without using them, each
 # with its reason
 UNUSED_IMPORTS = {
-    ("geometry", "find_strict_witness"): "perfbench/tracing.py wraps it here",
+    ("geometry", "op_at"): "perfbench/tracing.py wraps it here",
     ("convex", "extend"): "perfbench/tracing.py wraps it here",
     ("convex", "least_candidate"): "perfbench/tracing.py wraps it here",
     ("convex", "verify_bounding"): "re-exported from geometry",

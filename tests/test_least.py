@@ -34,7 +34,7 @@ import realearn.least
 from realearn.least import learn
 from realearn.oracle import OracleAuditor, exact_min_index, separation_from_gap
 from realearn.replay import replay_paths
-from realearn.trace import emit_with_state, read_trace
+from realearn.trace import _event_line, _state_line, read_trace
 
 from support import (StringTrace, count_trace_builds, distinct_fractions,
                      evidence_graph, random_table_prefix)
@@ -285,11 +285,11 @@ def refuting_attempt(log, pairs, sizes):
         sizes.append(state.size)
         pair = next(pending, None)
         if pair is None:
-            log.emit("accept", restarts=restarts)
+            log.defer(_event_line, "accept", ("restarts",), restarts)
             return state, restarts
         i, j = pair
         witness = sound_witness(state.reals, i, j)
-        log.emit("blame", pair=[i, j], witness=witness)
+        log.defer(_event_line, "blame", ("pair", "witness"), pair, witness)
         return realearn.knowledge.Falsified(pair, witness)
 
     return attempt
@@ -448,12 +448,14 @@ def eager_least_candidate(state, n, trace=None):
         witness = state.get(candidate, i)
         if witness is None:
             if trace is not None:
-                trace.emit("decide", step=i, pair=[candidate, i], decision="assume")
+                trace.defer(_event_line, "decide", ("step", "pair", "decision"),
+                            i, (candidate, i), "assume")
             evidences[i] = Assumed(candidate, i)
         else:
             if trace is not None:
-                trace.emit("decide", step=i, pair=[candidate, i],
-                           decision="strict", witness=witness)
+                trace.defer(_event_line, "decide",
+                            ("step", "pair", "decision", "witness"),
+                            i, (candidate, i), "strict", witness)
             evidences = {
                 j: Step(witness, ev, i) for j, ev in evidences.items()
             }
@@ -580,7 +582,7 @@ def test_a_descending_run_grows_one_chain_list():
     values = [Fraction(n + 1 - i, 7) for i in range(n + 1)]
     outcome = learn_least(n, OracleAuditor(reg, values), empty_state(reg),
                           trace=log)
-    passes = [args for _, text, args in log._blocks
+    passes = [args for text, args in log._blocks
               if text is realearn.least._decide_text]
     assert [length for _, _, length in passes] == list(range(n + 1))
     assert {id(strict) for _, strict, _ in passes} == {id(outcome.state._chain)}
@@ -697,8 +699,9 @@ def test_every_state_stays_sealed_over_sibling_extensions(drawn):
         # of its own
         entries = {(i, j): w for i, j, w in state.sorted_entries()}
         own = KnowledgeState(reg, entries)
-        emit_with_state(log, "candidate", state, candidate=state.size)
-        emit_with_state(expected, "candidate", own, candidate=state.size)
+        log.defer(_state_line, "candidate", state, ("candidate",), state.size)
+        expected.defer(_state_line, "candidate", own, ("candidate",),
+                       state.size)
         least_candidate(state, m, log)
         least_candidate(own, m, expected)
         reads = state_reads(state, m)

@@ -8,18 +8,43 @@ from realearn import (Challenge, OracleAuditor, RealRegistry, ScriptedAuditor,
                       TraceLog, convex_angle, empty_state, extend, learn_least)
 from realearn.errors import (ForcedChallengeDenied, InputError,
                              RestartBudgetExceeded)
-from realearn.trace import NullLog, TraceEvent, TraceFile, read_trace
+from realearn.trace import (NullLog, TraceEvent, TraceFile, _event_line,
+                            read_trace)
 
-from support import (count_trace_builds, general_position_points,
-                     register_points)
+from support import (StringTrace, count_trace_builds,
+                     general_position_points, register_points)
 
 
-def test_emit_assigns_sequence_numbers():
-    log = TraceLog()
-    log.emit("decide", pair=[0, 1], decision="assume")
-    log.emit("candidate", candidate=0)
-    assert [e.seq for e in log.events] == [0, 1]
-    assert log.events[0].phase == "decide"
+def three_decisions(seq, first):
+    return "".join(_event_line(seq + i, "decide", ("step",), first + i)
+                   for i in range(3))
+
+
+def record_blocks(log):
+    """Blocks of 1, 0, 3, 1 (a string holding a newline), 0 and 1
+    lines."""
+    log.defer(_event_line, "candidate", ("candidate",), 0)
+    log.defer(lambda seq: "")
+    log.defer(three_decisions, 1)
+    log.defer(_event_line, "note", ("text",), "two\nlines")
+    log.defer(lambda seq, x: "", 7)
+    log.defer(_event_line, "accept", ("candidate",), 0)
+
+
+def test_each_sink_numbers_a_block_by_its_lines():
+    # a sink moves seq on by the lines a block writes; a newline inside
+    # a string is escaped, so that value stays on one line
+    log, file = TraceLog(), StringTrace()
+    record_blocks(log)
+    record_blocks(file)
+    for events in (log.events, file.events):
+        assert [(e.seq, e.phase) for e in events] == [
+            (0, "candidate"), (1, "decide"), (2, "decide"), (3, "decide"),
+            (4, "note"), (5, "accept")]
+        assert [e.payload.get("step") for e in events[1:4]] == [1, 2, 3]
+        assert events[4].payload == {"text": "two\nlines"}
+    assert file.text == "".join(log.lines())
+    assert file.text.count("\n") == 6
 
 
 def test_event_json_roundtrip():
@@ -43,8 +68,9 @@ def test_event_json_roundtrip():
 
 def test_write_then_read_trace(tmp_path):
     log = TraceLog()
-    log.emit("candidate", candidate=0, state=[])
-    log.emit("accept", candidate=0, restarts=0, state=[])
+    log.defer(_event_line, "candidate", ("candidate", "state"), 0, [])
+    log.defer(_event_line, "accept", ("candidate", "restarts", "state"),
+              0, 0, [])
     path = tmp_path / "run.trace"
     path.write_text("".join(log.lines()))
     assert list(read_trace(path)) == log.events
@@ -199,14 +225,14 @@ def test_a_trace_file_writes_the_text_of_a_trace_log(tmp_path, run, last,
     assert text.count('"outcome":"ok"') == checks
 
 
-def test_an_oracle_restart_records_five_blocks():
+def test_an_oracle_restart_records_seven_blocks():
     # per restart: the pass's decide lines, candidate, challenge,
-    # falsified with blame, extend with restart; then the accepting
+    # falsified, blame, extend and restart; then the accepting
     # attempt's decide lines, candidate and accept
     log = TraceLog()
     outcome = oracle_run(ORACLE_VALUES, log)
     assert outcome.restarts > 0
-    assert len(log._blocks) == 5 * outcome.restarts + 3
+    assert len(log._blocks) == 7 * outcome.restarts + 3
 
 
 def test_snapshot_text_is_the_snapshot_serialised():
@@ -224,7 +250,5 @@ def test_snapshot_text_is_the_snapshot_serialised():
 
 def test_a_null_log_keeps_nothing():
     log = NullLog()
-    log.emit("candidate", candidate=0)
-    log.defer(3, lambda seq: "")
-    log.defer(1, lambda seq, x: "", 7)
+    record_blocks(log)
     assert not hasattr(log, "events") and log.__slots__ == ()
