@@ -83,7 +83,7 @@ def _count(source: str, value, kmax: bool = False) -> int:
     """``value`` if it is an integer >= 0, and at most
     :data:`KMAX_CEILING` for a ``kmax``, else an input error naming
     ``source``."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is not int:
         raise InputError(f"{source} must be an integer, got {value!r}")
     if value < 0:
         raise InputError(f"{source} must be >= 0, got {value}")
@@ -255,8 +255,7 @@ def cmd_check(args) -> int:
     document = _document(args.input, "points")
     points = build_points(document)
     a, b, c = record.get("a"), record.get("b"), record.get("c")
-    if not all(isinstance(v, int) and not isinstance(v, bool)
-               for v in (a, b, c)):
+    if not all(type(v) is int for v in (a, b, c)):
         raise InputError(f"{args.result}: a, b, c must be integers")
     kmax = (_count(f"{args.result}: kmax", record.get("kmax", DEFAULT_KMAX),
                    kmax=True)

@@ -74,7 +74,8 @@ from .trace import TraceLog, _event_line, _state_line
 _INNER = (Left, Right)
 _MIRROR = {Left: Right, Right: Left}
 _SIDE_NAME = {Left: "left", Right: "right"}
-_REPLACE_CASE = ("new-b", "new-c")
+# a scanned point's case, by the sides it lies on the wrong side of
+_SCAN_CASE = {(): "keep", (0,): "new-b", (1,): "new-c", (0, 1): "blocked"}
 
 
 class TooFewPoints(ValueError):
@@ -158,13 +159,13 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
         for d in rest[2:]:
             wrong = [s for s in (0, 1)
                      if not isinstance(side(ray[s], d, "scan"), _INNER[s])]
+            log.defer(_event_line, "scan", ("d", "case"), d,
+                      _SCAN_CASE[tuple(wrong)])
             if not wrong:
-                log.defer(_event_line, "scan", ("d", "case"), d, "keep")
                 inside.append(d)
                 continue
             if len(wrong) == 2:
                 # d is behind the apex: right of A->B yet left of A->C.
-                log.defer(_event_line, "scan", ("d", "case"), d, "blocked")
                 cycle = [d, ray[0], ray[1]]
                 which, w = three_points(points[a], *(points[i] for i in cycle),
                                         k_max)
@@ -179,7 +180,6 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
             # stays below pi, so the replaced point and every certified
             # point lie on the inner side of the new ray.
             s = wrong[0]
-            log.defer(_event_line, "scan", ("d", "case"), d, _REPLACE_CASE[s])
             old = ray[s]
             ray[s] = d
             moved = side(d, old, "rescan")

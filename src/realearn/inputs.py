@@ -69,10 +69,10 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_fraction(value) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise InputError(f"rationals must be exact, got {value!r}")
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
+    if isinstance(value, (bool, float)):
+        raise InputError(f"rationals must be exact, got {value!r}")
     if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
             return Fraction(value)
@@ -110,8 +110,7 @@ class RealSpec(_Record):
 
     @staticmethod
     def from_obj(obj) -> "RealSpec":
-        if isinstance(obj, str) or (isinstance(obj, int)
-                                    and not isinstance(obj, bool)):
+        if isinstance(obj, str) or type(obj) is int:
             # bare "num/den" shorthand for an exact rational
             return RealSpec("rational", parse_fraction(obj))
         if not isinstance(obj, dict):
@@ -158,7 +157,7 @@ def load_document(path) -> InputDocument:
                 reals.append(RealSpec.from_obj(record))
             elif kind == "point":
                 index = record.get("index")
-                if not isinstance(index, int) or isinstance(index, bool):
+                if type(index) is not int:
                     raise InputError(f"point index must be an integer")
                 points.append(PointSpec(
                     index=index,
@@ -232,8 +231,7 @@ def load_script(path) -> List[Challenge]:
         j = record.get("j")
         precision = record.get("precision")
         force = record.get("force", False)
-        if not isinstance(j, int) or not isinstance(precision, int) \
-                or isinstance(j, bool) or isinstance(precision, bool):
+        if not (type(j) is int and type(precision) is int):
             raise InputError(
                 f"{path}:{lineno}: challenge needs integer j and precision")
         if precision < 0:

@@ -150,7 +150,11 @@ def _triple(lo: RationalLike, hi: RationalLike) -> Triple:
 def _check_interval(k: int, interval: Triple,
                     outer: Optional[Triple]) -> None:
     """Raise :class:`InvalidNesting` for the first clause that the
-    interval at ``k`` violates, given the interval at ``k - 1`` if known."""
+    interval at ``k`` violates, given the interval at ``k - 1`` if known.
+
+    The one implementation of the clauses: :meth:`RealNum._at` calls it
+    on every computed interval in debug builds, and the table and raw
+    generator constructors on every interval they check."""
     lo, hi, d = interval
     if lo > hi:
         raise InvalidNesting(k, "lower endpoint above upper endpoint")
@@ -173,10 +177,10 @@ class RealNum:
     registry.  Every real has one evaluation path: its generator
     returns the ``(lo, hi, d)`` triple of the requested index only,
     and the triple is cached, so the generator is evaluated at most
-    once per index.  In debug builds the new interval is checked for
-    ``lo <= hi``, width at most ``2**-k`` and nesting with whichever
-    neighbours ``k - 1`` and ``k + 1`` are cached.  The clauses are tested inline and :func:`_check_interval`
-    is called only to name a failing one.  A raw generator of
+    once per index.  In debug builds :func:`_check_interval` checks the
+    new interval for ``lo <= hi``, width at most ``2**-k`` and nesting
+    in a cached ``k - 1``, then a cached ``k + 1`` for nesting in the
+    new interval.  A raw generator of
     ``Fraction`` pairs is checked in every build by the triple
     generator that :meth:`RealRegistry.from_generator` wraps it in.
     The magnitude exponent that :func:`det2` reads from index 0 is
@@ -218,18 +222,8 @@ class RealNum:
             raise ValueError(f"precision index must be >= 0, got {k}")
         interval = self._gen(k)
         if __debug__:
-            # the clauses of _check_interval, which runs only to name
-            # the first one that fails
-            lo, hi, d = interval
-            outer = cache.get(k - 1)
-            if (lo > hi or (hi - lo) << k > d or outer is not None and (
-                    lo * outer[2] < outer[0] * d
-                    or hi * outer[2] > outer[1] * d)):
-                _check_interval(k, interval, outer)
-            # a cached k + 1 passed its own clauses: test its nesting
-            inner = cache.get(k + 1)
-            if inner is not None and (inner[0] * d < lo * inner[2]
-                                      or inner[1] * d > hi * inner[2]):
+            _check_interval(k, interval, cache.get(k - 1))
+            if (inner := cache.get(k + 1)) is not None:
                 _check_interval(k + 1, inner, interval)
         cache[k] = interval
         return interval

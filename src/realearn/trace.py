@@ -144,14 +144,14 @@ def _event_line(seq: int, phase: str, keys: Iterable[str],
 
 def _state_line(seq: int, phase: str, state, keys: Iterable[str],
                 *values: Any) -> str:
-    """:func:`_event_line` with the sealed knowledge state's snapshot
-    under ``"state"``, written from ``state.snapshot_json``."""
-    # the keys sorted before "state", the state, then those after it
-    record = dict(zip(keys, values), seq=seq, phase=phase)
-    head = _dumps({k: v for k, v in record.items() if k < "state"})
-    tail = _dumps({k: v for k, v in record.items() if k > "state"})
-    rest = "," + tail[1:] if len(tail) > 2 else "}"
-    return f'{head[:-1]},"state":{state.snapshot_json}{rest}\n'
+    """:func:`_event_line` with ``"state"`` among the keys, whose value
+    is the sealed knowledge state's ``snapshot_json``, filled into the
+    line in place of a ``null``."""
+    # _dumps escapes every quote inside a string, and only a key's
+    # closing quote is followed by ":", so with keys that are plain
+    # names the only "state":null is the "state" key written here
+    return _event_line(seq, phase, (*keys, "state"), *values, None).replace(
+        '"state":null', '"state":' + state.snapshot_json, 1)
 
 
 def numbered_lines(path) -> Iterator[Tuple[int, str]]:

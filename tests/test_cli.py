@@ -407,6 +407,59 @@ def test_check_rejects_every_malformed_state_entry(tmp_path):
                        "a witness 0..64")
 
 
+# each place a document, a challenge script or a result file must hold
+# a JSON integer: (file, field) and the message that rejects anything else
+INTEGER_SITES = {
+    "point index": ("document", "index",
+                    "{path}:1: point index must be an integer"),
+    "challenge j": ("script", "j",
+                    "{path}:1: challenge needs integer j and precision"),
+    "challenge precision": ("script", "precision",
+                            "{path}:1: challenge needs integer j and precision"),
+    **{f"result {key}": ("result", key, "{path}: a, b, c must be integers")
+       for key in "abc"},
+    "result kmax": ("result", "kmax", "{path}: kmax must be an integer, got {value!r}"),
+    "result restarts": ("result", "restarts",
+                        "{path}: restarts must be an integer, got {value!r}"),
+    **{f"state entry {key}": ("state", key,
+                              "{path}: state entry 0 must name two points 0..3 "
+                              "and a witness 0..256")
+       for key in ("i", "j", "witness")},
+}
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0],
+                         ids=["true", "false", "1.0"])
+@pytest.mark.parametrize("site", list(INTEGER_SITES))
+def test_a_json_integer_is_never_a_boolean_or_a_float(tmp_path, capsys, site,
+                                                      value):
+    from realearn import cli
+
+    kind, key, message = INTEGER_SITES[site]
+    path = tmp_path / f"{kind}.json"
+    if kind == "document":
+        path.write_text(json.dumps({"type": "point", key: value, "x": "0/1",
+                                    "y": "0/1"}) + "\n")
+        argv = ["convex", str(path)]
+    elif kind == "script":
+        path.write_text(json.dumps({"j": 1, "precision": 3, key: value}) + "\n")
+        argv = ["least", str(WORKED_REALS), "--auditor", f"script:{path}"]
+    else:
+        assert cli.main(["convex", str(QUAD), "--result", str(path)]) == 0
+        record = json.loads(path.read_text())
+        if kind == "state":
+            record["state"] = [{**record["state"][0], key: value}]
+        else:
+            record[key] = value
+        path.write_text(json.dumps(record))
+        argv = ["check", str(path), str(QUAD)]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"input error: {message.format(path=path, value=value)}\n"
+
+
 def write_points(path, points):
     """A document of the rational points ``points``, in index order."""
     with path.open("w") as handle:

@@ -340,16 +340,20 @@ def nested_real(gen):
 
 @pytest.mark.skipif(not __debug__, reason="neighbour checks are debug-only")
 def test_random_access_checks_cached_neighbours():
-    # a triple generator (k % 2, k % 2, 2): [0, 0] at even k, [1/2, 1/2]
-    # at odd k, nested at no k
-    r = nested_real(lambda k: (k % 2, k % 2, 2))
-    r.interval_at(3)
-    with pytest.raises(InvalidNesting) as exc:
-        r.interval_at(2)
-    assert (exc.value.k, exc.value.clause) == (3, "upper endpoint increases")
-    with pytest.raises(InvalidNesting) as exc:
-        r.interval_at(4)
-    assert (exc.value.k, exc.value.clause) == (4, "lower endpoint decreases")
+    # [0, 0] at the cached index 3 and [v/2, v/2] at the index read, so
+    # each nesting clause fails against a cached k - 1 (read 4) and a
+    # cached k + 1 (read 2, which k + 1 = 3 must nest in)
+    for read, v, failure in (
+            (4, -1, (4, "lower endpoint decreases")),
+            (4, 1, (4, "upper endpoint increases")),
+            (2, 1, (3, "lower endpoint decreases")),
+            (2, -1, (3, "upper endpoint increases"))):
+        r = nested_real(lambda k: (0, 0, 2) if k == 3 else (v, v, 2))
+        r.interval_at(3)
+        with pytest.raises(InvalidNesting) as exc:
+            r.interval_at(read)
+        assert (exc.value.k, exc.value.clause) == failure
+        assert sorted(r._cache) == [3]
 
 
 @pytest.mark.skipif(not __debug__, reason="nested-path checks are debug-only")

@@ -8,8 +8,8 @@ from realearn import (Challenge, OracleAuditor, RealRegistry, ScriptedAuditor,
                       TraceLog, convex_angle, empty_state, extend, learn_least)
 from realearn.errors import (ForcedChallengeDenied, InputError,
                              RestartBudgetExceeded)
-from realearn.trace import (NullLog, TraceEvent, TraceFile, _event_line,
-                            read_trace)
+from realearn.trace import (NullLog, TraceEvent, TraceFile, _dumps,
+                            _event_line, _state_line, read_trace)
 
 from support import (StringTrace, count_trace_builds,
                      general_position_points, register_points)
@@ -81,15 +81,40 @@ def test_write_then_read_trace(tmp_path):
     assert len(first.splitlines()) == 2
 
 
-def test_state_snapshot_is_sorted():
+def snapshot_states():
+    """An empty knowledge state and one that learned (0, 3) then (0, 1)."""
     reg = RealRegistry()
     for q in (0, -1, -2, -3):
         reg.blurred(q)
-    state = extend(empty_state(reg), 0, 3, 2)
-    state = extend(state, 0, 1, 1)
-    snap = state.snapshot
+    empty = empty_state(reg)
+    return {"empty": empty,
+            "two entries": extend(extend(empty, 0, 3, 2), 0, 1, 1)}
+
+
+def test_state_snapshot_is_sorted():
+    snap = snapshot_states()["two entries"].snapshot
     assert snap == [{"i": 0, "j": 1, "witness": 1},
                     {"i": 0, "j": 3, "witness": 2}]
+
+
+@pytest.mark.parametrize("state_name", ["empty", "two entries"])
+@pytest.mark.parametrize("phase, keys, values", [
+    # keys that sort before "state" only
+    ("candidate", ("candidate",), (4,)),
+    ("accept", ("a", "b", "c", "restarts"), (3, 2, 1, 1)),
+    # keys on both sides of it
+    ("extend", ("pair", "witness"), ((0, 3), 2)),
+    # a string holding "state":null and a quote, before and after it
+    ("note", ("note", "text"), ('"state":null', 'say "state":null')),
+])
+def test_a_state_line_is_the_record_with_the_snapshot(state_name, phase,
+                                                      keys, values):
+    state = snapshot_states()[state_name]
+    line = _state_line(7, phase, state, keys, *values)
+    record = dict(zip(keys, values), seq=7, phase=phase,
+                  state=json.loads(state.snapshot_json))
+    assert line == _dumps(record) + "\n"
+    assert line.count("\n") == 1
 
 
 @pytest.mark.parametrize("bad,message", [
