@@ -58,7 +58,7 @@ from .geometry import (
     SideDecision,
     _check_point_layout,
     decide_side,
-    orientation_real,
+    orientation_real,  # perfbench/tracing.py wraps it here; unused
     three_points,
     verify_bounding,  # re-exported
 )
@@ -117,7 +117,7 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
                 restarts: int) -> Union[ConvexAngleResult, Falsified]:
         a = cand.candidate
         log.defer(_state_line, "select-A", state, ("candidate",), a)
-        # the attempt's difference nodes and side decisions, dropped with it
+        # the attempt's differences and side decisions, dropped with it
         differences: Differences = {}
         decided: Dict[Tuple[int, int], SideDecision] = {}
 
@@ -129,9 +129,8 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
             nonlocal last
             decision = decided.get((q, r))
             if decision is None:
-                pa, pq, pr = points[a], points[q], points[r]
-                orient = orientation_real(pa, pq, pr, differences)
-                decision = decided[q, r] = decide_side(pa, pq, pr, k_max, orient, last)
+                decision = decided[q, r] = decide_side(
+                    points[a], points[q], points[r], k_max, differences, last)
                 decided[r, q] = _MIRROR[type(decision)](decision.witness)
             last = decision.witness
             log.defer(_event_line, "side",

@@ -12,11 +12,12 @@ of the line through P and Q when the orientation is strictly positive,
 to the right when strictly negative.  The differences ``Q - P`` and
 ``R - P`` are the node's operands; decisions about one apex P may
 share them through a dict that the caller owns, and they are dropped
-with that dict.  A difference of two blurred coordinates is an affine
-node whose intervals are computed in closed form, and a ``det2`` of
-four affine nodes computes their triples and magnitudes from them, so
-the orientation of three blurred points reads no coordinate and no
-difference.
+with that dict.  When both points' coordinates are affine, such as
+blurred ones, the dict keeps each difference as its integer
+``(c, w, l)`` and magnitude exponent, computed once, and the
+orientation of three such points is one ``det2`` node built from those
+integers, with no node per difference: it computes its triples in
+closed form and reads no coordinate.
 Because strict order of reals is only semi-decidable,
 :func:`decide_side` searches for the least precision at which the
 orientation's interval excludes zero, with the galloping search
@@ -28,7 +29,7 @@ previous decision: neighbouring decisions of one construction have
 close witnesses, so fewer precisions are probed, and the least witness
 is the same from any start.  The orientation of three blurred points
 says where its witness is: unless its interval at the start 0 already
-excludes zero, the search starts at the ``det2`` node's own estimate,
+excludes zero, the search starts at the orientation's own estimate,
 within one level of the witness on almost every decision, and a
 triple whose limits are collinear raises without a search.
 
@@ -44,7 +45,9 @@ from typing import Dict, Optional, Sequence, Tuple
 from ._record import _Record
 from .errors import CertificateFailure, DegenerateInput
 # perfbench/tracing.py wraps op_at on this module
-from .reals import RealNum, det2, find_strict_witness, least_witness, op_at, sub
+from .reals import (Measured, RealNum, _affine_det2, _affine_difference,
+                    _affine_magnitude, _det2_estimate, _det2_terms, det2,
+                    find_strict_witness, least_witness, op_at, sub)
 
 
 class Point(_Record):
@@ -78,8 +81,10 @@ class NoWitnessFound(DegenerateInput):
     """A dovetailed witness search exhausted its precision budget."""
 
 
-# (apex index, point index) -> (x difference, y difference) nodes
-Differences = dict[tuple[int, int], tuple[RealNum, RealNum]]
+# (apex index, point index) -> (x difference, y difference): two
+# (c, w, l, e) tuples when both points' coordinates are affine, else nodes
+Differences = dict[tuple[int, int],
+                   tuple[Measured, Measured] | tuple[RealNum, RealNum]]
 
 
 def orientation_real(p: Point, q: Point, r: Point,
@@ -87,34 +92,55 @@ def orientation_real(p: Point, q: Point, r: Point,
     """The orientation of r relative to the line p -> q, as an
     arithmetic node.
 
-    The difference nodes ``q - p`` and ``r - p`` are looked up in
+    The differences ``q - p`` and ``r - p`` are looked up in
     ``differences``, keyed by ``(p.index, q.index)``, and built and
     stored there on a miss, so orientations about one apex that share
-    the dict share those nodes and their cached intervals.  The key
-    names the apex, so apexes never share a node; it names points by
-    index, so one dict serves the points of one list only.  Left out,
-    a fresh dict is used.  Shared or not, the tree has the same shape,
-    so every node has the same intervals.
+    the dict compute each difference once.  The key names the apex, so
+    apexes never share a difference; it names points by index, so one
+    dict serves the points of one list only.  Left out, a fresh dict is
+    used.  A difference of two points with affine coordinates is stored
+    as the ``(c, w, l, e)`` of each coordinate, and any other as its
+    :func:`~realearn.reals.sub` nodes, which orientations sharing the
+    dict share with their cached intervals.  When both differences are
+    stored as integers, the node is the ``det2`` of their
+    :func:`~realearn.reals._det2_terms`, with no node per difference;
+    when only one is, that one is built again as fresh ``sub`` nodes,
+    whose triples and magnitudes are computed in closed form.  Shared or
+    not, the node is the ``det2`` of the same differences, so it has the
+    same intervals.
     """
     if differences is None:
         differences = {}
-    dx_q, dy_q = _difference(p, q, differences)
-    dx_r, dy_r = _difference(p, r, differences)
-    return det2(dx_q, dy_r, dx_r, dy_q)
+    dq, dr = _difference(p, q, differences), _difference(p, r, differences)
+    if type(dq[0]) is tuple:
+        if type(dr[0]) is tuple:
+            return _affine_det2(_det2_terms(dq[0], dr[1], dr[0], dq[1]))
+        dq = (sub(q.x, p.x), sub(q.y, p.y))
+    elif type(dr[0]) is tuple:
+        dr = (sub(r.x, p.x), sub(r.y, p.y))
+    return det2(dq[0], dr[1], dr[0], dq[1])
 
 
-def _difference(p: Point, q: Point,
-                differences: Differences) -> Tuple[RealNum, RealNum]:
-    """The nodes ``(q.x - p.x, q.y - p.y)``, built once per dict."""
+def _difference(p: Point, q: Point, differences: Differences):
+    """``(q.x - p.x, q.y - p.y)``, built once per dict: when all four
+    coordinates are affine, as the ``(c, w, l, e)`` of each difference
+    with its magnitude exponent, else as :func:`~realearn.reals.sub`
+    nodes."""
     key = (p.index, q.index)
     pair = differences.get(key)
     if pair is None:
-        pair = differences[key] = (sub(q.x, p.x), sub(q.y, p.y))
+        px, py, qx, qy = p.x._affine, p.y._affine, q.x._affine, q.y._affine
+        if px is None or py is None or qx is None or qy is None:
+            pair = (sub(q.x, p.x), sub(q.y, p.y))
+        else:
+            dx, dy = _affine_difference(qx, px), _affine_difference(qy, py)
+            pair = ((*dx, _affine_magnitude(dx)), (*dy, _affine_magnitude(dy)))
+        differences[key] = pair
     return pair
 
 
 def decide_side(p: Point, q: Point, r: Point, k_max: int,
-                orientation: Optional[RealNum] = None,
+                differences: Optional[Differences] = None,
                 start: int = 0) -> SideDecision:
     """Which side of the directed line p -> q does r lie on?
 
@@ -124,31 +150,34 @@ def decide_side(p: Point, q: Point, r: Point, k_max: int,
     constant zero, whose interval is [0, 0] at every k.  The search
     starts at precision ``start``, a guess such as the witness of a
     neighbouring decision; the guess decides which precisions are
-    probed, never the answer.
+    probed, never the answer.  The orientation is the node of
+    :func:`orientation_real`, whose differences are taken from and
+    stored in ``differences``.
 
-    An orientation of affine reals, such as one of blurred points,
-    estimates its own witness from its integer coefficients (see
-    :func:`~realearn.reals._affine_det2`), and the search starts there
-    instead.  From ``start`` 0 it first reads the interval at 0, and a
-    decision witnessed there computes no estimate.  An orientation
+    The orientation of three points with affine coordinates, such as
+    blurred points, estimates its own witness from the
+    :func:`~realearn.reals._det2_terms` it keeps (see
+    :func:`~realearn.reals._det2_estimate`), and the search starts
+    there instead.  From ``start`` 0 it first reads the interval at 0,
+    and a decision witnessed there computes no estimate.  An orientation
     whose limit is zero, the orientation of collinear limits, has no
     estimate and no witness at any precision, so it raises
     :class:`DegenerateInput` without searching.
     """
-    orient = orientation if orientation is not None else orientation_real(p, q, r)
+    orient = orientation_real(p, q, r, differences)
 
     def excludes_zero(k: int) -> bool:
         lo, hi, _ = orient._at(k)
         return lo > 0 or hi < 0
 
-    estimate = orient._estimate
-    if estimate is None:
+    terms = orient._terms
+    if terms is None:
         k = least_witness(excludes_zero, k_max, start)
     elif start == 0 and k_max >= 0 and excludes_zero(0):
         k = 0
     else:
         # None: the limit is zero, and every interval contains it
-        hint = estimate()
+        hint = _det2_estimate(terms)
         k = None if hint is None else least_witness(excludes_zero, k_max, hint)
     if k is not None:
         return Left(k) if orient._at(k)[0] > 0 else Right(k)
@@ -213,7 +242,7 @@ def verify_bounding(points: Sequence[Point], a: int, b: int, c: int,
     for every clause but ``b_right``, the mirror of ``c_left``, and
     raises :class:`CertificateFailure` on the first clause whose side
     comes out wrong or cannot be witnessed within the budget.  The
-    audit's orientations share one dict of difference nodes, all about
+    audit's side decisions share one dict of differences, all about
     apex ``a``, and nothing from the construction.
     Each decision's witness search starts at the witness of the audit's
     previous decision, or, when the points are blurred, at the
@@ -235,11 +264,9 @@ def verify_bounding(points: Sequence[Point], a: int, b: int, c: int,
 
     def audit(p: int, q: int, r: int, want_left: bool, clause: str) -> int:
         nonlocal last
-        pp, pq, pr = points[p], points[q], points[r]
         try:
-            decision = decide_side(pp, pq, pr, k_max,
-                                   orientation_real(pp, pq, pr, differences),
-                                   last)
+            decision = decide_side(points[p], points[q], points[r], k_max,
+                                   differences, last)
         except DegenerateInput as exc:
             raise CertificateFailure(f"{clause}: {exc}") from exc
         last = decision.witness

@@ -51,14 +51,24 @@ so the scale factors that join the products, ``Q / gcd(P, Q)`` and
 ``P / gcd(P, Q)``, do not depend on k and are computed once, and the
 joined triple is the one the factors' triples give.  A factor's magnitude
 exponent is read from ``(c, w, l)`` too, so no factor is evaluated
-at any index.  Such a node also knows where its interval first
+at any index.  The same integers also say where the interval first
 excludes zero: with ``t = 2**k``, its numerators' centre grows like
 ``A * t**2`` and their half-width like ``B * t``, for integers ``A``,
-the numerator of the limit over the node's denominator at 0, and
-``B``, both fixed by the coefficients (see :func:`_affine_det2`).  So the least
-such k is about ``B.bit_length() - |A|.bit_length()``, computed only
-when asked for, and ``A == 0`` means the limit is zero, which every
-interval contains, so no k excludes zero.
+the numerator of the limit over the denominator at 0, and ``B``, both
+fixed by the coefficients (see :func:`_det2_estimate`).  So the least
+such k is about ``B.bit_length() - |A|.bit_length()``, and ``A == 0``
+means the limit is zero, which every interval contains, so no k
+excludes zero.
+
+This affine arithmetic is one set of functions on integer tuples, and
+the nodes over affine reals wrap them: :func:`_affine_difference`
+gives the ``(c, w, l)`` of a difference, :func:`_affine_magnitude` its
+magnitude exponent, :func:`_det2_terms` the integers of a ``det2`` of
+four such ``(c, w, l, e)`` (``e`` the magnitude exponent),
+:func:`_det2_at` its triple at k and :func:`_det2_estimate` the
+estimate above.  A caller that holds the tuples, such as an
+orientation of blurred points, builds the ``det2`` node from them with
+:func:`_affine_det2` and builds no node per factor.
 
 A :class:`RealRegistry` holds the input reals only: its constructors
 register each real under a dense index.  Differences and differences
@@ -85,7 +95,7 @@ of the nesting invariants and are exercised by the test suite.
 Monotonicity is what lets :func:`least_witness` find the least
 witnessing precision by galloping and bisection instead of a scan, and
 lets the gallop start from any precision: a caller that expects the
-witness near some k, such as the estimate of an affine ``det2`` node,
+witness near some k, such as the estimate of an affine ``det2``,
 starts there, and the least witness is the same.  Two affine reals
 need no interval and no search.  Cross-multiplied and divided by
 ``2**k``, r's upper endpoint at k lies below s's lower endpoint exactly
@@ -100,6 +110,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from typing import Callable, Iterator, Optional, Tuple, Union
 
@@ -109,6 +120,8 @@ Triple = Tuple[int, int, int]
 # (c, w, l) with 0 <= 2 * w <= l, the affine real with triple
 # ((c << k) - w, (c << k) + w, l << k) at every k
 Affine = Tuple[int, int, int]
+# (c, w, l, e): an affine real and its magnitude exponent
+Measured = Tuple[int, int, int, int]
 RationalLike = Union[Fraction, int, str]
 Generator = Callable[[int], Interval]
 
@@ -189,15 +202,13 @@ class RealNum:
     keeps its ``(c, w, l)`` in ``_affine``, which is None for every
     other real; its magnitude exponent and, as a factor of a
     :func:`det2` of affine reals, its triples are computed from it, so
-    such a real is never evaluated.  A :func:`det2` node of
-    four affine reals keeps in ``_estimate`` a function that estimates,
-    from its integer coefficients, the least k at which its interval
-    excludes zero, and returns None when its limit is zero (see
-    :func:`_affine_det2`); the slot is None for every other real.
+    such a real is never evaluated.  A :func:`det2` node of four affine
+    reals keeps its :func:`_det2_terms` in ``_terms``, from which
+    :func:`_det2_estimate` estimates its witness; the slot is None for
+    every other real.
     """
 
-    __slots__ = ("index", "_gen", "_cache", "_magnitude", "_affine",
-                 "_estimate")
+    __slots__ = ("index", "_gen", "_cache", "_magnitude", "_affine", "_terms")
 
     def __init__(self, index: Optional[int], gen: Callable[[int], Triple]):
         self.index = index
@@ -205,7 +216,7 @@ class RealNum:
         self._cache: dict[int, Triple] = {}
         self._magnitude: Optional[int] = None
         self._affine: Optional[Affine] = None
-        self._estimate: Optional[Callable[[], Optional[int]]] = None
+        self._terms: Optional[Tuple[int, ...]] = None
 
     def interval_at(self, k: int) -> Interval:
         """The interval at precision index ``k`` (exact endpoints)."""
@@ -329,25 +340,35 @@ def find_strict_witness(r: RealNum, s: RealNum, k_max: int) -> Optional[int]:
     return least_witness(lambda k: op_at(r, s, k), k_max)
 
 
+def _affine_magnitude(affine: Affine) -> int:
+    """Smallest e >= 0 such that 2**e bounds the affine real
+    ``(c, w, l)``, whose triple at index 0 is ``(c - w, c + w, l)``, so
+    |x| is at most ``m / l`` for ``m = |c| + w``."""
+    centre, w, l = affine
+    m = abs(centre) + w
+    # m <= l << e exactly when 2**e > ceil(m / l) - 1 = (m - 1) // l
+    return ((m - 1) // l).bit_length() if m > l else 0
+
+
 def _magnitude_exponent(x: RealNum) -> int:
     """Smallest c >= 0 such that 2**c bounds |x| at index 0, and so at
     every index, computed once per real: the bound that fixes the
     precision at which :func:`det2` reads x as a factor.  Index 0 never
-    changes once cached, so neither does the answer.  An affine real
-    ``(c, w, l)`` has the triple ``(c - w, c + w, l)`` at index 0, so
-    |x| is at most ``(|c| + w) / l`` there, taken from ``_affine``
-    without evaluating or caching the real."""
+    changes once cached, so neither does the answer.  It is
+    :func:`_affine_magnitude` of an affine real: of x's ``_affine``,
+    computed without evaluating or caching the real, or of
+    ``(lo + hi, hi - lo, 2d)`` for x's triple ``(lo, hi, d)`` at 0, the
+    affine real of centre ``(lo + hi) / 2d`` and radius
+    ``(hi - lo) / 2d`` whose interval at 0 is x's (``2w <= l``, as x's
+    width at 0 is at most 1), so its bound ``(|c| + w) / l`` is
+    ``max(|lo|, |hi|) / d``."""
     c = x._magnitude
-    if c is not None:
-        return c
-    if x._affine is not None:
-        centre, w, d = x._affine
-        m = abs(centre) + w
-    else:
-        lo, hi, d = x._at(0)
-        m = max(abs(lo), abs(hi))
-    # m <= d << c exactly when 2**c > ceil(m / d) - 1 = (m - 1) // d
-    c = x._magnitude = ((m - 1) // d).bit_length() if m > d else 0
+    if c is None:
+        affine = x._affine
+        if affine is None:
+            lo, hi, d = x._at(0)
+            affine = (lo + hi, hi - lo, 2 * d)
+        c = x._magnitude = _affine_magnitude(affine)
     return c
 
 
@@ -474,15 +495,14 @@ class RealRegistry(Sequence[RealNum]):
         return self.register(gen)
 
 
-def _affine_join(a: Affine, b: Affine) -> RealNum:
-    """The affine node ``a - b`` of two affine reals: the triple at
-    every k that :func:`sub` joins from the operands' triples at k + 1,
-    with neither read."""
+def _affine_difference(a: Affine, b: Affine) -> Affine:
+    """The ``(c, w, l)`` of ``a - b`` for two affine reals: the triple
+    at every k that :func:`sub` joins from the operands' triples at
+    k + 1."""
     c1, w1, l1 = a
     c2, w2, l2 = b
     sa, sb, l = _over_lcm(l1, l2)
-    return _affine_real(lambda gen: RealNum(None, gen),
-                        (2 * (c1 * sa - c2 * sb), w1 * sa + w2 * sb, 2 * l))
+    return (2 * (c1 * sa - c2 * sb), w1 * sa + w2 * sb, 2 * l)
 
 
 def _join(a: Triple, b: Triple) -> Triple:
@@ -503,7 +523,8 @@ def sub(a: RealNum, b: RealNum) -> RealNum:
     that join in closed form and reads neither operand.
     """
     if a._affine is not None and b._affine is not None:
-        return _affine_join(a._affine, b._affine)
+        return _affine_real(partial(RealNum, None),
+                            _affine_difference(a._affine, b._affine))
 
     def gen(k: int) -> Triple:
         return _join(a._at(k + 1), b._at(k + 1))
@@ -532,52 +553,63 @@ def _product(a: Triple, b: Triple) -> Triple:
     return (min(products), max(products), ad * bd)
 
 
-def _affine_det2(a: Affine, b: Affine, c: Affine, d: Affine,
-                 s_ab: int, s_cd: int) -> RealNum:
-    """The :func:`det2` node ``a * b - c * d`` of four affine reals,
-    whose factors are read at ``k + s_ab`` and ``k + s_cd``: the same
-    triple at every k, with no factor read.  The product denominators
-    are ``P << 2k`` and ``Q << 2k``, whose gcd is ``gcd(P, Q) << 2k``,
-    so the join's scale factors and ``lcm(P, Q)`` come from
-    ``_over_lcm(P, Q)`` once, and the denominator at k is
-    ``lcm(P, Q) << 2k``.  The products' own denominators are not
-    needed, so the factor triples carry 1 in their place.
+def _det2_terms(a: Measured, b: Measured, c: Measured,
+                d: Measured) -> Tuple[int, ...]:
+    """The integers of the :func:`det2` node ``a * b - c * d`` of four
+    affine reals, each given as ``(c, w, l, e)`` with ``e`` its magnitude
+    exponent, so the products are read at ``k + s_ab`` and ``k + s_cd``.
+    The product denominators are ``P << 2k`` and ``Q << 2k``, whose gcd
+    is ``gcd(P, Q) << 2k``, so the join's scale factors ``sp`` and
+    ``sq`` and ``dd = lcm(P, Q)`` come from ``_over_lcm(P, Q)`` once, and
+    the denominator at k is ``dd << 2k``.  The terms are
+    ``(ca, wa, cb, wb, s_ab, sp, cc, wc, cd, wd, s_cd, sq, dd)``."""
+    s_ab, s_cd = a[3] + b[3] + 3, c[3] + d[3] + 3
+    sp, sq, dd = _over_lcm(a[2] * b[2] << 2 * s_ab, c[2] * d[2] << 2 * s_cd)
+    return (*a[:2], *b[:2], s_ab, sp, *c[:2], *d[:2], s_cd, sq, dd)
 
-    The node's ``_estimate`` says where its interval first excludes
-    zero.  Write ``t = 2**k``: the numerators' centre grows like
-    ``A * t**2`` and their half-width like ``B * t``, for
+
+def _det2_at(terms: Tuple[int, ...], k: int) -> Triple:
+    """The triple at k of the :func:`det2` node of :func:`_det2_terms`:
+    the factors' triples at their shifts, computed from ``(c, w, l)``,
+    their :func:`_product` pairs, and the join.  The products' own
+    denominators are not needed, so the factor triples carry 1 in their
+    place."""
+    ca, wa, cb, wb, s_ab, sp, cc, wc, cd, wd, s_cd, sq, dd = terms
+    k_ab, k_cd = k + s_ab, k + s_cd
+    x, y = ca << k_ab, cb << k_ab
+    lo, hi, _ = _product((x - wa, x + wa, 1), (y - wb, y + wb, 1))
+    x, y = cc << k_cd, cd << k_cd
+    qlo, qhi, _ = _product((x - wc, x + wc, 1), (y - wd, y + wd, 1))
+    return (lo * sp - qhi * sq, hi * sp - qlo * sq, dd << 2 * k)
+
+
+def _det2_estimate(terms: Tuple[int, ...]) -> Optional[int]:
+    """About the least k at which the interval of the :func:`det2` node
+    of :func:`_det2_terms` excludes zero.  Write ``t = 2**k``: the
+    numerators' centre grows like ``A * t**2`` and their half-width like
+    ``B * t``, for
     ``A = (sp*ca*cb << 2*s_ab) - (sq*cc*cd << 2*s_cd)``, the node's
-    limit times ``lcm(P, Q)``, and
+    limit times ``dd``, and
     ``B = (sp*(|ca|*wb + |cb|*wa) << s_ab) + (sq*(|cc|*wd + |cd|*wc) << s_cd)``.
     So the interval excludes zero from about ``t > B / |A|``, and the
-    estimate is ``max(0, B.bit_length() - |A|.bit_length())``, computed
-    only when called.  ``A == 0`` means the limit is zero, which every
-    interval contains, so no k excludes zero and there is no estimate:
-    it returns None."""
-    ca, wa, la = a
-    cb, wb, lb = b
-    cc, wc, lc = c
-    cd, wd, ld = d
-    sp, sq, dd = _over_lcm((la * lb) << 2 * s_ab, (lc * ld) << 2 * s_cd)
+    estimate is ``max(0, B.bit_length() - |A|.bit_length())``.
+    ``A == 0`` means the limit is zero, which every interval contains,
+    so no k excludes zero and there is no estimate: None."""
+    ca, wa, cb, wb, s_ab, sp, cc, wc, cd, wd, s_cd, sq, _ = terms
+    lead = (sp * ca * cb << 2 * s_ab) - (sq * cc * cd << 2 * s_cd)
+    if not lead:
+        return None
+    spread = ((sp * (abs(ca) * wb + abs(cb) * wa) << s_ab)
+              + (sq * (abs(cc) * wd + abs(cd) * wc) << s_cd))
+    return max(0, spread.bit_length() - abs(lead).bit_length())
 
-    def gen(k: int) -> Triple:
-        k_ab, k_cd = k + s_ab, k + s_cd
-        x, y = ca << k_ab, cb << k_ab
-        lo, hi, _ = _product((x - wa, x + wa, 1), (y - wb, y + wb, 1))
-        x, y = cc << k_cd, cd << k_cd
-        qlo, qhi, _ = _product((x - wc, x + wc, 1), (y - wd, y + wd, 1))
-        return (lo * sp - qhi * sq, hi * sp - qlo * sq, dd << 2 * k)
 
-    def estimate() -> Optional[int]:
-        lead = (sp * ca * cb << 2 * s_ab) - (sq * cc * cd << 2 * s_cd)
-        if not lead:
-            return None
-        spread = ((sp * (abs(ca) * wb + abs(cb) * wa) << s_ab)
-                  + (sq * (abs(cc) * wd + abs(cd) * wc) << s_cd))
-        return max(0, spread.bit_length() - abs(lead).bit_length())
-
-    node = RealNum(None, gen)
-    node._estimate = estimate
+def _affine_det2(terms: Tuple[int, ...]) -> RealNum:
+    """The :func:`det2` node of four affine reals from their
+    :func:`_det2_terms`: its generator is :func:`_det2_at` of them, and
+    it keeps them in ``_terms``."""
+    node = RealNum(None, partial(_det2_at, terms))
+    node._terms = terms
     return node
 
 
@@ -592,15 +624,14 @@ def det2(a: RealNum, b: RealNum, c: RealNum, d: RealNum) -> RealNum:
     each product has width at most
     ``(2**c_x + 2**c_y) * 2**-(k+s) <= 2**-(k+2)`` and the difference
     at most ``2**-(k+1)``.  When all four factors are affine reals, the
-    node computes their triples in closed form and joins the products
-    with scale factors fixed at construction (see
-    :func:`_affine_det2`), so it reads no factor.
+    node's generator is :func:`_det2_at` of their
+    :func:`_det2_terms`, so it reads no factor.
     """
+    if None not in (a._affine, b._affine, c._affine, d._affine):
+        return _affine_det2(_det2_terms(*((*x._affine, _magnitude_exponent(x))
+                                          for x in (a, b, c, d))))
     s_ab = _magnitude_exponent(a) + _magnitude_exponent(b) + 3
     s_cd = _magnitude_exponent(c) + _magnitude_exponent(d) + 3
-    affine = (a._affine, b._affine, c._affine, d._affine)
-    if None not in affine:
-        return _affine_det2(*affine, s_ab, s_cd)
 
     def gen(k: int) -> Triple:
         return _join(_product(a._at(k + s_ab), b._at(k + s_ab)),

@@ -51,36 +51,41 @@ def test_benchmark_tracer_installs_on_the_program():
                for name in MODULES}
     convex = modules["convex"]
     originals = namespaces(modules)
-    points = register_points(
-        [RationalPoint(Fraction(x), Fraction(y)) for x, y in QUAD])[1]
-    tracer = load_tracing().Tracer()
-    try:
-        tracer.install(modules)
-        result = convex.convex_angle(points)
-        convex.verify_bounding(points, result.a, result.b, result.c)
-    finally:
-        tracer.uninstall()
+    # rational points take the generic path, blurred ones the affine path
+    for blurred in (False, True):
+        points = register_points(
+            [RationalPoint(Fraction(x), Fraction(y)) for x, y in QUAD],
+            blurred=blurred)[1]
+        tracer = load_tracing().Tracer()
+        try:
+            tracer.install(modules)
+            result = convex.convex_angle(points)
+            convex.verify_bounding(points, result.a, result.b, result.c)
+        finally:
+            tracer.uninstall()
 
-    assert tracer.calls("convex.convex_angle") == 1
-    assert tracer.calls("convex.verify_bounding") == 1
-    assert tracer.calls("least.least_candidate") == result.restarts + 1
-    assert tracer.calls("knowledge.blame") == result.restarts
-    # one decision per side event, but a pair that its attempt has
-    # decided before, either way round, is recalled and not decided again
-    sides = recalled = 0
-    for event in result.trace:
-        if event.phase == "select-A":
-            seen = set()
-        elif event.phase == "side":
-            pair = frozenset((event.payload["line"][1], event.payload["point"]))
-            sides += 1
-            recalled += pair in seen
-            seen.add(pair)
-    assert recalled > result.restarts + 1
-    assert tracer.counts["convex.side_decided"] == sides - recalled
-    # the benchmark's side layer sees one orientation per decision
-    assert tracer.calls("geometry.orientation_real") == \
-        tracer.calls("geometry.decide_side")
+        assert tracer.calls("convex.convex_angle") == 1
+        assert tracer.calls("convex.verify_bounding") == 1
+        assert tracer.calls("least.least_candidate") == result.restarts + 1
+        assert tracer.calls("knowledge.blame") == result.restarts
+        # one decision per side event, but a pair that its attempt has
+        # decided before, either way round, is recalled and not decided
+        # again
+        sides = recalled = 0
+        for event in result.trace:
+            if event.phase == "select-A":
+                seen = set()
+            elif event.phase == "side":
+                pair = frozenset((event.payload["line"][1],
+                                  event.payload["point"]))
+                sides += 1
+                recalled += pair in seen
+                seen.add(pair)
+        assert recalled > result.restarts + 1
+        assert tracer.counts["convex.side_decided"] == sides - recalled
+        # the benchmark's side layer sees one orientation per decision
+        assert tracer.calls("geometry.orientation_real") == \
+            tracer.calls("geometry.decide_side") > 0
     for owner, attrs in originals:
         for attr, value in attrs.items():
             assert vars(owner)[attr] is value, \

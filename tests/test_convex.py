@@ -9,6 +9,7 @@ import pytest
 import realearn.convex
 import realearn.geometry
 import realearn.least
+import realearn.reals
 from realearn import (
     CertificateFailure,
     DegenerateInput,
@@ -475,38 +476,34 @@ def test_mixed_trace_digest_is_pinned(monkeypatch):
 
 def test_an_attempt_builds_each_difference_once(monkeypatch):
     # apex 0 is the lowest point, so the first attempt is accepted; it
-    # needs one x and one y difference per other point, and one det2
-    # node per decision over four of them
+    # needs one x and one y difference per other point, each a (c, w, l)
+    # tuple of blurred coordinates, and its decisions build no sub or
+    # det2 node
     n = 24
     _, pts = register_points(angle_ordered_points(n + 1), blurred=True)
-    built, factors, decisions = [], [], []
-    sub, det2 = realearn.geometry.sub, realearn.geometry.det2
+    differences, nodes, decisions = [], [], []
+    affine_difference = realearn.geometry._affine_difference
     decide_side = realearn.convex.decide_side
 
-    def counted_sub(a, b):
-        built.append(sub(a, b))
-        return built[-1]
-
-    def counted_det2(a, b, c, d):
-        factors.extend((a, b, c, d))
-        built.append(det2(a, b, c, d))
-        return built[-1]
+    def counted_difference(a, b):
+        differences.append(affine_difference(a, b))
+        return differences[-1]
 
     def counted_decide_side(*args):
         decisions.append(args)
         return decide_side(*args)
 
-    monkeypatch.setattr(realearn.geometry, "sub", counted_sub)
-    monkeypatch.setattr(realearn.geometry, "det2", counted_det2)
+    monkeypatch.setattr(realearn.geometry, "_affine_difference",
+                        counted_difference)
+    for name in ("sub", "det2"):
+        monkeypatch.setattr(realearn.geometry, name,
+                            lambda *args, name=name: nodes.append(name))
     monkeypatch.setattr(realearn.convex, "decide_side", counted_decide_side)
     res = convex_angle(pts)
     assert res.restarts == 0
     assert len(decisions) > 2 * n
-    assert len(built) <= 2 * n + len(decisions)
-    # every factor is a difference of blurred coordinates, an affine
-    # real: det2 computes its factors' triples and magnitudes in closed
-    # form, so no factor is ever evaluated, at index 0 or any other
-    assert factors and all(real._cache == {} for real in factors)
+    assert 0 < len(differences) <= 2 * n
+    assert nodes == []
 
 
 def deep8_points():
@@ -521,30 +518,37 @@ def deep8_points():
 
 def test_deep8_evaluates_few_arithmetic_nodes(monkeypatch):
     # an evaluation is an interval computed, not read from the cache;
-    # orientations are one det2 node each, and its four factors are
-    # differences of blurred coordinates, affine nodes that det2 reads
-    # in closed form, as they read the coordinates; so the only node
-    # intervals the construction and its audit compute are the 76 of
-    # det2 nodes, whose searches start at the nodes' own estimates (132
-    # from the previous witness, 434 when det2 read its factors, 698 as
-    # sub(mul, mul) trees); the learner compares y coordinates, blurred
-    # reals that op_at and find_strict_witness compare in closed form, so
-    # no input interval is computed (10 when they read intervals)
+    # the points are blurred, so each orientation is one node computed
+    # from the (c, w, l) of its four differences, and the only
+    # intervals the construction and its audit compute are the 76
+    # orientation triples, each once per decision, whose searches start
+    # at the orientations' own estimates (the same 76 det2 node
+    # intervals before; 132 from the previous witness, 434 when det2 read
+    # its factors, 698 as sub(mul, mul) trees); the learner compares y
+    # coordinates, blurred reals that op_at and find_strict_witness
+    # compare in closed form, so no input interval is computed (10 when
+    # they read intervals)
     pts = deep8_points()
     evaluations = Counter()
-    at = RealNum._at
+    at, det2_at = RealNum._at, realearn.reals._det2_at
 
     def counted_at(real, k):
         if k not in real._cache:
             evaluations["node" if real.index is None else "input"] += 1
         return at(real, k)
 
+    def counted_det2_at(terms, k):
+        evaluations["orientation"] += 1
+        return det2_at(terms, k)
+
     monkeypatch.setattr(RealNum, "_at", counted_at)
+    monkeypatch.setattr(realearn.reals, "_det2_at", counted_det2_at)
     res = convex_angle(pts)
     assert verify_bounding(pts, res.a, res.b, res.c) == res.certificate
     assert (res.a, res.b, res.c, res.restarts) == (4, 7, 2, 1)
     assert evaluations["input"] == 0
-    assert evaluations["node"] <= 76, evaluations
+    assert evaluations["node"] == evaluations["orientation"], evaluations
+    assert 0 < evaluations["orientation"] <= 76, evaluations
 
 
 @pytest.mark.parametrize("rational, restarts", [

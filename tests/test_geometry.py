@@ -14,11 +14,14 @@ from realearn import (
     Right,
     decide_side,
     find_strict_witness,
+    least_witness,
     op_at,
     orientation_real,
     three_points,
 )
+import realearn.reals
 from realearn.oracle import exact_orientation
+from realearn.reals import InvalidNesting, _det2_estimate, det2, sub
 
 from support import (general_position_points, random_table_prefix,
                      register_points)
@@ -241,13 +244,13 @@ def test_a_reversed_side_query_is_the_mirror_at_every_precision(
         lo, hi = forward.interval_at(k)
         assert reverse.interval_at(k) == (-hi, -lo)
     try:
-        one = decide_side(p, q, r, k_max, forward)
+        one = decide_side(p, q, r, k_max, differences)
     except DegenerateInput:
         with pytest.raises(DegenerateInput):
-            decide_side(p, r, q, k_max, reverse)
+            decide_side(p, r, q, k_max, differences)
     else:
         mirror = Right if isinstance(one, Left) else Left
-        assert decide_side(p, r, q, k_max, reverse) == mirror(one.witness)
+        assert decide_side(p, r, q, k_max, differences) == mirror(one.witness)
 
 
 @settings(max_examples=120, deadline=None)
@@ -299,7 +302,6 @@ def test_the_estimated_start_gives_the_scanned_witness(coords, k_max):
     # start the outcome is the linear scan's, and with k_max one below
     # the scanned witness it is the scan's failure
     p, q, r = simple_points(coords, blurred=True)
-    assert orientation_real(p, q, r)._estimate is not None
     expected = outcome(scan_decide_side, p, q, r, k_max)
     for start in range(81):
         assert outcome(decide_side, p, q, r, k_max, None, start) == expected
@@ -311,19 +313,133 @@ def test_the_estimated_start_gives_the_scanned_witness(coords, k_max):
             assert outcome(decide_side, p, q, r, below, None, start) == failed
 
 
+def recorded_triples(patch):
+    """The ``(k, triple)`` of each orientation triple that a side
+    decision of affine points computes, in order, through ``patch``."""
+    computed = []
+    det2_at = realearn.reals._det2_at
+
+    def recorded(terms, k):
+        computed.append((k, det2_at(terms, k)))
+        return computed[-1][1]
+
+    patch.setattr(realearn.reals, "_det2_at", recorded)
+    return computed
+
+
+def node_orientation(p, q, r):
+    """The orientation of three affine points as the ``det2`` node of
+    their ``sub`` nodes, built from the points' reals."""
+    return det2(sub(q.x, p.x), sub(r.y, p.y), sub(r.x, p.x), sub(q.y, p.y))
+
+
+def node_decide_side(orient, p, q, r, k_max, start=0):
+    """The side decision of three affine points as it reads ``orient``,
+    their orientation node: the interval at 0 first when ``start`` is 0,
+    else the galloping search from the node's estimate, and none when
+    its limit is zero."""
+    estimate = _det2_estimate(orient._terms)
+
+    def excludes_zero(k):
+        lo, hi = orient.interval_at(k)
+        return lo > 0 or hi < 0
+
+    if start == 0 and k_max >= 0 and excludes_zero(0):
+        k = 0
+    else:
+        k = None if estimate is None else least_witness(excludes_zero, k_max,
+                                                        estimate)
+    if k is None:
+        raise DegenerateInput(
+            f"no side witness for points ({p.index}, {q.index}, {r.index}) "
+            f"within precision {k_max}")
+    return Left(k) if orient.interval_at(k)[0] > 0 else Right(k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(affine_triples(), st.integers(min_value=0, max_value=160))
+def test_an_affine_decision_is_the_node_paths(coords, k_max):
+    # a decision of blurred points builds its orientation from the
+    # integers of its differences, with no sub node: from every start,
+    # and with k_max one below the witness, it has the outcome of the
+    # same search over the det2 node of the points' sub nodes, and
+    # computes that node's triples at the same precisions in the same
+    # order
+    p, q, r = simple_points(coords, blurred=True)
+    first = outcome(node_decide_side, node_orientation(p, q, r), p, q, r,
+                    k_max)
+    limits = [k_max]
+    if isinstance(first, (Left, Right)) and first.witness > 0:
+        limits.append(first.witness - 1)
+    with pytest.MonkeyPatch.context() as patch:
+        computed = recorded_triples(patch)
+        for limit in limits:
+            for start in range(81):
+                orient = node_orientation(p, q, r)
+                expected = outcome(node_decide_side, orient, p, q, r, limit,
+                                   start)
+                computed.clear()
+                assert outcome(decide_side, p, q, r, limit, None, start) == \
+                    expected
+                assert computed == list(orient._cache.items())
+
+
+@pytest.mark.parametrize("corrupt, clause", [
+    (lambda lo, hi, d, outer: (hi + 1, hi, d),
+     "lower endpoint above upper endpoint"),
+    (lambda lo, hi, d, outer: (lo - d, hi, d), "width exceeds 2^-{k}"),
+    # below the interval at k - 1, whose denominator is d / 4
+    (lambda lo, hi, d, outer: (4 * outer[0] - 1, 4 * outer[0] - 1 + hi - lo,
+                               d), "lower endpoint decreases"),
+], ids=["order", "width", "nesting"])
+def test_a_corrupted_affine_triple_fails_as_the_node_does(
+        monkeypatch, corrupt, clause):
+    # the debug checks of a decision of affine points are those of the
+    # det2 node of the points' sub nodes: a triple corrupted at the
+    # witness raises that node's InvalidNesting, with its index and
+    # clause
+    scale = Fraction(1, 2 ** 60)
+    p, q, r = simple_points([(0, 0), (Fraction(3, 7) * scale, scale / 3),
+                             (scale / 3, Fraction(5, 7) * scale)],
+                            blurred=True)
+    bad = decide_side(p, q, r, 256).witness
+    assert bad > 1
+    det2_at = realearn.reals._det2_at
+
+    def corrupted(terms, k):
+        triple = det2_at(terms, k)
+        if k != bad:
+            return triple
+        return corrupt(*triple, det2_at(terms, k - 1))
+
+    monkeypatch.setattr(realearn.reals, "_det2_at", corrupted)
+    failures = []
+    for decide in (lambda: node_decide_side(node_orientation(p, q, r),
+                                            p, q, r, 256),
+                   lambda: decide_side(p, q, r, 256)):
+        try:
+            failures.append(decide())
+        except InvalidNesting as exc:
+            failures.append((exc.k, exc.clause))
+    if __debug__:
+        assert failures == [(bad, clause.format(k=bad))] * 2
+    else:
+        assert failures[0] == failures[1]
+
+
 @pytest.mark.parametrize("start", [0, 1, 50])
-def test_collinear_limits_raise_without_a_search(start):
+def test_collinear_limits_raise_without_a_search(monkeypatch, start):
     # the limits (0, 0), (1, 1) and (2, 2) are collinear, so the
     # orientation's limit is 0 and no precision excludes zero: only a
-    # search from start 0 reads an interval, the one at 0, before the
-    # node's estimate says there is no witness; the message is the
-    # scan's, whose form is checked at a k_max it can reach
+    # search from start 0 computes an interval, the one at 0, before the
+    # orientation's estimate says there is no witness; the message is
+    # the scan's, whose form is checked at a k_max it can reach
     p, q, r = simple_points([(0, 0), (1, 1), (2, 2)], blurred=True)
-    orient = orientation_real(p, q, r)
+    computed = recorded_triples(monkeypatch)
     k_max = 2 ** 20
     with pytest.raises(DegenerateInput) as failure:
-        decide_side(p, q, r, k_max, orient, start)
-    assert list(orient._cache) == ([0] if start == 0 else [])
+        decide_side(p, q, r, k_max, {}, start)
+    assert [k for k, _ in computed] == ([0] if start == 0 else [])
     assert outcome(scan_decide_side, p, q, r, 64) == \
         outcome(decide_side, p, q, r, 64, None, start)
     assert str(failure.value) == \
@@ -342,9 +458,9 @@ def test_shared_differences_match_fresh_orientations(coords, blurred):
         for r in others:
             if q is r:
                 continue
-            together = orientation_real(p, q, r, shared)
-            assert outcome(decide_side, p, q, r, 64, together) == \
+            assert outcome(decide_side, p, q, r, 64, shared) == \
                 outcome(decide_side, p, q, r, 64)
+            together = orientation_real(p, q, r, shared)
             alone = orientation_real(p, q, r)
             assert [together._at(k) for k in range(81)] == \
                 [alone._at(k) for k in range(81)]

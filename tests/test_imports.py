@@ -170,6 +170,7 @@ UNUSED_IMPORTS = {
     ("geometry", "op_at"): "perfbench/tracing.py wraps it here",
     ("convex", "extend"): "perfbench/tracing.py wraps it here",
     ("convex", "least_candidate"): "perfbench/tracing.py wraps it here",
+    ("convex", "orientation_real"): "perfbench/tracing.py wraps it here",
     ("convex", "verify_bounding"): "re-exported from geometry",
 }
 
