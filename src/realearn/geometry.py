@@ -105,7 +105,7 @@ def orientation_real(p: Point, q: Point, r: Point,
     stored as integers, the node is the ``det2`` of their
     :func:`~realearn.reals._det2_terms`, with no node per difference;
     when only one is, that one is built again as fresh ``sub`` nodes,
-    whose triples and magnitudes are computed in closed form.  Shared or
+    which read the points' coordinates.  Shared or
     not, the node is the ``det2`` of the same differences, so it has the
     same intervals.
     """

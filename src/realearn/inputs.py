@@ -158,7 +158,7 @@ def load_document(path) -> InputDocument:
             elif kind == "point":
                 index = record.get("index")
                 if type(index) is not int:
-                    raise InputError(f"point index must be an integer")
+                    raise InputError("point index must be an integer")
                 points.append(PointSpec(
                     index=index,
                     x=RealSpec.from_obj(record.get("x")),

@@ -29,46 +29,42 @@ An affine real ``(c, w, l)``, with ``2w <= l``, is one whose triple at
 every k is ``((c << k) - w, (c << k) + w, l << k)``: the interval of
 centre ``c/l`` and radius ``w / (l * 2**k)``, so its width is at most
 ``2**-k`` and each interval nests in the one before.  A blurred real
-``n/m`` is the affine real ``(2n, m, 2m)``.  Affine reals are closed
-under :func:`sub`, and its join has a closed form that reads no
-operand.  Read at ``k + 1``, the operands' denominators
-are ``l1 << (k+1)`` and ``l2 << (k+1)``, whose gcd is ``g << (k+1)``
-for ``g = gcd(l1, l2)``.  So the join's scale factors ``sa = l2/g``
-and ``sb = l1/g`` (both 1 when ``l1 == l2``, which is when the two
-denominators are equal) do not depend on k, and the join is the
-affine real ``(2(c1*sa - c2*sb), w1*sa + w2*sb, 2*l1*sa)``: the same
-integers as the join of the operands' triples, and again
-``2w <= l``.  Only blurred reals and differences of them are affine; a
-rational, a table, a raw generator or a :func:`det2` is not, and a
-difference with such an operand reads both operands at ``k + 1``.
+``n/m`` is the affine real ``(2n, m, 2m)``.  :func:`sub` and
+:func:`det2` read an affine operand through its triples as they read
+any other.  Closed-form affine arithmetic, comparisons aside (see
+below), lives only in a set of functions on integer tuples, which give
+the triples that those nodes give over affine reals and read no real.
 
-A :func:`det2` of four affine reals reads no factor either.  It
-computes each factor's triple at its shift ``K = k + s`` from
-``(c, w, l)`` and takes the two products, whose denominators are
-``P << 2k`` and ``Q << 2k`` for ``P = (l_a * l_b) << 2 * s_ab`` and
-``Q = (l_c * l_d) << 2 * s_cd``.  Their gcd is ``gcd(P, Q) << 2k``,
-so the scale factors that join the products, ``Q / gcd(P, Q)`` and
-``P / gcd(P, Q)``, do not depend on k and are computed once, and the
-joined triple is the one the factors' triples give.  A factor's magnitude
-exponent is read from ``(c, w, l)`` too, so no factor is evaluated
-at any index.  The same integers also say where the interval first
+:func:`_affine_difference` gives the ``(c, w, l)`` of a difference of
+two affine reals.  Read at ``k + 1``, the operands' denominators are
+``l1 << (k+1)`` and ``l2 << (k+1)``, whose gcd is ``g << (k+1)`` for
+``g = gcd(l1, l2)``.  So the join's scale factors ``sa = l2/g`` and
+``sb = l1/g`` (both 1 when ``l1 == l2``, which is when the two
+denominators are equal) do not depend on k, and the difference is the
+affine real ``(2(c1*sa - c2*sb), w1*sa + w2*sb, 2*l1*sa)``: the same
+integers as the join of the operands' triples, and again ``2w <= l``.
+:func:`_affine_magnitude` gives an affine real's magnitude exponent.
+
+:func:`_det2_terms` gives the integers of a ``det2`` of four affine
+reals, each given as ``(c, w, l, e)`` with ``e`` its magnitude
+exponent, and :func:`_det2_at` its triple at k.  It computes each
+factor's triple at its shift ``K = k + s`` from ``(c, w, l)`` and takes
+the two products, whose denominators are ``P << 2k`` and ``Q << 2k``
+for ``P = (l_a * l_b) << 2 * s_ab`` and ``Q = (l_c * l_d) << 2 * s_cd``.
+Their gcd is ``gcd(P, Q) << 2k``, so the scale factors that join the
+products, ``Q / gcd(P, Q)`` and ``P / gcd(P, Q)``, do not depend on k
+and are computed once, and the joined triple is the one the factors'
+triples give.  The same integers also say where the interval first
 excludes zero: with ``t = 2**k``, its numerators' centre grows like
 ``A * t**2`` and their half-width like ``B * t``, for integers ``A``,
 the numerator of the limit over the denominator at 0, and ``B``, both
 fixed by the coefficients (see :func:`_det2_estimate`).  So the least
 such k is about ``B.bit_length() - |A|.bit_length()``, and ``A == 0``
 means the limit is zero, which every interval contains, so no k
-excludes zero.
-
-This affine arithmetic is one set of functions on integer tuples, and
-the nodes over affine reals wrap them: :func:`_affine_difference`
-gives the ``(c, w, l)`` of a difference, :func:`_affine_magnitude` its
-magnitude exponent, :func:`_det2_terms` the integers of a ``det2`` of
-four such ``(c, w, l, e)`` (``e`` the magnitude exponent),
-:func:`_det2_at` its triple at k and :func:`_det2_estimate` the
-estimate above.  A caller that holds the tuples, such as an
-orientation of blurred points, builds the ``det2`` node from them with
-:func:`_affine_det2` and builds no node per factor.
+excludes zero.  A caller that holds the tuples, such as an orientation
+of blurred points, builds its ``det2`` node from them with
+:func:`_affine_det2`: one node, with none per factor, that reads no
+real.
 
 A :class:`RealRegistry` holds the input reals only: its constructors
 register each real under a dense index.  Differences and differences
@@ -95,8 +91,8 @@ of the nesting invariants and are exercised by the test suite.
 Monotonicity is what lets :func:`least_witness` find the least
 witnessing precision by galloping and bisection instead of a scan, and
 lets the gallop start from any precision: a caller that expects the
-witness near some k, such as the estimate of an affine ``det2``,
-starts there, and the least witness is the same.  Two affine reals
+witness near some k, such as the estimate of an :func:`_affine_det2`
+node, starts there, and the least witness is the same.  Two affine reals
 need no interval and no search.  Cross-multiplied and divided by
 ``2**k``, r's upper endpoint at k lies below s's lower endpoint exactly
 when ``G << k > S``, for integers ``G`` (the gap of the limits times
@@ -198,14 +194,15 @@ class RealNum:
     generator that :meth:`RealRegistry.from_generator` wraps it in.
     The magnitude exponent that :func:`det2` reads from index 0 is
     cached in ``_magnitude`` once computed, so a node shared by many
-    products reads it once.  An affine real (see the module docstring)
-    keeps its ``(c, w, l)`` in ``_affine``, which is None for every
-    other real; its magnitude exponent and, as a factor of a
-    :func:`det2` of affine reals, its triples are computed from it, so
-    such a real is never evaluated.  A :func:`det2` node of four affine
-    reals keeps its :func:`_det2_terms` in ``_terms``, from which
-    :func:`_det2_estimate` estimates its witness; the slot is None for
-    every other real.
+    products reads it once.  An affine real (see the module docstring),
+    such as a blurred one, keeps its ``(c, w, l)`` in ``_affine``, which
+    is None for every other real: :func:`op_at` and
+    :func:`find_strict_witness` compare two affine reals from it in
+    closed form, and a caller of the tuple functions reads it in place
+    of the real, while :func:`sub` and :func:`det2` read the real's
+    triples.  An :func:`_affine_det2` node keeps its :func:`_det2_terms`
+    in ``_terms``, from which :func:`_det2_estimate` estimates its
+    witness; the slot is None for every other real.
     """
 
     __slots__ = ("index", "_gen", "_cache", "_magnitude", "_affine", "_terms")
@@ -355,20 +352,16 @@ def _magnitude_exponent(x: RealNum) -> int:
     every index, computed once per real: the bound that fixes the
     precision at which :func:`det2` reads x as a factor.  Index 0 never
     changes once cached, so neither does the answer.  It is
-    :func:`_affine_magnitude` of an affine real: of x's ``_affine``,
-    computed without evaluating or caching the real, or of
-    ``(lo + hi, hi - lo, 2d)`` for x's triple ``(lo, hi, d)`` at 0, the
-    affine real of centre ``(lo + hi) / 2d`` and radius
-    ``(hi - lo) / 2d`` whose interval at 0 is x's (``2w <= l``, as x's
-    width at 0 is at most 1), so its bound ``(|c| + w) / l`` is
-    ``max(|lo|, |hi|) / d``."""
+    :func:`_affine_magnitude` of ``(lo + hi, hi - lo, 2d)`` for x's
+    triple ``(lo, hi, d)`` at 0, the affine real of centre
+    ``(lo + hi) / 2d`` and radius ``(hi - lo) / 2d`` whose interval at 0
+    is x's (``2w <= l``, as x's width at 0 is at most 1), so its bound
+    ``(|c| + w) / l`` is ``max(|lo|, |hi|) / d``.  Every real, an affine
+    one included, is read at 0."""
     c = x._magnitude
     if c is None:
-        affine = x._affine
-        if affine is None:
-            lo, hi, d = x._at(0)
-            affine = (lo + hi, hi - lo, 2 * d)
-        c = x._magnitude = _affine_magnitude(affine)
+        lo, hi, d = x._at(0)
+        c = x._magnitude = _affine_magnitude((lo + hi, hi - lo, 2 * d))
     return c
 
 
@@ -459,8 +452,10 @@ class RealRegistry(Sequence[RealNum]):
         The interval at k is ``[q - 2**-(k+1), q + 2**-(k+1)]``, so the
         limit is only ever known up to the current precision.  With
         ``q = n/m`` the triple is ``(c - m, c + m, m * 2**(k+1))`` where
-        ``c = n * 2**(k+1)``: the affine real ``(2n, m, 2m)``, so a
-        difference of two blurred reals reads neither (see :func:`sub`).
+        ``c = n * 2**(k+1)``: the affine real ``(2n, m, 2m)``, kept in
+        ``_affine`` for the closed forms of :func:`op_at`,
+        :func:`find_strict_witness` and the tuple functions (see the
+        module docstring).
         An exact ``Fraction`` q is taken as it is, anything else goes
         through ``Fraction(q)``.
         """
@@ -518,13 +513,10 @@ def sub(a: RealNum, b: RealNum) -> RealNum:
     """The node a - b.
 
     Its interval at k reads both operands at k + 1, so the width bound
-    ``2**-(k+1) + 2**-(k+1) = 2**-k`` is preserved.  When both operands
-    are affine reals, so is the difference, and its generator computes
-    that join in closed form and reads neither operand.
+    ``2**-(k+1) + 2**-(k+1) = 2**-k`` is preserved.  Affine operands are
+    read like any other: the node's triples are those of their
+    :func:`_affine_difference`, which is that join in closed form.
     """
-    if a._affine is not None and b._affine is not None:
-        return _affine_real(partial(RealNum, None),
-                            _affine_difference(a._affine, b._affine))
 
     def gen(k: int) -> Triple:
         return _join(a._at(k + 1), b._at(k + 1))
@@ -623,13 +615,11 @@ def det2(a: RealNum, b: RealNum, c: RealNum, d: RealNum) -> RealNum:
     width at most ``2**-(k+s)`` and magnitude at most ``2**c_x``, so
     each product has width at most
     ``(2**c_x + 2**c_y) * 2**-(k+s) <= 2**-(k+2)`` and the difference
-    at most ``2**-(k+1)``.  When all four factors are affine reals, the
-    node's generator is :func:`_det2_at` of their
-    :func:`_det2_terms`, so it reads no factor.
+    at most ``2**-(k+1)``.  Affine factors are read like any other: over
+    four of them the node's triples are :func:`_det2_at` of their
+    :func:`_det2_terms`, which :func:`_affine_det2` builds a node on
+    without reading the factors.
     """
-    if None not in (a._affine, b._affine, c._affine, d._affine):
-        return _affine_det2(_det2_terms(*((*x._affine, _magnitude_exponent(x))
-                                          for x in (a, b, c, d))))
     s_ab = _magnitude_exponent(a) + _magnitude_exponent(b) + 3
     s_cd = _magnitude_exponent(c) + _magnitude_exponent(d) + 3
 

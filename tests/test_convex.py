@@ -448,28 +448,26 @@ def mixed_instances():
 def test_mixed_trace_digest_is_pinned(monkeypatch):
     # sha256 over the traces of points whose coordinates mix real kinds:
     # they reach the joins that no all-rational or all-blurred instance
-    # does, a difference with exactly one affine operand and a det2 with
-    # some affine factors and some not
-    mixed = Counter()
-    sub, det2 = realearn.geometry.sub, realearn.geometry.det2
+    # does: a difference with exactly one affine operand, and the generic
+    # difference of two affine operands, built for the affine xs of points
+    # whose ys are not both affine, and by an orientation that rebuilds as
+    # nodes the one of its two differences kept as (c, w, l, e) tuples
+    affine_operands = Counter()
+    sub = realearn.geometry.sub
 
     def counted_sub(a, b):
-        mixed["sub"] += (a._affine is None) != (b._affine is None)
+        affine_operands[(a._affine is not None) + (b._affine is not None)] += 1
         return sub(a, b)
 
-    def counted_det2(*factors):
-        mixed["det2"] += 0 < sum(f._affine is None for f in factors) < 4
-        return det2(*factors)
-
     monkeypatch.setattr(realearn.geometry, "sub", counted_sub)
-    monkeypatch.setattr(realearn.geometry, "det2", counted_det2)
     digest = hashlib.sha256()
     for pts in mixed_instances():
         log = StringTrace()
         res = convex_angle(pts, trace=log)
         assert verify_bounding(pts, res.a, res.b, res.c) == res.certificate
         digest.update(log.text.encode())
-    assert mixed["sub"] >= 1000 and mixed["det2"] >= 900, mixed
+    assert affine_operands[1] >= 1000 and affine_operands[2] >= 400, \
+        affine_operands
     assert digest.hexdigest() == (
         "c9e28eabdc97ef0be6f34f2bcec1b271d1dbbc9640ccff79256f8e463bfeb407")
 

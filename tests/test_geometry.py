@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 from random import Random
 
 import pytest
@@ -21,7 +22,9 @@ from realearn import (
 )
 import realearn.reals
 from realearn.oracle import exact_orientation
-from realearn.reals import InvalidNesting, _det2_estimate, det2, sub
+from realearn.reals import (InvalidNesting, RealNum, _affine_difference,
+                            _affine_magnitude, _det2_estimate, _det2_terms,
+                            det2, sub)
 
 from support import (general_position_points, random_table_prefix,
                      register_points)
@@ -328,17 +331,28 @@ def recorded_triples(patch):
 
 
 def node_orientation(p, q, r):
-    """The orientation of three affine points as the ``det2`` node of
-    their ``sub`` nodes, built from the points' reals."""
+    """The orientation of three affine points as the generic ``det2``
+    node of their ``sub`` nodes, built from the points' reals."""
     return det2(sub(q.x, p.x), sub(r.y, p.y), sub(r.x, p.x), sub(q.y, p.y))
+
+
+def tuple_terms(p, q, r):
+    """The :func:`_det2_terms` of the orientation of three affine points,
+    from the ``(c, w, l, e)`` of their differences' tuples."""
+    def measured(a, b):
+        difference = _affine_difference(a._affine, b._affine)
+        return (*difference, _affine_magnitude(difference))
+
+    return _det2_terms(measured(q.x, p.x), measured(r.y, p.y),
+                       measured(r.x, p.x), measured(q.y, p.y))
 
 
 def node_decide_side(orient, p, q, r, k_max, start=0):
     """The side decision of three affine points as it reads ``orient``,
     their orientation node: the interval at 0 first when ``start`` is 0,
-    else the galloping search from the node's estimate, and none when
-    its limit is zero."""
-    estimate = _det2_estimate(orient._terms)
+    else the galloping search from the estimate of the points' tuples,
+    and none when its limit is zero."""
+    estimate = _det2_estimate(tuple_terms(p, q, r))
 
     def excludes_zero(k):
         lo, hi = orient.interval_at(k)
@@ -362,9 +376,9 @@ def test_an_affine_decision_is_the_node_paths(coords, k_max):
     # a decision of blurred points builds its orientation from the
     # integers of its differences, with no sub node: from every start,
     # and with k_max one below the witness, it has the outcome of the
-    # same search over the det2 node of the points' sub nodes, and
-    # computes that node's triples at the same precisions in the same
-    # order
+    # same search over the generic det2 node of the points' sub nodes,
+    # and computes that node's triples at the same precisions in the
+    # same order
     p, q, r = simple_points(coords, blurred=True)
     first = outcome(node_decide_side, node_orientation(p, q, r), p, q, r,
                     k_max)
@@ -395,9 +409,9 @@ def test_an_affine_decision_is_the_node_paths(coords, k_max):
 def test_a_corrupted_affine_triple_fails_as_the_node_does(
         monkeypatch, corrupt, clause):
     # the debug checks of a decision of affine points are those of the
-    # det2 node of the points' sub nodes: a triple corrupted at the
-    # witness raises that node's InvalidNesting, with its index and
-    # clause
+    # generic det2 node of the points' sub nodes: the same triple
+    # corrupted at the witness in each raises the same InvalidNesting,
+    # with its index and clause
     scale = Fraction(1, 2 ** 60)
     p, q, r = simple_points([(0, 0), (Fraction(3, 7) * scale, scale / 3),
                              (scale / 3, Fraction(5, 7) * scale)],
@@ -406,16 +420,17 @@ def test_a_corrupted_affine_triple_fails_as_the_node_does(
     assert bad > 1
     det2_at = realearn.reals._det2_at
 
-    def corrupted(terms, k):
-        triple = det2_at(terms, k)
+    def corrupted(triple_at, k):
+        triple = triple_at(k)
         if k != bad:
             return triple
-        return corrupt(*triple, det2_at(terms, k - 1))
+        return corrupt(*triple, triple_at(k - 1))
 
-    monkeypatch.setattr(realearn.reals, "_det2_at", corrupted)
+    node = RealNum(None, partial(corrupted, node_orientation(p, q, r)._gen))
+    monkeypatch.setattr(realearn.reals, "_det2_at",
+                        lambda terms, k: corrupted(partial(det2_at, terms), k))
     failures = []
-    for decide in (lambda: node_decide_side(node_orientation(p, q, r),
-                                            p, q, r, 256),
+    for decide in (lambda: node_decide_side(node, p, q, r, 256),
                    lambda: decide_side(p, q, r, 256)):
         try:
             failures.append(decide())

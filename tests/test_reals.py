@@ -18,9 +18,10 @@ from realearn import (
     op_at,
 )
 from realearn.oracle import separation_from_gap
-from realearn.reals import (_affine_gap, _affine_real, _fraction,
-                            _magnitude_exponent, _over_lcm, _product, det2,
-                            sub)
+from realearn.reals import (_affine_det2, _affine_difference, _affine_gap,
+                            _affine_magnitude, _affine_real, _det2_at,
+                            _det2_terms, _fraction, _magnitude_exponent,
+                            _over_lcm, _product, det2, sub)
 
 from support import random_real, random_table_prefix
 
@@ -397,23 +398,25 @@ def test_sums_give_the_lcm_triple(left, right, equal, k):
     assert sub(a, b)._at(k) == (alo * sa - bhi * sb, ahi * sa - blo * sb, d)
 
 
-def unaffine_blurred(q):
-    """The triples of the blurred real q from a nested real that is not
-    affine, so sub reads it at k + 1 like any other operand."""
-    n, m = q.numerator, q.denominator
-
-    def gen(k):
-        centre = n << (k + 1)
-        return (centre - m, centre + m, m << (k + 1))
-
-    return nested_real(gen)
-
-
-def difference_tree(a, b, c, d):
+def difference_tree(a, b, c, d, difference=sub):
     """The differences of a, b, c and d whose triples are compared,
-    nested chains included."""
-    return [sub(a, b), sub(b, a), sub(c, d), sub(d, c),
-            sub(sub(a, b), sub(c, d)), sub(sub(d, a), sub(sub(b, c), a))]
+    nested chains included: ``sub`` nodes of reals, or the
+    :func:`_affine_difference` of ``(c, w, l)`` tuples."""
+    return [difference(a, b), difference(b, a), difference(c, d),
+            difference(d, c), difference(difference(a, b), difference(c, d)),
+            difference(difference(d, a), difference(difference(b, c), a))]
+
+
+def affine_triple(affine, k):
+    """The triple at k of the affine real ``affine = (c, w, l)``."""
+    c, w, l = affine
+    return ((c << k) - w, (c << k) + w, l << k)
+
+
+def measured(affine):
+    """``affine`` with its magnitude exponent: the ``(c, w, l, e)`` that
+    :func:`_det2_terms` takes."""
+    return (*affine, _affine_magnitude(affine))
 
 
 # equal and unequal denominators, dyadic and non-dyadic
@@ -430,26 +433,33 @@ def affine_values(denominators):
 
 @pytest.mark.parametrize("denominators", DENOMINATOR_SETS)
 def test_affine_sums_give_the_triples_of_their_tree(denominators):
-    values = affine_values(denominators)
-    reg = RealRegistry()
-    affine = difference_tree(*(reg.blurred(q) for q in values))
-    reference = difference_tree(*(unaffine_blurred(q) for q in values))
-    for node, tree in zip(affine, reference):
-        assert node._affine is not None and tree._affine is None
+    # the closed-form difference of the blurred reals' (c, w, l) against
+    # the generic sub nodes over the same reals, triple for triple
+    reals = [RealRegistry().blurred(q) for q in affine_values(denominators)]
+    nodes = difference_tree(*reals)
+    tuples = difference_tree(*(real._affine for real in reals),
+                             difference=_affine_difference)
+    for node, affine in zip(nodes, tuples):
+        assert node._affine is None
         for k in range(65):
-            assert node._at(k) == tree._at(k)
+            assert node._at(k) == affine_triple(affine, k)
 
 
 def test_an_affine_node_reads_no_operand():
+    # the real of a nested difference of the blurred reals' tuples reads
+    # none of them, and has the triples of the sub nodes over them
     reg = RealRegistry()
     a, b, c, d = (reg.blurred(Fraction(n, m))
                   for n, m in ((1, 3), (-2, 7), (5, 96), (9, 1)))
-    inner = [sub(a, b), sub(c, d)]
-    node = sub(*inner)
+    node = _affine_real(reg.register, _affine_difference(
+        _affine_difference(a._affine, b._affine),
+        _affine_difference(c._affine, d._affine)))
     for k in (0, 5, 64, 3):
         node._at(k)
     assert sorted(node._cache) == [0, 3, 5, 64]
-    assert [real._cache for real in (a, b, c, d, *inner)] == [{}] * 6
+    assert [real._cache for real in (a, b, c, d)] == [{}] * 4
+    tree = sub(sub(a, b), sub(c, d))
+    assert all(tree._at(k) == triple for k, triple in node._cache.items())
 
 
 def affine_factors(reals, difference):
@@ -471,29 +481,30 @@ def equal_product_denominators(a, b, c, d, k):
 
 @pytest.mark.parametrize("denominators", DENOMINATOR_SETS)
 def test_affine_det2_gives_the_triples_of_its_tree(denominators):
-    # the closed form against the generic det2 of twins that are not
-    # affine, triple for triple, and against the Fraction reference
+    # the closed form of the blurred reals' tuples against the generic
+    # det2 over the same reals, triple for triple, and against the
+    # Fraction reference
     values = affine_values(denominators)
     reg, ref = RealRegistry(), RefRegistry()
-    factors = affine_factors([reg.blurred(q) for q in values], sub)
-    twins = affine_factors([unaffine_blurred(q) for q in values], sub)
+    blurred = [reg.blurred(q) for q in values]
+    factors = affine_factors(blurred, sub)
+    tuples = affine_factors([real._affine for real in blurred],
+                            _affine_difference)
     refs = affine_factors([ref.blurred(q) for q in values], ref.sub)
-    assert all(f._affine is not None for f in factors)
-    assert all(t._affine is None for t in twins)
     equal_denominators = set()
     # each factor in each position, in each sign case against each;
     # b * a has the denominator of a * b, and other products mostly not
     for i, j in itertools.product(range(6), repeat=2):
         for chosen in ((i, j, j, i), (i, j, (i + 1) % 6, (j + 2) % 6)):
+            terms = _det2_terms(*(measured(tuples[n]) for n in chosen))
             node = det2(*(factors[n] for n in chosen))
-            twin = det2(*(twins[n] for n in chosen))
             tree = ref.det2(*(refs[n] for n in chosen))
             for k in range(65):
-                assert node._at(k) == twin._at(k)
+                assert _det2_at(terms, k) == node._at(k)
                 assert node.interval_at(k) == tree.interval_at(k)
             # P == Q exactly when the products' denominators are equal
             equal_denominators.add(equal_product_denominators(
-                *(twins[n] for n in chosen), 0))
+                *(factors[n] for n in chosen), 0))
     assert equal_denominators == {True, False}
 
 
@@ -501,32 +512,33 @@ def test_an_affine_det2_reads_no_factor():
     reg = RealRegistry()
     a, b, c, d = (reg.blurred(Fraction(n, m))
                   for n, m in ((1, 3), (-2, 7), (5, 96), (9, 1)))
-    factors = [sub(a, b), sub(c, d), a, sub(d, b)]
-    node = det2(*factors)
+    ta, tb, tc, td = (real._affine for real in (a, b, c, d))
+    factors = [_affine_difference(ta, tb), _affine_difference(tc, td), ta,
+               _affine_difference(td, tb)]
+    node = _affine_det2(_det2_terms(*map(measured, factors)))
     for k in (0, 5, 64, 3):
         node._at(k)
     assert sorted(node._cache) == [0, 3, 5, 64]
-    assert [real._cache for real in (a, b, c, d, *factors)] == [{}] * 8
+    assert [real._cache for real in (a, b, c, d)] == [{}] * 4
 
 
 @pytest.mark.parametrize("q", [Fraction(0), Fraction(1, 2), Fraction(1),
                                Fraction(-3, 2), Fraction(2 ** 19, 3),
                                Fraction(-2 ** 40 + 1, 96)])
 def test_affine_magnitude_is_read_in_closed_form(q):
+    # the closed form of a blurred real's tuple and of the differences of
+    # tuples is the magnitude that the generic nodes read from index 0
     reg = RealRegistry()
-    other = Fraction(7, 5)
-    reals = [reg.blurred(q), sub(reg.blurred(q), reg.blurred(other)),
-             sub(reg.blurred(other), reg.blurred(q))]
-    twins = [unaffine_blurred(q),
-             sub(unaffine_blurred(q), unaffine_blurred(other)),
-             sub(unaffine_blurred(other), unaffine_blurred(q))]
-    for real, twin in zip(reals, twins):
-        assert real._affine is not None and twin._affine is None
-        assert _magnitude_exponent(real) == _magnitude_exponent(twin)
-        assert real._cache == {}
+    real, other = reg.blurred(q), reg.blurred(Fraction(7, 5))
+    pairs = [(real, real._affine),
+             (sub(real, other), _affine_difference(real._affine, other._affine)),
+             (sub(other, real), _affine_difference(other._affine, real._affine))]
+    for node, affine in pairs:
+        assert _magnitude_exponent(node) == _affine_magnitude(affine)
 
 
 MIXED = {
+    "blurred": lambda reg: reg.blurred(Fraction(-4, 9)),
     "rational": lambda reg: reg.from_rational(Fraction(2, 3)),
     "table": lambda reg: reg.from_table([(0, 1), (Fraction(1, 3), "2/3")],
                                         Fraction(1, 2)),
@@ -539,6 +551,8 @@ MIXED = {
 @pytest.mark.parametrize("op", [sub])
 @pytest.mark.parametrize("k", [0, 9])
 def test_a_mixed_sum_reads_its_operands_at_the_next_index(other, op, k):
+    # a blurred real against any other, a blurred one included: sub has
+    # one path, which reads both operands at k + 1
     reg = RealRegistry()
     for a, b in ((reg.blurred(Fraction(5, 7)), MIXED[other](reg)),
                  (MIXED[other](reg), reg.blurred(Fraction(5, 7)))):
@@ -552,6 +566,9 @@ def test_a_mixed_sum_reads_its_operands_at_the_next_index(other, op, k):
 @pytest.mark.parametrize("position", range(4))
 @pytest.mark.parametrize("k", [0, 9])
 def test_a_mixed_det2_reads_its_factors_at_their_shift(other, position, k):
+    # blurred factors with one other factor, or four blurred ones: det2
+    # has one path, which reads each factor's magnitude at index 0 and
+    # its triple at the product's shift
     reg = RealRegistry()
     factors = [reg.blurred(Fraction(n, m))
                for n, m in ((5, 7), (-2, 3), (11, 96), (1, 1))]
@@ -561,9 +578,7 @@ def test_a_mixed_det2_reads_its_factors_at_their_shift(other, position, k):
     det2(*factors)._at(k)
     for n, real in enumerate(factors):
         shift = s_ab if n < 2 else s_cd
-        # the mixed factor's magnitude is read from index 0
-        expected = [0, k + shift] if n == position else [k + shift]
-        assert sorted(real._cache) == expected
+        assert sorted(real._cache) == [0, k + shift]
 
 
 @pytest.mark.parametrize("left", sorted(SIGNED))
@@ -801,8 +816,8 @@ def build_expr(reg, expr):
     return getattr(reg, name)(*args)
 
 
-# Every leaf blurred, so every difference is an affine node and every
-# det2 reads four affine factors in closed form.
+# Every leaf blurred: expressions that build_affine computes through the
+# tuple functions, and build_expr through the generic nodes.
 affine_differences = st.recursive(
     st.tuples(st.just("blurred"), kernel_values),
     lambda inner: st.tuples(st.just("sub"), inner, inner),
@@ -812,6 +827,28 @@ affine_exprs = st.one_of(
     affine_differences,
     st.tuples(st.just("det2"), affine_differences, affine_differences,
               affine_differences, affine_differences))
+
+
+def affine_of(expr):
+    """The ``(c, w, l)`` of an expression of ``affine_differences``: a
+    blurred real's own, or the :func:`_affine_difference` of its
+    operands'."""
+    name, *args = expr
+    if name == "blurred":
+        return RealRegistry().blurred(*args)._affine
+    return _affine_difference(*map(affine_of, args))
+
+
+def build_affine(reg, expr):
+    """The real of an expression of ``affine_exprs`` from the tuple
+    functions: the affine real of a difference, or the
+    :func:`_affine_det2` node of four."""
+    name, *args = expr
+    if name == "det2":
+        return _affine_det2(_det2_terms(*(measured(affine_of(arg))
+                                          for arg in args)))
+    return _affine_real(reg.register, affine_of(expr))
+
 
 kernel_levels = st.lists(st.integers(min_value=0, max_value=300),
                          min_size=1, max_size=4)
@@ -826,14 +863,16 @@ def test_integer_kernel_matches_fraction_reference(e1, e2, levels):
 @settings(max_examples=150, deadline=None)
 @given(affine_exprs, affine_exprs, kernel_levels)
 def test_affine_closed_forms_match_fraction_reference(e1, e2, levels):
+    check_against_reference(e1, e2, levels, build_affine)
     check_against_reference(e1, e2, levels)
 
 
-def check_against_reference(e1, e2, levels):
-    """The reals of two expressions and their Fraction references have
-    the same magnitude exponents, intervals and ``op_at`` answers."""
+def check_against_reference(e1, e2, levels, build=build_expr):
+    """The reals that ``build`` makes of two expressions and their
+    Fraction references have the same magnitude exponents, intervals
+    and ``op_at`` answers."""
     reg = RealRegistry()
-    reals = [build_expr(reg, e1), build_expr(reg, e2)]
+    reals = [build(reg, e1), build(reg, e2)]
     ref = RefRegistry()
     refs = [build_expr(ref, e1), build_expr(ref, e2)]
     for real, expected in zip(reals, refs):
@@ -868,8 +907,8 @@ def test_affine_magnitude_exponent_at_its_edges(affine, expected):
     c, w, l = affine
     real = _affine_real(RealRegistry().register, affine)
     twin = RefReal(lambda k: (Fraction(c - w, l), Fraction(c + w, l)))
-    assert _magnitude_exponent(real) == ref_magnitude_exponent(twin) == expected
-    assert real._cache == {}
+    assert _affine_magnitude(affine) == _magnitude_exponent(real) == \
+        ref_magnitude_exponent(twin) == expected
 
 
 @pytest.mark.parametrize("interval, expected", TABLE_MAGNITUDES)
@@ -897,22 +936,25 @@ witness_budgets = st.one_of(st.sampled_from([-1, 0, 3, 40, 256]),
 
 @st.composite
 def affine_pairs(draw):
-    """Two affine reals, blurred values or differences of them: two
-    drawn ones, one real twice, a drawn real and a nested chain of
-    differences with the same limit, ``(r - x) - (0 - x)``, or blurred
-    reals ``2**-j`` apart, whose intervals touch at k = j."""
+    """Two affine reals, blurred values or reals of the
+    :func:`_affine_difference` of their tuples: two drawn ones, one real
+    twice, a drawn real and a nested chain of differences with the same
+    limit, ``(r - x) - (0 - x)``, or blurred reals ``2**-j`` apart,
+    whose intervals touch at k = j."""
     reg = RealRegistry()
     kind = draw(st.sampled_from(["drawn", "same", "equal limit", "touching"]))
     if kind == "touching":
         value, j = draw(kernel_values), draw(st.integers(0, 90))
         return reg.blurred(value), reg.blurred(value + Fraction(1, 2 ** j))
-    r = build_expr(reg, draw(affine_differences))
+    r = _affine_real(reg.register, affine_of(draw(affine_differences)))
     if kind == "same":
         return r, r
+    s = affine_of(draw(affine_differences))
     if kind == "equal limit":
-        x = build_expr(reg, draw(affine_differences))
-        return r, sub(sub(r, x), sub(reg.blurred(0), x))
-    return r, build_expr(reg, draw(affine_differences))
+        x, zero = s, reg.blurred(0)._affine
+        s = _affine_difference(_affine_difference(r._affine, x),
+                               _affine_difference(zero, x))
+    return r, _affine_real(reg.register, s)
 
 
 @settings(max_examples=200, deadline=None)
@@ -980,7 +1022,7 @@ non_affine_exprs = st.one_of(
 def test_mixed_comparisons_read_intervals(affine, other, affine_first, k_max,
                                           levels):
     reg = RealRegistry()
-    a, b = build_expr(reg, affine), build_expr(reg, other)
+    a, b = build_affine(reg, affine), build_expr(reg, other)
     assert a._affine is not None and b._affine is None
     r, s = (a, b) if affine_first else (b, a)
     for k in levels:
