@@ -15,9 +15,10 @@ share them through a dict that the caller owns, and they are dropped
 with that dict.  When both points' coordinates are affine, such as
 blurred ones, the dict keeps each difference as its integer
 ``(c, w, l)`` and magnitude exponent, computed once, and the
-orientation of three such points is one ``det2`` node built from those
-integers, with no node per difference: it computes its triples in
-closed form and reads no coordinate.
+orientation of three such points is computed from those integers, with
+no node per difference: its triples are closed forms that read no
+coordinate.  A side decision of such points reads the triple at 0 with
+no node at all, and builds one ``det2`` node only when it searches.
 Because strict order of reals is only semi-decidable,
 :func:`decide_side` searches for the least precision at which the
 orientation's interval excludes zero, with the galloping search
@@ -31,7 +32,8 @@ is the same from any start.  The orientation of three blurred points
 says where its witness is: unless its interval at the start 0 already
 excludes zero, the search starts at the orientation's own estimate,
 within one level of the witness on almost every decision, and a
-triple whose limits are collinear raises without a search.
+triple whose limits are collinear raises without a search.  A blurred
+side decided at precision 0 builds no node.
 
 A :class:`BoundingCertificate` records the witnesses of a bounding
 angle, and :func:`verify_bounding` re-derives one from the points
@@ -46,8 +48,9 @@ from ._record import _Record
 from .errors import CertificateFailure, DegenerateInput
 # perfbench/tracing.py wraps op_at on this module
 from .reals import (Measured, RealNum, _affine_det2, _affine_difference,
-                    _affine_magnitude, _det2_estimate, _det2_terms, det2,
-                    find_strict_witness, least_witness, op_at, sub)
+                    _affine_magnitude, _check_interval, _det2_at,
+                    _det2_estimate, _det2_terms, det2, find_strict_witness,
+                    least_witness, op_at, sub)
 
 
 class Point(_Record):
@@ -82,9 +85,13 @@ class NoWitnessFound(DegenerateInput):
 
 
 # (apex index, point index) -> (x difference, y difference): two
-# (c, w, l, e) tuples when both points' coordinates are affine, else nodes
+# (c, w, l, e) tuples when all four coordinates are affine, followed by
+# their sub nodes once an orientation beside a node difference has read
+# them, else two sub nodes
 Differences = dict[tuple[int, int],
-                   tuple[Measured, Measured] | tuple[RealNum, RealNum]]
+                   tuple[Measured, Measured]
+                   | tuple[Measured, Measured, RealNum, RealNum]
+                   | tuple[RealNum, RealNum]]
 
 
 def orientation_real(p: Point, q: Point, r: Point,
@@ -98,26 +105,19 @@ def orientation_real(p: Point, q: Point, r: Point,
     the dict compute each difference once.  The key names the apex, so
     apexes never share a difference; it names points by index, so one
     dict serves the points of one list only.  Left out, a fresh dict is
-    used.  A difference of two points with affine coordinates is stored
-    as the ``(c, w, l, e)`` of each coordinate, and any other as its
+    used.  Both differences come in one format (see :func:`_operands`):
+    as integer tuples when all six coordinates are affine, and the node
+    is then the ``det2`` of their :func:`~realearn.reals._det2_terms`,
+    with no node per difference; else as
     :func:`~realearn.reals.sub` nodes, which orientations sharing the
-    dict share with their cached intervals.  When both differences are
-    stored as integers, the node is the ``det2`` of their
-    :func:`~realearn.reals._det2_terms`, with no node per difference;
-    when only one is, that one is built again as fresh ``sub`` nodes,
-    which read the points' coordinates.  Shared or
-    not, the node is the ``det2`` of the same differences, so it has the
-    same intervals.
+    dict share with their cached intervals, and the node is their
+    ``det2``.  Either way it is the ``det2`` of the same differences, so
+    it has the same intervals.  :func:`decide_side` calls it only for
+    points that are not all affine.
     """
-    if differences is None:
-        differences = {}
-    dq, dr = _difference(p, q, differences), _difference(p, r, differences)
+    dq, dr = _operands(p, q, r, {} if differences is None else differences)
     if type(dq[0]) is tuple:
-        if type(dr[0]) is tuple:
-            return _affine_det2(_det2_terms(dq[0], dr[1], dr[0], dq[1]))
-        dq = (sub(q.x, p.x), sub(q.y, p.y))
-    elif type(dr[0]) is tuple:
-        dr = (sub(r.x, p.x), sub(r.y, p.y))
+        return _affine_det2(_det2_terms(dq[0], dr[1], dr[0], dq[1]))
     return det2(dq[0], dr[1], dr[0], dq[1])
 
 
@@ -139,6 +139,32 @@ def _difference(p: Point, q: Point, differences: Differences):
     return pair
 
 
+def _operands(p: Point, q: Point, r: Point, differences: Differences):
+    """The differences ``q - p`` and ``r - p`` of ``differences``, the
+    one decoder of its entries, in one format: their ``(c, w, l, e)``
+    tuples when both are stored as tuples, else both as
+    :func:`~realearn.reals.sub` nodes.  A tuple difference beside a node
+    difference is read through its ``sub`` nodes, built on first use and
+    stored after its tuples, so its entry still serves orientations of
+    affine points."""
+    dq, dr = _difference(p, q, differences), _difference(p, r, differences)
+    if (type(dq[0]) is tuple) == (type(dr[0]) is tuple):
+        return dq, dr
+    return _nodes(p, q, dq, differences), _nodes(p, r, dr, differences)
+
+
+def _nodes(p: Point, q: Point, pair, differences: Differences):
+    """The difference ``pair`` of ``q - p`` as nodes: a tuple
+    difference's ``sub`` nodes are built once per dict and kept after
+    its tuples."""
+    if type(pair[0]) is tuple:
+        if len(pair) == 2:
+            pair = differences[p.index, q.index] = (
+                *pair, sub(q.x, p.x), sub(q.y, p.y))
+        return pair[2:]
+    return pair
+
+
 def decide_side(p: Point, q: Point, r: Point, k_max: int,
                 differences: Optional[Differences] = None,
                 start: int = 0) -> SideDecision:
@@ -154,31 +180,44 @@ def decide_side(p: Point, q: Point, r: Point, k_max: int,
     :func:`orientation_real`, whose differences are taken from and
     stored in ``differences``.
 
-    The orientation of three points with affine coordinates, such as
-    blurred points, estimates its own witness from the
-    :func:`~realearn.reals._det2_terms` it keeps (see
-    :func:`~realearn.reals._det2_estimate`), and the search starts
-    there instead.  From ``start`` 0 it first reads the interval at 0,
-    and a decision witnessed there computes no estimate.  An orientation
-    whose limit is zero, the orientation of collinear limits, has no
-    estimate and no witness at any precision, so it raises
-    :class:`DegenerateInput` without searching.
+    Three points with affine coordinates, such as blurred points, take
+    the :func:`~realearn.reals._det2_terms` of their orientation from
+    their differences' tuples, and build no node to read it at 0: from
+    ``start`` 0 the triple at 0 is :func:`~realearn.reals._det2_at` of
+    the terms, checked in debug builds as a node checks its index 0, and
+    a decision witnessed there returns at once.  Otherwise one
+    :func:`~realearn.reals._affine_det2` node, seeded with that triple,
+    is searched from its own estimate of the witness (see
+    :func:`~realearn.reals._det2_estimate`).  An orientation whose limit
+    is zero, the orientation of collinear limits, has no estimate and no
+    witness at any precision, so it raises :class:`DegenerateInput`
+    without searching.
     """
-    orient = orientation_real(p, q, r, differences)
+    if differences is None:
+        differences = {}
+    dq, dr = _operands(p, q, r, differences)
+    if type(dq[0]) is not tuple:
+        orient, hint = orientation_real(p, q, r, differences), start
+    else:
+        terms = _det2_terms(dq[0], dr[1], dr[0], dq[1])
+        at_zero = None
+        if start == 0 and k_max >= 0:
+            at_zero = _det2_at(terms, 0)
+            if __debug__:
+                _check_interval(0, at_zero, None)
+            if at_zero[0] > 0:
+                return Left(0)
+            if at_zero[1] < 0:
+                return Right(0)
+        orient = _affine_det2(terms, at_zero)
+        # None: the limit is zero, and every interval contains it
+        hint = _det2_estimate(terms)
 
     def excludes_zero(k: int) -> bool:
         lo, hi, _ = orient._at(k)
         return lo > 0 or hi < 0
 
-    terms = orient._terms
-    if terms is None:
-        k = least_witness(excludes_zero, k_max, start)
-    elif start == 0 and k_max >= 0 and excludes_zero(0):
-        k = 0
-    else:
-        # None: the limit is zero, and every interval contains it
-        hint = _det2_estimate(terms)
-        k = None if hint is None else least_witness(excludes_zero, k_max, hint)
+    k = None if hint is None else least_witness(excludes_zero, k_max, hint)
     if k is not None:
         return Left(k) if orient._at(k)[0] > 0 else Right(k)
     raise DegenerateInput(

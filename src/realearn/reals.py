@@ -62,9 +62,10 @@ fixed by the coefficients (see :func:`_det2_estimate`).  So the least
 such k is about ``B.bit_length() - |A|.bit_length()``, and ``A == 0``
 means the limit is zero, which every interval contains, so no k
 excludes zero.  A caller that holds the tuples, such as an orientation
-of blurred points, builds its ``det2`` node from them with
-:func:`_affine_det2`: one node, with none per factor, that reads no
-real.
+of blurred points, reads a triple with :func:`_det2_at` and no node at
+all, or builds its ``det2`` node from them with :func:`_affine_det2`:
+one node, with none per factor, that reads no real, and that takes the
+triple at 0 when the caller has already read it.
 
 A :class:`RealRegistry` holds the input reals only: its constructors
 register each real under a dense index.  Differences and differences
@@ -200,12 +201,11 @@ class RealNum:
     :func:`find_strict_witness` compare two affine reals from it in
     closed form, and a caller of the tuple functions reads it in place
     of the real, while :func:`sub` and :func:`det2` read the real's
-    triples.  An :func:`_affine_det2` node keeps its :func:`_det2_terms`
-    in ``_terms``, from which :func:`_det2_estimate` estimates its
-    witness; the slot is None for every other real.
+    triples.  An :func:`_affine_det2` node may start with its triple at
+    0 in the cache, read and checked by the caller that built it.
     """
 
-    __slots__ = ("index", "_gen", "_cache", "_magnitude", "_affine", "_terms")
+    __slots__ = ("index", "_gen", "_cache", "_magnitude", "_affine")
 
     def __init__(self, index: Optional[int], gen: Callable[[int], Triple]):
         self.index = index
@@ -213,7 +213,6 @@ class RealNum:
         self._cache: dict[int, Triple] = {}
         self._magnitude: Optional[int] = None
         self._affine: Optional[Affine] = None
-        self._terms: Optional[Tuple[int, ...]] = None
 
     def interval_at(self, k: int) -> Interval:
         """The interval at precision index ``k`` (exact endpoints)."""
@@ -555,9 +554,13 @@ def _det2_terms(a: Measured, b: Measured, c: Measured,
     ``sq`` and ``dd = lcm(P, Q)`` come from ``_over_lcm(P, Q)`` once, and
     the denominator at k is ``dd << 2k``.  The terms are
     ``(ca, wa, cb, wb, s_ab, sp, cc, wc, cd, wd, s_cd, sq, dd)``."""
-    s_ab, s_cd = a[3] + b[3] + 3, c[3] + d[3] + 3
-    sp, sq, dd = _over_lcm(a[2] * b[2] << 2 * s_ab, c[2] * d[2] << 2 * s_cd)
-    return (*a[:2], *b[:2], s_ab, sp, *c[:2], *d[:2], s_cd, sq, dd)
+    ca, wa, la, ea = a
+    cb, wb, lb, eb = b
+    cc, wc, lc, ec = c
+    cd, wd, ld, ed = d
+    s_ab, s_cd = ea + eb + 3, ec + ed + 3
+    sp, sq, dd = _over_lcm(la * lb << 2 * s_ab, lc * ld << 2 * s_cd)
+    return (ca, wa, cb, wb, s_ab, sp, cc, wc, cd, wd, s_cd, sq, dd)
 
 
 def _det2_at(terms: Tuple[int, ...], k: int) -> Triple:
@@ -596,12 +599,17 @@ def _det2_estimate(terms: Tuple[int, ...]) -> Optional[int]:
     return max(0, spread.bit_length() - abs(lead).bit_length())
 
 
-def _affine_det2(terms: Tuple[int, ...]) -> RealNum:
+def _affine_det2(terms: Tuple[int, ...],
+                 at_zero: Optional[Triple] = None) -> RealNum:
     """The :func:`det2` node of four affine reals from their
-    :func:`_det2_terms`: its generator is :func:`_det2_at` of them, and
-    it keeps them in ``_terms``."""
+    :func:`_det2_terms`: its generator is :func:`_det2_at` of them.  A
+    caller that has already computed and checked the triple at 0, such
+    as a side decision that read it first, passes it as ``at_zero``: it
+    seeds the cache, so index 0 is not computed again and index 1 is
+    still checked for nesting in it."""
     node = RealNum(None, partial(_det2_at, terms))
-    node._terms = terms
+    if at_zero is not None:
+        node._cache[0] = at_zero
     return node
 
 

@@ -450,8 +450,10 @@ def test_mixed_trace_digest_is_pinned(monkeypatch):
     # they reach the joins that no all-rational or all-blurred instance
     # does: a difference with exactly one affine operand, and the generic
     # difference of two affine operands, built for the affine xs of points
-    # whose ys are not both affine, and by an orientation that rebuilds as
-    # nodes the one of its two differences kept as (c, w, l, e) tuples
+    # whose ys are not both affine, and once per dict for a difference
+    # kept as (c, w, l, e) tuples that an orientation reads beside a node
+    # difference: 350 of them, pinned (412 when every such orientation
+    # built them again)
     affine_operands = Counter()
     sub = realearn.geometry.sub
 
@@ -466,10 +468,51 @@ def test_mixed_trace_digest_is_pinned(monkeypatch):
         res = convex_angle(pts, trace=log)
         assert verify_bounding(pts, res.a, res.b, res.c) == res.certificate
         digest.update(log.text.encode())
-    assert affine_operands[1] >= 1000 and affine_operands[2] >= 400, \
+    assert affine_operands[1] >= 1000 and affine_operands[2] == 350, \
         affine_operands
     assert digest.hexdigest() == (
         "c9e28eabdc97ef0be6f34f2bcec1b271d1dbbc9640ccff79256f8e463bfeb407")
+
+
+def test_a_dict_builds_each_sub_node_once(monkeypatch):
+    # the Differences dict has one decoder: a difference kept as
+    # (c, w, l, e) tuples that an orientation reads beside a node
+    # difference is built as sub nodes once per dict and stored after its
+    # tuples, so on the mixed instances no dict builds the x or y node of
+    # an (apex, point) key twice, and every difference of two points with
+    # affine coordinates keeps its tuples
+    operands, sub = realearn.geometry._operands, realearn.geometry.sub
+    dicts, current, builds, kept = {}, [], Counter(), Counter()
+
+    def recorded_operands(p, q, r, differences):
+        # the dicts are kept, so no two of one instance share an id
+        dicts.setdefault(id(differences), differences)
+        current[:] = [id(differences)]
+        return operands(p, q, r, differences)
+
+    def counted_sub(a, b):
+        builds[(*current, names[id(b)], names[id(a)])] += 1
+        return sub(a, b)
+
+    monkeypatch.setattr(realearn.geometry, "_operands", recorded_operands)
+    monkeypatch.setattr(realearn.geometry, "sub", counted_sub)
+    for pts in mixed_instances():
+        names = {id(coord): (p.index, axis)
+                 for p in pts for axis, coord in (("x", p.x), ("y", p.y))}
+        dicts.clear()
+        builds.clear()
+        res = convex_angle(pts)
+        assert verify_bounding(pts, res.a, res.b, res.c) == res.certificate
+        assert max(builds.values(), default=1) == 1
+        for differences in dicts.values():
+            for (apex, point), entry in differences.items():
+                affine = all(coord._affine is not None
+                             for p in (pts[apex], pts[point])
+                             for coord in (p.x, p.y))
+                assert (type(entry[0]) is tuple) == affine
+                kept[len(entry) if affine else "nodes"] += 1
+    # tuples alone, tuples with their sub nodes, and node differences
+    assert min(kept[2], kept[4], kept["nodes"]) > 0, kept
 
 
 def test_an_attempt_builds_each_difference_once(monkeypatch):
@@ -516,11 +559,12 @@ def deep8_points():
 
 def test_deep8_evaluates_few_arithmetic_nodes(monkeypatch):
     # an evaluation is an interval computed, not read from the cache;
-    # the points are blurred, so each orientation is one node computed
+    # the points are blurred, so each orientation's triples are computed
     # from the (c, w, l) of its four differences, and the only
     # intervals the construction and its audit compute are the 76
     # orientation triples, each once per decision, whose searches start
-    # at the orientations' own estimates (the same 76 det2 node
+    # at the orientations' own estimates: node intervals, and the reads
+    # at 0 that a decision makes with no node (the same 76 det2 node
     # intervals before; 132 from the previous witness, 434 when det2 read
     # its factors, 698 as sub(mul, mul) trees); the learner compares y
     # coordinates, blurred reals that op_at and find_strict_witness
@@ -539,13 +583,19 @@ def test_deep8_evaluates_few_arithmetic_nodes(monkeypatch):
         evaluations["orientation"] += 1
         return det2_at(terms, k)
 
+    def node_free_det2_at(terms, k):
+        evaluations["node-free"] += 1
+        return counted_det2_at(terms, k)
+
     monkeypatch.setattr(RealNum, "_at", counted_at)
     monkeypatch.setattr(realearn.reals, "_det2_at", counted_det2_at)
+    monkeypatch.setattr(realearn.geometry, "_det2_at", node_free_det2_at)
     res = convex_angle(pts)
     assert verify_bounding(pts, res.a, res.b, res.c) == res.certificate
     assert (res.a, res.b, res.c, res.restarts) == (4, 7, 2, 1)
     assert evaluations["input"] == 0
-    assert evaluations["node"] == evaluations["orientation"], evaluations
+    assert evaluations["node"] + evaluations["node-free"] == \
+        evaluations["orientation"], evaluations
     assert 0 < evaluations["orientation"] <= 76, evaluations
 
 

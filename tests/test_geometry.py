@@ -22,9 +22,9 @@ from realearn import (
 )
 import realearn.reals
 from realearn.oracle import exact_orientation
-from realearn.reals import (InvalidNesting, RealNum, _affine_difference,
-                            _affine_magnitude, _det2_estimate, _det2_terms,
-                            det2, sub)
+from realearn.reals import (InvalidNesting, RealNum, _affine_det2,
+                            _affine_difference, _affine_magnitude,
+                            _det2_estimate, _det2_terms, det2, sub)
 
 from support import (general_position_points, random_table_prefix,
                      register_points)
@@ -318,7 +318,9 @@ def test_the_estimated_start_gives_the_scanned_witness(coords, k_max):
 
 def recorded_triples(patch):
     """The ``(k, triple)`` of each orientation triple that a side
-    decision of affine points computes, in order, through ``patch``."""
+    decision of affine points computes, in order, through ``patch``:
+    the node-free read at 0 in ``geometry`` and a node's intervals in
+    ``reals``."""
     computed = []
     det2_at = realearn.reals._det2_at
 
@@ -326,7 +328,8 @@ def recorded_triples(patch):
         computed.append((k, det2_at(terms, k)))
         return computed[-1][1]
 
-    patch.setattr(realearn.reals, "_det2_at", recorded)
+    for module in (realearn.reals, realearn.geometry):
+        patch.setattr(module, "_det2_at", recorded)
     return computed
 
 
@@ -373,12 +376,12 @@ def node_decide_side(orient, p, q, r, k_max, start=0):
 @settings(max_examples=60, deadline=None)
 @given(affine_triples(), st.integers(min_value=0, max_value=160))
 def test_an_affine_decision_is_the_node_paths(coords, k_max):
-    # a decision of blurred points builds its orientation from the
-    # integers of its differences, with no sub node: from every start,
-    # and with k_max one below the witness, it has the outcome of the
-    # same search over the generic det2 node of the points' sub nodes,
-    # and computes that node's triples at the same precisions in the
-    # same order
+    # a decision of blurred points computes its orientation's triples
+    # from the integers of its differences, with no sub node, and reads
+    # the one at 0 with no node at all: from every start, and with k_max
+    # one below the witness, it has the outcome of the same search over
+    # the generic det2 node of the points' sub nodes, and computes that
+    # node's triples at the same precisions in the same order, each once
     p, q, r = simple_points(coords, blurred=True)
     first = outcome(node_decide_side, node_orientation(p, q, r), p, q, r,
                     k_max)
@@ -396,6 +399,67 @@ def test_an_affine_decision_is_the_node_paths(coords, k_max):
                 assert outcome(decide_side, p, q, r, limit, None, start) == \
                     expected
                 assert computed == list(orient._cache.items())
+
+
+def recorded_checks(patch):
+    """The ``(k, interval, outer)`` of each interval check, in order,
+    through ``patch``: the node-free read's in ``geometry`` and a node's
+    in ``reals``."""
+    checks = []
+    check = realearn.reals._check_interval
+
+    def recorded(k, interval, outer):
+        checks.append((k, interval, outer))
+        check(k, interval, outer)
+
+    for module in (realearn.reals, realearn.geometry):
+        patch.setattr(module, "_check_interval", recorded)
+    return checks
+
+
+@settings(max_examples=60, deadline=None)
+@given(affine_triples(), st.integers(min_value=-1, max_value=160))
+def test_a_side_read_at_zero_is_the_nodes(coords, k_max):
+    # from start 0 a decision of blurred points reads its orientation's
+    # triple at 0 from the integers of its differences, with no node:
+    # that triple is orientation_real's at 0 and the generic det2 node's
+    # of the points' sub nodes; from every start the decision computes
+    # and checks the triples that the same search over one unseeded
+    # affine node computes and checks, with the same outers, in the same
+    # order, and no k twice; it builds a node only when it searches
+    p, q, r = simple_points(coords, blurred=True)
+    terms = tuple_terms(p, q, r)
+    assert realearn.reals._det2_at(terms, 0) == \
+        orientation_real(p, q, r)._at(0) == node_orientation(p, q, r)._at(0)
+    nodes = []
+    affine_det2 = realearn.geometry._affine_det2
+
+    def counted_affine_det2(*args):
+        nodes.append(args)
+        return affine_det2(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        computed, checks = recorded_triples(patch), recorded_checks(patch)
+        patch.setattr(realearn.geometry, "_affine_det2", counted_affine_det2)
+        for start in range(81):
+            computed.clear()
+            checks.clear()
+            expected = outcome(node_decide_side, _affine_det2(terms), p, q,
+                               r, k_max, start)
+            node_computed, node_checks = computed[:], checks[:]
+            computed.clear()
+            checks.clear()
+            nodes.clear()
+            assert outcome(decide_side, p, q, r, k_max, None, start) == \
+                expected
+            assert computed == node_computed
+            assert checks == node_checks
+            ks = [k for k, _ in computed]
+            assert len(set(ks)) == len(ks)
+            if __debug__:
+                assert set(computed) <= {(k, t) for k, t, _ in checks}
+            at_zero = start == 0 and expected in (Left(0), Right(0))
+            assert len(nodes) == (0 if at_zero else 1)
 
 
 @pytest.mark.parametrize("corrupt, clause", [
