@@ -5,18 +5,19 @@ line is decided through the orientation quantity
 
     orient(P, Q, R) = (x_Q - x_P) * (y_R - y_P) - (x_R - x_P) * (y_Q - y_P)
 
-built as one :func:`~realearn.reals.det2` node over four
-:func:`~realearn.reals.sub` nodes, the differences of the points'
-coordinates, so it adds nothing to any registry: R lies to the left
-of the line through P and Q when the orientation is strictly positive,
-to the right when strictly negative.  The differences ``Q - P`` and
-``R - P`` are the node's operands; decisions about one apex P may
-share them through a dict that the caller owns, and they are dropped
-with that dict.  When both points' coordinates are affine, such as
-blurred ones, the dict keeps each difference as its integer
-``(c, w, l)`` and magnitude exponent, computed once, and the
-orientation of three such points is computed from those integers, with
-no node per difference: its triples are closed forms that read no
+built as one :func:`~realearn.reals.det2` node over the four
+differences of the points' coordinates, so it adds nothing to any
+registry: R lies to the left of the line through P and Q when the
+orientation is strictly positive, to the right when strictly negative.
+The differences ``Q - P`` and ``R - P`` are the node's operands;
+decisions about one apex P may share them through a dict that the
+caller owns, and they are dropped with that dict.  The dict keeps each
+coordinate difference on its own: when both of its coordinates are
+affine, such as blurred ones, as its integer ``(c, w, l)`` and
+magnitude exponent, computed once, else as a
+:func:`~realearn.reals.sub` node.  The orientation of three points
+whose four differences are all integers is computed from them, with no
+node per difference: its triples are closed forms that read no
 coordinate.  A side decision of such points reads the triple at 0 with
 no node at all, and builds one ``det2`` node only when it searches.
 Because strict order of reals is only semi-decidable,
@@ -42,15 +43,16 @@ alone, so an audit of a convex result loads no learner.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Optional, Sequence, Tuple
 
 from ._record import _Record
 from .errors import CertificateFailure, DegenerateInput
 # perfbench/tracing.py wraps op_at on this module
-from .reals import (Measured, RealNum, _affine_det2, _affine_difference,
-                    _affine_magnitude, _check_interval, _det2_at,
-                    _det2_estimate, _det2_terms, det2, find_strict_witness,
-                    least_witness, op_at, sub)
+from .reals import (RealNum, _affine_det2, _affine_difference,
+                    _affine_magnitude, _affine_real, _check_interval,
+                    _det2_at, _det2_estimate, _det2_terms, det2,
+                    find_strict_witness, least_witness, op_at, sub)
 
 
 class Point(_Record):
@@ -84,14 +86,11 @@ class NoWitnessFound(DegenerateInput):
     """A dovetailed witness search exhausted its precision budget."""
 
 
-# (apex index, point index) -> (x difference, y difference): two
-# (c, w, l, e) tuples when all four coordinates are affine, followed by
-# their sub nodes once an orientation beside a node difference has read
-# them, else two sub nodes
-Differences = dict[tuple[int, int],
-                   tuple[Measured, Measured]
-                   | tuple[Measured, Measured, RealNum, RealNum]
-                   | tuple[RealNum, RealNum]]
+# a coordinate difference: its (c, w, l, e) when both coordinates are
+# affine, else a sub node
+Difference = tuple[int, int, int, int] | RealNum
+# (apex index, point index) -> (x difference, y difference)
+Differences = dict[tuple[int, int], tuple[Difference, Difference]]
 
 
 def orientation_real(p: Point, q: Point, r: Point,
@@ -105,64 +104,52 @@ def orientation_real(p: Point, q: Point, r: Point,
     the dict compute each difference once.  The key names the apex, so
     apexes never share a difference; it names points by index, so one
     dict serves the points of one list only.  Left out, a fresh dict is
-    used.  Both differences come in one format (see :func:`_operands`):
-    as integer tuples when all six coordinates are affine, and the node
-    is then the ``det2`` of their :func:`~realearn.reals._det2_terms`,
-    with no node per difference; else as
-    :func:`~realearn.reals.sub` nodes, which orientations sharing the
-    dict share with their cached intervals, and the node is their
-    ``det2``.  Either way it is the ``det2`` of the same differences, so
-    it has the same intervals.  :func:`decide_side` calls it only for
-    points that are not all affine.
+    used.  The node is the ``det2`` of the four coordinate differences
+    (see :func:`_difference`): a ``sub`` node is read as it is, shared
+    with its cached intervals by the orientations that share the dict,
+    and a tuple through its affine real, which reads no coordinate.
+    Either way it has the intervals of the ``det2`` of four ``sub``
+    nodes.  :func:`decide_side` builds the same node, without calling
+    this function, unless all four differences are tuples.
     """
-    dq, dr = _operands(p, q, r, {} if differences is None else differences)
-    if type(dq[0]) is tuple:
-        return _affine_det2(_det2_terms(dq[0], dr[1], dr[0], dq[1]))
-    return det2(dq[0], dr[1], dr[0], dq[1])
+    if differences is None:
+        differences = {}
+    return _orientation(_difference(p, q, differences),
+                        _difference(p, r, differences))
 
 
 def _difference(p: Point, q: Point, differences: Differences):
-    """``(q.x - p.x, q.y - p.y)``, built once per dict: when all four
-    coordinates are affine, as the ``(c, w, l, e)`` of each difference
-    with its magnitude exponent, else as :func:`~realearn.reals.sub`
-    nodes."""
+    """``(q.x - p.x, q.y - p.y)``, built once per dict.  Each coordinate
+    difference is decided on its own: when both of its coordinates are
+    affine it is the ``(c, w, l, e)`` of the difference with its
+    magnitude exponent, else a :func:`~realearn.reals.sub` node."""
     key = (p.index, q.index)
     pair = differences.get(key)
     if pair is None:
-        px, py, qx, qy = p.x._affine, p.y._affine, q.x._affine, q.y._affine
-        if px is None or py is None or qx is None or qy is None:
-            pair = (sub(q.x, p.x), sub(q.y, p.y))
-        else:
-            dx, dy = _affine_difference(qx, px), _affine_difference(qy, py)
-            pair = ((*dx, _affine_magnitude(dx)), (*dy, _affine_magnitude(dy)))
-        differences[key] = pair
+        pair = differences[key] = (_coordinate_difference(q.x, p.x),
+                                   _coordinate_difference(q.y, p.y))
     return pair
 
 
-def _operands(p: Point, q: Point, r: Point, differences: Differences):
-    """The differences ``q - p`` and ``r - p`` of ``differences``, the
-    one decoder of its entries, in one format: their ``(c, w, l, e)``
-    tuples when both are stored as tuples, else both as
-    :func:`~realearn.reals.sub` nodes.  A tuple difference beside a node
-    difference is read through its ``sub`` nodes, built on first use and
-    stored after its tuples, so its entry still serves orientations of
-    affine points."""
-    dq, dr = _difference(p, q, differences), _difference(p, r, differences)
-    if (type(dq[0]) is tuple) == (type(dr[0]) is tuple):
-        return dq, dr
-    return _nodes(p, q, dq, differences), _nodes(p, r, dr, differences)
+def _coordinate_difference(a: RealNum, b: RealNum) -> Difference:
+    if a._affine is None or b._affine is None:
+        return sub(a, b)
+    affine = _affine_difference(a._affine, b._affine)
+    return (*affine, _affine_magnitude(affine))
 
 
-def _nodes(p: Point, q: Point, pair, differences: Differences):
-    """The difference ``pair`` of ``q - p`` as nodes: a tuple
-    difference's ``sub`` nodes are built once per dict and kept after
-    its tuples."""
-    if type(pair[0]) is tuple:
-        if len(pair) == 2:
-            pair = differences[p.index, q.index] = (
-                *pair, sub(q.x, p.x), sub(q.y, p.y))
-        return pair[2:]
-    return pair
+def _orientation(dq, dr) -> RealNum:
+    """The generic ``det2`` of the differences ``dq`` of ``q - p`` and
+    ``dr`` of ``r - p``."""
+    return det2(_node(dq[0]), _node(dr[1]), _node(dr[0]), _node(dq[1]))
+
+
+def _node(difference: Difference) -> RealNum:
+    """A coordinate difference as a node: a tuple through its affine
+    real, which reads no coordinate."""
+    if type(difference) is tuple:
+        return _affine_real(partial(RealNum, None), difference[:3])
+    return difference
 
 
 def decide_side(p: Point, q: Point, r: Point, k_max: int,
@@ -176,16 +163,20 @@ def decide_side(p: Point, q: Point, r: Point, k_max: int,
     constant zero, whose interval is [0, 0] at every k.  The search
     starts at precision ``start``, a guess such as the witness of a
     neighbouring decision; the guess decides which precisions are
-    probed, never the answer.  The orientation is the node of
-    :func:`orientation_real`, whose differences are taken from and
-    stored in ``differences``.
+    probed, never the answer.  The two differences are read once from
+    ``differences``, and built and stored there on a miss, as for
+    :func:`orientation_real`.  Unless all four coordinate differences
+    are tuples, the search runs over the node that
+    :func:`orientation_real` builds from them, built here without
+    calling it.
 
-    Three points with affine coordinates, such as blurred points, take
-    the :func:`~realearn.reals._det2_terms` of their orientation from
-    their differences' tuples, and build no node to read it at 0: from
-    ``start`` 0 the triple at 0 is :func:`~realearn.reals._det2_at` of
-    the terms, checked in debug builds as a node checks its index 0, and
-    a decision witnessed there returns at once.  Otherwise one
+    Three points with affine coordinates, such as blurred points, have
+    four tuple differences.  They take the
+    :func:`~realearn.reals._det2_terms` of their orientation from them,
+    and build no node to read it at 0: from ``start`` 0 the triple at 0
+    is :func:`~realearn.reals._det2_at` of the terms, checked in debug
+    builds as a node checks its index 0, and a decision witnessed there
+    returns at once.  Otherwise one
     :func:`~realearn.reals._affine_det2` node, seeded with that triple,
     is searched from its own estimate of the witness (see
     :func:`~realearn.reals._det2_estimate`).  An orientation whose limit
@@ -195,10 +186,8 @@ def decide_side(p: Point, q: Point, r: Point, k_max: int,
     """
     if differences is None:
         differences = {}
-    dq, dr = _operands(p, q, r, differences)
-    if type(dq[0]) is not tuple:
-        orient, hint = orientation_real(p, q, r, differences), start
-    else:
+    dq, dr = _difference(p, q, differences), _difference(p, r, differences)
+    if tuple is type(dq[0]) is type(dq[1]) is type(dr[0]) is type(dr[1]):
         terms = _det2_terms(dq[0], dr[1], dr[0], dq[1])
         at_zero = None
         if start == 0 and k_max >= 0:
@@ -212,6 +201,8 @@ def decide_side(p: Point, q: Point, r: Point, k_max: int,
         orient = _affine_det2(terms, at_zero)
         # None: the limit is zero, and every interval contains it
         hint = _det2_estimate(terms)
+    else:
+        orient, hint = _orientation(dq, dr), start
 
     def excludes_zero(k: int) -> bool:
         lo, hi, _ = orient._at(k)

@@ -62,10 +62,15 @@ fixed by the coefficients (see :func:`_det2_estimate`).  So the least
 such k is about ``B.bit_length() - |A|.bit_length()``, and ``A == 0``
 means the limit is zero, which every interval contains, so no k
 excludes zero.  A caller that holds the tuples, such as an orientation
-of blurred points, reads a triple with :func:`_det2_at` and no node at
-all, or builds its ``det2`` node from them with :func:`_affine_det2`:
-one node, with none per factor, that reads no real, and that takes the
-triple at 0 when the caller has already read it.
+whose four coordinate differences each have two affine operands,
+reads a triple with :func:`_det2_at` and no node at all, or builds its
+``det2`` node from them with :func:`_affine_det2`: one node, with none
+per factor, that reads no real, and that takes the triple at 0 when
+the caller has already read it.  A caller whose tuples sit beside
+other nodes, such as a coordinate difference beside a :func:`sub`
+node, reads each tuple through its affine real, the node that
+:func:`_affine_real` builds with ``partial(RealNum, None)``, which
+reads no real either, and takes the generic :func:`det2` of them all.
 
 A :class:`RealRegistry` holds the input reals only: its constructors
 register each real under a dense index.  Differences and differences
@@ -364,18 +369,21 @@ def _magnitude_exponent(x: RealNum) -> int:
     return c
 
 
+def _affine_at(affine: Affine, k: int) -> Triple:
+    """The triple at k of the affine real ``affine = (c, w, l)``:
+    ``((c << k) - w, (c << k) + w, l << k)``."""
+    c, w, l = affine
+    return ((c << k) - w, (c << k) + w, l << k)
+
+
 def _affine_real(make: Callable[[Callable[[int], Triple]], RealNum],
                  affine: Affine) -> RealNum:
     """The real that ``make`` builds on the generator of the affine
-    real ``affine = (c, w, l)``: the triple
-    ``((c << k) - w, (c << k) + w, l << k)`` at every k."""
-    c, w, l = affine
-
-    def gen(k: int) -> Triple:
-        centre = c << k
-        return (centre - w, centre + w, l << k)
-
-    real = make(gen)
+    real ``affine``, :func:`_affine_at` of it, with ``affine`` kept in
+    ``_affine``.  ``make`` registers an input real, such as a blurred
+    one, or is ``partial(RealNum, None)`` for a node, such as a
+    coordinate difference of the geometry kept as its tuple."""
+    real = make(partial(_affine_at, affine))
     real._affine = affine
     return real
 

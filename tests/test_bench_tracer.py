@@ -61,6 +61,8 @@ def test_benchmark_tracer_installs_on_the_program():
             tracer.install(modules)
             result = convex.convex_angle(points)
             convex.verify_bounding(points, result.a, result.b, result.c)
+            decided = tracer.calls("geometry.orientation_real")
+            modules["geometry"].orientation_real(*points[:3])
         finally:
             tracer.uninstall()
 
@@ -83,12 +85,12 @@ def test_benchmark_tracer_installs_on_the_program():
                 seen.add(pair)
         assert recalled > result.restarts + 1
         assert tracer.counts["convex.side_decided"] == sides - recalled
-        # the benchmark's side layer sees one orientation node per
-        # decision of rational points; blurred points build theirs from
-        # their differences' tuples, with no orientation_real call
+        # side decisions build their orientations without calling
+        # orientation_real, whatever the points; the one call made
+        # through the patched module is counted, so the wrapper is on
         assert tracer.calls("geometry.decide_side") > 0
-        assert tracer.calls("geometry.orientation_real") == \
-            (0 if blurred else tracer.calls("geometry.decide_side"))
+        assert decided == 0
+        assert tracer.calls("geometry.orientation_real") == 1
     for owner, attrs in originals:
         for attr, value in attrs.items():
             assert vars(owner)[attr] is value, \

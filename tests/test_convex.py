@@ -447,13 +447,10 @@ def mixed_instances():
 
 def test_mixed_trace_digest_is_pinned(monkeypatch):
     # sha256 over the traces of points whose coordinates mix real kinds:
-    # they reach the joins that no all-rational or all-blurred instance
-    # does: a difference with exactly one affine operand, and the generic
-    # difference of two affine operands, built for the affine xs of points
-    # whose ys are not both affine, and once per dict for a difference
-    # kept as (c, w, l, e) tuples that an orientation reads beside a node
-    # difference: 350 of them, pinned (412 when every such orientation
-    # built them again)
+    # they reach the join that no all-rational or all-blurred instance
+    # does, a difference with exactly one affine operand.  A coordinate
+    # difference of two affine operands is kept as its (c, w, l, e)
+    # tuple, so no sub node has two of them
     affine_operands = Counter()
     sub = realearn.geometry.sub
 
@@ -468,51 +465,55 @@ def test_mixed_trace_digest_is_pinned(monkeypatch):
         res = convex_angle(pts, trace=log)
         assert verify_bounding(pts, res.a, res.b, res.c) == res.certificate
         digest.update(log.text.encode())
-    assert affine_operands[1] >= 1000 and affine_operands[2] == 350, \
+    assert affine_operands[1] >= 1000 and affine_operands[2] == 0, \
         affine_operands
     assert digest.hexdigest() == (
         "c9e28eabdc97ef0be6f34f2bcec1b271d1dbbc9640ccff79256f8e463bfeb407")
 
 
 def test_a_dict_builds_each_sub_node_once(monkeypatch):
-    # the Differences dict has one decoder: a difference kept as
-    # (c, w, l, e) tuples that an orientation reads beside a node
-    # difference is built as sub nodes once per dict and stored after its
-    # tuples, so on the mixed instances no dict builds the x or y node of
-    # an (apex, point) key twice, and every difference of two points with
-    # affine coordinates keeps its tuples
-    operands, sub = realearn.geometry._operands, realearn.geometry.sub
-    dicts, current, builds, kept = {}, [], Counter(), Counter()
+    # on the mixed instances no dict builds an (apex, point) key twice,
+    # nor the sub node of one of its coordinate differences, and each
+    # coordinate difference is decided on its own: a (c, w, l, e) tuple
+    # exactly when both of its coordinates are affine, else a sub node
+    difference, sub = realearn.geometry._difference, realearn.geometry.sub
+    dicts, current = {}, []
+    keys, builds, kept = Counter(), Counter(), Counter()
 
-    def recorded_operands(p, q, r, differences):
+    def recorded_difference(p, q, differences):
         # the dicts are kept, so no two of one instance share an id
         dicts.setdefault(id(differences), differences)
         current[:] = [id(differences)]
-        return operands(p, q, r, differences)
+        if (p.index, q.index) not in differences:
+            keys[id(differences), p.index, q.index] += 1
+        return difference(p, q, differences)
 
     def counted_sub(a, b):
         builds[(*current, names[id(b)], names[id(a)])] += 1
         return sub(a, b)
 
-    monkeypatch.setattr(realearn.geometry, "_operands", recorded_operands)
+    monkeypatch.setattr(realearn.geometry, "_difference", recorded_difference)
     monkeypatch.setattr(realearn.geometry, "sub", counted_sub)
     for pts in mixed_instances():
         names = {id(coord): (p.index, axis)
                  for p in pts for axis, coord in (("x", p.x), ("y", p.y))}
         dicts.clear()
+        keys.clear()
         builds.clear()
         res = convex_angle(pts)
         assert verify_bounding(pts, res.a, res.b, res.c) == res.certificate
+        assert max(keys.values()) == 1
         assert max(builds.values(), default=1) == 1
         for differences in dicts.values():
             for (apex, point), entry in differences.items():
-                affine = all(coord._affine is not None
-                             for p in (pts[apex], pts[point])
-                             for coord in (p.x, p.y))
-                assert (type(entry[0]) is tuple) == affine
-                kept[len(entry) if affine else "nodes"] += 1
-    # tuples alone, tuples with their sub nodes, and node differences
-    assert min(kept[2], kept[4], kept["nodes"]) > 0, kept
+                p, q = pts[apex], pts[point]
+                shape = tuple(type(d) is tuple for d in entry)
+                assert shape == tuple(
+                    a._affine is not None and b._affine is not None
+                    for a, b in ((q.x, p.x), (q.y, p.y)))
+                kept[shape] += 1
+    # every pairing of a tuple and a node difference in one entry
+    assert len(kept) == 4 and min(kept.values()) > 0, kept
 
 
 def test_an_attempt_builds_each_difference_once(monkeypatch):

@@ -26,8 +26,8 @@ from realearn.reals import (InvalidNesting, RealNum, _affine_det2,
                             _affine_difference, _affine_magnitude,
                             _det2_estimate, _det2_terms, det2, sub)
 
-from support import (general_position_points, random_table_prefix,
-                     register_points)
+from support import (general_position_points, random_real,
+                     random_table_prefix, register_points)
 
 
 def simple_points(coords, blurred=False):
@@ -138,8 +138,9 @@ def scan_strict_witness(r, s, k_max):
     return None
 
 
-def scan_decide_side(p, q, r, k_max):
-    orient = orientation_real(p, q, r)
+def scan_decide_side(p, q, r, k_max, orient=None):
+    if orient is None:
+        orient = orientation_real(p, q, r)
     zero = RealRegistry().from_rational(0)
     for k in range(k_max + 1):
         if op_at(zero, orient, k):
@@ -334,8 +335,8 @@ def recorded_triples(patch):
 
 
 def node_orientation(p, q, r):
-    """The orientation of three affine points as the generic ``det2``
-    node of their ``sub`` nodes, built from the points' reals."""
+    """The orientation of three points as the generic ``det2`` node of
+    their ``sub`` nodes, built from the points' reals."""
     return det2(sub(q.x, p.x), sub(r.y, p.y), sub(r.x, p.x), sub(q.y, p.y))
 
 
@@ -525,22 +526,39 @@ def test_collinear_limits_raise_without_a_search(monkeypatch, start):
         outcome(scan_decide_side, p, q, r, 64)[1].replace("64", str(k_max))
 
 
-@settings(max_examples=40, deadline=None)
+def drawn_points(coords, kind, seed):
+    """``simple_points`` of one kind, or with each coordinate rational,
+    blurred or a table, drawn as ``support.random_real`` draws it."""
+    if kind != "mixed":
+        return simple_points(coords, blurred=kind == "blurred")
+    reg, rng = RealRegistry(), Random(seed)
+    ys = [random_real(reg, rng, Fraction(y))[0] for _, y in coords]
+    xs = [random_real(reg, rng, Fraction(x))[0] for x, _ in coords]
+    return [Point(i, xs[i], ys[i]) for i in range(len(coords))]
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=3, max_value=6).flatmap(point_sets),
-       st.booleans())
-def test_shared_differences_match_fresh_orientations(coords, blurred):
-    # one dict of differences about apex p serves every (q, r) pair,
-    # and each orientation built from it is the fresh one, level by level
-    p, *others = simple_points(coords, blurred=blurred)
+       st.sampled_from(["rational", "blurred", "mixed"]),
+       st.integers(min_value=0, max_value=2 ** 32))
+def test_shared_differences_match_fresh_orientations(coords, kind, seed):
+    # one dict of differences about apex p serves every (q, r) pair, and
+    # each orientation built from it is the det2 of four sub nodes, level
+    # by level, and decides its side; mixed points may keep the x and the
+    # y difference of one key in different forms
+    p, *others = drawn_points(coords, kind, seed)
     shared = {}
     for q in others:
         for r in others:
             if q is r:
                 continue
+            reference = node_orientation(p, q, r)
             assert outcome(decide_side, p, q, r, 64, shared) == \
-                outcome(decide_side, p, q, r, 64)
+                outcome(decide_side, p, q, r, 64) == \
+                outcome(scan_decide_side, p, q, r, 64, reference)
             together = orientation_real(p, q, r, shared)
             alone = orientation_real(p, q, r)
             assert [together._at(k) for k in range(81)] == \
-                [alone._at(k) for k in range(81)]
+                [alone._at(k) for k in range(81)] == \
+                [reference._at(k) for k in range(81)]
     assert set(shared) == {(p.index, q.index) for q in others}
