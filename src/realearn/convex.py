@@ -34,10 +34,16 @@ state with it and restarts the whole construction.  An attempt decides
 each pair of points once: orientation(A, R, Q) is the exact negation of
 orientation(A, Q, R), so a reversed query keeps the witness.
 
-An attempt keeps its side decisions in one table keyed by pair, and
-the only other thing it keeps is the list of points found inside.  At
-accept the certificate, :class:`BoundingCertificate`, is read from that
-table: each of its witnesses is the witness of a ``side`` event the
+An attempt keeps its side decisions in one table of ints, one entry
+per unordered pair {q, r}, keyed ``min * (n + 1) + max``.  The entry is
+a code: the witness w when the pair's side, seen from (min, max), is
+left, and ``~w`` when it is right, so a code >= 0 reads as left and a
+reversed query flips the code with ``~``.  The attempt reads its sides
+as these codes and builds no :class:`~realearn.geometry.Left` or
+:class:`~realearn.geometry.Right` for them.  The only other thing it
+keeps is the list of points found inside.  At accept the certificate,
+:class:`BoundingCertificate`, is read from that table, each witness
+decoded from its code: each is the witness of a ``side`` event the
 attempt recorded about that pair, against the final rays.  The
 certificate and its independent audit :func:`verify_bounding` live in
 :mod:`~realearn.geometry` and are re-exported here.
@@ -46,7 +52,7 @@ certificate and its independent audit :func:`verify_bounding` live in
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Union
 
 from ._record import _Record
 from .geometry import (
@@ -54,8 +60,6 @@ from .geometry import (
     Differences,
     Left,
     Point,
-    Right,
-    SideDecision,
     _check_point_layout,
     decide_side,
     orientation_real,  # perfbench/tracing.py wraps it here; unused
@@ -69,11 +73,6 @@ from .least import LeastCandidate, learn, least_candidate
 from .trace import TraceLog, _event_line, _state_line
 
 
-# Side 0 is the ray A->B, side 1 the ray A->C; a point is inside the
-# angle when it lies on the inner side of both.
-_INNER = (Left, Right)
-_MIRROR = {Left: Right, Right: Left}
-_SIDE_NAME = {Left: "left", Right: "right"}
 # a scanned point's case, by the sides it lies on the wrong side of
 _SCAN_CASE = {(): "keep", (0,): "new-b", (1,): "new-c", (0, 1): "blocked"}
 
@@ -117,47 +116,60 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
                 restarts: int) -> Union[ConvexAngleResult, Falsified]:
         a = cand.candidate
         log.defer(_state_line, "select-A", state, ("candidate",), a)
-        # the attempt's differences and side decisions, dropped with it
+        # the attempt's differences and side codes, dropped with it
         differences: Differences = {}
-        decided: Dict[Tuple[int, int], SideDecision] = {}
+        decided: Dict[int, int] = {}
 
-        def side(q: int, r: int, stage: str) -> SideDecision:
+        def side(q: int, r: int, stage: str) -> int:
             """Record P_r's side of A->P_q as a ``side`` event, deciding
-            it unless the attempt decided the pair before: reversed, the
-            side flips and the witness stays.  The search is given the
-            witness of the last side recorded as its start."""
+            it unless the attempt decided the pair before, and return its
+            code: the witness w when P_r is left, ``~w`` when right.  The
+            pair {q, r} is stored once, keyed ``min * (n + 1) + max``,
+            with its code seen from (min, max): reversed, the side flips
+            and the witness stays, so the code flips with ``~``.  The
+            search is given the witness of the last side recorded as its
+            start."""
             nonlocal last
-            decision = decided.get((q, r))
-            if decision is None:
-                decision = decided[q, r] = decide_side(
-                    points[a], points[q], points[r], k_max, differences, last)
-                decided[r, q] = _MIRROR[type(decision)](decision.witness)
-            last = decision.witness
+            flip = q > r
+            key = r * (n + 1) + q if flip else q * (n + 1) + r
+            code = decided.get(key)
+            if code is None:
+                decision = decide_side(points[a], points[q], points[r], k_max,
+                                       differences, last)
+                code = decision.witness
+                if type(decision) is not Left:
+                    code = ~code
+                decided[key] = ~code if flip else code
+            elif flip:
+                code = ~code
+            last = code if code >= 0 else ~code
             log.defer(_event_line, "side",
                       ("stage", "line", "point", "side", "witness"), stage,
-                      (a, q), r, _SIDE_NAME[type(decision)], decision.witness)
-            return decision
+                      (a, q), r, "left" if code >= 0 else "right", last)
+            return code
 
         rest = [i for i in range(n + 1) if i != a]
         ray = [rest[0], rest[1]]
-        swapped = isinstance(side(ray[1], ray[0], "init"), Left)
+        swapped = side(ray[1], ray[0], "init") >= 0
         if swapped:
             ray.reverse()
         # the mutual pair is the init pair, both ways round
         b_right = side(ray[1], ray[0], "mutual")
         c_left = side(ray[0], ray[1], "mutual")
-        assert isinstance(c_left, Left) and isinstance(b_right, Right), \
-            "rays not ordered after swap"
+        assert c_left >= 0 > b_right, "rays not ordered after swap"
         log.defer(_event_line, "init-BC",
                   ("b", "c", "swapped", "b_right_witness", "c_left_witness"),
-                  ray[0], ray[1], swapped, b_right.witness, c_left.witness)
+                  ray[0], ray[1], swapped, ~b_right, c_left)
 
         # the points certified inside the angle; their witnesses are in
-        # decided, against whichever rays the scan ends with
+        # decided, against whichever rays the scan ends with.  Side 0 is
+        # the ray A->B, side 1 the ray A->C; a point is inside the angle
+        # when it lies on the inner side of both: left of A->B, a code
+        # >= 0, and right of A->C, a code < 0
         inside = []
         for d in rest[2:]:
             wrong = [s for s in (0, 1)
-                     if not isinstance(side(ray[s], d, "scan"), _INNER[s])]
+                     if (side(ray[s], d, "scan") >= 0) == s]
             log.defer(_event_line, "scan", ("d", "case"), d,
                       _SCAN_CASE[tuple(wrong)])
             if not wrong:
@@ -182,24 +194,29 @@ def convex_angle(points: Sequence[Point], k_max: int = 256,
             old = ray[s]
             ray[s] = d
             moved = side(d, old, "rescan")
-            assert isinstance(moved, _INNER[s]), "replaced ray not inside new ray"
+            assert (moved >= 0) != s, "replaced ray not inside new ray"
             other = side(d, ray[1 - s], "mutual")
-            assert isinstance(other, _INNER[s]), "other ray not inside new ray"
+            assert (other >= 0) != s, "other ray not inside new ray"
             for prior in sorted(inside):
                 redo = side(d, prior, "rescan")
-                assert isinstance(redo, _INNER[s]), "point not inside new ray"
+                assert (redo >= 0) != s, "point not inside new ray"
             inside.append(old)
 
         # no point blocked the scan: accept, with the certificate read
-        # from the side decisions the attempt recorded
+        # from the side codes the attempt recorded, decoded
         b, c = ray
         inside.sort()
         assert set(inside) == set(range(n + 1)) - {a, b, c}, \
             "certificate does not cover all points"
+
+        def witness(q: int, r: int) -> int:
+            code = decided[min(q, r) * (n + 1) + max(q, r)]
+            return code if code >= 0 else ~code
+
         certificate = BoundingCertificate(
-            a=a, b=b, c=c, left={d: decided[b, d].witness for d in inside},
-            right={d: decided[c, d].witness for d in inside},
-            c_left=decided[b, c].witness, b_right=decided[c, b].witness)
+            a=a, b=b, c=c, left={d: witness(b, d) for d in inside},
+            right={d: witness(c, d) for d in inside},
+            c_left=witness(b, c), b_right=witness(c, b))
         log.defer(_state_line, "accept", state, ("a", "b", "c", "restarts"),
                   a, b, c, restarts)
         return ConvexAngleResult(a, b, c, certificate, state, restarts, log)

@@ -51,7 +51,7 @@ from .errors import CertificateFailure, DegenerateInput
 # perfbench/tracing.py wraps op_at on this module
 from .reals import (RealNum, _affine_det2, _affine_difference,
                     _affine_magnitude, _affine_real, _check_interval,
-                    _det2_at, _det2_estimate, _det2_terms, det2,
+                    _det2_at_zero, _det2_estimate, _det2_terms, det2,
                     find_strict_witness, least_witness, op_at, sub)
 
 
@@ -146,9 +146,12 @@ def _orientation(dq, dr) -> RealNum:
 
 def _node(difference: Difference) -> RealNum:
     """A coordinate difference as a node: a tuple through its affine
-    real, which reads no coordinate."""
+    real, which reads no coordinate and takes its magnitude exponent
+    from the tuple's ``e``, so :func:`~realearn.reals.det2` does not
+    read its index 0."""
     if type(difference) is tuple:
-        return _affine_real(partial(RealNum, None), difference[:3])
+        return _affine_real(partial(RealNum, None), difference[:3],
+                            difference[3])
     return difference
 
 
@@ -171,14 +174,15 @@ def decide_side(p: Point, q: Point, r: Point, k_max: int,
     calling it.
 
     Three points with affine coordinates, such as blurred points, have
-    four tuple differences.  They take the
-    :func:`~realearn.reals._det2_terms` of their orientation from them,
-    and build no node to read it at 0: from ``start`` 0 the triple at 0
-    is :func:`~realearn.reals._det2_at` of the terms, checked in debug
-    builds as a node checks its index 0, and a decision witnessed there
-    returns at once.  Otherwise one
-    :func:`~realearn.reals._affine_det2` node, seeded with that triple,
-    is searched from its own estimate of the witness (see
+    four tuple differences, and build no node to read their orientation
+    at 0: from ``start`` 0 the triple at 0 is
+    :func:`~realearn.reals._det2_at_zero` of the four tuples, read
+    straight from them with no terms, checked in debug builds as a node
+    checks its index 0, and a decision witnessed there returns at once.
+    Otherwise the decision takes the
+    :func:`~realearn.reals._det2_terms` of the tuples, and one
+    :func:`~realearn.reals._affine_det2` node of them, seeded with that
+    triple, is searched from its own estimate of the witness (see
     :func:`~realearn.reals._det2_estimate`).  An orientation whose limit
     is zero, the orientation of collinear limits, has no estimate and no
     witness at any precision, so it raises :class:`DegenerateInput`
@@ -187,17 +191,18 @@ def decide_side(p: Point, q: Point, r: Point, k_max: int,
     if differences is None:
         differences = {}
     dq, dr = _difference(p, q, differences), _difference(p, r, differences)
-    if tuple is type(dq[0]) is type(dq[1]) is type(dr[0]) is type(dr[1]):
-        terms = _det2_terms(dq[0], dr[1], dr[0], dq[1])
+    (xq, yq), (xr, yr) = dq, dr
+    if tuple is type(xq) is type(yq) is type(xr) is type(yr):
         at_zero = None
         if start == 0 and k_max >= 0:
-            at_zero = _det2_at(terms, 0)
+            at_zero = _det2_at_zero(xq, yr, xr, yq)
             if __debug__:
                 _check_interval(0, at_zero, None)
             if at_zero[0] > 0:
                 return Left(0)
             if at_zero[1] < 0:
                 return Right(0)
+        terms = _det2_terms(xq, yr, xr, yq)
         orient = _affine_det2(terms, at_zero)
         # None: the limit is zero, and every interval contains it
         hint = _det2_estimate(terms)

@@ -12,11 +12,12 @@ denominator, which is a power of two for dyadic inputs and whatever
 the rationals need otherwise.  A difference, :func:`sub`, puts its
 operands over the lcm of the two denominators, and operands over one
 ``d`` keep it.  The one other node, :func:`det2`, is the difference of
-two products ``a*b - c*d``.  It multiplies its factors' numerators and
-denominators; a product's endpoints are the min and max of the four
-endpoint products, and when neither factor straddles zero the signs say
-which two products those are, so only those two are taken.  It joins
-the two products as :func:`sub` joins its operands.  Comparisons
+two products ``a*b - c*d``.  It multiplies its factors' denominators
+itself, and :func:`_product` gives the numerators, from the four
+integer endpoints: the min and max of the four endpoint products, and
+when neither factor straddles zero the signs say which two products
+those are, so only those two are taken.  It joins the two products as
+:func:`sub` joins its operands.  Comparisons
 cross-multiply.  Nothing is rounded and nothing is normalised, so each
 triple equals, as a pair of rationals, the interval that
 :class:`fractions.Fraction` arithmetic would give.
@@ -40,9 +41,10 @@ two affine reals.  Read at ``k + 1``, the operands' denominators are
 ``l1 << (k+1)`` and ``l2 << (k+1)``, whose gcd is ``g << (k+1)`` for
 ``g = gcd(l1, l2)``.  So the join's scale factors ``sa = l2/g`` and
 ``sb = l1/g`` (both 1 when ``l1 == l2``, which is when the two
-denominators are equal) do not depend on k, and the difference is the
-affine real ``(2(c1*sa - c2*sb), w1*sa + w2*sb, 2*l1*sa)``: the same
-integers as the join of the operands' triples, and again ``2w <= l``.
+denominators are equal, so that case takes no gcd) do not depend on
+k, and the difference is the affine real
+``(2(c1*sa - c2*sb), w1*sa + w2*sb, 2*l1*sa)``: the same integers as
+the join of the operands' triples, and again ``2w <= l``.
 :func:`_affine_magnitude` gives an affine real's magnitude exponent.
 
 :func:`_det2_terms` gives the integers of a ``det2`` of four affine
@@ -54,8 +56,12 @@ for ``P = (l_a * l_b) << 2 * s_ab`` and ``Q = (l_c * l_d) << 2 * s_cd``.
 Their gcd is ``gcd(P, Q) << 2k``, so the scale factors that join the
 products, ``Q / gcd(P, Q)`` and ``P / gcd(P, Q)``, do not depend on k
 and are computed once, and the joined triple is the one the factors'
-triples give.  The same integers also say where the interval first
-excludes zero: with ``t = 2**k``, its numerators' centre grows like
+triples give.  Nor do the products' own denominators enter it: the
+factors' endpoints go to :func:`_product` as plain integers.  At 0 the
+shifts are ``s_ab`` and ``s_cd`` and the denominator is ``lcm(P, Q)``,
+so :func:`_det2_at_zero` reads that triple straight from the four
+tuples, with no terms.  The same integers also say where the interval
+first excludes zero: with ``t = 2**k``, its numerators' centre grows like
 ``A * t**2`` and their half-width like ``B * t``, for integers ``A``,
 the numerator of the limit over the denominator at 0, and ``B``, both
 fixed by the coefficients (see :func:`_det2_estimate`).  So the least
@@ -63,14 +69,16 @@ such k is about ``B.bit_length() - |A|.bit_length()``, and ``A == 0``
 means the limit is zero, which every interval contains, so no k
 excludes zero.  A caller that holds the tuples, such as an orientation
 whose four coordinate differences each have two affine operands,
-reads a triple with :func:`_det2_at` and no node at all, or builds its
-``det2`` node from them with :func:`_affine_det2`: one node, with none
-per factor, that reads no real, and that takes the triple at 0 when
-the caller has already read it.  A caller whose tuples sit beside
-other nodes, such as a coordinate difference beside a :func:`sub`
-node, reads each tuple through its affine real, the node that
-:func:`_affine_real` builds with ``partial(RealNum, None)``, which
-reads no real either, and takes the generic :func:`det2` of them all.
+reads the triple at 0 with :func:`_det2_at_zero` and no node at all,
+or builds its ``det2`` node from their terms with
+:func:`_affine_det2`: one node, with none per factor, that reads no
+real, and that takes the triple at 0 when the caller has already read
+it.  A caller whose tuples sit beside other nodes, such as a
+coordinate difference beside a :func:`sub` node, reads each tuple
+through its affine real, the node that :func:`_affine_real` builds
+with ``partial(RealNum, None)``, which reads no real either and takes
+its magnitude exponent from the tuple's ``e``, and takes the generic
+:func:`det2` of them all.
 
 A :class:`RealRegistry` holds the input reals only: its constructors
 register each real under a dense index.  Differences and differences
@@ -200,14 +208,17 @@ class RealNum:
     generator that :meth:`RealRegistry.from_generator` wraps it in.
     The magnitude exponent that :func:`det2` reads from index 0 is
     cached in ``_magnitude`` once computed, so a node shared by many
-    products reads it once.  An affine real (see the module docstring),
-    such as a blurred one, keeps its ``(c, w, l)`` in ``_affine``, which
-    is None for every other real: :func:`op_at` and
-    :func:`find_strict_witness` compare two affine reals from it in
-    closed form, and a caller of the tuple functions reads it in place
-    of the real, while :func:`sub` and :func:`det2` read the real's
-    triples.  An :func:`_affine_det2` node may start with its triple at
-    0 in the cache, read and checked by the caller that built it.
+    products reads it once; an affine real whose builder holds it,
+    such as a coordinate difference kept as its ``(c, w, l, e)``,
+    starts with it there and is not read at 0 for it.  An affine real
+    (see the module docstring), such as a blurred one, keeps its
+    ``(c, w, l)`` in ``_affine``, which is None for every other real:
+    :func:`op_at` and :func:`find_strict_witness` compare two affine
+    reals from it in closed form, and a caller of the tuple functions
+    reads it in place of the real, while :func:`sub` and :func:`det2`
+    read the real's triples.  An :func:`_affine_det2` node may start
+    with its triple at 0 in the cache, read and checked by the caller
+    that built it.
     """
 
     __slots__ = ("index", "_gen", "_cache", "_magnitude", "_affine")
@@ -377,14 +388,18 @@ def _affine_at(affine: Affine, k: int) -> Triple:
 
 
 def _affine_real(make: Callable[[Callable[[int], Triple]], RealNum],
-                 affine: Affine) -> RealNum:
+                 affine: Affine, magnitude: Optional[int] = None) -> RealNum:
     """The real that ``make`` builds on the generator of the affine
     real ``affine``, :func:`_affine_at` of it, with ``affine`` kept in
     ``_affine``.  ``make`` registers an input real, such as a blurred
     one, or is ``partial(RealNum, None)`` for a node, such as a
-    coordinate difference of the geometry kept as its tuple."""
+    coordinate difference of the geometry kept as its tuple.  A caller
+    that holds the real's magnitude exponent, :func:`_affine_magnitude`
+    of ``affine``, such as the ``e`` of that tuple, passes it as
+    ``magnitude``: it is kept in ``_magnitude``, so :func:`det2` does
+    not read index 0 for it."""
     real = make(partial(_affine_at, affine))
-    real._affine = affine
+    real._affine, real._magnitude = affine, magnitude
     return real
 
 
@@ -500,9 +515,11 @@ class RealRegistry(Sequence[RealNum]):
 def _affine_difference(a: Affine, b: Affine) -> Affine:
     """The ``(c, w, l)`` of ``a - b`` for two affine reals: the triple
     at every k that :func:`sub` joins from the operands' triples at
-    k + 1."""
+    k + 1.  Equal denominators need no lcm: the scale factors are 1."""
     c1, w1, l1 = a
     c2, w2, l2 = b
+    if l1 == l2:
+        return (2 * (c1 - c2), w1 + w2, 2 * l1)
     sa, sb, l = _over_lcm(l1, l2)
     return (2 * (c1 * sa - c2 * sb), w1 * sa + w2 * sb, 2 * l)
 
@@ -531,25 +548,24 @@ def sub(a: RealNum, b: RealNum) -> RealNum:
     return RealNum(None, gen)
 
 
-def _product(a: Triple, b: Triple) -> Triple:
-    """The triple of the interval product of two triples: the min and
-    max of the four endpoint products over ``ad * bd``.  When neither
-    operand straddles zero, the signs name those two products and only
-    they are computed."""
-    alo, ahi, ad = a
-    blo, bhi, bd = b
+def _product(alo: int, ahi: int, blo: int, bhi: int) -> Tuple[int, int]:
+    """The ``(lo, hi)`` numerators of the interval product of
+    ``[alo, ahi]`` and ``[blo, bhi]`` over the product of their
+    denominators: the min and max of the four endpoint products.  When
+    neither operand straddles zero, the signs name those two products
+    and only they are computed."""
     if alo >= 0:
         if blo >= 0:
-            return (alo * blo, ahi * bhi, ad * bd)
+            return alo * blo, ahi * bhi
         if bhi <= 0:
-            return (ahi * blo, alo * bhi, ad * bd)
+            return ahi * blo, alo * bhi
     elif ahi <= 0:
         if blo >= 0:
-            return (alo * bhi, ahi * blo, ad * bd)
+            return alo * bhi, ahi * blo
         if bhi <= 0:
-            return (ahi * bhi, alo * blo, ad * bd)
+            return ahi * bhi, alo * blo
     products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-    return (min(products), max(products), ad * bd)
+    return min(products), max(products)
 
 
 def _det2_terms(a: Measured, b: Measured, c: Measured,
@@ -562,10 +578,8 @@ def _det2_terms(a: Measured, b: Measured, c: Measured,
     ``sq`` and ``dd = lcm(P, Q)`` come from ``_over_lcm(P, Q)`` once, and
     the denominator at k is ``dd << 2k``.  The terms are
     ``(ca, wa, cb, wb, s_ab, sp, cc, wc, cd, wd, s_cd, sq, dd)``."""
-    ca, wa, la, ea = a
-    cb, wb, lb, eb = b
-    cc, wc, lc, ec = c
-    cd, wd, ld, ed = d
+    (ca, wa, la, ea), (cb, wb, lb, eb) = a, b
+    (cc, wc, lc, ec), (cd, wd, ld, ed) = c, d
     s_ab, s_cd = ea + eb + 3, ec + ed + 3
     sp, sq, dd = _over_lcm(la * lb << 2 * s_ab, lc * ld << 2 * s_cd)
     return (ca, wa, cb, wb, s_ab, sp, cc, wc, cd, wd, s_cd, sq, dd)
@@ -573,17 +587,31 @@ def _det2_terms(a: Measured, b: Measured, c: Measured,
 
 def _det2_at(terms: Tuple[int, ...], k: int) -> Triple:
     """The triple at k of the :func:`det2` node of :func:`_det2_terms`:
-    the factors' triples at their shifts, computed from ``(c, w, l)``,
-    their :func:`_product` pairs, and the join.  The products' own
-    denominators are not needed, so the factor triples carry 1 in their
-    place."""
+    the factors' endpoints at their shifts, computed from ``(c, w, l)``,
+    their :func:`_product` numerators, and the join."""
     ca, wa, cb, wb, s_ab, sp, cc, wc, cd, wd, s_cd, sq, dd = terms
     k_ab, k_cd = k + s_ab, k + s_cd
     x, y = ca << k_ab, cb << k_ab
-    lo, hi, _ = _product((x - wa, x + wa, 1), (y - wb, y + wb, 1))
+    lo, hi = _product(x - wa, x + wa, y - wb, y + wb)
     x, y = cc << k_cd, cd << k_cd
-    qlo, qhi, _ = _product((x - wc, x + wc, 1), (y - wd, y + wd, 1))
+    qlo, qhi = _product(x - wc, x + wc, y - wd, y + wd)
     return (lo * sp - qhi * sq, hi * sp - qlo * sq, dd << 2 * k)
+
+
+def _det2_at_zero(a: Measured, b: Measured, c: Measured,
+                  d: Measured) -> Triple:
+    """``_det2_at(_det2_terms(a, b, c, d), 0)``, integer for integer,
+    read straight from the four ``(c, w, l, e)``: at 0 the factors'
+    shifts are ``s_ab`` and ``s_cd`` and the denominator is ``dd``."""
+    (ca, wa, la, ea), (cb, wb, lb, eb) = a, b
+    (cc, wc, lc, ec), (cd, wd, ld, ed) = c, d
+    s_ab, s_cd = ea + eb + 3, ec + ed + 3
+    sp, sq, dd = _over_lcm(la * lb << 2 * s_ab, lc * ld << 2 * s_cd)
+    x, y = ca << s_ab, cb << s_ab
+    lo, hi = _product(x - wa, x + wa, y - wb, y + wb)
+    x, y = cc << s_cd, cd << s_cd
+    qlo, qhi = _product(x - wc, x + wc, y - wd, y + wd)
+    return (lo * sp - qhi * sq, hi * sp - qlo * sq, dd)
 
 
 def _det2_estimate(terms: Tuple[int, ...]) -> Optional[int]:
@@ -624,23 +652,25 @@ def _affine_det2(terms: Tuple[int, ...],
 def det2(a: RealNum, b: RealNum, c: RealNum, d: RealNum) -> RealNum:
     """The node a * b - c * d as one node.
 
-    At every k each product is the :func:`_product` of its factors read
-    at ``k + c_x + c_y + 3``, where ``2**c_x`` bounds ``|x|`` (see
-    :func:`_magnitude_exponent`), and the two products are joined by
-    :func:`_join`.  Width bound: each factor interval at ``k + s`` has
-    width at most ``2**-(k+s)`` and magnitude at most ``2**c_x``, so
-    each product has width at most
-    ``(2**c_x + 2**c_y) * 2**-(k+s) <= 2**-(k+2)`` and the difference
-    at most ``2**-(k+1)``.  Affine factors are read like any other: over
-    four of them the node's triples are :func:`_det2_at` of their
-    :func:`_det2_terms`, which :func:`_affine_det2` builds a node on
-    without reading the factors.
+    At every k each product is the :func:`_product` of its factors'
+    endpoints read at ``k + c_x + c_y + 3``, where ``2**c_x`` bounds
+    ``|x|`` (see :func:`_magnitude_exponent`), over the product of their
+    denominators, and the two products are joined by :func:`_join`.
+    Width bound: each factor interval at ``k + s`` has width at most
+    ``2**-(k+s)`` and magnitude at most ``2**c_x``, so each product has
+    width at most ``(2**c_x + 2**c_y) * 2**-(k+s) <= 2**-(k+2)`` and the
+    difference at most ``2**-(k+1)``.  Affine factors are read like any
+    other: over four of them the node's triples are :func:`_det2_at` of
+    their :func:`_det2_terms`, which :func:`_affine_det2` builds a node
+    on without reading the factors.
     """
     s_ab = _magnitude_exponent(a) + _magnitude_exponent(b) + 3
     s_cd = _magnitude_exponent(c) + _magnitude_exponent(d) + 3
 
     def gen(k: int) -> Triple:
-        return _join(_product(a._at(k + s_ab), b._at(k + s_ab)),
-                     _product(c._at(k + s_cd), d._at(k + s_cd)))
+        (alo, ahi, ad), (blo, bhi, bd) = a._at(k + s_ab), b._at(k + s_ab)
+        (clo, chi, cd), (dlo, dhi, dd) = c._at(k + s_cd), d._at(k + s_cd)
+        return _join((*_product(alo, ahi, blo, bhi), ad * bd),
+                     (*_product(clo, chi, dlo, dhi), cd * dd))
 
     return RealNum(None, gen)

@@ -27,7 +27,7 @@ from realearn import (
 from realearn.geometry import RationalPoint
 from realearn.oracle import (exact_convex_check, exact_orientation,
                              separation_from_gap)
-from realearn.reals import det2, sub
+from realearn.reals import _affine_magnitude, det2, sub
 from realearn.trace import read_trace
 
 from support import (StringTrace, count_trace_builds, general_position_points,
@@ -516,6 +516,31 @@ def test_a_dict_builds_each_sub_node_once(monkeypatch):
     assert len(kept) == 4 and min(kept.values()) > 0, kept
 
 
+def test_a_tuple_node_reads_no_triple_at_zero(monkeypatch):
+    # a generic side decision reads a tuple coordinate difference
+    # through its affine real, which carries the tuple's magnitude
+    # exponent e: det2 takes it from there, so on the mixed instances no
+    # such real computes its triple at 0 (1,263 did when det2 read it)
+    node = realearn.geometry._node
+    tuple_nodes = []
+
+    def recorded_node(difference):
+        real = node(difference)
+        if type(difference) is tuple:
+            tuple_nodes.append((difference, real))
+        return real
+
+    monkeypatch.setattr(realearn.geometry, "_node", recorded_node)
+    for pts in mixed_instances():
+        res = convex_angle(pts)
+        assert verify_bounding(pts, res.a, res.b, res.c) == res.certificate
+    assert len(tuple_nodes) >= 700
+    for difference, real in tuple_nodes:
+        assert real._magnitude == difference[3] == \
+            _affine_magnitude(difference[:3])
+        assert real._cache and 0 not in real._cache
+
+
 def test_an_attempt_builds_each_difference_once(monkeypatch):
     # apex 0 is the lowest point, so the first attempt is accepted; it
     # needs one x and one y difference per other point, each a (c, w, l)
@@ -574,6 +599,7 @@ def test_deep8_evaluates_few_arithmetic_nodes(monkeypatch):
     pts = deep8_points()
     evaluations = Counter()
     at, det2_at = RealNum._at, realearn.reals._det2_at
+    det2_at_zero = realearn.reals._det2_at_zero
 
     def counted_at(real, k):
         if k not in real._cache:
@@ -584,13 +610,15 @@ def test_deep8_evaluates_few_arithmetic_nodes(monkeypatch):
         evaluations["orientation"] += 1
         return det2_at(terms, k)
 
-    def node_free_det2_at(terms, k):
+    def node_free_det2_at_zero(*factors):
         evaluations["node-free"] += 1
-        return counted_det2_at(terms, k)
+        evaluations["orientation"] += 1
+        return det2_at_zero(*factors)
 
     monkeypatch.setattr(RealNum, "_at", counted_at)
     monkeypatch.setattr(realearn.reals, "_det2_at", counted_det2_at)
-    monkeypatch.setattr(realearn.geometry, "_det2_at", node_free_det2_at)
+    monkeypatch.setattr(realearn.geometry, "_det2_at_zero",
+                        node_free_det2_at_zero)
     res = convex_angle(pts)
     assert verify_bounding(pts, res.a, res.b, res.c) == res.certificate
     assert (res.a, res.b, res.c, res.restarts) == (4, 7, 2, 1)

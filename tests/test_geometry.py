@@ -320,17 +320,22 @@ def test_the_estimated_start_gives_the_scanned_witness(coords, k_max):
 def recorded_triples(patch):
     """The ``(k, triple)`` of each orientation triple that a side
     decision of affine points computes, in order, through ``patch``:
-    the node-free read at 0 in ``geometry`` and a node's intervals in
-    ``reals``."""
+    the node-free read at 0 from the four tuples in ``geometry``, as
+    ``(0, triple)``, and a node's intervals in ``reals``."""
     computed = []
     det2_at = realearn.reals._det2_at
+    det2_at_zero = realearn.reals._det2_at_zero
 
     def recorded(terms, k):
         computed.append((k, det2_at(terms, k)))
         return computed[-1][1]
 
-    for module in (realearn.reals, realearn.geometry):
-        patch.setattr(module, "_det2_at", recorded)
+    def recorded_at_zero(*factors):
+        computed.append((0, det2_at_zero(*factors)))
+        return computed[-1][1]
+
+    patch.setattr(realearn.reals, "_det2_at", recorded)
+    patch.setattr(realearn.geometry, "_det2_at_zero", recorded_at_zero)
     return computed
 
 
@@ -427,21 +432,35 @@ def test_a_side_read_at_zero_is_the_nodes(coords, k_max):
     # of the points' sub nodes; from every start the decision computes
     # and checks the triples that the same search over one unseeded
     # affine node computes and checks, with the same outers, in the same
-    # order, and no k twice; it builds a node only when it searches
+    # order, and no k twice; it builds a node, its terms, and any triple
+    # from them only when it searches
     p, q, r = simple_points(coords, blurred=True)
     terms = tuple_terms(p, q, r)
     assert realearn.reals._det2_at(terms, 0) == \
         orientation_real(p, q, r)._at(0) == node_orientation(p, q, r)._at(0)
-    nodes = []
+    nodes, built_terms, node_reads = [], [], []
     affine_det2 = realearn.geometry._affine_det2
+    det2_terms = realearn.geometry._det2_terms
 
     def counted_affine_det2(*args):
         nodes.append(args)
         return affine_det2(*args)
 
+    def counted_det2_terms(*args):
+        built_terms.append(args)
+        return det2_terms(*args)
+
     with pytest.MonkeyPatch.context() as patch:
         computed, checks = recorded_triples(patch), recorded_checks(patch)
+        recorded_at = realearn.reals._det2_at
+
+        def counted_det2_at(terms, k):
+            node_reads.append(k)
+            return recorded_at(terms, k)
+
+        patch.setattr(realearn.reals, "_det2_at", counted_det2_at)
         patch.setattr(realearn.geometry, "_affine_det2", counted_affine_det2)
+        patch.setattr(realearn.geometry, "_det2_terms", counted_det2_terms)
         for start in range(81):
             computed.clear()
             checks.clear()
@@ -451,6 +470,8 @@ def test_a_side_read_at_zero_is_the_nodes(coords, k_max):
             computed.clear()
             checks.clear()
             nodes.clear()
+            built_terms.clear()
+            node_reads.clear()
             assert outcome(decide_side, p, q, r, k_max, None, start) == \
                 expected
             assert computed == node_computed
@@ -460,7 +481,9 @@ def test_a_side_read_at_zero_is_the_nodes(coords, k_max):
             if __debug__:
                 assert set(computed) <= {(k, t) for k, t, _ in checks}
             at_zero = start == 0 and expected in (Left(0), Right(0))
-            assert len(nodes) == (0 if at_zero else 1)
+            assert len(nodes) == len(built_terms) == (0 if at_zero else 1)
+            if at_zero:
+                assert node_reads == []
 
 
 @pytest.mark.parametrize("corrupt, clause", [

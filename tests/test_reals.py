@@ -20,8 +20,9 @@ from realearn import (
 from realearn.oracle import separation_from_gap
 from realearn.reals import (_affine_det2, _affine_difference, _affine_gap,
                             _affine_magnitude, _affine_real, _det2_at,
-                            _det2_terms, _fraction, _magnitude_exponent,
-                            _over_lcm, _product, det2, sub)
+                            _det2_at_zero, _det2_terms, _fraction,
+                            _magnitude_exponent, _over_lcm, _product, det2,
+                            sub)
 
 from support import random_real, random_table_prefix
 
@@ -389,13 +390,20 @@ SIGNED = {
     ("negative", "straddling", False), ("zero", "positive", False)])
 @pytest.mark.parametrize("k", [0, 7, 40])
 def test_sums_give_the_lcm_triple(left, right, equal, k):
+    # over equal denominators too, which the closed-form difference of
+    # two affine reals joins with no lcm: the same integers
     reg = RealRegistry()
     a, b = SIGNED[left](reg), SIGNED[right](reg)
     alo, ahi, ad = a._at(k + 1)
     blo, bhi, bd = b._at(k + 1)
     sa, sb, d = _over_lcm(ad, bd)
     assert (ad == bd) == equal
-    assert sub(a, b)._at(k) == (alo * sa - bhi * sb, ahi * sa - blo * sb, d)
+    triple = (alo * sa - bhi * sb, ahi * sa - blo * sb, d)
+    assert sub(a, b)._at(k) == triple
+    if a._affine is not None and b._affine is not None:
+        assert (a._affine[2] == b._affine[2]) == equal
+        assert affine_triple(_affine_difference(a._affine, b._affine),
+                             k) == triple
 
 
 def difference_tree(a, b, c, d, difference=sub):
@@ -508,6 +516,27 @@ def test_affine_det2_gives_the_triples_of_its_tree(denominators):
     assert equal_denominators == {True, False}
 
 
+@st.composite
+def measured_tuples(draw):
+    """A ``(c, w, l, e)``: its ``l`` one of a few denominators, so that
+    equal ones are common, its centre zero, straddling (``|c| < w``,
+    so its interval at 0 contains zero) or any, and ``e`` its
+    magnitude exponent."""
+    l = draw(st.sampled_from([2, 6, 2 ** 13, 3 * 2 ** 7, 14]))
+    w = draw(st.integers(0, l // 2))
+    c = draw(st.one_of(st.just(0), st.integers(-w, w),
+                       st.integers(-2 ** 40, 2 ** 40)))
+    return measured((c, w, l))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(measured_tuples(), min_size=4, max_size=4))
+def test_a_det2_read_at_zero_is_the_terms_at_zero(factors):
+    # the read at 0 from the four tuples, with no terms, gives the
+    # integers of the terms' triple at 0
+    assert _det2_at_zero(*factors) == _det2_at(_det2_terms(*factors), 0)
+
+
 def test_an_affine_det2_reads_no_factor():
     reg = RealRegistry()
     a, b, c, d = (reg.blurred(Fraction(n, m))
@@ -585,12 +614,14 @@ def test_a_mixed_det2_reads_its_factors_at_their_shift(other, position, k):
 @pytest.mark.parametrize("right", sorted(SIGNED))
 @pytest.mark.parametrize("k", [0, 7, 40])
 def test_products_give_the_min_max_triple(left, right, k):
+    # the numerators of the product over the product of the
+    # denominators, which the caller multiplies
     reg = RealRegistry()
     a, b = SIGNED[left](reg)._at(k), SIGNED[right](reg)._at(k)
-    alo, ahi, ad = a
-    blo, bhi, bd = b
+    alo, ahi, _ = a
+    blo, bhi, _ = b
     products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-    assert _product(a, b) == (min(products), max(products), ad * bd)
+    assert _product(alo, ahi, blo, bhi) == (min(products), max(products))
 
 
 SIGNS = ("positive", "negative", "straddling")
