@@ -18,9 +18,7 @@ magnitude exponent, computed once, else as a
 :func:`~realearn.reals.sub` node.  The orientation of three points
 whose four differences are all integers is computed from them, with no
 node per difference: its triples are closed forms that read no
-coordinate.  A side decision of such points reads the triple at 0 with
-no node at all, and builds one ``det2`` node only when it searches.
-Because strict order of reals is only semi-decidable,
+coordinate.  Because strict order of reals is only semi-decidable,
 :func:`decide_side` searches for the least precision at which the
 orientation's interval excludes zero, with the galloping search
 :func:`~realearn.reals.least_witness`, and reports the side together
@@ -30,11 +28,12 @@ start precision that the caller may pass, such as the witness of its
 previous decision: neighbouring decisions of one construction have
 close witnesses, so fewer precisions are probed, and the least witness
 is the same from any start.  The orientation of three blurred points
-says where its witness is: unless its interval at the start 0 already
-excludes zero, the search starts at the orientation's own estimate,
-within one level of the witness on almost every decision, and a
-triple whose limits are collinear raises without a search.  A blurred
-side decided at precision 0 builds no node.
+needs no start: the integers of its four differences prove a bound at
+or above its witness (see :func:`~realearn.reals._det2_bound`).  A
+bound of 0 decides the side with no node and no interval, any other
+bound is where the search over one ``det2`` node starts, reading no
+precision at or above it, and a triple whose limits are collinear
+raises without a search.
 
 A :class:`BoundingCertificate` records the witnesses of a bounding
 angle, and :func:`verify_bounding` re-derives one from the points
@@ -50,8 +49,7 @@ from ._record import _Record
 from .errors import CertificateFailure, DegenerateInput
 # perfbench/tracing.py wraps op_at on this module
 from .reals import (RealNum, _affine_det2, _affine_difference,
-                    _affine_magnitude, _affine_real, _check_interval,
-                    _det2_at_zero, _det2_estimate, _det2_terms, det2,
+                    _affine_magnitude, _affine_real, _det2_bound, det2,
                     find_strict_witness, least_witness, op_at, sub)
 
 
@@ -174,52 +172,52 @@ def decide_side(p: Point, q: Point, r: Point, k_max: int,
     calling it.
 
     Three points with affine coordinates, such as blurred points, have
-    four tuple differences, and build no node to read their orientation
-    at 0: from ``start`` 0 the triple at 0 is
-    :func:`~realearn.reals._det2_at_zero` of the four tuples, read
-    straight from them with no terms, checked in debug builds as a node
-    checks its index 0, and a decision witnessed there returns at once.
-    Otherwise the decision takes the
-    :func:`~realearn.reals._det2_terms` of the tuples, and one
-    :func:`~realearn.reals._affine_det2` node of them, seeded with that
-    triple, is searched from its own estimate of the witness (see
-    :func:`~realearn.reals._det2_estimate`).  An orientation whose limit
-    is zero, the orientation of collinear limits, has no estimate and no
-    witness at any precision, so it raises :class:`DegenerateInput`
-    without searching.
+    four tuple differences, whose
+    :func:`~realearn.reals._det2_bound` gives the side, as the sign of
+    the orientation's limit, and a precision at which the integers
+    prove that the orientation's interval excludes zero, so the witness
+    is at most that bound.  A bound of 0 within ``k_max`` returns the
+    side at 0 with no node and no interval.  Otherwise one
+    :func:`~realearn.reals._affine_det2` node of the tuples' terms is
+    searched from the bound, or from ``k_max`` if the bound is above
+    it, and the search takes the orientation to exclude zero at every
+    precision from the bound on without reading it there; ``start`` is
+    not used.  An orientation whose limit is zero, the orientation of
+    collinear limits, has no witness at any precision, so it raises
+    :class:`DegenerateInput` without searching.
     """
     if differences is None:
         differences = {}
     dq, dr = _difference(p, q, differences), _difference(p, r, differences)
     (xq, yq), (xr, yr) = dq, dr
     if tuple is type(xq) is type(yq) is type(xr) is type(yr):
-        at_zero = None
-        if start == 0 and k_max >= 0:
-            at_zero = _det2_at_zero(xq, yr, xr, yq)
-            if __debug__:
-                _check_interval(0, at_zero, None)
-            if at_zero[0] > 0:
-                return Left(0)
-            if at_zero[1] < 0:
-                return Right(0)
-        terms = _det2_terms(xq, yr, xr, yq)
-        orient = _affine_det2(terms, at_zero)
-        # None: the limit is zero, and every interval contains it
-        hint = _det2_estimate(terms)
+        terms, lead, bound = _det2_bound(xq, yr, xr, yq, k_max)
+        if not lead:
+            # the limit is zero, and every interval contains it
+            k = None
+        elif bound == 0 <= k_max:
+            return Left(0) if lead > 0 else Right(0)
+        else:
+            orient = _affine_det2(terms)
+            k = least_witness(
+                lambda k: k >= bound or _excludes_zero(orient, k), k_max,
+                min(bound, k_max))
+        left = lead > 0
     else:
-        orient, hint = _orientation(dq, dr), start
-
-    def excludes_zero(k: int) -> bool:
-        lo, hi, _ = orient._at(k)
-        return lo > 0 or hi < 0
-
-    k = None if hint is None else least_witness(excludes_zero, k_max, hint)
+        orient = _orientation(dq, dr)
+        k = least_witness(partial(_excludes_zero, orient), k_max, start)
+        left = k is not None and orient._at(k)[0] > 0
     if k is not None:
-        return Left(k) if orient._at(k)[0] > 0 else Right(k)
+        return Left(k) if left else Right(k)
     raise DegenerateInput(
         f"no side witness for points ({p.index}, {q.index}, {r.index}) "
         f"within precision {k_max}"
     )
+
+
+def _excludes_zero(orient: RealNum, k: int) -> bool:
+    lo, hi, _ = orient._at(k)
+    return lo > 0 or hi < 0
 
 
 def three_points(a: Point, q0: Point, q1: Point, q2: Point,
@@ -280,9 +278,10 @@ def verify_bounding(points: Sequence[Point], a: int, b: int, c: int,
     audit's side decisions share one dict of differences, all about
     apex ``a``, and nothing from the construction.
     Each decision's witness search starts at the witness of the audit's
-    previous decision, or, when the points are blurred, at the
-    orientation's own estimate (see :func:`decide_side`), so a clause
-    over collinear limits fails without a search.  Intended as a
+    previous decision, or, when the points are blurred, at the bound
+    that the integers of the orientation prove (see
+    :func:`decide_side`), so a clause over collinear limits fails
+    without a search.  Intended as a
     post-hoc audit of
     :func:`~realearn.convex.convex_angle` output.
     """

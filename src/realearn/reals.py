@@ -57,23 +57,26 @@ Their gcd is ``gcd(P, Q) << 2k``, so the scale factors that join the
 products, ``Q / gcd(P, Q)`` and ``P / gcd(P, Q)``, do not depend on k
 and are computed once, and the joined triple is the one the factors'
 triples give.  Nor do the products' own denominators enter it: the
-factors' endpoints go to :func:`_product` as plain integers.  At 0 the
-shifts are ``s_ab`` and ``s_cd`` and the denominator is ``lcm(P, Q)``,
-so :func:`_det2_at_zero` reads that triple straight from the four
-tuples, with no terms.  The same integers also say where the interval
-first excludes zero: with ``t = 2**k``, its numerators' centre grows like
-``A * t**2`` and their half-width like ``B * t``, for integers ``A``,
-the numerator of the limit over the denominator at 0, and ``B``, both
-fixed by the coefficients (see :func:`_det2_estimate`).  So the least
-such k is about ``B.bit_length() - |A|.bit_length()``, and ``A == 0``
-means the limit is zero, which every interval contains, so no k
-excludes zero.  A caller that holds the tuples, such as an orientation
-whose four coordinate differences each have two affine operands,
-reads the triple at 0 with :func:`_det2_at_zero` and no node at all,
-or builds its ``det2`` node from their terms with
-:func:`_affine_det2`: one node, with none per factor, that reads no
-real, and that takes the triple at 0 when the caller has already read
-it.  A caller whose tuples sit beside other nodes, such as a
+factors' endpoints go to :func:`_product` as plain integers.
+
+The same integers prove where the interval excludes zero.  At k a
+factor's centre numerator is ``x = ca << (k + s_ab)``, and so on, and
+every endpoint product of ``[x - wa, x + wa] * [y - wb, y + wb]`` lies
+within ``|x|*wb + |y|*wa + wa*wb`` of ``x*y``.  So the joined
+numerators lie within ``(spread << k) + slack`` of their centre
+``lead << 2k``, for integers ``lead`` (the limit times ``lcm(P, Q)``),
+``spread`` and ``slack`` fixed by the coefficients, and the interval
+excludes zero on ``lead``'s side at every k with
+``(|lead| << 2k) - (spread << k) > slack``.  :func:`_det2_bound` gives
+the least such k, found by exact integer tests, not by reading
+intervals.  It is at least the node's least witness.
+``lead == 0`` means the limit is zero, which every interval contains,
+so no k excludes zero.  A caller that holds the tuples, such as an
+orientation whose four coordinate differences each have two affine
+operands, takes their bound, which may decide a side at 0 with no
+interval, and otherwise builds its ``det2`` node from their terms
+with :func:`_affine_det2`: one node, with none per factor, that reads
+no real.  A caller whose tuples sit beside other nodes, such as a
 coordinate difference beside a :func:`sub` node, reads each tuple
 through its affine real, the node that :func:`_affine_real` builds
 with ``partial(RealNum, None)``, which reads no real either and takes
@@ -105,8 +108,9 @@ of the nesting invariants and are exercised by the test suite.
 Monotonicity is what lets :func:`least_witness` find the least
 witnessing precision by galloping and bisection instead of a scan, and
 lets the gallop start from any precision: a caller that expects the
-witness near some k, such as the estimate of an :func:`_affine_det2`
-node, starts there, and the least witness is the same.  Two affine reals
+witness near some k, such as the proven bound of an
+:func:`_affine_det2` node, starts there, and the least witness is the
+same.  Two affine reals
 need no interval and no search.  Cross-multiplied and divided by
 ``2**k``, r's upper endpoint at k lies below s's lower endpoint exactly
 when ``G << k > S``, for integers ``G`` (the gap of the limits times
@@ -216,9 +220,7 @@ class RealNum:
     :func:`op_at` and :func:`find_strict_witness` compare two affine
     reals from it in closed form, and a caller of the tuple functions
     reads it in place of the real, while :func:`sub` and :func:`det2`
-    read the real's triples.  An :func:`_affine_det2` node may start
-    with its triple at 0 in the cache, read and checked by the caller
-    that built it.
+    read the real's triples.
     """
 
     __slots__ = ("index", "_gen", "_cache", "_magnitude", "_affine")
@@ -598,55 +600,42 @@ def _det2_at(terms: Tuple[int, ...], k: int) -> Triple:
     return (lo * sp - qhi * sq, hi * sp - qlo * sq, dd << 2 * k)
 
 
-def _det2_at_zero(a: Measured, b: Measured, c: Measured,
-                  d: Measured) -> Triple:
-    """``_det2_at(_det2_terms(a, b, c, d), 0)``, integer for integer,
-    read straight from the four ``(c, w, l, e)``: at 0 the factors'
-    shifts are ``s_ab`` and ``s_cd`` and the denominator is ``dd``."""
-    (ca, wa, la, ea), (cb, wb, lb, eb) = a, b
-    (cc, wc, lc, ec), (cd, wd, ld, ed) = c, d
-    s_ab, s_cd = ea + eb + 3, ec + ed + 3
-    sp, sq, dd = _over_lcm(la * lb << 2 * s_ab, lc * ld << 2 * s_cd)
-    x, y = ca << s_ab, cb << s_ab
-    lo, hi = _product(x - wa, x + wa, y - wb, y + wb)
-    x, y = cc << s_cd, cd << s_cd
-    qlo, qhi = _product(x - wc, x + wc, y - wd, y + wd)
-    return (lo * sp - qhi * sq, hi * sp - qlo * sq, dd)
-
-
-def _det2_estimate(terms: Tuple[int, ...]) -> Optional[int]:
-    """About the least k at which the interval of the :func:`det2` node
-    of :func:`_det2_terms` excludes zero.  Write ``t = 2**k``: the
-    numerators' centre grows like ``A * t**2`` and their half-width like
-    ``B * t``, for
-    ``A = (sp*ca*cb << 2*s_ab) - (sq*cc*cd << 2*s_cd)``, the node's
-    limit times ``dd``, and
-    ``B = (sp*(|ca|*wb + |cb|*wa) << s_ab) + (sq*(|cc|*wd + |cd|*wc) << s_cd)``.
-    So the interval excludes zero from about ``t > B / |A|``, and the
-    estimate is ``max(0, B.bit_length() - |A|.bit_length())``.
-    ``A == 0`` means the limit is zero, which every interval contains,
-    so no k excludes zero and there is no estimate: None."""
+def _det2_bound(a: Measured, b: Measured, c: Measured, d: Measured,
+                k_max: int) -> Tuple[Tuple[int, ...], int, int]:
+    """``(terms, lead, bound)`` of the :func:`det2` node ``a * b - c * d``
+    of four affine reals given as ``(c, w, l, e)``: their
+    :func:`_det2_terms`, ``lead``, the node's limit times its
+    denominator ``dd`` at 0, and ``bound``, the least k with
+    ``(|lead| << 2k) - (spread << k) > slack``, at which the node's
+    interval excludes zero on ``lead``'s side (see the module
+    docstring), or ``k_max + 1`` when that k is above ``k_max`` or
+    ``lead`` is 0.  The test is tried at 0 first.  Past 0 it needs
+    ``2**k > spread / |lead|`` and ``4**k > slack / |lead|``, which bit
+    lengths turn into a least k to start from, and twice those ratios
+    suffice, so it passes within two steps of the start; no step goes
+    past ``k_max + 1``."""
+    terms = _det2_terms(a, b, c, d)
     ca, wa, cb, wb, s_ab, sp, cc, wc, cd, wd, s_cd, sq, _ = terms
     lead = (sp * ca * cb << 2 * s_ab) - (sq * cc * cd << 2 * s_cd)
     if not lead:
-        return None
+        return terms, 0, k_max + 1
     spread = ((sp * (abs(ca) * wb + abs(cb) * wa) << s_ab)
               + (sq * (abs(cc) * wd + abs(cd) * wc) << s_cd))
-    return max(0, spread.bit_length() - abs(lead).bit_length())
+    slack = sp * wa * wb + sq * wc * wd
+    size = abs(lead)
+    k = 0
+    if size - spread <= slack:
+        n = size.bit_length()
+        k = max(1, spread.bit_length() - n, (slack.bit_length() - n + 1) // 2)
+        while k <= k_max and (size << 2 * k) - (spread << k) <= slack:
+            k += 1
+    return terms, lead, min(k, k_max + 1)
 
 
-def _affine_det2(terms: Tuple[int, ...],
-                 at_zero: Optional[Triple] = None) -> RealNum:
+def _affine_det2(terms: Tuple[int, ...]) -> RealNum:
     """The :func:`det2` node of four affine reals from their
-    :func:`_det2_terms`: its generator is :func:`_det2_at` of them.  A
-    caller that has already computed and checked the triple at 0, such
-    as a side decision that read it first, passes it as ``at_zero``: it
-    seeds the cache, so index 0 is not computed again and index 1 is
-    still checked for nesting in it."""
-    node = RealNum(None, partial(_det2_at, terms))
-    if at_zero is not None:
-        node._cache[0] = at_zero
-    return node
+    :func:`_det2_terms`: its generator is :func:`_det2_at` of them."""
+    return RealNum(None, partial(_det2_at, terms))
 
 
 def det2(a: RealNum, b: RealNum, c: RealNum, d: RealNum) -> RealNum:

@@ -147,7 +147,8 @@ def test_criterion_1_order_rules():
 
 @criterion(2, "blame of Step(33, Assumed(0,2)) at 25 is ((0,2), 33)")
 def test_criterion_2_blame_reproduction():
-    assert blame(Step(33, Assumed(0, 2), 3), 25) == ((0, 2), 33)
+    blamed = blame(Step(33, Assumed(0, 2), 3), 25)
+    assert blamed == ((0, 2), 33)
 
 
 @criterion(3, "empty state proposes candidate 0 with n assumed edges, n <= 100")

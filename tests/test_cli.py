@@ -114,9 +114,9 @@ def test_input_error_removes_no_trace_that_is_not_a_regular_file(
     two.write_text("".join(WEDGE.read_text().splitlines(True)[:2]))
     removed = []
     monkeypatch.setattr(os, "remove", removed.append)
-    assert cli.main(["convex", str(two), "--trace", os.devnull]) == 1
-    assert cli.main(["convex", str(two), "--trace",
-                     str(tmp_path / "run.trace")]) == 1
+    statuses = [cli.main(["convex", str(two), "--trace", trace])
+                for trace in (os.devnull, str(tmp_path / "run.trace"))]
+    assert statuses == [1, 1]
     capsys.readouterr()
     assert removed == [str(tmp_path / "run.trace")]
 
@@ -445,7 +445,8 @@ def test_a_json_integer_is_never_a_boolean_or_a_float(tmp_path, capsys, site,
         path.write_text(json.dumps({"j": 1, "precision": 3, key: value}) + "\n")
         argv = ["least", str(WORKED_REALS), "--auditor", f"script:{path}"]
     else:
-        assert cli.main(["convex", str(QUAD), "--result", str(path)]) == 0
+        status = cli.main(["convex", str(QUAD), "--result", str(path)])
+        assert status == 0
         record = json.loads(path.read_text())
         if kind == "state":
             record["state"] = [{**record["state"][0], key: value}]
@@ -454,7 +455,8 @@ def test_a_json_integer_is_never_a_boolean_or_a_float(tmp_path, capsys, site,
         path.write_text(json.dumps(record))
         argv = ["check", str(path), str(QUAD)]
     capsys.readouterr()
-    assert cli.main(argv) == 1
+    status = cli.main(argv)
+    assert status == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"input error: {message.format(path=path, value=value)}\n"
@@ -759,9 +761,10 @@ def test_a_run_without_trace_records_into_a_null_log(tmp_path, monkeypatch,
     monkeypatch.setattr(realearn.least, "learn_least", recording_least)
     monkeypatch.setattr(realearn.convex, "convex_angle", recording_convex)
     for extra in ([], ["--trace", str(tmp_path / "run.trace")]):
-        assert cli.main(["least", str(WORKED_REALS), "--auditor", "oracle",
-                         *extra]) == 0
-        assert cli.main(["convex", str(QUAD), *extra]) == 0
+        statuses = [cli.main(["least", str(WORKED_REALS), "--auditor",
+                              "oracle", *extra]),
+                    cli.main(["convex", str(QUAD), *extra])]
+        assert statuses == [0, 0]
     capsys.readouterr()
     assert logs == [NullLog, NullLog, TraceFile, TraceFile]
 

@@ -97,10 +97,12 @@ def base(tmp_path_factory):
     least_trace = root / "least.trace"
     convex_trace = root / "convex.trace"
     result = root / "result.json"
-    assert cli.main(["least", str(WORKED_REALS), "--auditor",
-                     f"script:{WORKED_SCRIPT}", "--trace", str(least_trace)]) == 0
-    assert cli.main(["convex", str(WEDGE), "--trace", str(convex_trace),
-                     "--result", str(result)]) == 0
+    statuses = [cli.main(["least", str(WORKED_REALS), "--auditor",
+                          f"script:{WORKED_SCRIPT}", "--trace",
+                          str(least_trace)]),
+                cli.main(["convex", str(WEDGE), "--trace", str(convex_trace),
+                          "--result", str(result)])]
+    assert statuses == [0, 0]
     return {
         "reals": read_records(WORKED_REALS),
         "mixed": read_records(mixed),

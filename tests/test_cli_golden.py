@@ -107,7 +107,8 @@ def record_table(out: Path) -> str:
 
 
 def test_the_cli_surface_matches_the_golden_table(tmp_path):
-    assert record_table(tmp_path) == GOLDEN.read_text(encoding="utf-8")
+    table = record_table(tmp_path)
+    assert table == GOLDEN.read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -163,7 +163,8 @@ def test_restart_budget():
 def test_verify_bounding_reproduces_certificate():
     pts = register(WEDGE)
     res = convex_angle(pts)
-    assert verify_bounding(pts, res.a, res.b, res.c) == res.certificate
+    certificate = verify_bounding(pts, res.a, res.b, res.c)
+    assert certificate == res.certificate
 
 
 def test_verify_bounding_rejects_wrong_angle():
@@ -198,7 +199,8 @@ def test_random_instances_match_exact_oracle():
         _, pts = register_points(rational, blurred=bool(trial % 2))
         res = convex_angle(pts)
         assert exact_convex_check(rational, res.a, res.b, res.c)
-        assert verify_bounding(pts, res.a, res.b, res.c) == res.certificate
+        certificate = verify_bounding(pts, res.a, res.b, res.c)
+        assert certificate == res.certificate
         assert is_sound(res.state)
         assert res.restarts <= 2 ** (count - 1) - 1
 
@@ -361,12 +363,12 @@ def deep_instances():
 
 def test_deep_trace_digest_is_pinned(monkeypatch):
     # each side decision starts its witness search at the witness of the
-    # decision before it, or, on blurred points, at the orientation's
-    # own estimate: the witnesses must stay the least ones, and the
-    # searches must probe at most a quarter of the levels they probe
-    # from 0 (942 against 4,167; the rational instances keep the start
-    # they are given, and a read at 0 before an estimated start is no
-    # search probe)
+    # decision before it, or, on blurred points, at the bound that the
+    # integers of the orientation prove: the witnesses must stay the
+    # least ones, and the searches must probe at most a quarter of the
+    # levels they probe from 0 (1,029 against 4,152; the rational
+    # instances keep the start they are given, and a probe at or above
+    # a blurred orientation's bound reads no interval)
     least_witness = realearn.geometry.least_witness
     probes = []
 
@@ -381,7 +383,8 @@ def test_deep_trace_digest_is_pinned(monkeypatch):
         for pts in deep_instances():
             log = StringTrace()
             res = convex_angle(pts, trace=log)
-            assert verify_bounding(pts, res.a, res.b, res.c) == res.certificate
+            certificate = verify_bounding(pts, res.a, res.b, res.c)
+            assert certificate == res.certificate
             runs.append((pts, log))
         return len(probes), runs
 
@@ -463,7 +466,8 @@ def test_mixed_trace_digest_is_pinned(monkeypatch):
     for pts in mixed_instances():
         log = StringTrace()
         res = convex_angle(pts, trace=log)
-        assert verify_bounding(pts, res.a, res.b, res.c) == res.certificate
+        certificate = verify_bounding(pts, res.a, res.b, res.c)
+        assert certificate == res.certificate
         digest.update(log.text.encode())
     assert affine_operands[1] >= 1000 and affine_operands[2] == 0, \
         affine_operands
@@ -501,7 +505,8 @@ def test_a_dict_builds_each_sub_node_once(monkeypatch):
         keys.clear()
         builds.clear()
         res = convex_angle(pts)
-        assert verify_bounding(pts, res.a, res.b, res.c) == res.certificate
+        certificate = verify_bounding(pts, res.a, res.b, res.c)
+        assert certificate == res.certificate
         assert max(keys.values()) == 1
         assert max(builds.values(), default=1) == 1
         for differences in dicts.values():
@@ -533,7 +538,8 @@ def test_a_tuple_node_reads_no_triple_at_zero(monkeypatch):
     monkeypatch.setattr(realearn.geometry, "_node", recorded_node)
     for pts in mixed_instances():
         res = convex_angle(pts)
-        assert verify_bounding(pts, res.a, res.b, res.c) == res.certificate
+        certificate = verify_bounding(pts, res.a, res.b, res.c)
+        assert certificate == res.certificate
     assert len(tuple_nodes) >= 700
     for difference, real in tuple_nodes:
         assert real._magnitude == difference[3] == \
@@ -587,19 +593,18 @@ def test_deep8_evaluates_few_arithmetic_nodes(monkeypatch):
     # an evaluation is an interval computed, not read from the cache;
     # the points are blurred, so each orientation's triples are computed
     # from the (c, w, l) of its four differences, and the only
-    # intervals the construction and its audit compute are the 76
+    # intervals the construction and its audit compute are the 48
     # orientation triples, each once per decision, whose searches start
-    # at the orientations' own estimates: node intervals, and the reads
-    # at 0 that a decision makes with no node (the same 76 det2 node
-    # intervals before; 132 from the previous witness, 434 when det2 read
-    # its factors, 698 as sub(mul, mul) trees); the learner compares y
-    # coordinates, blurred reals that op_at and find_strict_witness
-    # compare in closed form, so no input interval is computed (10 when
-    # they read intervals)
+    # at the bounds that the integers of the differences prove, reading
+    # no precision at or above a bound (76 when a decision read its
+    # triple at 0 and then searched from the orientation's estimate, 132
+    # from the previous witness, 434 when det2 read its factors, 698 as
+    # sub(mul, mul) trees); the learner compares y coordinates, blurred
+    # reals that op_at and find_strict_witness compare in closed form,
+    # so no input interval is computed (10 when they read intervals)
     pts = deep8_points()
     evaluations = Counter()
     at, det2_at = RealNum._at, realearn.reals._det2_at
-    det2_at_zero = realearn.reals._det2_at_zero
 
     def counted_at(real, k):
         if k not in real._cache:
@@ -610,22 +615,46 @@ def test_deep8_evaluates_few_arithmetic_nodes(monkeypatch):
         evaluations["orientation"] += 1
         return det2_at(terms, k)
 
-    def node_free_det2_at_zero(*factors):
-        evaluations["node-free"] += 1
-        evaluations["orientation"] += 1
-        return det2_at_zero(*factors)
-
     monkeypatch.setattr(RealNum, "_at", counted_at)
     monkeypatch.setattr(realearn.reals, "_det2_at", counted_det2_at)
-    monkeypatch.setattr(realearn.geometry, "_det2_at_zero",
-                        node_free_det2_at_zero)
     res = convex_angle(pts)
-    assert verify_bounding(pts, res.a, res.b, res.c) == res.certificate
+    certificate = verify_bounding(pts, res.a, res.b, res.c)
+    assert certificate == res.certificate
     assert (res.a, res.b, res.c, res.restarts) == (4, 7, 2, 1)
     assert evaluations["input"] == 0
-    assert evaluations["node"] + evaluations["node-free"] == \
-        evaluations["orientation"], evaluations
-    assert 0 < evaluations["orientation"] <= 76, evaluations
+    assert evaluations["node"] == evaluations["orientation"], evaluations
+    assert 0 < evaluations["orientation"] <= 48, evaluations
+
+
+def test_deep8_takes_both_sides_of_the_bound(monkeypatch):
+    # on deep8 the bound that the integers of the differences prove is
+    # the witness of some side decisions, which then read one triple,
+    # below the bound, and lies above the witness of others, which
+    # search further down
+    pts = deep8_points()
+    bounds, gaps = [], Counter()
+    det2_bound = realearn.geometry._det2_bound
+    decide_side = realearn.convex.decide_side
+
+    def recorded_bound(*args):
+        terms, lead, bound = det2_bound(*args)
+        bounds.append(bound)
+        return terms, lead, bound
+
+    def recorded_decide_side(*args):
+        bounds.clear()
+        decision = decide_side(*args)
+        gaps["at" if bounds == [decision.witness] else "above"] += 1
+        assert bounds[0] >= decision.witness
+        return decision
+
+    monkeypatch.setattr(realearn.geometry, "_det2_bound", recorded_bound)
+    monkeypatch.setattr(realearn.convex, "decide_side", recorded_decide_side)
+    monkeypatch.setattr(realearn.geometry, "decide_side", recorded_decide_side)
+    res = convex_angle(pts)
+    certificate = verify_bounding(pts, res.a, res.b, res.c)
+    assert certificate == res.certificate
+    assert gaps["at"] > 0 and gaps["above"] > 0, gaps
 
 
 @pytest.mark.parametrize("rational, restarts", [

@@ -66,11 +66,13 @@ def test_every_docstring_reference_resolves(name):
         return
     module = (realearn if name == "__init__"
               else importlib.import_module(f"realearn.{name}"))
-    assert [t for t in sorted(targets) if not resolves(t, module)] == []
+    unresolved = [t for t in sorted(targets) if not resolves(t, module)]
+    assert unresolved == []
 
 
 def test_every_realearn_name_in_the_readme_resolves():
     text = (REPO / "README.md").read_text(encoding="utf-8")
     names = set(re.findall(r"`(realearn(?:\.\w+)+)`", text))
     assert "realearn.reals.sub" in names
-    assert [name for name in sorted(names) if lookup(name) is MISSING] == []
+    missing = [name for name in sorted(names) if lookup(name) is MISSING]
+    assert missing == []

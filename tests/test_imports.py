@@ -82,7 +82,8 @@ def test_each_command_loads_only_the_modules_it_runs(files):
          COMMON | {"geometry", "knowledge", "oracle"}),
     ]
     for args, modules in expected:
-        assert loaded_by(*args) == (0, modules), args
+        loaded = loaded_by(*args)
+        assert loaded == (0, modules), args
 
 
 def test_importing_the_package_loads_no_submodule():

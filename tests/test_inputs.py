@@ -17,9 +17,8 @@ from realearn.inputs import (
 
 
 def test_parse_fraction_accepts_exact_forms():
-    assert parse_fraction("3/2") == Fraction(3, 2)
-    assert parse_fraction("-5") == Fraction(-5)
-    assert parse_fraction(7) == Fraction(7)
+    parsed = [parse_fraction(form) for form in ("3/2", "-5", 7)]
+    assert parsed == [Fraction(3, 2), Fraction(-5), Fraction(7)]
 
 
 @pytest.mark.parametrize("bad", [1.5, True, "0.5.1", "1/0", None, [1],
@@ -39,10 +38,12 @@ def test_load_reals_document(tmp_path):
         '{"type": "real", "kind": "table",'
         ' "prefix": [["0/1", "1/1"]], "tail": "1/2"}\n')
     document = load_document(doc_path)
-    assert real_limits(document) == [Fraction(1, 2), Fraction(-2), Fraction(1, 2)]
+    limits = real_limits(document)
+    assert limits == [Fraction(1, 2), Fraction(-2), Fraction(1, 2)]
     reals = build_reals(document)
     assert len(reals) == 3
-    assert reals[1].interval_at(0) == (Fraction(-5, 2), Fraction(-3, 2))
+    at_0 = reals[1].interval_at(0)
+    assert at_0 == (Fraction(-5, 2), Fraction(-3, 2))
 
 
 def test_load_points_document(tmp_path):

@@ -33,12 +33,10 @@ def endpoints(ev):
 
 
 def test_evidence_endpoints():
-    assert endpoints(Refl(4)) == (4, 4)
-    assert endpoints(Assumed(0, 2)) == (0, 2)
     step = Step(33, Assumed(0, 2), 3)
-    assert endpoints(step) == (3, 2)
     nested = Step(5, step, 7)
-    assert endpoints(nested) == (7, 2)
+    ends = [endpoints(ev) for ev in (Refl(4), Assumed(0, 2), step, nested)]
+    assert ends == [(4, 4), (0, 2), (3, 2), (7, 2)]
 
 
 def test_step_requires_evidence_rest():
@@ -76,13 +74,15 @@ def test_long_chains_compare_hash_and_print_without_recursion():
 
 
 def test_blame_single_step():
-    assert blame(Step(33, Assumed(0, 2), 3), 25) == ((0, 2), 33)
+    blamed = blame(Step(33, Assumed(0, 2), 3), 25)
+    assert blamed == ((0, 2), 33)
 
 
 def test_blame_folds_max_over_chain():
     chain = Step(5, Step(9, Assumed(1, 2), 4), 7)
-    assert blame(chain, 3) == ((1, 2), 9)
-    assert blame(chain, 40) == ((1, 2), 40)
+    low, high = blame(chain, 3), blame(chain, 40)
+    assert low == ((1, 2), 9)
+    assert high == ((1, 2), 40)
 
 
 def test_blame_on_refl_is_a_contradiction():
@@ -133,9 +133,9 @@ def test_extend_is_pure_and_idempotent():
 def test_is_sound_detects_corruption():
     reg = worked_registry()
     good = extend(empty_state(reg), 0, 3, 33)
-    assert is_sound(good)
     bad = KnowledgeState(reg, {(4, 3): 10})
-    assert not is_sound(bad)
+    sound = [is_sound(good), is_sound(bad)]
+    assert sound == [True, False]
 
 
 def test_state_entries_are_read_only():
@@ -160,7 +160,8 @@ def test_state_copies_the_dict_it_is_given():
 def test_check_leq_accepts_true_claims():
     reg = worked_registry()
     # claim r_4 <= r_0 is true (-3 <= 0): never falsified
-    assert check_leq(reg, Assumed(4, 0), 60) is None
+    result = check_leq(reg, Assumed(4, 0), 60)
+    assert result is None
 
 
 def test_check_leq_falsifies_assumed_directly():
@@ -174,7 +175,8 @@ def test_check_leq_checks_the_whole_claim_not_the_last_link():
     # Step claims r_3 <= r_2 via r_3 < r_0 (witness 33) and r_0 <= r_2;
     # the check tests the composite claim r_3 <= r_2, which holds
     ev = Step(33, Assumed(0, 2), 3)
-    assert check_leq(reg, ev, 25) is None
+    result = check_leq(reg, ev, 25)
+    assert result is None
 
 
 def test_check_leq_blames_the_terminal_assumption():
@@ -184,9 +186,11 @@ def test_check_leq_blames_the_terminal_assumption():
     # precision max(challenge 1, step witness 5) = 5
     ev = Step(5, Assumed(0, 3), 2)
     assert op_at(reg[2], reg[0], 5)
-    assert check_leq(reg, ev, 1) == Falsified((0, 3), 5)
+    result = check_leq(reg, ev, 1)
+    assert result == Falsified((0, 3), 5)
     # the blamed precision is a genuine counterexample for the assumption
-    assert extend(empty_state(reg), 0, 3, 5).entries == {(0, 3): 5}
+    extended = extend(empty_state(reg), 0, 3, 5)
+    assert extended.entries == {(0, 3): 5}
 
 
 def test_falsified_feeds_extend_soundly():
@@ -204,6 +208,7 @@ def test_falsified_feeds_extend_soundly():
                 result = check_leq(reg, Assumed(i, j), 40)
                 assert result is not None and result.pair == (i, j)
                 state = extend(state, *result.pair, result.witness)
-    assert is_sound(state)
+    sound = is_sound(state)
+    assert sound
     assert state.size == sum(1 for i in range(8) for j in range(8)
                              if values[j] < values[i])

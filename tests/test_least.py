@@ -540,10 +540,13 @@ def strict_prefix(state, n):
 
 def test_a_copied_state_keeps_its_own_strict_steps():
     state = extend(empty_state(worked_registry()), 0, 3, 33)
-    assert strict_prefix(state, 5) == [(33, 3)]
+    own = strict_prefix(state, 5)
+    assert own == [(33, 3)]
     copied = copy.copy(state)
-    assert strict_prefix(extend(state, 0, 2, 25), 5) == [(25, 2)]
-    assert strict_prefix(copied, 5) == [(33, 3)]
+    extended = strict_prefix(extend(state, 0, 2, 25), 5)
+    assert extended == [(25, 2)]
+    kept = strict_prefix(copied, 5)
+    assert kept == [(33, 3)]
     assert_pass_matches_the_eager_reference(copied, 5)
 
 
@@ -564,13 +567,14 @@ def test_siblings_at_one_length_keep_their_own_chains():
     second = extend(parent, 2, 4, 3)
     assert first._chain is parent._chain
     assert second._chain is not parent._chain
-    assert strict_prefix(parent, 5) == [(4, 1), (4, 2)]
-    assert strict_prefix(first, 5) == [(4, 1), (4, 2), (4, 3)]
-    assert strict_prefix(second, 5) == [(4, 1), (4, 2), (3, 4)]
+    prefixes = [strict_prefix(state, 5) for state in (parent, first, second)]
+    assert prefixes == [[(4, 1), (4, 2)], [(4, 1), (4, 2), (4, 3)],
+                        [(4, 1), (4, 2), (3, 4)]]
     # extending the first sibling at its end grows the one list again
-    assert extend(first, 3, 4, 4)._chain is parent._chain
-    assert strict_prefix(first, 5) == [(4, 1), (4, 2), (4, 3)]
-    assert strict_prefix(parent, 1) == [(4, 1)]
+    grown = extend(first, 3, 4, 4)
+    assert grown._chain is parent._chain
+    prefixes = [strict_prefix(first, 5), strict_prefix(parent, 1)]
+    assert prefixes == [[(4, 1), (4, 2), (4, 3)], [(4, 1)]]
 
 
 def test_a_descending_run_grows_one_chain_list():

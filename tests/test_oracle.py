@@ -32,13 +32,14 @@ from support import StringTrace
 def test_exact_orientation_signs():
     a = RationalPoint(Fraction(0), Fraction(0))
     b = RationalPoint(Fraction(1), Fraction(0))
-    assert exact_orientation(a, b, RationalPoint(Fraction(0), Fraction(1))) == 1
-    assert exact_orientation(a, b, RationalPoint(Fraction(0), Fraction(-1))) == -1
-    assert exact_orientation(a, b, RationalPoint(Fraction(2), Fraction(0))) == 0
+    signs = [exact_orientation(a, b, RationalPoint(Fraction(x), Fraction(y)))
+             for x, y in ((0, 1), (0, -1), (2, 0))]
+    assert signs == [1, -1, 0]
 
 
 def test_exact_min_index():
-    assert exact_min_index([Fraction(2), Fraction(1), Fraction(3)]) == 1
+    least = exact_min_index([Fraction(2), Fraction(1), Fraction(3)])
+    assert least == 1
     with pytest.raises(TieDetected):
         exact_min_index([Fraction(1), Fraction(1)])
 
@@ -46,18 +47,16 @@ def test_exact_min_index():
 def test_exact_convex_check_clauses():
     square = [RationalPoint(Fraction(x), Fraction(y))
               for x, y in [(0, 0), (1, 0), (1, 1), (0, 1)]]
-    # the corner at the origin bounds the opposite corner
-    assert exact_convex_check(square, 0, 1, 3)
-    # indices must be three distinct point indices
-    assert not exact_convex_check(square, 0, 1, 1)
-    assert not exact_convex_check(square, 0, 1, 9)
-    # corner 3 lies left of both rays of (0, 1, 2): not bounded
-    assert not exact_convex_check(square, 0, 1, 2)
+    # the corner at the origin bounds the opposite corner; indices must
+    # be three distinct point indices; corner 3 lies left of both rays
+    # of (0, 1, 2): not bounded
+    checks = [exact_convex_check(square, 0, 1, c) for c in (3, 1, 9, 2)]
+    assert checks == [True, False, False, False]
     wedge = [RationalPoint(Fraction(x), Fraction(y))
              for x, y in [(0, 1), (-2, -1), (2, -1), (0, -2)]]
-    assert exact_convex_check(wedge, 0, 1, 2)
-    # wrong apex fails the mutual clause
-    assert not exact_convex_check(wedge, 3, 1, 2)
+    # a wrong apex fails the mutual clause
+    checks = [exact_convex_check(wedge, a, 1, 2) for a in (0, 3)]
+    assert checks == [True, False]
 
 
 def test_separation_from_gap():
@@ -91,7 +90,8 @@ gaps = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(gaps)
 def test_separation_from_gap_matches_the_loop(gap):
-    assert separation_from_gap(gap) == looped_separation(gap)
+    separation = separation_from_gap(gap)
+    assert separation == looped_separation(gap)
 
 
 exact_values = st.one_of(
@@ -110,7 +110,8 @@ def test_the_integer_budget_is_the_separation_of_the_gap(pair, scale):
     lo, hi = sorted(pair)
     a, b = hi.numerator * scale, hi.denominator * scale
     c, d = lo.numerator, lo.denominator
-    assert separation_bits(a * d - c * b, b * d) == separation_from_gap(hi - lo)
+    bits = separation_bits(a * d - c * b, b * d)
+    assert bits == separation_from_gap(hi - lo)
 
 
 @settings(max_examples=100, deadline=None)
@@ -167,8 +168,8 @@ def test_rank_scan_picks_the_fraction_scan_challenge(values):
 
     auditor = OracleAuditor(reg, values)
     for m in range(len(values)):
-        assert auditor.challenge(LeastCandidate(m, {})) == \
-            fraction_scan_challenge(values, separation, m)
+        challenge = auditor.challenge(LeastCandidate(m, {}))
+        assert challenge == fraction_scan_challenge(values, separation, m)
 
 
 def first_below_by_fractions(values):
@@ -201,8 +202,8 @@ def test_oracle_auditor_orders_values_as_fractions_do(values):
     auditor = OracleAuditor(RealRegistry(), values)
     assert auditor._first_below == first_below_by_fractions(values)
     shuffled = values[::-1]
-    assert (OracleAuditor(RealRegistry(), shuffled)._first_below
-            == first_below_by_fractions(shuffled))
+    reversed_auditor = OracleAuditor(RealRegistry(), shuffled)
+    assert reversed_auditor._first_below == first_below_by_fractions(shuffled)
 
 
 @pytest.mark.parametrize("values", [

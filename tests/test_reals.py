@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from random import Random
 
@@ -11,8 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realearn import (
+    DegenerateInput,
     InvalidNesting,
+    Left,
+    Point,
+    RealNum,
     RealRegistry,
+    Right,
+    decide_side,
     find_strict_witness,
     least_witness,
     op_at,
@@ -20,7 +27,7 @@ from realearn import (
 from realearn.oracle import separation_from_gap
 from realearn.reals import (_affine_det2, _affine_difference, _affine_gap,
                             _affine_magnitude, _affine_real, _det2_at,
-                            _det2_at_zero, _det2_terms, _fraction,
+                            _det2_bound, _det2_terms, _fraction,
                             _magnitude_exponent, _over_lcm, _product, det2,
                             sub)
 
@@ -35,7 +42,8 @@ def test_from_rational_is_degenerate_everywhere():
     reg = RealRegistry()
     r = reg.from_rational(Fraction(3, 7))
     for k in (0, 1, 5, 40):
-        assert r.interval_at(k) == (Fraction(3, 7), Fraction(3, 7))
+        interval = r.interval_at(k)
+        assert interval == (Fraction(3, 7), Fraction(3, 7))
 
 
 @pytest.mark.parametrize("forms", [
@@ -54,16 +62,19 @@ def test_constructors_take_every_form_of_a_rational_alike(forms):
     reals = [[reg.from_rational(q), reg.from_table((), q), reg.blurred(q),
               reg.from_table(prefix, q)] for q in forms]
     for k in range(65):
-        assert len({tuple(r._at(k) for r in row) for row in reals}) == 1
+        rows = {tuple(r._at(k) for r in row) for row in reals}
+        assert len(rows) == 1
         assert reals[0][0]._at(k) == reals[0][1]._at(k)
     exact = forms[2]
-    assert _fraction(exact) is exact
+    taken = _fraction(exact)
+    assert taken is exact
 
     class Rational(Fraction):
         pass
 
     # a subclass goes through Fraction(q), which makes an exact Fraction
-    assert type(_fraction(Rational(exact))) is Fraction
+    made = _fraction(Rational(exact))
+    assert type(made) is Fraction
 
 
 def test_blurred_interval_is_centered_with_exact_width():
@@ -121,8 +132,9 @@ def test_from_table_prefix_then_degenerate_tail():
     reg = RealRegistry()
     r = reg.from_table([(Fraction(0), Fraction(1)),
                         (Fraction(1, 4), Fraction(3, 4))], Fraction(1, 2))
-    assert r.interval_at(1) == (Fraction(1, 4), Fraction(3, 4))
-    assert r.interval_at(2) == (Fraction(1, 2), Fraction(1, 2))
+    at_1, at_2 = r.interval_at(1), r.interval_at(2)
+    assert at_1 == (Fraction(1, 4), Fraction(3, 4))
+    assert at_2 == (Fraction(1, 2), Fraction(1, 2))
 
 
 @given(rationals, st.integers(min_value=0, max_value=40),
@@ -141,13 +153,13 @@ def test_nesting_invariants_hold_for_blurred(q, k1, k2):
 def test_blurred_strict_witness_is_the_separation_precision(p, q):
     reg = RealRegistry()
     r, s = reg.blurred(p), reg.blurred(q)
+    w = find_strict_witness(r, s, 80)
     if p >= q:
-        assert find_strict_witness(r, s, 80) is None
+        assert w is None
     else:
-        w = find_strict_witness(r, s, 80)
         assert w == separation_from_gap(q - p)
-        assert op_at(r, s, w)
-        assert w == 0 or not op_at(r, s, w - 1)
+        at_w, below = op_at(r, s, w), w > 0 and op_at(r, s, w - 1)
+        assert at_w and not below
 
 
 def test_op_at_needs_disjoint_intervals():
@@ -155,8 +167,9 @@ def test_op_at_needs_disjoint_intervals():
     r = reg.blurred(0)
     s = reg.blurred(1)
     # gap 1 is not > 2**0, so precision 0 cannot separate them
-    assert not op_at(r, s, 0)
-    assert op_at(r, s, 1)
+    at_0, at_1 = op_at(r, s, 0), op_at(r, s, 1)
+    assert not at_0
+    assert at_1
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))
@@ -167,7 +180,8 @@ def test_random_mixed_pairs_decide_by_limit(seed):
     s, sv = random_real(reg, rng)
     w = find_strict_witness(r, s, 80)
     if rv < sv:
-        assert w is not None and op_at(r, s, w)
+        seen = w is not None and op_at(r, s, w)
+        assert seen
     else:
         assert w is None
 
@@ -278,10 +292,12 @@ def test_least_witness_gallops_away_from_its_start():
         probes.append(k)
         return k >= 50
 
-    assert least_witness(from_50, 256, 40) == 50
+    up = least_witness(from_50, 256, 40)
+    assert up == 50
     assert probes[:6] == [40, 41, 42, 44, 48, 56]
     probes.clear()
-    assert least_witness(from_50, 256, 60) == 50
+    down = least_witness(from_50, 256, 60)
+    assert down == 50
     assert probes[:5] == [60, 59, 58, 56, 52]
 
 
@@ -292,15 +308,18 @@ def test_least_witness_edge_budgets():
         probes.append(k)
         return False
 
-    assert least_witness(never, -1) is None
+    found = least_witness(never, -1)
+    assert found is None
     assert probes == []
-    assert least_witness(never, 0) is None
+    found = least_witness(never, 0)
+    assert found is None
     assert probes == [0]
     probes.clear()
-    assert least_witness(never, 256) is None
+    found = least_witness(never, 256)
+    assert found is None
     assert probes == [0, 1, 2, 4, 8, 16, 32, 64, 128, 256]
-    assert least_witness(lambda k: True, 0) == 0
-    assert least_witness(lambda k: True, 256) == 0
+    found = [least_witness(lambda k: True, k_max) for k_max in (0, 256)]
+    assert found == [0, 0]
 
 
 def _constructor_reals(reg, p, q):
@@ -399,11 +418,12 @@ def test_sums_give_the_lcm_triple(left, right, equal, k):
     sa, sb, d = _over_lcm(ad, bd)
     assert (ad == bd) == equal
     triple = (alo * sa - bhi * sb, ahi * sa - blo * sb, d)
-    assert sub(a, b)._at(k) == triple
+    joined = sub(a, b)._at(k)
+    assert joined == triple
     if a._affine is not None and b._affine is not None:
         assert (a._affine[2] == b._affine[2]) == equal
-        assert affine_triple(_affine_difference(a._affine, b._affine),
-                             k) == triple
+        difference = _affine_difference(a._affine, b._affine)
+        assert affine_triple(difference, k) == triple
 
 
 def difference_tree(a, b, c, d, difference=sub):
@@ -450,7 +470,8 @@ def test_affine_sums_give_the_triples_of_their_tree(denominators):
     for node, affine in zip(nodes, tuples):
         assert node._affine is None
         for k in range(65):
-            assert node._at(k) == affine_triple(affine, k)
+            triple = node._at(k)
+            assert triple == affine_triple(affine, k)
 
 
 def test_an_affine_node_reads_no_operand():
@@ -508,7 +529,8 @@ def test_affine_det2_gives_the_triples_of_its_tree(denominators):
             node = det2(*(factors[n] for n in chosen))
             tree = ref.det2(*(refs[n] for n in chosen))
             for k in range(65):
-                assert _det2_at(terms, k) == node._at(k)
+                triple = _det2_at(terms, k)
+                assert triple == node._at(k)
                 assert node.interval_at(k) == tree.interval_at(k)
             # P == Q exactly when the products' denominators are equal
             equal_denominators.add(equal_product_denominators(
@@ -517,24 +539,101 @@ def test_affine_det2_gives_the_triples_of_its_tree(denominators):
 
 
 @st.composite
-def measured_tuples(draw):
-    """A ``(c, w, l, e)``: its ``l`` one of a few denominators, so that
-    equal ones are common, its centre zero, straddling (``|c| < w``,
-    so its interval at 0 contains zero) or any, and ``e`` its
-    magnitude exponent."""
-    l = draw(st.sampled_from([2, 6, 2 ** 13, 3 * 2 ** 7, 14]))
-    w = draw(st.integers(0, l // 2))
-    c = draw(st.one_of(st.just(0), st.integers(-w, w),
-                       st.integers(-2 ** 40, 2 ** 40)))
+def measured_tuples(draw, scale=0):
+    """A ``(c, w, l, e)``: its ``l`` one of a few denominators times
+    ``2**scale``, so that equal ones are common, its ``w`` often the
+    largest, ``l // 2``, as a blurred difference's is, its centre zero,
+    straddling (``|c| < w``, so its interval at 0 contains zero) or any,
+    and ``e`` its magnitude exponent."""
+    l = draw(st.sampled_from([2, 6, 2 ** 13, 3 * 2 ** 7, 14])) << scale
+    w = draw(st.one_of(st.just(l // 2), st.integers(0, l // 2)))
+    kind = draw(st.integers(0, 5))
+    c = draw(st.just(0) if kind == 0 else st.integers(-w, w) if kind == 1
+             else st.integers(-2 ** 40, 2 ** 40))
     return measured((c, w, l))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(measured_tuples(), min_size=4, max_size=4))
-def test_a_det2_read_at_zero_is_the_terms_at_zero(factors):
-    # the read at 0 from the four tuples, with no terms, gives the
-    # integers of the terms' triple at 0
-    assert _det2_at_zero(*factors) == _det2_at(_det2_terms(*factors), 0)
+@st.composite
+def det2_factors(draw):
+    """The four ``(c, w, l, e)`` of ``a * b - c * d``, at one scale from
+    2^0 to 2^-200; in one draw of five, c and d take the centres and
+    denominators of a and b, in either order, with radii of their own,
+    so that the limit is zero."""
+    scale = draw(st.sampled_from([0, 12, 60, 100, 200]))
+    factors = draw(st.lists(measured_tuples(scale), min_size=4, max_size=4))
+    if draw(st.integers(0, 4)) == 0:
+        a, b = factors[:2] if draw(st.booleans()) else factors[1::-1]
+        factors[2:] = [measured((x[0], draw(st.integers(0, x[2] // 2)), x[2]))
+                       for x in (a, b)]
+    return factors
+
+
+def scan_outcome(node, k_max):
+    """The outcome of a side decision of points 0, 1 and 2 whose
+    orientation is ``node``, by a linear scan over its intervals."""
+    for k in range(k_max + 1):
+        lo, hi, _ = node._at(k)
+        if lo > 0 or hi < 0:
+            return (Left if lo > 0 else Right)(k)
+    return (DegenerateInput,
+            f"no side witness for points (0, 1, 2) within precision {k_max}")
+
+
+def decide_outcome(*args):
+    """What :func:`decide_side` returns, or its failure's type and text."""
+    try:
+        return decide_side(*args)
+    except DegenerateInput as exc:
+        return DegenerateInput, str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(det2_factors())
+def test_the_det2_bound_is_where_the_integers_prove_a_side(factors):
+    # lead is the limit over the node's denominator at 0, so it is 0
+    # exactly for a zero limit; otherwise the node's interval at the
+    # bound excludes zero on lead's side, and the bound is the least k
+    # that passes the integer test; a side decision of points whose
+    # differences are the four tuples has the linear scan's outcome from
+    # every start and within every budget
+    terms, lead, bound = _det2_bound(*factors, 2 ** 12)
+    assert terms == _det2_terms(*factors)
+    (ca, wa, la, _), (cb, wb, lb, _), (cc, wc, lc, _), (cd, wd, ld, _) = \
+        factors
+    limit = Fraction(ca * cb, la * lb) - Fraction(cc * cd, lc * ld)
+    assert Fraction(lead, terms[-1]) == limit
+    node = det2(*(_affine_real(partial(RealNum, None), x[:3], x[3])
+                  for x in factors))
+    if lead:
+        lo, hi, _ = _det2_at(terms, bound)
+        assert lo > 0 if lead > 0 else hi < 0
+        _, _, s_ab, sp, _, _, _, _, s_cd, sq = terms[2:12]
+        spread = ((sp * (abs(ca) * wb + abs(cb) * wa) << s_ab)
+                  + (sq * (abs(cc) * wd + abs(cd) * wc) << s_cd))
+        slack = sp * wa * wb + sq * wc * wd
+        proven = [k for k in range(bound + 1)
+                  if (abs(lead) << 2 * k) - (spread << k) > slack]
+        assert proven == [bound]
+        witness = scan_outcome(node, bound).witness
+        limits = [-1, 0, witness - 1, witness, 256]
+    else:
+        assert bound == 2 ** 12 + 1
+        limits = [-1, 0, 256]
+    for k_max in limits:
+        clamped = _det2_bound(*factors, k_max)
+        assert clamped[1:] == (lead, min(bound, k_max + 1))
+    reg = RealRegistry()
+    p, q, r = (Point(i, reg.from_rational(0), reg.from_rational(0))
+               for i in range(3))
+    # decide_side(p, q, r) takes the bound of (q.x - p.x, r.y - p.y,
+    # r.x - p.x, q.y - p.y)
+    a, b, c, d = factors
+    differences = {(0, 1): (a, d), (0, 2): (c, b)}
+    for k_max in limits:
+        expected = scan_outcome(node, k_max)
+        for start in range(81):
+            decided = decide_outcome(p, q, r, k_max, differences, start)
+            assert decided == expected
 
 
 def test_an_affine_det2_reads_no_factor():
@@ -563,7 +662,8 @@ def test_affine_magnitude_is_read_in_closed_form(q):
              (sub(real, other), _affine_difference(real._affine, other._affine)),
              (sub(other, real), _affine_difference(other._affine, real._affine))]
     for node, affine in pairs:
-        assert _magnitude_exponent(node) == _affine_magnitude(affine)
+        read = _magnitude_exponent(node)
+        assert read == _affine_magnitude(affine)
 
 
 MIXED = {
@@ -621,7 +721,8 @@ def test_products_give_the_min_max_triple(left, right, k):
     alo, ahi, _ = a
     blo, bhi, _ = b
     products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-    assert _product(alo, ahi, blo, bhi) == (min(products), max(products))
+    product = _product(alo, ahi, blo, bhi)
+    assert product == (min(products), max(products))
 
 
 SIGNS = ("positive", "negative", "straddling")
@@ -643,7 +744,8 @@ def test_det2_gives_the_triples_of_its_tree(left, right):
             node = det2(*factors)
             tree = ref.det2(*(SIGNED[sign](ref) for sign in signs))
             for k in range(65):
-                assert node.interval_at(k) == tree.interval_at(k)
+                interval = node.interval_at(k)
+                assert interval == tree.interval_at(k)
                 equal_denominators.add(equal_product_denominators(*factors, k))
     assert equal_denominators == {True, False}
 
@@ -938,8 +1040,8 @@ def test_affine_magnitude_exponent_at_its_edges(affine, expected):
     c, w, l = affine
     real = _affine_real(RealRegistry().register, affine)
     twin = RefReal(lambda k: (Fraction(c - w, l), Fraction(c + w, l)))
-    assert _affine_magnitude(affine) == _magnitude_exponent(real) == \
-        ref_magnitude_exponent(twin) == expected
+    closed, read = _affine_magnitude(affine), _magnitude_exponent(real)
+    assert closed == read == ref_magnitude_exponent(twin) == expected
 
 
 @pytest.mark.parametrize("interval, expected", TABLE_MAGNITUDES)
@@ -947,7 +1049,8 @@ def test_table_magnitude_exponent_at_its_edges(interval, expected):
     lo, hi = map(Fraction, interval)
     real = RealRegistry().from_table([(lo, hi)], lo)
     twin = RefRegistry().from_table([(lo, hi)], lo)
-    assert _magnitude_exponent(real) == ref_magnitude_exponent(twin) == expected
+    read = _magnitude_exponent(real)
+    assert read == ref_magnitude_exponent(twin) == expected
 
 
 # The closed forms of two affine reals against the comparison of their
@@ -1024,11 +1127,14 @@ def test_affine_witness_at_its_edges(gap, spread, witness):
     register = RealRegistry().register
     r = _affine_real(register, (0, 0, 1))
     s = _affine_real(register, (gap, spread, max(1, 2 * spread)))
-    assert _affine_gap(r._affine, s._affine) == (gap, spread)
+    order = _affine_gap(r._affine, s._affine)
+    assert order == (gap, spread)
     budgets = (witness - 1, witness, witness + 5, -1)
     expected = [witness if witness <= k_max else None for k_max in budgets]
-    assert [find_strict_witness(r, s, k_max) for k_max in budgets] == expected
-    assert [find_strict_witness(s, r, k_max) for k_max in budgets] == [None] * 4
+    below = [find_strict_witness(r, s, k_max) for k_max in budgets]
+    above = [find_strict_witness(s, r, k_max) for k_max in budgets]
+    assert below == expected
+    assert above == [None] * 4
     assert r._cache == {} and s._cache == {}
     assert [least_witness(lambda k: interval_op_at(r, s, k), k_max)
             for k_max in budgets] == expected
@@ -1057,7 +1163,8 @@ def test_mixed_comparisons_read_intervals(affine, other, affine_first, k_max,
     assert a._affine is not None and b._affine is None
     r, s = (a, b) if affine_first else (b, a)
     for k in levels:
-        assert op_at(r, s, k) == interval_op_at(r, s, k)
+        answer = op_at(r, s, k)
+        assert answer == interval_op_at(r, s, k)
         assert k in r._cache and k in s._cache
-    assert find_strict_witness(r, s, k_max) == least_witness(
-        lambda k: interval_op_at(r, s, k), k_max)
+    witness = find_strict_witness(r, s, k_max)
+    assert witness == least_witness(lambda k: interval_op_at(r, s, k), k_max)

@@ -60,7 +60,8 @@ def test_event_json_roundtrip():
     with pytest.raises(TypeError):
         hash(event)
     blob = event.to_json()
-    assert TraceEvent.from_json(blob) == event
+    parsed = TraceEvent.from_json(blob)
+    assert parsed == event
     # serialization is canonical: sorted keys, no whitespace
     assert blob == json.dumps(json.loads(blob), sort_keys=True,
                               separators=(",", ":"))
@@ -73,7 +74,8 @@ def test_write_then_read_trace(tmp_path):
               0, 0, [])
     path = tmp_path / "run.trace"
     path.write_text("".join(log.lines()))
-    assert list(read_trace(path)) == log.events
+    read = list(read_trace(path))
+    assert read == log.events
     # one JSON object per line, byte-stable across writes
     first = path.read_bytes()
     path.write_text("".join(log.lines()))
@@ -166,7 +168,8 @@ def test_decide_text_writes_the_path_of_the_strict_steps():
         run = [TraceEvent.from_json(line) for line in
                _decide_text(0, n, strict, len(strict)).splitlines()]
         run.append(TraceEvent(n, "candidate", {"candidate": leaf}))
-        assert replay_paths([run], n).runs[0].leaf_candidates == [leaf]
+        replayed = replay_paths([run], n)
+        assert replayed.runs[0].leaf_candidates == [leaf]
 
 
 def oracle_run(values, trace, max_restarts=None):
