@@ -13,12 +13,13 @@ The differences ``Q - P`` and ``R - P`` are the node's operands;
 decisions about one apex P may share them through a dict that the
 caller owns, and they are dropped with that dict.  The dict keeps each
 coordinate difference on its own: when both of its coordinates are
-affine, such as blurred ones, as its integer ``(c, w, l)`` and
-magnitude exponent, computed once, else as a
+affine, such as blurred or rational ones, as its integer ``(c, w, l)``
+and magnitude exponent, computed once, else as a
 :func:`~realearn.reals.sub` node.  The orientation of three points
 whose four differences are all integers is computed from them, with no
 node per difference: its triples are closed forms that read no
-coordinate.  Because strict order of reals is only semi-decidable,
+coordinate, and over rational points it is exact, so its side is
+decided at 0.  Because strict order of reals is only semi-decidable,
 :func:`decide_side` searches for the least precision at which the
 orientation's interval excludes zero, with the galloping search
 :func:`~realearn.reals.least_witness`, and reports the side together
@@ -27,9 +28,10 @@ triples) raises :class:`DegenerateInput`.  The search gallops from a
 start precision that the caller may pass, such as the witness of its
 previous decision: neighbouring decisions of one construction have
 close witnesses, so fewer precisions are probed, and the least witness
-is the same from any start.  The orientation of three blurred points
-needs no start: the integers of its four differences prove a bound at
-or above its witness (see :func:`~realearn.reals._det2_bound`).  A
+is the same from any start.  The orientation of three points with
+affine coordinates needs no start: the integers of its four
+differences prove a bound at or above its witness (see
+:func:`~realearn.reals._det2_bound`).  A
 bound of 0 decides the side with no node and no interval, any other
 bound is where the search over one ``det2`` node starts, reading no
 precision at or above it, and a triple whose limits are collinear
@@ -143,13 +145,10 @@ def _orientation(dq, dr) -> RealNum:
 
 
 def _node(difference: Difference) -> RealNum:
-    """A coordinate difference as a node: a tuple through its affine
-    real, which reads no coordinate and takes its magnitude exponent
-    from the tuple's ``e``, so :func:`~realearn.reals.det2` does not
-    read its index 0."""
+    """A coordinate difference as a node: a tuple through the affine
+    real of its ``(c, w, l)``, which reads no coordinate."""
     if type(difference) is tuple:
-        return _affine_real(partial(RealNum, None), difference[:3],
-                            difference[3])
+        return _affine_real(partial(RealNum, None), difference[:3])
     return difference
 
 
@@ -171,8 +170,8 @@ def decide_side(p: Point, q: Point, r: Point, k_max: int,
     :func:`orientation_real` builds from them, built here without
     calling it.
 
-    Three points with affine coordinates, such as blurred points, have
-    four tuple differences, whose
+    Three points with affine coordinates, such as blurred or rational
+    points, have four tuple differences, whose
     :func:`~realearn.reals._det2_bound` gives the side, as the sign of
     the orientation's limit, and a precision at which the integers
     prove that the orientation's interval excludes zero, so the witness
@@ -233,7 +232,7 @@ def three_points(a: Point, q0: Point, q1: Point, q2: Point,
     three candidates (inner) would find first.  As :func:`op_at` is
     monotone in the precision, that is the first i whose own least
     witness, :func:`~realearn.reals.find_strict_witness` of q_i.y below
-    a.y, is the least of the three: one division each for blurred ys.
+    a.y, is the least of the three: one division each for affine ys.
     """
     found = [(k, i) for i, q in enumerate((q0, q1, q2))
              if (k := find_strict_witness(q.y, a.y, k_max)) is not None]
@@ -278,7 +277,7 @@ def verify_bounding(points: Sequence[Point], a: int, b: int, c: int,
     audit's side decisions share one dict of differences, all about
     apex ``a``, and nothing from the construction.
     Each decision's witness search starts at the witness of the audit's
-    previous decision, or, when the points are blurred, at the bound
+    previous decision, or, when the points are affine, at the bound
     that the integers of the orientation prove (see
     :func:`decide_side`), so a clause over collinear limits fails
     without a search.  Intended as a

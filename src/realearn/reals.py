@@ -30,7 +30,10 @@ An affine real ``(c, w, l)``, with ``2w <= l``, is one whose triple at
 every k is ``((c << k) - w, (c << k) + w, l << k)``: the interval of
 centre ``c/l`` and radius ``w / (l * 2**k)``, so its width is at most
 ``2**-k`` and each interval nests in the one before.  A blurred real
-``n/m`` is the affine real ``(2n, m, 2m)``.  :func:`sub` and
+``n/m`` is the affine real ``(2n, m, 2m)``, and a constant real
+``n/d``, a rational or a table with no prefix, is ``(n, 0, d)``, of
+radius 0, so its intervals are the pair ``(n/d, n/d)`` at every k,
+as a table's tail is.  :func:`sub` and
 :func:`det2` read an affine operand through its triples as they read
 any other.  Closed-form affine arithmetic, comparisons aside (see
 below), lives only in a set of functions on integer tuples, which give
@@ -79,9 +82,13 @@ with :func:`_affine_det2`: one node, with none per factor, that reads
 no real.  A caller whose tuples sit beside other nodes, such as a
 coordinate difference beside a :func:`sub` node, reads each tuple
 through its affine real, the node that :func:`_affine_real` builds
-with ``partial(RealNum, None)``, which reads no real either and takes
-its magnitude exponent from the tuple's ``e``, and takes the generic
-:func:`det2` of them all.
+with ``partial(RealNum, None)``, which reads no real either, and takes
+the generic :func:`det2` of them all.  That :func:`det2` reads the
+node's magnitude exponent from its triple at 0, which is the tuple's
+``e``.  So the generic kernel, :func:`sub` and :func:`det2`, keeps no
+knowledge of affine reals: only a table with a prefix or a raw
+generator brings an input to it, and an affine real beside one is
+read there through its triples.
 
 A :class:`RealRegistry` holds the input reals only: its constructors
 register each real under a dense index.  Differences and differences
@@ -210,12 +217,8 @@ class RealNum:
     new interval.  A raw generator of
     ``Fraction`` pairs is checked in every build by the triple
     generator that :meth:`RealRegistry.from_generator` wraps it in.
-    The magnitude exponent that :func:`det2` reads from index 0 is
-    cached in ``_magnitude`` once computed, so a node shared by many
-    products reads it once; an affine real whose builder holds it,
-    such as a coordinate difference kept as its ``(c, w, l, e)``,
-    starts with it there and is not read at 0 for it.  An affine real
-    (see the module docstring), such as a blurred one, keeps its
+    An affine real (see the module docstring), such as a blurred or a
+    constant one, keeps its
     ``(c, w, l)`` in ``_affine``, which is None for every other real:
     :func:`op_at` and :func:`find_strict_witness` compare two affine
     reals from it in closed form, and a caller of the tuple functions
@@ -223,13 +226,12 @@ class RealNum:
     read the real's triples.
     """
 
-    __slots__ = ("index", "_gen", "_cache", "_magnitude", "_affine")
+    __slots__ = ("index", "_gen", "_cache", "_affine")
 
     def __init__(self, index: Optional[int], gen: Callable[[int], Triple]):
         self.index = index
         self._gen = gen
         self._cache: dict[int, Triple] = {}
-        self._magnitude: Optional[int] = None
         self._affine: Optional[Affine] = None
 
     def interval_at(self, k: int) -> Interval:
@@ -366,20 +368,17 @@ def _affine_magnitude(affine: Affine) -> int:
 
 def _magnitude_exponent(x: RealNum) -> int:
     """Smallest c >= 0 such that 2**c bounds |x| at index 0, and so at
-    every index, computed once per real: the bound that fixes the
-    precision at which :func:`det2` reads x as a factor.  Index 0 never
-    changes once cached, so neither does the answer.  It is
-    :func:`_affine_magnitude` of ``(lo + hi, hi - lo, 2d)`` for x's
-    triple ``(lo, hi, d)`` at 0, the affine real of centre
-    ``(lo + hi) / 2d`` and radius ``(hi - lo) / 2d`` whose interval at 0
-    is x's (``2w <= l``, as x's width at 0 is at most 1), so its bound
-    ``(|c| + w) / l`` is ``max(|lo|, |hi|) / d``.  Every real, an affine
-    one included, is read at 0."""
-    c = x._magnitude
-    if c is None:
-        lo, hi, d = x._at(0)
-        c = x._magnitude = _affine_magnitude((lo + hi, hi - lo, 2 * d))
-    return c
+    every index: the bound that fixes the precision at which
+    :func:`det2` reads x as a factor.  It is :func:`_affine_magnitude`
+    of ``(lo + hi, hi - lo, 2d)`` for x's cached triple ``(lo, hi, d)``
+    at 0, the affine real of centre ``(lo + hi) / 2d`` and radius
+    ``(hi - lo) / 2d`` whose interval at 0 is x's (``2w <= l``, as x's
+    width at 0 is at most 1), so its bound ``(|c| + w) / l`` is
+    ``max(|lo|, |hi|) / d``.  For an affine real ``(c, w, l)`` that is
+    :func:`_affine_magnitude` of it, since ``floor((2m - 1) / 2l)``
+    equals ``floor((m - 1) / l)`` for ``m = |c| + w``."""
+    lo, hi, d = x._at(0)
+    return _affine_magnitude((lo + hi, hi - lo, 2 * d))
 
 
 def _affine_at(affine: Affine, k: int) -> Triple:
@@ -390,18 +389,14 @@ def _affine_at(affine: Affine, k: int) -> Triple:
 
 
 def _affine_real(make: Callable[[Callable[[int], Triple]], RealNum],
-                 affine: Affine, magnitude: Optional[int] = None) -> RealNum:
+                 affine: Affine) -> RealNum:
     """The real that ``make`` builds on the generator of the affine
     real ``affine``, :func:`_affine_at` of it, with ``affine`` kept in
     ``_affine``.  ``make`` registers an input real, such as a blurred
-    one, or is ``partial(RealNum, None)`` for a node, such as a
-    coordinate difference of the geometry kept as its tuple.  A caller
-    that holds the real's magnitude exponent, :func:`_affine_magnitude`
-    of ``affine``, such as the ``e`` of that tuple, passes it as
-    ``magnitude``: it is kept in ``_magnitude``, so :func:`det2` does
-    not read index 0 for it."""
+    or a constant one, or is ``partial(RealNum, None)`` for a node, such
+    as a coordinate difference of the geometry kept as its tuple."""
     real = make(partial(_affine_at, affine))
-    real._affine, real._magnitude = affine, magnitude
+    real._affine = affine
     return real
 
 
@@ -466,8 +461,8 @@ class RealRegistry(Sequence[RealNum]):
 
     def from_rational(self, q: RationalLike) -> RealNum:
         """The real with constant degenerate interval [q, q]: the table
-        with no prefix and tail q, whose triple at every k is
-        ``(n, n, d)`` for ``q = n/d``."""
+        with no prefix and tail q, the affine real ``(n, 0, d)`` for
+        ``q = n/d``."""
         return self.from_table((), q)
 
     def blurred(self, q: RationalLike) -> RealNum:
@@ -496,17 +491,19 @@ class RealRegistry(Sequence[RealNum]):
         taken as it is; an int, a string or another rational goes
         through ``Fraction``.  The whole table is validated eagerly; the
         first violated clause raises :class:`InvalidNesting` with the
-        offending index.
+        offending index.  With no prefix the real is the constant
+        ``n/d`` of the tail, the affine real ``(n, 0, d)``, kept in
+        ``_affine`` for the closed forms as a blurred real is.
         """
         intervals = [_triple(lo, hi) for lo, hi in prefix]
-        tail_interval = _triple(tail, tail)
+        tail_n, _, tail_d = tail_interval = _triple(tail, tail)
+        if not intervals:
+            return _affine_real(self.register, (tail_n, 0, tail_d))
         for k, interval in enumerate(intervals):
             _check_interval(k, interval, intervals[k - 1] if k else None)
-        if intervals:
-            lo, hi, d = intervals[-1]
-            tail_n, _, tail_d = tail_interval
-            if not (lo * tail_d <= tail_n * d <= hi * tail_d):
-                raise InvalidNesting(len(intervals), "tail outside final interval")
+        lo, hi, d = intervals[-1]
+        if not (lo * tail_d <= tail_n * d <= hi * tail_d):
+            raise InvalidNesting(len(intervals), "tail outside final interval")
 
         def gen(k: int) -> Triple:
             return intervals[k] if k < len(intervals) else tail_interval

@@ -7,7 +7,9 @@ failing test reproduces from its seed alone.
 """
 
 import io
+import sys
 from fractions import Fraction
+from functools import partial
 from random import Random
 from typing import List, Sequence, Set, Tuple
 
@@ -16,6 +18,11 @@ from realearn import (Assumed, KnowledgeState, LeastCandidate, Point, RealNum,
 from realearn.geometry import RationalPoint
 from realearn.oracle import exact_orientation
 from realearn.trace import TraceEvent, TraceFile
+
+
+# the interpreter of a child process: with -O when the suite runs under
+# python -O, so a child strips the asserts and debug checks it strips
+PYTHON = [sys.executable, *["-O"] * sys.flags.optimize]
 
 
 def random_fraction(rng: Random, span: int = 8, denom_bits: int = 6) -> Fraction:
@@ -80,13 +87,27 @@ def general_position_points(rng: Random, count: int) -> List[RationalPoint]:
         return pts
 
 
-def register_points(pts: Sequence[RationalPoint], blurred: bool = False
-                    ) -> Tuple[RealRegistry, List[Point]]:
+def one_interval_table(reg: RealRegistry, q: Fraction) -> RealNum:
+    """The table of ``q`` whose one interval, at index 0, is
+    ``[q - 1/2, q + 1/2]``.  It is not affine, as a rational, the
+    constant ``(n, 0, d)``, is, so differences and orientations of such
+    coordinates take the generic ``sub`` and ``det2`` path."""
+    half = Fraction(1, 2)
+    return reg.from_table([(q - half, q + half)], q)
+
+
+def register_points(pts: Sequence[RationalPoint], blurred: bool = False,
+                    table: bool = False) -> Tuple[RealRegistry, List[Point]]:
     """Register every y coordinate, then every x coordinate, and return
-    the registry with the points.  The convex construction does not
-    depend on this order; it learns over the points' own y list."""
+    the registry with the points: rational, blurred, or with ``table``
+    :func:`one_interval_table` coordinates.  The convex construction
+    does not depend on this order; it learns over the points' own y
+    list."""
     reg = RealRegistry()
-    ctor = reg.blurred if blurred else reg.from_rational
+    if table:
+        ctor = partial(one_interval_table, reg)
+    else:
+        ctor = reg.blurred if blurred else reg.from_rational
     ys = [ctor(p.y) for p in pts]
     xs = [ctor(p.x) for p in pts]
     return reg, [Point(i, xs[i], ys[i]) for i in range(len(pts))]

@@ -51,11 +51,12 @@ def test_benchmark_tracer_installs_on_the_program():
                for name in MODULES}
     convex = modules["convex"]
     originals = namespaces(modules)
-    # rational points take the generic path, blurred ones the affine path
-    for blurred in (False, True):
+    # one-interval table points take the generic path, rational and
+    # blurred ones the affine path
+    for kind in ("table", "rational", "blurred"):
         points = register_points(
             [RationalPoint(Fraction(x), Fraction(y)) for x, y in QUAD],
-            blurred=blurred)[1]
+            blurred=kind == "blurred", table=kind == "table")[1]
         tracer = load_tracing().Tracer()
         try:
             tracer.install(modules)

@@ -12,7 +12,7 @@ import pytest
 
 from realearn.replay import replay_paths
 from realearn.trace import read_trace
-from support import general_position_points
+from support import PYTHON, general_position_points
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
@@ -29,7 +29,7 @@ def run_cli(*args, env_extra=None):
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "realearn", *map(str, args)],
+        [*PYTHON, "-m", "realearn", *map(str, args)],
         capture_output=True, text=True, env=env)
 
 

@@ -18,8 +18,9 @@ import hashlib
 import json
 import os
 import subprocess
-import sys
 from pathlib import Path
+
+from support import PYTHON
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
@@ -86,7 +87,7 @@ def record_table(out: Path) -> str:
     env.pop("REALEARN_KMAX", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "src"), *filter(None, [env.get("PYTHONPATH")])])
-    command = [sys.executable, *["-O"] * sys.flags.optimize, "-m", "realearn"]
+    command = [*PYTHON, "-m", "realearn"]
     table = []
     for overrides, args in ROWS:
         argv = [arg.replace("OUT/", f"{out}{os.sep}") for arg in args]

@@ -27,7 +27,7 @@ from realearn import (
 from realearn.geometry import RationalPoint
 from realearn.oracle import (exact_convex_check, exact_orientation,
                              separation_from_gap)
-from realearn.reals import _affine_magnitude, det2, sub
+from realearn.reals import det2, sub
 from realearn.trace import read_trace
 
 from support import (StringTrace, count_trace_builds, general_position_points,
@@ -521,32 +521,6 @@ def test_a_dict_builds_each_sub_node_once(monkeypatch):
     assert len(kept) == 4 and min(kept.values()) > 0, kept
 
 
-def test_a_tuple_node_reads_no_triple_at_zero(monkeypatch):
-    # a generic side decision reads a tuple coordinate difference
-    # through its affine real, which carries the tuple's magnitude
-    # exponent e: det2 takes it from there, so on the mixed instances no
-    # such real computes its triple at 0 (1,263 did when det2 read it)
-    node = realearn.geometry._node
-    tuple_nodes = []
-
-    def recorded_node(difference):
-        real = node(difference)
-        if type(difference) is tuple:
-            tuple_nodes.append((difference, real))
-        return real
-
-    monkeypatch.setattr(realearn.geometry, "_node", recorded_node)
-    for pts in mixed_instances():
-        res = convex_angle(pts)
-        certificate = verify_bounding(pts, res.a, res.b, res.c)
-        assert certificate == res.certificate
-    assert len(tuple_nodes) >= 700
-    for difference, real in tuple_nodes:
-        assert real._magnitude == difference[3] == \
-            _affine_magnitude(difference[:3])
-        assert real._cache and 0 not in real._cache
-
-
 def test_an_attempt_builds_each_difference_once(monkeypatch):
     # apex 0 is the lowest point, so the first attempt is accepted; it
     # needs one x and one y difference per other point, each a (c, w, l)
@@ -577,6 +551,35 @@ def test_an_attempt_builds_each_difference_once(monkeypatch):
     assert len(decisions) > 2 * n
     assert 0 < len(differences) <= 2 * n
     assert nodes == []
+
+
+def test_only_table_points_build_generic_nodes(monkeypatch):
+    # a rational is the affine real (n, 0, d), so a construction and its
+    # audit over rational points keep every coordinate difference as a
+    # tuple and build no sub or det2 node; over the same points with
+    # one-interval table coordinates every difference is a sub node and
+    # every side decision searches a generic det2 node
+    rational = general_position_points(Random(8), 10)
+    built = Counter()
+    for name in ("sub", "det2"):
+        node = getattr(realearn.geometry, name)
+
+        def counted(*args, name=name, node=node):
+            built[name] += 1
+            return node(*args)
+
+        monkeypatch.setattr(realearn.geometry, name, counted)
+    runs = {}
+    for table in (False, True):
+        built.clear()
+        _, pts = register_points(rational, table=table)
+        res = convex_angle(pts)
+        certificate = verify_bounding(pts, res.a, res.b, res.c)
+        assert certificate == res.certificate
+        runs[table] = (res.a, res.b, res.c, res.restarts, dict(built))
+    assert runs[False][:4] == runs[True][:4]
+    assert runs[False][4] == {}
+    assert runs[True][4]["det2"] > 0 and runs[True][4]["sub"] > 0
 
 
 def deep8_points():

@@ -26,13 +26,22 @@ from realearn.reals import (InvalidNesting, RealNum, _affine_det2,
                             _affine_difference, _affine_magnitude,
                             _det2_bound, _det2_terms, det2, sub)
 
-from support import (general_position_points, random_real,
-                     random_table_prefix, register_points)
+from support import (general_position_points, one_interval_table,
+                     random_real, random_table_prefix, register_points)
 
 
-def simple_points(coords, blurred=False):
+# coordinate kinds: rationals and blurred reals are affine, so their
+# side decisions take the tuple path; one-interval tables are not, so
+# theirs search the generic det2 node from a start
+KINDS = ["rational", "blurred", "table"]
+
+
+def simple_points(coords, blurred=False, table=False):
     reg = RealRegistry()
-    ctor = reg.blurred if blurred else reg.from_rational
+    if table:
+        ctor = partial(one_interval_table, reg)
+    else:
+        ctor = reg.blurred if blurred else reg.from_rational
     ys = [ctor(Fraction(y)) for _, y in coords]
     xs = [ctor(Fraction(x)) for x, _ in coords]
     return [Point(i, xs[i], ys[i]) for i in range(len(coords))]
@@ -192,9 +201,10 @@ def point_sets(draw, count):
 
 
 @settings(max_examples=60, deadline=None)
-@given(point_sets(3), st.booleans(), st.integers(min_value=0, max_value=64))
-def test_galloping_matches_linear_scans_on_triples(coords, blurred, k_max):
-    p, q, r = simple_points(coords, blurred=blurred)
+@given(point_sets(3), st.sampled_from(KINDS),
+       st.integers(min_value=0, max_value=64))
+def test_galloping_matches_linear_scans_on_triples(coords, kind, k_max):
+    p, q, r = simple_points(coords, kind == "blurred", kind == "table")
     decided = outcome(decide_side, p, q, r, k_max)
     assert decided == outcome(scan_decide_side, p, q, r, k_max)
     for a, b in ((p, q), (q, r), (r, p)):
@@ -203,9 +213,10 @@ def test_galloping_matches_linear_scans_on_triples(coords, blurred, k_max):
 
 
 @settings(max_examples=30, deadline=None)
-@given(point_sets(3), st.booleans(), st.integers(min_value=0, max_value=64))
-def test_side_decisions_do_not_depend_on_the_start(coords, blurred, k_max):
-    p, q, r = simple_points(coords, blurred=blurred)
+@given(point_sets(3), st.sampled_from(KINDS),
+       st.integers(min_value=0, max_value=64))
+def test_side_decisions_do_not_depend_on_the_start(coords, kind, k_max):
+    p, q, r = simple_points(coords, kind == "blurred", kind == "table")
     expected = outcome(decide_side, p, q, r, k_max)
     for start in range(81):
         assert outcome(decide_side, p, q, r, k_max, None, start) == expected
@@ -557,7 +568,7 @@ def drawn_points(coords, kind, seed):
     """``simple_points`` of one kind, or with each coordinate rational,
     blurred or a table, drawn as ``support.random_real`` draws it."""
     if kind != "mixed":
-        return simple_points(coords, blurred=kind == "blurred")
+        return simple_points(coords, kind == "blurred", kind == "table")
     reg, rng = RealRegistry(), Random(seed)
     ys = [random_real(reg, rng, Fraction(y))[0] for _, y in coords]
     xs = [random_real(reg, rng, Fraction(x))[0] for x, _ in coords]
@@ -566,7 +577,7 @@ def drawn_points(coords, kind, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=3, max_value=6).flatmap(point_sets),
-       st.sampled_from(["rational", "blurred", "mixed"]),
+       st.sampled_from([*KINDS, "mixed"]),
        st.integers(min_value=0, max_value=2 ** 32))
 def test_shared_differences_match_fresh_orientations(coords, kind, seed):
     # one dict of differences about apex p serves every (q, r) pair, and

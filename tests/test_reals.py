@@ -65,6 +65,10 @@ def test_constructors_take_every_form_of_a_rational_alike(forms):
         rows = {tuple(r._at(k) for r in row) for row in reals}
         assert len(rows) == 1
         assert reals[0][0]._at(k) == reals[0][1]._at(k)
+    # a constant n/d is the affine real (n, 0, d), as a table with no
+    # prefix too
+    for rational, table, _, _ in reals:
+        assert rational._affine == table._affine == (v, 0, 1)
     exact = forms[2]
     taken = _fraction(exact)
     assert taken is exact
@@ -602,7 +606,7 @@ def test_the_det2_bound_is_where_the_integers_prove_a_side(factors):
         factors
     limit = Fraction(ca * cb, la * lb) - Fraction(cc * cd, lc * ld)
     assert Fraction(lead, terms[-1]) == limit
-    node = det2(*(_affine_real(partial(RealNum, None), x[:3], x[3])
+    node = det2(*(_affine_real(partial(RealNum, None), x[:3])
                   for x in factors))
     if lead:
         lo, hi, _ = _det2_at(terms, bound)
@@ -891,15 +895,17 @@ kernel_values = st.builds(
 
 
 @st.composite
-def kernel_tables(draw):
+def kernel_tables(draw, min_depth=0):
     """A valid table prefix around a value, with odd denominators in the
     endpoints: ``[v - t_k / 2**(k+1), v + u_k / 2**(k+1)]`` with
-    ``t_k, u_k`` in [0, 1] and at most twice their predecessors."""
+    ``t_k, u_k`` in [0, 1] and at most twice their predecessors, of
+    ``min_depth`` to 6 intervals.  With no interval the table is a
+    constant, an affine real."""
     value = draw(kernel_values)
     shares = st.builds(Fraction, st.integers(min_value=0, max_value=15),
                        st.sampled_from([1, 3, 5, 15]))
     prefix, below, above = [], Fraction(1), Fraction(1)
-    for k in range(draw(st.integers(min_value=0, max_value=6))):
+    for k in range(draw(st.integers(min_value=min_depth, max_value=6))):
         below = min(draw(shares), 1, 2 * below)
         above = min(draw(shares), 1, 2 * above)
         scale = Fraction(1, 2 ** (k + 1))
@@ -1074,12 +1080,18 @@ def affine_pairs(draw):
     :func:`_affine_difference` of their tuples: two drawn ones, one real
     twice, a drawn real and a nested chain of differences with the same
     limit, ``(r - x) - (0 - x)``, or blurred reals ``2**-j`` apart,
-    whose intervals touch at k = j."""
+    whose intervals touch at k = j; or a rational, ``(n, 0, d)``, and a
+    blurred real, drawn or ``2**-j`` above it, touching it at k = j - 1."""
     reg = RealRegistry()
-    kind = draw(st.sampled_from(["drawn", "same", "equal limit", "touching"]))
-    if kind == "touching":
+    kind = draw(st.sampled_from(["drawn", "same", "equal limit", "touching",
+                                 "rational", "rational touching"]))
+    if kind.endswith("touching"):
         value, j = draw(kernel_values), draw(st.integers(0, 90))
-        return reg.blurred(value), reg.blurred(value + Fraction(1, 2 ** j))
+        below = reg.blurred if kind == "touching" else reg.from_rational
+        return below(value), reg.blurred(value + Fraction(1, 2 ** j))
+    if kind == "rational":
+        return reg.from_rational(draw(kernel_values)), \
+            reg.blurred(draw(kernel_values))
     r = _affine_real(reg.register, affine_of(draw(affine_differences)))
     if kind == "same":
         return r, r
@@ -1140,11 +1152,10 @@ def test_affine_witness_at_its_edges(gap, spread, witness):
             for k_max in budgets] == expected
 
 
-# A real that is not affine: a rational, a table, a raw generator or an
-# orientation of affine reals.
+# A real that is not affine: a table with a prefix, a raw generator or
+# an orientation of affine reals.  A rational is affine.
 non_affine_exprs = st.one_of(
-    st.tuples(st.just("from_rational"), kernel_values),
-    kernel_tables(),
+    kernel_tables(min_depth=1),
     st.builds(raw_generator, kernel_values,
               st.builds(Fraction, st.integers(min_value=0, max_value=15),
                         st.just(15))),
