@@ -31,7 +31,8 @@ close witnesses, so fewer precisions are probed, and the least witness
 is the same from any start.  The orientation of three points with
 affine coordinates needs no start: the integers of its four
 differences prove a bound at or above its witness (see
-:func:`~realearn.reals._det2_bound`).  A
+:func:`~realearn.reals._det2_bound`), which tests the orientation's
+limit first and proves most bounds of 0 from it alone.  A
 bound of 0 decides the side with no node and no interval, any other
 bound is where the search over one ``det2`` node starts, reading no
 precision at or above it, and a triple whose limits are collinear
@@ -176,14 +177,16 @@ def decide_side(p: Point, q: Point, r: Point, k_max: int,
     the orientation's limit, and a precision at which the integers
     prove that the orientation's interval excludes zero, so the witness
     is at most that bound.  A bound of 0 within ``k_max`` returns the
-    side at 0 with no node and no interval.  Otherwise one
+    side at 0 with no node and no interval, and with no terms either
+    when the limit alone proves that bound.  Otherwise one
     :func:`~realearn.reals._affine_det2` node of the tuples' terms is
     searched from the bound, or from ``k_max`` if the bound is above
     it, and the search takes the orientation to exclude zero at every
     precision from the bound on without reading it there; ``start`` is
     not used.  An orientation whose limit is zero, the orientation of
     collinear limits, has no witness at any precision, so it raises
-    :class:`DegenerateInput` without searching.
+    :class:`DegenerateInput` without searching, as any orientation does
+    when ``k_max`` is negative.
     """
     if differences is None:
         differences = {}
@@ -191,10 +194,11 @@ def decide_side(p: Point, q: Point, r: Point, k_max: int,
     (xq, yq), (xr, yr) = dq, dr
     if tuple is type(xq) is type(yq) is type(xr) is type(yr):
         terms, lead, bound = _det2_bound(xq, yr, xr, yq, k_max)
-        if not lead:
-            # the limit is zero, and every interval contains it
+        if not lead or k_max < 0:
+            # the limit is zero, which every interval contains, or no
+            # precision is within budget: no node, and no terms to build it
             k = None
-        elif bound == 0 <= k_max:
+        elif bound == 0:
             return Left(0) if lead > 0 else Right(0)
         else:
             orient = _affine_det2(terms)

@@ -50,9 +50,10 @@ k, and the difference is the affine real
 the join of the operands' triples, and again ``2w <= l``.
 :func:`_affine_magnitude` gives an affine real's magnitude exponent.
 
-:func:`_det2_terms` gives the integers of a ``det2`` of four affine
-reals, each given as ``(c, w, l, e)`` with ``e`` its magnitude
-exponent, and :func:`_det2_at` its triple at k.  It computes each
+:func:`_det2_bound` gives the integers, the terms, of a ``det2`` of
+four affine reals, each given as ``(c, w, l, e)`` with ``e`` its
+magnitude exponent, when a search needs them, and :func:`_det2_at` its
+triple at k from them: it computes each
 factor's triple at its shift ``K = k + s`` from ``(c, w, l)`` and takes
 the two products, whose denominators are ``P << 2k`` and ``Q << 2k``
 for ``P = (l_a * l_b) << 2 * s_ab`` and ``Q = (l_c * l_d) << 2 * s_cd``.
@@ -67,12 +68,32 @@ factor's centre numerator is ``x = ca << (k + s_ab)``, and so on, and
 every endpoint product of ``[x - wa, x + wa] * [y - wb, y + wb]`` lies
 within ``|x|*wb + |y|*wa + wa*wb`` of ``x*y``.  So the joined
 numerators lie within ``(spread << k) + slack`` of their centre
-``lead << 2k``, for integers ``lead`` (the limit times ``lcm(P, Q)``),
-``spread`` and ``slack`` fixed by the coefficients, and the interval
-excludes zero on ``lead``'s side at every k with
-``(|lead| << 2k) - (spread << k) > slack``.  :func:`_det2_bound` gives
-the least such k, found by exact integer tests, not by reading
-intervals.  It is at least the node's least witness.
+``lead << 2k``, for integers ``lead`` (the limit times
+``dd = lcm(P, Q)``), ``spread`` and ``slack`` fixed by the
+coefficients, and the interval excludes zero on ``lead``'s side at
+every k with ``(|lead| << 2k) - (spread << k) > slack``.
+:func:`_det2_bound` gives the least such k, found by exact integer
+tests, not by reading intervals.  It is at least the node's least
+witness.
+
+Most bounds need no terms.  The limit times ``l_a*l_b*l_c*l_d`` is
+the integer ``limit = ca*cb*l_c*l_d - cc*cd*l_a*l_b``, and
+:func:`_det2_bound` tests it first, as a static error filter does
+(Fortune and Van Wyk 1996; Shewchuk 1997).  Every factor has
+``|c|/l <= 2**e`` and ``w/l <= 1/2``, and ``s_ab = e_a + e_b + 3``,
+so the ab part of ``spread / dd`` is
+``(|ca|/l_a * wb/l_b + |cb|/l_b * wa/l_a) / 2**s_ab``, at most
+``(2**-e_b + 2**-e_a) / 16 <= 1/8``, and the ab part of
+``slack / dd`` is ``(wa/l_a) * (wb/l_b) / 4**s_ab``, at most
+``1/256``; with the cd parts, ``(spread + slack) / dd <= 1/4 + 1/128``.
+Since ``|lead| / dd`` is ``|limit| / (l_a*l_b*l_c*l_d)``, a limit with
+``2 * |limit| > l_a*l_b*l_c*l_d`` passes the test at 0, and its bound
+is 0 with no terms built, no gcd and no shift; the limit's sign is
+``lead``'s.  The shortcut is tried only when some factor has
+``e > 0``: with every ``e = 0`` every factor is at most 1 in size, the
+limit is at most 2 and seldom above 1/2, and the full test gives the
+same bound.
+
 ``lead == 0`` means the limit is zero, which every interval contains,
 so no k excludes zero.  A caller that holds the tuples, such as an
 orientation whose four coordinate differences each have two affine
@@ -567,27 +588,11 @@ def _product(alo: int, ahi: int, blo: int, bhi: int) -> Tuple[int, int]:
     return min(products), max(products)
 
 
-def _det2_terms(a: Measured, b: Measured, c: Measured,
-                d: Measured) -> Tuple[int, ...]:
-    """The integers of the :func:`det2` node ``a * b - c * d`` of four
-    affine reals, each given as ``(c, w, l, e)`` with ``e`` its magnitude
-    exponent, so the products are read at ``k + s_ab`` and ``k + s_cd``.
-    The product denominators are ``P << 2k`` and ``Q << 2k``, whose gcd
-    is ``gcd(P, Q) << 2k``, so the join's scale factors ``sp`` and
-    ``sq`` and ``dd = lcm(P, Q)`` come from ``_over_lcm(P, Q)`` once, and
-    the denominator at k is ``dd << 2k``.  The terms are
-    ``(ca, wa, cb, wb, s_ab, sp, cc, wc, cd, wd, s_cd, sq, dd)``."""
-    (ca, wa, la, ea), (cb, wb, lb, eb) = a, b
-    (cc, wc, lc, ec), (cd, wd, ld, ed) = c, d
-    s_ab, s_cd = ea + eb + 3, ec + ed + 3
-    sp, sq, dd = _over_lcm(la * lb << 2 * s_ab, lc * ld << 2 * s_cd)
-    return (ca, wa, cb, wb, s_ab, sp, cc, wc, cd, wd, s_cd, sq, dd)
-
-
 def _det2_at(terms: Tuple[int, ...], k: int) -> Triple:
-    """The triple at k of the :func:`det2` node of :func:`_det2_terms`:
-    the factors' endpoints at their shifts, computed from ``(c, w, l)``,
-    their :func:`_product` numerators, and the join."""
+    """The triple at k of the :func:`det2` node whose terms
+    :func:`_det2_bound` gives: the factors' endpoints at their shifts,
+    computed from ``(c, w, l)``, their :func:`_product` numerators, and
+    the join."""
     ca, wa, cb, wb, s_ab, sp, cc, wc, cd, wd, s_cd, sq, dd = terms
     k_ab, k_cd = k + s_ab, k + s_cd
     x, y = ca << k_ab, cb << k_ab
@@ -598,24 +603,40 @@ def _det2_at(terms: Tuple[int, ...], k: int) -> Triple:
 
 
 def _det2_bound(a: Measured, b: Measured, c: Measured, d: Measured,
-                k_max: int) -> Tuple[Tuple[int, ...], int, int]:
+                k_max: int) -> Tuple[Optional[Tuple[int, ...]], int, int]:
     """``(terms, lead, bound)`` of the :func:`det2` node ``a * b - c * d``
-    of four affine reals given as ``(c, w, l, e)``: their
-    :func:`_det2_terms`, ``lead``, the node's limit times its
-    denominator ``dd`` at 0, and ``bound``, the least k with
-    ``(|lead| << 2k) - (spread << k) > slack``, at which the node's
-    interval excludes zero on ``lead``'s side (see the module
-    docstring), or ``k_max + 1`` when that k is above ``k_max`` or
-    ``lead`` is 0.  The test is tried at 0 first.  Past 0 it needs
+    of four affine reals given as ``(c, w, l, e)``: ``bound`` is the
+    least k with ``(|lead| << 2k) - (spread << k) > slack``, at which
+    the node's interval excludes zero on ``lead``'s side (see the
+    module docstring), or ``k_max + 1`` when that k is above ``k_max``
+    or the limit is 0.  The integer ``limit`` comes first: a zero limit
+    gives ``(None, 0, k_max + 1)``, and a limit that the module
+    docstring's shortcut proves gives
+    ``(None, limit, min(0, k_max + 1))``, whose ``lead`` promises only
+    its sign: no terms are built.  Otherwise ``terms``
+    are ``(ca, wa, cb, wb, s_ab, sp, cc, wc, cd, wd, s_cd, sq, dd)``,
+    the integers that :func:`_det2_at` reads, and ``lead`` is the limit
+    times ``dd``, ``(limit << 2 * (s_ab + s_cd)) // gcd(P, Q)``.  The
+    test is tried at 0 first.  Past 0 it needs
     ``2**k > spread / |lead|`` and ``4**k > slack / |lead|``, which bit
     lengths turn into a least k to start from, and twice those ratios
     suffice, so it passes within two steps of the start; no step goes
     past ``k_max + 1``."""
-    terms = _det2_terms(a, b, c, d)
-    ca, wa, cb, wb, s_ab, sp, cc, wc, cd, wd, s_cd, sq, _ = terms
-    lead = (sp * ca * cb << 2 * s_ab) - (sq * cc * cd << 2 * s_cd)
-    if not lead:
-        return terms, 0, k_max + 1
+    (ca, wa, la, ea), (cb, wb, lb, eb) = a, b
+    (cc, wc, lc, ec), (cd, wd, ld, ed) = c, d
+    lab, lcd = la * lb, lc * ld
+    limit = ca * cb * lcd - cc * cd * lab
+    if not limit:
+        return None, 0, k_max + 1
+    s_ab, s_cd = ea + eb + 3, ec + ed + 3
+    # some e > 0, and the limit above 1/2 in size: bound 0, no terms
+    if s_ab + s_cd > 6 and 2 * abs(limit) > lab * lcd:
+        return None, limit, min(0, k_max + 1)
+    p, q = lab << 2 * s_ab, lcd << 2 * s_cd
+    g = gcd(p, q)
+    sp, sq = q // g, p // g
+    terms = (ca, wa, cb, wb, s_ab, sp, cc, wc, cd, wd, s_cd, sq, p * sp)
+    lead = (limit << 2 * (s_ab + s_cd)) // g
     spread = ((sp * (abs(ca) * wb + abs(cb) * wa) << s_ab)
               + (sq * (abs(cc) * wd + abs(cd) * wc) << s_cd))
     slack = sp * wa * wb + sq * wc * wd
@@ -630,8 +651,9 @@ def _det2_bound(a: Measured, b: Measured, c: Measured, d: Measured,
 
 
 def _affine_det2(terms: Tuple[int, ...]) -> RealNum:
-    """The :func:`det2` node of four affine reals from their
-    :func:`_det2_terms`: its generator is :func:`_det2_at` of them."""
+    """The :func:`det2` node of four affine reals from the terms that
+    :func:`_det2_bound` gives: its generator is :func:`_det2_at` of
+    them."""
     return RealNum(None, partial(_det2_at, terms))
 
 
@@ -647,8 +669,8 @@ def det2(a: RealNum, b: RealNum, c: RealNum, d: RealNum) -> RealNum:
     width at most ``(2**c_x + 2**c_y) * 2**-(k+s) <= 2**-(k+2)`` and the
     difference at most ``2**-(k+1)``.  Affine factors are read like any
     other: over four of them the node's triples are :func:`_det2_at` of
-    their :func:`_det2_terms`, which :func:`_affine_det2` builds a node
-    on without reading the factors.
+    the terms that :func:`_det2_bound` gives, which :func:`_affine_det2`
+    builds a node on without reading the factors.
     """
     s_ab = _magnitude_exponent(a) + _magnitude_exponent(b) + 3
     s_cd = _magnitude_exponent(c) + _magnitude_exponent(d) + 3

@@ -17,6 +17,7 @@ from realearn import (Assumed, KnowledgeState, LeastCandidate, Point, RealNum,
                       RealRegistry, Step)
 from realearn.geometry import RationalPoint
 from realearn.oracle import exact_orientation
+from realearn.reals import Measured, _over_lcm
 from realearn.trace import TraceEvent, TraceFile
 
 
@@ -111,6 +112,25 @@ def register_points(pts: Sequence[RationalPoint], blurred: bool = False,
     ys = [ctor(p.y) for p in pts]
     xs = [ctor(p.x) for p in pts]
     return reg, [Point(i, xs[i], ys[i]) for i in range(len(pts))]
+
+
+def det2_terms(a: Measured, b: Measured, c: Measured,
+               d: Measured) -> Tuple[int, ...]:
+    """The reference terms of the ``det2`` node ``a * b - c * d`` of four
+    affine reals, each given as ``(c, w, l, e)`` with ``e`` its magnitude
+    exponent, so the products are read at ``k + s_ab`` and ``k + s_cd``:
+    the integers that ``realearn.reals._det2_at`` reads and
+    ``realearn.reals._det2_bound`` gives when it searches.  The product
+    denominators are ``P << 2k`` and ``Q << 2k``, whose gcd is
+    ``gcd(P, Q) << 2k``, so the join's scale factors ``sp`` and ``sq``
+    and ``dd = lcm(P, Q)`` come from ``_over_lcm(P, Q)`` once, and the
+    denominator at k is ``dd << 2k``.  The terms are
+    ``(ca, wa, cb, wb, s_ab, sp, cc, wc, cd, wd, s_cd, sq, dd)``."""
+    (ca, wa, la, ea), (cb, wb, lb, eb) = a, b
+    (cc, wc, lc, ec), (cd, wd, ld, ed) = c, d
+    s_ab, s_cd = ea + eb + 3, ec + ed + 3
+    sp, sq, dd = _over_lcm(la * lb << 2 * s_ab, lc * ld << 2 * s_cd)
+    return (ca, wa, cb, wb, s_ab, sp, cc, wc, cd, wd, s_cd, sq, dd)
 
 
 class StringTrace(TraceFile):

@@ -582,14 +582,20 @@ def test_only_table_points_build_generic_nodes(monkeypatch):
     assert runs[True][4]["det2"] > 0 and runs[True][4]["sub"] > 0
 
 
-def deep8_points():
-    """CI's deep8 input: 8 points of blurred coordinates k / 2**72 with
-    |k| <= 2**20, drawn x then y from ``Random(60)``."""
+def ci_points(count, span, denominator):
+    """A CI input: ``count`` points of blurred coordinates
+    k / ``denominator`` with |k| <= ``span``, drawn x then y from
+    ``Random(60)``."""
     rng = Random(60)
     reg = RealRegistry()
-    return [Point(i, *(reg.blurred(Fraction(rng.randint(-2 ** 20, 2 ** 20),
-                                            2 ** 72)) for _ in "xy"))
-            for i in range(8)]
+    return [Point(i, *(reg.blurred(Fraction(rng.randint(-span, span),
+                                            denominator)) for _ in "xy"))
+            for i in range(count)]
+
+
+def deep8_points():
+    """CI's deep8 input: 8 points on the 2^-72 grid, |k| <= 2**20."""
+    return ci_points(8, 2 ** 20, 2 ** 72)
 
 
 def test_deep8_evaluates_few_arithmetic_nodes(monkeypatch):
@@ -658,6 +664,52 @@ def test_deep8_takes_both_sides_of_the_bound(monkeypatch):
     certificate = verify_bounding(pts, res.a, res.b, res.c)
     assert certificate == res.certificate
     assert gaps["at"] > 0 and gaps["above"] > 0, gaps
+
+
+def bound_paths(monkeypatch):
+    """A counter of how ``geometry._det2_bound`` settles each bound,
+    through ``monkeypatch``: by the limit alone, with no terms
+    (``limit``), by the test at 0 of the built terms (``zero``), or by a
+    search past 0 (``search``)."""
+    paths = Counter()
+    det2_bound = realearn.geometry._det2_bound
+
+    def counted(*args):
+        terms, lead, bound = det2_bound(*args)
+        paths["limit" if terms is None else "zero" if bound == 0
+              else "search"] += 1
+        return terms, lead, bound
+
+    monkeypatch.setattr(realearn.geometry, "_det2_bound", counted)
+    return paths
+
+
+@pytest.mark.parametrize("pts, construction, audit", [
+    (ci_points(16, 2 ** 19, 2 ** 12), {"limit": 77}, {"limit": 27}),
+    (register_points(general_position_points(Random(65), 16),
+                     blurred=True)[1], {"limit": 92}, {"limit": 27}),
+    (deep8_points(), {"search": 26}, {"search": 11}),
+    (ci_points(16, 2 ** 12, 2 ** 12), {"limit": 35, "zero": 38, "search": 4},
+     {"limit": 9, "zero": 16, "search": 2}),
+], ids=["wide16", "grid16", "deep8", "shallow16"])
+def test_which_path_settles_each_bound(monkeypatch, pts, construction,
+                                       audit):
+    # the limit of an orientation proves its bound of 0 with no terms
+    # when some difference has a positive magnitude exponent and the
+    # limit exceeds 1/2 in size:
+    # on blurred points at the benchmark's scale, 2^-12-grid points with
+    # |k| <= 2^19 (CI's wide16) or 2^20 (grid16, two restarts), it
+    # settles every decision of the construction and of the audit; on
+    # deep8, whose differences are all below 1, it settles none; on
+    # shallow16, |k| <= 2^12, it settles some, the test at 0 of the
+    # built terms more, and a search the rest
+    paths = bound_paths(monkeypatch)
+    res = convex_angle(pts)
+    built = dict(paths)
+    paths.clear()
+    certificate = verify_bounding(pts, res.a, res.b, res.c)
+    assert certificate == res.certificate
+    assert (built, dict(paths)) == (construction, audit)
 
 
 @pytest.mark.parametrize("rational, restarts", [

@@ -24,9 +24,9 @@ import realearn.reals
 from realearn.oracle import exact_orientation
 from realearn.reals import (InvalidNesting, RealNum, _affine_det2,
                             _affine_difference, _affine_magnitude,
-                            _det2_bound, _det2_terms, det2, sub)
+                            _det2_bound, det2, sub)
 
-from support import (general_position_points, one_interval_table,
+from support import (det2_terms, general_position_points, one_interval_table,
                      random_real, random_table_prefix, register_points)
 
 
@@ -370,9 +370,9 @@ def tuple_factors(p, q, r):
 
 
 def tuple_terms(p, q, r):
-    """The :func:`_det2_terms` of the orientation of three affine
+    """The :func:`det2_terms` of the orientation of three affine
     points."""
-    return _det2_terms(*tuple_factors(p, q, r))
+    return det2_terms(*tuple_factors(p, q, r))
 
 
 def node_decide_side(orient, p, q, r, k_max):
@@ -446,10 +446,11 @@ def test_a_side_read_at_zero_is_the_nodes(coords, k_max):
     # precision 0 returns the side of the triple at 0 that
     # orientation_real and the generic det2 node of the points' sub
     # nodes read, and builds no node and computes no triple; from every
-    # start any other decision with a nonzero limit builds one node of
-    # the tuples' terms and computes and checks the triples that the
-    # same search over one unseeded affine node computes and checks,
-    # with the same outers, in the same order, and no k twice
+    # start any other decision with a nonzero limit and a budget of at
+    # least 0 builds one node of the tuples' terms and computes and
+    # checks the triples that the same search over one unseeded affine
+    # node computes and checks, with the same outers, in the same order,
+    # and no k twice
     p, q, r = simple_points(coords, blurred=True)
     terms = tuple_terms(p, q, r)
     _, lead, bound = _det2_bound(*tuple_factors(p, q, r), k_max)
@@ -484,7 +485,7 @@ def test_a_side_read_at_zero_is_the_nodes(coords, k_max):
             assert len(set(ks)) == len(ks)
             if __debug__:
                 assert set(computed) <= {(k, t) for k, t, _ in checks}
-            searched = lead and not decided_at_zero
+            searched = lead and k_max >= 0 and not decided_at_zero
             assert nodes == ([(terms,)] if searched else [])
             if decided_at_zero:
                 lo, hi, _ = at_zero

@@ -27,11 +27,10 @@ from realearn import (
 from realearn.oracle import separation_from_gap
 from realearn.reals import (_affine_det2, _affine_difference, _affine_gap,
                             _affine_magnitude, _affine_real, _det2_at,
-                            _det2_bound, _det2_terms, _fraction,
-                            _magnitude_exponent, _over_lcm, _product, det2,
-                            sub)
+                            _det2_bound, _fraction, _magnitude_exponent,
+                            _over_lcm, _product, det2, sub)
 
-from support import random_real, random_table_prefix
+from support import det2_terms, random_real, random_table_prefix
 
 rationals = st.fractions(min_value=-64, max_value=64, max_denominator=512)
 
@@ -447,7 +446,7 @@ def affine_triple(affine, k):
 
 def measured(affine):
     """``affine`` with its magnitude exponent: the ``(c, w, l, e)`` that
-    :func:`_det2_terms` takes."""
+    :func:`det2_terms` takes."""
     return (*affine, _affine_magnitude(affine))
 
 
@@ -529,7 +528,7 @@ def test_affine_det2_gives_the_triples_of_its_tree(denominators):
     # b * a has the denominator of a * b, and other products mostly not
     for i, j in itertools.product(range(6), repeat=2):
         for chosen in ((i, j, j, i), (i, j, (i + 1) % 6, (j + 2) % 6)):
-            terms = _det2_terms(*(measured(tuples[n]) for n in chosen))
+            terms = det2_terms(*(measured(tuples[n]) for n in chosen))
             node = det2(*(factors[n] for n in chosen))
             tree = ref.det2(*(refs[n] for n in chosen))
             for k in range(65):
@@ -591,32 +590,52 @@ def decide_outcome(*args):
         return DegenerateInput, str(exc)
 
 
+def factor_limit(factors):
+    """The limit ``a * b - c * d`` of four ``(c, w, l, e)``."""
+    (ca, _, la, _), (cb, _, lb, _), (cc, _, lc, _), (cd, _, ld, _) = factors
+    return Fraction(ca * cb, la * lb) - Fraction(cc * cd, lc * ld)
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(det2_factors())
 def test_the_det2_bound_is_where_the_integers_prove_a_side(factors):
-    # lead is the limit over the node's denominator at 0, so it is 0
-    # exactly for a zero limit; otherwise the node's interval at the
-    # bound excludes zero on lead's side, and the bound is the least k
-    # that passes the integer test; a side decision of points whose
-    # differences are the four tuples has the linear scan's outcome from
-    # every start and within every budget
+    # lead is 0 exactly for a zero limit, and otherwise has the limit's
+    # sign; built terms are the reference's and their lead is the limit
+    # over the node's denominator at 0, and a bound that the limit alone
+    # settles builds none; the node's interval at the bound excludes zero
+    # on lead's side, and the bound is the least k that passes the
+    # integer test of the reference's terms; a side decision of points
+    # whose differences are the four tuples has the linear scan's
+    # outcome from every start and within every budget
     terms, lead, bound = _det2_bound(*factors, 2 ** 12)
-    assert terms == _det2_terms(*factors)
-    (ca, wa, la, _), (cb, wb, lb, _), (cc, wc, lc, _), (cd, wd, ld, _) = \
-        factors
-    limit = Fraction(ca * cb, la * lb) - Fraction(cc * cd, lc * ld)
-    assert Fraction(lead, terms[-1]) == limit
+    reference = det2_terms(*factors)
+    limit = factor_limit(factors)
+    assert sign(lead) == sign(limit)
+    if terms is None:
+        assert not lead or bound == 0
+    else:
+        assert terms == reference
+        assert Fraction(lead, terms[-1]) == limit
     node = det2(*(_affine_real(partial(RealNum, None), x[:3])
                   for x in factors))
     if lead:
-        lo, hi, _ = _det2_at(terms, bound)
+        lo, hi, _ = _det2_at(reference, bound)
         assert lo > 0 if lead > 0 else hi < 0
-        _, _, s_ab, sp, _, _, _, _, s_cd, sq = terms[2:12]
+        (ca, wa, _, _), (cb, wb, _, _), (cc, wc, _, _), (cd, wd, _, _) = \
+            factors
+        _, _, s_ab, sp, _, _, _, _, s_cd, sq = reference[2:12]
         spread = ((sp * (abs(ca) * wb + abs(cb) * wa) << s_ab)
                   + (sq * (abs(cc) * wd + abs(cd) * wc) << s_cd))
         slack = sp * wa * wb + sq * wc * wd
+        size = abs(limit * reference[-1])
+        assert size.denominator == 1
+        size = size.numerator
         proven = [k for k in range(bound + 1)
-                  if (abs(lead) << 2 * k) - (spread << k) > slack]
+                  if (size << 2 * k) - (spread << k) > slack]
         assert proven == [bound]
         witness = scan_outcome(node, bound).witness
         limits = [-1, 0, witness - 1, witness, 256]
@@ -640,6 +659,115 @@ def test_the_det2_bound_is_where_the_integers_prove_a_side(factors):
             assert decided == expected
 
 
+def reference_det2_bound(a, b, c, d, k_max):
+    """The reference bound, with no test of the limit first: the full
+    terms, ``lead`` and the bound search, for every input."""
+    terms = det2_terms(a, b, c, d)
+    ca, wa, cb, wb, s_ab, sp, cc, wc, cd, wd, s_cd, sq, _ = terms
+    lead = (sp * ca * cb << 2 * s_ab) - (sq * cc * cd << 2 * s_cd)
+    if not lead:
+        return terms, 0, k_max + 1
+    spread = ((sp * (abs(ca) * wb + abs(cb) * wa) << s_ab)
+              + (sq * (abs(cc) * wd + abs(cd) * wc) << s_cd))
+    slack = sp * wa * wb + sq * wc * wd
+    size = abs(lead)
+    k = 0
+    if size - spread <= slack:
+        n = size.bit_length()
+        k = max(1, spread.bit_length() - n, (slack.bit_length() - n + 1) // 2)
+        while k <= k_max and (size << 2 * k) - (spread << k) <= slack:
+            k += 1
+    return terms, lead, min(k, k_max + 1)
+
+
+def scaled_tuple(value, w, m):
+    """The ``(c, w, l, e)`` of centre ``value`` over ``l = m * d`` for
+    ``value``'s denominator ``d``, with radius ``w`` clamped to
+    ``l // 2``."""
+    l = value.denominator * m
+    return measured((value.numerator * m, min(w, l // 2), l))
+
+
+@st.composite
+def half_limit_factors(draw):
+    """Four ``(c, w, l, e)`` whose limit is ``1/2``, or just above or
+    just below it, in size: c, sometimes zero, and d drawn as any
+    factors are, b of value ``2**u`` with a radius of its own, and a the
+    value that puts the limit there, so that some draws have every
+    ``e`` 0 and some not."""
+    scale = draw(st.sampled_from([0, 12, 60]))
+    c, d = draw(st.lists(measured_tuples(scale), min_size=2, max_size=2))
+    if draw(st.booleans()):
+        c = measured((0, c[1], c[2]))
+    step = Fraction(1, draw(st.sampled_from([1, 3])) << draw(
+        st.integers(4, 80)))
+    limit = (Fraction(1, 2) + draw(st.integers(-2, 2)) * step) * draw(
+        st.sampled_from([1, -1]))
+    beta = Fraction(2) ** draw(st.integers(-1, 3))
+    target = limit + factor_limit([c, d, (0, 0, 1, 0), (0, 0, 1, 0)])
+    m = draw(st.sampled_from([1, 2, 3, 2 ** 12]))
+    a = scaled_tuple(target / beta, draw(st.integers(0, 2 ** 13)), m)
+    b = scaled_tuple(beta, draw(st.sampled_from([0, 1, 2 ** 12])), m)
+    return [a, b, c, d]
+
+
+@st.composite
+def unit_tuples(draw, large=False):
+    """A ``(c, w, l, e)`` at most 1 in size, so ``e == 0``: when
+    ``large``, its centre at least ``3/4`` in size."""
+    l = draw(st.sampled_from([2, 6, 2 ** 13, 3 * 2 ** 7, 14, 2 ** 60]))
+    w = draw(st.integers(0, l // 4))
+    if large:
+        c = draw(st.integers(-(-3 * l // 4), l - w)) * draw(
+            st.sampled_from([1, -1]))
+    else:
+        c = draw(st.integers(w - l, l - w))
+    return measured((c, w, l))
+
+
+@st.composite
+def unit_limit_factors(draw):
+    """Four ``(c, w, l, e)``, every one at most 1 in size, whose limit
+    is in ``(1/2, 2]`` in size: a and b at least 3/4, and c * d of the
+    other sign from a * b, or zero."""
+    a, b = draw(st.lists(unit_tuples(large=True), min_size=2, max_size=2))
+    c, d = draw(st.lists(unit_tuples(), min_size=2, max_size=2))
+    if (a[0] * b[0] > 0) == (c[0] * d[0] > 0):
+        c = measured((-c[0], c[1], c[2]))
+    return [a, b, c, d]
+
+
+def excludes_zero(terms, k):
+    lo, hi, _ = _det2_at(terms, k)
+    return lo > 0 or hi < 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(det2_factors(), half_limit_factors(), unit_limit_factors()))
+def test_the_limit_first_bound_is_the_reference_bound(factors):
+    # the limit-first bound gives the reference's bound and lead's sign
+    # within every budget, and when it builds terms, the reference's
+    # terms and lead; it builds none exactly when the limit is zero or
+    # some factor has e > 0 and the limit is above 1/2 in size
+    limit = factor_limit(factors)
+    positive = any(e > 0 for *_, e in factors)
+    shortcut = limit == 0 or positive and abs(limit) > Fraction(1, 2)
+    terms, lead, bound = reference_det2_bound(*factors, 2 ** 12)
+    if lead:
+        witness = least_witness(partial(excludes_zero, terms), bound)
+        limits = [-2, -1, 0, witness - 1, witness, 256]
+    else:
+        limits = [-2, -1, 0, 256]
+    for k_max in limits:
+        expected = reference_det2_bound(*factors, k_max)
+        decided = _det2_bound(*factors, k_max)
+        assert sign(decided[1]) == sign(expected[1]) == sign(limit)
+        assert decided[2] == expected[2]
+        assert (decided[0] is None) == shortcut
+        if decided[0] is not None:
+            assert decided == expected
+
+
 def test_an_affine_det2_reads_no_factor():
     reg = RealRegistry()
     a, b, c, d = (reg.blurred(Fraction(n, m))
@@ -647,7 +775,7 @@ def test_an_affine_det2_reads_no_factor():
     ta, tb, tc, td = (real._affine for real in (a, b, c, d))
     factors = [_affine_difference(ta, tb), _affine_difference(tc, td), ta,
                _affine_difference(td, tb)]
-    node = _affine_det2(_det2_terms(*map(measured, factors)))
+    node = _affine_det2(det2_terms(*map(measured, factors)))
     for k in (0, 5, 64, 3):
         node._at(k)
     assert sorted(node._cache) == [0, 3, 5, 64]
@@ -984,8 +1112,8 @@ def build_affine(reg, expr):
     :func:`_affine_det2` node of four."""
     name, *args = expr
     if name == "det2":
-        return _affine_det2(_det2_terms(*(measured(affine_of(arg))
-                                          for arg in args)))
+        return _affine_det2(det2_terms(*(measured(affine_of(arg))
+                                         for arg in args)))
     return _affine_real(reg.register, affine_of(expr))
 
 
