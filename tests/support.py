@@ -1,12 +1,17 @@
 """Shared randomized generators and a trace recorder for the test suite
 and the scripts ``random_convex_experiment.py``, ``precision_report.py``
-and ``replay_worked_example.py``.
+and ``replay_worked_example.py``, and the generated input documents
+that the CLI tests run.
 
 Everything takes an explicit random.Random seeded by the caller, so a
-failing test reproduces from its seed alone.
+failing test reproduces from its seed alone.  The generated documents
+draw from fixed seeds, so their bytes, and the digests pinned on their
+runs, never change.
 """
 
 import io
+import json
+import math
 import sys
 from fractions import Fraction
 from functools import partial
@@ -16,6 +21,7 @@ from typing import List, Sequence, Set, Tuple
 from realearn import (Assumed, KnowledgeState, LeastCandidate, Point, RealNum,
                       RealRegistry, Step)
 from realearn.geometry import RationalPoint
+from realearn.inputs import RealSpec
 from realearn.oracle import exact_orientation
 from realearn.reals import Measured, _over_lcm
 from realearn.trace import TraceEvent, TraceFile
@@ -24,6 +30,128 @@ from realearn.trace import TraceEvent, TraceFile
 # the interpreter of a child process: with -O when the suite runs under
 # python -O, so a child strips the asserts and debug checks it strips
 PYTHON = [sys.executable, *["-O"] * sys.flags.optimize]
+
+
+def jsonl(records) -> str:
+    """A document's text: each record as ``json.dumps`` writes it, one
+    per line."""
+    return "".join(json.dumps(record) + "\n" for record in records)
+
+
+def document_points(records) -> List[Point]:
+    """The points of a document's point ``records``, each x coordinate
+    registered before its y, as the CLI parses them."""
+    reg = RealRegistry()
+    return [Point(record["index"], *(RealSpec.from_obj(record[axis]).build(reg)
+                                     for axis in "xy"))
+            for record in records]
+
+
+def descending_reals(n: int) -> List[dict]:
+    """The n + 1 blurred reals n/7, (n - 1)/7, ..., 0, which an oracle
+    audited ``least`` run learns with n restarts."""
+    return [{"type": "real", "kind": "blurred", "value": f"{n - i}/7"}
+            for i in range(n + 1)]
+
+
+def blurred_grid_points(count: int, span: int,
+                        denominator: int) -> List[dict]:
+    """``count`` points of blurred coordinates k / ``denominator`` with
+    |k| <= ``span``, drawn x then y from ``Random(60)``: deep8 is
+    (8, 2^20, 2^72), shallow16 (16, 2^12, 2^12) and wide16 (16, 2^19,
+    2^12)."""
+    rng = Random(60)
+    return [{"type": "point", "index": i,
+             **{axis: {"kind": "blurred",
+                       "value": f"{rng.randint(-span, span)}/{denominator}"}
+                for axis in "xy"}}
+            for i in range(count)]
+
+
+def table_grid_points() -> List[dict]:
+    """table8: 8 points on the 2^-12 grid, |k| <= 2^12, drawn x then y
+    from ``Random(60)``, each coordinate a table of two intervals, of
+    widths 2^-0 and 2^-1, around its tail."""
+    rng = Random(60)
+
+    def grid(u):
+        return f"{u}/{2 ** 12}"
+
+    def table(v):
+        return {"kind": "table",
+                "prefix": [[grid(v - 2 ** 11), grid(v + 2 ** 11)],
+                           [grid(v - 2 ** 10), grid(v + 2 ** 10)]],
+                "tail": grid(v)}
+
+    return [{"type": "point", "index": i,
+             **{axis: table(rng.randint(-2 ** 12, 2 ** 12)) for axis in "xy"}}
+            for i in range(8)]
+
+
+def mixed_grid_points(mirror: bool = False) -> List[dict]:
+    """mixed8: 8 points on the 2^-72 grid, |k| <= 2^20, drawn x then y
+    from ``Random(60)``, with blurred xs and ys that are blurred at odd
+    indices, one-interval tables at 2 and 6, and rationals at 0 and 4.
+    mirror8 (``mirror``) swaps the axes of every point."""
+    rng = Random(60)
+
+    def grid(v):
+        return f"{v}/{2 ** 72}"
+
+    def mixed(i, v):
+        if i % 2:
+            return {"kind": "blurred", "value": grid(v)}
+        if i % 4:
+            return {"kind": "table", "prefix": [[grid(v - 2 ** 70),
+                                                 grid(v + 2 ** 70)]],
+                    "tail": grid(v)}
+        return grid(v)
+
+    records = []
+    for i in range(8):
+        x = {"kind": "blurred", "value": grid(rng.randint(-2 ** 20, 2 ** 20))}
+        y = mixed(i, rng.randint(-2 ** 20, 2 ** 20))
+        if mirror:
+            x, y = y, x
+        records.append({"type": "point", "index": i, "x": x, "y": y})
+    return records
+
+
+def angle_points(n: int) -> List[dict]:
+    """n blurred points on the 2^-12 grid: 0, then points on the unit
+    circle at angles 0.05 + 3i/n, so each scanned point replaces ray C
+    and re-witnesses every certified point."""
+
+    def coordinate(f, i):
+        value = round(f(0.05 + 3.0 * i / n) * 4096) if i else 0
+        return {"kind": "blurred", "value": f"{value}/4096"}
+
+    return [{"type": "point", "index": i, "x": coordinate(math.cos, i),
+             "y": coordinate(math.sin, i)}
+            for i in range(n)]
+
+
+def blurred_diagonal_points() -> List[dict]:
+    """(0, 0), (1, 1), (2, 2) and (5, -1) as blurred points: the first
+    three have collinear limits."""
+    return [{"type": "point", "index": i,
+             "x": {"kind": "blurred", "value": str(x)},
+             "y": {"kind": "blurred", "value": str(y)}}
+            for i, (x, y) in enumerate([(0, 0), (1, 1), (2, 2), (5, -1)])]
+
+
+def table_diagonal_points() -> List[dict]:
+    """The five collinear points (i, i), with rational xs, and ys that
+    are one-interval tables at odd i and rationals at even i."""
+
+    def table(v):
+        return {"kind": "table", "prefix": [[f"{2 * v - 1}/2",
+                                             f"{2 * v + 1}/2"]],
+                "tail": f"{v}/1"}
+
+    return [{"type": "point", "index": i, "x": f"{i}/1",
+             "y": table(i) if i % 2 else f"{i}/1"}
+            for i in range(5)]
 
 
 def random_fraction(rng: Random, span: int = 8, denom_bits: int = 6) -> Fraction:

@@ -7,12 +7,15 @@ import time
 from decimal import Decimal
 from pathlib import Path
 from random import Random
+from typing import NamedTuple, Optional, Tuple, Union
 
 import pytest
 
 from realearn.replay import replay_paths
 from realearn.trace import read_trace
-from support import PYTHON, general_position_points
+from support import (PYTHON, angle_points, blurred_diagonal_points,
+                     blurred_grid_points, descending_reals,
+                     general_position_points, jsonl, table_diagonal_points)
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
@@ -23,14 +26,14 @@ QUAD = FIXTURES / "quad_points.jsonl"
 COLLINEAR = FIXTURES / "collinear_points.jsonl"
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     env.pop("REALEARN_KMAX", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
         [*PYTHON, "-m", "realearn", *map(str, args)],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_least_null_auditor():
@@ -193,26 +196,23 @@ KMAX_CEILING = 2 ** 20
 
 @pytest.mark.parametrize("source", ["flag", "env", "result"])
 def test_kmax_has_a_ceiling_of_2_to_the_20(tmp_path, source):
-    # (0, 0), (1, 1) and (2, 2) are collinear, so every run below probes
-    # up to its kmax; a probe at k handles k-bit integers, so kmax 10^12
-    # ran for minutes before the ceiling
+    # (0, 0), (1, 1) and (2, 2) are collinear; a probe at k handles
+    # k-bit integers, so kmax 10^12 ran for minutes before the ceiling;
+    # the orientation's limit is 0 now, so the side decision fails at
+    # once, well within 10 s, not after probing up to the ceiling
     points = tmp_path / "diagonal.jsonl"
-    points.write_text("".join(
-        json.dumps({"type": "point", "index": i,
-                    "x": {"kind": "blurred", "value": str(x)},
-                    "y": {"kind": "blurred", "value": str(y)}}) + "\n"
-        for i, (x, y) in enumerate([(0, 0), (1, 1), (2, 2), (5, -1)])))
+    points.write_text(jsonl(blurred_diagonal_points()))
     result = tmp_path / "result.json"
 
     def run(kmax):
         if source == "flag":
-            return run_cli("convex", points, "--kmax", kmax)
+            return run_cli("convex", points, "--kmax", kmax, timeout=10)
         if source == "env":
-            return run_cli("convex", points,
+            return run_cli("convex", points, timeout=10,
                            env_extra={"REALEARN_KMAX": str(kmax)})
         result.write_text(json.dumps({"type": "convex-result", "a": 0,
                                       "b": 1, "c": 2, "kmax": kmax}))
-        return run_cli("check", result, points)
+        return run_cli("check", result, points, timeout=10)
 
     proc = run(KMAX_CEILING)
     # check reports the audit's degenerate clause as a verification failure
@@ -520,15 +520,10 @@ def test_check_leaves_a_missing_state_or_restarts_unclaimed(tmp_path):
 
 
 def test_check_audits_a_deep_state_at_its_witness(tmp_path):
-    # points on a 2^-72 grid: the recorded state entry needs a witness
-    # near 50, and the same entry at witness 0 does not hold
-    rng = Random(60)
+    # deep8, points on a 2^-72 grid: the recorded state entry needs a
+    # witness near 50, and the same entry at witness 0 does not hold
     doc = tmp_path / "deep.jsonl"
-    doc.write_text("".join(json.dumps({
-        "type": "point", "index": i,
-        **{axis: {"kind": "blurred",
-                  "value": f"{rng.randint(-2 ** 20, 2 ** 20)}/{2 ** 72}"}
-           for axis in ("x", "y")}}) + "\n" for i in range(8)))
+    doc.write_text(jsonl(blurred_grid_points(8, 2 ** 20, 2 ** 72)))
     result = tmp_path / "deep.json"
     assert run_cli("convex", doc, "--result", result).returncode == 0
     record = json.loads(result.read_text())
@@ -710,6 +705,135 @@ def test_tree_prints_a_leaf_rank_past_the_int_digit_limit(tmp_path):
     [digits] = [line.split(": ", 1)[1] for line in proc.stdout.splitlines()
                 if line.startswith("  leaves: ")]
     assert digits.isdigit() and Decimal(digits) == rank
+
+
+# a wrapper process: run argv[4:] with its stdout and stderr in the files
+# argv[1] and argv[2], killed after argv[3] seconds ("None": no bound),
+# then print the run's exit code and its peak RSS in MB.  A process's
+# RUSAGE_CHILDREN is the maximum over every child it has waited for, so
+# each bounded run gets a wrapper of its own
+MEASURE = """
+import resource, subprocess, sys
+out, err, seconds, *argv = sys.argv[1:]
+with open(out, "w") as stdout, open(err, "w") as stderr:
+    proc = subprocess.run(argv, stdout=stdout, stderr=stderr,
+                          timeout=None if seconds == "None" else float(seconds))
+print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)
+"""
+
+# in process, the library's default log keeps each restart's blocks, not
+# a copy of the chain per restart: one chain list grows
+LEARN_DESCENDING = """
+from fractions import Fraction
+from realearn import OracleAuditor, RealRegistry, empty_state, learn_least
+n = 4000
+reg = RealRegistry()
+values = [Fraction(n - i, 7) for i in range(n + 1)]
+[reg.blurred(v) for v in values]
+out = learn_least(n, OracleAuditor(reg, values), empty_state(reg))
+print(f"restarts: {out.restarts}")
+"""
+
+
+class Run(NamedTuple):
+    """One bounded run, started in the test's directory: ``args`` follow
+    the interpreter and its ``-O`` flags.  ``stdout`` is either lines it
+    must hold or its sha256; ``files`` maps each file it writes to its
+    sha256; ``mb`` bounds its peak RSS and ``seconds`` its wall time."""
+    args: Tuple[str, ...]
+    exit: int = 0
+    stdout: Union[Tuple[str, ...], str] = ()
+    stderr: str = ""
+    files: Tuple[Tuple[str, str], ...] = ()
+    mb: Optional[float] = None
+    seconds: Optional[float] = None
+
+
+def cli(*args):
+    return ("-m", "realearn", *args)
+
+
+BOUNDED_RUNS = {
+    "desc301": (descending_reals(300), [
+        Run(cli("least", "desc301.jsonl", "--auditor", "oracle",
+                "--trace", "desc301.trace"),
+            stdout=("restarts: 300",),
+            files=(("desc301.trace", "d5770a9cf06e6a6e6d29ffa33c0331ca"
+                                     "a2b90a3170f0949ca0211b4ca697db92"),)),
+        Run(cli("tree", "desc301.trace"),
+            stdout=("  restarts: 300", "  progress: ok")),
+    ]),
+    "desc4000-in-process": (None, [
+        Run(("-c", LEARN_DESCENDING), stdout=("restarts: 4000",), mb=48),
+    ]),
+    "desc1001": (descending_reals(1000), [
+        Run(cli("least", "desc1001.jsonl", "--auditor", "oracle",
+                "--trace", "desc1001.trace"),
+            files=(("desc1001.trace", "0a402ee321e34ff14531a7b49766903e"
+                                      "ae5b72fbae8858024699e3b2755921d6"),),
+            mb=32),
+        # tree reads the trace as it replays it; its stdout names the
+        # trace as given, the relative name
+        Run(cli("tree", "desc1001.trace"),
+            stdout=("242a8e008fddf12c52f5e1c263ca852f"
+                    "f0d0cbefc47972b9bd474d48f136ff86"),
+            mb=32),
+    ]),
+    # the angle-ordered layout's one attempt holds 44,551 side
+    # decisions, one int code per pair
+    "angle300": (angle_points(300), [
+        Run(cli("convex", "angle300.jsonl", "--trace", "angle300.trace"),
+            files=(("angle300.trace", "eaffeaebc180185147aca73cdc107de8"
+                                      "9ce19c42f7c5e3392086c0b82e63e109"),),
+            mb=27),
+    ]),
+    # a table is not affine, so each side decision searches a generic
+    # det2 node up to the kmax ceiling, and a rational's triple grows
+    # with k there
+    "tablediag": (table_diagonal_points(), [
+        Run(cli("convex", "tablediag.jsonl", "--kmax", "1048576"), exit=3,
+            stderr=("degenerate input: no side witness for points (0, 2, 1) "
+                    "within precision 1048576\n"),
+            mb=32, seconds=10),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name, records, runs",
+                         [(name, *row) for name, row in BOUNDED_RUNS.items()],
+                         ids=BOUNDED_RUNS)
+def test_a_bounded_run_keeps_its_pins(tmp_path, name, records, runs):
+    # the document, if the runs read one, is NAME.jsonl
+    if records is not None:
+        (tmp_path / f"{name}.jsonl").write_text(jsonl(records))
+    env = dict(os.environ)
+    env.pop("REALEARN_KMAX", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    out, err = tmp_path / "stdout", tmp_path / "stderr"
+    try:
+        for run in runs:
+            wrapper = subprocess.run(
+                [sys.executable, "-c", MEASURE, out, err, str(run.seconds),
+                 *PYTHON, *run.args],
+                cwd=tmp_path, env=env, capture_output=True, text=True)
+            assert wrapper.returncode == 0, wrapper.stderr
+            code, peak = wrapper.stdout.split()
+            assert (int(code), err.read_text()) == (run.exit, run.stderr)
+            if isinstance(run.stdout, str):
+                assert hashlib.sha256(out.read_bytes()).hexdigest() == run.stdout
+            else:
+                assert set(run.stdout) <= set(out.read_text().splitlines())
+            for path, digest in run.files:
+                assert hashlib.sha256(
+                    (tmp_path / path).read_bytes()).hexdigest() == digest
+            if run.mb is not None:
+                assert float(peak) <= run.mb
+    finally:
+        # desc1001's trace is 115.6 MB: leave no trace in the basetemp
+        # directories that pytest keeps
+        for trace in tmp_path.glob("*.trace"):
+            trace.unlink()
 
 
 def test_traces_are_byte_identical_across_runs(tmp_path):

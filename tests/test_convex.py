@@ -30,8 +30,9 @@ from realearn.oracle import (exact_convex_check, exact_orientation,
 from realearn.reals import det2, sub
 from realearn.trace import read_trace
 
-from support import (StringTrace, count_trace_builds, general_position_points,
-                     random_real, register_points)
+from support import (StringTrace, blurred_grid_points, count_trace_builds,
+                     document_points, general_position_points, random_real,
+                     register_points)
 
 WEDGE = [(0, 1), (-2, -1), (2, -1), (0, -2), (-1, -3), (1, -4)]
 QUAD = [(0, 0), (-1, 1), (1, 1), (0, -1)]
@@ -582,20 +583,16 @@ def test_only_table_points_build_generic_nodes(monkeypatch):
     assert runs[True][4]["det2"] > 0 and runs[True][4]["sub"] > 0
 
 
-def ci_points(count, span, denominator):
-    """A CI input: ``count`` points of blurred coordinates
-    k / ``denominator`` with |k| <= ``span``, drawn x then y from
-    ``Random(60)``."""
-    rng = Random(60)
-    reg = RealRegistry()
-    return [Point(i, *(reg.blurred(Fraction(rng.randint(-span, span),
-                                            denominator)) for _ in "xy"))
-            for i in range(count)]
+def grid_points(count, span, denominator):
+    """The points of a generated document of blurred grid points, as
+    ``blurred_grid_points`` draws them and the golden CLI rows run
+    them."""
+    return document_points(blurred_grid_points(count, span, denominator))
 
 
 def deep8_points():
-    """CI's deep8 input: 8 points on the 2^-72 grid, |k| <= 2**20."""
-    return ci_points(8, 2 ** 20, 2 ** 72)
+    """deep8: 8 points on the 2^-72 grid, |k| <= 2**20."""
+    return grid_points(8, 2 ** 20, 2 ** 72)
 
 
 def test_deep8_evaluates_few_arithmetic_nodes(monkeypatch):
@@ -685,11 +682,11 @@ def bound_paths(monkeypatch):
 
 
 @pytest.mark.parametrize("pts, construction, audit", [
-    (ci_points(16, 2 ** 19, 2 ** 12), {"limit": 77}, {"limit": 27}),
+    (grid_points(16, 2 ** 19, 2 ** 12), {"limit": 77}, {"limit": 27}),
     (register_points(general_position_points(Random(65), 16),
                      blurred=True)[1], {"limit": 92}, {"limit": 27}),
     (deep8_points(), {"search": 26}, {"search": 11}),
-    (ci_points(16, 2 ** 12, 2 ** 12), {"limit": 35, "zero": 38, "search": 4},
+    (grid_points(16, 2 ** 12, 2 ** 12), {"limit": 35, "zero": 38, "search": 4},
      {"limit": 9, "zero": 16, "search": 2}),
 ], ids=["wide16", "grid16", "deep8", "shallow16"])
 def test_which_path_settles_each_bound(monkeypatch, pts, construction,
@@ -698,7 +695,7 @@ def test_which_path_settles_each_bound(monkeypatch, pts, construction,
     # when some difference has a positive magnitude exponent and the
     # limit exceeds 1/2 in size:
     # on blurred points at the benchmark's scale, 2^-12-grid points with
-    # |k| <= 2^19 (CI's wide16) or 2^20 (grid16, two restarts), it
+    # |k| <= 2^19 (wide16) or 2^20 (grid16, two restarts), it
     # settles every decision of the construction and of the audit; on
     # deep8, whose differences are all below 1, it settles none; on
     # shallow16, |k| <= 2^12, it settles some, the test at 0 of the

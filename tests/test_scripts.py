@@ -1,9 +1,13 @@
 """The scripts under ``scripts/``: each answers ``--help``, and a count
 that a script cannot run is a usage error (exit 2), not a traceback.  A
 worked-example replay whose restart budget runs out exits 2 too, with
-the CLI's one stderr line."""
+the CLI's one stderr line.  The worked-example replay, a seeded random
+convex experiment and the precision report print their recorded
+output; ``code_lines.py`` prints counts only and gates nothing."""
 
+import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,3 +58,33 @@ def test_a_replay_over_its_restart_budget_ends_in_one_line(budget):
         f"restart budget exhausted: restart {budget + 1} exceeds budget "
         f"{budget}\n"))
     assert proc.stdout.endswith(f"restart budget {budget}\n\n")
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("replay_worked_example.py",
+     "dc8d547672312d07de609b2d5a490d3bf1b9691e1c45ed76232ecca349e1c49f"),
+    ("precision_report.py",
+     "deab7e55b0daebf07e40e50b42fa3f15bc9926f1736c2bd48ec55a81974782e0"),
+])
+def test_a_script_prints_its_recorded_output(name, digest):
+    proc = run_script(name)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert sha256(proc.stdout) == digest
+
+
+def test_the_random_convex_experiment_prints_its_recorded_output():
+    # every line but the timing line is recorded
+    proc = run_script("random_convex_experiment.py", "--instances", "10",
+                      "--seed", "3")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines(keepends=True)
+    timing = [line for line in lines if " instances in " in line]
+    assert len(timing) == 1
+    assert re.fullmatch(r"10 instances in [0-9.]*s, 0 oracle mismatches\n",
+                        timing[0])
+    assert sha256("".join(line for line in lines if line not in timing)) == (
+        "c72e074b4b420ef0fde8035816a5b467592c0f176c12bd6bfe8f8b9048d286b2")
