@@ -33,7 +33,7 @@ _MODULES = {
                "RestartBudgetExceeded"),
     "geometry": ("BoundingCertificate", "Left", "NoWitnessFound", "Point",
                  "RationalPoint", "Right", "SideDecision", "decide_side",
-                 "orientation_real", "three_points", "verify_bounding"),
+                 "three_points", "verify_bounding"),
     "knowledge": ("Assumed", "Falsified", "KnowledgeState", "LeqEvidence",
                   "Refl", "ReflFalsified", "Step", "UnsoundWitness", "blame",
                   "check_leq", "empty_state", "extend", "is_sound"),

@@ -11,7 +11,8 @@ shares with the states it was extended from and into, a prefix that no
 later extension changes.  The newest state of such a lineage owns the
 dict and the lineage's successor index, and :func:`extend`, which
 verifies the new witness before it adds it, is the only way to grow
-one; extending any other state starts a new lineage.  A sound state
+one; extending any other state first re-seals that state's prefix as
+the newest state of a new lineage.  A sound state
 therefore only ever grows into a sound state, and a run needs to
 re-verify only the state it started from;
 :func:`~realearn.least.learn_least` does so, and checks the state it
@@ -41,7 +42,7 @@ from collections.abc import Mapping
 from itertools import islice
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ._record import _Record
 from .reals import RealNum, op_at
@@ -150,12 +151,13 @@ class KnowledgeState:
     with the least ``j > i``.  A state holds its ``size``: its entries
     are the dict's first ``size`` items.  The newest state of the
     lineage, whose size is the dict's length, owns the dict and the
-    index, and :func:`extend` grows both in place; any other state reads
-    its own prefix, and extending it starts a new lineage with a new
-    dict and a new index built from that prefix.  So no state's
-    entries ever change.  ``entries`` is a read-only mapping over a new
-    copy of the prefix on every read, so it never grows, and assigning
-    to or deleting from it raises ``TypeError``.  A shallow copy of a
+    index, and :func:`extend` grows both in place.  Any other state
+    reads its own prefix, and :func:`extend` re-seals that prefix
+    through the constructor, as the newest state of a new lineage, and
+    grows that state instead.  So no state's entries ever change.
+    ``entries`` is a read-only mapping over a new copy of the prefix on
+    every read, so it never grows, and assigning to or deleting from it
+    raises ``TypeError``.  A shallow copy of a
     state is one more state of the same lineage.
 
     The state's chain is its strict steps ``(witness, j)`` from 0 over
@@ -164,11 +166,11 @@ class KnowledgeState:
     its chain's length: its chain is the list's first ``length``
     items, which, like its entries, no later extension changes.  A
     state built from a dict walks its chain through the index once.
-    :func:`extend` hands the list on, grows it in place when the new
-    step extends the chain at its end and the list holds no more than
-    the chain, and otherwise cuts a copy and walks on from there; so a
-    descending run grows one list.  :meth:`strict_steps` hands out a
-    prefix as the list and its length.  Because a lineage's dict, index
+    The newest state's list holds exactly its chain.  :func:`extend`
+    hands the list on, grows it in place when the new step extends the
+    chain at its end, and otherwise cuts a copy and walks on from
+    there; so a descending run grows one list.  :meth:`strict_steps`
+    hands out a prefix as the list and its length.  Because a lineage's dict, index
     and chain list grow in place, a lineage must not be extended in one
     thread while another thread extends it or reads a state of it.
     """
@@ -179,7 +181,9 @@ class KnowledgeState:
     def __init__(self, reals: Sequence[RealNum],
                  entries: Mapping[Pair, int] = MappingProxyType({})) -> None:
         entries = dict(entries)
-        index = _successors(entries.items())
+        # pairs in descending order, so each i keeps its least j
+        pairs = sorted(entries.items(), reverse=True)
+        index = {i: (w, j) for (i, j), w in pairs if j > i}
         chain = _walk(index, [], 0)
         self._seal(reals, entries, len(entries), index, chain, len(chain))
 
@@ -206,32 +210,18 @@ class KnowledgeState:
         """The state's entries in insertion order, read in place."""
         return islice(self._entries.items(), self._size)
 
-    def _dict(self) -> Dict[Pair, int]:
-        """The state's entries as a dict: the lineage's own while the
-        state is the newest, else a new copy of its prefix."""
-        if len(self._entries) == self._size:
-            return self._entries
-        return dict(self._items())
-
-    def _index(self) -> Dict[int, Tuple[int, int]]:
-        """The successor index of the state's entries: the lineage's
-        own while the state is the newest, else a new one built from
-        its prefix."""
-        if len(self._entries) == self._size:
-            return self._successors
-        return _successors(self._items())
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not KnowledgeState:
             return NotImplemented
-        return self._reals == other._reals and self._dict() == other._dict()
+        return (self._reals == other._reals
+                and dict(self._items()) == dict(other._items()))
 
     def __repr__(self) -> str:
         return f"KnowledgeState(reals={self._reals!r}, entries={self.entries!r})"
 
     def get(self, i: int, j: int) -> Optional[int]:
         """The stored witness refuting ``r_i <= r_j``, or None."""
-        return self._dict().get((i, j))
+        return dict(self._items()).get((i, j))
 
     def strict_steps(self, n: int) -> Tuple[List[Tuple[int, int]], int]:
         """The strict steps ``(witness, j)`` of a least-element pass over
@@ -267,13 +257,6 @@ class KnowledgeState:
         return self._snapshot_json
 
 
-def _successors(items: Iterable[Tuple[Pair, int]]) -> Dict[int, Tuple[int, int]]:
-    """The successor index of the entries ``items``: for each i, the
-    ``(witness, j)`` of its entry with the least ``j > i``."""
-    # pairs in descending order, so each i keeps its least j
-    return {i: (w, j) for (i, j), w in sorted(items, reverse=True) if j > i}
-
-
 def _walk(successors: Dict[int, Tuple[int, int]],
           steps: List[Tuple[int, int]], i: int) -> List[Tuple[int, int]]:
     """``steps`` extended, in place, by the strict steps from i on."""
@@ -300,30 +283,36 @@ def extend(state: KnowledgeState, i: int, j: int, k: int) -> KnowledgeState:
     """Add the counterexample ``(i, j) -> k``, verifying it first.
 
     Extending with an already known pair is a no-op that keeps the
-    first witness.  A witness that does not verify raises
-    :class:`UnsoundWitness`: that is a programming error in the caller,
-    never a learnable fact.  The new state is the newest of its
-    lineage: it grows ``state``'s dict and index when ``state`` is the
-    newest, and new ones built from ``state``'s prefix otherwise.  It
-    shares ``state``'s chain list and length, unless ``(i, j)`` becomes
-    the successor of 0 or of a subject on the chain: then its chain is
-    cut after i and walked on from j.  When i ends ``state``'s chain
-    and the list holds nothing past it, the walk appends to the shared
-    list in place; otherwise it walks on a copy of the chain up to i.
-    No slot of ``state`` is written, and no state's chain changes.
+    first witness: it returns ``state`` itself.  A witness that does
+    not verify raises :class:`UnsoundWitness`: that is a programming
+    error in the caller, never a learnable fact.  There is one way to
+    grow: from the newest state of a lineage.  When ``state`` is not
+    the newest, its prefix is first re-sealed through the constructor
+    as a new state, the newest of a new lineage, and that state is
+    grown instead.  The new state is the newest of its lineage: it
+    grows the newest state's dict and index in place, and shares its
+    chain list and length, unless ``(i, j)`` becomes the successor of
+    0 or of a subject on the chain: then its chain is cut after i and
+    walked on from j.  When i ends the chain, the walk appends to the
+    shared list in place; otherwise it walks on a copy of the chain up
+    to i.  No slot of ``state`` is written, and no state's chain
+    changes.
     """
-    entries = state._dict()
+    newest = state
+    if len(state._entries) != state._size:
+        newest = KnowledgeState(state.reals, state.entries)
+    entries = newest._entries
     if (i, j) in entries:
         return state
     if not op_at(state.reals[j], state.reals[i], k):
         raise UnsoundWitness(f"op_at(r_{j}, r_{i}, {k}) is false")
-    successors = state._index()
-    chain, length = state._chain, state._length
+    successors = newest._successors
+    chain, length = newest._chain, newest._length
     if j > i and (i not in successors or j < successors[i][1]):
         successors[i] = (k, j)
         cut = bisect_right(chain, i, 0, length, key=itemgetter(1))
         if i == 0 or cut and chain[cut - 1][1] == i:
-            if not cut == length == len(chain):
+            if cut != length:
                 chain = chain[:cut]
             length = len(_walk(successors, chain, i))
     entries[(i, j)] = k

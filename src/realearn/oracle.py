@@ -58,8 +58,6 @@ def exact_convex_check(points: Sequence[RationalPoint], a: int, b: int,
         return False
     if exact_orientation(points[a], points[b], points[c]) != 1:
         return False
-    if exact_orientation(points[a], points[c], points[b]) != -1:
-        return False
     for d, point in enumerate(points):
         if d in (a, b, c):
             continue

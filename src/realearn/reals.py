@@ -616,12 +616,12 @@ def _det2_bound(a: Measured, b: Measured, c: Measured, d: Measured,
     its sign: no terms are built.  Otherwise ``terms``
     are ``(ca, wa, cb, wb, s_ab, sp, cc, wc, cd, wd, s_cd, sq, dd)``,
     the integers that :func:`_det2_at` reads, and ``lead`` is the limit
-    times ``dd``, ``(limit << 2 * (s_ab + s_cd)) // gcd(P, Q)``.  The
-    test is tried at 0 first.  Past 0 it needs
-    ``2**k > spread / |lead|`` and ``4**k > slack / |lead|``, which bit
-    lengths turn into a least k to start from, and twice those ratios
-    suffice, so it passes within two steps of the start; no step goes
-    past ``k_max + 1``."""
+    times ``dd``, ``(limit << 2 * (s_ab + s_cd)) // gcd(P, Q)``.  At
+    every k the test needs ``2**k > spread / |lead|`` and
+    ``4**k > slack / |lead|``, which bit lengths turn into a least
+    k >= 0 to start from, and one loop searches up from there.  Twice
+    those ratios suffice, so it passes within two steps of the start;
+    no step goes past ``k_max + 1``."""
     (ca, wa, la, ea), (cb, wb, lb, eb) = a, b
     (cc, wc, lc, ec), (cd, wd, ld, ed) = c, d
     lab, lcd = la * lb, lc * ld
@@ -641,12 +641,10 @@ def _det2_bound(a: Measured, b: Measured, c: Measured, d: Measured,
               + (sq * (abs(cc) * wd + abs(cd) * wc) << s_cd))
     slack = sp * wa * wb + sq * wc * wd
     size = abs(lead)
-    k = 0
-    if size - spread <= slack:
-        n = size.bit_length()
-        k = max(1, spread.bit_length() - n, (slack.bit_length() - n + 1) // 2)
-        while k <= k_max and (size << 2 * k) - (spread << k) <= slack:
-            k += 1
+    n = size.bit_length()
+    k = max(0, spread.bit_length() - n, (slack.bit_length() - n + 1) // 2)
+    while k <= k_max and (size << 2 * k) - (spread << k) <= slack:
+        k += 1
     return terms, lead, min(k, k_max + 1)
 
 

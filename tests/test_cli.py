@@ -306,6 +306,19 @@ def test_check_rejects_tampered_result(tmp_path):
                             "not match re-derived witnesses\n")
 
 
+def test_check_rejects_overlapping_apex_and_ray_indices(tmp_path):
+    result = tmp_path / "quad.json"
+    run_cli("convex", QUAD, "--result", result)
+    record = json.loads(result.read_text())
+    record["b"] = record["a"]
+    result.write_text(json.dumps(record))
+    check = run_cli("check", result, QUAD)
+    assert check.returncode == 4
+    assert check.stdout == ""
+    assert check.stderr == ("verification failed: apex and ray indices "
+                            "overlap: (3, 3, 1)\n")
+
+
 @pytest.mark.parametrize("change", [
     {"left": [[0, False]]}, {"left": [[False, 0]]}, {"right": [[0, 0.0]]},
     {"c_left": 0.0}, {"b_right": False}])
@@ -994,6 +1007,14 @@ def test_script_challenge_out_of_range_exits_1(tmp_path):
         script.write_text(json.dumps({"j": j, "precision": 3}) + "\n")
         proc = run_cli("least", WORKED_REALS, "--auditor", f"script:{script}")
         assert_input_error(proc, f"challenge j {j} is outside 0..5")
+
+
+def test_script_challenge_force_must_be_a_boolean(tmp_path):
+    script = tmp_path / "script.jsonl"
+    script.write_text(json.dumps({"j": 1, "precision": 3, "force": 1}) + "\n")
+    proc = run_cli("least", WORKED_REALS, "--auditor", f"script:{script}")
+    assert_input_error(proc)
+    assert proc.stderr == f"input error: {script}:1: force must be a boolean\n"
 
 
 def test_max_restarts_must_not_be_negative():

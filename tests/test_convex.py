@@ -21,10 +21,9 @@ from realearn import (
     TraceLog,
     convex_angle,
     is_sound,
-    orientation_real,
     verify_bounding,
 )
-from realearn.geometry import RationalPoint
+from realearn.geometry import RationalPoint, orientation_real
 from realearn.oracle import (exact_convex_check, exact_orientation,
                              separation_from_gap)
 from realearn.reals import det2, sub
@@ -208,7 +207,7 @@ def test_random_instances_match_exact_oracle():
 
 def test_certificate_witnesses_are_observable():
     # every stored witness must actually decide the corresponding side
-    from realearn import op_at, orientation_real
+    from realearn import op_at
 
     pts = register(WEDGE)
     res = convex_angle(pts)

@@ -17,10 +17,10 @@ from realearn import (
     find_strict_witness,
     least_witness,
     op_at,
-    orientation_real,
     three_points,
 )
 import realearn.reals
+from realearn.geometry import orientation_real
 from realearn.oracle import exact_orientation
 from realearn.reals import (InvalidNesting, RealNum, _affine_det2,
                             _affine_difference, _affine_magnitude,

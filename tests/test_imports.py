@@ -24,13 +24,14 @@ COMMON = TREE - {"replay"} | {"inputs", "reals"}
 # every name `from realearn import ...` gave before the exports were
 # lazy, by a module that holds it (read_trace moved from inputs to
 # trace, the certificate and its audit from convex to geometry, and
-# PathMismatch from oracle to replay, which raises it)
+# PathMismatch from oracle to replay, which raises it), but for
+# orientation_real, which only geometry and convex import now
 EXPORTS = {
     "convex": ["ConvexAngleResult", "TooFewPoints", "convex_angle"],
     "geometry": ["BoundingCertificate", "CertificateFailure",
                  "DegenerateInput", "Left", "NoWitnessFound", "Point",
                  "RationalPoint", "Right", "SideDecision", "decide_side",
-                 "orientation_real", "three_points", "verify_bounding"],
+                 "three_points", "verify_bounding"],
     "knowledge": ["Assumed", "Falsified", "KnowledgeState", "LeqEvidence",
                   "Refl", "ReflFalsified", "Step", "UnsoundWitness", "blame",
                   "check_leq", "empty_state", "extend", "is_sound"],

@@ -130,6 +130,45 @@ def test_extend_is_pure_and_idempotent():
     assert first.size == again.size == 1
 
 
+def knowledge_reads(state):
+    """Everything a reader sees of a state over the worked registry."""
+    pairs = [(i, j) for i in range(6) for j in range(6)]
+    prefixes = []
+    for n in range(6):
+        steps, length = state.strict_steps(n)
+        prefixes.append(steps[:length])
+    return ([state.get(*pair) for pair in pairs], state.size,
+            dict(state.entries), state.snapshot_json, prefixes)
+
+
+def test_extend_with_a_held_pair_returns_that_very_state():
+    # from the newest state of a lineage and from an older one, whose
+    # prefix extend re-seals as a new state before it grows it;
+    # growing the older state changes no read of the newest
+    older = extend(empty_state(worked_registry()), 0, 3, 33)
+    newest = extend(older, 3, 4, 1)
+    assert extend(newest, 0, 3, 50) is newest
+    assert extend(newest, 3, 4, 50) is newest
+    assert extend(older, 0, 3, 50) is older
+    before = knowledge_reads(newest)
+    assert before[-1][-1] == [(33, 3), (1, 4)]
+    # a new successor of 0 cuts the chain; a step at the chain's end
+    # grows it past where the newest state's list holds a step already
+    cut = extend(older, 0, 2, 1)
+    grown = extend(older, 3, 4, 1)
+    assert knowledge_reads(newest) == before
+    assert cut.entries == {(0, 3): 33, (0, 2): 1}
+    assert knowledge_reads(cut)[-1][-1] == [(1, 2)]
+    assert grown == newest and grown is not newest
+    assert knowledge_reads(grown) == before
+    # the older state's extensions leave the newest the one that grows
+    # in place, and growing it changes no read of theirs
+    after = knowledge_reads(cut), knowledge_reads(grown)
+    assert extend(newest, 2, 3, 1).size == 3
+    assert (knowledge_reads(cut), knowledge_reads(grown)) == after
+    assert knowledge_reads(newest) == before
+
+
 def test_is_sound_detects_corruption():
     reg = worked_registry()
     good = extend(empty_state(reg), 0, 3, 33)

@@ -59,6 +59,17 @@ def test_exact_convex_check_clauses():
     assert checks == [True, False]
 
 
+def test_exact_convex_check_fails_a_point_right_of_the_first_ray():
+    square = [RationalPoint(Fraction(x), Fraction(y))
+              for x, y in [(0, 0), (1, 0), (1, 1), (0, 1)]]
+    # rays to the far corner and to (0, 1) are a mutual pair, and corner
+    # 1 lies right of both: the a->b clause alone refuses it
+    assert exact_orientation(square[0], square[2], square[3]) == 1
+    assert exact_orientation(square[0], square[3], square[1]) == -1
+    assert exact_orientation(square[0], square[2], square[1]) == -1
+    assert not exact_convex_check(square, 0, 2, 3)
+
+
 def test_separation_from_gap():
     assert separation_from_gap(Fraction(2)) == 0
     assert separation_from_gap(Fraction(1)) == 1
@@ -277,6 +288,11 @@ def test_replay_has_no_size_cap():
     assert verdict.ok
     with pytest.raises(PathMismatch):
         replay_paths([tree_run(40, ranks)], n=-1)
+
+
+def test_replay_needs_a_run():
+    with pytest.raises(ValueError, match="no runs to replay"):
+        replay_paths([])
 
 
 def test_replay_accepts_a_legal_two_path_run():

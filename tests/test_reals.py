@@ -104,6 +104,15 @@ def test_intervals_memoized():
     assert calls == [0, 1, 2, 3, 4]
 
 
+def test_a_negative_precision_index_is_refused():
+    r = RealRegistry().blurred(Fraction(1, 3))
+    message = "precision index must be >= 0, got -1"
+    with pytest.raises(ValueError, match=message):
+        r._at(-1)
+    with pytest.raises(ValueError, match=message):
+        r.interval_at(-1)
+
+
 def test_registry_indexing():
     reg = RealRegistry()
     a = reg.from_rational(1)
