@@ -13,8 +13,8 @@ The differences ``Q - P`` and ``R - P`` are the node's operands;
 decisions about one apex P may share them through a dict that the
 caller owns, and they are dropped with that dict.  The dict keeps each
 coordinate difference on its own: when both of its coordinates are
-affine, such as blurred or rational ones, as its integer ``(c, w, l)``
-and magnitude exponent, computed once, else as a
+affine, such as blurred or rational ones, as its integer ``(c, w, l)``,
+the tuple that an affine real keeps in ``_affine``, else as a
 :func:`~realearn.reals.sub` node.  The orientation of three points
 whose four differences are all integers is computed from them, with no
 node per difference: its triples are closed forms that read no
@@ -51,9 +51,9 @@ from typing import Dict, Optional, Sequence, Tuple
 from ._record import _Record
 from .errors import CertificateFailure, DegenerateInput
 # perfbench/tracing.py wraps op_at on this module
-from .reals import (RealNum, _affine_det2, _affine_difference,
-                    _affine_magnitude, _affine_real, _det2_bound, det2,
-                    find_strict_witness, least_witness, op_at, sub)
+from .reals import (Affine, RealNum, _affine_det2, _affine_difference,
+                    _affine_real, _det2_bound, det2, find_strict_witness,
+                    least_witness, op_at, sub)
 
 
 class Point(_Record):
@@ -87,9 +87,9 @@ class NoWitnessFound(DegenerateInput):
     """A dovetailed witness search exhausted its precision budget."""
 
 
-# a coordinate difference: its (c, w, l, e) when both coordinates are
+# a coordinate difference: its (c, w, l) when both coordinates are
 # affine, else a sub node
-Difference = tuple[int, int, int, int] | RealNum
+Difference = Affine | RealNum
 # (apex index, point index) -> (x difference, y difference)
 Differences = dict[tuple[int, int], tuple[Difference, Difference]]
 
@@ -122,8 +122,9 @@ def orientation_real(p: Point, q: Point, r: Point,
 def _difference(p: Point, q: Point, differences: Differences):
     """``(q.x - p.x, q.y - p.y)``, built once per dict.  Each coordinate
     difference is decided on its own: when both of its coordinates are
-    affine it is the ``(c, w, l, e)`` of the difference with its
-    magnitude exponent, else a :func:`~realearn.reals.sub` node."""
+    affine it is the ``(c, w, l)`` of the difference, which
+    :func:`~realearn.reals._affine_difference` gives, else a
+    :func:`~realearn.reals.sub` node."""
     key = (p.index, q.index)
     pair = differences.get(key)
     if pair is None:
@@ -135,8 +136,7 @@ def _difference(p: Point, q: Point, differences: Differences):
 def _coordinate_difference(a: RealNum, b: RealNum) -> Difference:
     if a._affine is None or b._affine is None:
         return sub(a, b)
-    affine = _affine_difference(a._affine, b._affine)
-    return (*affine, _affine_magnitude(affine))
+    return _affine_difference(a._affine, b._affine)
 
 
 def _orientation(dq, dr) -> RealNum:
@@ -146,10 +146,10 @@ def _orientation(dq, dr) -> RealNum:
 
 
 def _node(difference: Difference) -> RealNum:
-    """A coordinate difference as a node: a tuple through the affine
-    real of its ``(c, w, l)``, which reads no coordinate."""
+    """A coordinate difference as a node: a ``(c, w, l)`` tuple through
+    its affine real, which reads no coordinate."""
     if type(difference) is tuple:
-        return _affine_real(partial(RealNum, None), difference[:3])
+        return _affine_real(partial(RealNum, None), difference)
     return difference
 
 
@@ -193,19 +193,19 @@ def decide_side(p: Point, q: Point, r: Point, k_max: int,
     dq, dr = _difference(p, q, differences), _difference(p, r, differences)
     (xq, yq), (xr, yr) = dq, dr
     if tuple is type(xq) is type(yq) is type(xr) is type(yr):
-        terms, lead, bound = _det2_bound(xq, yr, xr, yq, k_max)
-        if not lead or k_max < 0:
+        terms, limit, bound = _det2_bound(xq, yr, xr, yq, k_max)
+        if not limit or k_max < 0:
             # the limit is zero, which every interval contains, or no
             # precision is within budget: no node, and no terms to build it
             k = None
         elif bound == 0:
-            return Left(0) if lead > 0 else Right(0)
+            return Left(0) if limit > 0 else Right(0)
         else:
             orient = _affine_det2(terms)
             k = least_witness(
                 lambda k: k >= bound or _excludes_zero(orient, k), k_max,
                 min(bound, k_max))
-        left = lead > 0
+        left = limit > 0
     else:
         orient = _orientation(dq, dr)
         k = least_witness(partial(_excludes_zero, orient), k_max, start)

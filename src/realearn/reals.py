@@ -48,15 +48,17 @@ denominators are equal, so that case takes no gcd) do not depend on
 k, and the difference is the affine real
 ``(2(c1*sa - c2*sb), w1*sa + w2*sb, 2*l1*sa)``: the same integers as
 the join of the operands' triples, and again ``2w <= l``.
-:func:`_affine_magnitude` gives an affine real's magnitude exponent.
+An affine real's magnitude exponent, :func:`_affine_magnitude`, is
+the least ``e >= 0`` with ``(|c| + w) / l <= 2**e``.
 
 :func:`_det2_bound` gives the integers, the terms, of a ``det2`` of
-four affine reals, each given as ``(c, w, l, e)`` with ``e`` its
-magnitude exponent, when a search needs them, and :func:`_det2_at` its
-triple at k from them: it computes each
-factor's triple at its shift ``K = k + s`` from ``(c, w, l)`` and takes
-the two products, whose denominators are ``P << 2k`` and ``Q << 2k``
-for ``P = (l_a * l_b) << 2 * s_ab`` and ``Q = (l_c * l_d) << 2 * s_cd``.
+four affine reals, each given as its ``(c, w, l)``, when a search
+needs them, and :func:`_det2_at` its triple at k from them: it
+computes each factor's triple at its shift ``K = k + s`` from
+``(c, w, l)``, where ``s_ab = e_a + e_b + 3`` for the factors'
+magnitude exponents, and takes the two products, whose denominators
+are ``P << 2k`` and ``Q << 2k`` for ``P = (l_a * l_b) << 2 * s_ab``
+and ``Q = (l_c * l_d) << 2 * s_cd``.
 Their gcd is ``gcd(P, Q) << 2k``, so the scale factors that join the
 products, ``Q / gcd(P, Q)`` and ``P / gcd(P, Q)``, do not depend on k
 and are computed once, and the joined triple is the one the factors'
@@ -85,17 +87,15 @@ so the ab part of ``spread / dd`` is
 ``(|ca|/l_a * wb/l_b + |cb|/l_b * wa/l_a) / 2**s_ab``, at most
 ``(2**-e_b + 2**-e_a) / 16 <= 1/8``, and the ab part of
 ``slack / dd`` is ``(wa/l_a) * (wb/l_b) / 4**s_ab``, at most
-``1/256``; with the cd parts, ``(spread + slack) / dd <= 1/4 + 1/128``.
+``1/256``; with the cd parts, ``(spread + slack) / dd <= 1/4 + 1/128``,
+whatever the ``e``.
 Since ``|lead| / dd`` is ``|limit| / (l_a*l_b*l_c*l_d)``, a limit with
 ``2 * |limit| > l_a*l_b*l_c*l_d`` passes the test at 0, and its bound
-is 0 with no terms built, no gcd and no shift; the limit's sign is
-``lead``'s.  The shortcut is tried only when some factor has
-``e > 0``: with every ``e = 0`` every factor is at most 1 in size, the
-limit is at most 2 and seldom above 1/2, and the full test gives the
-same bound.
+is 0 with no magnitude exponent, no terms, no gcd and no shift; the
+limit's sign is ``lead``'s.
 
-``lead == 0`` means the limit is zero, which every interval contains,
-so no k excludes zero.  A caller that holds the tuples, such as an
+A zero limit, ``lead == 0``, is one that every interval contains, so
+no k excludes zero.  A caller that holds the tuples, such as an
 orientation whose four coordinate differences each have two affine
 operands, takes their bound, which may decide a side at 0 with no
 interval, and otherwise builds its ``det2`` node from their terms
@@ -105,8 +105,9 @@ coordinate difference beside a :func:`sub` node, reads each tuple
 through its affine real, the node that :func:`_affine_real` builds
 with ``partial(RealNum, None)``, which reads no real either, and takes
 the generic :func:`det2` of them all.  That :func:`det2` reads the
-node's magnitude exponent from its triple at 0, which is the tuple's
-``e``.  So the generic kernel, :func:`sub` and :func:`det2`, keeps no
+node's magnitude exponent from its triple at 0, which is
+:func:`_affine_magnitude` of the tuple.  So the generic kernel,
+:func:`sub` and :func:`det2`, keeps no
 knowledge of affine reals: only a table with a prefix or a raw
 generator brings an input to it, and an affine real beside one is
 read there through its triples.
@@ -160,10 +161,9 @@ Interval = Tuple[Fraction, Fraction]
 # (lo, hi, d) with d > 0, meaning the interval [lo/d, hi/d]
 Triple = Tuple[int, int, int]
 # (c, w, l) with 0 <= 2 * w <= l, the affine real with triple
-# ((c << k) - w, (c << k) + w, l << k) at every k
-Affine = Tuple[int, int, int]
-# (c, w, l, e): an affine real and its magnitude exponent
-Measured = Tuple[int, int, int, int]
+# ((c << k) - w, (c << k) + w, l << k) at every k; a builtin tuple, so
+# that a union of it with a class is not cached by typing
+Affine = tuple[int, int, int]
 RationalLike = Union[Fraction, int, str]
 Generator = Callable[[int], Interval]
 
@@ -602,50 +602,51 @@ def _det2_at(terms: Tuple[int, ...], k: int) -> Triple:
     return (lo * sp - qhi * sq, hi * sp - qlo * sq, dd << 2 * k)
 
 
-def _det2_bound(a: Measured, b: Measured, c: Measured, d: Measured,
+def _det2_bound(a: Affine, b: Affine, c: Affine, d: Affine,
                 k_max: int) -> Tuple[Optional[Tuple[int, ...]], int, int]:
-    """``(terms, lead, bound)`` of the :func:`det2` node ``a * b - c * d``
-    of four affine reals given as ``(c, w, l, e)``: ``bound`` is the
-    least k with ``(|lead| << 2k) - (spread << k) > slack``, at which
-    the node's interval excludes zero on ``lead``'s side (see the
-    module docstring), or ``k_max + 1`` when that k is above ``k_max``
-    or the limit is 0.  The integer ``limit`` comes first: a zero limit
-    gives ``(None, 0, k_max + 1)``, and a limit that the module
-    docstring's shortcut proves gives
-    ``(None, limit, min(0, k_max + 1))``, whose ``lead`` promises only
-    its sign: no terms are built.  Otherwise ``terms``
+    """``(terms, limit, bound)`` of the :func:`det2` node ``a * b - c * d``
+    of four affine reals given as ``(c, w, l)``: ``limit`` is the node's
+    limit times ``l_a*l_b*l_c*l_d``, and ``bound`` is the least k with
+    ``(|lead| << 2k) - (spread << k) > slack``, at which the node's
+    interval excludes zero on the limit's side (see the module
+    docstring), or ``k_max + 1`` when that k is above ``k_max`` or the
+    limit is 0.  The limit comes first: a zero limit gives
+    ``(None, 0, k_max + 1)``, and a limit that the module docstring's
+    shortcut proves gives ``(None, limit, min(0, k_max + 1))``, with no
+    magnitude exponent computed and no terms built.  Otherwise ``terms``
     are ``(ca, wa, cb, wb, s_ab, sp, cc, wc, cd, wd, s_cd, sq, dd)``,
-    the integers that :func:`_det2_at` reads, and ``lead`` is the limit
-    times ``dd``, ``(limit << 2 * (s_ab + s_cd)) // gcd(P, Q)``.  At
+    the integers that :func:`_det2_at` reads, whose shifts come from the
+    factors' :func:`_affine_magnitude`, and ``lead``, the limit times
+    ``dd``, is ``(limit << 2 * (s_ab + s_cd)) // gcd(P, Q)``.  At
     every k the test needs ``2**k > spread / |lead|`` and
     ``4**k > slack / |lead|``, which bit lengths turn into a least
     k >= 0 to start from, and one loop searches up from there.  Twice
     those ratios suffice, so it passes within two steps of the start;
     no step goes past ``k_max + 1``."""
-    (ca, wa, la, ea), (cb, wb, lb, eb) = a, b
-    (cc, wc, lc, ec), (cd, wd, ld, ed) = c, d
+    (ca, wa, la), (cb, wb, lb) = a, b
+    (cc, wc, lc), (cd, wd, ld) = c, d
     lab, lcd = la * lb, lc * ld
     limit = ca * cb * lcd - cc * cd * lab
     if not limit:
         return None, 0, k_max + 1
-    s_ab, s_cd = ea + eb + 3, ec + ed + 3
-    # some e > 0, and the limit above 1/2 in size: bound 0, no terms
-    if s_ab + s_cd > 6 and 2 * abs(limit) > lab * lcd:
+    # the limit above 1/2 in size: bound 0, no terms
+    if 2 * abs(limit) > lab * lcd:
         return None, limit, min(0, k_max + 1)
+    s_ab = _affine_magnitude(a) + _affine_magnitude(b) + 3
+    s_cd = _affine_magnitude(c) + _affine_magnitude(d) + 3
     p, q = lab << 2 * s_ab, lcd << 2 * s_cd
     g = gcd(p, q)
     sp, sq = q // g, p // g
     terms = (ca, wa, cb, wb, s_ab, sp, cc, wc, cd, wd, s_cd, sq, p * sp)
-    lead = (limit << 2 * (s_ab + s_cd)) // g
+    size = (abs(limit) << 2 * (s_ab + s_cd)) // g
     spread = ((sp * (abs(ca) * wb + abs(cb) * wa) << s_ab)
               + (sq * (abs(cc) * wd + abs(cd) * wc) << s_cd))
     slack = sp * wa * wb + sq * wc * wd
-    size = abs(lead)
     n = size.bit_length()
     k = max(0, spread.bit_length() - n, (slack.bit_length() - n + 1) // 2)
     while k <= k_max and (size << 2 * k) - (spread << k) <= slack:
         k += 1
-    return terms, lead, min(k, k_max + 1)
+    return terms, limit, min(k, k_max + 1)
 
 
 def _affine_det2(terms: Tuple[int, ...]) -> RealNum:

@@ -23,7 +23,7 @@ from realearn import (Assumed, KnowledgeState, LeastCandidate, Point, RealNum,
 from realearn.geometry import RationalPoint
 from realearn.inputs import RealSpec
 from realearn.oracle import exact_orientation
-from realearn.reals import Measured, _over_lcm
+from realearn.reals import Affine, _affine_magnitude, _over_lcm
 from realearn.trace import TraceEvent, TraceFile
 
 
@@ -242,11 +242,12 @@ def register_points(pts: Sequence[RationalPoint], blurred: bool = False,
     return reg, [Point(i, xs[i], ys[i]) for i in range(len(pts))]
 
 
-def det2_terms(a: Measured, b: Measured, c: Measured,
-               d: Measured) -> Tuple[int, ...]:
+def det2_terms(a: Affine, b: Affine, c: Affine,
+               d: Affine) -> Tuple[int, ...]:
     """The reference terms of the ``det2`` node ``a * b - c * d`` of four
-    affine reals, each given as ``(c, w, l, e)`` with ``e`` its magnitude
-    exponent, so the products are read at ``k + s_ab`` and ``k + s_cd``:
+    affine reals, each given as ``(c, w, l)``, whose magnitude exponents
+    ``e`` put the products at ``k + s_ab`` and ``k + s_cd`` for
+    ``s_ab = e_a + e_b + 3`` and ``s_cd = e_c + e_d + 3``:
     the integers that ``realearn.reals._det2_at`` reads and
     ``realearn.reals._det2_bound`` gives when it searches.  The product
     denominators are ``P << 2k`` and ``Q << 2k``, whose gcd is
@@ -254,8 +255,9 @@ def det2_terms(a: Measured, b: Measured, c: Measured,
     and ``dd = lcm(P, Q)`` come from ``_over_lcm(P, Q)`` once, and the
     denominator at k is ``dd << 2k``.  The terms are
     ``(ca, wa, cb, wb, s_ab, sp, cc, wc, cd, wd, s_cd, sq, dd)``."""
-    (ca, wa, la, ea), (cb, wb, lb, eb) = a, b
-    (cc, wc, lc, ec), (cd, wd, ld, ed) = c, d
+    (ca, wa, la), (cb, wb, lb) = a, b
+    (cc, wc, lc), (cd, wd, ld) = c, d
+    ea, eb, ec, ed = map(_affine_magnitude, (a, b, c, d))
     s_ab, s_cd = ea + eb + 3, ec + ed + 3
     sp, sq, dd = _over_lcm(la * lb << 2 * s_ab, lc * ld << 2 * s_cd)
     return (ca, wa, cb, wb, s_ab, sp, cc, wc, cd, wd, s_cd, sq, dd)

@@ -319,6 +319,29 @@ def test_check_rejects_overlapping_apex_and_ray_indices(tmp_path):
                             "overlap: (3, 3, 1)\n")
 
 
+def test_check_fails_when_the_exact_condition_is_false(tmp_path, monkeypatch,
+                                                       capsys):
+    # a result whose witnesses re-derive still fails when the exact
+    # bounding condition on the rational points is false; no document
+    # reaches that clause once verify_bounding passes, so the exact check
+    # is stubbed to fail
+    from realearn import cli
+    import realearn.oracle
+
+    result = tmp_path / "quad.json"
+    status = cli.main(["convex", str(QUAD), "--result", str(result)])
+    assert status == 0
+    monkeypatch.setattr(realearn.oracle, "exact_convex_check",
+                        lambda *args: False)
+    capsys.readouterr()
+    status = cli.main(["check", str(result), str(QUAD)])
+    assert status == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("verification failed: exact bounding condition is false "
+                   "for apex 3, rays 2, 1\n")
+
+
 @pytest.mark.parametrize("change", [
     {"left": [[0, False]]}, {"left": [[False, 0]]}, {"right": [[0, 0.0]]},
     {"c_left": 0.0}, {"b_right": False}])
@@ -807,7 +830,7 @@ BOUNDED_RUNS = {
         Run(cli("convex", "tablediag.jsonl", "--kmax", "1048576"), exit=3,
             stderr=("degenerate input: no side witness for points (0, 2, 1) "
                     "within precision 1048576\n"),
-            mb=32, seconds=10),
+            mb=32, seconds=2),
     ]),
 }
 

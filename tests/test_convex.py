@@ -691,8 +691,7 @@ def bound_paths(monkeypatch):
 def test_which_path_settles_each_bound(monkeypatch, pts, construction,
                                        audit):
     # the limit of an orientation proves its bound of 0 with no terms
-    # when some difference has a positive magnitude exponent and the
-    # limit exceeds 1/2 in size:
+    # when it exceeds 1/2 in size:
     # on blurred points at the benchmark's scale, 2^-12-grid points with
     # |k| <= 2^19 (wide16) or 2^20 (grid16, two restarts), it
     # settles every decision of the construction and of the audit; on

@@ -23,8 +23,7 @@ import realearn.reals
 from realearn.geometry import orientation_real
 from realearn.oracle import exact_orientation
 from realearn.reals import (InvalidNesting, RealNum, _affine_det2,
-                            _affine_difference, _affine_magnitude,
-                            _det2_bound, det2, sub)
+                            _affine_difference, _det2_bound, det2, sub)
 
 from support import (det2_terms, general_position_points, one_interval_table,
                      random_real, random_table_prefix, register_points)
@@ -358,15 +357,11 @@ def node_orientation(p, q, r):
 
 
 def tuple_factors(p, q, r):
-    """The ``(c, w, l, e)`` of the differences ``q.x - p.x``,
+    """The ``(c, w, l)`` of the differences ``q.x - p.x``,
     ``r.y - p.y``, ``r.x - p.x`` and ``q.y - p.y`` of three affine
     points: the factors of their orientation."""
-    def measured(a, b):
-        difference = _affine_difference(a._affine, b._affine)
-        return (*difference, _affine_magnitude(difference))
-
-    return (measured(q.x, p.x), measured(r.y, p.y),
-            measured(r.x, p.x), measured(q.y, p.y))
+    return tuple(_affine_difference(a._affine, b._affine)
+                 for a, b in ((q.x, p.x), (r.y, p.y), (r.x, p.x), (q.y, p.y)))
 
 
 def tuple_terms(p, q, r):

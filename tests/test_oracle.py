@@ -157,6 +157,22 @@ def test_oracle_auditor_challenges_lowest_refutable_index():
     assert ch == Challenge(1, 1)
 
 
+def test_oracle_auditor_raises_when_the_reals_do_not_separate():
+    # stated true values 1 and 0 for reals blurred at 2^-100 and 0: the
+    # reals separate only near precision 101, past the budget of the
+    # values' gap plus 64 bits
+    reg = RealRegistry()
+    reg.blurred(Fraction(1, 2 ** 100))
+    reg.blurred(Fraction(0))
+    auditor = OracleAuditor(reg, [Fraction(1), Fraction(0)])
+    from realearn import least_candidate
+    cand = least_candidate(empty_state(reg), 1)
+    with pytest.raises(RuntimeError) as raised:
+        auditor.challenge(cand)
+    assert str(raised.value) == ("reals 1 and 0 do not separate within "
+                                 "precision 65")
+
+
 def fraction_scan_challenge(values, separation, candidate):
     """The former challenge, kept as reference: the lowest index whose
     exact value lies below the candidate's, found by comparing Fractions."""

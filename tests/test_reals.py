@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -453,12 +454,6 @@ def affine_triple(affine, k):
     return ((c << k) - w, (c << k) + w, l << k)
 
 
-def measured(affine):
-    """``affine`` with its magnitude exponent: the ``(c, w, l, e)`` that
-    :func:`det2_terms` takes."""
-    return (*affine, _affine_magnitude(affine))
-
-
 # equal and unequal denominators, dyadic and non-dyadic
 DENOMINATOR_SETS = [
     (3, 3, 3, 3), (1, 1, 2 ** 20, 2 ** 20), (3, 7, 3 * 2 ** 5, 1),
@@ -537,7 +532,7 @@ def test_affine_det2_gives_the_triples_of_its_tree(denominators):
     # b * a has the denominator of a * b, and other products mostly not
     for i, j in itertools.product(range(6), repeat=2):
         for chosen in ((i, j, j, i), (i, j, (i + 1) % 6, (j + 2) % 6)):
-            terms = det2_terms(*(measured(tuples[n]) for n in chosen))
+            terms = det2_terms(*(tuples[n] for n in chosen))
             node = det2(*(factors[n] for n in chosen))
             tree = ref.det2(*(refs[n] for n in chosen))
             for k in range(65):
@@ -551,31 +546,31 @@ def test_affine_det2_gives_the_triples_of_its_tree(denominators):
 
 
 @st.composite
-def measured_tuples(draw, scale=0):
-    """A ``(c, w, l, e)``: its ``l`` one of a few denominators times
+def affine_tuples(draw, scale=0):
+    """A ``(c, w, l)``: its ``l`` one of a few denominators times
     ``2**scale``, so that equal ones are common, its ``w`` often the
-    largest, ``l // 2``, as a blurred difference's is, its centre zero,
-    straddling (``|c| < w``, so its interval at 0 contains zero) or any,
-    and ``e`` its magnitude exponent."""
+    largest, ``l // 2``, as a blurred difference's is, and its centre
+    zero, straddling (``|c| < w``, so its interval at 0 contains zero)
+    or any."""
     l = draw(st.sampled_from([2, 6, 2 ** 13, 3 * 2 ** 7, 14])) << scale
     w = draw(st.one_of(st.just(l // 2), st.integers(0, l // 2)))
     kind = draw(st.integers(0, 5))
     c = draw(st.just(0) if kind == 0 else st.integers(-w, w) if kind == 1
              else st.integers(-2 ** 40, 2 ** 40))
-    return measured((c, w, l))
+    return (c, w, l)
 
 
 @st.composite
 def det2_factors(draw):
-    """The four ``(c, w, l, e)`` of ``a * b - c * d``, at one scale from
+    """The four ``(c, w, l)`` of ``a * b - c * d``, at one scale from
     2^0 to 2^-200; in one draw of five, c and d take the centres and
     denominators of a and b, in either order, with radii of their own,
     so that the limit is zero."""
     scale = draw(st.sampled_from([0, 12, 60, 100, 200]))
-    factors = draw(st.lists(measured_tuples(scale), min_size=4, max_size=4))
+    factors = draw(st.lists(affine_tuples(scale), min_size=4, max_size=4))
     if draw(st.integers(0, 4)) == 0:
         a, b = factors[:2] if draw(st.booleans()) else factors[1::-1]
-        factors[2:] = [measured((x[0], draw(st.integers(0, x[2] // 2)), x[2]))
+        factors[2:] = [(x[0], draw(st.integers(0, x[2] // 2)), x[2])
                        for x in (a, b)]
     return factors
 
@@ -600,8 +595,8 @@ def decide_outcome(*args):
 
 
 def factor_limit(factors):
-    """The limit ``a * b - c * d`` of four ``(c, w, l, e)``."""
-    (ca, _, la, _), (cb, _, lb, _), (cc, _, lc, _), (cd, _, ld, _) = factors
+    """The limit ``a * b - c * d`` of four ``(c, w, l)``."""
+    (ca, _, la), (cb, _, lb), (cc, _, lc), (cd, _, ld) = factors
     return Fraction(ca * cb, la * lb) - Fraction(cc * cd, lc * ld)
 
 
@@ -612,30 +607,27 @@ def sign(x):
 @settings(max_examples=200, deadline=None)
 @given(det2_factors())
 def test_the_det2_bound_is_where_the_integers_prove_a_side(factors):
-    # lead is 0 exactly for a zero limit, and otherwise has the limit's
-    # sign; built terms are the reference's and their lead is the limit
-    # over the node's denominator at 0, and a bound that the limit alone
-    # settles builds none; the node's interval at the bound excludes zero
-    # on lead's side, and the bound is the least k that passes the
-    # integer test of the reference's terms; a side decision of points
-    # whose differences are the four tuples has the linear scan's
-    # outcome from every start and within every budget
-    terms, lead, bound = _det2_bound(*factors, 2 ** 12)
+    # the middle value is the limit times the product of the factors'
+    # denominators, on every path; built terms are the reference's, and
+    # a bound that the limit alone settles builds none; the node's
+    # interval at the bound excludes zero on the limit's side, and the
+    # bound is the least k that passes the integer test of the
+    # reference's terms; a side decision of points whose differences are
+    # the four tuples has the linear scan's outcome from every start and
+    # within every budget
+    terms, scaled, bound = _det2_bound(*factors, 2 ** 12)
     reference = det2_terms(*factors)
     limit = factor_limit(factors)
-    assert sign(lead) == sign(limit)
+    assert Fraction(scaled, math.prod(l for *_, l in factors)) == limit
     if terms is None:
-        assert not lead or bound == 0
+        assert not scaled or bound == 0
     else:
         assert terms == reference
-        assert Fraction(lead, terms[-1]) == limit
-    node = det2(*(_affine_real(partial(RealNum, None), x[:3])
-                  for x in factors))
-    if lead:
+    node = det2(*(_affine_real(partial(RealNum, None), x) for x in factors))
+    if scaled:
         lo, hi, _ = _det2_at(reference, bound)
-        assert lo > 0 if lead > 0 else hi < 0
-        (ca, wa, _, _), (cb, wb, _, _), (cc, wc, _, _), (cd, wd, _, _) = \
-            factors
+        assert lo > 0 if scaled > 0 else hi < 0
+        (ca, wa, _), (cb, wb, _), (cc, wc, _), (cd, wd, _) = factors
         _, _, s_ab, sp, _, _, _, _, s_cd, sq = reference[2:12]
         spread = ((sp * (abs(ca) * wb + abs(cb) * wa) << s_ab)
                   + (sq * (abs(cc) * wd + abs(cd) * wc) << s_cd))
@@ -653,7 +645,7 @@ def test_the_det2_bound_is_where_the_integers_prove_a_side(factors):
         limits = [-1, 0, 256]
     for k_max in limits:
         clamped = _det2_bound(*factors, k_max)
-        assert clamped[1:] == (lead, min(bound, k_max + 1))
+        assert clamped[1:] == (scaled, min(bound, k_max + 1))
     reg = RealRegistry()
     p, q, r = (Point(i, reg.from_rational(0), reg.from_rational(0))
                for i in range(3))
@@ -690,30 +682,30 @@ def reference_det2_bound(a, b, c, d, k_max):
 
 
 def scaled_tuple(value, w, m):
-    """The ``(c, w, l, e)`` of centre ``value`` over ``l = m * d`` for
+    """The ``(c, w, l)`` of centre ``value`` over ``l = m * d`` for
     ``value``'s denominator ``d``, with radius ``w`` clamped to
     ``l // 2``."""
     l = value.denominator * m
-    return measured((value.numerator * m, min(w, l // 2), l))
+    return (value.numerator * m, min(w, l // 2), l)
 
 
 @st.composite
 def half_limit_factors(draw):
-    """Four ``(c, w, l, e)`` whose limit is ``1/2``, or just above or
+    """Four ``(c, w, l)`` whose limit is ``1/2``, or just above or
     just below it, in size: c, sometimes zero, and d drawn as any
     factors are, b of value ``2**u`` with a radius of its own, and a the
     value that puts the limit there, so that some draws have every
     ``e`` 0 and some not."""
     scale = draw(st.sampled_from([0, 12, 60]))
-    c, d = draw(st.lists(measured_tuples(scale), min_size=2, max_size=2))
+    c, d = draw(st.lists(affine_tuples(scale), min_size=2, max_size=2))
     if draw(st.booleans()):
-        c = measured((0, c[1], c[2]))
+        c = (0, c[1], c[2])
     step = Fraction(1, draw(st.sampled_from([1, 3])) << draw(
         st.integers(4, 80)))
     limit = (Fraction(1, 2) + draw(st.integers(-2, 2)) * step) * draw(
         st.sampled_from([1, -1]))
     beta = Fraction(2) ** draw(st.integers(-1, 3))
-    target = limit + factor_limit([c, d, (0, 0, 1, 0), (0, 0, 1, 0)])
+    target = limit + factor_limit([c, d, (0, 0, 1), (0, 0, 1)])
     m = draw(st.sampled_from([1, 2, 3, 2 ** 12]))
     a = scaled_tuple(target / beta, draw(st.integers(0, 2 ** 13)), m)
     b = scaled_tuple(beta, draw(st.sampled_from([0, 1, 2 ** 12])), m)
@@ -722,7 +714,8 @@ def half_limit_factors(draw):
 
 @st.composite
 def unit_tuples(draw, large=False):
-    """A ``(c, w, l, e)`` at most 1 in size, so ``e == 0``: when
+    """A ``(c, w, l)`` at most 1 in size, so its magnitude exponent is
+    0: when
     ``large``, its centre at least ``3/4`` in size."""
     l = draw(st.sampled_from([2, 6, 2 ** 13, 3 * 2 ** 7, 14, 2 ** 60]))
     w = draw(st.integers(0, l // 4))
@@ -731,18 +724,18 @@ def unit_tuples(draw, large=False):
             st.sampled_from([1, -1]))
     else:
         c = draw(st.integers(w - l, l - w))
-    return measured((c, w, l))
+    return (c, w, l)
 
 
 @st.composite
 def unit_limit_factors(draw):
-    """Four ``(c, w, l, e)``, every one at most 1 in size, whose limit
+    """Four ``(c, w, l)``, every one at most 1 in size, whose limit
     is in ``(1/2, 2]`` in size: a and b at least 3/4, and c * d of the
     other sign from a * b, or zero."""
     a, b = draw(st.lists(unit_tuples(large=True), min_size=2, max_size=2))
     c, d = draw(st.lists(unit_tuples(), min_size=2, max_size=2))
     if (a[0] * b[0] > 0) == (c[0] * d[0] > 0):
-        c = measured((-c[0], c[1], c[2]))
+        c = (-c[0], c[1], c[2])
     return [a, b, c, d]
 
 
@@ -756,11 +749,11 @@ def excludes_zero(terms, k):
 def test_the_limit_first_bound_is_the_reference_bound(factors):
     # the limit-first bound gives the reference's bound and lead's sign
     # within every budget, and when it builds terms, the reference's
-    # terms and lead; it builds none exactly when the limit is zero or
-    # some factor has e > 0 and the limit is above 1/2 in size
+    # terms; it builds none exactly when the limit is zero or above 1/2
+    # in size, whatever the factors' magnitude exponents
     limit = factor_limit(factors)
-    positive = any(e > 0 for *_, e in factors)
-    shortcut = limit == 0 or positive and abs(limit) > Fraction(1, 2)
+    denominators = math.prod(l for *_, l in factors)
+    shortcut = limit == 0 or abs(limit) > Fraction(1, 2)
     terms, lead, bound = reference_det2_bound(*factors, 2 ** 12)
     if lead:
         witness = least_witness(partial(excludes_zero, terms), bound)
@@ -771,10 +764,11 @@ def test_the_limit_first_bound_is_the_reference_bound(factors):
         expected = reference_det2_bound(*factors, k_max)
         decided = _det2_bound(*factors, k_max)
         assert sign(decided[1]) == sign(expected[1]) == sign(limit)
+        assert Fraction(decided[1], denominators) == limit
         assert decided[2] == expected[2]
         assert (decided[0] is None) == shortcut
         if decided[0] is not None:
-            assert decided == expected
+            assert decided[0] == expected[0]
 
 
 def test_an_affine_det2_reads_no_factor():
@@ -784,7 +778,7 @@ def test_an_affine_det2_reads_no_factor():
     ta, tb, tc, td = (real._affine for real in (a, b, c, d))
     factors = [_affine_difference(ta, tb), _affine_difference(tc, td), ta,
                _affine_difference(td, tb)]
-    node = _affine_det2(det2_terms(*map(measured, factors)))
+    node = _affine_det2(det2_terms(*factors))
     for k in (0, 5, 64, 3):
         node._at(k)
     assert sorted(node._cache) == [0, 3, 5, 64]
@@ -1121,8 +1115,7 @@ def build_affine(reg, expr):
     :func:`_affine_det2` node of four."""
     name, *args = expr
     if name == "det2":
-        return _affine_det2(det2_terms(*(measured(affine_of(arg))
-                                         for arg in args)))
+        return _affine_det2(det2_terms(*map(affine_of, args)))
     return _affine_real(reg.register, affine_of(expr))
 
 
