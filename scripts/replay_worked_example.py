@@ -18,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from realearn.inputs import build_reals, load_document, load_script, real_limits
+from realearn.inputs import build_reals, load_document, load_script
 from realearn.knowledge import empty_state
 from realearn.least import RestartBudgetExceeded, ScriptedAuditor, learn_least
 from realearn.oracle import exact_min_index
@@ -75,10 +75,10 @@ def main() -> None:
     if args.max_restarts is not None and args.max_restarts < 0:
         parser.error("need max-restarts >= 0")
 
-    document = load_document(args.reals)
-    reals = build_reals(document)
+    specs, _ = load_document(args.reals)
+    reals = build_reals(specs)
     script = load_script(args.challenges)
-    limits = real_limits(document)
+    limits = [spec.limit for spec in specs]
     n = len(reals) - 1
     budget = args.max_restarts if args.max_restarts is not None else 2 ** n - 1
 

@@ -142,32 +142,34 @@ def _trace_log(path: Optional[str]):
 
 
 def _document(path: str, what: str):
-    """The input document at ``path``, which must hold some ``what``,
-    ``"reals"`` or ``"points"``."""
+    """The real specs or the point specs, ``what`` = ``"reals"`` or
+    ``"points"``, of the input document at ``path``, which must hold
+    some."""
     from .inputs import load_document
 
-    document = load_document(path)
-    if not getattr(document, what):
+    reals, points = load_document(path)
+    specs = reals if what == "reals" else points
+    if not specs:
         raise InputError(f"{path}: no {what} in document")
-    return document
+    return specs
 
 
 def cmd_least(args) -> int:
-    from .inputs import build_reals, load_script, real_limits
+    from .inputs import build_reals, load_script
     from .knowledge import empty_state
     from .least import NullAuditor, ScriptedAuditor, learn_least
 
     kmax, max_restarts = _run_flags(args)
-    document = _document(args.input, "reals")
-    reals = build_reals(document)
-    n = len(document.reals) - 1
+    specs = _document(args.input, "reals")
+    reals = build_reals(specs)
+    n = len(specs) - 1
     if args.auditor == "none":
         auditor = NullAuditor()
     elif args.auditor == "oracle":
         from .oracle import OracleAuditor, TieDetected
 
         try:
-            auditor = OracleAuditor(reals, real_limits(document))
+            auditor = OracleAuditor(reals, [spec.limit for spec in specs])
         except TieDetected as exc:
             raise InputError(f"oracle auditor: {exc}")
     elif args.auditor.startswith("script:"):
@@ -240,8 +242,8 @@ def cmd_convex(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .geometry import verify_bounding
-    from .inputs import build_points, rational_points
+    from .geometry import RationalPoint, verify_bounding
+    from .inputs import build_points
     from .knowledge import UnsoundWitness, empty_state, extend
     from .oracle import exact_convex_check
 
@@ -252,8 +254,8 @@ def cmd_check(args) -> int:
         raise InputError(f"{args.result}: cannot read result: {exc}")
     if not isinstance(record, dict) or record.get("type") != "convex-result":
         raise InputError(f"{args.result}: not a convex result file")
-    document = _document(args.input, "points")
-    points = build_points(document)
+    specs = _document(args.input, "points")
+    points = build_points(specs)
     a, b, c = record.get("a"), record.get("b"), record.get("c")
     if not all(type(v) is int for v in (a, b, c)):
         raise InputError(f"{args.result}: a, b, c must be integers")
@@ -312,7 +314,8 @@ def cmd_check(args) -> int:
             stored != certificate or _dumps(stored) != _dumps(certificate)):
         raise CertificateFailure(
             "stored certificate does not match re-derived witnesses")
-    if not exact_convex_check(rational_points(document), a, b, c):
+    limits = [RationalPoint(x.limit, y.limit) for _, x, y in specs]
+    if not exact_convex_check(limits, a, b, c):
         raise CertificateFailure("exact bounding condition is false "
                                  f"for apex {a}, rays {b}, {c}")
     print(f"ok: apex {a}, rays {b} {c}, "

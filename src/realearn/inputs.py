@@ -26,6 +26,11 @@ known rational limit, the value of a rational or blurred real and the
 tail of a table, which the oracle tools rely on; a :class:`RealSpec`
 keeps it in one field, ``limit``, whatever its kind.
 
+:func:`load_document` returns two lists: the document's real specs in
+file order, and its point specs, ``(index, x, y)`` triples of an index
+and two :class:`RealSpec`, in index order.  :func:`build_reals`
+registers the first and :func:`build_points` builds the second.
+
 Trace files are read back by :func:`~realearn.trace.read_trace`, next
 to their writer.  The functions that build points and challenges import
 :mod:`~realearn.geometry` and :mod:`~realearn.least` when they run, so
@@ -45,7 +50,7 @@ from .reals import InvalidNesting, RealNum, RealRegistry
 from .trace import numbered_lines
 
 if TYPE_CHECKING:
-    from .geometry import Point, RationalPoint
+    from .geometry import Point
     from .least import Challenge
 
 
@@ -133,23 +138,14 @@ class RealSpec(_Record):
         return RealSpec(kind, parse_fraction(obj[key]), tuple(parsed))
 
 
-class PointSpec(_Record):
-    """One parsed point record."""
-
-    __slots__ = ("_index", "_x", "_y")
-
-
-class InputDocument(_Record):
-    """A parsed document: its ``reals`` and its ``points``, in file
-    order."""
-
-    __slots__ = ("_reals", "_points")
-    __hash__ = None
-
-
-def load_document(path) -> InputDocument:
+def load_document(path) -> Tuple[List[RealSpec],
+                                  List[Tuple[int, RealSpec, RealSpec]]]:
+    """The document at ``path``: its real specs in file order, and its
+    point specs, ``(index, x, y)`` triples, in index order.  Every line
+    is parsed, and the indices checked dense from 0, before the caller
+    builds any real."""
     reals: List[RealSpec] = []
-    points: List[PointSpec] = []
+    points: List[Tuple[int, RealSpec, RealSpec]] = []
     for lineno, record in _records(path, "record"):
         kind = record.get("type")
         try:
@@ -159,25 +155,22 @@ def load_document(path) -> InputDocument:
                 index = record.get("index")
                 if type(index) is not int:
                     raise InputError("point index must be an integer")
-                points.append(PointSpec(
-                    index=index,
-                    x=RealSpec.from_obj(record.get("x")),
-                    y=RealSpec.from_obj(record.get("y")),
-                ))
+                points.append((index, RealSpec.from_obj(record.get("x")),
+                               RealSpec.from_obj(record.get("y"))))
             else:
                 raise InputError(f"unknown record type {kind!r}")
         except InputError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
-    points.sort(key=lambda spec: spec.index)
-    for position, spec in enumerate(points):
-        if spec.index != position:
+    points.sort(key=lambda spec: spec[0])
+    for position, (index, _, _) in enumerate(points):
+        if index != position:
             raise InputError(
                 f"{path}: point indices must be dense from 0, "
-                f"missing or duplicate index near {spec.index}")
-    return InputDocument(reals=reals, points=points)
+                f"missing or duplicate index near {index}")
+    return reals, points
 
 
-def _registered(specs: List[RealSpec]) -> RealRegistry:
+def build_reals(specs: List[RealSpec]) -> RealRegistry:
     """A registry holding ``specs`` at indices 0.., in order.  A badly
     nested table is an :class:`InputError`: tables are checked in full
     when registered, so an :class:`InvalidNesting` raised later comes
@@ -191,35 +184,20 @@ def _registered(specs: List[RealSpec]) -> RealRegistry:
     return registry
 
 
-def build_reals(document: InputDocument) -> RealRegistry:
-    """The document's reals r_0 .. r_n, registered in order."""
-    return _registered(document.reals)
-
-
-def build_points(document: InputDocument) -> List[Point]:
-    """The document's points, with all y coordinates registered in
-    point order, then all x coordinates.  The order is a convention
-    only; :func:`~realearn.convex.convex_angle` learns over the points'
-    own y list, wherever the reals sit in the registry.
+def build_points(specs: List[Tuple[int, RealSpec, RealSpec]]) -> List[Point]:
+    """The points of the point specs ``(index, x, y)``, with all y
+    coordinates registered in spec order, then all x coordinates.  The
+    order is a convention only; :func:`~realearn.convex.convex_angle`
+    learns over the points' own y list, wherever the reals sit in the
+    registry.
     """
     from .geometry import Point
 
-    count = len(document.points)
-    registry = _registered([spec.y for spec in document.points]
-                           + [spec.x for spec in document.points])
-    return [Point(index=spec.index, x=registry[count + i], y=registry[i])
-            for i, spec in enumerate(document.points)]
-
-
-def real_limits(document: InputDocument) -> List[Fraction]:
-    return [spec.limit for spec in document.reals]
-
-
-def rational_points(document: InputDocument) -> List[RationalPoint]:
-    from .geometry import RationalPoint
-
-    return [RationalPoint(spec.x.limit, spec.y.limit)
-            for spec in document.points]
+    count = len(specs)
+    registry = build_reals([y for _, _, y in specs]
+                           + [x for _, x, _ in specs])
+    return [Point(index=index, x=registry[count + i], y=registry[i])
+            for i, (index, _, _) in enumerate(specs)]
 
 
 def load_script(path) -> List[Challenge]:

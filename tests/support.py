@@ -21,7 +21,7 @@ from typing import List, Sequence, Set, Tuple
 from realearn import (Assumed, KnowledgeState, LeastCandidate, Point, RealNum,
                       RealRegistry, Step)
 from realearn.geometry import RationalPoint
-from realearn.inputs import RealSpec
+from realearn.inputs import RealSpec, build_points
 from realearn.oracle import exact_orientation
 from realearn.reals import Affine, _affine_magnitude, _over_lcm
 from realearn.trace import TraceEvent, TraceFile
@@ -39,12 +39,11 @@ def jsonl(records) -> str:
 
 
 def document_points(records) -> List[Point]:
-    """The points of a document's point ``records``, each x coordinate
-    registered before its y, as the CLI parses them."""
-    reg = RealRegistry()
-    return [Point(record["index"], *(RealSpec.from_obj(record[axis]).build(reg)
-                                     for axis in "xy"))
-            for record in records]
+    """The points of a document's point ``records``, in index order,
+    built as the CLI builds them."""
+    return build_points([(record["index"], RealSpec.from_obj(record["x"]),
+                          RealSpec.from_obj(record["y"]))
+                         for record in records])
 
 
 def descending_reals(n: int) -> List[dict]:
@@ -66,6 +65,19 @@ def blurred_grid_points(count: int, span: int,
                        "value": f"{rng.randint(-span, span)}/{denominator}"}
                 for axis in "xy"}}
             for i in range(count)]
+
+
+def random_blurred_points(count: int) -> List[dict]:
+    """``count`` points of blurred coordinates k / 2^20 with
+    |k| <= 2^20 and distinct ys, drawn from ``Random(7)``: the ys
+    first, then the xs."""
+    rng = Random(7)
+    ys = rng.sample(range(-2 ** 20, 2 ** 20 + 1), count)
+    xs = [rng.randint(-2 ** 20, 2 ** 20) for _ in range(count)]
+    return [{"type": "point", "index": i,
+             "x": {"kind": "blurred", "value": f"{x}/{2 ** 20}"},
+             "y": {"kind": "blurred", "value": f"{y}/{2 ** 20}"}}
+            for i, (x, y) in enumerate(zip(xs, ys))]
 
 
 def table_grid_points() -> List[dict]:

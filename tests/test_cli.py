@@ -15,7 +15,8 @@ from realearn.replay import replay_paths
 from realearn.trace import read_trace
 from support import (PYTHON, angle_points, blurred_diagonal_points,
                      blurred_grid_points, descending_reals,
-                     general_position_points, jsonl, table_diagonal_points)
+                     general_position_points, jsonl, random_blurred_points,
+                     table_diagonal_points)
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
@@ -832,6 +833,21 @@ BOUNDED_RUNS = {
                     "within precision 1048576\n"),
             mb=32, seconds=2),
     ]),
+    # 20,000 blurred points: the document, its 40,000 reals and the
+    # attempt's side tables make the peak
+    "blurred20000": (random_blurred_points(20000), [
+        Run(cli("convex", "blurred20000.jsonl",
+                "--result", "blurred20000.result"),
+            stdout=("035f6f09010d06b6206c4e1df22d382c"
+                    "ea714893748b760506f9d90c99ca9540"),
+            files=(("blurred20000.result", "8708bfcf59b034f68fd8be3d07ef42f0"
+                                           "6bf49180452989a76355b2760b45e30c"),),
+            mb=68),
+        Run(cli("check", "blurred20000.result", "blurred20000.jsonl"),
+            stdout=("ok: apex 13607, rays 18965 19008, "
+                    "19997 bounded points re-verified",),
+            mb=68),
+    ]),
 }
 
 
@@ -1080,6 +1096,30 @@ def test_badly_nested_table_exits_1(tmp_path):
     for args in (("least", reals), ("convex", points)):
         assert_input_error(run_cli(*args),
                            "invalid interval table at index 0: width exceeds 2^-0")
+
+
+def test_a_document_reports_its_errors_in_one_order(tmp_path):
+    # every line is parsed and the point indices are checked before any
+    # real is built; a command builds only the kind it reads, and a
+    # points document builds every y before any x
+    wide = {"kind": "table", "prefix": [["0/1", "2/1"]], "tail": "1/1"}
+    upside = {"kind": "table", "prefix": [["1/1", "0/1"]], "tail": "0/1"}
+    doc = tmp_path / "doc.jsonl"
+    doc.write_text(jsonl([{"type": "real", **wide}]) + "not json\n")
+    assert_input_error(run_cli("least", doc), f"{doc}:2: invalid JSON")
+    doc.write_text(jsonl([{"type": "point", "index": 1, "x": "0/1",
+                           "y": "0/1"}]))
+    assert_input_error(run_cli("least", doc),
+                       "point indices must be dense from 0")
+    doc.write_text(jsonl([{"type": "real", "kind": "rational", "value": 1},
+                          *({"type": "point", "index": i, "x": x, "y": y}
+                            for i, (x, y) in enumerate([(wide, "0/1"),
+                                                        ("1/1", upside),
+                                                        ("-1/1", "1/1")]))]))
+    proc = run_cli("least", doc)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert_input_error(run_cli("convex", doc), "invalid interval table at "
+                       "index 0: lower endpoint above upper endpoint")
 
 
 def test_forced_challenge_that_does_not_verify_exits_4(tmp_path):

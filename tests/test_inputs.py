@@ -11,8 +11,6 @@ from realearn.inputs import (
     load_document,
     load_script,
     parse_fraction,
-    rational_points,
-    real_limits,
 )
 
 
@@ -37,10 +35,11 @@ def test_load_reals_document(tmp_path):
         '{"type": "real", "kind": "blurred", "value": -2}\n'
         '{"type": "real", "kind": "table",'
         ' "prefix": [["0/1", "1/1"]], "tail": "1/2"}\n')
-    document = load_document(doc_path)
-    limits = real_limits(document)
+    specs, points = load_document(doc_path)
+    assert points == []
+    limits = [spec.limit for spec in specs]
     assert limits == [Fraction(1, 2), Fraction(-2), Fraction(1, 2)]
-    reals = build_reals(document)
+    reals = build_reals(specs)
     assert len(reals) == 3
     at_0 = reals[1].interval_at(0)
     assert at_0 == (Fraction(-5, 2), Fraction(-3, 2))
@@ -52,15 +51,15 @@ def test_load_points_document(tmp_path):
         '{"type": "point", "index": 1, "x": "1/1", "y": "2/1"}\n'
         '{"type": "point", "index": 0, "x": {"kind": "blurred", "value": "0/1"},'
         ' "y": "-1/1"}\n')
-    document = load_document(doc_path)
+    reals, specs = load_document(doc_path)
+    assert reals == []
     # records sort by index regardless of file order
-    assert [p.index for p in document.points] == [0, 1]
-    points = build_points(document)
+    assert [index for index, _, _ in specs] == [0, 1]
+    assert (specs[1][1].limit, specs[1][2].limit) == (Fraction(1), Fraction(2))
+    points = build_points(specs)
     # y coordinates occupy real indices 0..n, x coordinates follow
     assert points[0].y.index == 0 and points[1].y.index == 1
     assert points[0].x.index == 2 and points[1].x.index == 3
-    limits = rational_points(document)
-    assert (limits[1].x, limits[1].y) == (Fraction(1), Fraction(2))
 
 
 @pytest.mark.parametrize("line,fragment", [
@@ -109,9 +108,9 @@ def test_table_spec_eagerly_validates(tmp_path):
     doc_path.write_text(
         '{"type": "real", "kind": "table",'
         ' "prefix": [["1/1", "0/1"]], "tail": "0/1"}\n')
-    document = load_document(doc_path)
+    specs, _ = load_document(doc_path)
     with pytest.raises(InputError) as exc:
-        build_reals(document)
+        build_reals(specs)
     assert str(exc.value) == ("invalid interval table at index 0: "
                               "lower endpoint above upper endpoint")
 

@@ -33,13 +33,11 @@ from realearn import (
 )
 from realearn.geometry import RationalPoint
 from realearn._record import _Record
-from realearn.inputs import InputDocument, PointSpec, RealSpec
+from realearn.inputs import RealSpec
 from realearn.replay import ReplayVerdict, RunReplay
 
 REG = RealRegistry()
 X, Y = REG.from_rational(1), REG.blurred(F(-1, 2))
-HALF = RealSpec(kind="rational", limit=F(1, 2))
-TABLE = RealSpec("table", F(1, 2), ((F(0), F(1)),))
 RUN = RunReplay([0, 1], [0, 2], 1, True, True, True)
 RUN_TEXT = ("RunReplay(leaf_ranks=[0, 1], leaf_candidates=[0, 2], restarts=1, "
             "progress_ok=True, unique_ok=True, bound_ok=True)")
@@ -92,9 +90,14 @@ CASES = [
      ("table", F(1, 2), ()), True,
      "RealSpec(kind='table', limit=Fraction(1, 2), prefix=((Fraction(0, 1), "
      "Fraction(1, 1)),))"),
-    (PointSpec, (0, HALF, TABLE), {"index": 0, "x": HALF, "y": TABLE},
-     {"index": 0, "x": HALF, "y": TABLE}, (0, TABLE, HALF), True,
-     f"PointSpec(index=0, x={HALF!r}, y={TABLE!r})"),
+    (ConvexAngleResult, (0, 1, 2, CERT, STATE, 3, LOG),
+     {"a": 0, "b": 1, "c": 2, "certificate": CERT, "state": STATE,
+      "restarts": 3, "log": LOG},
+     {"a": 0, "b": 1, "c": 2, "certificate": CERT, "state": STATE,
+      "restarts": 3, "log": LOG, "trace": []},
+     (0, 2, 1, CERT, STATE, 3, LOG), False,
+     f"ConvexAngleResult(a=0, b=1, c=2, certificate={CERT!r}, "
+     f"state={STATE!r}, restarts=3, log={LOG!r})"),
     (BoundingCertificate, (0, 1, 2, {3: 4}, {3: 5}, 6, 7),
      {"a": 0, "b": 1, "c": 2, "left": {3: 4}, "right": {3: 5},
       "c_left": 6, "b_right": 7},
@@ -110,12 +113,13 @@ CASES = [
      {"reals": REG, "entries": {(1, 0): 2}}, (REG, {(1, 0): 3}), False,
      f"KnowledgeState(reals={REG!r}, "
      "entries=mappingproxy({(1, 0): 2}))"),
-    (InputDocument, ([HALF], [PointSpec(0, HALF, TABLE)]),
-     {"points": [PointSpec(0, HALF, TABLE)], "reals": [HALF]},
-     {"reals": [HALF], "points": [PointSpec(0, HALF, TABLE)]},
-     ([HALF], []), False,
-     f"InputDocument(reals=[{HALF!r}], "
-     f"points=[PointSpec(index=0, x={HALF!r}, y={TABLE!r})])"),
+    (LearnOutcome, (CAND, STATE, LOG, 0),
+     {"candidate": CAND, "state": STATE, "log": LOG, "restarts": 0},
+     {"candidate": CAND, "state": STATE, "log": LOG, "restarts": 0,
+      "trace": []},
+     (CAND, STATE, LOG, 1), False,
+     f"LearnOutcome(candidate={CAND!r}, state={STATE!r}, log={LOG!r}, "
+     "restarts=0)"),
     (RunReplay, ([0, 1], [0, 2], 1, True, True, True),
      {"leaf_ranks": [0, 1], "leaf_candidates": [0, 2], "restarts": 1,
       "progress_ok": True, "unique_ok": True, "bound_ok": True},
@@ -125,21 +129,6 @@ CASES = [
     (ReplayVerdict, (2, [RUN]), {"n": 2, "runs": [RUN]},
      {"n": 2, "runs": [RUN], "ok": True}, (2, []), False,
      f"ReplayVerdict(n=2, runs=[{RUN_TEXT}])"),
-    (ConvexAngleResult, (0, 1, 2, CERT, STATE, 3, LOG),
-     {"a": 0, "b": 1, "c": 2, "certificate": CERT, "state": STATE,
-      "restarts": 3, "log": LOG},
-     {"a": 0, "b": 1, "c": 2, "certificate": CERT, "state": STATE,
-      "restarts": 3, "log": LOG, "trace": []},
-     (0, 2, 1, CERT, STATE, 3, LOG), False,
-     f"ConvexAngleResult(a=0, b=1, c=2, certificate={CERT!r}, "
-     f"state={STATE!r}, restarts=3, log={LOG!r})"),
-    (LearnOutcome, (CAND, STATE, LOG, 0),
-     {"candidate": CAND, "state": STATE, "log": LOG, "restarts": 0},
-     {"candidate": CAND, "state": STATE, "log": LOG, "restarts": 0,
-      "trace": []},
-     (CAND, STATE, LOG, 1), False,
-     f"LearnOutcome(candidate={CAND!r}, state={STATE!r}, log={LOG!r}, "
-     "restarts=0)"),
 ]
 
 
